@@ -100,6 +100,8 @@ def _cmd_two_tmin(args) -> int:
 
 def _cmd_two_curve(args) -> int:
     started = time.monotonic()
+    if not 0.0 < args.step < np.inf or not 0.0 <= args.amax < np.inf:
+        raise ValueError("--step must be positive and --amax non-negative, both finite")
     n = int(np.floor(args.amax / args.step + 1e-9))
     areas = np.arange(n + 1) * args.step
     rows = np.column_stack([

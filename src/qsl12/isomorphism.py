@@ -22,7 +22,7 @@ is kept around as a negative control).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -169,14 +169,15 @@ def _controls(y4: np.ndarray) -> lambda3.PulsePair:
 def cross_check(
     cfg: shooting.ShotConfig,
     costates: tuple[float, float] | None = None,
-    step: float = 1e-3,
     corrupt_mapping: bool = False,
 ) -> CrossCheck:
     """Integrate every representation of one time-optimal transfer side by side.
 
     Runs the closed-loop extremal together with the real three-level
-    amplitudes and the counterpart two-level amplitudes on one fixed-step
-    grid, then re-runs with the angle block seeded just off the initial pole.
+    amplitudes and the counterpart two-level amplitudes as one state on the
+    adaptive integrator of ``cfg``, up to the hit time, then re-runs from the
+    first node off the initial pole with the angle block added. The
+    deviations are taken over the accepted nodes of each run.
     ``corrupt_mapping`` switches the Stokes reduction to the inconsistent
     Omega_s / sqrt(2) variant (negative control: the oracles must fail).
     """
@@ -211,7 +212,7 @@ def cross_check(
     y0[2], y0[3] = costates
     y0[4] = 1.0
     y0[7] = 1.0
-    base = ode.rk4(rhs11, y0, (0.0, t_hit), step)
+    base = ode.integrate(rhs11, y0, (0.0, t_hit), cfg.integrator)
 
     cart = base.states[:, 4:7].T
     rho_mapped = np.array([cart[0], -_SQRT2 * cart[1], _SQRT2 * cart[2]])
@@ -246,7 +247,7 @@ def cross_check(
         return d
 
     y0b = np.concatenate([base.states[i0], [theta0, phi0, gamma0]])
-    second = ode.rk4(rhs14, y0b, (t0, t_hit), step)
+    second = ode.integrate(rhs14, y0b, (t0, t_hit), cfg.integrator)
     cart2 = second.states[:, 4:7].T
     rho_mapped2 = np.array([cart2[0], -_SQRT2 * cart2[1], _SQRT2 * cart2[2]])
     theta_b = second.states[:, 11]
@@ -280,17 +281,12 @@ def area_divergence_check(
 ) -> np.ndarray:
     """Pump area of the counterpart problem along the optimum, per accuracy.
 
+    The optima come from the same eps continuation as ``shooting.area_curve``.
     Returns an (n, 2) array of (eps, integral of |P| dt) in the input order.
     The area must grow without bound as eps -> 0 (the complete transfer
     needs infinite pump area); tests regress it against ln(eps).
     """
     eps_values = np.asarray(list(eps_values), dtype=float)
-    order = np.argsort(eps_values)[::-1]
-    areas = np.empty_like(eps_values)
-    guess = initial_guess
-    for i in order:
-        opt = shooting.refine(lphi_i, guess, replace(cfg, eps=float(eps_values[i])))
-        pump = np.abs(opt.pulses[:, 0]) / _SQRT2
-        areas[i] = float(np.trapezoid(pump, opt.trajectory.times))
-        guess = opt.ltheta_i
+    optima = shooting._optima_along_eps(eps_values, cfg, lphi_i, initial_guess)
+    areas = [np.trapezoid(np.abs(opt.pulses[:, 0]) / _SQRT2, opt.trajectory.times) for opt in optima]
     return np.column_stack([eps_values, areas])

@@ -1,11 +1,12 @@
-"""Runge-Kutta integration with event localization.
+"""Adaptive Runge-Kutta integration with event localization.
 
 The flows in this package are smooth and non-stiff, but regression against
-published transfer times requires tight local error control, so the adaptive
-driver uses the embedded Dormand-Prince 5(4) pair with proportional step
-control. Event times are found by bracketing a sign change of the event
-function across accepted steps and bisecting the bracket (re-integrating
-short segments) until the crossing time is pinned down to ``event_tol``.
+published transfer times requires tight local error control, so every
+integration runs on the embedded Dormand-Prince 5(4) pair with proportional
+step control (Hairer, Norsett & Wanner, Solving ODEs I, II.4-6). An event is
+bracketed by a sign change of the event function across one accepted step;
+Brent's root finder then pins the crossing time down to ``event_tol``, each
+probe being a single Dormand-Prince step from the bracket's left node.
 
 Everything is deterministic: identical inputs produce bit-identical output.
 All times are in units of 1/Omega_0 with Omega_0 = 1.
@@ -13,11 +14,11 @@ All times are in units of 1/Omega_0 with Omega_0 = 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
+from scipy.optimize import brentq
 
 __all__ = [
     "IntegratorConfig",
@@ -25,9 +26,7 @@ __all__ = [
     "EventHit",
     "StepUnderflow",
     "integrate",
-    "propagate",
     "locate_event",
-    "rk4",
 ]
 
 #: Hard floor for the adaptive step; reaching it signals stiffness or a
@@ -128,12 +127,30 @@ def _error_norm(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray, cfg: Inte
     return float(np.sqrt(np.mean(q * q)))
 
 
-def _steps(rhs: Rhs, t0: float, y0: np.ndarray, t1: float, cfg: IntegratorConfig) -> Iterator[tuple[float, np.ndarray]]:
-    """Yield accepted (t, y) nodes strictly after t0, ending at t1."""
+def _dp5_step(rhs: Rhs, t: float, y: np.ndarray, k1: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Dormand-Prince 5(4) step of length h from (t, y), where k1 = rhs(t, y).
+
+    Returns the 5th-order state at t + h, the slope there (the next step's
+    k1), and the local error estimate.
+    """
+    k2 = np.asarray(rhs(t + _C2 * h, y + h * (_A21 * k1)))
+    k3 = np.asarray(rhs(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2)))
+    k4 = np.asarray(rhs(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)))
+    k5 = np.asarray(rhs(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)))
+    k6 = np.asarray(rhs(t + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)))
+    y_new = y + h * (_A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6)
+    k7 = np.asarray(rhs(t + h, y_new))
+    err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+    return y_new, k7, err
+
+
+def _steps(rhs: Rhs, t0: float, y0: np.ndarray, t1: float, cfg: IntegratorConfig) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+    """Yield (t, y, rhs(t, y)) at t0 and at every accepted node after it, ending at t1."""
     t = t0
     y = y0
     h = min(cfg.max_step, t1 - t0)
-    k1 = np.asarray(rhs(t, y))
+    k = np.asarray(rhs(t, y))
+    yield t, y, k
     while True:
         remaining = t1 - t
         if remaining <= MIN_STEP:
@@ -141,20 +158,13 @@ def _steps(rhs: Rhs, t0: float, y0: np.ndarray, t1: float, cfg: IntegratorConfig
         h = min(h, remaining)
         if h < MIN_STEP:
             raise StepUnderflow(f"step size {h:.3e} below {MIN_STEP:.0e} at t={t!r}")
-        k2 = np.asarray(rhs(t + _C2 * h, y + h * (_A21 * k1)))
-        k3 = np.asarray(rhs(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2)))
-        k4 = np.asarray(rhs(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)))
-        k5 = np.asarray(rhs(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)))
-        k6 = np.asarray(rhs(t + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)))
-        y_new = y + h * (_A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6)
-        k7 = np.asarray(rhs(t + h, y_new))
-        err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+        y_new, k_new, err = _dp5_step(rhs, t, y, k, h)
         enorm = _error_norm(err, y, y_new, cfg)
         if enorm <= 1.0:
             t = t1 if (t1 - (t + h)) <= MIN_STEP else t + h
             y = y_new
-            k1 = k7
-            yield t, y
+            k = k_new
+            yield t, y, k
             factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
         else:
             factor = max(0.2, 0.9 * enorm ** -0.2)
@@ -169,24 +179,12 @@ def integrate(rhs: Rhs, y0, t_span: tuple[float, float], cfg: IntegratorConfig =
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 < t0:
         raise ValueError("t_span must be non-decreasing")
-    y = _as_state(y0)
-    times = [t0]
-    states = [y]
-    for t, yt in _steps(rhs, t0, y, t1, cfg):
+    times = []
+    states = []
+    for t, y, _ in _steps(rhs, t0, _as_state(y0), t1, cfg):
         times.append(t)
-        states.append(yt)
+        states.append(y)
     return Trajectory(np.asarray(times), np.asarray(states))
-
-
-def propagate(rhs: Rhs, y0, t_span: tuple[float, float], cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
-    """Like integrate() but returns only the final state."""
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 < t0:
-        raise ValueError("t_span must be non-decreasing")
-    y = _as_state(y0)
-    for _, y in _steps(rhs, t0, y, t1, cfg):
-        pass
-    return y
 
 
 def locate_event(
@@ -198,65 +196,39 @@ def locate_event(
 ) -> EventHit | None:
     """Locate the first sign change of ``event`` along the trajectory.
 
-    The crossing bracket found while stepping is narrowed by bisection in
-    time (each probe re-integrates from the left bracket point) until its
-    width is below ``cfg.event_tol``. Returns None when the event keeps its
-    sign throughout ``t_span``.
+    The event's sign is compared at the accepted nodes. Inside the step that
+    brackets a change, brentq pins the crossing down to ``cfg.event_tol`` in
+    time; each probe is one DP5 step from the step's left node. Returns None
+    when the event keeps its sign at every node of ``t_span``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    y = _as_state(y0)
-    e_prev = float(event(y))
-    if e_prev == 0.0:
-        return EventHit(t0, y, Trajectory(np.asarray([t0]), np.asarray([y])))
-    times = [t0]
-    states = [y]
-    t_prev = t0
-    y_prev = y
-    for t, yt in _steps(rhs, t0, y, t1, cfg):
-        e_new = float(event(yt))
-        if e_new == 0.0 or (e_new > 0.0) != (e_prev > 0.0):
-            t_hit, y_hit = _bisect_event(rhs, t_prev, y_prev, e_prev, t, event, cfg)
-            times.append(t_hit)
-            states.append(y_hit)
-            return EventHit(t_hit, y_hit, Trajectory(np.asarray(times), np.asarray(states)))
-        times.append(t)
-        states.append(yt)
-        t_prev, y_prev, e_prev = t, yt, e_new
+    steps = _steps(rhs, t0, _as_state(y0), t1, cfg)
+    t_a, y_a, k_a = next(steps)
+    e_a = float(event(y_a))
+    times = [t_a]
+    states = [y_a]
+    if e_a == 0.0:
+        return EventHit(t_a, y_a, Trajectory(np.asarray(times), np.asarray(states)))
+    for t_b, y_b, k_b in steps:
+        e_b = float(event(y_b))
+        if e_b == 0.0 or (e_b > 0.0) != (e_a > 0.0):
+            # brentq evaluates both ends first; their states are known.
+            probes = {t_b: y_b}
+
+            def event_at(t: float) -> float:
+                if t == t_a:
+                    return e_a
+                if t not in probes:
+                    probes[t] = _dp5_step(rhs, t_a, y_a, k_a, t - t_a)[0]
+                return float(event(probes[t]))
+
+            t_hit = brentq(event_at, t_a, t_b, xtol=cfg.event_tol)
+            # A root on the left node is that node, already stored last.
+            if t_hit > t_a:
+                times.append(t_hit)
+                states.append(probes[t_hit])
+            return EventHit(times[-1], states[-1], Trajectory(np.asarray(times), np.asarray(states)))
+        times.append(t_b)
+        states.append(y_b)
+        t_a, y_a, k_a, e_a = t_b, y_b, k_b, e_b
     return None
-
-
-def _bisect_event(rhs, ta, ya, ea, tb, event, cfg):
-    """Narrow [ta, tb] (sign change inside) to event_tol; return right edge."""
-    while tb - ta > cfg.event_tol:
-        tm = 0.5 * (ta + tb)
-        ym = propagate(rhs, ya, (ta, tm), cfg)
-        em = float(event(ym))
-        if em != 0.0 and (em > 0.0) == (ea > 0.0):
-            ta, ya, ea = tm, ym, em
-        else:
-            tb = tm
-    return tb, propagate(rhs, ya, (ta, tb), cfg)
-
-
-def rk4(rhs: Rhs, y0, t_span: tuple[float, float], h: float) -> Trajectory:
-    """Fixed-step classical RK4 with a uniform grid of spacing <= h."""
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 <= t0:
-        raise ValueError("t_span must be increasing")
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    n = max(1, math.ceil((t1 - t0) / h))
-    dt = (t1 - t0) / n
-    y = _as_state(y0)
-    times = np.linspace(t0, t1, n + 1)
-    states = np.empty((n + 1,) + y.shape, dtype=y.dtype)
-    states[0] = y
-    for i in range(n):
-        t = times[i]
-        k1 = np.asarray(rhs(t, y))
-        k2 = np.asarray(rhs(t + 0.5 * dt, y + 0.5 * dt * k1))
-        k3 = np.asarray(rhs(t + 0.5 * dt, y + 0.5 * dt * k2))
-        k4 = np.asarray(rhs(t + dt, y + dt * k3))
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[i + 1] = y
-    return Trajectory(times, states)

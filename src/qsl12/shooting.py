@@ -40,7 +40,6 @@ __all__ = [
     "solve_optimum",
     "landscape",
     "refine",
-    "refine2d",
     "area_curve",
     "fit_asymptote",
     "energy_optimum3",
@@ -302,7 +301,6 @@ def landscape(
     ltheta_range: tuple[float, float],
     resolution: int | tuple[int, int],
     cfg: ShotConfig,
-    step: float | None = None,
     workers: int | None = None,
 ) -> LandscapeGrid:
     """Hit-time grid over initial costates; NaN where nothing hits.
@@ -318,8 +316,7 @@ def landscape(
         raise ValueError("resolution must be at least 1x1")
     lphi_axis = np.linspace(lphi_range[0], lphi_range[1], n_phi)
     ltheta_axis = np.linspace(ltheta_range[0], ltheta_range[1], n_th)
-    if step is None:
-        step = 0.5 * cfg.integrator.max_step
+    step = 0.5 * cfg.integrator.max_step
 
     workers = min(_resolve_workers(workers), n_phi)
     if workers == 1:
@@ -343,26 +340,23 @@ SIMPLEX_MAX_ITER = 500
 
 
 class _Objective:
-    """Cached shot time as a function of the initial costates; NoHit is
-    penalized one unit above the horizon so the simplex retreats into the
-    feasible region."""
+    """Cached shot time as a function of the initial lambda_theta at fixed
+    lambda_phi; NoHit is penalized one unit above the horizon so the simplex
+    retreats into the feasible region."""
 
-    def __init__(self, cfg: ShotConfig, lphi_i: float | None = None):
+    def __init__(self, cfg: ShotConfig, lphi_i: float):
         self.cfg = cfg
         self.lphi_i = lphi_i
         self.penalty = cfg.horizon + 1.0
-        self._cache: dict[tuple[float, ...], float] = {}
+        self._cache: dict[float, float] = {}
 
     def __call__(self, x) -> float:
-        key = tuple(float(v) for v in np.atleast_1d(x))
+        key = float(np.atleast_1d(x)[0])
         try:
             return self._cache[key]
         except KeyError:
             pass
-        if self.lphi_i is None:
-            t = shoot(key[0], key[1], self.cfg)
-        else:
-            t = shoot(self.lphi_i, key[0], self.cfg)
+        t = shoot(self.lphi_i, key, self.cfg)
         value = self.penalty if t is None else t
         self._cache[key] = value
         return value
@@ -436,33 +430,9 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     return solve_optimum(lphi_i, best, cfg)
 
 
-def refine2d(lphi_guess: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
-    """Joint simplex over both initial costates.
-
-    The optima form rays, so the minimizer is not isolated; the returned
-    point is one representative of the optimal ray (no edge polish).
-    """
-    obj = _Objective(cfg)
-    if not obj.feasible([lphi_guess, ltheta_guess]):
-        raise NoFeasiblePoint("2-D refinement requires a feasible starting guess")
-    result = minimize(
-        obj,
-        [lphi_guess, ltheta_guess],
-        method="Nelder-Mead",
-        options=dict(xatol=SIMPLEX_WIDTH, fatol=np.inf, maxiter=SIMPLEX_MAX_ITER),
-    )
-    if not result.success:
-        raise NoConvergence(f"simplex did not converge: {result.message}")
-    return solve_optimum(float(result.x[0]), float(result.x[1]), cfg)
-
-
-def area_curve(
-    eps_values,
-    cfg: ShotConfig,
-    lphi_i: float = 1.85,
-    initial_guess: float = 0.9,
-) -> np.ndarray:
-    """Minimum generalized pulse area for each accuracy in ``eps_values``.
+def _optima_along_eps(eps_values: np.ndarray, cfg: ShotConfig, lphi_i: float,
+                      initial_guess: float) -> list[Optimum]:
+    """Refined optima for each accuracy in ``eps_values``, in input order.
 
     Points are solved from the largest eps down, warm-starting each
     refinement just inside the previous optimum (the optimal ray moves
@@ -470,15 +440,13 @@ def area_curve(
     remain feasible on a slower solution branch beyond the new feasibility
     edge; such branch jumps announce themselves as area discontinuities far
     above the logarithmic trend, and the point is then re-solved from a
-    reduced guess. Returns an (n, 2) array of (eps, area) in input order.
+    reduced guess.
     """
-    eps_values = np.asarray(list(eps_values), dtype=float)
-    order = np.argsort(eps_values)[::-1]
-    areas = np.empty_like(eps_values)
+    optima: list[Optimum | None] = [None] * len(eps_values)
     guess = initial_guess
     prev_area = None
     prev_eps = None
-    for i in order:
+    for i in np.argsort(eps_values)[::-1]:
         eps_i = float(eps_values[i])
         cfg_i = replace(cfg, eps=eps_i)
         opt = refine(lphi_i, guess, cfg_i)
@@ -491,10 +459,27 @@ def area_curve(
                     retry = None
                 if retry is not None and retry.area < opt.area:
                     opt = retry
-        areas[i] = opt.area
+        optima[i] = opt
         guess = 0.85 * opt.ltheta_i
         prev_area, prev_eps = opt.area, eps_i
-    return np.column_stack([eps_values, areas])
+    return optima
+
+
+def area_curve(
+    eps_values,
+    cfg: ShotConfig,
+    lphi_i: float = 1.85,
+    initial_guess: float = 0.9,
+) -> np.ndarray:
+    """Minimum generalized pulse area for each accuracy in ``eps_values``.
+
+    The optima come from one eps continuation, largest eps first, with a
+    branch-jump guard (see ``_optima_along_eps``). Returns an (n, 2) array
+    of (eps, area) in input order.
+    """
+    eps_values = np.asarray(list(eps_values), dtype=float)
+    optima = _optima_along_eps(eps_values, cfg, lphi_i, initial_guess)
+    return np.column_stack([eps_values, [opt.area for opt in optima]])
 
 
 def fit_asymptote(curve) -> tuple[float, float]:

@@ -202,3 +202,13 @@ class TestParsing:
     def test_malformed_value_exits_2(self, capsys):
         assert cli.main(["two-level", "simulate", "--eps", "0.1", "--kerr", "bogus"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flags", [
+        ["--step", "0"],
+        ["--step", "-0.5"],
+        ["--amax", "-1"],
+    ])
+    def test_bad_curve_grid_exits_2(self, tmp_path, capsys, flags):
+        assert cli.main(["--out", str(tmp_path), "two-level", "curve", *flags]) == 2
+        capsys.readouterr()
+        assert not any(tmp_path.iterdir())

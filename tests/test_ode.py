@@ -44,7 +44,7 @@ class TestIntegrate:
 
     def test_complex_states_supported(self):
         rhs = lambda t, y: np.array([1j * y[0]])
-        final = ode.propagate(rhs, np.array([1.0 + 0.0j]), (0.0, math.pi))
+        final = ode.integrate(rhs, np.array([1.0 + 0.0j]), (0.0, math.pi)).final_state
         assert abs(final[0] + 1.0) < 1e-9
 
     def test_step_underflow_on_blowup(self):
@@ -90,18 +90,34 @@ class TestLocateEvent:
         rhs = lambda t, eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
         assert ode.locate_event(rhs, [0.0, 0.0, -0.5], (0.0, 1.0), lambda eta: eta[2] - 0.4) is None
 
+    @staticmethod
+    def x3sq_excess(y):
+        c = math.cos(y[0]) * math.sin(y[1])
+        return 0.5 * c * c - 0.5 * (1.0 - 0.002)
+
     def test_three_level_transfer_time(self):
         # target population |x3|^2 reaching 0.499 on the optimal extremal;
-        # reference transfer time ~ 7.40
-        rhs = lambda t, y: lambda3.extremal_rhs(y)
+        # reference transfer time ~ 7.40. The rhs budget covers 740 steps
+        # plus a few single-step probes in the bracketing step.
+        calls = 0
 
-        def x3sq_excess(y):
-            c = math.cos(y[0]) * math.sin(y[1])
-            return 0.5 * c * c - 0.5 * (1.0 - 0.002)
+        def rhs(t, y):
+            nonlocal calls
+            calls += 1
+            return lambda3.extremal_rhs(y)
 
-        hit = ode.locate_event(rhs, [0.0, 0.0, 1.85, 0.45266], (0.0, 15.0), x3sq_excess)
+        hit = ode.locate_event(rhs, [0.0, 0.0, 1.85, 0.45266], (0.0, 15.0), self.x3sq_excess)
         assert hit is not None
         assert hit.t == pytest.approx(7.40, abs=0.02)
+        assert calls <= 4500
+
+    @pytest.mark.xfail(strict=True, reason="signs are compared only at step ends; "
+                       "the |x3|^2 excess is positive only inside a window ~0.012 wide")
+    def test_grazing_reference_hit_at_coarse_steps(self):
+        rhs = lambda t, y: lambda3.extremal_rhs(y)
+        cfg = ode.IntegratorConfig(max_step=0.05)
+        hit = ode.locate_event(rhs, [0.0, 0.0, 1.85, 0.45266], (0.0, 15.0), self.x3sq_excess, cfg)
+        assert hit is not None
 
     def test_first_crossing_is_reported(self):
         # the total transferred population (1 - x1^2)/2 dips through its
@@ -117,6 +133,17 @@ class TestLocateEvent:
         assert hit is not None
         assert hit.t < 7.38
 
+    def test_crossing_just_after_a_node(self):
+        # the event is a hair below zero at an accepted node; the hit must
+        # not repeat that node's time
+        rhs = lambda t, y: np.ones(1)
+        node = ode.integrate(rhs, [0.0], (0.0, 1.0)).states[30, 0]
+        level = np.nextafter(node, np.inf)
+        hit = ode.locate_event(rhs, [0.0], (0.0, 1.0), lambda y: y[0] - level)
+        assert hit is not None
+        assert hit.t == pytest.approx(level, abs=1e-10)
+        assert hit.trajectory.times[-1] == hit.t
+
     def test_event_zero_at_start(self):
         rhs = lambda t, eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
         hit = ode.locate_event(rhs, [0.0, 0.0, -0.5], (0.0, 1.0), lambda eta: eta[2] + 0.5)
@@ -129,23 +156,3 @@ class TestLocateEvent:
         t1 = ode.locate_event(rhs, [0.0, 0.0, -0.5], (0.0, 5.0), lambda eta: eta[2], cfg).t
         t2 = ode.locate_event(rhs, [0.0, 0.0, -0.5], (0.0, 5.0), lambda eta: eta[2], half).t
         assert abs(t1 - t2) < 10.0 * cfg.event_tol
-
-
-class TestRK4:
-    def test_uniform_grid_and_accuracy(self):
-        traj = ode.rk4(rotation_rhs, [1.0, 0.0], (0.0, math.pi), 1e-3)
-        spacing = np.diff(traj.times)
-        assert np.allclose(spacing, spacing[0], rtol=1e-12)
-        assert np.allclose(traj.final_state, [-1.0, 0.0], atol=1e-10)
-
-    def test_matches_adaptive_path(self):
-        rhs = lambda t, eta: bloch2.bloch_rhs(eta, 1.0, 0.2)
-        fixed = ode.rk4(rhs, [0.0, 0.0, -0.5], (0.0, 4.0), 5e-4).final_state
-        adaptive = ode.propagate(rhs, [0.0, 0.0, -0.5], (0.0, 4.0))
-        assert np.allclose(fixed, adaptive, atol=1e-9)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            ode.rk4(rotation_rhs, [1.0, 0.0], (0.0, 1.0), -1e-3)
-        with pytest.raises(ValueError):
-            ode.rk4(rotation_rhs, [1.0, 0.0], (1.0, 1.0), 1e-3)

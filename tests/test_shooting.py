@@ -112,12 +112,6 @@ class TestRefine:
         with pytest.raises(shooting.NoFeasiblePoint):
             shooting.refine(1.85, 0.5, cfg)
 
-    def test_two_dimensional_mode(self, cfg002, opt002):
-        opt = shooting.refine2d(1.85, 0.40, cfg002)
-        assert opt.t_min <= opt002.t_min + 0.05
-        with pytest.raises(shooting.NoFeasiblePoint):
-            shooting.refine2d(1.85, 0.6, cfg002)
-
 
 class TestExtremalInvariants:
     def test_bang_magnitude_saturated(self, opt002):
