@@ -209,6 +209,7 @@ def _cmd_three_optimize(args) -> int:
 def _cmd_three_areacurve(args) -> int:
     started = time.monotonic()
     eps_values = np.geomspace(args.eps_max, args.eps_min, args.n)
+    shooting._asymptotic(eps_values)  # the fit's precondition, checked before the solves
     cfg = shooting.ShotConfig(eps=eps_values[0], horizon=args.horizon, integrator=_integrator(args))
     curve = shooting.area_curve(eps_values, cfg, lphi_i=args.lphi)
     slope, intercept = shooting.fit_asymptote(curve)

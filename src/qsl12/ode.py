@@ -3,10 +3,18 @@
 The flows in this package are smooth and non-stiff, but regression against
 published transfer times requires tight local error control, so every
 integration runs on the embedded Dormand-Prince 5(4) pair with proportional
-step control (Hairer, Norsett & Wanner, Solving ODEs I, II.4-6). An event is
-bracketed by a sign change of the event function across one accepted step;
-Brent's root finder then pins the crossing time down to ``event_tol``, each
-probe being a single Dormand-Prince step from the bracket's left node.
+step control (Hairer, Norsett & Wanner, Solving ODEs I, II.4-6).
+
+``integrate`` stores every accepted node, their spacing capped at
+``max_step``. ``locate_event`` lets the tolerances alone set its steps: it
+reads the state inside an accepted step from the pair's free quartic
+continuous extension (dense output, II.6), which is built from the step's
+seven stages and costs no rhs call. A step brackets an event when the event
+changes sign across it, or when it *grazes* zero: both ends share a sign,
+the event moves toward zero at the left end and away from it at the right
+end, and at its extremum in between, found on the interpolant, it reaches
+zero. Brent's root finder then pins the crossing down to ``event_tol`` on
+the interpolant.
 
 Everything is deterministic: identical inputs produce bit-identical output.
 All times are in units of 1/Omega_0 with Omega_0 = 1.
@@ -14,6 +22,7 @@ All times are in units of 1/Omega_0 with Omega_0 = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -44,9 +53,11 @@ class StepUnderflow(RuntimeError):
 class IntegratorConfig:
     """Tolerances and step limits for the adaptive integrator.
 
-    ``max_step`` bounds the spacing of the reported trajectory nodes (the
-    sampling density available to later linear interpolation); ``event_tol``
-    is the width, in time, to which an event crossing is localized.
+    ``max_step`` caps the steps of ``integrate`` and so the spacing of its
+    trajectory nodes (the sampling density available to later linear
+    interpolation); in ``locate_event`` it only bounds the first trial step.
+    ``event_tol`` is the width, in time, to which an event crossing is
+    localized.
     """
 
     abs_tol: float = 1e-10
@@ -87,7 +98,11 @@ class Trajectory:
 
 @dataclass
 class EventHit:
-    """First event crossing: time, state there, and the path leading to it."""
+    """First event crossing: time, state there, and the path leading to it.
+
+    The path holds the search's accepted nodes, whose spacing is set by the
+    tolerances alone, followed by the crossing.
+    """
 
     t: float
     y: np.ndarray
@@ -113,6 +128,23 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     -1 / 40,
 )
 
+# Free quartic continuous extension of the pair (II.6, the coefficients of
+# scipy's RK45.P): inside an accepted step of length h from (t, y) with
+# stages K, the state at t + x*h is y + h * (K.T @ _P) @ (x, x^2, x^3, x^4).
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+
+#: Half-width of the central difference that gives an event's time
+#: derivative, as a fraction of the step.
+_RATE_DT = 1e-4
+
 
 def _as_state(y0) -> np.ndarray:
     y = np.array(y0, copy=True)
@@ -127,11 +159,11 @@ def _error_norm(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray, cfg: Inte
     return float(np.sqrt(np.mean(q * q)))
 
 
-def _dp5_step(rhs: Rhs, t: float, y: np.ndarray, k1: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _dp5_step(rhs: Rhs, t: float, y: np.ndarray, k1: np.ndarray, h: float) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
     """One Dormand-Prince 5(4) step of length h from (t, y), where k1 = rhs(t, y).
 
-    Returns the 5th-order state at t + h, the slope there (the next step's
-    k1), and the local error estimate.
+    Returns the 5th-order state at t + h, the seven stages (the last is the
+    slope at t + h, the next step's k1), and the local error estimate.
     """
     k2 = np.asarray(rhs(t + _C2 * h, y + h * (_A21 * k1)))
     k3 = np.asarray(rhs(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2)))
@@ -141,16 +173,23 @@ def _dp5_step(rhs: Rhs, t: float, y: np.ndarray, k1: np.ndarray, h: float) -> tu
     y_new = y + h * (_A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6)
     k7 = np.asarray(rhs(t + h, y_new))
     err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-    return y_new, k7, err
+    return y_new, (k1, k2, k3, k4, k5, k6, k7), err
 
 
-def _steps(rhs: Rhs, t0: float, y0: np.ndarray, t1: float, cfg: IntegratorConfig) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
-    """Yield (t, y, rhs(t, y)) at t0 and at every accepted node after it, ending at t1."""
+def _steps(rhs: Rhs, t0: float, y0: np.ndarray, t1: float, cfg: IntegratorConfig,
+           max_step: float = math.inf) -> Iterator[tuple[float, np.ndarray, tuple[np.ndarray, ...], float]]:
+    """Yield (t, y, K, h) at t0 and at every accepted node after it, ending at t1.
+
+    K holds the stages of the step of length h that ended at t, so K[0] is
+    the slope at its start and K[-1] = rhs(t, y); at t0, K holds only that
+    slope and h is 0. The first trial step is min(cfg.max_step, t1 - t0);
+    later steps are capped at ``max_step``.
+    """
     t = t0
     y = y0
     h = min(cfg.max_step, t1 - t0)
-    k = np.asarray(rhs(t, y))
-    yield t, y, k
+    K = (np.asarray(rhs(t, y)),)
+    yield t, y, K, 0.0
     while True:
         remaining = t1 - t
         if remaining <= MIN_STEP:
@@ -158,33 +197,81 @@ def _steps(rhs: Rhs, t0: float, y0: np.ndarray, t1: float, cfg: IntegratorConfig
         h = min(h, remaining)
         if h < MIN_STEP:
             raise StepUnderflow(f"step size {h:.3e} below {MIN_STEP:.0e} at t={t!r}")
-        y_new, k_new, err = _dp5_step(rhs, t, y, k, h)
+        y_new, K_new, err = _dp5_step(rhs, t, y, K[-1], h)
         enorm = _error_norm(err, y, y_new, cfg)
         if enorm <= 1.0:
             t = t1 if (t1 - (t + h)) <= MIN_STEP else t + h
             y = y_new
-            k = k_new
-            yield t, y, k
+            K = K_new
+            yield t, y, K, h
             factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
         else:
             factor = max(0.2, 0.9 * enorm ** -0.2)
-        h = min(cfg.max_step, h * factor)
+        h = min(max_step, h * factor)
 
 
 def integrate(rhs: Rhs, y0, t_span: tuple[float, float], cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Integrate ``dy/dt = rhs(t, y)`` over ``t_span``, storing every accepted node.
 
-    Raises StepUnderflow if the controller drives the step below MIN_STEP.
+    Steps, and so the node spacing, are capped at ``cfg.max_step``. Raises
+    StepUnderflow if the controller drives the step below MIN_STEP.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 < t0:
         raise ValueError("t_span must be non-decreasing")
     times = []
     states = []
-    for t, y, _ in _steps(rhs, t0, _as_state(y0), t1, cfg):
+    for t, y, _, _ in _steps(rhs, t0, _as_state(y0), t1, cfg, cfg.max_step):
         times.append(t)
         states.append(y)
     return Trajectory(np.asarray(times), np.asarray(states))
+
+
+def _rate(event: Callable[[np.ndarray], float], y: np.ndarray, ydot: np.ndarray, dt: float) -> float:
+    """Time derivative of ``event`` at state y moving with velocity ydot."""
+    return (float(event(y + dt * ydot)) - float(event(y - dt * ydot))) / (2.0 * dt)
+
+
+class _DenseStep:
+    """One accepted step from t_a to t_b, read through its continuous extension.
+
+    ``probe(t)`` returns the state and the event value at t. The ends return
+    their stored values and every probe is cached, so brentq, which evaluates
+    the bracket ends first, repeats no evaluation.
+    """
+
+    def __init__(self, event, t_a, y_a, e_a, t_b, y_b, e_b, K, h):
+        self.event = event
+        self.t_a = t_a
+        self.y_a = y_a
+        self.t_b = t_b
+        self.h = h
+        self.Q = np.array(K).T @ _P
+        self.known = {t_a: (y_a, e_a), t_b: (y_b, e_b)}
+
+    def probe(self, t: float) -> tuple[np.ndarray, float]:
+        if t not in self.known:
+            x = (t - self.t_a) / self.h
+            y = self.y_a + self.h * (self.Q @ np.array([x, x * x, x ** 3, x ** 4]))
+            self.known[t] = (y, float(self.event(y)))
+        return self.known[t]
+
+    def velocity(self, t: float) -> np.ndarray:
+        x = (t - self.t_a) / self.h
+        return self.Q @ np.array([1.0, 2.0 * x, 3.0 * x * x, 4.0 * x ** 3])
+
+    def extremum(self, r_a: float, r_b: float, dt: float, xtol: float) -> float:
+        """Time of the event's extremum, where its rate (r_a at t_a, r_b at
+        t_b, of opposite signs) vanishes."""
+
+        def rate(t: float) -> float:
+            if t == self.t_a:
+                return r_a
+            if t == self.t_b:
+                return r_b
+            return _rate(self.event, self.probe(t)[0], self.velocity(t), dt)
+
+        return brentq(rate, self.t_a, self.t_b, xtol=xtol)
 
 
 def locate_event(
@@ -194,41 +281,51 @@ def locate_event(
     event: Callable[[np.ndarray], float],
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> EventHit | None:
-    """Locate the first sign change of ``event`` along the trajectory.
+    """Locate the first zero crossing of ``event`` along the trajectory.
 
-    The event's sign is compared at the accepted nodes. Inside the step that
-    brackets a change, brentq pins the crossing down to ``cfg.event_tol`` in
-    time; each probe is one DP5 step from the step's left node. Returns None
-    when the event keeps its sign at every node of ``t_span``.
+    Steps are limited by the tolerances alone; ``cfg.max_step`` only bounds
+    the first trial step. A step brackets the crossing when the event's sign
+    changes across it, or when it grazes zero inside it (see the module
+    docstring). brentq then pins the crossing down to ``cfg.event_tol`` in
+    time on the step's interpolant; the hit lies strictly after the last
+    stored node, or is that node. Returns None when no step of ``t_span``
+    brackets a crossing.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     steps = _steps(rhs, t0, _as_state(y0), t1, cfg)
-    t_a, y_a, k_a = next(steps)
+    t_a, y_a, _, _ = next(steps)
     e_a = float(event(y_a))
     times = [t_a]
     states = [y_a]
     if e_a == 0.0:
         return EventHit(t_a, y_a, Trajectory(np.asarray(times), np.asarray(states)))
-    for t_b, y_b, k_b in steps:
+    for t_b, y_b, K, h in steps:
         e_b = float(event(y_b))
-        if e_b == 0.0 or (e_b > 0.0) != (e_a > 0.0):
-            # brentq evaluates both ends first; their states are known.
-            probes = {t_b: y_b}
-
-            def event_at(t: float) -> float:
-                if t == t_a:
-                    return e_a
-                if t not in probes:
-                    probes[t] = _dp5_step(rhs, t_a, y_a, k_a, t - t_a)[0]
-                return float(event(probes[t]))
-
-            t_hit = brentq(event_at, t_a, t_b, xtol=cfg.event_tol)
-            # A root on the left node is that node, already stored last.
-            if t_hit > t_a:
-                times.append(t_hit)
-                states.append(probes[t_hit])
-            return EventHit(times[-1], states[-1], Trajectory(np.asarray(times), np.asarray(states)))
+        crossed = e_b == 0.0 or (e_b > 0.0) != (e_a > 0.0)
+        if not crossed:
+            # A graze needs the event moving toward zero at t_a (K[0] is the
+            # slope there) and away from it at t_b.
+            dt = _RATE_DT * h
+            r_b = _rate(event, y_b, K[-1], dt)
+            r_a = _rate(event, y_a, K[0], dt) if r_b * e_b > 0.0 else 0.0
+        if crossed or r_a * e_a < 0.0:
+            step = _DenseStep(event, t_a, y_a, e_a, t_b, y_b, e_b, K, h)
+            t_end = t_b
+            if not crossed:
+                # The event turns inside the step; it crosses zero when its
+                # extremum does, and [t_a, extremum] then brackets the crossing.
+                t_end = step.extremum(r_a, r_b, dt, cfg.event_tol)
+                e_end = step.probe(t_end)[1]
+                if e_end != 0.0 and (e_end > 0.0) == (e_a > 0.0):
+                    t_end = None
+            if t_end is not None:
+                t_hit = brentq(lambda t: step.probe(t)[1], t_a, t_end, xtol=cfg.event_tol)
+                # A root on the left node is that node, already stored last.
+                if t_hit > t_a:
+                    times.append(t_hit)
+                    states.append(step.probe(t_hit)[0])
+                return EventHit(times[-1], states[-1], Trajectory(np.asarray(times), np.asarray(states)))
         times.append(t_b)
         states.append(y_b)
-        t_a, y_a, k_a, e_a = t_b, y_b, k_b, e_b
+        t_a, y_a, e_a = t_b, y_b, e_b
     return None

@@ -175,21 +175,27 @@ def shoot(lphi_i: float, ltheta_i: float, cfg: ShotConfig) -> float | None:
 
 
 def solve_optimum(lphi_i: float, ltheta_i: float, cfg: ShotConfig) -> Optimum:
-    """Re-run a successful shot keeping the whole extremal and its pulses."""
+    """Re-run a successful shot keeping the whole extremal and its pulses.
+
+    The shot finds the hit time on tolerance-limited steps; the extremal is
+    then integrated once more up to that time, so its nodes are spaced at
+    most ``cfg.integrator.max_step`` apart, the sampling of the exports.
+    """
     y0 = np.array([0.0, 0.0, lphi_i, ltheta_i])
     hit = ode.locate_event(_rhs(), y0, (0.0, cfg.horizon), _event(cfg), cfg.integrator)
     if hit is None:
         raise NoFeasiblePoint(f"no transfer within horizon for ({lphi_i}, {ltheta_i})")
+    trajectory = ode.integrate(_rhs(), y0, (0.0, hit.t), cfg.integrator)
     pulses = np.array([
-        lambda3.bang_control(y[0], y[1], y[2], y[3], OMEGA0) for y in hit.trajectory.states
+        lambda3.bang_control(y[0], y[1], y[2], y[3], OMEGA0) for y in trajectory.states
     ])
-    terminal = _event(cfg)(hit.y)
+    terminal = _event(cfg)(trajectory.final_state)
     return Optimum(
         lphi_i=lphi_i,
         ltheta_i=ltheta_i,
         t_min=hit.t,
         area=OMEGA0 * hit.t,
-        trajectory=hit.trajectory,
+        trajectory=trajectory,
         pulses=pulses,
         terminal_error=abs(terminal),
     )
@@ -482,6 +488,15 @@ def area_curve(
     return np.column_stack([eps_values, [opt.area for opt in optima]])
 
 
+def _asymptotic(eps_values: np.ndarray) -> np.ndarray:
+    """Mask of the accuracies in the asymptotic regime, eps <= 0.1; raises
+    InsufficientData when fewer than five are."""
+    mask = eps_values <= 0.1
+    if mask.sum() < 5:
+        raise InsufficientData("need at least 5 points with eps <= 0.1")
+    return mask
+
+
 def fit_asymptote(curve) -> tuple[float, float]:
     """Least-squares fit area = slope * ln(eps) + intercept.
 
@@ -489,9 +504,7 @@ def fit_asymptote(curve) -> tuple[float, float]:
     fewer than five such points raise InsufficientData.
     """
     curve = np.asarray(curve, dtype=float)
-    mask = curve[:, 0] <= 0.1
-    if mask.sum() < 5:
-        raise InsufficientData("need at least 5 points with eps <= 0.1")
+    mask = _asymptotic(curve[:, 0])
     slope, intercept = np.polyfit(np.log(curve[mask, 0]), curve[mask, 1], 1)
     return float(slope), float(intercept)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qsl12 import bloch2, cli
+from qsl12 import bloch2, cli, shooting
 
 
 def run(capsys, *argv):
@@ -146,6 +146,15 @@ class TestThreeLevel:
         assert len(data) == 5
         manifest = json.loads((tmp_path / "three_level_area_curve.manifest.json").read_text())
         assert manifest["results"]["slope"] == pytest.approx(grab(out, "slope"), abs=1e-9)
+
+    def test_areacurve_too_few_points_exits_before_solving(self, tmp_path, capsys, monkeypatch):
+        def refine(*args, **kwargs):
+            raise AssertionError("refine called")
+
+        monkeypatch.setattr(shooting, "refine", refine)
+        code, _ = run(capsys, "--out", str(tmp_path), "three-level", "areacurve", "--n", "4")
+        assert code == 2
+        assert not any(tmp_path.iterdir())
 
     def test_energy(self, capsys):
         code, out = run(capsys, "three-level", "energy", "--T", "10", "--eps", "0.005")

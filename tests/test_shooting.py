@@ -52,6 +52,17 @@ class TestShoot:
         assert y2sq < x3sq
         assert opt.terminal_error <= 1e-8
 
+    def test_optimum_path_keeps_export_spacing(self, cfg002):
+        # the shot steps as far as the tolerance allows; the returned
+        # extremal is re-integrated at the max_step node spacing
+        opt = shooting.solve_optimum(1.85, 0.45266, cfg002)
+        times = opt.trajectory.times
+        assert times[0] == 0.0 and times[-1] == opt.t_min
+        # node times are running sums, so a spacing may exceed the cap by rounding
+        assert np.all(np.diff(times) <= cfg002.integrator.max_step + 1e-12)
+        assert len(times) == 741
+        assert len(opt.pulses) == 741
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ShotConfig(eps=0.0)
