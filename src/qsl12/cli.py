@@ -309,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--range", default="-3,3", metavar="LO,HI")
     p.add_argument("--res", type=int, default=200)
-    p.add_argument("--workers", type=int, default=None, help="overrides QSL_THREADS")
+    p.add_argument("--workers", type=int, default=None, help="scan processes (0 or unset: one per CPU)")
     p.set_defaults(func=_cmd_three_landscape, command_name="three-level landscape")
     p = three_sub.add_parser("optimize", help="refine the optimal initial costate ray")
     p.add_argument("--eps", type=float, required=True)

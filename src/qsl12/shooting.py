@@ -8,10 +8,11 @@ time is invariant under positive rescaling of the initial costate pair: the
 optima form straight rays through the origin of the costate plane.
 
 The transfer-time landscape over initial costates is scanned on a grid, and
-a chosen ray is refined by a one-dimensional Nelder-Mead in the initial
-lambda_theta at fixed lambda_phi. The refined minimum typically sits on the
-boundary of the feasible (hitting) region, so the simplex result is polished
-by bisecting the feasibility edge.
+a chosen ray is refined in the initial lambda_theta at fixed lambda_phi: a
+coarse scan of shots along the guess's ray, then Brent's method from the
+fastest probe. A shot that finds no hit counts as an infinite time. The
+result is the fastest branch the scan meets, so the guess must lie within a
+factor of 16 of the optimum.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize_scalar
 
 from . import lambda3, ode
 from .lambda3 import PhiSingularity, SwitchingDegeneracy
@@ -53,7 +54,7 @@ OMEGA0 = 1.0
 
 
 class NoConvergence(RuntimeError):
-    """Simplex refinement did not converge within the iteration budget."""
+    """The Brent search did not converge within its iteration budget."""
 
 
 class NoFeasiblePoint(RuntimeError):
@@ -294,12 +295,9 @@ def _scan_worker(args):
 
 
 def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get("QSL_THREADS", "").strip()
-        workers = int(raw) if raw else 0
-    if workers <= 0:
-        workers = os.cpu_count() or 1
-    return max(1, workers)
+    if workers is None or workers <= 0:
+        return os.cpu_count() or 1
+    return workers
 
 
 def landscape(
@@ -311,9 +309,8 @@ def landscape(
 ) -> LandscapeGrid:
     """Hit-time grid over initial costates; NaN where nothing hits.
 
-    ``workers`` overrides the ``QSL_THREADS`` environment variable
-    (0 or unset = one process per CPU). Results do not depend on the worker
-    count.
+    ``workers`` is the number of processes (None or 0 = one per CPU).
+    Results do not depend on the worker count.
     """
     if isinstance(resolution, int):
         resolution = (resolution, resolution)
@@ -340,134 +337,63 @@ def landscape(
 # Refinement.
 # ---------------------------------------------------------------------------
 
-#: Simplex convergence width and iteration budget.
-SIMPLEX_WIDTH = 1e-6
-SIMPLEX_MAX_ITER = 500
-
-
-class _Objective:
-    """Cached shot time as a function of the initial lambda_theta at fixed
-    lambda_phi; NoHit is penalized one unit above the horizon so the simplex
-    retreats into the feasible region."""
-
-    def __init__(self, cfg: ShotConfig, lphi_i: float):
-        self.cfg = cfg
-        self.lphi_i = lphi_i
-        self.penalty = cfg.horizon + 1.0
-        self._cache: dict[float, float] = {}
-
-    def __call__(self, x) -> float:
-        key = float(np.atleast_1d(x)[0])
-        try:
-            return self._cache[key]
-        except KeyError:
-            pass
-        t = shoot(self.lphi_i, key, self.cfg)
-        value = self.penalty if t is None else t
-        self._cache[key] = value
-        return value
-
-    def feasible(self, x) -> bool:
-        return self(x) < self.penalty
-
-
-def _feasible_start(obj: _Objective, guess: float) -> float:
-    """Coarse scan toward the origin of the guess's ray for a hitting point."""
-    if obj.feasible([guess]):
-        return guess
-    probes = guess * np.linspace(1.0 / 16.0, 1.5, 13)
-    values = [obj([p]) for p in probes]
-    best = int(np.argmin(values))
-    if values[best] >= obj.penalty:
-        raise NoFeasiblePoint(
-            f"no transfer within the horizon near ltheta_i ~ {guess!r}"
-        )
-    return float(probes[best])
-
-
-def _polish_edge(obj: _Objective, x_best: float) -> float:
-    """Walk the simplex result onto the feasibility boundary.
-
-    The hit time decreases toward the boundary of the hitting region, so when
-    the point next to the simplex optimum no longer hits, the true optimum is
-    the boundary itself; bisect it.
-    """
-    delta = max(1e-4 * abs(x_best), 1e-5)
-    if obj.feasible([x_best + delta]):
-        return x_best
-    lo, hi = x_best, x_best + delta
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if obj.feasible([mid]):
-            lo = mid
-        else:
-            hi = mid
-    return lo if obj([lo]) <= obj([x_best]) else x_best
+#: Relative tolerance on the refined initial lambda_theta.
+REFINE_XTOL = 1e-6
 
 
 def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     """Minimize the hit time over the initial lambda_theta at fixed lambda_phi.
 
-    Nelder-Mead with the standard coefficients (reflect 1, expand 2,
-    contract 1/2, shrink 1/2), converged when the simplex width drops below
-    SIMPLEX_WIDTH; an infeasible starting guess is first replaced by the best
-    point of a coarse scan along its ray, and the converged vertex is
-    polished onto the feasibility edge.
+    Thirteen shots along the guess's ray, at 1/16 to 1.5 times the guess,
+    locate the fastest probe; Brent's method then starts from it and its
+    neighbour and converges to REFINE_XTOL (relative). A shot without a hit
+    counts as +inf, so Brent never leaves the lowest point it has seen: the
+    result is the fastest branch the scan meets, and the guess must lie
+    within a factor of 16 of the optimum.
     """
-    obj = _Objective(cfg, lphi_i=lphi_i)
-    x0 = _feasible_start(obj, ltheta_guess)
-    result = minimize(
-        obj,
-        [x0],
-        method="Nelder-Mead",
-        options=dict(
-            xatol=SIMPLEX_WIDTH,
-            fatol=np.inf,
-            maxiter=SIMPLEX_MAX_ITER,
-            maxfev=4 * SIMPLEX_MAX_ITER,
-            initial_simplex=[[x0], [0.98 * x0]],
-        ),
-    )
+    memo: dict[float, float] = {}
+
+    def hit_time(x) -> float:
+        x = float(x)
+        if x not in memo:  # bracketing evaluates its two start points again
+            t = shoot(lphi_i, x, cfg)
+            memo[x] = math.inf if t is None else t
+        return memo[x]
+
+    probes = ltheta_guess * np.linspace(1.0 / 16.0, 1.5, 13)
+    times = [hit_time(p) for p in probes]
+    best = int(np.argmin(times))
+    if math.isinf(times[best]):
+        raise NoFeasiblePoint(
+            f"no transfer within the horizon near ltheta_i ~ {ltheta_guess!r}"
+        )
+    neighbour = best - 1 if best > 0 else best + 1
+    with np.errstate(invalid="ignore"):  # an inf in Brent's parabola gives nan
+        result = minimize_scalar(
+            hit_time,
+            bracket=(probes[neighbour], probes[best]),
+            method="brent",
+            options={"xtol": REFINE_XTOL},
+        )
     if not result.success:
-        raise NoConvergence(f"simplex did not converge: {result.message}")
-    best = _polish_edge(obj, float(result.x[0]))
-    if not obj.feasible([best]):
-        raise NoConvergence("simplex converged onto the no-transfer plateau")
-    return solve_optimum(lphi_i, best, cfg)
+        raise NoConvergence(f"Brent search did not converge: {result.message}")
+    return solve_optimum(lphi_i, float(result.x), cfg)
 
 
 def _optima_along_eps(eps_values: np.ndarray, cfg: ShotConfig, lphi_i: float,
                       initial_guess: float) -> list[Optimum]:
     """Refined optima for each accuracy in ``eps_values``, in input order.
 
-    Points are solved from the largest eps down, warm-starting each
-    refinement just inside the previous optimum (the optimal ray moves
-    continuously with eps, shrinking as it tightens). A stale warm start can
-    remain feasible on a slower solution branch beyond the new feasibility
-    edge; such branch jumps announce themselves as area discontinuities far
-    above the logarithmic trend, and the point is then re-solved from a
-    reduced guess.
+    Points are solved from the largest eps down, each refinement guessing
+    the previous optimum's lambda_theta. The fast arc of the optimal ray
+    shrinks as eps tightens, so the scan below that guess contains the new
+    fast optimum, and ``refine`` keeps to the fastest branch it meets.
     """
     optima: list[Optimum | None] = [None] * len(eps_values)
     guess = initial_guess
-    prev_area = None
-    prev_eps = None
     for i in np.argsort(eps_values)[::-1]:
-        eps_i = float(eps_values[i])
-        cfg_i = replace(cfg, eps=eps_i)
-        opt = refine(lphi_i, guess, cfg_i)
-        if prev_area is not None:
-            expected_rise = abs(math.log(prev_eps / eps_i)) / _SQRT2
-            if opt.area > prev_area + expected_rise + 0.75:
-                try:
-                    retry = refine(lphi_i, 0.5 * guess, cfg_i)
-                except (NoConvergence, NoFeasiblePoint):
-                    retry = None
-                if retry is not None and retry.area < opt.area:
-                    opt = retry
-        optima[i] = opt
-        guess = 0.85 * opt.ltheta_i
-        prev_area, prev_eps = opt.area, eps_i
+        optima[i] = refine(lphi_i, guess, replace(cfg, eps=float(eps_values[i])))
+        guess = optima[i].ltheta_i
     return optima
 
 
@@ -479,9 +405,9 @@ def area_curve(
 ) -> np.ndarray:
     """Minimum generalized pulse area for each accuracy in ``eps_values``.
 
-    The optima come from one eps continuation, largest eps first, with a
-    branch-jump guard (see ``_optima_along_eps``). Returns an (n, 2) array
-    of (eps, area) in input order.
+    The optima come from one eps continuation, largest eps first, each
+    warm-started at the previous optimum (see ``_optima_along_eps``).
+    Returns an (n, 2) array of (eps, area) in input order.
     """
     eps_values = np.asarray(list(eps_values), dtype=float)
     optima = _optima_along_eps(eps_values, cfg, lphi_i, initial_guess)

@@ -156,6 +156,15 @@ class TestThreeLevel:
         assert code == 2
         assert not any(tmp_path.iterdir())
 
+    def test_optimize_no_convergence_exits_4(self, tmp_path, capsys, monkeypatch):
+        def refine(*args, **kwargs):
+            raise shooting.NoConvergence("Brent search did not converge")
+
+        monkeypatch.setattr(shooting, "refine", refine)
+        code = cli.main(["--out", str(tmp_path), "three-level", "optimize", "--eps", "0.005"])
+        assert code == cli.EXIT_NO_CONVERGENCE
+        assert "no convergence" in capsys.readouterr().err
+
     def test_energy(self, capsys):
         code, out = run(capsys, "three-level", "energy", "--T", "10", "--eps", "0.005")
         assert code == 0

@@ -118,6 +118,28 @@ class TestRefine:
     def test_never_worse_than_grid(self, grid005, opt005):
         assert opt005.t_min <= grid005.t_min + 1e-10
 
+    @pytest.mark.parametrize("eps, guess, field, expected, tol", [
+        (0.002, 1.2, "t_min", 7.40, 0.02),
+        (0.02682696, 1.18, "area", 5.653136, 1e-3),
+    ])
+    def test_guess_beyond_optimum_finds_fast_branch(self, eps, guess, field, expected, tol):
+        # from these guesses a local search lands on the slower branch (T > 12.5)
+        opt = shooting.refine(1.85, guess, ShotConfig(eps=eps))
+        assert getattr(opt, field) == pytest.approx(expected, abs=tol)
+
+    def test_shot_budget(self, cfg002, monkeypatch):
+        shots = []
+        shoot_info = shooting.shoot_info
+
+        def counted(*args):
+            shots.append(args)
+            return shoot_info(*args)
+
+        monkeypatch.setattr(shooting, "shoot_info", counted)
+        opt = shooting.refine(1.85, 0.5, cfg002)
+        assert opt.t_min == pytest.approx(7.40, abs=0.02)
+        assert len(shots) <= 36
+
     def test_hopeless_guess_raises(self):
         cfg = ShotConfig(eps=0.002, horizon=2.0)  # no transfer fits in 2 time units
         with pytest.raises(shooting.NoFeasiblePoint):
