@@ -344,10 +344,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.omega0 <= 0.0 or args.hbar <= 0.0 or args.horizon <= 0.0:
-        parser.error("--omega0, --hbar and --horizon must be positive")
-    if args.tol is not None and args.tol <= 0.0:
-        parser.error("--tol must be positive")
+    if not all(0.0 < v < np.inf for v in (args.omega0, args.hbar, args.horizon)):
+        parser.error("--omega0, --hbar and --horizon must be positive and finite")
+    if args.tol is not None and not 0.0 < args.tol < np.inf:
+        parser.error("--tol must be positive and finite")
     try:
         return args.func(args)
     except bloch2.DomainError as exc:

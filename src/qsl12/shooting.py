@@ -76,8 +76,8 @@ class ShotConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
 
     @property
     def target(self) -> float:

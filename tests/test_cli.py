@@ -217,6 +217,15 @@ class TestParsing:
             cli.main(argv)
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--omega0", "--hbar", "--horizon", "--tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_global_flags_exit_2(self, tmp_path, flag, value):
+        argv = ["--out", str(tmp_path), flag, value, "three-level", "landscape", "--eps", "0.1", "--res", "4"]
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert not any(tmp_path.iterdir())
+
     def test_malformed_value_exits_2(self, capsys):
         assert cli.main(["two-level", "simulate", "--eps", "0.1", "--kerr", "bogus"]) == 2
         capsys.readouterr()

@@ -56,6 +56,87 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             ode.integrate(rotation_rhs, [1.0, 0.0], (1.0, 0.0))
 
+    @pytest.mark.parametrize("t_span", [(0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0)])
+    def test_non_finite_span_rejected(self, t_span):
+        with pytest.raises(ValueError):
+            ode.integrate(rotation_rhs, [1.0, 0.0], t_span)
+        with pytest.raises(ValueError):
+            ode.locate_event(rotation_rhs, [1.0, 0.0], t_span, lambda y: y[0] + 2.0)
+
+    @pytest.mark.parametrize("y0", [1.0, [], [[1.0, 0.0]]])
+    def test_state_must_be_a_non_empty_vector(self, y0):
+        with pytest.raises(ValueError):
+            ode.integrate(lambda t, y: y, y0, (0.0, 1.0))
+
+
+class TestContract:
+    """The step runs on Python floats; callers still see only ndarrays."""
+
+    @pytest.mark.parametrize("y0, dtype", [
+        ([1.0, 0.0], np.float64),
+        ([1, 0], np.float64),
+        (np.array([1.0, 0.0], dtype=np.float32), np.float64),
+        (np.array([1.0 + 0.0j, 0.0]), np.complex128),
+    ])
+    def test_rhs_and_event_see_vectors_results_keep_kind(self, y0, dtype):
+        seen = []
+
+        def rhs(t, y):
+            seen.append(y)
+            return np.array([-y[1], y[0]])
+
+        def event(y):
+            seen.append(y)
+            return y[0].real + 0.5
+
+        traj = ode.integrate(rhs, y0, (0.0, 1.0))
+        hit = ode.locate_event(rhs, y0, (0.0, 5.0), event)
+        assert hit is not None
+        assert all(isinstance(y, np.ndarray) and y.shape == (2,) and y.dtype == dtype for y in seen)
+        for states in (traj.states, hit.trajectory.states):
+            assert isinstance(states, np.ndarray) and states.dtype == dtype and states.shape[1] == 2
+        assert isinstance(hit.y, np.ndarray) and hit.y.dtype == dtype and hit.y.shape == (2,)
+        assert isinstance(traj.final_state, np.ndarray)
+
+    def test_rhs_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            ode.integrate(lambda t, y: np.zeros(3), [1.0, 0.0], (0.0, 1.0))
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 7, 8, 11, 14])
+    def test_error_norm_matches_array_form(self, n):
+        # the array form it replaced: bit for bit below 8 components, where
+        # numpy also sums in order; from 8 on numpy sums pairwise
+        rng = np.random.default_rng(n)
+        cfg = ode.IntegratorConfig()
+        for _ in range(50):
+            err, y_old, y_new = (rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 3, n) for _ in range(3))
+            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
+            q = np.abs(err) / scale
+            expected = float(np.sqrt(np.mean(q * q)))
+            norm = ode._error_norm(err.tolist(), y_old.tolist(), y_new.tolist(), cfg)
+            if n < 8:
+                assert norm == expected
+            else:
+                assert norm == pytest.approx(expected, rel=4 * n * 2.0 ** -52)
+
+
+class TestNonFiniteRhs:
+    """A non-finite slope fails every step, so the step shrinks to MIN_STEP."""
+
+    @staticmethod
+    def rhs_turning(bad):
+        # finite until t = 0.5, non-finite after
+        return lambda t, y: np.array([bad if t > 0.5 else 1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("from_start", [True, False])
+    def test_step_underflow(self, bad, from_start):
+        rhs = (lambda t, y: np.full(2, bad)) if from_start else self.rhs_turning(bad)
+        with pytest.raises(ode.StepUnderflow):
+            ode.integrate(rhs, [0.0, 0.0], (0.0, 1.0))
+        with pytest.raises(ode.StepUnderflow):
+            ode.locate_event(rhs, [0.0, 0.0], (0.0, 1.0), lambda y: y[0] - 10.0)
+
 
 class TestConfigAndTrajectory:
     @pytest.mark.parametrize("kwargs", [
@@ -64,6 +145,8 @@ class TestConfigAndTrajectory:
         dict(max_step=0.0),
         dict(event_tol=0.0),
         dict(max_step=1e-11, event_tol=1e-10),
+        dict(abs_tol=math.inf),
+        dict(rel_tol=math.inf),
     ])
     def test_invalid_config(self, kwargs):
         with pytest.raises(ValueError):

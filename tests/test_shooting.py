@@ -71,6 +71,21 @@ class TestShoot:
         with pytest.raises(ValueError):
             ShotConfig(eps=0.1, horizon=-1.0)
 
+    @pytest.mark.parametrize("horizon", [0.0, math.nan, math.inf, -math.inf])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        with pytest.raises(ValueError):
+            ShotConfig(eps=0.1, horizon=horizon)
+
+    @pytest.mark.parametrize("costates", [
+        (1e300, 1e300), (1e308, -1e308), (1e-300, 1e-300), (5e-324, 0.0),
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf),
+    ])
+    def test_extreme_costates_report_a_reason(self, cfg002, costates):
+        # no ZeroDivisionError, OverflowError or RuntimeWarning escapes a shot
+        t, reason = shooting.shoot_info(*costates, cfg002)
+        assert t is None
+        assert reason in ("no-crossing", "switching-degeneracy", "phi-singularity", "step-underflow")
+
 
 class TestLandscape:
     def test_minimum_and_structure(self, grid005):
