@@ -30,6 +30,7 @@ EXIT_DOMAIN = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_NO_HIT = 5
 EXIT_ORACLE = 6
+EXIT_STEP_UNDERFLOW = 7
 
 
 def _fmt(value: float) -> str:
@@ -359,6 +360,9 @@ def main(argv=None) -> int:
     except shooting.NoFeasiblePoint as exc:
         print(f"no transfer found: {exc}", file=sys.stderr)
         return EXIT_NO_HIT
+    except ode.StepUnderflow as exc:
+        print(f"integration failed: {exc}", file=sys.stderr)
+        return EXIT_STEP_UNDERFLOW
     except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2

@@ -195,7 +195,7 @@ def cross_check(
             return op / _SQRT2, os_ / _SQRT2
         return map_pulses(op, os_)
 
-    def rhs11(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs11(t: float, y: list) -> np.ndarray:
         d = np.empty(11, dtype=float)
         pulses = _controls(y[0:4])
         p, s = pulse_map(*pulses)
@@ -239,7 +239,7 @@ def cross_check(
     t0 = float(base.times[i0])
     theta0, phi0, gamma0 = angles_from_amplitudes(a1[i0], a2[i0])
 
-    def rhs14(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs14(t: float, y: list) -> np.ndarray:
         d = np.empty(14, dtype=float)
         d[0:11] = rhs11(t, y[0:11])
         p, s = pulse_map(*_controls(y[0:4]))

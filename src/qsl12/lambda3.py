@@ -168,14 +168,18 @@ def pulses_from_angle_rates(phi: float, theta: float, dphi: float, dtheta: float
     return PulsePair(omega_p, omega_s)
 
 
-def extremal_rhs(y: np.ndarray, omega0: float = 1.0, cost: str = "time") -> np.ndarray:
+def extremal_rhs(y, omega0: float = 1.0, cost: str = "time") -> tuple[float, float, float, float]:
     """Closed-loop state+costate flow (phi, theta, lambda_phi, lambda_theta).
 
     ``cost="time"`` applies :func:`bang_control`; ``cost="energy"`` applies
     :func:`energy_control`. Fused re-statement of angle_rhs/costate_rhs for
-    the inner integration loop; equivalence is covered by tests.
+    the inner integration loop; equivalence is covered by tests. ``y`` is a
+    list of four floats, as the integrator passes it, or an ndarray; the
+    slope is a 4-tuple of Python floats, computed with ``math`` alone.
     """
-    phi, theta, lphi, ltheta = float(y[0]), float(y[1]), float(y[2]), float(y[3])
+    if isinstance(y, np.ndarray):
+        y = y.tolist()
+    phi, theta, lphi, ltheta = y
     cph = math.cos(phi)
     _check_phi(cph)
     sph = math.sin(phi)
@@ -203,7 +207,7 @@ def extremal_rhs(y: np.ndarray, omega0: float = 1.0, cost: str = "time") -> np.n
     dltheta = lphi * (2.0 * op * cph * sth * cth * _INV_SQRT2 + 0.5 * os_ * cth) + ltheta * (
         0.5 * os_ * sth * tph - op * (cth2 - sth * sth) * sph * _INV_SQRT2
     )
-    return np.array([dphi, dtheta, dlphi, dltheta])
+    return dphi, dtheta, dlphi, dltheta
 
 
 def ansatz_population(t, omega0: float = 1.0):

@@ -140,7 +140,7 @@ class LandscapeGrid:
 def _event(cfg: ShotConfig):
     target = cfg.target
 
-    def x3sq_excess(y: np.ndarray) -> float:
+    def x3sq_excess(y: list) -> float:
         c = math.cos(y[0]) * math.sin(y[1])
         return 0.5 * c * c - target
 
@@ -148,7 +148,7 @@ def _event(cfg: ShotConfig):
 
 
 def _rhs(cost: str = "time"):
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: list) -> tuple[float, float, float, float]:
         return lambda3.extremal_rhs(y, OMEGA0, cost)
 
     return rhs
@@ -156,7 +156,7 @@ def _rhs(cost: str = "time"):
 
 def shoot_info(lphi_i: float, ltheta_i: float, cfg: ShotConfig) -> tuple[float | None, str]:
     """Run one shot; return (hit time | None, diagnostic reason)."""
-    y0 = np.array([0.0, 0.0, lphi_i, ltheta_i])
+    y0 = [0.0, 0.0, lphi_i, ltheta_i]
     try:
         hit = ode.locate_event(_rhs(), y0, (0.0, cfg.horizon), _event(cfg), cfg.integrator)
     except SwitchingDegeneracy:
@@ -176,17 +176,23 @@ def shoot(lphi_i: float, ltheta_i: float, cfg: ShotConfig) -> float | None:
 
 
 def solve_optimum(lphi_i: float, ltheta_i: float, cfg: ShotConfig) -> Optimum:
-    """Re-run a successful shot keeping the whole extremal and its pulses.
-
-    The shot finds the hit time on tolerance-limited steps; the extremal is
-    then integrated once more up to that time, so its nodes are spaced at
-    most ``cfg.integrator.max_step`` apart, the sampling of the exports.
-    """
-    y0 = np.array([0.0, 0.0, lphi_i, ltheta_i])
+    """Run one shot and keep its whole extremal and pulses (see ``_optimum``)."""
+    y0 = [0.0, 0.0, lphi_i, ltheta_i]
     hit = ode.locate_event(_rhs(), y0, (0.0, cfg.horizon), _event(cfg), cfg.integrator)
     if hit is None:
         raise NoFeasiblePoint(f"no transfer within horizon for ({lphi_i}, {ltheta_i})")
-    trajectory = ode.integrate(_rhs(), y0, (0.0, hit.t), cfg.integrator)
+    return _optimum(lphi_i, ltheta_i, hit.t, cfg)
+
+
+def _optimum(lphi_i: float, ltheta_i: float, t_hit: float, cfg: ShotConfig) -> Optimum:
+    """The optimum of a shot that hit at ``t_hit``, with its extremal and pulses.
+
+    The shot finds the hit time on tolerance-limited steps; the extremal is
+    integrated once more up to that time, so its nodes are spaced at most
+    ``cfg.integrator.max_step`` apart, the sampling of the exports.
+    """
+    y0 = [0.0, 0.0, lphi_i, ltheta_i]
+    trajectory = ode.integrate(_rhs(), y0, (0.0, t_hit), cfg.integrator)
     pulses = np.array([
         lambda3.bang_control(y[0], y[1], y[2], y[3], OMEGA0) for y in trajectory.states
     ])
@@ -194,8 +200,8 @@ def solve_optimum(lphi_i: float, ltheta_i: float, cfg: ShotConfig) -> Optimum:
     return Optimum(
         lphi_i=lphi_i,
         ltheta_i=ltheta_i,
-        t_min=hit.t,
-        area=OMEGA0 * hit.t,
+        t_min=t_hit,
+        area=OMEGA0 * t_hit,
         trajectory=trajectory,
         pulses=pulses,
         terminal_error=abs(terminal),
@@ -349,7 +355,9 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     neighbour and converges to REFINE_XTOL (relative). A shot without a hit
     counts as +inf, so Brent never leaves the lowest point it has seen: the
     result is the fastest branch the scan meets, and the guess must lie
-    within a factor of 16 of the optimum.
+    within a factor of 16 of the optimum. The optimum reuses the hit time of
+    the shot Brent returned, so it costs the capped export integration but
+    no further shot.
     """
     memo: dict[float, float] = {}
 
@@ -377,7 +385,10 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
         )
     if not result.success:
         raise NoConvergence(f"Brent search did not converge: {result.message}")
-    return solve_optimum(lphi_i, float(result.x), cfg)
+    ltheta_i = float(result.x)
+    if ltheta_i not in memo:
+        raise RuntimeError(f"Brent returned ltheta_i = {ltheta_i!r}, which it never shot")
+    return _optimum(lphi_i, ltheta_i, memo[ltheta_i], cfg)
 
 
 def _optima_along_eps(eps_values: np.ndarray, cfg: ShotConfig, lphi_i: float,

@@ -86,6 +86,13 @@ class TestTwoLevel:
         assert np.allclose(data[:, 4] + data[:, 5], 1.0, atol=1e-9)
         assert data[-1, 3] == pytest.approx(0.5 - 0.02, abs=1e-8)
 
+    def test_step_underflow_exits_7_and_writes_nothing(self, tmp_path, capsys):
+        code = cli.main(["--out", str(tmp_path), "--tol", "1e-300", "two-level", "simulate", "--eps", "0.002"])
+        assert code == cli.EXIT_STEP_UNDERFLOW == 7
+        err = capsys.readouterr().err
+        assert err.startswith("integration failed: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_energy(self, capsys):
         code, out = run(capsys, "two-level", "energy", "--T", "10", "--eps", "0.002")
         assert code == 0

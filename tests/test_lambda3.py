@@ -216,6 +216,13 @@ class TestExtremalRhs:
                     lambda3.angle_rhs(phi, theta, u) + lambda3.costate_rhs(phi, theta, lphi, ltheta, u)
                 )
                 assert np.allclose(lambda3.extremal_rhs(y, 1.0, cost), expected, atol=1e-14)
+                # the integrator passes a list; an ndarray of the same state
+                # must give the same Python floats, bit for bit
+                from_list = lambda3.extremal_rhs(y.tolist(), 1.0, cost)
+                from_array = lambda3.extremal_rhs(y, 1.0, cost)
+                assert type(from_list) is tuple and type(from_array) is tuple
+                assert all(type(v) is float for v in from_list + from_array)
+                assert from_list == from_array
 
     def test_rejects_unknown_cost(self):
         with pytest.raises(ValueError):

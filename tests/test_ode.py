@@ -50,7 +50,7 @@ class TestIntegrate:
     def test_step_underflow_on_blowup(self):
         # y' = y^2 from y=2 blows up at t = 0.5
         with pytest.raises(ode.StepUnderflow):
-            ode.integrate(lambda t, y: y * y, [2.0], (0.0, 1.0))
+            ode.integrate(lambda t, y: [v * v for v in y], [2.0], (0.0, 1.0))
 
     def test_reversed_span_rejected(self):
         with pytest.raises(ValueError):
@@ -70,7 +70,7 @@ class TestIntegrate:
 
 
 class TestContract:
-    """The step runs on Python floats; callers still see only ndarrays."""
+    """The step runs on Python floats; rhs and event see lists, callers get ndarrays."""
 
     @pytest.mark.parametrize("y0, dtype", [
         ([1.0, 0.0], np.float64),
@@ -79,11 +79,12 @@ class TestContract:
         (np.array([1.0 + 0.0j, 0.0]), np.complex128),
     ])
     def test_rhs_and_event_see_vectors_results_keep_kind(self, y0, dtype):
+        scalar = complex if dtype == np.complex128 else float
         seen = []
 
         def rhs(t, y):
             seen.append(y)
-            return np.array([-y[1], y[0]])
+            return [-y[1], y[0]]
 
         def event(y):
             seen.append(y)
@@ -92,15 +93,54 @@ class TestContract:
         traj = ode.integrate(rhs, y0, (0.0, 1.0))
         hit = ode.locate_event(rhs, y0, (0.0, 5.0), event)
         assert hit is not None
-        assert all(isinstance(y, np.ndarray) and y.shape == (2,) and y.dtype == dtype for y in seen)
+        assert all(type(y) is list and len(y) == 2 for y in seen)
+        assert all(type(v) is scalar for y in seen for v in y)
         for states in (traj.states, hit.trajectory.states):
             assert isinstance(states, np.ndarray) and states.dtype == dtype and states.shape[1] == 2
         assert isinstance(hit.y, np.ndarray) and hit.y.dtype == dtype and hit.y.shape == (2,)
         assert isinstance(traj.final_state, np.ndarray)
 
+    def test_graze_probes_see_lists(self):
+        # the graze test and the root search call the event on states read
+        # from the interpolant; those are lists of floats too
+        seen = []
+
+        def event(y):
+            seen.append(y)
+            return 1e-6 - (y[0] - 0.735) ** 2
+
+        hit = ode.locate_event(lambda t, y: [1.0], [0.0], (0.0, 2.0), event)
+        assert hit is not None and hit.t == pytest.approx(0.734, abs=1e-9)
+        assert all(type(y) is list and type(y[0]) is float for y in seen)
+
+    @pytest.mark.parametrize("kind", [list, tuple, np.array])
+    def test_slope_of_any_sequence_gives_identical_results(self, kind):
+        def reference(t, y):
+            return [-y[1] + 0.1 * y[0] * y[0], y[0]]
+
+        def rhs(t, y):
+            return kind(reference(t, y))
+
+        def event(y):
+            return y[0] + 0.5
+
+        ref_traj = ode.integrate(reference, [1.0, 0.0], (0.0, 3.0))
+        ref_hit = ode.locate_event(reference, [1.0, 0.0], (0.0, 5.0), event)
+        traj = ode.integrate(rhs, [1.0, 0.0], (0.0, 3.0))
+        hit = ode.locate_event(rhs, [1.0, 0.0], (0.0, 5.0), event)
+        assert np.array_equal(traj.times, ref_traj.times)
+        assert np.array_equal(traj.states, ref_traj.states)
+        assert hit.t == ref_hit.t
+        assert np.array_equal(hit.y, ref_hit.y)
+        assert np.array_equal(hit.trajectory.times, ref_hit.trajectory.times)
+        assert np.array_equal(hit.trajectory.states, ref_hit.trajectory.states)
+
     def test_rhs_of_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            ode.integrate(lambda t, y: np.zeros(3), [1.0, 0.0], (0.0, 1.0))
+        for slope in (np.zeros(3), (0.0, 0.0, 0.0), (0.0,), [0.0]):
+            with pytest.raises(ValueError):
+                ode.integrate(lambda t, y: slope, [1.0, 0.0], (0.0, 1.0))
+            with pytest.raises(ValueError):
+                ode.locate_event(lambda t, y: slope, [1.0, 0.0], (0.0, 1.0), lambda y: y[0] + 2.0)
 
     @pytest.mark.parametrize("n", [1, 3, 4, 7, 8, 11, 14])
     def test_error_norm_matches_array_form(self, n):

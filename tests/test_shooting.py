@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from qsl12 import lambda3, shooting
 from qsl12.shooting import ShotConfig
@@ -154,6 +155,40 @@ class TestRefine:
         opt = shooting.refine(1.85, 0.5, cfg002)
         assert opt.t_min == pytest.approx(7.40, abs=0.02)
         assert len(shots) <= 36
+
+    def test_optimum_reuses_the_winning_shot(self, cfg002, opt002, monkeypatch):
+        # every event search is one of the counted shots; the optimum adds
+        # only the capped export integration, and equals a fresh solve
+        shots, searches = [], []
+        shoot_info, locate_event = shooting.shoot_info, shooting.ode.locate_event
+
+        def counted_shot(*args):
+            shots.append(args)
+            return shoot_info(*args)
+
+        def counted_search(*args, **kwargs):
+            searches.append(args)
+            return locate_event(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "shoot_info", counted_shot)
+        monkeypatch.setattr(shooting.ode, "locate_event", counted_search)
+        opt = shooting.refine(1.85, 0.5, cfg002)
+        assert len(searches) == len(shots)
+        monkeypatch.undo()
+        fresh = shooting.solve_optimum(opt.lphi_i, opt.ltheta_i, cfg002)
+        assert (opt.t_min, opt.area, opt.terminal_error) == (fresh.t_min, fresh.area, fresh.terminal_error)
+        assert np.array_equal(opt.trajectory.times, fresh.trajectory.times)
+        assert np.array_equal(opt.trajectory.states, fresh.trajectory.states)
+        assert np.array_equal(opt.pulses, fresh.pulses)
+        assert opt.t_min == opt002.t_min
+
+    def test_unshot_brent_result_fails_loudly(self, monkeypatch):
+        def minimize_scalar(fun, **kwargs):
+            return OptimizeResult(x=0.123456789, success=True)
+
+        monkeypatch.setattr(shooting, "minimize_scalar", minimize_scalar)
+        with pytest.raises(RuntimeError, match="never shot"):
+            shooting.refine(1.85, 0.7, ShotConfig(eps=0.005))
 
     def test_hopeless_guess_raises(self):
         cfg = ShotConfig(eps=0.002, horizon=2.0)  # no transfer fits in 2 time units
