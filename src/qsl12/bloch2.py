@@ -65,12 +65,17 @@ class KerrParams:
 
     The cross term is symmetric, so a single ``l12`` field covers both
     off-diagonal entries. ``lambda_s`` scales the intensity-dependent part
-    of the effective detuning and ``lambda_a`` its static part.
+    of the effective detuning and ``lambda_a`` its static part. The fields
+    are stored as Python floats, so the rhs runs on float arithmetic.
     """
 
     l11: float = 0.0
     l12: float = 0.0
     l22: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("l11", "l12", "l22"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def lambda_s(self) -> float:
@@ -112,22 +117,20 @@ def effective_detuning(delta: float, eta3: float, kerr: KerrParams = ZERO_KERR) 
 
 
 def lock_detuning(eta3, kerr: KerrParams = ZERO_KERR):
-    """Detuning schedule that cancels the effective detuning at all times."""
-    return kerr.lambda_a - kerr.lambda_s * (0.5 + np.asarray(eta3))
+    """Detuning schedule (eta3 a float or an array) cancelling the effective detuning at all times."""
+    return kerr.lambda_a - kerr.lambda_s * (0.5 + eta3)
 
 
-def bloch_rhs(eta: np.ndarray, omega: float, delta_eff: float) -> np.ndarray:
-    """Time derivative of the Bloch coordinates; preserves the surface."""
+def bloch_rhs(eta, omega: float, delta_eff: float) -> tuple[float, float, float]:
+    """Time derivative of the Bloch coordinates, a 3-tuple computed on the
+    components of ``eta``; preserves the surface."""
     e1, e2, e3 = eta
-    return np.array([
-        delta_eff * e2,
-        0.5 * omega * (3.0 * e3 * e3 - e3 - 0.25) - delta_eff * e1,
-        omega * e2,
-    ])
+    return delta_eff * e2, 0.5 * omega * (3.0 * e3 * e3 - e3 - 0.25) - delta_eff * e1, omega * e2
 
 
-def amplitude_rhs(psi: np.ndarray, omega: float, delta: float, kerr: KerrParams = ZERO_KERR) -> np.ndarray:
-    """Time derivative of (psi1, psi2) including Kerr shifts.
+def amplitude_rhs(psi, omega: float, delta: float, kerr: KerrParams = ZERO_KERR) -> tuple[complex, complex]:
+    """Time derivative of (psi1, psi2) including Kerr shifts, a 2-tuple
+    computed on the components of ``psi`` (complex numbers).
 
     Conserves |psi1|^2 + 2|psi2|^2. The 1:2 resonance makes the coupling
     quadratic in psi1, which is what renders the upper state unreachable.
@@ -135,9 +138,9 @@ def amplitude_rhs(psi: np.ndarray, omega: float, delta: float, kerr: KerrParams 
     p1, p2 = psi
     n1 = abs(p1) ** 2
     n2 = abs(p2) ** 2
-    d1 = (-delta / 3.0 + kerr.l11 * n1 + kerr.l12 * n2) * p1 + (omega / _SQRT2) * np.conj(p1) * p2
+    d1 = (-delta / 3.0 + kerr.l11 * n1 + kerr.l12 * n2) * p1 + (omega / _SQRT2) * p1.conjugate() * p2
     d2 = (delta / 3.0 + kerr.l12 * n1 + kerr.l22 * n2) * p2 + (omega / (2.0 * _SQRT2)) * p1 * p1
-    return np.array([-1j * d1, -1j * d2])
+    return -1j * d1, -1j * d2
 
 
 def costate_rhs(lam: np.ndarray, eta: np.ndarray, omega: float, delta_eff: float,

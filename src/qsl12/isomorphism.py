@@ -116,8 +116,6 @@ def rho_from_amplitudes(a1, a2) -> np.ndarray:
 
 def rho_from_angles(theta, phi) -> np.ndarray:
     """Bloch vector of the angle parameterization."""
-    theta = np.asarray(theta)
-    phi = np.asarray(phi)
     return np.array([np.cos(theta), np.sin(theta) * np.sin(phi), np.sin(theta) * np.cos(phi)])
 
 
@@ -214,8 +212,7 @@ def cross_check(
     y0[7] = 1.0
     base = ode.integrate(rhs11, y0, (0.0, t_hit), cfg.integrator)
 
-    cart = base.states[:, 4:7].T
-    rho_mapped = np.array([cart[0], -_SQRT2 * cart[1], _SQRT2 * cart[2]])
+    rho_mapped = map_3to2(base.states[:, 4:7].T)
     a1 = base.states[:, 7] + 1j * base.states[:, 8]
     a2 = base.states[:, 9] + 1j * base.states[:, 10]
     rho_amp = rho_from_amplitudes(a1, a2)
@@ -248,8 +245,7 @@ def cross_check(
 
     y0b = np.concatenate([base.states[i0], [theta0, phi0, gamma0]])
     second = ode.integrate(rhs14, y0b, (t0, t_hit), cfg.integrator)
-    cart2 = second.states[:, 4:7].T
-    rho_mapped2 = np.array([cart2[0], -_SQRT2 * cart2[1], _SQRT2 * cart2[2]])
+    rho_mapped2 = map_3to2(second.states[:, 4:7].T)
     theta_b = second.states[:, 11]
     phi_b = second.states[:, 12]
     gamma_b = second.states[:, 13]

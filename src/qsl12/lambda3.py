@@ -39,6 +39,7 @@ __all__ = [
     "pulses_from_angle_rates",
     "energy_control",
     "extremal_rhs",
+    "extremal_lanes",
     "ansatz_population",
     "raman_lock",
 ]
@@ -168,46 +169,60 @@ def pulses_from_angle_rates(phi: float, theta: float, dphi: float, dtheta: float
     return PulsePair(omega_p, omega_s)
 
 
-def extremal_rhs(y, omega0: float = 1.0, cost: str = "time") -> tuple[float, float, float, float]:
-    """Closed-loop state+costate flow (phi, theta, lambda_phi, lambda_theta).
+def _extremal_flow(cos, sin, sqrt, checked: bool):
+    """The extremal flow, written once and bound to one cos/sin/sqrt."""
 
-    ``cost="time"`` applies :func:`bang_control`; ``cost="energy"`` applies
-    :func:`energy_control`. Fused re-statement of angle_rhs/costate_rhs for
-    the inner integration loop; equivalence is covered by tests. ``y`` is a
-    list of four floats, as the integrator passes it, or an ndarray; the
-    slope is a 4-tuple of Python floats, computed with ``math`` alone.
-    """
-    if isinstance(y, np.ndarray):
-        y = y.tolist()
-    phi, theta, lphi, ltheta = y
-    cph = math.cos(phi)
-    _check_phi(cph)
-    sph = math.sin(phi)
-    cth, sth = math.cos(theta), math.sin(theta)
-    cth2 = cth * cth
-    tph = sph / cph
-    h1 = (lphi * cph * cth2 + ltheta * sth * cth * sph) * _INV_SQRT2
-    h2 = 0.5 * (ltheta * cth * tph - lphi * sth)
-    if cost == "time":
-        n2 = h1 * h1 + h2 * h2
-        if n2 <= SWITCHING_MIN:
-            raise SwitchingDegeneracy("switching vector vanished")
-        n = math.sqrt(n2)
-        op = omega0 * h1 / n
-        os_ = omega0 * h2 / n
-    elif cost == "energy":
-        op, os_ = h1, h2
-    else:
-        raise ValueError(f"unknown cost {cost!r}")
-    dphi = op * cph * cth2 * _INV_SQRT2 - 0.5 * os_ * sth
-    dtheta = 0.5 * os_ * cth * tph + op * cth * sth * sph * _INV_SQRT2
-    dlphi = lphi * op * sph * cth2 * _INV_SQRT2 - ltheta * (
-        0.5 * os_ * cth / (cph * cph) + op * sth * cth * cph * _INV_SQRT2
-    )
-    dltheta = lphi * (2.0 * op * cph * sth * cth * _INV_SQRT2 + 0.5 * os_ * cth) + ltheta * (
-        0.5 * os_ * sth * tph - op * (cth2 - sth * sth) * sph * _INV_SQRT2
-    )
-    return dphi, dtheta, dlphi, dltheta
+    def flow(y, omega0: float = 1.0, cost: str = "time"):
+        """Closed-loop state+costate flow (phi, theta, lambda_phi, lambda_theta).
+
+        ``cost="time"`` applies :func:`bang_control`; ``cost="energy"``
+        applies :func:`energy_control`; the terms are those of
+        angle_rhs/costate_rhs under that control, as the tests check. The
+        slope is a 4-tuple. A checked flow raises PhiSingularity and
+        SwitchingDegeneracy as those functions do; an unchecked one gives
+        such states a non-finite slope.
+        """
+        if checked and isinstance(y, np.ndarray):
+            y = y.tolist()
+        phi, theta, lphi, ltheta = y
+        cph = cos(phi)
+        if checked:
+            _check_phi(cph)
+        sph = sin(phi)
+        cth, sth = cos(theta), sin(theta)
+        cth2 = cth * cth
+        tph = sph / cph
+        h1 = (lphi * cph * cth2 + ltheta * sth * cth * sph) * _INV_SQRT2
+        h2 = 0.5 * (ltheta * cth * tph - lphi * sth)
+        if cost == "time":
+            n2 = h1 * h1 + h2 * h2
+            if checked and n2 <= SWITCHING_MIN:
+                raise SwitchingDegeneracy("switching vector vanished")
+            n = sqrt(n2)
+            op = omega0 * h1 / n
+            os_ = omega0 * h2 / n
+        elif cost == "energy":
+            op, os_ = h1, h2
+        else:
+            raise ValueError(f"unknown cost {cost!r}")
+        dphi = op * cph * cth2 * _INV_SQRT2 - 0.5 * os_ * sth
+        dtheta = 0.5 * os_ * cth * tph + op * cth * sth * sph * _INV_SQRT2
+        dlphi = lphi * op * sph * cth2 * _INV_SQRT2 - ltheta * (
+            0.5 * os_ * cth / (cph * cph) + op * sth * cth * cph * _INV_SQRT2
+        )
+        dltheta = lphi * (2.0 * op * cph * sth * cth * _INV_SQRT2 + 0.5 * os_ * cth) + ltheta * (
+            0.5 * os_ * sth * tph - op * (cth2 - sth * sth) * sph * _INV_SQRT2
+        )
+        return dphi, dtheta, dlphi, dltheta
+
+    return flow
+
+
+#: One state, checked: ``y`` is a list of four floats, as the integrator
+#: passes it, or an ndarray; the slope holds Python floats from ``math``.
+extremal_rhs = _extremal_flow(math.cos, math.sin, math.sqrt, checked=True)
+#: Lanes, unchecked: ``y`` is a list of four arrays, one cell per element.
+extremal_lanes = _extremal_flow(np.cos, np.sin, np.sqrt, checked=False)
 
 
 def ansatz_population(t, omega0: float = 1.0):

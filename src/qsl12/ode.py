@@ -6,37 +6,33 @@ integration runs on the embedded Dormand-Prince 5(4) pair with proportional
 step control (Hairer, Norsett & Wanner, Solving ODEs I, II.4-6).
 
 ``integrate`` stores every accepted node, their spacing capped at
-``max_step``. ``locate_event`` lets the tolerances alone set its steps: it
-reads the state inside an accepted step from the pair's free quartic
-continuous extension (dense output, II.6), which is built from the step's
-seven stages and costs no rhs call. A step brackets an event when the event
-changes sign across it, or when it *grazes* zero: both ends share a sign,
-the event moves toward zero at the left end and away from it at the right
-end, and at its extremum in between, found on the interpolant, it reaches
-zero. Brent's root finder then pins the crossing down to ``event_tol`` on
-the interpolant.
+``max_step``. ``locate_event`` lets the tolerances alone set its steps and
+hands each accepted step to one crossing rule, ``_crossing``, which reads
+the state inside the step from the pair's free quartic continuous extension
+(dense output, II.6), built from the step's seven stages at no rhs call. A
+step brackets an event when the event changes sign across it, or when it
+*grazes* zero: both ends share a sign, the event moves toward zero at the
+left end and away from it at the right end, and at its extremum in between,
+found on the interpolant, it reaches zero. The extremum search is skipped
+when the event's tangent lines at the two ends meet more than
+``GRAZE_MARGIN`` beyond zero on the side where the step starts: a concave
+(or convex) event lies below (or above) its tangents, so it cannot graze.
+Brent's root finder then pins the crossing down to ``event_tol`` on the
+interpolant.
 
 The step runs on Python floats: the state and the seven stages are lists,
-and each stage sum is written out per component. On the 4-component
-extremal state a numpy call costs far more than its arithmetic, so as array
-code one step and its error norm took 85-89 us, of which the six rhs calls
-were 19 us; on floats they take 37-40 us (2-vCPU Xeon VM, py3.11, numpy
-2.4). Every float operation is the one the array code made, in the same
-order: stage sums left to right, then ``h * (...)``, then ``y + ...``; the
-error norm sums its squares in component order, as numpy does below 8
-components. Steps, nodes and hits are therefore bit-identical to the array
-form for such states. From 8 components on numpy sums pairwise, so an error
-norm may differ in its last bit; the 11- and 14-component oracle runs still
-match the array form exactly, because every step but the last sits at
-``max_step``.
+and each stage sum is written out per component in the order numpy would
+use. On the 4-component extremal state one step and its error norm take
+37-40 us, against 85-89 us as array code (2-vCPU Xeon VM, py3.11, numpy
+2.4). The same ``_dp5_step`` steps *lanes*, states whose components are
+arrays of many cells; the landscape scan in ``shooting`` runs it so at a
+fixed step and hands the lanes its screen flags to ``_crossing``.
 
 The state crosses into caller code as a list too: ``rhs(t, y)`` and
 ``event(y)`` receive a list of Python floats (or complex numbers), which they
 must not modify. The rhs may return any sequence of the state's length; a
-returned ndarray is converted once with ``tolist()``. One slope of the
-extremal flow takes 1.8 us this way, against 3.1 us when the state went in
-and the slope came out as an ndarray (same VM). Results are ndarrays: float64
-for a real state, complex128 for a complex one.
+returned ndarray is converted once with ``tolist()``. Results are ndarrays:
+float64 for a real state, complex128 for a complex one.
 
 Everything is deterministic: identical inputs produce bit-identical output.
 All times are in units of 1/Omega_0 with Omega_0 = 1.
@@ -172,6 +168,10 @@ _P = np.array([
 #: derivative, as a fraction of the step.
 _RATE_DT = 1e-4
 
+#: Tangent-screen margin, in units of the event (see the module docstring):
+#: about 100 times the h^2-scale curvature term of the shots' steps.
+GRAZE_MARGIN = 1e-2
+
 
 def _as_state(y0) -> list:
     """The initial state as a list of Python floats, or of complex numbers."""
@@ -295,12 +295,20 @@ def integrate(rhs: Rhs, y0, t_span: tuple[float, float], cfg: IntegratorConfig =
     return Trajectory(np.asarray(times), np.asarray(states))
 
 
-def _rate(event: Event, y: Sequence, ydot: Sequence, dt: float) -> float:
-    """Time derivative of ``event`` at state y moving with velocity ydot,
-    a central difference over the lists y -/+ dt * ydot."""
+def _rate(event: Event, y: Sequence, ydot: Sequence, dt: float):
+    """Time derivative of ``event`` at state y moving with velocity ydot, a central
+    difference over y -/+ dt * ydot (lists of floats, or of lane arrays)."""
     ahead = [a + dt * v for a, v in zip(y, ydot)]
     behind = [a - dt * v for a, v in zip(y, ydot)]
-    return (float(event(ahead)) - float(event(behind))) / (2.0 * dt)
+    return (event(ahead) - event(behind)) / (2.0 * dt)
+
+
+def _graze_ruled_out(e_a, r_a, e_b, r_b, h):
+    """Whether the event's tangent lines at the two ends of a step of length
+    h (values e_a, e_b; rates r_a, r_b) meet more than GRAZE_MARGIN beyond
+    zero on e_a's side. Floats or, elementwise, lane arrays."""
+    meet = e_a + r_a * (e_b - e_a - r_b * h) / (r_a - r_b)
+    return meet * e_a > GRAZE_MARGIN * abs(e_a)
 
 
 class _DenseStep:
@@ -351,6 +359,39 @@ def _hit(times: list, states: list) -> EventHit:
     return EventHit(times[-1], path.final_state, path)
 
 
+def _crossing(event: Event, t_a: float, y_a: list, e_a: float, t_b: float, y_b: list,
+              e_b: float, K, h: float, event_tol: float) -> tuple[float, list] | None:
+    """The first zero of ``event`` in one accepted step, as (t, y), or None.
+
+    The step of length h runs from (t_a, y_a) to (t_b, y_b) with stages K;
+    e_a (nonzero) and e_b are the event at its ends. A sign change or a
+    graze (see the module docstring) is pinned down to ``event_tol`` in time
+    on the step's interpolant; a zero at t_a is returned as t_a.
+    """
+    crossed = e_b == 0.0 or (e_b > 0.0) != (e_a > 0.0)
+    if not crossed:
+        # A graze needs the event moving toward zero at t_a (K[0] is the
+        # slope there) and away from it at t_b.
+        dt = _RATE_DT * h
+        r_b = _rate(event, y_b, K[-1], dt)
+        if not r_b * e_b > 0.0:
+            return None
+        r_a = _rate(event, y_a, K[0], dt)
+        if not r_a * e_a < 0.0 or _graze_ruled_out(e_a, r_a, e_b, r_b, h):
+            return None
+    step = _DenseStep(event, t_a, y_a, e_a, t_b, y_b, e_b, K, h)
+    t_end = t_b
+    if not crossed:
+        # The event turns inside the step; it crosses zero when its
+        # extremum does, and [t_a, extremum] then brackets the crossing.
+        t_end = step.extremum(r_a, r_b, dt, event_tol)
+        e_end = step.probe(t_end)[1]
+        if e_end != 0.0 and (e_end > 0.0) == (e_a > 0.0):
+            return None
+    t_hit = brentq(lambda t: step.probe(t)[1], t_a, t_end, xtol=event_tol)
+    return t_hit, step.probe(t_hit)[0]
+
+
 def locate_event(
     rhs: Rhs,
     y0,
@@ -361,10 +402,9 @@ def locate_event(
     """Locate the first zero crossing of ``event`` along the trajectory.
 
     Steps are limited by the tolerances alone; ``cfg.max_step`` only bounds
-    the first trial step. A step brackets the crossing when the event's sign
-    changes across it, or when it grazes zero inside it (see the module
-    docstring). brentq then pins the crossing down to ``cfg.event_tol`` in
-    time on the step's interpolant; the hit lies strictly after the last
+    the first trial step. Each accepted step goes through the crossing rule
+    ``_crossing``: a sign change or a graze, pinned down to ``cfg.event_tol``
+    in time on the step's interpolant; the hit lies strictly after the last
     stored node, or is that node. Returns None when no step of ``t_span``
     brackets a crossing. The event is called on the state as a list: at the
     nodes, and at points inside a step read from its interpolant.
@@ -379,30 +419,13 @@ def locate_event(
         return _hit(times, states)
     for t_b, y_b, K, h in steps:
         e_b = float(event(y_b))
-        crossed = e_b == 0.0 or (e_b > 0.0) != (e_a > 0.0)
-        if not crossed:
-            # A graze needs the event moving toward zero at t_a (K[0] is the
-            # slope there) and away from it at t_b.
-            dt = _RATE_DT * h
-            r_b = _rate(event, y_b, K[-1], dt)
-            r_a = _rate(event, y_a, K[0], dt) if r_b * e_b > 0.0 else 0.0
-        if crossed or r_a * e_a < 0.0:
-            step = _DenseStep(event, t_a, y_a, e_a, t_b, y_b, e_b, K, h)
-            t_end = t_b
-            if not crossed:
-                # The event turns inside the step; it crosses zero when its
-                # extremum does, and [t_a, extremum] then brackets the crossing.
-                t_end = step.extremum(r_a, r_b, dt, cfg.event_tol)
-                e_end = step.probe(t_end)[1]
-                if e_end != 0.0 and (e_end > 0.0) == (e_a > 0.0):
-                    t_end = None
-            if t_end is not None:
-                t_hit = brentq(lambda t: step.probe(t)[1], t_a, t_end, xtol=cfg.event_tol)
-                # A root on the left node is that node, already stored last.
-                if t_hit > t_a:
-                    times.append(t_hit)
-                    states.append(step.probe(t_hit)[0])
-                return _hit(times, states)
+        found = _crossing(event, t_a, y_a, e_a, t_b, y_b, e_b, K, h, cfg.event_tol)
+        if found is not None:
+            # A root on the left node is that node, already stored last.
+            if found[0] > t_a:
+                times.append(found[0])
+                states.append(found[1])
+            return _hit(times, states)
         times.append(t_b)
         states.append(y_b)
         t_a, y_a, e_a = t_b, y_b, e_b

@@ -137,11 +137,11 @@ class LandscapeGrid:
         return np.log10(np.maximum(self.times - self.t_min, clamp))
 
 
-def _event(cfg: ShotConfig):
+def _event(cfg: ShotConfig, cos=math.cos, sin=math.sin):
     target = cfg.target
 
     def x3sq_excess(y: list) -> float:
-        c = math.cos(y[0]) * math.sin(y[1])
+        c = cos(y[0]) * sin(y[1])
         return 0.5 * c * c - target
 
     return x3sq_excess
@@ -211,99 +211,56 @@ def _optimum(lphi_i: float, ltheta_i: float, t_hit: float, cfg: ShotConfig) -> O
 # ---------------------------------------------------------------------------
 # Landscape scan.
 #
-# Shooting every grid cell through the adaptive scalar path is needlessly
-# slow for a survey plot. The scan instead advances all cells side by side
-# with a fixed-step RK4 (step = half the adaptive max_step), locating each
-# cell's crossing by linear interpolation inside its step; cells whose state
-# blows up (the tan(phi) singularity) or leaves the floating range turn into
-# NaN. Per-cell arithmetic is elementwise, so results are independent of how
-# cells are grouped into chunks, and a chunked parallel run reproduces the
-# serial matrix exactly. The refined optimum is cross-checked against the
-# scalar path in the test suite.
+# Every cell is a shot run on the shots' own machinery, side by side with
+# the others: the lanes hold the state as a list of four arrays, which
+# ``ode._dp5_step`` steps unchanged on ``lambda3.extremal_lanes`` at the
+# fixed step h = horizon / ceil(horizon / max_step). A numpy screen flags
+# the lanes whose event changes sign or may graze zero (the rates along the
+# step's end slopes, then the tangent screen); the shots' crossing rule
+# ``ode._crossing`` decides each flagged lane with the shots' event and
+# event_tol. A lane retires at its hit, and as NaN when its state goes
+# non-finite or its step error estimate exceeds h: a fixed step can step
+# over the tan(phi) blow-up to a hit no shot has. Lanes never mix, so a
+# chunked parallel run reproduces the serial matrix exactly.
 # ---------------------------------------------------------------------------
 
-_INV_SQRT2 = 1.0 / _SQRT2
 
-
-def _batched_rhs(y: np.ndarray) -> np.ndarray:
-    ph, th, lph, lth = y
-    cph = np.cos(ph)
-    sph = np.sin(ph)
-    cth = np.cos(th)
-    sth = np.sin(th)
-    cth2 = cth * cth
-    tph = sph / cph
-    h1 = (lph * cph * cth2 + lth * sth * cth * sph) * _INV_SQRT2
-    h2 = 0.5 * (lth * cth * tph - lph * sth)
-    n = np.hypot(h1, h2)
-    op = OMEGA0 * h1 / n
-    os_ = OMEGA0 * h2 / n
-    dph = op * cph * cth2 * _INV_SQRT2 - 0.5 * os_ * sth
-    dth = 0.5 * os_ * cth * tph + op * cth * sth * sph * _INV_SQRT2
-    dlph = lph * op * sph * cth2 * _INV_SQRT2 - lth * (
-        0.5 * os_ * cth / (cph * cph) + op * sth * cth * cph * _INV_SQRT2
-    )
-    dlth = lph * (2.0 * op * cph * sth * cth * _INV_SQRT2 + 0.5 * os_ * cth) + lth * (
-        0.5 * os_ * sth * tph - op * (cth2 - sth * sth) * sph * _INV_SQRT2
-    )
-    return np.stack([dph, dth, dlph, dlth])
-
-
-def _scan_cells(lphi_vals: np.ndarray, ltheta_vals: np.ndarray, eps: float,
-                horizon: float, step: float) -> np.ndarray:
-    n_phi, n_th = lphi_vals.size, ltheta_vals.size
-    n = n_phi * n_th
-    y = np.zeros((4, n))
-    y[2] = np.repeat(lphi_vals, n_th)
-    y[3] = np.tile(ltheta_vals, n_phi)
-    target = 0.5 * (1.0 - eps)
-
-    hit_times = np.full(n, np.nan)
-    alive = np.hypot(y[2], y[3]) > 0.0
-    e_prev = np.full(n, -target)
-    idx = np.arange(n)
-
-    nsteps = max(1, math.ceil(horizon / step))
-    dt = horizon / nsteps
-    t = 0.0
+def _scan_cells(lphi_vals: np.ndarray, ltheta_vals: np.ndarray, cfg: ShotConfig) -> np.ndarray:
+    n_th = ltheta_vals.size
+    ids = np.arange(lphi_vals.size * n_th)
+    y = [np.zeros(ids.size), np.zeros(ids.size), np.repeat(lphi_vals, n_th), np.tile(ltheta_vals, lphi_vals.size)]
+    hit_times = np.full(ids.size, np.nan)
+    event, lane_event = _event(cfg), _event(cfg, np.cos, np.sin)
+    rhs = lambda t, y: lambda3.extremal_lanes(y, OMEGA0)
+    n_steps = math.ceil(cfg.horizon / cfg.integrator.max_step)
+    h = cfg.horizon / n_steps
+    dt = ode._RATE_DT * h
     with np.errstate(all="ignore"):
-        for _ in range(nsteps):
-            if not alive.any():
+        k1 = rhs(0.0, y)
+        e_a, r_a = lane_event(y), ode._rate(lane_event, y, k1, dt)
+        for i in range(n_steps):
+            if not ids.size:
                 break
-            ya = y[:, alive]
-            k1 = _batched_rhs(ya)
-            k2 = _batched_rhs(ya + 0.5 * dt * k1)
-            k3 = _batched_rhs(ya + 0.5 * dt * k2)
-            k4 = _batched_rhs(ya + dt * k3)
-            yn = ya + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            c = np.cos(yn[0]) * np.sin(yn[1])
-            e_new = 0.5 * c * c - target
-            ea = e_prev[alive]
-            crossed = (ea < 0.0) & (e_new >= 0.0)
-            dead = ~np.isfinite(yn).all(axis=0)
-            ids = idx[alive]
-            if crossed.any():
-                frac = ea[crossed] / (ea[crossed] - e_new[crossed])
-                hit_times[ids[crossed]] = t + frac * dt
-            y[:, alive] = yn
-            e_prev[alive] = e_new
-            retired = ids[crossed | dead]
-            if retired.size:
-                nxt = alive.copy()
-                nxt[retired] = False
-                alive = nxt
-            t += dt
-    return hit_times.reshape(n_phi, n_th)
-
-
-def _scan_worker(args):
-    return _scan_cells(*args)
-
-
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None or workers <= 0:
-        return os.cpu_count() or 1
-    return workers
+            t_a, t_b = i * h, (i + 1) * h
+            y_b, K, err = ode._dp5_step(rhs, t_a, y, k1, h)
+            e_b, r_b = lane_event(y_b), ode._rate(lane_event, y_b, K[-1], dt)
+            retired = ~(np.isfinite(y_b).all(axis=0) & (np.abs(err) <= h).all(axis=0))
+            flagged = (e_b == 0.0) | ((e_b > 0.0) != (e_a > 0.0)) | (
+                (r_b * e_b > 0.0) & (r_a * e_a < 0.0) & ~ode._graze_ruled_out(e_a, r_a, e_b, r_b, h)
+            )
+            for j in np.flatnonzero(flagged & ~retired):
+                ya, yb = [c[j].item() for c in y], [c[j].item() for c in y_b]
+                Kj = [[c[j].item() for c in k] for k in K]
+                found = ode._crossing(event, t_a, ya, event(ya), t_b, yb, event(yb), Kj, h,
+                                      cfg.integrator.event_tol)
+                if found is not None:
+                    hit_times[ids[j]], retired[j] = found[0], True
+            k_b, keep = K[-1], ~retired
+            if not keep.all():
+                y_b, k_b = [c[keep] for c in y_b], [c[keep] for c in k_b]
+                e_b, r_b, ids = e_b[keep], r_b[keep], ids[keep]
+            y, k1, e_a, r_a = y_b, k_b, e_b, r_b
+    return hit_times.reshape(lphi_vals.size, n_th)
 
 
 def landscape(
@@ -315,9 +272,15 @@ def landscape(
 ) -> LandscapeGrid:
     """Hit-time grid over initial costates; NaN where nothing hits.
 
-    ``workers`` is the number of processes (None or 0 = one per CPU).
-    Results do not depend on the worker count.
+    Each cell is a shot on a fixed DP5 step (see the comment above).
+    ``workers`` is the number of processes (None or 0 = one per CPU);
+    results do not depend on it. Non-finite ranges and a negative
+    ``workers`` raise ValueError.
     """
+    if not all(math.isfinite(hi - lo) for lo, hi in (lphi_range, ltheta_range)):
+        raise ValueError("landscape ranges must have finite ends and span")
+    if workers is not None and workers < 0:
+        raise ValueError("workers must be non-negative")
     if isinstance(resolution, int):
         resolution = (resolution, resolution)
     n_phi, n_th = resolution
@@ -325,16 +288,15 @@ def landscape(
         raise ValueError("resolution must be at least 1x1")
     lphi_axis = np.linspace(lphi_range[0], lphi_range[1], n_phi)
     ltheta_axis = np.linspace(ltheta_range[0], ltheta_range[1], n_th)
-    step = 0.5 * cfg.integrator.max_step
 
-    workers = min(_resolve_workers(workers), n_phi)
+    workers = min(workers or os.cpu_count() or 1, n_phi)
     if workers == 1:
-        times = _scan_cells(lphi_axis, ltheta_axis, cfg.eps, cfg.horizon, step)
+        times = _scan_cells(lphi_axis, ltheta_axis, cfg)
     else:
         blocks = np.array_split(lphi_axis, workers)
-        jobs = [(b, ltheta_axis, cfg.eps, cfg.horizon, step) for b in blocks if b.size]
+        jobs = [(b, ltheta_axis, cfg) for b in blocks if b.size]
         with get_context("fork").Pool(processes=len(jobs)) as pool:
-            parts = pool.map(_scan_worker, jobs)
+            parts = pool.starmap(_scan_cells, jobs)
         times = np.vstack(parts)
     return LandscapeGrid(lphi_axis, ltheta_axis, times)
 

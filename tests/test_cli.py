@@ -238,11 +238,17 @@ class TestParsing:
         capsys.readouterr()
 
     @pytest.mark.parametrize("flags", [
-        ["--step", "0"],
-        ["--step", "-0.5"],
-        ["--amax", "-1"],
+        ["two-level", "curve", "--step", "0"],
+        ["two-level", "curve", "--step", "-0.5"],
+        ["two-level", "curve", "--amax", "-1"],
+        ["three-level", "landscape", "--eps", "0.1", "--res", "4", "--range=nan,1"],
+        ["three-level", "landscape", "--eps", "0.1", "--res", "4", "--range=-inf,inf"],
+        ["three-level", "landscape", "--eps", "0.1", "--res", "4", "--range=0,inf"],
+        ["three-level", "landscape", "--eps", "0.1", "--res", "4", "--range=-1e308,1e308"],
+        ["three-level", "landscape", "--eps", "0.1", "--res", "4", "--workers", "-1"],
     ])
     def test_bad_curve_grid_exits_2(self, tmp_path, capsys, flags):
-        assert cli.main(["--out", str(tmp_path), "two-level", "curve", *flags]) == 2
-        capsys.readouterr()
+        # the grid flags of a curve or a landscape; a RuntimeWarning would fail the test
+        assert cli.main(["--out", str(tmp_path), *flags]) == 2
+        assert capsys.readouterr().err.startswith("invalid arguments: ")
         assert not any(tmp_path.iterdir())

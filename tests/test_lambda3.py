@@ -224,6 +224,16 @@ class TestExtremalRhs:
                 assert all(type(v) is float for v in from_list + from_array)
                 assert from_list == from_array
 
+    @pytest.mark.parametrize("cost", ["time", "energy"])
+    def test_lane_binding_matches_scalar(self, cost):
+        # one source bound twice: numpy's cos/sin/sqrt on lanes, math's per state
+        states = np.column_stack([
+            RNG.uniform(-1.5, 1.5, 500), RNG.uniform(-3.0, 3.0, 500), RNG.uniform(-5.0, 5.0, (500, 2)),
+        ])
+        lanes = lambda3.extremal_lanes(list(states.T), 1.0, cost)
+        scalar = np.array([lambda3.extremal_rhs(y, 1.0, cost) for y in states.tolist()])
+        np.testing.assert_array_max_ulp(np.array(lanes), scalar.T, maxulp=4)
+
     def test_rejects_unknown_cost(self):
         with pytest.raises(ValueError):
             lambda3.extremal_rhs(np.array([0.1, 0.1, 1.0, 0.5]), 1.0, "fuel")

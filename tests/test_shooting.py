@@ -101,6 +101,22 @@ class TestLandscape:
         parallel = shooting.landscape((-2.0, 2.0), (-2.0, 2.0), 12, cfg005, workers=2)
         assert np.array_equal(serial.times, parallel.times, equal_nan=True)
 
+    def test_grid_row_matches_its_shots(self, cfg002):
+        # one row of the 60x60 grid over +-3: the same cells hit as in the
+        # shots, at the shots' times; a lane that steps over the tan(phi)
+        # blow-up would add hits at ltheta = +-1.0678 that no shot has
+        row = shooting.landscape((-3.0, -3.0), (-3.0, 3.0), (1, 60), cfg002, workers=1)
+        shots = np.array([shooting.shoot(-3.0, lt, cfg002) for lt in row.ltheta_axis], dtype=float)
+        hits = np.isfinite(shots)
+        assert hits.any() and np.array_equal(np.isfinite(row.times[0]), hits)
+        assert np.median(np.abs(row.times[0][hits] - shots[hits])) <= 1e-7
+
+    def test_tangent_screen_only_skips_work(self, cfg005, monkeypatch):
+        screened = shooting.landscape((-2.0, 2.0), (-2.0, 2.0), 12, cfg005, workers=1)
+        monkeypatch.setattr(shooting.ode, "GRAZE_MARGIN", math.inf)
+        searched = shooting.landscape((-2.0, 2.0), (-2.0, 2.0), 12, cfg005, workers=1)
+        assert np.array_equal(screened.times, searched.times, equal_nan=True)
+
     def test_origin_only_grid_is_empty(self, cfg005):
         grid = shooting.landscape((0.0, 0.0), (0.0, 0.0), (1, 1), cfg005)
         assert np.isnan(grid.times).all()
