@@ -231,7 +231,7 @@ def _scan_cells(lphi_vals: np.ndarray, ltheta_vals: np.ndarray, cfg: ShotConfig)
     y = [np.zeros(ids.size), np.zeros(ids.size), np.repeat(lphi_vals, n_th), np.tile(ltheta_vals, lphi_vals.size)]
     hit_times = np.full(ids.size, np.nan)
     event, lane_event = _event(cfg), _event(cfg, np.cos, np.sin)
-    rhs = lambda t, y: lambda3.extremal_lanes(y, OMEGA0)
+    rhs = lambda t, lanes: lambda3.extremal_lanes(lanes, OMEGA0)
     n_steps = math.ceil(cfg.horizon / cfg.integrator.max_step)
     h = cfg.horizon / n_steps
     dt = ode._RATE_DT * h
