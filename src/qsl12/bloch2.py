@@ -240,10 +240,10 @@ def energy_optimum(duration: float, eta3_i: float, eta3_f: float) -> tuple[float
     The energy-optimal pulse is the same constant resonant pulse as the
     time-optimal one, stretched to the requested duration, so
     omega0_min = area / duration and the energy is area^2 / duration
-    (units hbar = 1).
+    (units hbar = 1). The duration must be positive and finite.
     """
-    if duration <= 0.0:
-        raise ValueError("duration must be positive")
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration!r}")
     area = min_area(eta3_i, eta3_f)
     omega0_min = area / duration
     return omega0_min, area * omega0_min

@@ -177,26 +177,28 @@ def _cmd_three_landscape(args) -> int:
 
 def _cmd_three_optimize(args) -> int:
     started = time.monotonic()
-    opt = shooting.refine(args.lphi, args.guess, _shot_config(args))
+    cfg = _shot_config(args)
+    opt = shooting.refine(args.lphi, args.guess, cfg)
     print(f"ltheta_i = {opt.ltheta_i:.10g}")
     print(f"T_min = {opt.t_min / args.omega0:.10g}")
     print(f"A_min = {opt.area:.10g}")
-    states = opt.trajectory.states
+    trajectory, pulses = shooting.extremal(opt, cfg)
+    states = trajectory.states
     x1 = np.cos(states[:, 0]) * np.cos(states[:, 1])
     y2 = -np.sin(states[:, 0]) / np.sqrt(2.0)
     x3 = -np.cos(states[:, 0]) * np.sin(states[:, 1]) / np.sqrt(2.0)
     rows = np.column_stack([
-        opt.trajectory.times / args.omega0,
+        trajectory.times / args.omega0,
         states[:, 0],
         states[:, 1],
         states[:, 2],
         states[:, 3],
-        opt.pulses[:, 0] * args.omega0,
-        opt.pulses[:, 1] * args.omega0,
+        pulses[:, 0] * args.omega0,
+        pulses[:, 1] * args.omega0,
         x1 ** 2,
         2.0 * y2 ** 2,
         2.0 * x3 ** 2,
-        2.0 * lambda3.ansatz_population(opt.trajectory.times),
+        2.0 * lambda3.ansatz_population(trajectory.times),
     ])
     path = _export(
         args, "three_level_optimal",
@@ -224,8 +226,10 @@ def _cmd_three_areacurve(args) -> int:
 
 def _cmd_three_energy(args) -> int:
     duration = args.T * args.omega0
-    cfg = shooting.ShotConfig(eps=args.eps, horizon=args.horizon, integrator=_integrator(args))
-    result = shooting.energy_optimum3(duration, args.eps, cfg)
+    if not 0.0 < duration < np.inf:  # checked before the refinement
+        raise ValueError("--T must be positive and finite")
+    opt = shooting.refine(*shooting.START_RAY, _shot_config(args))
+    result = shooting.energy_optimum3(duration, opt)
     print(f"Omega0_min = {result.omega0_min * args.omega0:.10g}")
     print(f"E_min = {result.energy_min * args.hbar * args.omega0:.10g}")
     return 0
@@ -314,14 +318,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_three_landscape, command_name="three-level landscape")
     p = three_sub.add_parser("optimize", help="refine the optimal initial costate ray")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--lphi", type=float, default=1.85)
-    p.add_argument("--guess", type=float, default=0.9)
+    p.add_argument("--lphi", type=float, default=shooting.START_RAY[0])
+    p.add_argument("--guess", type=float, default=shooting.START_RAY[1])
     p.set_defaults(func=_cmd_three_optimize, command_name="three-level optimize")
     p = three_sub.add_parser("areacurve", help="minimum area vs accuracy dataset and fit")
     p.add_argument("--eps-min", type=float, default=1e-3)
     p.add_argument("--eps-max", type=float, default=1e-1)
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--lphi", type=float, default=1.85)
+    p.add_argument("--lphi", type=float, default=shooting.START_RAY[0])
     p.set_defaults(func=_cmd_three_areacurve, command_name="three-level areacurve")
     p = three_sub.add_parser("energy", help="minimum amplitude and energy for a fixed time")
     p.add_argument("--T", type=float, required=True)

@@ -175,14 +175,18 @@ def cross_check(
     amplitudes and the counterpart two-level amplitudes as one state on the
     adaptive integrator of ``cfg``, up to the hit time, then re-runs from the
     first node off the initial pole with the angle block added. The
-    deviations are taken over the accepted nodes of each run.
+    deviations are taken over the accepted nodes of each run. Without
+    ``costates`` the transfer is the optimum refined from
+    ``shooting.START_RAY``; non-finite costates raise ValueError.
     ``corrupt_mapping`` switches the Stokes reduction to the inconsistent
     Omega_s / sqrt(2) variant (negative control: the oracles must fail).
     """
     if costates is None:
-        opt = shooting.refine(1.85, 0.9, cfg)
+        opt = shooting.refine(*shooting.START_RAY, cfg)
         costates = (opt.lphi_i, opt.ltheta_i)
         t_hit = opt.t_min
+    elif not all(math.isfinite(c) for c in costates):
+        raise ValueError(f"costates must be finite, got {costates!r}")
     else:
         t_hit = shooting.shoot(costates[0], costates[1], cfg)
         if t_hit is None:
@@ -272,17 +276,19 @@ def cross_check(
 def area_divergence_check(
     eps_values,
     cfg: shooting.ShotConfig,
-    lphi_i: float = 1.85,
-    initial_guess: float = 0.9,
+    lphi_i: float = shooting.START_RAY[0],
+    initial_guess: float = shooting.START_RAY[1],
 ) -> np.ndarray:
     """Pump area of the counterpart problem along the optimum, per accuracy.
 
-    The optima come from the same eps continuation as ``shooting.area_curve``.
-    Returns an (n, 2) array of (eps, integral of |P| dt) in the input order.
-    The area must grow without bound as eps -> 0 (the complete transfer
+    The optima come from the same eps continuation as ``shooting.area_curve``;
+    |P| is integrated by the trapezoid rule over each optimum's extremal
+    (``shooting.extremal``). Returns an (n, 2) array of (eps, integral of
+    |P| dt) in the input order. The area must grow without bound as eps -> 0 (the complete transfer
     needs infinite pump area); tests regress it against ln(eps).
     """
     eps_values = np.asarray(list(eps_values), dtype=float)
     optima = shooting._optima_along_eps(eps_values, cfg, lphi_i, initial_guess)
-    areas = [np.trapezoid(np.abs(opt.pulses[:, 0]) / _SQRT2, opt.trajectory.times) for opt in optima]
+    paths = (shooting.extremal(opt, cfg) for opt in optima)
+    areas = [np.trapezoid(np.abs(pulses[:, 0]) / _SQRT2, path.times) for path, pulses in paths]
     return np.column_stack([eps_values, areas])

@@ -13,6 +13,9 @@ coarse scan of shots along the guess's ray, then Brent's method from the
 fastest probe. A shot that finds no hit counts as an infinite time. The
 result is the fastest branch the scan meets, so the guess must lie within a
 factor of 16 of the optimum.
+
+An optimum is its initial costates and its hit time. Only the exports that
+show the optimal pulse sequence integrate its path, with ``extremal``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ __all__ = [
     "InsufficientData",
     "shoot",
     "shoot_info",
-    "solve_optimum",
+    "extremal",
     "landscape",
     "refine",
     "area_curve",
@@ -51,6 +54,10 @@ _SQRT2 = math.sqrt(2.0)
 
 #: The peak generalized amplitude; every quantity is expressed in its units.
 OMEGA0 = 1.0
+
+#: The initial costates (lambda_phi, guessed lambda_theta) a refinement
+#: starts from when none are given.
+START_RAY = (1.85, 0.9)
 
 
 class NoConvergence(RuntimeError):
@@ -87,15 +94,16 @@ class ShotConfig:
 
 @dataclass
 class Optimum:
-    """A successful shot: initial costates, hit time, and the sampled extremal."""
+    """A successful shot: its initial costates and hit time."""
 
     lphi_i: float
     ltheta_i: float
     t_min: float
-    area: float
-    trajectory: ode.Trajectory
-    pulses: np.ndarray
-    terminal_error: float
+
+    @property
+    def area(self) -> float:
+        """Generalized pulse area, Omega_0 times the hit time."""
+        return OMEGA0 * self.t_min
 
 
 @dataclass
@@ -175,37 +183,20 @@ def shoot(lphi_i: float, ltheta_i: float, cfg: ShotConfig) -> float | None:
     return shoot_info(lphi_i, ltheta_i, cfg)[0]
 
 
-def solve_optimum(lphi_i: float, ltheta_i: float, cfg: ShotConfig) -> Optimum:
-    """Run one shot and keep its whole extremal and pulses (see ``_optimum``)."""
-    y0 = [0.0, 0.0, lphi_i, ltheta_i]
-    hit = ode.locate_event(_rhs(), y0, (0.0, cfg.horizon), _event(cfg), cfg.integrator)
-    if hit is None:
-        raise NoFeasiblePoint(f"no transfer within horizon for ({lphi_i}, {ltheta_i})")
-    return _optimum(lphi_i, ltheta_i, hit.t, cfg)
-
-
-def _optimum(lphi_i: float, ltheta_i: float, t_hit: float, cfg: ShotConfig) -> Optimum:
-    """The optimum of a shot that hit at ``t_hit``, with its extremal and pulses.
+def extremal(opt: Optimum, cfg: ShotConfig) -> tuple[ode.Trajectory, np.ndarray]:
+    """The extremal of ``opt`` up to its hit time, and the pulses along it.
 
     The shot finds the hit time on tolerance-limited steps; the extremal is
     integrated once more up to that time, so its nodes are spaced at most
-    ``cfg.integrator.max_step`` apart, the sampling of the exports.
+    ``cfg.integrator.max_step`` apart, the sampling of the exports. The
+    pulses hold one (Omega_p, Omega_s) row of the bang control per node.
     """
-    y0 = [0.0, 0.0, lphi_i, ltheta_i]
-    trajectory = ode.integrate(_rhs(), y0, (0.0, t_hit), cfg.integrator)
+    y0 = [0.0, 0.0, opt.lphi_i, opt.ltheta_i]
+    trajectory = ode.integrate(_rhs(), y0, (0.0, opt.t_min), cfg.integrator)
     pulses = np.array([
         lambda3.bang_control(y[0], y[1], y[2], y[3], OMEGA0) for y in trajectory.states
     ])
-    terminal = _event(cfg)(trajectory.final_state)
-    return Optimum(
-        lphi_i=lphi_i,
-        ltheta_i=ltheta_i,
-        t_min=t_hit,
-        area=OMEGA0 * t_hit,
-        trajectory=trajectory,
-        pulses=pulses,
-        terminal_error=abs(terminal),
-    )
+    return trajectory, pulses
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +308,12 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     neighbour and converges to REFINE_XTOL (relative). A shot without a hit
     counts as +inf, so Brent never leaves the lowest point it has seen: the
     result is the fastest branch the scan meets, and the guess must lie
-    within a factor of 16 of the optimum. The optimum reuses the hit time of
-    the shot Brent returned, so it costs the capped export integration but
-    no further shot.
+    within a factor of 16 of the optimum. The optimum is the costates and
+    hit time of the shot Brent returned: it costs no further integration.
+    Non-finite costates raise ValueError before the first shot.
     """
+    if not (math.isfinite(lphi_i) and math.isfinite(ltheta_guess)):
+        raise ValueError(f"costates must be finite, got ({lphi_i!r}, {ltheta_guess!r})")
     memo: dict[float, float] = {}
 
     def hit_time(x) -> float:
@@ -350,7 +343,7 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     ltheta_i = float(result.x)
     if ltheta_i not in memo:
         raise RuntimeError(f"Brent returned ltheta_i = {ltheta_i!r}, which it never shot")
-    return _optimum(lphi_i, ltheta_i, memo[ltheta_i], cfg)
+    return Optimum(lphi_i, ltheta_i, memo[ltheta_i])
 
 
 def _optima_along_eps(eps_values: np.ndarray, cfg: ShotConfig, lphi_i: float,
@@ -373,8 +366,8 @@ def _optima_along_eps(eps_values: np.ndarray, cfg: ShotConfig, lphi_i: float,
 def area_curve(
     eps_values,
     cfg: ShotConfig,
-    lphi_i: float = 1.85,
-    initial_guess: float = 0.9,
+    lphi_i: float = START_RAY[0],
+    initial_guess: float = START_RAY[1],
 ) -> np.ndarray:
     """Minimum generalized pulse area for each accuracy in ``eps_values``.
 
@@ -408,29 +401,15 @@ def fit_asymptote(curve) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-def energy_optimum3(
-    duration: float,
-    eps: float,
-    cfg: ShotConfig | None = None,
-    lphi_i: float = 1.85,
-    initial_guess: float = 0.9,
-    optimum: Optimum | None = None,
-) -> EnergyOptimum:
+def energy_optimum3(duration: float, optimum: Optimum) -> EnergyOptimum:
     """Minimum peak amplitude and energy for a transfer in a fixed time.
 
-    The energy-optimal extremal is the time-optimal one traversed at the
-    rescaled amplitude omega0_min = area / duration, so the energy is
-    area^2 / duration (hbar = 1). Pass a precomputed time-optimal
-    ``optimum`` to skip the refinement.
+    The energy-optimal extremal is the time-optimal ``optimum`` traversed at
+    the rescaled amplitude omega0_min = area / duration, so the energy is
+    area^2 / duration (hbar = 1). The duration must be positive and finite.
     """
-    if duration <= 0.0:
-        raise ValueError("duration must be positive")
-    if optimum is None:
-        if cfg is None:
-            cfg = ShotConfig(eps=eps)
-        elif cfg.eps != eps:
-            cfg = replace(cfg, eps=eps)
-        optimum = refine(lphi_i, initial_guess, cfg)
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration!r}")
     omega0_min = optimum.area / duration
     return EnergyOptimum(omega0_min, optimum.area * omega0_min, optimum)
 

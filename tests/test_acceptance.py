@@ -107,28 +107,30 @@ def test_08_parity_symmetry(cfg002):
               worst <= cfg002.integrator.event_tol, f"worst |dT|={worst:.2e}")
 
 
-def test_09_bang_control_invariants(opt002):
-    mags = opt002.pulses[:, 0] ** 2 + opt002.pulses[:, 1] ** 2
+def test_09_bang_control_invariants(path002):
+    trajectory, pulses = path002
+    mags = pulses[:, 0] ** 2 + pulses[:, 1] ** 2
     mag_dev = float(np.max(np.abs(mags - 1.0)))
     h_norm = np.array([
-        math.hypot(*lambda3.h1h2(y[0], y[1], y[2], y[3])) for y in opt002.trajectory.states
+        math.hypot(*lambda3.h1h2(y[0], y[1], y[2], y[3])) for y in trajectory.states
     ])
     hc_var = float((h_norm.max() - h_norm.min()) / h_norm.mean())
     criterion(9, "pulse magnitude saturated within 1e-10 and control Hamiltonian constant within 1e-6",
               mag_dev < 1e-10 and hc_var < 1e-6, f"|mag-1|={mag_dev:.2e} dHc/Hc={hc_var:.2e}")
 
 
-def test_10_population_ansatz(opt002):
-    states = opt002.trajectory.states
+def test_10_population_ansatz(path002):
+    trajectory, _ = path002
+    states = trajectory.states
     transferred = 0.5 * np.sin(states[:, 0]) ** 2 + 0.5 * (np.cos(states[:, 0]) * np.sin(states[:, 1])) ** 2
-    dev = float(np.max(np.abs(transferred - lambda3.ansatz_population(opt002.trajectory.times))))
+    dev = float(np.max(np.abs(transferred - lambda3.ansatz_population(trajectory.times))))
     criterion(10, "tanh^2 population ansatz tracks the optimum within 0.02",
               dev <= 0.02, f"sup deviation={dev:.4f}")
 
 
 def test_11_energy_relations(cfg002, opt002):
     duration = 10.0
-    three = shooting.energy_optimum3(duration, 0.002, cfg002, optimum=opt002)
+    three = shooting.energy_optimum3(duration, opt002)
     identity3 = three.energy_min == pytest.approx(three.time_optimum.area ** 2 / duration, rel=1e-14)
     area2 = bloch2.min_area(-0.5, 0.498)
     omega2, e2 = bloch2.energy_optimum(duration, -0.5, 0.498)

@@ -170,8 +170,9 @@ class TestClosedForms:
         o2, e2 = bloch2.energy_optimum(10.0, -0.5, 0.3)
         assert o2 == pytest.approx(0.5 * o1)
         assert e2 == pytest.approx(0.5 * e1)
-        with pytest.raises(ValueError):
-            bloch2.energy_optimum(0.0, -0.5, 0.3)
+        for duration in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                bloch2.energy_optimum(duration, -0.5, 0.3)
 
 
 class TestKerrLock:

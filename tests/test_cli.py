@@ -246,9 +246,16 @@ class TestParsing:
         ["three-level", "landscape", "--eps", "0.1", "--res", "4", "--range=0,inf"],
         ["three-level", "landscape", "--eps", "0.1", "--res", "4", "--range=-1e308,1e308"],
         ["three-level", "landscape", "--eps", "0.1", "--res", "4", "--workers", "-1"],
+        ["two-level", "energy", "--T", "nan", "--eps", "0.002"],
+        ["two-level", "energy", "--T", "inf", "--eps", "0.002"],
+        ["three-level", "energy", "--T", "nan", "--eps", "0.002"],
+        ["three-level", "optimize", "--eps", "0.002", "--lphi", "nan"],
+        ["three-level", "optimize", "--eps", "0.002", "--guess", "inf"],
+        ["iso", "check", "--costates", "nan,1"],
     ])
     def test_bad_curve_grid_exits_2(self, tmp_path, capsys, flags):
-        # the grid flags of a curve or a landscape; a RuntimeWarning would fail the test
+        # the grid flags of a curve or a landscape, a non-finite duration or
+        # costates; a RuntimeWarning would fail the test
         assert cli.main(["--out", str(tmp_path), *flags]) == 2
         assert capsys.readouterr().err.startswith("invalid arguments: ")
         assert not any(tmp_path.iterdir())

@@ -274,7 +274,9 @@ class TestLocateEvent:
         # the event is a hair below zero at an accepted node; the hit must
         # not repeat that node's time
         rhs = lambda t, y: np.ones(1)
-        node = ode.integrate(rhs, [0.0], (0.0, 1.0)).states[30, 0]
+        search = ode.locate_event(rhs, [0.0], (0.0, 1.0), lambda y: y[0] - 0.9).trajectory
+        node = search.states[3, 0]  # accepted by the search itself, at t = 0.31
+        assert node == pytest.approx(0.31, abs=1e-12)
         level = np.nextafter(node, np.inf)
         hit = ode.locate_event(rhs, [0.0], (0.0, 1.0), lambda y: y[0] - level)
         assert hit is not None

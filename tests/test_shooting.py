@@ -21,6 +21,13 @@ def opt005(cfg005) -> shooting.Optimum:
 
 
 @pytest.fixture(scope="module")
+def ref_extremal(cfg002):
+    """The reference shot (1.85, 0.45266) as an optimum, with its extremal and pulses."""
+    opt = shooting.Optimum(1.85, 0.45266, shooting.shoot(1.85, 0.45266, cfg002))
+    return (opt, *shooting.extremal(opt, cfg002))
+
+
+@pytest.fixture(scope="module")
 def grid005(cfg005) -> shooting.LandscapeGrid:
     return shooting.landscape((-3.0, 3.0), (-3.0, 3.0), (40, 40), cfg005)
 
@@ -44,25 +51,25 @@ class TestShoot:
         t_neg = shooting.shoot(-1.85, -0.45266, cfg002)
         assert abs(t_pos - t_neg) <= cfg002.integrator.event_tol
 
-    def test_terminal_state(self, cfg002):
-        opt = shooting.solve_optimum(1.85, 0.45266, cfg002)
-        y = opt.trajectory.final_state
+    def test_terminal_state(self, cfg002, ref_extremal):
+        _, trajectory, _ = ref_extremal
+        y = trajectory.final_state
         x3sq = 0.5 * (math.cos(y[0]) * math.sin(y[1])) ** 2
         y2sq = 0.5 * math.sin(y[0]) ** 2
         assert abs(x3sq - cfg002.target) <= 1e-8
         assert y2sq < x3sq
-        assert opt.terminal_error <= 1e-8
+        assert abs(shooting._event(cfg002)(list(y))) <= 1e-8
 
-    def test_optimum_path_keeps_export_spacing(self, cfg002):
-        # the shot steps as far as the tolerance allows; the returned
+    def test_optimum_path_keeps_export_spacing(self, cfg002, ref_extremal):
+        # the shot steps as far as the tolerance allows; the exported
         # extremal is re-integrated at the max_step node spacing
-        opt = shooting.solve_optimum(1.85, 0.45266, cfg002)
-        times = opt.trajectory.times
+        opt, trajectory, pulses = ref_extremal
+        times = trajectory.times
         assert times[0] == 0.0 and times[-1] == opt.t_min
         # node times are running sums, so a spacing may exceed the cap by rounding
         assert np.all(np.diff(times) <= cfg002.integrator.max_step + 1e-12)
         assert len(times) == 741
-        assert len(opt.pulses) == 741
+        assert len(pulses) == 741
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -174,7 +181,7 @@ class TestRefine:
 
     def test_optimum_reuses_the_winning_shot(self, cfg002, opt002, monkeypatch):
         # every event search is one of the counted shots; the optimum adds
-        # only the capped export integration, and equals a fresh solve
+        # no integration, and equals a fresh shot at its costates
         shots, searches = [], []
         shoot_info, locate_event = shooting.shoot_info, shooting.ode.locate_event
 
@@ -191,12 +198,24 @@ class TestRefine:
         opt = shooting.refine(1.85, 0.5, cfg002)
         assert len(searches) == len(shots)
         monkeypatch.undo()
-        fresh = shooting.solve_optimum(opt.lphi_i, opt.ltheta_i, cfg002)
-        assert (opt.t_min, opt.area, opt.terminal_error) == (fresh.t_min, fresh.area, fresh.terminal_error)
-        assert np.array_equal(opt.trajectory.times, fresh.trajectory.times)
-        assert np.array_equal(opt.trajectory.states, fresh.trajectory.states)
-        assert np.array_equal(opt.pulses, fresh.pulses)
+        fresh = shooting.Optimum(opt.lphi_i, opt.ltheta_i, shooting.shoot(opt.lphi_i, opt.ltheta_i, cfg002))
+        assert (opt.t_min, opt.area) == (fresh.t_min, fresh.area)
+        path, pulses = shooting.extremal(opt, cfg002)
+        fresh_path, fresh_pulses = shooting.extremal(fresh, cfg002)
+        assert np.array_equal(path.times, fresh_path.times)
+        assert np.array_equal(path.states, fresh_path.states)
+        assert np.array_equal(pulses, fresh_pulses)
         assert opt.t_min == opt002.t_min
+
+    def test_refine_and_area_curve_integrate_no_path(self, cfg002, monkeypatch):
+        def integrate(*args, **kwargs):
+            raise AssertionError("ode.integrate called")
+
+        monkeypatch.setattr(shooting.ode, "integrate", integrate)
+        opt = shooting.refine(1.85, 0.5, cfg002)
+        assert opt.t_min == pytest.approx(7.40, abs=0.02)
+        curve = shooting.area_curve([0.1, 0.05], cfg002)
+        assert np.all(np.isfinite(curve[:, 1]))
 
     def test_unshot_brent_result_fails_loudly(self, monkeypatch):
         def minimize_scalar(fun, **kwargs):
@@ -213,23 +232,25 @@ class TestRefine:
 
 
 class TestExtremalInvariants:
-    def test_bang_magnitude_saturated(self, opt002):
-        mags = opt002.pulses[:, 0] ** 2 + opt002.pulses[:, 1] ** 2
+    def test_bang_magnitude_saturated(self, path002):
+        _, pulses = path002
+        mags = pulses[:, 0] ** 2 + pulses[:, 1] ** 2
         assert np.max(np.abs(mags - 1.0)) < 1e-10
 
-    def test_control_hamiltonian_constant(self, opt002):
+    def test_control_hamiltonian_constant(self, path002):
         values = []
-        for y in opt002.trajectory.states:
+        for y in path002[0].states:
             h1, h2 = lambda3.h1h2(y[0], y[1], y[2], y[3])
             values.append(math.hypot(h1, h2))
         values = np.asarray(values)
         assert (values.max() - values.min()) / values.mean() < 1e-6
 
-    def test_ansatz_tracks_population(self, opt002):
-        states = opt002.trajectory.states
+    def test_ansatz_tracks_population(self, path002):
+        trajectory, _ = path002
+        states = trajectory.states
         y2sq = 0.5 * np.sin(states[:, 0]) ** 2
         x3sq = 0.5 * (np.cos(states[:, 0]) * np.sin(states[:, 1])) ** 2
-        dev = np.abs(y2sq + x3sq - lambda3.ansatz_population(opt002.trajectory.times))
+        dev = np.abs(y2sq + x3sq - lambda3.ansatz_population(trajectory.times))
         assert np.max(dev) <= 0.02
 
 
@@ -266,23 +287,24 @@ class TestAreaCurve:
 
 class TestEnergyOptimum:
     def test_reference_values(self, cfg002, opt002):
-        result = shooting.energy_optimum3(10.0, 0.002, cfg002, optimum=opt002)
+        result = shooting.energy_optimum3(10.0, opt002)
         assert result.omega0_min == pytest.approx(0.740, abs=2e-3)
         assert result.energy_min == pytest.approx(5.48, abs=0.02)
         assert result.energy_min == pytest.approx(result.time_optimum.area ** 2 / 10.0, rel=1e-15)
 
     def test_doubling_time_halves_energy(self, cfg002, opt002):
-        e1 = shooting.energy_optimum3(10.0, 0.002, cfg002, optimum=opt002)
-        e2 = shooting.energy_optimum3(20.0, 0.002, cfg002, optimum=opt002)
+        e1 = shooting.energy_optimum3(10.0, opt002)
+        e2 = shooting.energy_optimum3(20.0, opt002)
         assert e2.omega0_min == pytest.approx(0.5 * e1.omega0_min, rel=1e-15)
         assert e2.energy_min == pytest.approx(0.5 * e1.energy_min, rel=1e-15)
 
     def test_closed_loop_consistency(self, cfg002, opt002):
         duration = 10.0
-        result = shooting.energy_optimum3(duration, 0.002, cfg002, optimum=opt002)
+        result = shooting.energy_optimum3(duration, opt002)
         hit = shooting.energy_shot(duration, result, cfg002)
         assert abs(hit - duration) / duration <= 1e-4
 
-    def test_rejects_bad_duration(self, cfg002):
-        with pytest.raises(ValueError):
-            shooting.energy_optimum3(0.0, 0.002, cfg002)
+    def test_rejects_bad_duration(self, opt002):
+        for duration in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                shooting.energy_optimum3(duration, opt002)
