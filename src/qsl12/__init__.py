@@ -1,6 +1,6 @@
 """Time- and energy-optimal control bounds for 1:2 nonlinear quantum systems.
 
-Subpackages:
+Modules:
 
 * :mod:`qsl12.ode` -- adaptive/fixed Runge-Kutta integration and event location;
 * :mod:`qsl12.bloch2` -- two-level 1:2 dynamics and closed-form optima;

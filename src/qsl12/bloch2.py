@@ -66,7 +66,8 @@ class KerrParams:
     The cross term is symmetric, so a single ``l12`` field covers both
     off-diagonal entries. ``lambda_s`` scales the intensity-dependent part
     of the effective detuning and ``lambda_a`` its static part. The fields
-    are stored as Python floats, so the rhs runs on float arithmetic.
+    are stored as Python floats, so the rhs runs on float arithmetic, and
+    must be finite.
     """
 
     l11: float = 0.0
@@ -75,7 +76,10 @@ class KerrParams:
 
     def __post_init__(self) -> None:
         for name in ("l11", "l12", "l22"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"Kerr parameter {name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
 
     @property
     def lambda_s(self) -> float:
@@ -240,13 +244,17 @@ def energy_optimum(duration: float, eta3_i: float, eta3_f: float) -> tuple[float
     The energy-optimal pulse is the same constant resonant pulse as the
     time-optimal one, stretched to the requested duration, so
     omega0_min = area / duration and the energy is area^2 / duration
-    (units hbar = 1). The duration must be positive and finite.
+    (units hbar = 1). The duration must be positive and finite, and long
+    enough that both come out finite.
     """
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be positive and finite, got {duration!r}")
     area = min_area(eta3_i, eta3_f)
     omega0_min = area / duration
-    return omega0_min, area * omega0_min
+    energy = area * omega0_min
+    if not (math.isfinite(omega0_min) and math.isfinite(energy)):
+        raise ValueError(f"duration {duration!r} too short: the amplitude or the energy overflows")
+    return omega0_min, energy
 
 
 def resonant_trajectory(eta3_f: float, cfg: ode.IntegratorConfig = ode.IntegratorConfig(),

@@ -7,7 +7,8 @@ single '#' header line and 17-significant-digit floats (or a JSON mirror via
 ``--format json``), each accompanied by a run manifest, written atomically.
 
 Exit codes: 0 success, 2 invalid flags, 3 domain error, 4 refinement did not
-converge, 5 no transfer found anywhere, 6 isomorphism oracle deviation.
+converge, 5 no transfer found anywhere, 6 isomorphism oracle deviation, 7 the
+integrator's step fell below its floor.
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ def _cmd_two_curve(args) -> int:
     started = time.monotonic()
     if not 0.0 < args.step < np.inf or not 0.0 <= args.amax < np.inf:
         raise ValueError("--step must be positive and --amax non-negative, both finite")
+    if not args.amax / args.step < np.inf:
+        raise ValueError("--amax / --step must be finite")
     n = int(np.floor(args.amax / args.step + 1e-9))
     areas = np.arange(n + 1) * args.step
     rows = np.column_stack([

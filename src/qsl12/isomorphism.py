@@ -73,35 +73,32 @@ def map_pulses(omega_p: float, omega_s: float) -> tuple[float, float]:
     return omega_p / _SQRT2, 0.5 * omega_s
 
 
-def iso_bloch_rhs(rho: np.ndarray, p: float, s: float) -> np.ndarray:
-    """Bloch flow of the counterpart problem; the coupling p rides on rho_z."""
+def iso_bloch_rhs(rho, p: float, s: float) -> tuple[float, float, float]:
+    """Bloch flow of the counterpart problem, a 3-tuple; the coupling p rides on rho_z."""
     rz, ry, rx = rho
-    return np.array([-p * rz * ry, s * rx + p * rz * rz, -s * ry])
+    return -p * rz * ry, s * rx + p * rz * rz, -s * ry
 
 
-def iso_amplitude_rhs(a: np.ndarray, p: float, s: float) -> np.ndarray:
-    """Schroedinger flow of (a1, a2) under the population-dependent coupling."""
+def iso_amplitude_rhs(a, p: float, s: float) -> tuple[complex, complex]:
+    """Schroedinger flow of (a1, a2) under the population-dependent coupling, a 2-tuple."""
     a1, a2 = a
     rz = abs(a1) ** 2 - abs(a2) ** 2
-    return np.array([
-        -0.5j * (-s * a1 + p * rz * a2),
-        -0.5j * (p * rz * a1 + s * a2),
-    ])
+    return -0.5j * (-s * a1 + p * rz * a2), -0.5j * (p * rz * a1 + s * a2)
 
 
-def iso_angle_rhs(angles: np.ndarray, p: float, s: float) -> np.ndarray:
-    """Angle-form flow (theta, phi, gamma) of the counterpart problem."""
+def iso_angle_rhs(angles, p: float, s: float) -> tuple[float, float, float]:
+    """Angle-form flow (theta, phi, gamma) of the counterpart problem, a 3-tuple."""
     theta, phi, _ = angles
     sth = math.sin(theta)
     if abs(sth) <= THETA_SIN_MIN:
         raise ThetaSingularity("sin(theta) ~ 0: angle form singular")
     cth = math.cos(theta)
     cphi = math.cos(phi)
-    return np.array([
+    return (
         p * cth * math.sin(phi),
         s + p * (cth * cth / sth) * cphi,
         -0.5 * s + 0.5 * p * cth * math.tan(0.5 * theta) * cphi,
-    ])
+    )
 
 
 def rho_from_amplitudes(a1, a2) -> np.ndarray:
@@ -160,10 +157,6 @@ class CrossCheck:
         )
 
 
-def _controls(y4: np.ndarray) -> lambda3.PulsePair:
-    return lambda3.bang_control(y4[0], y4[1], y4[2], y4[3], shooting.OMEGA0)
-
-
 def cross_check(
     cfg: shooting.ShotConfig,
     costates: tuple[float, float] | None = None,
@@ -171,15 +164,17 @@ def cross_check(
 ) -> CrossCheck:
     """Integrate every representation of one time-optimal transfer side by side.
 
-    Runs the closed-loop extremal together with the real three-level
-    amplitudes and the counterpart two-level amplitudes as one state on the
-    adaptive integrator of ``cfg``, up to the hit time, then re-runs from the
-    first node off the initial pole with the angle block added. The
-    deviations are taken over the accepted nodes of each run. Without
-    ``costates`` the transfer is the optimum refined from
-    ``shooting.START_RAY``; non-finite costates raise ValueError.
-    ``corrupt_mapping`` switches the Stokes reduction to the inconsistent
-    Omega_s / sqrt(2) variant (negative control: the oracles must fail).
+    One rhs, which computes the bang control once per call, drives two passes
+    on the adaptive integrator of ``cfg`` up to the hit time. Its state holds
+    the closed-loop extremal, the real three-level amplitudes and the
+    counterpart two-level amplitudes; the second pass starts at the first
+    node off the initial pole and appends the angle block, which the rhs
+    flows when the state has 14 components. The deviations are taken over
+    the accepted nodes of each pass. Without ``costates`` the transfer is the
+    optimum refined from ``shooting.START_RAY``; non-finite costates raise
+    ValueError. ``corrupt_mapping`` switches the Stokes reduction to the
+    inconsistent Omega_s / sqrt(2) variant (negative control: the oracles
+    must fail).
     """
     if costates is None:
         opt = shooting.refine(*shooting.START_RAY, cfg)
@@ -192,29 +187,25 @@ def cross_check(
         if t_hit is None:
             raise shooting.NoFeasiblePoint(f"costates {costates} do not reach the target")
 
-    def pulse_map(op: float, os_: float) -> tuple[float, float]:
-        if corrupt_mapping:
-            return op / _SQRT2, os_ / _SQRT2
-        return map_pulses(op, os_)
+    reduce_pulses = map_pulses
+    if corrupt_mapping:
+        reduce_pulses = lambda op, os_: (op / _SQRT2, os_ / _SQRT2)  # noqa: E731
 
-    def rhs11(t: float, y: list) -> np.ndarray:
-        d = np.empty(11, dtype=float)
-        pulses = _controls(y[0:4])
-        p, s = pulse_map(*pulses)
-        d[0:4] = lambda3.extremal_rhs(y[0:4], shooting.OMEGA0)
-        d[4:7] = lambda3.xcoordinate_rhs(y[4:7], pulses)
-        a1 = y[7] + 1j * y[8]
-        a2 = y[9] + 1j * y[10]
-        da = iso_amplitude_rhs(np.array([a1, a2]), p, s)
-        d[7], d[8] = da[0].real, da[0].imag
-        d[9], d[10] = da[1].real, da[1].imag
+    def rhs(t: float, y: list) -> list:
+        pulses = lambda3.bang_control(y[0], y[1], y[2], y[3], shooting.OMEGA0)
+        p, s = reduce_pulses(*pulses)
+        da1, da2 = iso_amplitude_rhs((y[7] + 1j * y[8], y[9] + 1j * y[10]), p, s)
+        d = [
+            *lambda3.extremal_rhs(y[0:4], shooting.OMEGA0),
+            *lambda3.xcoordinate_rhs(y[4:7], pulses),
+            da1.real, da1.imag, da2.real, da2.imag,
+        ]
+        if len(y) == 14:
+            d += iso_angle_rhs(y[11:14], p, s)
         return d
 
-    y0 = np.zeros(11)
-    y0[2], y0[3] = costates
-    y0[4] = 1.0
-    y0[7] = 1.0
-    base = ode.integrate(rhs11, y0, (0.0, t_hit), cfg.integrator)
+    base = ode.integrate(rhs, [0.0, 0.0, *costates, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+                         (0.0, t_hit), cfg.integrator)
 
     rho_mapped = map_3to2(base.states[:, 4:7].T)
     a1 = base.states[:, 7] + 1j * base.states[:, 8]
@@ -226,7 +217,10 @@ def cross_check(
     # Exact-theta quadrature along the whole run. At t = 0 the transverse
     # Bloch components vanish and sin(phi) is defined by its limit, 1.
     theta_iso = np.arctan2(np.hypot(rho_mapped[1], rho_mapped[2]), rho_mapped[0])
-    pump = np.array([pulse_map(*_controls(y))[0] for y in base.states[:, 0:4]])
+    pump = np.array([
+        reduce_pulses(*lambda3.bang_control(*y, shooting.OMEGA0))[0]
+        for y in base.states[:, 0:4].tolist()
+    ])
     transverse = np.hypot(rho_mapped[1], rho_mapped[2])
     sin_phi = np.where(transverse > 1e-12, rho_mapped[1] / np.where(transverse == 0.0, 1.0, transverse), 1.0)
     theta_quad = exact_theta(base.times, pump * sin_phi)
@@ -240,15 +234,8 @@ def cross_check(
     t0 = float(base.times[i0])
     theta0, phi0, gamma0 = angles_from_amplitudes(a1[i0], a2[i0])
 
-    def rhs14(t: float, y: list) -> np.ndarray:
-        d = np.empty(14, dtype=float)
-        d[0:11] = rhs11(t, y[0:11])
-        p, s = pulse_map(*_controls(y[0:4]))
-        d[11:14] = iso_angle_rhs(y[11:14], p, s)
-        return d
-
-    y0b = np.concatenate([base.states[i0], [theta0, phi0, gamma0]])
-    second = ode.integrate(rhs14, y0b, (t0, t_hit), cfg.integrator)
+    second = ode.integrate(rhs, [*base.states[i0].tolist(), theta0, phi0, gamma0],
+                           (t0, t_hit), cfg.integrator)
     rho_mapped2 = map_3to2(second.states[:, 4:7].T)
     theta_b = second.states[:, 11]
     phi_b = second.states[:, 12]

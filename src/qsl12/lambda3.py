@@ -100,15 +100,15 @@ def angle_rhs(phi: float, theta: float, pulses: PulsePair) -> tuple[float, float
     return dphi, dtheta
 
 
-def xcoordinate_rhs(state: np.ndarray, pulses: PulsePair) -> np.ndarray:
-    """Time derivative of the real amplitudes (x1, y2, x3)."""
+def xcoordinate_rhs(state, pulses: PulsePair) -> tuple[float, float, float]:
+    """Time derivative of the real amplitudes (x1, y2, x3), a 3-tuple."""
     x1, y2, x3 = state
     op, os_ = pulses
-    return np.array([
+    return (
         op * x1 * y2,
         -0.5 * os_ * x3 - 0.5 * op * x1 * x1,
         0.5 * os_ * y2,
-    ])
+    )
 
 
 def costate_rhs(phi: float, theta: float, lphi: float, ltheta: float,

@@ -382,10 +382,10 @@ def area_curve(
 
 def _asymptotic(eps_values: np.ndarray) -> np.ndarray:
     """Mask of the accuracies in the asymptotic regime, eps <= 0.1; raises
-    InsufficientData when fewer than five are."""
+    InsufficientData when fewer than five distinct ones are."""
     mask = eps_values <= 0.1
-    if mask.sum() < 5:
-        raise InsufficientData("need at least 5 points with eps <= 0.1")
+    if np.unique(eps_values[mask]).size < 5:
+        raise InsufficientData("need at least 5 distinct points with eps <= 0.1")
     return mask
 
 
@@ -393,7 +393,7 @@ def fit_asymptote(curve) -> tuple[float, float]:
     """Least-squares fit area = slope * ln(eps) + intercept.
 
     Only points with eps <= 0.1 are in the asymptotic regime and used;
-    fewer than five such points raise InsufficientData.
+    fewer than five distinct such accuracies raise InsufficientData.
     """
     curve = np.asarray(curve, dtype=float)
     mask = _asymptotic(curve[:, 0])
@@ -406,12 +406,16 @@ def energy_optimum3(duration: float, optimum: Optimum) -> EnergyOptimum:
 
     The energy-optimal extremal is the time-optimal ``optimum`` traversed at
     the rescaled amplitude omega0_min = area / duration, so the energy is
-    area^2 / duration (hbar = 1). The duration must be positive and finite.
+    area^2 / duration (hbar = 1). The duration must be positive and finite,
+    and long enough that both come out finite.
     """
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be positive and finite, got {duration!r}")
     omega0_min = optimum.area / duration
-    return EnergyOptimum(omega0_min, optimum.area * omega0_min, optimum)
+    energy = optimum.area * omega0_min
+    if not (math.isfinite(omega0_min) and math.isfinite(energy)):
+        raise ValueError(f"duration {duration!r} too short: the amplitude or the energy overflows")
+    return EnergyOptimum(omega0_min, energy, optimum)
 
 
 def energy_shot(duration: float, energy_opt: EnergyOptimum, cfg: ShotConfig) -> float:

@@ -44,6 +44,12 @@ class TestDetunings:
         assert k.lambda_s == pytest.approx(0.6 + 0.2 + 0.4)
         assert k.lambda_a == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_kerr_params_must_be_finite(self, bad):
+        for fields in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):
+            with pytest.raises(ValueError):
+                bloch2.KerrParams(*fields)
+
     def test_effective_detuning_trivial(self):
         assert bloch2.effective_detuning(0.0, 0.3) == 0.0
         k = bloch2.KerrParams(1.0, 2.0, -3.0)
@@ -170,7 +176,7 @@ class TestClosedForms:
         o2, e2 = bloch2.energy_optimum(10.0, -0.5, 0.3)
         assert o2 == pytest.approx(0.5 * o1)
         assert e2 == pytest.approx(0.5 * e1)
-        for duration in (0.0, math.nan, math.inf):
+        for duration in (0.0, math.nan, math.inf, 1e-320):
             with pytest.raises(ValueError):
                 bloch2.energy_optimum(duration, -0.5, 0.3)
 

@@ -252,10 +252,17 @@ class TestParsing:
         ["three-level", "optimize", "--eps", "0.002", "--lphi", "nan"],
         ["three-level", "optimize", "--eps", "0.002", "--guess", "inf"],
         ["iso", "check", "--costates", "nan,1"],
+        ["two-level", "energy", "--T", "1e-320", "--eps", "0.002"],
+        ["three-level", "energy", "--T", "1e-320", "--eps", "0.002"],
+        ["three-level", "areacurve", "--eps-max", "0.1", "--eps-min", "0.1", "--n", "5"],
+        ["two-level", "curve", "--amax", "1e300", "--step", "1e-300"],
+        ["two-level", "simulate", "--eps", "0.002", "--kerr", "nan,0,0"],
+        ["two-level", "simulate", "--eps", "0.002", "--kerr", "inf,0,0"],
     ])
     def test_bad_curve_grid_exits_2(self, tmp_path, capsys, flags):
-        # the grid flags of a curve or a landscape, a non-finite duration or
-        # costates; a RuntimeWarning would fail the test
+        # the grid flags of a curve or a landscape, a non-finite or overflowing
+        # duration, non-finite costates or Kerr shifts, repeated accuracies;
+        # any warning would fail the test
         assert cli.main(["--out", str(tmp_path), *flags]) == 2
         assert capsys.readouterr().err.startswith("invalid arguments: ")
         assert not any(tmp_path.iterdir())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsl12 import isomorphism as iso
-from qsl12 import shooting
+from qsl12 import lambda3, shooting
 
 SQ2 = math.sqrt(2.0)
 RNG = np.random.default_rng(11)
@@ -47,7 +47,17 @@ class TestFlows:
                 2.0 * (da1 * np.conj(a2) + a1 * np.conj(da2)).imag,
                 2.0 * (da1 * np.conj(a2) + a1 * np.conj(da2)).real,
             ])
-            assert np.allclose(drho, iso.iso_bloch_rhs(iso.rho_from_amplitudes(a1, a2), p, s), atol=1e-12)
+            rho = iso.rho_from_amplitudes(a1, a2)
+            bloch = iso.iso_bloch_rhs(rho, p, s)
+            assert np.allclose(drho, bloch, atol=1e-12)
+            # on lists of Python numbers the flows return tuples of them, equal
+            # to the flows on arrays
+            da_list = iso.iso_amplitude_rhs(a.tolist(), float(p), float(s))
+            assert type(da_list) is tuple and all(type(v) is complex for v in da_list)
+            assert da_list == tuple(da)
+            drho_list = iso.iso_bloch_rhs(rho.tolist(), float(p), float(s))
+            assert type(drho_list) is tuple and all(type(v) is float for v in drho_list)
+            assert drho_list == bloch
 
     def test_angle_flow_at_quarter_turn(self):
         d = iso.iso_angle_rhs(np.array([0.7, math.pi / 2.0, 0.0]), 1.3, 0.4)
@@ -55,8 +65,10 @@ class TestFlows:
         assert d[1] == pytest.approx(0.4)
 
     def test_angle_flow_stokes_only(self):
-        d = iso.iso_angle_rhs(np.array([0.7, 0.2, 0.0]), 0.0, 1.1)
-        assert np.allclose(d, [0.0, 1.1, -0.55])
+        for angles in (np.array([0.7, 0.2, 0.0]), [0.7, 0.2, 0.0]):
+            d = iso.iso_angle_rhs(angles, 0.0, 1.1)
+            assert np.allclose(d, [0.0, 1.1, -0.55])
+            assert type(d) is tuple and all(type(v) is float for v in d)
 
     def test_angle_flow_pole_singularity(self):
         with pytest.raises(iso.ThetaSingularity):
@@ -110,6 +122,21 @@ class TestCrossCheck:
         )
         assert not result.passed
         assert result.amplitude_deviation > 1e-3
+
+    def test_bang_control_budget(self, cfg002, monkeypatch):
+        # one bang control per rhs evaluation of either pass, plus one per
+        # node of the first pass for the pump column
+        calls = [0]
+        bang_control = lambda3.bang_control
+
+        def counted(*args):
+            calls[0] += 1
+            return bang_control(*args)
+
+        monkeypatch.setattr(lambda3, "bang_control", counted)
+        result = iso.cross_check(cfg002, costates=(1.85, 0.45266))
+        assert result.passed
+        assert calls[0] <= 10_000
 
     def test_unreachable_costates_rejected(self, cfg002):
         with pytest.raises(shooting.NoFeasiblePoint):

@@ -77,8 +77,11 @@ class TestAngleRhs:
 
 class TestCartesianRhs:
     def test_initial_state_pump(self):
-        d = lambda3.xcoordinate_rhs(np.array([1.0, 0.0, 0.0]), PulsePair(1.0, 0.0))
-        assert np.allclose(d, [0.0, -0.5, 0.0])
+        for state in (np.array([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0]):
+            d = lambda3.xcoordinate_rhs(state, PulsePair(1.0, 0.0))
+            assert np.allclose(d, [0.0, -0.5, 0.0])
+        # on a list of floats the slope is a tuple of floats
+        assert type(d) is tuple and all(type(v) is float for v in d)
 
     def test_target_state_rates(self):
         for sign in (+1.0, -1.0):

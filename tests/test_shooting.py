@@ -269,9 +269,10 @@ class TestAreaCurve:
         assert intercept == pytest.approx(1.25, abs=1e-12)
 
     def test_fit_requires_asymptotic_points(self):
-        eps = np.array([0.2, 0.3, 0.4, 0.5, 0.6])
-        with pytest.raises(shooting.InsufficientData):
-            shooting.fit_asymptote(np.column_stack([eps, eps]))
+        # none in the asymptotic regime; five points of one accuracy
+        for eps in (np.array([0.2, 0.3, 0.4, 0.5, 0.6]), np.full(5, 0.1)):
+            with pytest.raises(shooting.InsufficientData):
+                shooting.fit_asymptote(np.column_stack([eps, eps]))
 
     def test_two_level_closed_form_fit(self):
         # independent closed-form curve: area = 2 atanh(sqrt(1 - eps)),
@@ -305,6 +306,6 @@ class TestEnergyOptimum:
         assert abs(hit - duration) / duration <= 1e-4
 
     def test_rejects_bad_duration(self, opt002):
-        for duration in (0.0, math.nan, math.inf):
+        for duration in (0.0, math.nan, math.inf, 1e-320):
             with pytest.raises(ValueError):
                 shooting.energy_optimum3(duration, opt002)
