@@ -79,6 +79,27 @@ def _export(args, stem: str, columns: list[str], rows: np.ndarray, started: floa
     return path
 
 
+def _rescale(args, value, unit: str):
+    """A dimensionless number or array in physical units.
+
+    A "time" is divided by --omega0, a "frequency" multiplied by it, and an
+    "energy" multiplied by --hbar, then by --omega0. NaN entries stay NaN; a
+    finite entry that comes out non-finite raises ValueError, so no
+    overflowed value is printed or exported.
+    """
+    value = np.asarray(value, dtype=float)
+    with np.errstate(over="ignore"):
+        if unit == "time":
+            scaled = value / args.omega0
+        elif unit == "frequency":
+            scaled = value * args.omega0
+        else:
+            scaled = value * args.hbar * args.omega0
+    if np.any(np.isfinite(value) & ~np.isfinite(scaled)):
+        raise ValueError(f"the rescaled {unit} overflows (--omega0 {args.omega0!r}, --hbar {args.hbar!r})")
+    return scaled[()]
+
+
 def _integrator(args) -> ode.IntegratorConfig:
     if args.tol is None:
         return ode.IntegratorConfig()
@@ -95,8 +116,9 @@ def _shot_config(args) -> shooting.ShotConfig:
 
 def _cmd_two_tmin(args) -> int:
     area = bloch2.min_area(-0.5, 0.5 - args.eps)
+    t_min = _rescale(args, area, "time")
     print(f"A_min = {area:.10g}")
-    print(f"T_min = {area / args.omega0:.10g}")
+    print(f"T_min = {t_min:.10g}")
     return 0
 
 
@@ -129,13 +151,13 @@ def _cmd_two_simulate(args) -> int:
     eta = traj.states
     pop1, pop2 = bloch2.populations_from_eta3(eta[:, 2])
     rows = np.column_stack([
-        traj.times / args.omega0,
+        _rescale(args, traj.times, "time"),
         eta[:, 0],
         eta[:, 1],
         eta[:, 2],
         pop1,
         pop2,
-        bloch2.lock_detuning(eta[:, 2], kerr) * args.omega0,
+        _rescale(args, bloch2.lock_detuning(eta[:, 2], kerr), "frequency"),
     ])
     path = _export(
         args, "two_level_simulate",
@@ -148,8 +170,9 @@ def _cmd_two_simulate(args) -> int:
 def _cmd_two_energy(args) -> int:
     duration = args.T * args.omega0
     omega_min, energy = bloch2.energy_optimum(duration, -0.5, 0.5 - args.eps)
-    print(f"Omega0_min = {omega_min * args.omega0:.10g}")
-    print(f"E_min = {energy * args.hbar * args.omega0:.10g}")
+    omega_min, energy = _rescale(args, omega_min, "frequency"), _rescale(args, energy, "energy")
+    print(f"Omega0_min = {omega_min:.10g}")
+    print(f"E_min = {energy:.10g}")
     return 0
 
 
@@ -163,17 +186,17 @@ def _cmd_three_landscape(args) -> int:
     grid = shooting.landscape(
         (lo, hi), (lo, hi), (args.res, args.res), _shot_config(args), workers=args.workers
     )
-    t_min = grid.t_min  # raises NoFeasiblePoint when nothing hits anywhere
+    t_min = _rescale(args, grid.t_min, "time")  # grid.t_min raises NoFeasiblePoint when nothing hits
     offsets = grid.log_offsets()
     lphi, ltheta = np.meshgrid(grid.lphi_axis, grid.ltheta_axis, indexing="ij")
     rows = np.column_stack([
         lphi.ravel(),
         ltheta.ravel(),
-        grid.times.ravel() / args.omega0,
+        _rescale(args, grid.times.ravel(), "time"),
         offsets.ravel(),
     ])
     path = _export(args, "three_level_landscape", ["lphi", "ltheta", "T", "log10_T_offset"], rows, started)
-    print(f"T_min = {t_min / args.omega0:.10g}")
+    print(f"T_min = {t_min:.10g}")
     print(f"wrote {path}")
     return 0
 
@@ -182,27 +205,28 @@ def _cmd_three_optimize(args) -> int:
     started = time.monotonic()
     cfg = _shot_config(args)
     opt = shooting.refine(args.lphi, args.guess, cfg)
-    print(f"ltheta_i = {opt.ltheta_i:.10g}")
-    print(f"T_min = {opt.t_min / args.omega0:.10g}")
-    print(f"A_min = {opt.area:.10g}")
+    t_min = _rescale(args, opt.t_min, "time")
     trajectory, pulses = shooting.extremal(opt, cfg)
     states = trajectory.states
     x1 = np.cos(states[:, 0]) * np.cos(states[:, 1])
     y2 = -np.sin(states[:, 0]) / np.sqrt(2.0)
     x3 = -np.cos(states[:, 0]) * np.sin(states[:, 1]) / np.sqrt(2.0)
     rows = np.column_stack([
-        trajectory.times / args.omega0,
+        _rescale(args, trajectory.times, "time"),
         states[:, 0],
         states[:, 1],
         states[:, 2],
         states[:, 3],
-        pulses[:, 0] * args.omega0,
-        pulses[:, 1] * args.omega0,
+        _rescale(args, pulses[:, 0], "frequency"),
+        _rescale(args, pulses[:, 1], "frequency"),
         x1 ** 2,
         2.0 * y2 ** 2,
         2.0 * x3 ** 2,
         2.0 * lambda3.ansatz_population(trajectory.times),
     ])
+    print(f"ltheta_i = {opt.ltheta_i:.10g}")
+    print(f"T_min = {t_min:.10g}")
+    print(f"A_min = {opt.area:.10g}")
     path = _export(
         args, "three_level_optimal",
         ["t", "phi", "theta", "lphi", "ltheta", "omega_p", "omega_s",
@@ -233,8 +257,10 @@ def _cmd_three_energy(args) -> int:
         raise ValueError("--T must be positive and finite")
     opt = shooting.refine(*shooting.START_RAY, _shot_config(args))
     result = shooting.energy_optimum3(duration, opt)
-    print(f"Omega0_min = {result.omega0_min * args.omega0:.10g}")
-    print(f"E_min = {result.energy_min * args.hbar * args.omega0:.10g}")
+    omega_min = _rescale(args, result.omega0_min, "frequency")
+    energy = _rescale(args, result.energy_min, "energy")
+    print(f"Omega0_min = {omega_min:.10g}")
+    print(f"E_min = {energy:.10g}")
     return 0
 
 

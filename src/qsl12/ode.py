@@ -398,6 +398,7 @@ def locate_event(
     t_span: tuple[float, float],
     event: Event,
     cfg: IntegratorConfig = IntegratorConfig(),
+    stop: float = math.inf,
 ) -> EventHit | None:
     """Locate the first zero crossing of ``event`` along the trajectory.
 
@@ -408,6 +409,11 @@ def locate_event(
     stored node, or is that node. Returns None when no step of ``t_span``
     brackets a crossing. The event is called on the state as a list: at the
     nodes, and at points inside a step read from its interpolant.
+
+    ``stop`` ends the search early: once a step that ends at or past
+    ``stop`` brackets no crossing, it returns None, so there is no crossing
+    before ``stop``. The steps do not depend on ``stop`` (``t_span`` still
+    sets them), so any hit it returns is the full search's, bit for bit.
     """
     t0, t1 = _span(t_span)
     steps = _steps(rhs, t0, _as_state(y0), t1, cfg)
@@ -426,6 +432,8 @@ def locate_event(
                 times.append(found[0])
                 states.append(found[1])
             return _hit(times, states)
+        if t_b >= stop:
+            return None
         times.append(t_b)
         states.append(y_b)
         t_a, y_a, e_a = t_b, y_b, e_b

@@ -12,7 +12,9 @@ a chosen ray is refined in the initial lambda_theta at fixed lambda_phi: a
 coarse scan of shots along the guess's ray, then Brent's method from the
 fastest probe. A shot that finds no hit counts as an infinite time. The
 result is the fastest branch the scan meets, so the guess must lie within a
-factor of 16 of the optimum.
+factor of 16 of the optimum. Each probe stops at the fastest hit of the
+probes before it, since past that time it cannot become the fastest; the
+steps it takes are the full shot's, so the optimum does not depend on this.
 
 An optimum is its initial costates and its hit time. Only the exports that
 show the optimal pulse sequence integrate its path, with ``extremal``.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 
@@ -162,11 +165,17 @@ def _rhs(cost: str = "time"):
     return rhs
 
 
-def shoot_info(lphi_i: float, ltheta_i: float, cfg: ShotConfig) -> tuple[float | None, str]:
-    """Run one shot; return (hit time | None, diagnostic reason)."""
+def shoot_info(lphi_i: float, ltheta_i: float, cfg: ShotConfig,
+               stop: float = math.inf) -> tuple[float | None, str]:
+    """Run one shot; return (hit time | None, diagnostic reason).
+
+    A ``stop`` before the horizon ends the shot once it is known not to hit
+    before ``stop`` (see ``ode.locate_event``), with reason "beyond-bound";
+    a hit it does return is the unbounded shot's.
+    """
     y0 = [0.0, 0.0, lphi_i, ltheta_i]
     try:
-        hit = ode.locate_event(_rhs(), y0, (0.0, cfg.horizon), _event(cfg), cfg.integrator)
+        hit = ode.locate_event(_rhs(), y0, (0.0, cfg.horizon), _event(cfg), cfg.integrator, stop)
     except SwitchingDegeneracy:
         return None, "switching-degeneracy"
     except PhiSingularity:
@@ -174,7 +183,7 @@ def shoot_info(lphi_i: float, ltheta_i: float, cfg: ShotConfig) -> tuple[float |
     except ode.StepUnderflow:
         return None, "step-underflow"
     if hit is None:
-        return None, "no-crossing"
+        return None, "beyond-bound" if stop < cfg.horizon else "no-crossing"
     return hit.t, "hit"
 
 
@@ -310,30 +319,46 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     result is the fastest branch the scan meets, and the guess must lie
     within a factor of 16 of the optimum. The optimum is the costates and
     hit time of the shot Brent returned: it costs no further integration.
-    Non-finite costates raise ValueError before the first shot.
+
+    Each probe stops at the fastest hit of the probes before it and then
+    counts as +inf: its true time is no less, so it cannot be the first
+    fastest probe. Such a stopped probe is not remembered; should Brent ask
+    for its point, it is shot again in full. Brent's shots are never
+    stopped, so the optimum is the one of unbounded probes, bit for bit.
+    Non-finite costates raise ValueError before the first shot; when no
+    probe hits, NoFeasiblePoint tallies why.
     """
     if not (math.isfinite(lphi_i) and math.isfinite(ltheta_guess)):
         raise ValueError(f"costates must be finite, got ({lphi_i!r}, {ltheta_guess!r})")
-    memo: dict[float, float] = {}
+    memo: dict[float, tuple[float, str]] = {}
 
-    def hit_time(x) -> float:
+    def shot(x, stop: float = math.inf) -> tuple[float, str]:
         x = float(x)
-        if x not in memo:  # bracketing evaluates its two start points again
-            t = shoot(lphi_i, x, cfg)
-            memo[x] = math.inf if t is None else t
-        return memo[x]
+        if x in memo:  # bracketing evaluates its two start points again
+            return memo[x]
+        t, reason = shoot_info(lphi_i, x, cfg, stop)
+        result = (math.inf if t is None else t, reason)
+        if reason != "beyond-bound":  # a stopped shot bounds its time, it has none
+            memo[x] = result
+        return result
 
     probes = ltheta_guess * np.linspace(1.0 / 16.0, 1.5, 13)
-    times = [hit_time(p) for p in probes]
+    times, reasons = [], []
+    for p in probes:
+        t, reason = shot(p, min(times, default=math.inf))
+        times.append(t)
+        reasons.append(reason)
     best = int(np.argmin(times))
     if math.isinf(times[best]):
+        tally = ", ".join(f"{n} {why}" for why, n in Counter(reasons).most_common())
         raise NoFeasiblePoint(
             f"no transfer within the horizon near ltheta_i ~ {ltheta_guess!r}"
+            f" (the {len(probes)} probes: {tally})"
         )
     neighbour = best - 1 if best > 0 else best + 1
     with np.errstate(invalid="ignore"):  # an inf in Brent's parabola gives nan
         result = minimize_scalar(
-            hit_time,
+            lambda x: shot(x)[0],
             bracket=(probes[neighbour], probes[best]),
             method="brent",
             options={"xtol": REFINE_XTOL},
@@ -343,7 +368,7 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     ltheta_i = float(result.x)
     if ltheta_i not in memo:
         raise RuntimeError(f"Brent returned ltheta_i = {ltheta_i!r}, which it never shot")
-    return Optimum(lphi_i, ltheta_i, memo[ltheta_i])
+    return Optimum(lphi_i, ltheta_i, memo[ltheta_i][0])
 
 
 def _optima_along_eps(eps_values: np.ndarray, cfg: ShotConfig, lphi_i: float,

@@ -258,11 +258,16 @@ class TestParsing:
         ["two-level", "curve", "--amax", "1e300", "--step", "1e-300"],
         ["two-level", "simulate", "--eps", "0.002", "--kerr", "nan,0,0"],
         ["two-level", "simulate", "--eps", "0.002", "--kerr", "inf,0,0"],
+        ["--omega0", "1e307", "two-level", "energy", "--T", "1e-307", "--eps", "0.002"],
+        ["--omega0", "1e-310", "two-level", "tmin", "--eps", "0.002"],
+        ["--omega0", "1e-310", "two-level", "simulate", "--eps", "0.002"],
+        ["--omega0", "1e-310", "three-level", "landscape", "--eps", "0.002", "--res", "4", "--workers", "1"],
     ])
     def test_bad_curve_grid_exits_2(self, tmp_path, capsys, flags):
         # the grid flags of a curve or a landscape, a non-finite or overflowing
-        # duration, non-finite costates or Kerr shifts, repeated accuracies;
-        # any warning would fail the test
+        # duration, non-finite costates or Kerr shifts, repeated accuracies,
+        # an --omega0 that rescales a result out of range; any warning would
+        # fail the test
         assert cli.main(["--out", str(tmp_path), *flags]) == 2
         assert capsys.readouterr().err.startswith("invalid arguments: ")
         assert not any(tmp_path.iterdir())

@@ -288,6 +288,34 @@ class TestLocateEvent:
         hit = ode.locate_event(rhs, [0.0, 0.0, -0.5], (0.0, 1.0), lambda eta: eta[2] + 0.5)
         assert hit is not None and hit.t == 0.0
 
+    def test_stop_keeps_the_full_hit(self):
+        # the steps do not depend on stop, so a search stopped anywhere from
+        # inside the hitting step on returns the full search's hit
+        rhs = lambda t, y: lambda3.extremal_rhs(y)
+        y0 = [0.0, 0.0, 1.85, 0.45266]
+        full = ode.locate_event(rhs, y0, (0.0, 15.0), self.x3sq_excess)
+        last_node = full.trajectory.times[-2]
+        for stop in (0.5 * (last_node + full.t), full.t, 7.5, 15.0):
+            hit = ode.locate_event(rhs, y0, (0.0, 15.0), self.x3sq_excess, stop=stop)
+            assert hit.t == full.t
+            assert np.array_equal(hit.y, full.y)
+            assert np.array_equal(hit.trajectory.times, full.trajectory.times)
+            assert np.array_equal(hit.trajectory.states, full.trajectory.states)
+
+    def test_stop_before_the_hit_ends_the_search(self):
+        calls = 0
+
+        def rhs(t, y):
+            nonlocal calls
+            calls += 1
+            return lambda3.extremal_rhs(y)
+
+        y0 = [0.0, 0.0, 1.85, 0.45266]
+        assert ode.locate_event(rhs, y0, (0.0, 15.0), self.x3sq_excess) is not None
+        full_calls, calls = calls, 0
+        assert ode.locate_event(rhs, y0, (0.0, 15.0), self.x3sq_excess, stop=5.0) is None
+        assert 0 < calls < full_calls
+
     def test_hit_time_stable_under_step_halving(self):
         rhs = lambda t, eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
         cfg = ode.IntegratorConfig()

@@ -179,6 +179,63 @@ class TestRefine:
         assert opt.t_min == pytest.approx(7.40, abs=0.02)
         assert len(shots) <= 36
 
+    def test_rhs_budget(self, cfg002, monkeypatch):
+        # probes stop at the fastest earlier hit; unbounded, this refinement
+        # takes 129 848 calls
+        calls = 0
+        extremal_rhs = lambda3.extremal_rhs
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return extremal_rhs(*args)
+
+        monkeypatch.setattr(lambda3, "extremal_rhs", counted)
+        opt = shooting.refine(1.85, 0.9, cfg002)
+        assert opt.t_min == pytest.approx(7.40, abs=0.02)
+        assert calls <= 90_000
+
+    @pytest.mark.parametrize("eps, guess", [(0.002, 0.9), (0.005, 0.7), (0.002, 1.2)])
+    def test_bounded_probes_keep_the_optimum(self, eps, guess, monkeypatch):
+        # some probes stop early, yet the optimum is that of probes run to
+        # the horizon, field for field
+        cfg = ShotConfig(eps=eps)
+        reasons = []
+        shoot_info = shooting.shoot_info
+
+        def recorded(*args):
+            result = shoot_info(*args)
+            reasons.append(result[1])
+            return result
+
+        monkeypatch.setattr(shooting, "shoot_info", recorded)
+        bounded = shooting.refine(1.85, guess, cfg)
+        assert "beyond-bound" in reasons
+        monkeypatch.setattr(shooting, "shoot_info",
+                            lambda lphi_i, ltheta_i, cfg, stop=math.inf: shoot_info(lphi_i, ltheta_i, cfg))
+        assert bounded == shooting.refine(1.85, guess, cfg)
+
+    def test_stopped_probe_is_shot_again_in_full(self, monkeypatch):
+        # on this landscape the second probe is slower than the first, so it
+        # stops at the first one's time; Brent brackets with it as the
+        # fastest probe's neighbour and must get its full time
+        def valley(x):
+            return 9.0 if x < 0.1 else 7.0 + 400.0 * (x - 0.3) ** 2
+
+        shots = []
+
+        def shoot_info(lphi_i, ltheta_i, cfg, stop=math.inf):
+            shots.append((ltheta_i, stop))
+            t = valley(ltheta_i)
+            return (None, "beyond-bound") if t >= stop else (t, "hit")
+
+        monkeypatch.setattr(shooting, "shoot_info", shoot_info)
+        opt = shooting.refine(1.85, 1.0, ShotConfig(eps=0.002))
+        assert opt.ltheta_i == pytest.approx(0.3, abs=1e-6)
+        slow, stop = shots[1]
+        assert stop == 9.0 and valley(slow) > stop
+        assert (slow, math.inf) in shots[13:]
+
     def test_optimum_reuses_the_winning_shot(self, cfg002, opt002, monkeypatch):
         # every event search is one of the counted shots; the optimum adds
         # no integration, and equals a fresh shot at its costates
@@ -227,8 +284,13 @@ class TestRefine:
 
     def test_hopeless_guess_raises(self):
         cfg = ShotConfig(eps=0.002, horizon=2.0)  # no transfer fits in 2 time units
-        with pytest.raises(shooting.NoFeasiblePoint):
+        with pytest.raises(shooting.NoFeasiblePoint, match="13 no-crossing"):
             shooting.refine(1.85, 0.5, cfg)
+
+    def test_failed_probes_say_why(self):
+        integrator = shooting.ode.IntegratorConfig(abs_tol=1e-300, rel_tol=1e-300)
+        with pytest.raises(shooting.NoFeasiblePoint, match="13 step-underflow"):
+            shooting.refine(1.85, 0.5, ShotConfig(eps=0.002, integrator=integrator))
 
 
 class TestExtremalInvariants:
@@ -254,12 +316,37 @@ class TestExtremalInvariants:
         assert np.max(dev) <= 0.02
 
 
+@pytest.fixture(scope="module")
+def deep_curve(cfg002) -> np.ndarray:
+    """Minimum areas at 16 accuracies from 0.1 down to 1e-6."""
+    return shooting.area_curve(np.geomspace(0.1, 1e-6, 16), cfg002)
+
+
 class TestAreaCurve:
     def test_warm_started_curve_decreases(self, cfg002):
         eps_values = [0.1, 0.05, 0.02, 0.01]
         curve = shooting.area_curve(eps_values, cfg002)
         assert np.array_equal(curve[:, 0], eps_values)
         assert np.all(np.diff(curve[:, 1]) > 0.0)  # area grows as eps shrinks
+
+    def test_asymptotic_law_at_deep_eps(self, deep_curve):
+        # area = -ln(eps)/sqrt(2) + 3, fitted where eps <= 1e-3
+        eps, area = deep_curve[:, 0], deep_curve[:, 1]
+        deep = eps <= 1.000001e-3
+        assert deep.sum() == 10
+        slope, intercept = np.polyfit(np.log(eps[deep]), area[deep], 1)
+        assert slope == pytest.approx(-1.0 / math.sqrt(2.0), rel=0.005)
+        assert intercept == pytest.approx(3.0, abs=0.02)
+
+    def test_local_slope_approaches_the_law_from_above(self, deep_curve):
+        # d(area)/d(ln eps) falls steadily towards -1/sqrt(2) for eps <= 1e-2;
+        # above it the first interval is not yet monotone
+        eps, area = deep_curve[:, 0], deep_curve[:, 1]
+        tail = eps <= 1.000001e-2
+        local = np.diff(area[tail]) / np.diff(np.log(eps[tail]))
+        assert local.size == 12
+        assert np.all(np.diff(local) < 0.0)
+        assert np.all(local > -1.0 / math.sqrt(2.0))
 
     def test_fit_recovers_synthetic_line(self):
         eps = np.geomspace(1e-3, 0.1, 7)
