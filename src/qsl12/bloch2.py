@@ -39,7 +39,6 @@ __all__ = [
     "control_hamiltonian",
     "analytic_eta3",
     "min_area",
-    "min_time",
     "min_area_quadrature",
     "transfer_probability",
     "linear_probability",
@@ -170,9 +169,9 @@ def control_hamiltonian(lam: np.ndarray, eta: np.ndarray, omega: float, delta_ef
     return delta_eff * switching_function(lam, eta) + omega * (0.5 * lam[1] * theta_factor + lam[2] * eta[1])
 
 
-def analytic_eta3(t, omega0: float = 1.0):
+def analytic_eta3(t):
     """Inversion under the resonant constant pulse from the south pole."""
-    return np.tanh(0.5 * omega0 * np.asarray(t)) ** 2 - 0.5
+    return np.tanh(0.5 * np.asarray(t)) ** 2 - 0.5
 
 
 def _check_inversion(eta3: float) -> None:
@@ -186,16 +185,12 @@ def min_area(eta3_i: float, eta3_f: float) -> float:
     """Minimum pulse area (radians) to move the inversion between two values.
 
     The optimum runs along the eta1 = 0 meridian at constant resonant pulse,
-    so the area depends only on the endpoints.
+    so the area depends only on the endpoints. With Omega_0 = 1 it is also
+    the quantum-speed-limit transfer time.
     """
     _check_inversion(eta3_i)
     _check_inversion(eta3_f)
     return 2.0 * abs(math.atanh(math.sqrt(0.5 + eta3_f)) - math.atanh(math.sqrt(0.5 + eta3_i)))
-
-
-def min_time(eta3_i: float, eta3_f: float, omega0: float = 1.0) -> float:
-    """Quantum-speed-limit transfer time for peak amplitude omega0."""
-    return min_area(eta3_i, eta3_f) / omega0
 
 
 def min_area_quadrature(eta3_i: float, eta3_f: float) -> float:
@@ -257,12 +252,12 @@ def energy_optimum(duration: float, eta3_i: float, eta3_f: float) -> tuple[float
     return omega0_min, energy
 
 
-def resonant_trajectory(eta3_f: float, cfg: ode.IntegratorConfig = ode.IntegratorConfig(),
-                        omega0: float = 1.0) -> ode.Trajectory:
-    """Integrate the optimal (resonant, constant-pulse) flow from the south pole.
+def resonant_trajectory(eta3_f: float, cfg: ode.IntegratorConfig = ode.IntegratorConfig()) -> ode.Trajectory:
+    """Integrate the optimal (resonant, unit-pulse) flow from the south pole.
 
-    Runs until the minimum time for the requested final inversion.
+    Runs until the minimum time, the minimum area, for the requested final
+    inversion.
     """
-    t_end = min_time(-0.5, eta3_f, omega0)
-    rhs = lambda t, eta: bloch_rhs(eta, omega0, 0.0)
+    t_end = min_area(-0.5, eta3_f)
+    rhs = lambda t, eta: bloch_rhs(eta, 1.0, 0.0)
     return ode.integrate(rhs, np.array([0.0, 0.0, -0.5]), (0.0, t_end), cfg)

@@ -3,8 +3,9 @@
 Everything internal runs dimensionless with Omega_0 = 1; the ``--omega0``
 and ``--hbar`` flags only rescale reported times (by 1/W), frequencies
 (by W), and energies (by hbar * W) at this layer. Exports are CSV with a
-single '#' header line and 17-significant-digit floats (or a JSON mirror via
-``--format json``), each accompanied by a run manifest, written atomically.
+single '#' header line and 17-significant-digit floats (or a strict JSON
+mirror via ``--format json``, NaN as null), each accompanied by a run
+manifest, written atomically.
 
 Exit codes: 0 success, 2 invalid flags, 3 domain error, 4 refinement did not
 converge, 5 no transfer found anywhere, 6 isomorphism oracle deviation, 7 the
@@ -56,8 +57,10 @@ def _export(args, stem: str, columns: list[str], rows: np.ndarray, started: floa
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
         path = out_dir / f"{stem}.json"
-        payload = {"columns": columns, "rows": [[float(v) for v in row] for row in rows]}
-        _write_atomic(path, json.dumps(payload, indent=1) + "\n")
+        # RFC 8259 has no NaN or Infinity: a non-finite entry is null
+        rows = [[float(v) if np.isfinite(v) else None for v in row] for row in rows]
+        payload = {"columns": columns, "rows": rows}
+        _write_atomic(path, json.dumps(payload, indent=1, allow_nan=False) + "\n")
     else:
         path = out_dir / f"{stem}.csv"
         lines = ["# " + ",".join(columns)]
@@ -103,7 +106,7 @@ def _rescale(args, value, unit: str):
 def _integrator(args) -> ode.IntegratorConfig:
     if args.tol is None:
         return ode.IntegratorConfig()
-    return ode.IntegratorConfig(abs_tol=args.tol, rel_tol=args.tol)
+    return ode.IntegratorConfig(tol=args.tol)
 
 
 def _shot_config(args) -> shooting.ShotConfig:
@@ -315,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--hbar", type=float, default=1.0, help="physical hbar (rescales energies)")
     parser.add_argument("--out", default=".", help="output directory for data exports")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--tol", type=float, default=None, help="integrator abs/rel tolerance")
+    parser.add_argument("--tol", type=float, default=None, help="integrator local-error tolerance")
     parser.add_argument("--horizon", type=float, default=15.0, help="shot horizon in 1/Omega0 units")
     groups = parser.add_subparsers(dest="group", required=True)
 

@@ -192,11 +192,11 @@ def cross_check(
         reduce_pulses = lambda op, os_: (op / _SQRT2, os_ / _SQRT2)  # noqa: E731
 
     def rhs(t: float, y: list) -> list:
-        pulses = lambda3.bang_control(y[0], y[1], y[2], y[3], shooting.OMEGA0)
+        pulses = lambda3.bang_control(y[0], y[1], y[2], y[3])
         p, s = reduce_pulses(*pulses)
         da1, da2 = iso_amplitude_rhs((y[7] + 1j * y[8], y[9] + 1j * y[10]), p, s)
         d = [
-            *lambda3.extremal_rhs(y[0:4], shooting.OMEGA0),
+            *lambda3.extremal_rhs(y[0:4]),
             *lambda3.xcoordinate_rhs(y[4:7], pulses),
             da1.real, da1.imag, da2.real, da2.imag,
         ]
@@ -218,7 +218,7 @@ def cross_check(
     # Bloch components vanish and sin(phi) is defined by its limit, 1.
     theta_iso = np.arctan2(np.hypot(rho_mapped[1], rho_mapped[2]), rho_mapped[0])
     pump = np.array([
-        reduce_pulses(*lambda3.bang_control(*y, shooting.OMEGA0))[0]
+        reduce_pulses(*lambda3.bang_control(*y))[0]
         for y in base.states[:, 0:4].tolist()
     ])
     transverse = np.hypot(rho_mapped[1], rho_mapped[2])
@@ -260,22 +260,17 @@ def cross_check(
     )
 
 
-def area_divergence_check(
-    eps_values,
-    cfg: shooting.ShotConfig,
-    lphi_i: float = shooting.START_RAY[0],
-    initial_guess: float = shooting.START_RAY[1],
-) -> np.ndarray:
+def area_divergence_check(eps_values, cfg: shooting.ShotConfig) -> np.ndarray:
     """Pump area of the counterpart problem along the optimum, per accuracy.
 
-    The optima come from the same eps continuation as ``shooting.area_curve``;
-    |P| is integrated by the trapezoid rule over each optimum's extremal
+    The optima come from the same eps continuation as ``shooting.area_curve``,
+    started at ``shooting.START_RAY``; |P| is integrated by the trapezoid rule over each optimum's extremal
     (``shooting.extremal``). Returns an (n, 2) array of (eps, integral of
     |P| dt) in the input order. The area must grow without bound as eps -> 0 (the complete transfer
     needs infinite pump area); tests regress it against ln(eps).
     """
     eps_values = np.asarray(list(eps_values), dtype=float)
-    optima = shooting._optima_along_eps(eps_values, cfg, lphi_i, initial_guess)
+    optima = shooting._optima_along_eps(eps_values, cfg, shooting.START_RAY[0])
     paths = (shooting.extremal(opt, cfg) for opt in optima)
     areas = [np.trapezoid(np.abs(pulses[:, 0]) / _SQRT2, path.times) for path, pulses in paths]
     return np.column_stack([eps_values, areas])

@@ -15,7 +15,8 @@ state 1, and targets |x3|^2 = (1 - eps)/2 near state 3.
 Time-optimal extremals saturate the bound Omega_p^2 + Omega_s^2 = Omega_0^2
 with the mixing angle set by the switching pair (H1, H2); energy-optimal
 extremals use (H1, H2) directly as the pulse pair. Both share the same
-costate dynamics, implemented here.
+costate dynamics, implemented here. Time is in units of 1/Omega_0 with
+Omega_0 = 1.
 """
 
 from __future__ import annotations
@@ -138,15 +139,14 @@ def h1h2(phi: float, theta: float, lphi: float, ltheta: float) -> tuple[float, f
     return h1, h2
 
 
-def bang_control(phi: float, theta: float, lphi: float, ltheta: float,
-                 omega0: float = 1.0) -> PulsePair:
-    """Time-optimal pulses: magnitude saturated at omega0, direction along (H1, H2)."""
+def bang_control(phi: float, theta: float, lphi: float, ltheta: float) -> PulsePair:
+    """Time-optimal pulses: unit magnitude (Omega_0 = 1), direction along (H1, H2)."""
     h1, h2 = h1h2(phi, theta, lphi, ltheta)
     n2 = h1 * h1 + h2 * h2
     if n2 <= SWITCHING_MIN:
         raise SwitchingDegeneracy("switching vector vanished")
     n = math.sqrt(n2)
-    return PulsePair(omega0 * h1 / n, omega0 * h2 / n)
+    return PulsePair(h1 / n, h2 / n)
 
 
 def energy_control(phi: float, theta: float, lphi: float, ltheta: float) -> PulsePair:
@@ -172,7 +172,7 @@ def pulses_from_angle_rates(phi: float, theta: float, dphi: float, dtheta: float
 def _extremal_flow(cos, sin, sqrt, checked: bool):
     """The extremal flow, written once and bound to one cos/sin/sqrt."""
 
-    def flow(y, omega0: float = 1.0, cost: str = "time"):
+    def flow(y, cost: str = "time"):
         """Closed-loop state+costate flow (phi, theta, lambda_phi, lambda_theta).
 
         ``cost="time"`` applies :func:`bang_control`; ``cost="energy"``
@@ -199,8 +199,8 @@ def _extremal_flow(cos, sin, sqrt, checked: bool):
             if checked and n2 <= SWITCHING_MIN:
                 raise SwitchingDegeneracy("switching vector vanished")
             n = sqrt(n2)
-            op = omega0 * h1 / n
-            os_ = omega0 * h2 / n
+            op = h1 / n
+            os_ = h2 / n
         elif cost == "energy":
             op, os_ = h1, h2
         else:
@@ -225,9 +225,9 @@ extremal_rhs = _extremal_flow(math.cos, math.sin, math.sqrt, checked=True)
 extremal_lanes = _extremal_flow(np.cos, np.sin, np.sqrt, checked=False)
 
 
-def ansatz_population(t, omega0: float = 1.0):
+def ansatz_population(t):
     """tanh^2 approximation of the transferred population y2^2 + x3^2."""
-    return 0.5 * np.tanh(omega0 * np.asarray(t) * _INV_SQRT2) ** 2
+    return 0.5 * np.tanh(np.asarray(t) * _INV_SQRT2) ** 2
 
 
 def raman_lock(k1: float, k2: float, k3: float) -> tuple[float, float]:

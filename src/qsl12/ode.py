@@ -17,7 +17,7 @@ found on the interpolant, it reaches zero. The extremum search is skipped
 when the event's tangent lines at the two ends meet more than
 ``GRAZE_MARGIN`` beyond zero on the side where the step starts: a concave
 (or convex) event lies below (or above) its tangents, so it cannot graze.
-Brent's root finder then pins the crossing down to ``event_tol`` on the
+Brent's root finder then pins the crossing down to ``EVENT_TOL`` on the
 interpolant.
 
 The step runs on Python floats: the state and the seven stages are lists,
@@ -60,6 +60,9 @@ __all__ = [
 #: singularity in the right-hand side.
 MIN_STEP = 1e-14
 
+#: The width, in time, to which an event crossing is localized.
+EVENT_TOL = 1e-10
+
 #: ``rhs(t, y)``: y is the state as a list; the slope may be any sequence.
 Rhs = Callable[[float, list], Sequence]
 #: ``event(y)``: y is the state as a list; a real number, zero on the crossing.
@@ -72,28 +75,22 @@ class StepUnderflow(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and step limits for the adaptive integrator.
+    """The local-error tolerance and the step cap of the adaptive integrator.
 
-    ``max_step`` caps the steps of ``integrate`` and so the spacing of its
-    trajectory nodes (the sampling density available to later linear
-    interpolation); in ``locate_event`` it only bounds the first trial step.
-    ``event_tol`` is the width, in time, to which an event crossing is
-    localized.
+    ``tol`` is both the absolute and the relative part of the error scale
+    (see ``_error_norm``). ``max_step`` caps the steps of ``integrate``, so
+    it sets the spacing of the trajectory nodes that the exports sample; in
+    ``locate_event`` it only bounds the first trial step.
     """
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
+    tol: float = 1e-10
     max_step: float = 1e-2
-    event_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("abs_tol", "rel_tol", "max_step", "event_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        if not all(math.isfinite(v) for v in (self.abs_tol, self.rel_tol, self.event_tol)):
-            raise ValueError("abs_tol, rel_tol and event_tol must be finite")
-        if self.max_step <= self.event_tol:
-            raise ValueError("max_step must exceed event_tol")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
+        if not self.max_step > EVENT_TOL:
+            raise ValueError("max_step must exceed EVENT_TOL")
 
 
 @dataclass
@@ -202,15 +199,15 @@ def _slope(rhs: Rhs, t: float, y: list) -> Sequence:
 
 
 def _error_norm(err: list, y_old: list, y_new: list, cfg: IntegratorConfig) -> float:
-    """RMS of the error over the scale abs_tol + rel_tol * max(|y_old|, |y_new|).
+    """RMS of the error over the scale tol + tol * max(|y_old|, |y_new|).
 
     The squares are summed in component order, which is numpy's order for
     fewer than 8 components (from 8 on numpy sums pairwise).
     """
-    atol, rtol = cfg.abs_tol, cfg.rel_tol
+    tol = cfg.tol
     total = 0.0
     for e, a, b in zip(err, y_old, y_new):
-        q = abs(e) / (atol + rtol * max(abs(a), abs(b)))
+        q = abs(e) / (tol + tol * max(abs(a), abs(b)))
         total += q * q
     return math.sqrt(total / len(err))
 
@@ -340,7 +337,7 @@ class _DenseStep:
         x = (t - self.t_a) / self.h
         return (self.Q @ np.array([1.0, 2.0 * x, 3.0 * x * x, 4.0 * x ** 3])).tolist()
 
-    def extremum(self, r_a: float, r_b: float, dt: float, xtol: float) -> float:
+    def extremum(self, r_a: float, r_b: float, dt: float) -> float:
         """Time of the event's extremum, where its rate (r_a at t_a, r_b at
         t_b, of opposite signs) vanishes."""
 
@@ -351,7 +348,7 @@ class _DenseStep:
                 return r_b
             return _rate(self.event, self.probe(t)[0], self.velocity(t), dt)
 
-        return brentq(rate, self.t_a, self.t_b, xtol=xtol)
+        return brentq(rate, self.t_a, self.t_b, xtol=EVENT_TOL)
 
 
 def _hit(times: list, states: list) -> EventHit:
@@ -360,12 +357,12 @@ def _hit(times: list, states: list) -> EventHit:
 
 
 def _crossing(event: Event, t_a: float, y_a: list, e_a: float, t_b: float, y_b: list,
-              e_b: float, K, h: float, event_tol: float) -> tuple[float, list] | None:
+              e_b: float, K, h: float) -> tuple[float, list] | None:
     """The first zero of ``event`` in one accepted step, as (t, y), or None.
 
     The step of length h runs from (t_a, y_a) to (t_b, y_b) with stages K;
     e_a (nonzero) and e_b are the event at its ends. A sign change or a
-    graze (see the module docstring) is pinned down to ``event_tol`` in time
+    graze (see the module docstring) is pinned down to ``EVENT_TOL`` in time
     on the step's interpolant; a zero at t_a is returned as t_a.
     """
     crossed = e_b == 0.0 or (e_b > 0.0) != (e_a > 0.0)
@@ -384,11 +381,11 @@ def _crossing(event: Event, t_a: float, y_a: list, e_a: float, t_b: float, y_b: 
     if not crossed:
         # The event turns inside the step; it crosses zero when its
         # extremum does, and [t_a, extremum] then brackets the crossing.
-        t_end = step.extremum(r_a, r_b, dt, event_tol)
+        t_end = step.extremum(r_a, r_b, dt)
         e_end = step.probe(t_end)[1]
         if e_end != 0.0 and (e_end > 0.0) == (e_a > 0.0):
             return None
-    t_hit = brentq(lambda t: step.probe(t)[1], t_a, t_end, xtol=event_tol)
+    t_hit = brentq(lambda t: step.probe(t)[1], t_a, t_end, xtol=EVENT_TOL)
     return t_hit, step.probe(t_hit)[0]
 
 
@@ -404,7 +401,7 @@ def locate_event(
 
     Steps are limited by the tolerances alone; ``cfg.max_step`` only bounds
     the first trial step. Each accepted step goes through the crossing rule
-    ``_crossing``: a sign change or a graze, pinned down to ``cfg.event_tol``
+    ``_crossing``: a sign change or a graze, pinned down to ``EVENT_TOL``
     in time on the step's interpolant; the hit lies strictly after the last
     stored node, or is that node. Returns None when no step of ``t_span``
     brackets a crossing. The event is called on the state as a list: at the
@@ -425,7 +422,7 @@ def locate_event(
         return _hit(times, states)
     for t_b, y_b, K, h in steps:
         e_b = float(event(y_b))
-        found = _crossing(event, t_a, y_a, e_a, t_b, y_b, e_b, K, h, cfg.event_tol)
+        found = _crossing(event, t_a, y_a, e_a, t_b, y_b, e_b, K, h)
         if found is not None:
             # A root on the left node is that node, already stored last.
             if found[0] > t_a:

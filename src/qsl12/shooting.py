@@ -55,9 +55,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-#: The peak generalized amplitude; every quantity is expressed in its units.
-OMEGA0 = 1.0
-
 #: The initial costates (lambda_phi, guessed lambda_theta) a refinement
 #: starts from when none are given.
 START_RAY = (1.85, 0.9)
@@ -105,8 +102,9 @@ class Optimum:
 
     @property
     def area(self) -> float:
-        """Generalized pulse area, Omega_0 times the hit time."""
-        return OMEGA0 * self.t_min
+        """Generalized pulse area, Omega_0 times the hit time: with Omega_0 = 1,
+        the hit time itself."""
+        return self.t_min
 
 
 @dataclass
@@ -143,9 +141,9 @@ class LandscapeGrid:
             raise NoFeasiblePoint("landscape contains no transfer at all")
         return float(finite.min())
 
-    def log_offsets(self, clamp: float = 1e-12) -> np.ndarray:
-        """log10(T - T_min) with the offset clamped below by ``clamp``."""
-        return np.log10(np.maximum(self.times - self.t_min, clamp))
+    def log_offsets(self) -> np.ndarray:
+        """log10(T - T_min) with the offset clamped below by 1e-12."""
+        return np.log10(np.maximum(self.times - self.t_min, 1e-12))
 
 
 def _event(cfg: ShotConfig, cos=math.cos, sin=math.sin):
@@ -160,7 +158,7 @@ def _event(cfg: ShotConfig, cos=math.cos, sin=math.sin):
 
 def _rhs(cost: str = "time"):
     def rhs(t: float, y: list) -> tuple[float, float, float, float]:
-        return lambda3.extremal_rhs(y, OMEGA0, cost)
+        return lambda3.extremal_rhs(y, cost)
 
     return rhs
 
@@ -203,7 +201,7 @@ def extremal(opt: Optimum, cfg: ShotConfig) -> tuple[ode.Trajectory, np.ndarray]
     y0 = [0.0, 0.0, opt.lphi_i, opt.ltheta_i]
     trajectory = ode.integrate(_rhs(), y0, (0.0, opt.t_min), cfg.integrator)
     pulses = np.array([
-        lambda3.bang_control(y[0], y[1], y[2], y[3], OMEGA0) for y in trajectory.states
+        lambda3.bang_control(y[0], y[1], y[2], y[3]) for y in trajectory.states
     ])
     return trajectory, pulses
 
@@ -218,9 +216,9 @@ def extremal(opt: Optimum, cfg: ShotConfig) -> tuple[ode.Trajectory, np.ndarray]
 # the lanes whose event changes sign or may graze zero (the rates along the
 # step's end slopes, then the tangent screen); the shots' crossing rule
 # ``ode._crossing`` decides each flagged lane with the shots' event and
-# event_tol. A lane retires at its hit, and as NaN when its state goes
-# non-finite or its step error estimate exceeds h: a fixed step can step
-# over the tan(phi) blow-up to a hit no shot has. Lanes never mix, so a
+# ``ode.EVENT_TOL``. A lane retires at its hit, and as NaN when its state
+# goes non-finite or its step error estimate exceeds h: a fixed step can
+# step over the tan(phi) blow-up to a hit no shot has. Lanes never mix, so a
 # chunked parallel run reproduces the serial matrix exactly.
 # ---------------------------------------------------------------------------
 
@@ -231,7 +229,7 @@ def _scan_cells(lphi_vals: np.ndarray, ltheta_vals: np.ndarray, cfg: ShotConfig)
     y = [np.zeros(ids.size), np.zeros(ids.size), np.repeat(lphi_vals, n_th), np.tile(ltheta_vals, lphi_vals.size)]
     hit_times = np.full(ids.size, np.nan)
     event, lane_event = _event(cfg), _event(cfg, np.cos, np.sin)
-    rhs = lambda t, lanes: lambda3.extremal_lanes(lanes, OMEGA0)
+    rhs = lambda t, lanes: lambda3.extremal_lanes(lanes)
     n_steps = math.ceil(cfg.horizon / cfg.integrator.max_step)
     h = cfg.horizon / n_steps
     dt = ode._RATE_DT * h
@@ -251,8 +249,7 @@ def _scan_cells(lphi_vals: np.ndarray, ltheta_vals: np.ndarray, cfg: ShotConfig)
             for j in np.flatnonzero(flagged & ~retired):
                 ya, yb = [c[j].item() for c in y], [c[j].item() for c in y_b]
                 Kj = [[c[j].item() for c in k] for k in K]
-                found = ode._crossing(event, t_a, ya, event(ya), t_b, yb, event(yb), Kj, h,
-                                      cfg.integrator.event_tol)
+                found = ode._crossing(event, t_a, ya, event(ya), t_b, yb, event(yb), Kj, h)
                 if found is not None:
                     hit_times[ids[j]], retired[j] = found[0], True
             k_b, keep = K[-1], ~retired
@@ -274,11 +271,13 @@ def landscape(
 
     Each cell is a shot on a fixed DP5 step (see the comment above).
     ``workers`` is the number of processes (None or 0 = one per CPU);
-    results do not depend on it. Non-finite ranges and a negative
-    ``workers`` raise ValueError.
+    results do not depend on it. Non-finite ranges, a horizon too long to
+    count its steps and a negative ``workers`` raise ValueError.
     """
     if not all(math.isfinite(hi - lo) for lo, hi in (lphi_range, ltheta_range)):
         raise ValueError("landscape ranges must have finite ends and span")
+    if not math.isfinite(cfg.horizon / cfg.integrator.max_step):
+        raise ValueError("horizon / max_step must be finite: the scan's step count overflows")
     if workers is not None and workers < 0:
         raise ValueError("workers must be non-negative")
     if isinstance(resolution, int):
@@ -371,29 +370,24 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     return Optimum(lphi_i, ltheta_i, memo[ltheta_i][0])
 
 
-def _optima_along_eps(eps_values: np.ndarray, cfg: ShotConfig, lphi_i: float,
-                      initial_guess: float) -> list[Optimum]:
+def _optima_along_eps(eps_values: np.ndarray, cfg: ShotConfig, lphi_i: float) -> list[Optimum]:
     """Refined optima for each accuracy in ``eps_values``, in input order.
 
-    Points are solved from the largest eps down, each refinement guessing
-    the previous optimum's lambda_theta. The fast arc of the optimal ray
-    shrinks as eps tightens, so the scan below that guess contains the new
-    fast optimum, and ``refine`` keeps to the fastest branch it meets.
+    Points are solved from the largest eps down, the first refinement
+    guessing the lambda_theta of ``START_RAY``, each later one the previous
+    optimum's. The fast arc of the optimal ray shrinks as eps tightens, so
+    the scan below that guess contains the new fast optimum, and ``refine``
+    keeps to the fastest branch it meets.
     """
     optima: list[Optimum | None] = [None] * len(eps_values)
-    guess = initial_guess
+    guess = START_RAY[1]
     for i in np.argsort(eps_values)[::-1]:
         optima[i] = refine(lphi_i, guess, replace(cfg, eps=float(eps_values[i])))
         guess = optima[i].ltheta_i
     return optima
 
 
-def area_curve(
-    eps_values,
-    cfg: ShotConfig,
-    lphi_i: float = START_RAY[0],
-    initial_guess: float = START_RAY[1],
-) -> np.ndarray:
+def area_curve(eps_values, cfg: ShotConfig, lphi_i: float = START_RAY[0]) -> np.ndarray:
     """Minimum generalized pulse area for each accuracy in ``eps_values``.
 
     The optima come from one eps continuation, largest eps first, each
@@ -401,7 +395,7 @@ def area_curve(
     Returns an (n, 2) array of (eps, area) in input order.
     """
     eps_values = np.asarray(list(eps_values), dtype=float)
-    optima = _optima_along_eps(eps_values, cfg, lphi_i, initial_guess)
+    optima = _optima_along_eps(eps_values, cfg, lphi_i)
     return np.column_stack([eps_values, [opt.area for opt in optima]])
 
 

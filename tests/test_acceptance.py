@@ -104,7 +104,7 @@ def test_08_parity_symmetry(cfg002):
         assert t_pos is not None and t_neg is not None
         worst = max(worst, abs(t_pos - t_neg))
     criterion(8, "20 mirrored costate pairs give equal hit times within event_tol",
-              worst <= cfg002.integrator.event_tol, f"worst |dT|={worst:.2e}")
+              worst <= ode.EVENT_TOL, f"worst |dT|={worst:.2e}")
 
 
 def test_09_bang_control_invariants(path002):

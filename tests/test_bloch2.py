@@ -128,7 +128,6 @@ class TestClosedForms:
         assert bloch2.min_area(-0.5, -0.5) == 0.0
         assert bloch2.min_area(-0.5, 0.498) == pytest.approx(7.5999, abs=1e-3)
         assert bloch2.min_area(-0.5, 0.0) == pytest.approx(2.0 * math.atanh(math.sqrt(0.5)), abs=1e-12)
-        assert bloch2.min_time(-0.5, 0.0, omega0=2.0) == pytest.approx(math.atanh(math.sqrt(0.5)), abs=1e-12)
 
     def test_min_area_domain_errors(self):
         with pytest.raises(bloch2.DomainError):
@@ -225,7 +224,7 @@ class TestCostate:
             ])
 
         y0 = np.array([0.0, 0.0, -0.5, 0.0, 2.0 / omega0, 0.0])
-        traj = ode.integrate(rhs, y0, (0.0, bloch2.min_time(-0.5, 0.498, omega0)))
+        traj = ode.integrate(rhs, y0, (0.0, bloch2.min_area(-0.5, 0.498)))
         for y in traj.states:
             eta, lam = y[:3], y[3:]
             assert abs(bloch2.switching_function(lam, eta)) <= 1e-15

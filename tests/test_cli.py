@@ -127,6 +127,26 @@ class TestThreeLevel:
         assert columns == ["lphi", "ltheta", "T", "log10_T_offset"]
         assert len(data) == 225
 
+    def test_landscape_json_is_strict(self, tmp_path, capsys):
+        # RFC 8259 JSON has no NaN: the no-transfer cells come back as null
+        # where the CSV of the same grid has nan, every other entry equal
+        flags = ("three-level", "landscape", "--eps", "0.002", "--res", "4", "--workers", "1")
+        assert run(capsys, "--out", str(tmp_path / "csv"), *flags)[0] == 0
+        assert run(capsys, "--out", str(tmp_path / "json"), "--format", "json", *flags)[0] == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        text = (tmp_path / "json" / "three_level_landscape.json").read_text()
+        payload = json.loads(text, parse_constant=reject)
+        _, data = read_csv(tmp_path / "csv" / "three_level_landscape.csv")
+        assert np.isnan(data).any()
+        rows = payload["rows"]
+        assert len(rows) == len(data)
+        for row, expected in zip(rows, data.tolist()):
+            assert [v is None for v in row] == [np.isnan(v) for v in expected]
+            assert [v for v in row if v is not None] == [v for v in expected if not np.isnan(v)]
+
     def test_landscape_origin_only_exits_no_hit(self, tmp_path, capsys):
         code, _ = run(capsys, "--out", str(tmp_path), "three-level", "landscape",
                       "--eps", "0.005", "--range", "0,0", "--res", "1")
@@ -262,12 +282,13 @@ class TestParsing:
         ["--omega0", "1e-310", "two-level", "tmin", "--eps", "0.002"],
         ["--omega0", "1e-310", "two-level", "simulate", "--eps", "0.002"],
         ["--omega0", "1e-310", "three-level", "landscape", "--eps", "0.002", "--res", "4", "--workers", "1"],
+        ["--horizon", "1e308", "three-level", "landscape", "--eps", "0.002", "--res", "2", "--workers", "1"],
     ])
     def test_bad_curve_grid_exits_2(self, tmp_path, capsys, flags):
         # the grid flags of a curve or a landscape, a non-finite or overflowing
         # duration, non-finite costates or Kerr shifts, repeated accuracies,
-        # an --omega0 that rescales a result out of range; any warning would
-        # fail the test
+        # an --omega0 that rescales a result out of range, a horizon whose
+        # landscape step count overflows; any warning would fail the test
         assert cli.main(["--out", str(tmp_path), *flags]) == 2
         assert capsys.readouterr().err.startswith("invalid arguments: ")
         assert not any(tmp_path.iterdir())

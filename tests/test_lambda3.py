@@ -158,22 +158,22 @@ class TestControls:
         assert h2 == pytest.approx(0.0, abs=1e-15)
 
     def test_bang_control_start_is_pump_only(self):
-        assert lambda3.bang_control(0.0, 0.0, 0.8, 0.3, 2.0) == pytest.approx((2.0, 0.0))
+        assert lambda3.bang_control(0.0, 0.0, 0.8, 0.3) == pytest.approx((1.0, 0.0))
 
     def test_bang_control_magnitude_and_parity(self):
         for phi, theta in random_angles(30):
             lphi, ltheta = RNG.uniform(-2.0, 2.0, 2)
             if lphi == 0.0 and ltheta == 0.0:
                 continue
-            u = lambda3.bang_control(phi, theta, lphi, ltheta, 1.0)
+            u = lambda3.bang_control(phi, theta, lphi, ltheta)
             assert u.omega_p ** 2 + u.omega_s ** 2 == pytest.approx(1.0, abs=1e-12)
-            flipped = lambda3.bang_control(phi, theta, -lphi, -ltheta, 1.0)
+            flipped = lambda3.bang_control(phi, theta, -lphi, -ltheta)
             assert flipped.omega_p == pytest.approx(-u.omega_p)
             assert flipped.omega_s == pytest.approx(-u.omega_s)
 
     def test_bang_control_degenerate(self):
         with pytest.raises(lambda3.SwitchingDegeneracy):
-            lambda3.bang_control(0.3, 0.2, 0.0, 0.0, 1.0)
+            lambda3.bang_control(0.3, 0.2, 0.0, 0.0)
 
     def test_energy_control_matches_switching_pair(self):
         for phi, theta in random_angles(20):
@@ -212,17 +212,17 @@ class TestExtremalRhs:
             y = np.array([phi, theta, lphi, ltheta])
             for cost in ("time", "energy"):
                 if cost == "time":
-                    u = lambda3.bang_control(phi, theta, lphi, ltheta, 1.0)
+                    u = lambda3.bang_control(phi, theta, lphi, ltheta)
                 else:
                     u = lambda3.energy_control(phi, theta, lphi, ltheta)
                 expected = np.array(
                     lambda3.angle_rhs(phi, theta, u) + lambda3.costate_rhs(phi, theta, lphi, ltheta, u)
                 )
-                assert np.allclose(lambda3.extremal_rhs(y, 1.0, cost), expected, atol=1e-14)
+                assert np.allclose(lambda3.extremal_rhs(y, cost), expected, atol=1e-14)
                 # the integrator passes a list; an ndarray of the same state
                 # must give the same Python floats, bit for bit
-                from_list = lambda3.extremal_rhs(y.tolist(), 1.0, cost)
-                from_array = lambda3.extremal_rhs(y, 1.0, cost)
+                from_list = lambda3.extremal_rhs(y.tolist(), cost)
+                from_array = lambda3.extremal_rhs(y, cost)
                 assert type(from_list) is tuple and type(from_array) is tuple
                 assert all(type(v) is float for v in from_list + from_array)
                 assert from_list == from_array
@@ -233,13 +233,13 @@ class TestExtremalRhs:
         states = np.column_stack([
             RNG.uniform(-1.5, 1.5, 500), RNG.uniform(-3.0, 3.0, 500), RNG.uniform(-5.0, 5.0, (500, 2)),
         ])
-        lanes = lambda3.extremal_lanes(list(states.T), 1.0, cost)
-        scalar = np.array([lambda3.extremal_rhs(y, 1.0, cost) for y in states.tolist()])
+        lanes = lambda3.extremal_lanes(list(states.T), cost)
+        scalar = np.array([lambda3.extremal_rhs(y, cost) for y in states.tolist()])
         np.testing.assert_array_max_ulp(np.array(lanes), scalar.T, maxulp=4)
 
     def test_rejects_unknown_cost(self):
         with pytest.raises(ValueError):
-            lambda3.extremal_rhs(np.array([0.1, 0.1, 1.0, 0.5]), 1.0, "fuel")
+            lambda3.extremal_rhs(np.array([0.1, 0.1, 1.0, 0.5]), "fuel")
 
     def test_parity_of_extremals(self):
         y0 = np.array([0.0, 0.0, 1.85, 0.45266])

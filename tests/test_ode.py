@@ -150,7 +150,7 @@ class TestContract:
         cfg = ode.IntegratorConfig()
         for _ in range(50):
             err, y_old, y_new = (rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 3, n) for _ in range(3))
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
+            scale = cfg.tol + cfg.tol * np.maximum(np.abs(y_old), np.abs(y_new))
             q = np.abs(err) / scale
             expected = float(np.sqrt(np.mean(q * q)))
             norm = ode._error_norm(err.tolist(), y_old.tolist(), y_new.tolist(), cfg)
@@ -180,13 +180,13 @@ class TestNonFiniteRhs:
 
 class TestConfigAndTrajectory:
     @pytest.mark.parametrize("kwargs", [
-        dict(abs_tol=0.0),
-        dict(rel_tol=-1.0),
+        dict(tol=0.0),
+        dict(tol=-1.0),
         dict(max_step=0.0),
-        dict(event_tol=0.0),
-        dict(max_step=1e-11, event_tol=1e-10),
-        dict(abs_tol=math.inf),
-        dict(rel_tol=math.inf),
+        dict(max_step=ode.EVENT_TOL),
+        dict(max_step=1e-11),
+        dict(tol=math.inf),
+        dict(tol=math.nan),
     ])
     def test_invalid_config(self, kwargs):
         with pytest.raises(ValueError):
@@ -322,4 +322,4 @@ class TestLocateEvent:
         half = ode.IntegratorConfig(max_step=cfg.max_step / 2)
         t1 = ode.locate_event(rhs, [0.0, 0.0, -0.5], (0.0, 5.0), lambda eta: eta[2], cfg).t
         t2 = ode.locate_event(rhs, [0.0, 0.0, -0.5], (0.0, 5.0), lambda eta: eta[2], half).t
-        assert abs(t1 - t2) < 10.0 * cfg.event_tol
+        assert abs(t1 - t2) < 10.0 * ode.EVENT_TOL

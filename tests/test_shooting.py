@@ -49,7 +49,7 @@ class TestShoot:
     def test_parity(self, cfg002):
         t_pos = shooting.shoot(1.85, 0.45266, cfg002)
         t_neg = shooting.shoot(-1.85, -0.45266, cfg002)
-        assert abs(t_pos - t_neg) <= cfg002.integrator.event_tol
+        assert abs(t_pos - t_neg) <= shooting.ode.EVENT_TOL
 
     def test_terminal_state(self, cfg002, ref_extremal):
         _, trajectory, _ = ref_extremal
@@ -288,7 +288,7 @@ class TestRefine:
             shooting.refine(1.85, 0.5, cfg)
 
     def test_failed_probes_say_why(self):
-        integrator = shooting.ode.IntegratorConfig(abs_tol=1e-300, rel_tol=1e-300)
+        integrator = shooting.ode.IntegratorConfig(tol=1e-300)
         with pytest.raises(shooting.NoFeasiblePoint, match="13 step-underflow"):
             shooting.refine(1.85, 0.5, ShotConfig(eps=0.002, integrator=integrator))
 
