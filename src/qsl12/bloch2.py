@@ -233,18 +233,19 @@ def asymptotic_area(eps):
     return -np.log(np.asarray(eps) / 4.0)
 
 
-def energy_optimum(duration: float, eta3_i: float, eta3_f: float) -> tuple[float, float]:
+def energy_optimum(duration: float, area: float) -> tuple[float, float]:
     """Minimum peak amplitude and pulse energy for a transfer in fixed time.
 
-    The energy-optimal pulse is the same constant resonant pulse as the
-    time-optimal one, stretched to the requested duration, so
-    omega0_min = area / duration and the energy is area^2 / duration
-    (units hbar = 1). The duration must be positive and finite, and long
-    enough that both come out finite.
+    The bound of both systems: their energy-optimal pulse is the time-optimal
+    one stretched to ``duration``, so a transfer of minimum area ``area``
+    needs omega0_min = area / duration and the energy area^2 / duration
+    (hbar = 1). The duration must be positive and finite, the area
+    non-negative and finite, and both results must come out finite.
     """
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be positive and finite, got {duration!r}")
-    area = min_area(eta3_i, eta3_f)
+    if not 0.0 <= area < math.inf:
+        raise ValueError(f"area must be non-negative and finite, got {area!r}")
     omega0_min = area / duration
     energy = area * omega0_min
     if not (math.isfinite(omega0_min) and math.isfinite(energy)):

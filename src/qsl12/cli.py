@@ -51,8 +51,9 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _export(args, stem: str, columns: list[str], rows: np.ndarray, started: float,
-            results: dict | None = None) -> Path:
+def _export(args, stem: str, columns: list[str], rows: np.ndarray,
+            results: dict | None = None) -> None:
+    """Write ``rows`` and their manifest atomically under --out; print the data file's path."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
@@ -67,19 +68,19 @@ def _export(args, stem: str, columns: list[str], rows: np.ndarray, started: floa
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         _write_atomic(path, "\n".join(lines) + "\n")
     manifest = {
-        "command": args.command_name,
+        "command": f"{args.group} {args.subcommand}",
         "parameters": {
             k: v for k, v in sorted(vars(args).items())
-            if k not in ("func", "command_name") and not k.startswith("_")
+            if k != "func" and not k.startswith("_")
         },
         "version": __version__,
-        "wall_time_s": time.monotonic() - started,
+        "wall_time_s": time.monotonic() - args._start,
         "outputs": [path.name],
     }
     if results:
         manifest["results"] = results
     _write_atomic(out_dir / f"{stem}.manifest.json", json.dumps(manifest, indent=1) + "\n")
-    return path
+    print(f"wrote {path}")
 
 
 def _rescale(args, value, unit: str):
@@ -109,8 +110,8 @@ def _integrator(args) -> ode.IntegratorConfig:
     return ode.IntegratorConfig(tol=args.tol)
 
 
-def _shot_config(args) -> shooting.ShotConfig:
-    return shooting.ShotConfig(eps=args.eps, horizon=args.horizon, integrator=_integrator(args))
+def _shot_config(args, eps: float) -> shooting.ShotConfig:
+    return shooting.ShotConfig(eps=eps, horizon=args.horizon, integrator=_integrator(args))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +127,6 @@ def _cmd_two_tmin(args) -> int:
 
 
 def _cmd_two_curve(args) -> int:
-    started = time.monotonic()
     if not 0.0 < args.step < np.inf or not 0.0 <= args.amax < np.inf:
         raise ValueError("--step must be positive and --amax non-negative, both finite")
     if not args.amax / args.step < np.inf:
@@ -139,13 +139,11 @@ def _cmd_two_curve(args) -> int:
         bloch2.linear_probability(areas),
         1.0 - bloch2.asymptotic_epsilon(areas),
     ])
-    path = _export(args, "two_level_curve", ["area", "p_nonlinear", "p_linear", "p_asymptotic"], rows, started)
-    print(f"wrote {path}")
+    _export(args, "two_level_curve", ["area", "p_nonlinear", "p_linear", "p_asymptotic"], rows)
     return 0
 
 
 def _cmd_two_simulate(args) -> int:
-    started = time.monotonic()
     kerr = bloch2.ZERO_KERR
     if args.kerr:
         l11, l12, l22 = (float(v) for v in args.kerr.split(","))
@@ -162,17 +160,16 @@ def _cmd_two_simulate(args) -> int:
         pop2,
         _rescale(args, bloch2.lock_detuning(eta[:, 2], kerr), "frequency"),
     ])
-    path = _export(
+    _export(
         args, "two_level_simulate",
-        ["t", "eta1", "eta2", "eta3", "pop1", "pop2", "delta_lock"], rows, started,
+        ["t", "eta1", "eta2", "eta3", "pop1", "pop2", "delta_lock"], rows,
     )
-    print(f"wrote {path}")
     return 0
 
 
 def _cmd_two_energy(args) -> int:
-    duration = args.T * args.omega0
-    omega_min, energy = bloch2.energy_optimum(duration, -0.5, 0.5 - args.eps)
+    area = bloch2.min_area(-0.5, 0.5 - args.eps)
+    omega_min, energy = bloch2.energy_optimum(args.T * args.omega0, area)
     omega_min, energy = _rescale(args, omega_min, "frequency"), _rescale(args, energy, "energy")
     print(f"Omega0_min = {omega_min:.10g}")
     print(f"E_min = {energy:.10g}")
@@ -184,10 +181,9 @@ def _cmd_two_energy(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_three_landscape(args) -> int:
-    started = time.monotonic()
     lo, hi = (float(v) for v in args.range.split(","))
     grid = shooting.landscape(
-        (lo, hi), (lo, hi), (args.res, args.res), _shot_config(args), workers=args.workers
+        (lo, hi), (lo, hi), (args.res, args.res), _shot_config(args, args.eps), workers=args.workers
     )
     t_min = _rescale(args, grid.t_min, "time")  # grid.t_min raises NoFeasiblePoint when nothing hits
     offsets = grid.log_offsets()
@@ -198,15 +194,13 @@ def _cmd_three_landscape(args) -> int:
         _rescale(args, grid.times.ravel(), "time"),
         offsets.ravel(),
     ])
-    path = _export(args, "three_level_landscape", ["lphi", "ltheta", "T", "log10_T_offset"], rows, started)
     print(f"T_min = {t_min:.10g}")
-    print(f"wrote {path}")
+    _export(args, "three_level_landscape", ["lphi", "ltheta", "T", "log10_T_offset"], rows)
     return 0
 
 
 def _cmd_three_optimize(args) -> int:
-    started = time.monotonic()
-    cfg = _shot_config(args)
+    cfg = _shot_config(args, args.eps)
     opt = shooting.refine(args.lphi, args.guess, cfg)
     t_min = _rescale(args, opt.t_min, "time")
     trajectory, pulses = shooting.extremal(opt, cfg)
@@ -230,27 +224,23 @@ def _cmd_three_optimize(args) -> int:
     print(f"ltheta_i = {opt.ltheta_i:.10g}")
     print(f"T_min = {t_min:.10g}")
     print(f"A_min = {opt.area:.10g}")
-    path = _export(
+    _export(
         args, "three_level_optimal",
         ["t", "phi", "theta", "lphi", "ltheta", "omega_p", "omega_s",
-         "pop1", "pop2", "pop3", "ansatz"], rows, started,
+         "pop1", "pop2", "pop3", "ansatz"], rows,
     )
-    print(f"wrote {path}")
     return 0
 
 
 def _cmd_three_areacurve(args) -> int:
-    started = time.monotonic()
     eps_values = np.geomspace(args.eps_max, args.eps_min, args.n)
     shooting._asymptotic(eps_values)  # the fit's precondition, checked before the solves
-    cfg = shooting.ShotConfig(eps=eps_values[0], horizon=args.horizon, integrator=_integrator(args))
-    curve = shooting.area_curve(eps_values, cfg, lphi_i=args.lphi)
+    curve = shooting.area_curve(eps_values, _shot_config(args, eps_values[0]), lphi_i=args.lphi)
     slope, intercept = shooting.fit_asymptote(curve)
     print(f"slope = {slope:.10g}")
     print(f"intercept = {intercept:.10g}")
-    path = _export(args, "three_level_area_curve", ["eps", "area"], curve, started,
-                   results={"slope": slope, "intercept": intercept})
-    print(f"wrote {path}")
+    _export(args, "three_level_area_curve", ["eps", "area"], curve,
+            results={"slope": slope, "intercept": intercept})
     return 0
 
 
@@ -258,10 +248,9 @@ def _cmd_three_energy(args) -> int:
     duration = args.T * args.omega0
     if not 0.0 < duration < np.inf:  # checked before the refinement
         raise ValueError("--T must be positive and finite")
-    opt = shooting.refine(*shooting.START_RAY, _shot_config(args))
-    result = shooting.energy_optimum3(duration, opt)
-    omega_min = _rescale(args, result.omega0_min, "frequency")
-    energy = _rescale(args, result.energy_min, "energy")
+    opt = shooting.refine(*shooting.START_RAY, _shot_config(args, args.eps))
+    omega_min, energy = bloch2.energy_optimum(duration, opt.area)
+    omega_min, energy = _rescale(args, omega_min, "frequency"), _rescale(args, energy, "energy")
     print(f"Omega0_min = {omega_min:.10g}")
     print(f"E_min = {energy:.10g}")
     return 0
@@ -277,7 +266,7 @@ def _cmd_iso_check(args) -> int:
         lphi, ltheta = (float(v) for v in args.costates.split(","))
         costates = (lphi, ltheta)
     result = isomorphism.cross_check(
-        _shot_config(args), costates=costates, corrupt_mapping=args.corrupt_mapping
+        _shot_config(args, args.eps), costates=costates, corrupt_mapping=args.corrupt_mapping
     )
     print(f"hit_time = {result.hit_time:.10g}")
     print(f"amplitude_deviation = {result.amplitude_deviation:.3e}")
@@ -293,15 +282,12 @@ def _cmd_iso_check(args) -> int:
 
 
 def _cmd_iso_areadiv(args) -> int:
-    started = time.monotonic()
     eps_values = [float(v) for v in args.eps_list.split(",")]
-    cfg = shooting.ShotConfig(eps=eps_values[0], horizon=args.horizon, integrator=_integrator(args))
-    table = isomorphism.area_divergence_check(eps_values, cfg)
-    path = _export(args, "iso_area_divergence", ["eps", "pump_area"], table, started)
+    table = isomorphism.area_divergence_check(eps_values, _shot_config(args, eps_values[0]))
     order = np.argsort(table[:, 0])[::-1]
     monotone = bool(np.all(np.diff(table[order, 1]) > 0.0))
     print(f"strictly_increasing_as_eps_decreases = {monotone}")
-    print(f"wrote {path}")
+    _export(args, "iso_area_divergence", ["eps", "pump_area"], table)
     return 0
 
 
@@ -326,55 +312,55 @@ def _build_parser() -> argparse.ArgumentParser:
     two_sub = two.add_subparsers(dest="subcommand", required=True)
     p = two_sub.add_parser("tmin", help="minimum pulse area / time for an accuracy")
     p.add_argument("--eps", type=float, required=True)
-    p.set_defaults(func=_cmd_two_tmin, command_name="two-level tmin")
+    p.set_defaults(func=_cmd_two_tmin)
     p = two_sub.add_parser("curve", help="transfer probability vs pulse area dataset")
     p.add_argument("--amax", type=float, default=14.0)
     p.add_argument("--step", type=float, default=1e-2)
-    p.set_defaults(func=_cmd_two_curve, command_name="two-level curve")
+    p.set_defaults(func=_cmd_two_curve)
     p = two_sub.add_parser("simulate", help="optimal transfer history dataset")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--kerr", default=None, metavar="L11,L12,L22")
-    p.set_defaults(func=_cmd_two_simulate, command_name="two-level simulate")
+    p.set_defaults(func=_cmd_two_simulate)
     p = two_sub.add_parser("energy", help="minimum amplitude and energy for a fixed time")
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.set_defaults(func=_cmd_two_energy, command_name="two-level energy")
+    p.set_defaults(func=_cmd_two_energy)
 
     three = groups.add_parser("three-level", help="three-level shooting solver")
     three_sub = three.add_subparsers(dest="subcommand", required=True)
     p = three_sub.add_parser("landscape", help="hit-time grid over initial costates")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--range", default="-3,3", metavar="LO,HI")
+    p.add_argument("--range", default="-3,3", metavar="LO,HI", help="costate range of both axes (--range=LO,HI if LO < 0)")
     p.add_argument("--res", type=int, default=200)
     p.add_argument("--workers", type=int, default=None, help="scan processes (0 or unset: one per CPU)")
-    p.set_defaults(func=_cmd_three_landscape, command_name="three-level landscape")
+    p.set_defaults(func=_cmd_three_landscape)
     p = three_sub.add_parser("optimize", help="refine the optimal initial costate ray")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--lphi", type=float, default=shooting.START_RAY[0])
     p.add_argument("--guess", type=float, default=shooting.START_RAY[1])
-    p.set_defaults(func=_cmd_three_optimize, command_name="three-level optimize")
+    p.set_defaults(func=_cmd_three_optimize)
     p = three_sub.add_parser("areacurve", help="minimum area vs accuracy dataset and fit")
     p.add_argument("--eps-min", type=float, default=1e-3)
     p.add_argument("--eps-max", type=float, default=1e-1)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--lphi", type=float, default=shooting.START_RAY[0])
-    p.set_defaults(func=_cmd_three_areacurve, command_name="three-level areacurve")
+    p.set_defaults(func=_cmd_three_areacurve)
     p = three_sub.add_parser("energy", help="minimum amplitude and energy for a fixed time")
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.set_defaults(func=_cmd_three_energy, command_name="three-level energy")
+    p.set_defaults(func=_cmd_three_energy)
 
     iso = groups.add_parser("iso", help="two-level counterpart cross-checks")
     iso_sub = iso.add_subparsers(dest="subcommand", required=True)
     p = iso_sub.add_parser("check", help="run the representation-agreement oracles")
     p.add_argument("--eps", type=float, default=0.002)
     p.add_argument("--costates", default=None, metavar="LPHI,LTHETA",
-                   help="initial costates to check (skips the refinement)")
+                   help="initial costates to check, skipping the refinement (--costates=LPHI,LTHETA if LPHI < 0)")
     p.add_argument("--corrupt-mapping", action="store_true", help="negative control: use the inconsistent Stokes reduction")
-    p.set_defaults(func=_cmd_iso_check, command_name="iso check")
+    p.set_defaults(func=_cmd_iso_check)
     p = iso_sub.add_parser("areadiv", help="pump-area divergence dataset")
     p.add_argument("--eps-list", default="0.1,0.01,0.001")
-    p.set_defaults(func=_cmd_iso_areadiv, command_name="iso areadiv")
+    p.set_defaults(func=_cmd_iso_areadiv)
     return parser
 
 
@@ -385,6 +371,7 @@ def main(argv=None) -> int:
         parser.error("--omega0, --hbar and --horizon must be positive and finite")
     if args.tol is not None and not 0.0 < args.tol < np.inf:
         parser.error("--tol must be positive and finite")
+    args._start = time.monotonic()
     try:
         return args.func(args)
     except bloch2.DomainError as exc:

@@ -37,7 +37,6 @@ from .lambda3 import PhiSingularity, SwitchingDegeneracy
 __all__ = [
     "ShotConfig",
     "Optimum",
-    "EnergyOptimum",
     "LandscapeGrid",
     "NoConvergence",
     "NoFeasiblePoint",
@@ -49,7 +48,6 @@ __all__ = [
     "refine",
     "area_curve",
     "fit_asymptote",
-    "energy_optimum3",
     "energy_shot",
 ]
 
@@ -105,15 +103,6 @@ class Optimum:
         """Generalized pulse area, Omega_0 times the hit time: with Omega_0 = 1,
         the hit time itself."""
         return self.t_min
-
-
-@dataclass
-class EnergyOptimum:
-    """Energy-optimal solution for a fixed interaction time."""
-
-    omega0_min: float
-    energy_min: float
-    time_optimum: Optimum
 
 
 @dataclass
@@ -351,8 +340,8 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     if math.isinf(times[best]):
         tally = ", ".join(f"{n} {why}" for why, n in Counter(reasons).most_common())
         raise NoFeasiblePoint(
-            f"no transfer within the horizon near ltheta_i ~ {ltheta_guess!r}"
-            f" (the {len(probes)} probes: {tally})"
+            f"no transfer within the horizon {cfg.horizon!r} at eps {cfg.eps!r} near"
+            f" ltheta_i ~ {ltheta_guess!r} (the {len(probes)} probes: {tally})"
         )
     neighbour = best - 1 if best > 0 else best + 1
     with np.errstate(invalid="ignore"):  # an inf in Brent's parabola gives nan
@@ -420,36 +409,19 @@ def fit_asymptote(curve) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-def energy_optimum3(duration: float, optimum: Optimum) -> EnergyOptimum:
-    """Minimum peak amplitude and energy for a transfer in a fixed time.
-
-    The energy-optimal extremal is the time-optimal ``optimum`` traversed at
-    the rescaled amplitude omega0_min = area / duration, so the energy is
-    area^2 / duration (hbar = 1). The duration must be positive and finite,
-    and long enough that both come out finite.
-    """
-    if not 0.0 < duration < math.inf:
-        raise ValueError(f"duration must be positive and finite, got {duration!r}")
-    omega0_min = optimum.area / duration
-    energy = optimum.area * omega0_min
-    if not (math.isfinite(omega0_min) and math.isfinite(energy)):
-        raise ValueError(f"duration {duration!r} too short: the amplitude or the energy overflows")
-    return EnergyOptimum(omega0_min, energy, optimum)
-
-
-def energy_shot(duration: float, energy_opt: EnergyOptimum, cfg: ShotConfig) -> float:
+def energy_shot(omega0_min: float, opt: Optimum, cfg: ShotConfig) -> float:
     """Consistency check: run the energy-optimal closed loop to the target.
 
     The time-optimal initial costates are rescaled so that the (constant)
-    pulse magnitude of the energy extremal equals omega0_min; the hit should
-    land at ``duration``. Returns the hit time.
+    pulse magnitude of the energy extremal equals ``omega0_min``, the bound of
+    ``bloch2.energy_optimum``; the hit should land at its duration,
+    opt.area / omega0_min. Returns the hit time.
     """
-    opt = energy_opt.time_optimum
     h_norm = abs(opt.lphi_i) / _SQRT2
-    scale = energy_opt.omega0_min / h_norm
+    scale = omega0_min / h_norm
     y0 = np.array([0.0, 0.0, scale * opt.lphi_i, scale * opt.ltheta_i])
     hit = ode.locate_event(
-        _rhs("energy"), y0, (0.0, 1.5 * duration), _event(cfg), cfg.integrator
+        _rhs("energy"), y0, (0.0, 1.5 * opt.area / omega0_min), _event(cfg), cfg.integrator
     )
     if hit is None:
         raise NoFeasiblePoint("energy-optimal closed loop missed the target")

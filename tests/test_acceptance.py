@@ -130,12 +130,12 @@ def test_10_population_ansatz(path002):
 
 def test_11_energy_relations(cfg002, opt002):
     duration = 10.0
-    three = shooting.energy_optimum3(duration, opt002)
-    identity3 = three.energy_min == pytest.approx(three.time_optimum.area ** 2 / duration, rel=1e-14)
+    omega3, e3 = bloch2.energy_optimum(duration, opt002.area)
+    identity3 = e3 == pytest.approx(opt002.area ** 2 / duration, rel=1e-14)
     area2 = bloch2.min_area(-0.5, 0.498)
-    omega2, e2 = bloch2.energy_optimum(duration, -0.5, 0.498)
+    omega2, e2 = bloch2.energy_optimum(duration, area2)
     identity2 = e2 == pytest.approx(area2 ** 2 / duration, rel=1e-14) and omega2 == pytest.approx(area2 / duration, rel=1e-14)
-    hit = shooting.energy_shot(duration, three, cfg002)
+    hit = shooting.energy_shot(omega3, opt002, cfg002)
     rel_err = abs(hit - duration) / duration
     criterion(11, "energy = area^2/T in both systems and the rescaled closed loop hits T within 1e-4",
               identity2 and identity3 and rel_err <= 1e-4,

@@ -162,22 +162,26 @@ class TestClosedForms:
         assert abs(bloch2.asymptotic_area(1e-4) - bloch2.min_area(-0.5, 0.5 - 1e-4)) < 1e-4
 
     def test_energy_optimum(self):
-        assert bloch2.energy_optimum(3.0, 0.1, 0.1) == (0.0, 0.0)
+        assert bloch2.energy_optimum(3.0, bloch2.min_area(0.1, 0.1)) == (0.0, 0.0)
         area = bloch2.min_area(-0.5, 0.498)
-        omega_min, e_min = bloch2.energy_optimum(10.0, -0.5, 0.498)
+        omega_min, e_min = bloch2.energy_optimum(10.0, area)
         assert omega_min == pytest.approx(area / 10.0)
         assert e_min == pytest.approx(area * area / 10.0)
         assert omega_min == pytest.approx(0.75999, abs=1e-4)
         assert e_min == pytest.approx(5.7758, abs=1e-3)
 
     def test_energy_optimum_scaling(self):
-        o1, e1 = bloch2.energy_optimum(5.0, -0.5, 0.3)
-        o2, e2 = bloch2.energy_optimum(10.0, -0.5, 0.3)
+        area = bloch2.min_area(-0.5, 0.3)
+        o1, e1 = bloch2.energy_optimum(5.0, area)
+        o2, e2 = bloch2.energy_optimum(10.0, area)
         assert o2 == pytest.approx(0.5 * o1)
         assert e2 == pytest.approx(0.5 * e1)
         for duration in (0.0, math.nan, math.inf, 1e-320):
             with pytest.raises(ValueError):
-                bloch2.energy_optimum(duration, -0.5, 0.3)
+                bloch2.energy_optimum(duration, area)
+        for bad_area in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="area"):
+                bloch2.energy_optimum(5.0, bad_area)
 
 
 class TestKerrLock:

@@ -1,9 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qsl12 import bloch2, cli, shooting
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -64,6 +69,19 @@ class TestTwoLevel:
         assert manifest["parameters"]["amax"] == 2.0
         assert manifest["parameters"]["step"] == 0.5
         assert "wall_time_s" in manifest
+        # every exporting command names itself "<group> <subcommand>" and
+        # keeps the parser's bookkeeping out of its parameters
+        for stem, argv in [
+            ("two_level_curve", ["two-level", "curve", "--amax", "2", "--step", "0.5"]),
+            ("two_level_simulate", ["two-level", "simulate", "--eps", "0.1"]),
+            ("three_level_landscape", ["three-level", "landscape", "--eps", "0.002", "--res", "2", "--workers", "1"]),
+        ]:
+            code, out = run(capsys, "--out", str(tmp_path), *argv)
+            assert code == 0
+            assert out.endswith(f"wrote {tmp_path / stem}.csv\n")
+            manifest = json.loads((tmp_path / f"{stem}.manifest.json").read_text())
+            assert manifest["command"] == f"{argv[0]} {argv[1]}"
+            assert not [k for k in manifest["parameters"] if k in ("func", "command_name") or k.startswith("_")]
 
     def test_curve_json_mirror(self, tmp_path, capsys):
         code, _ = run(capsys, "--out", str(tmp_path), "--format", "json",
@@ -107,14 +125,17 @@ class TestTwoLevel:
         assert grab(out_phys, "T_min") == pytest.approx(grab(out_dim, "T_min") / 2.0)
         assert grab(out_phys, "A_min") == grab(out_dim, "A_min")
 
-        _, out = run(capsys, "--omega0", "2", "--hbar", "3",
-                     "two-level", "energy", "--T", "10", "--eps", "0.002")
-        area = bloch2.min_area(-0.5, 0.498)
-        # physical pulse: amplitude (area/20)*2 over physical duration 10,
-        # energy hbar * amplitude^2 * duration
-        amp = (area / 20.0) * 2.0
-        assert grab(out, "Omega0_min") == pytest.approx(amp)
-        assert grab(out, "E_min") == pytest.approx(3.0 * amp * amp * 10.0 / 2.0 * 2.0)
+        # one energy bound for both systems, so one law
+        area2 = bloch2.min_area(-0.5, 0.498)
+        area3 = shooting.refine(*shooting.START_RAY, shooting.ShotConfig(eps=0.005)).area
+        for system, eps, area in (("two-level", "0.002", area2), ("three-level", "0.005", area3)):
+            _, out = run(capsys, "--omega0", "2", "--hbar", "3",
+                         system, "energy", "--T", "10", "--eps", eps)
+            # physical pulse: amplitude (area/20)*2 over physical duration 10,
+            # energy hbar * amplitude^2 * duration
+            amp = (area / 20.0) * 2.0
+            assert grab(out, "Omega0_min") == pytest.approx(amp)
+            assert grab(out, "E_min") == pytest.approx(3.0 * amp * amp * 10.0 / 2.0 * 2.0)
 
 
 class TestThreeLevel:
@@ -224,6 +245,18 @@ class TestIso:
 
 
 class TestParsing:
+    def test_readme_examples_parse(self):
+        # each documented command line parses as written; none is run
+        blocks = re.findall(r"```bash\n(.*?)```", README.read_text(), re.S)
+        lines = [line for block in blocks for line in block.splitlines() if line.startswith("qsl ")]
+        assert len(lines) >= 10
+        parser = cli._build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {line}")
+
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["two-level", "tmin"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from qsl12 import lambda3, shooting
+from qsl12 import bloch2, lambda3, shooting
 from qsl12.shooting import ShotConfig
 
 RNG = np.random.default_rng(3)
@@ -292,6 +292,12 @@ class TestRefine:
         with pytest.raises(shooting.NoFeasiblePoint, match="13 step-underflow"):
             shooting.refine(1.85, 0.5, ShotConfig(eps=0.002, integrator=integrator))
 
+    def test_failure_names_eps_and_horizon(self):
+        # the last point of a continuation that runs out of horizon
+        with pytest.raises(shooting.NoFeasiblePoint) as err:
+            shooting.refine(1.85, 0.45, ShotConfig(eps=0.002, horizon=7.0))
+        assert "eps 0.002" in str(err.value) and "horizon 7.0" in str(err.value)
+
 
 class TestExtremalInvariants:
     def test_bang_magnitude_saturated(self, path002):
@@ -375,24 +381,24 @@ class TestAreaCurve:
 
 class TestEnergyOptimum:
     def test_reference_values(self, cfg002, opt002):
-        result = shooting.energy_optimum3(10.0, opt002)
-        assert result.omega0_min == pytest.approx(0.740, abs=2e-3)
-        assert result.energy_min == pytest.approx(5.48, abs=0.02)
-        assert result.energy_min == pytest.approx(result.time_optimum.area ** 2 / 10.0, rel=1e-15)
+        omega0_min, energy_min = bloch2.energy_optimum(10.0, opt002.area)
+        assert omega0_min == pytest.approx(0.740, abs=2e-3)
+        assert energy_min == pytest.approx(5.48, abs=0.02)
+        assert energy_min == pytest.approx(opt002.area ** 2 / 10.0, rel=1e-15)
 
     def test_doubling_time_halves_energy(self, cfg002, opt002):
-        e1 = shooting.energy_optimum3(10.0, opt002)
-        e2 = shooting.energy_optimum3(20.0, opt002)
-        assert e2.omega0_min == pytest.approx(0.5 * e1.omega0_min, rel=1e-15)
-        assert e2.energy_min == pytest.approx(0.5 * e1.energy_min, rel=1e-15)
+        o1, e1 = bloch2.energy_optimum(10.0, opt002.area)
+        o2, e2 = bloch2.energy_optimum(20.0, opt002.area)
+        assert o2 == pytest.approx(0.5 * o1, rel=1e-15)
+        assert e2 == pytest.approx(0.5 * e1, rel=1e-15)
 
     def test_closed_loop_consistency(self, cfg002, opt002):
         duration = 10.0
-        result = shooting.energy_optimum3(duration, opt002)
-        hit = shooting.energy_shot(duration, result, cfg002)
+        omega0_min, _ = bloch2.energy_optimum(duration, opt002.area)
+        hit = shooting.energy_shot(omega0_min, opt002, cfg002)
         assert abs(hit - duration) / duration <= 1e-4
 
     def test_rejects_bad_duration(self, opt002):
         for duration in (0.0, math.nan, math.inf, 1e-320):
             with pytest.raises(ValueError):
-                shooting.energy_optimum3(duration, opt002)
+                bloch2.energy_optimum(duration, opt002.area)
