@@ -260,5 +260,5 @@ def resonant_trajectory(eta3_f: float, cfg: ode.IntegratorConfig = ode.Integrato
     inversion.
     """
     t_end = min_area(-0.5, eta3_f)
-    rhs = lambda t, eta: bloch_rhs(eta, 1.0, 0.0)
+    rhs = lambda eta: bloch_rhs(eta, 1.0, 0.0)
     return ode.integrate(rhs, np.array([0.0, 0.0, -0.5]), (0.0, t_end), cfg)

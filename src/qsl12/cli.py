@@ -205,9 +205,7 @@ def _cmd_three_optimize(args) -> int:
     t_min = _rescale(args, opt.t_min, "time")
     trajectory, pulses = shooting.extremal(opt, cfg)
     states = trajectory.states
-    x1 = np.cos(states[:, 0]) * np.cos(states[:, 1])
-    y2 = -np.sin(states[:, 0]) / np.sqrt(2.0)
-    x3 = -np.cos(states[:, 0]) * np.sin(states[:, 1]) / np.sqrt(2.0)
+    x1, y2, x3 = lambda3.cartesian_from_angles(states[:, 0], states[:, 1])
     rows = np.column_stack([
         _rescale(args, trajectory.times, "time"),
         states[:, 0],

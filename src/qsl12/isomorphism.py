@@ -172,7 +172,8 @@ def cross_check(
     flows when the state has 14 components. The deviations are taken over
     the accepted nodes of each pass. Without ``costates`` the transfer is the
     optimum refined from ``shooting.START_RAY``; non-finite costates raise
-    ValueError. ``corrupt_mapping`` switches the Stokes reduction to the
+    ValueError, and a shot that misses raises NoFeasiblePoint with its
+    reason. ``corrupt_mapping`` switches the Stokes reduction to the
     inconsistent Omega_s / sqrt(2) variant (negative control: the oracles
     must fail).
     """
@@ -183,15 +184,18 @@ def cross_check(
     elif not all(math.isfinite(c) for c in costates):
         raise ValueError(f"costates must be finite, got {costates!r}")
     else:
-        t_hit = shooting.shoot(costates[0], costates[1], cfg)
+        t_hit, reason = shooting.shoot_info(costates[0], costates[1], cfg)
         if t_hit is None:
-            raise shooting.NoFeasiblePoint(f"costates {costates} do not reach the target")
+            raise shooting.NoFeasiblePoint(
+                f"costates {costates} do not reach the target within the horizon"
+                f" {cfg.horizon!r} at eps {cfg.eps!r} ({reason})"
+            )
 
     reduce_pulses = map_pulses
     if corrupt_mapping:
         reduce_pulses = lambda op, os_: (op / _SQRT2, os_ / _SQRT2)  # noqa: E731
 
-    def rhs(t: float, y: list) -> list:
+    def rhs(y: list) -> list:
         pulses = lambda3.bang_control(y[0], y[1], y[2], y[3])
         p, s = reduce_pulses(*pulses)
         da1, da2 = iso_amplitude_rhs((y[7] + 1j * y[8], y[9] + 1j * y[10]), p, s)

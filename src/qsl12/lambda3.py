@@ -73,11 +73,11 @@ class PulsePair(NamedTuple):
     omega_s: float
 
 
-def cartesian_from_angles(phi: float, theta: float) -> np.ndarray:
-    """Real amplitudes (x1, y2, x3) for the angle pair; normalized by construction."""
-    cph, sph = math.cos(phi), math.sin(phi)
-    cth, sth = math.cos(theta), math.sin(theta)
-    return np.array([cph * cth, -sph * _INV_SQRT2, -cph * sth * _INV_SQRT2])
+def cartesian_from_angles(phi, theta) -> np.ndarray:
+    """Real amplitudes (x1, y2, x3) for the angles (floats or arrays); normalized by construction."""
+    cph, sph = np.cos(phi), np.sin(phi)
+    cth, sth = np.cos(theta), np.sin(theta)
+    return np.array([cph * cth, -sph / _SQRT2, -cph * sth / _SQRT2])
 
 
 def _check_phi(cph: float) -> None:

@@ -28,11 +28,11 @@ use. On the 4-component extremal state one step and its error norm take
 arrays of many cells; the landscape scan in ``shooting`` runs it so at a
 fixed step and hands the lanes its screen flags to ``_crossing``.
 
-The state crosses into caller code as a list too: ``rhs(t, y)`` and
-``event(y)`` receive a list of Python floats (or complex numbers), which they
-must not modify. The rhs may return any sequence of the state's length; a
-returned ndarray is converted once with ``tolist()``. Results are ndarrays:
-float64 for a real state, complex128 for a complex one.
+The flows are autonomous, and the state crosses into caller code as a list:
+``rhs(y)`` and ``event(y)`` receive a list of Python floats (or complex
+numbers), which they must not modify. The rhs may return any sequence of the
+state's length; a returned ndarray is converted once with ``tolist()``.
+Results are ndarrays: float64 for a real state, complex128 for a complex one.
 
 Everything is deterministic: identical inputs produce bit-identical output.
 All times are in units of 1/Omega_0 with Omega_0 = 1.
@@ -63,8 +63,8 @@ MIN_STEP = 1e-14
 #: The width, in time, to which an event crossing is localized.
 EVENT_TOL = 1e-10
 
-#: ``rhs(t, y)``: y is the state as a list; the slope may be any sequence.
-Rhs = Callable[[float, list], Sequence]
+#: ``rhs(y)``: y is the state as a list; the slope may be any sequence.
+Rhs = Callable[[list], Sequence]
 #: ``event(y)``: y is the state as a list; a real number, zero on the crossing.
 Event = Callable[[list], float]
 
@@ -108,9 +108,6 @@ class Trajectory:
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("times must be strictly increasing")
 
-    def __len__(self) -> int:
-        return len(self.times)
-
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
@@ -132,7 +129,6 @@ class EventHit:
 # Dormand-Prince 5(4) tableau. The propagating solution is 5th order; the
 # last row of _A doubles as its weights (FSAL: stage 7 is reused as stage 1
 # of the next step). _E holds the 5th-minus-4th order error weights.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
 _A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
@@ -188,9 +184,9 @@ def _span(t_span) -> tuple[float, float]:
     return t0, t1
 
 
-def _slope(rhs: Rhs, t: float, y: list) -> Sequence:
-    """rhs at (t, y): the rhs receives the list y; an ndarray slope comes back as a list."""
-    k = rhs(t, y)
+def _slope(rhs: Rhs, y: list) -> Sequence:
+    """rhs at y: the rhs receives the list y; an ndarray slope comes back as a list."""
+    k = rhs(y)
     if isinstance(k, np.ndarray):
         k = k.tolist()
     if len(k) != len(y):
@@ -212,22 +208,22 @@ def _error_norm(err: list, y_old: list, y_new: list, cfg: IntegratorConfig) -> f
     return math.sqrt(total / len(err))
 
 
-def _dp5_step(rhs: Rhs, t: float, y: list, k1: list, h: float) -> tuple[list, tuple[list, ...], list]:
-    """One Dormand-Prince 5(4) step of length h from (t, y), where k1 = rhs(t, y).
+def _dp5_step(rhs: Rhs, y: list, k1: list, h: float) -> tuple[list, tuple[list, ...], list]:
+    """One Dormand-Prince 5(4) step of length h from y, where k1 = rhs(y).
 
-    Returns the 5th-order state at t + h, the seven stages (the last is the
-    slope at t + h, the next step's k1), and the local error estimate.
+    Returns the 5th-order state after the step, the seven stages (the last
+    is the slope there, the next step's k1), and the local error estimate.
     """
-    k2 = _slope(rhs, t + _C2 * h, [a + h * (_A21 * b1) for a, b1 in zip(y, k1)])
-    k3 = _slope(rhs, t + _C3 * h, [a + h * (_A31 * b1 + _A32 * b2) for a, b1, b2 in zip(y, k1, k2)])
-    k4 = _slope(rhs, t + _C4 * h, [
+    k2 = _slope(rhs, [a + h * (_A21 * b1) for a, b1 in zip(y, k1)])
+    k3 = _slope(rhs, [a + h * (_A31 * b1 + _A32 * b2) for a, b1, b2 in zip(y, k1, k2)])
+    k4 = _slope(rhs, [
         a + h * (_A41 * b1 + _A42 * b2 + _A43 * b3) for a, b1, b2, b3 in zip(y, k1, k2, k3)
     ])
-    k5 = _slope(rhs, t + _C5 * h, [
+    k5 = _slope(rhs, [
         a + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
         for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
     ])
-    k6 = _slope(rhs, t + h, [
+    k6 = _slope(rhs, [
         a + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5)
         for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)
     ])
@@ -235,7 +231,7 @@ def _dp5_step(rhs: Rhs, t: float, y: list, k1: list, h: float) -> tuple[list, tu
         a + h * (_A71 * b1 + _A73 * b3 + _A74 * b4 + _A75 * b5 + _A76 * b6)
         for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)
     ]
-    k7 = _slope(rhs, t + h, y_new)
+    k7 = _slope(rhs, y_new)
     err = [
         h * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6 + _E7 * b7)
         for b1, b3, b4, b5, b6, b7 in zip(k1, k3, k4, k5, k6, k7)
@@ -248,14 +244,15 @@ def _steps(rhs: Rhs, t0: float, y0: list, t1: float, cfg: IntegratorConfig,
     """Yield (t, y, K, h) at t0 and at every accepted node after it, ending at t1.
 
     K holds the stages of the step of length h that ended at t, so K[0] is
-    the slope at its start and K[-1] = rhs(t, y); at t0, K holds only that
-    slope and h is 0. The first trial step is min(cfg.max_step, t1 - t0);
-    later steps are capped at ``max_step``.
+    the slope at its start and K[-1] = rhs(y); at t0, K holds only that
+    slope and h is 0. The rhs never sees t, which is tracked only for the
+    nodes and the events. The first trial step is min(cfg.max_step,
+    t1 - t0); later steps are capped at ``max_step``.
     """
     t = t0
     y = y0
     h = min(cfg.max_step, t1 - t0)
-    K = (_slope(rhs, t, y),)
+    K = (_slope(rhs, y),)
     yield t, y, K, 0.0
     while True:
         remaining = t1 - t
@@ -264,7 +261,7 @@ def _steps(rhs: Rhs, t0: float, y0: list, t1: float, cfg: IntegratorConfig,
         h = min(h, remaining)
         if h < MIN_STEP:
             raise StepUnderflow(f"step size {h:.3e} below {MIN_STEP:.0e} at t={t!r}")
-        y_new, K_new, err = _dp5_step(rhs, t, y, K[-1], h)
+        y_new, K_new, err = _dp5_step(rhs, y, K[-1], h)
         enorm = _error_norm(err, y, y_new, cfg)
         if enorm <= 1.0:
             t = t1 if (t1 - (t + h)) <= MIN_STEP else t + h
@@ -278,7 +275,7 @@ def _steps(rhs: Rhs, t0: float, y0: list, t1: float, cfg: IntegratorConfig,
 
 
 def integrate(rhs: Rhs, y0, t_span: tuple[float, float], cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
-    """Integrate ``dy/dt = rhs(t, y)`` over ``t_span``, storing every accepted node.
+    """Integrate ``dy/dt = rhs(y)`` over ``t_span``, storing every accepted node.
 
     Steps, and so the node spacing, are capped at ``cfg.max_step``. Raises
     StepUnderflow if the controller drives the step below MIN_STEP.

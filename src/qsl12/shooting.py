@@ -145,13 +145,6 @@ def _event(cfg: ShotConfig, cos=math.cos, sin=math.sin):
     return x3sq_excess
 
 
-def _rhs(cost: str = "time"):
-    def rhs(t: float, y: list) -> tuple[float, float, float, float]:
-        return lambda3.extremal_rhs(y, cost)
-
-    return rhs
-
-
 def shoot_info(lphi_i: float, ltheta_i: float, cfg: ShotConfig,
                stop: float = math.inf) -> tuple[float | None, str]:
     """Run one shot; return (hit time | None, diagnostic reason).
@@ -162,7 +155,7 @@ def shoot_info(lphi_i: float, ltheta_i: float, cfg: ShotConfig,
     """
     y0 = [0.0, 0.0, lphi_i, ltheta_i]
     try:
-        hit = ode.locate_event(_rhs(), y0, (0.0, cfg.horizon), _event(cfg), cfg.integrator, stop)
+        hit = ode.locate_event(lambda3.extremal_rhs, y0, (0.0, cfg.horizon), _event(cfg), cfg.integrator, stop)
     except SwitchingDegeneracy:
         return None, "switching-degeneracy"
     except PhiSingularity:
@@ -188,7 +181,7 @@ def extremal(opt: Optimum, cfg: ShotConfig) -> tuple[ode.Trajectory, np.ndarray]
     pulses hold one (Omega_p, Omega_s) row of the bang control per node.
     """
     y0 = [0.0, 0.0, opt.lphi_i, opt.ltheta_i]
-    trajectory = ode.integrate(_rhs(), y0, (0.0, opt.t_min), cfg.integrator)
+    trajectory = ode.integrate(lambda3.extremal_rhs, y0, (0.0, opt.t_min), cfg.integrator)
     pulses = np.array([
         lambda3.bang_control(y[0], y[1], y[2], y[3]) for y in trajectory.states
     ])
@@ -218,18 +211,17 @@ def _scan_cells(lphi_vals: np.ndarray, ltheta_vals: np.ndarray, cfg: ShotConfig)
     y = [np.zeros(ids.size), np.zeros(ids.size), np.repeat(lphi_vals, n_th), np.tile(ltheta_vals, lphi_vals.size)]
     hit_times = np.full(ids.size, np.nan)
     event, lane_event = _event(cfg), _event(cfg, np.cos, np.sin)
-    rhs = lambda t, lanes: lambda3.extremal_lanes(lanes)
     n_steps = math.ceil(cfg.horizon / cfg.integrator.max_step)
     h = cfg.horizon / n_steps
     dt = ode._RATE_DT * h
     with np.errstate(all="ignore"):
-        k1 = rhs(0.0, y)
+        k1 = lambda3.extremal_lanes(y)
         e_a, r_a = lane_event(y), ode._rate(lane_event, y, k1, dt)
         for i in range(n_steps):
             if not ids.size:
                 break
             t_a, t_b = i * h, (i + 1) * h
-            y_b, K, err = ode._dp5_step(rhs, t_a, y, k1, h)
+            y_b, K, err = ode._dp5_step(lambda3.extremal_lanes, y, k1, h)
             e_b, r_b = lane_event(y_b), ode._rate(lane_event, y_b, K[-1], dt)
             retired = ~(np.isfinite(y_b).all(axis=0) & (np.abs(err) <= h).all(axis=0))
             flagged = (e_b == 0.0) | ((e_b > 0.0) != (e_a > 0.0)) | (
@@ -421,7 +413,7 @@ def energy_shot(omega0_min: float, opt: Optimum, cfg: ShotConfig) -> float:
     scale = omega0_min / h_norm
     y0 = np.array([0.0, 0.0, scale * opt.lphi_i, scale * opt.ltheta_i])
     hit = ode.locate_event(
-        _rhs("energy"), y0, (0.0, 1.5 * opt.area / omega0_min), _event(cfg), cfg.integrator
+        lambda y: lambda3.extremal_rhs(y, "energy"), y0, (0.0, 1.5 * opt.area / omega0_min), _event(cfg), cfg.integrator
     )
     if hit is None:
         raise NoFeasiblePoint("energy-optimal closed loop missed the target")

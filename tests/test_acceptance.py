@@ -27,7 +27,7 @@ def test_01_two_level_minimum_area():
 
 
 def test_02_two_level_closed_form_matches_ode():
-    rhs = lambda t, eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
+    rhs = lambda eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
     traj = ode.integrate(rhs, [0.0, 0.0, -0.5], (0.0, 10.0))
     dev = float(np.max(np.abs(traj.states[:, 2] - bloch2.analytic_eta3(traj.times))))
     criterion(2, "resonant flow matches tanh^2 law within 1e-8 on [0, 10]",
@@ -40,7 +40,7 @@ def test_03_kerr_lock_invariance():
     for _ in range(100):
         kerr = bloch2.KerrParams(*rng.uniform(-5.0, 5.0, size=3))
 
-        def rhs(t, psi):
+        def rhs(psi):
             eta3 = abs(psi[1]) ** 2 - 0.5 * abs(psi[0]) ** 2
             return bloch2.amplitude_rhs(psi, 1.0, float(bloch2.lock_detuning(eta3, kerr)), kerr)
 

@@ -95,14 +95,14 @@ class TestRhs:
         assert d[1] == pytest.approx(-1j / (2.0 * SQ2))
 
     def test_surface_conserved_along_flow(self):
-        rhs = lambda t, eta: bloch2.bloch_rhs(eta, 1.0, 0.7)
+        rhs = lambda eta: bloch2.bloch_rhs(eta, 1.0, 0.7)
         traj = ode.integrate(rhs, [0.0, 0.0, -0.5], (0.0, 20.0))
         residuals = [abs(bloch2.surface_residual(eta)) for eta in traj.states]
         assert max(residuals) <= 1e-8
 
     def test_norm_conserved_along_amplitude_flow(self):
         k = bloch2.KerrParams(0.8, -0.4, 1.1)
-        rhs = lambda t, psi: bloch2.amplitude_rhs(psi, 1.0, 0.5, k)
+        rhs = lambda psi: bloch2.amplitude_rhs(psi, 1.0, 0.5, k)
         traj = ode.integrate(rhs, np.array([1.0 + 0j, 0.0j]), (0.0, 20.0))
         norms = np.abs(traj.states[:, 0]) ** 2 + 2.0 * np.abs(traj.states[:, 1]) ** 2
         assert np.max(np.abs(norms - 1.0)) <= 1e-9
@@ -115,7 +115,7 @@ class TestClosedForms:
         assert bloch2.analytic_eta3(7.5999) == pytest.approx(0.498, abs=1e-6)
 
     def test_ode_matches_analytic(self):
-        rhs = lambda t, eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
+        rhs = lambda eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
         traj = ode.integrate(rhs, [0.0, 0.0, -0.5], (0.0, 10.0))
         dev = np.abs(traj.states[:, 2] - bloch2.analytic_eta3(traj.times))
         assert np.max(dev) <= 1e-8
@@ -186,7 +186,7 @@ class TestClosedForms:
 
 class TestKerrLock:
     def _locked_inversion_deviation(self, kerr: bloch2.KerrParams, t_end: float = 7.6) -> float:
-        def rhs(t, psi):
+        def rhs(psi):
             eta3 = abs(psi[1]) ** 2 - 0.5 * abs(psi[0]) ** 2
             delta = float(bloch2.lock_detuning(eta3, kerr))
             return bloch2.amplitude_rhs(psi, 1.0, delta, kerr)
@@ -205,7 +205,7 @@ class TestKerrLock:
         # negative control: a constant detuning does not cancel strong shifts
         kerr = bloch2.KerrParams(3.0, -2.0, 4.0)
 
-        def rhs(t, psi):
+        def rhs(psi):
             return bloch2.amplitude_rhs(psi, 1.0, 0.0, kerr)
 
         traj = ode.integrate(rhs, np.array([1.0 + 0j, 0.0j]), (0.0, 7.6))
@@ -220,7 +220,7 @@ class TestCostate:
         # and the amplitude reconstructed from the costate stays omega0
         omega0 = 1.0
 
-        def rhs(t, y):
+        def rhs(y):
             eta, lam = y[:3], y[3:]
             return np.concatenate([
                 bloch2.bloch_rhs(eta, omega0, 0.0),

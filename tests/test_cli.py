@@ -235,6 +235,11 @@ class TestIso:
         assert code == cli.EXIT_ORACLE
         assert "FAIL" in out
 
+    def test_check_missed_shot_exits_no_hit_with_reason(self, capsys):
+        code = cli.main(["iso", "check", "--eps", "0.002", "--costates=0,0"])
+        assert code == cli.EXIT_NO_HIT
+        assert "(switching-degeneracy)" in capsys.readouterr().err
+
     def test_areadiv(self, tmp_path, capsys):
         code, out = run(capsys, "--out", str(tmp_path), "iso", "areadiv",
                         "--eps-list", "0.1,0.05")

@@ -142,6 +142,14 @@ class TestCrossCheck:
         with pytest.raises(shooting.NoFeasiblePoint):
             iso.cross_check(cfg002, costates=(1.85, 0.6))
 
+    @pytest.mark.parametrize("costates, reason", [
+        ((0.0, 0.0), "switching-degeneracy"),
+        ((1.85, 0.0), "no-crossing"),
+    ])
+    def test_missed_shot_names_its_reason(self, cfg002, costates, reason):
+        with pytest.raises(shooting.NoFeasiblePoint, match=rf"horizon 15\.0 at eps 0\.002 \({reason}\)"):
+            iso.cross_check(cfg002, costates=costates)
+
 
 class TestAreaDivergence:
     def test_pump_area_grows_as_accuracy_tightens(self, cfg002):

@@ -97,24 +97,26 @@ class TestCartesianRhs:
         def pulses(t):
             return PulsePair(0.9 * math.sin(1.3 * t) + 0.8, 1.1 * math.cos(0.7 * t) ** 2)
 
-        rhs = lambda t, s: lambda3.xcoordinate_rhs(s, pulses(t))
-        traj = ode.integrate(rhs, [1.0, 0.0, 0.0], (0.0, 20.0))
-        norms = traj.states[:, 0] ** 2 + 2.0 * (traj.states[:, 1] ** 2 + traj.states[:, 2] ** 2)
+        # the flows are autonomous: the open-loop pulses read a clock, y[0]
+        rhs = lambda y: (1.0, *lambda3.xcoordinate_rhs(y[1:], pulses(y[0])))
+        traj = ode.integrate(rhs, [0.0, 1.0, 0.0, 0.0], (0.0, 20.0))
+        norms = traj.states[:, 1] ** 2 + 2.0 * (traj.states[:, 2] ** 2 + traj.states[:, 3] ** 2)
         assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
     def test_angle_and_cartesian_trajectories_agree(self):
         def pulses(t):
             return PulsePair(1.0 + 0.5 * math.sin(t), 0.8 + 0.3 * math.cos(2.0 * t))
 
-        rhs_angles = lambda t, a: np.array(lambda3.angle_rhs(a[0], a[1], pulses(t)))
-        rhs_cart = lambda t, s: lambda3.xcoordinate_rhs(s, pulses(t))
+        # each state carries a clock, y[0], which the open-loop pulses read
+        rhs_angles = lambda y: (1.0, *lambda3.angle_rhs(y[1], y[2], pulses(y[0])))
+        rhs_cart = lambda y: (1.0, *lambda3.xcoordinate_rhs(y[1:], pulses(y[0])))
         # start just off the origin so the angle flow begins in-chart
         a0 = (0.0, 0.0)
         span = (0.0, 6.0)
-        traj_a = ode.integrate(rhs_angles, a0, span)
-        traj_c = ode.integrate(rhs_cart, lambda3.cartesian_from_angles(*a0), span)
-        mapped = np.array([lambda3.cartesian_from_angles(*a) for a in traj_a.states])
-        assert np.allclose(mapped[-1], traj_c.final_state, atol=1e-8)
+        traj_a = ode.integrate(rhs_angles, [0.0, *a0], span)
+        traj_c = ode.integrate(rhs_cart, [0.0, *lambda3.cartesian_from_angles(*a0)], span)
+        mapped = np.array([lambda3.cartesian_from_angles(*a[1:]) for a in traj_a.states])
+        assert np.allclose(mapped[-1], traj_c.final_state[1:], atol=1e-8)
 
 
 class TestCostateRhs:
@@ -243,7 +245,7 @@ class TestExtremalRhs:
 
     def test_parity_of_extremals(self):
         y0 = np.array([0.0, 0.0, 1.85, 0.45266])
-        rhs = lambda t, y: lambda3.extremal_rhs(y)
+        rhs = lambda3.extremal_rhs
         a = ode.integrate(rhs, y0, (0.0, 5.0))
         b = ode.integrate(rhs, -y0, (0.0, 5.0))
         assert np.array_equal(a.states, -b.states)

@@ -7,13 +7,13 @@ from scipy.integrate import solve_ivp
 from qsl12 import bloch2, lambda3, ode
 
 
-def rotation_rhs(t, y):
+def rotation_rhs(y):
     return np.array([-y[1], y[0]])
 
 
 class TestIntegrate:
     def test_zero_field_is_constant(self):
-        traj = ode.integrate(lambda t, y: np.zeros(2), [1.0, 0.0], (0.0, 5.0))
+        traj = ode.integrate(lambda y: np.zeros(2), [1.0, 0.0], (0.0, 5.0))
         assert np.all(traj.states == np.array([1.0, 0.0]))
         assert traj.times[0] == 0.0 and traj.times[-1] == 5.0
 
@@ -24,12 +24,12 @@ class TestIntegrate:
     def test_resonant_two_level_reference_inversion(self):
         # constant resonant pulse from the south pole; the inversion obeys
         # tanh^2(t/2) - 1/2, giving 0.498 at the reference area 7.5999
-        rhs = lambda t, eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
+        rhs = lambda eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
         traj = ode.integrate(rhs, [0.0, 0.0, -0.5], (0.0, 7.5999))
         assert traj.final_state[2] == pytest.approx(0.498, abs=1e-6)
 
     def test_deterministic_bitwise(self):
-        rhs = lambda t, eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
+        rhs = lambda eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
         a = ode.integrate(rhs, [0.0, 0.0, -0.5], (0.0, 3.0))
         b = ode.integrate(rhs, [0.0, 0.0, -0.5], (0.0, 3.0))
         assert np.array_equal(a.times, b.times)
@@ -37,20 +37,20 @@ class TestIntegrate:
 
     def test_against_scipy_oracle(self):
         # independent high-accuracy integrator on the same nonlinear flow
-        rhs = lambda t, eta: bloch2.bloch_rhs(eta, 1.0, 0.3)
+        rhs = lambda eta: bloch2.bloch_rhs(eta, 1.0, 0.3)
         mine = ode.integrate(rhs, [0.0, 0.0, -0.5], (0.0, 6.0)).final_state
-        ref = solve_ivp(rhs, (0.0, 6.0), [0.0, 0.0, -0.5], rtol=1e-12, atol=1e-12).y[:, -1]
+        ref = solve_ivp(lambda t, eta: rhs(eta), (0.0, 6.0), [0.0, 0.0, -0.5], rtol=1e-12, atol=1e-12).y[:, -1]
         assert np.allclose(mine, ref, atol=1e-9)
 
     def test_complex_states_supported(self):
-        rhs = lambda t, y: np.array([1j * y[0]])
+        rhs = lambda y: np.array([1j * y[0]])
         final = ode.integrate(rhs, np.array([1.0 + 0.0j]), (0.0, math.pi)).final_state
         assert abs(final[0] + 1.0) < 1e-9
 
     def test_step_underflow_on_blowup(self):
         # y' = y^2 from y=2 blows up at t = 0.5
         with pytest.raises(ode.StepUnderflow):
-            ode.integrate(lambda t, y: [v * v for v in y], [2.0], (0.0, 1.0))
+            ode.integrate(lambda y: [v * v for v in y], [2.0], (0.0, 1.0))
 
     def test_reversed_span_rejected(self):
         with pytest.raises(ValueError):
@@ -66,7 +66,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("y0", [1.0, [], [[1.0, 0.0]]])
     def test_state_must_be_a_non_empty_vector(self, y0):
         with pytest.raises(ValueError):
-            ode.integrate(lambda t, y: y, y0, (0.0, 1.0))
+            ode.integrate(lambda y: y, y0, (0.0, 1.0))
 
 
 class TestContract:
@@ -82,7 +82,7 @@ class TestContract:
         scalar = complex if dtype == np.complex128 else float
         seen = []
 
-        def rhs(t, y):
+        def rhs(y):
             seen.append(y)
             return [-y[1], y[0]]
 
@@ -109,17 +109,17 @@ class TestContract:
             seen.append(y)
             return 1e-6 - (y[0] - 0.735) ** 2
 
-        hit = ode.locate_event(lambda t, y: [1.0], [0.0], (0.0, 2.0), event)
+        hit = ode.locate_event(lambda y: [1.0], [0.0], (0.0, 2.0), event)
         assert hit is not None and hit.t == pytest.approx(0.734, abs=1e-9)
         assert all(type(y) is list and type(y[0]) is float for y in seen)
 
     @pytest.mark.parametrize("kind", [list, tuple, np.array])
     def test_slope_of_any_sequence_gives_identical_results(self, kind):
-        def reference(t, y):
+        def reference(y):
             return [-y[1] + 0.1 * y[0] * y[0], y[0]]
 
-        def rhs(t, y):
-            return kind(reference(t, y))
+        def rhs(y):
+            return kind(reference(y))
 
         def event(y):
             return y[0] + 0.5
@@ -138,9 +138,9 @@ class TestContract:
     def test_rhs_of_wrong_length_rejected(self):
         for slope in (np.zeros(3), (0.0, 0.0, 0.0), (0.0,), [0.0]):
             with pytest.raises(ValueError):
-                ode.integrate(lambda t, y: slope, [1.0, 0.0], (0.0, 1.0))
+                ode.integrate(lambda y: slope, [1.0, 0.0], (0.0, 1.0))
             with pytest.raises(ValueError):
-                ode.locate_event(lambda t, y: slope, [1.0, 0.0], (0.0, 1.0), lambda y: y[0] + 2.0)
+                ode.locate_event(lambda y: slope, [1.0, 0.0], (0.0, 1.0), lambda y: y[0] + 2.0)
 
     @pytest.mark.parametrize("n", [1, 3, 4, 7, 8, 11, 14])
     def test_error_norm_matches_array_form(self, n):
@@ -165,13 +165,13 @@ class TestNonFiniteRhs:
 
     @staticmethod
     def rhs_turning(bad):
-        # finite until t = 0.5, non-finite after
-        return lambda t, y: np.array([bad if t > 0.5 else 1.0, 0.0])
+        # y[0] has slope 1, so it is the clock: finite until t = 0.5, non-finite after
+        return lambda y: np.array([bad if y[0] > 0.5 else 1.0, 0.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("from_start", [True, False])
     def test_step_underflow(self, bad, from_start):
-        rhs = (lambda t, y: np.full(2, bad)) if from_start else self.rhs_turning(bad)
+        rhs = (lambda y: np.full(2, bad)) if from_start else self.rhs_turning(bad)
         with pytest.raises(ode.StepUnderflow):
             ode.integrate(rhs, [0.0, 0.0], (0.0, 1.0))
         with pytest.raises(ode.StepUnderflow):
@@ -201,7 +201,7 @@ class TestConfigAndTrajectory:
 
 class TestLocateEvent:
     def test_two_level_equator_crossing(self):
-        rhs = lambda t, eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
+        rhs = lambda eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
         hit = ode.locate_event(rhs, [0.0, 0.0, -0.5], (0.0, 5.0), lambda eta: eta[2])
         # closed form: the inversion reaches 0 at 2 atanh(sqrt(1/2))
         assert hit is not None
@@ -210,7 +210,7 @@ class TestLocateEvent:
         assert hit.trajectory.times[-1] == hit.t
 
     def test_no_sign_change_returns_none(self):
-        rhs = lambda t, eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
+        rhs = lambda eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
         assert ode.locate_event(rhs, [0.0, 0.0, -0.5], (0.0, 1.0), lambda eta: eta[2] - 0.4) is None
 
     @staticmethod
@@ -225,7 +225,7 @@ class TestLocateEvent:
         # interpolant with no further rhs call.
         calls = 0
 
-        def rhs(t, y):
+        def rhs(y):
             nonlocal calls
             calls += 1
             return lambda3.extremal_rhs(y)
@@ -239,7 +239,7 @@ class TestLocateEvent:
     def test_grazing_reference_hit_at_any_step_cap(self, max_step):
         # |x3|^2 exceeds the target only inside a window ~0.012 wide, so the
         # hit must come from the graze check, whatever the first trial step
-        rhs = lambda t, y: lambda3.extremal_rhs(y)
+        rhs = lambda3.extremal_rhs
         y0 = [0.0, 0.0, 1.85, 0.45266]
         reference = ode.locate_event(rhs, y0, (0.0, 15.0), self.x3sq_excess)
         cfg = ode.IntegratorConfig(max_step=max_step)
@@ -250,7 +250,7 @@ class TestLocateEvent:
     def test_graze_between_nodes(self):
         # y' = 1 has zero local error, so steps grow fivefold and no node
         # lands in the window |y - 0.735| < 1e-3 where the event is positive
-        rhs = lambda t, y: np.ones(1)
+        rhs = lambda y: np.ones(1)
         hit = ode.locate_event(rhs, [0.0], (0.0, 2.0), lambda y: 1e-6 - (y[0] - 0.735) ** 2)
         assert hit is not None
         assert hit.t == pytest.approx(0.734, abs=1e-9)
@@ -260,7 +260,7 @@ class TestLocateEvent:
         # the total transferred population (1 - x1^2)/2 dips through its
         # threshold early (x1 itself crosses zero mid-flight), so its first
         # crossing precedes the |x3|^2 target hit
-        rhs = lambda t, y: lambda3.extremal_rhs(y)
+        rhs = lambda3.extremal_rhs
 
         def transferred(y):
             x1 = math.cos(y[0]) * math.cos(y[1])
@@ -273,7 +273,7 @@ class TestLocateEvent:
     def test_crossing_just_after_a_node(self):
         # the event is a hair below zero at an accepted node; the hit must
         # not repeat that node's time
-        rhs = lambda t, y: np.ones(1)
+        rhs = lambda y: np.ones(1)
         search = ode.locate_event(rhs, [0.0], (0.0, 1.0), lambda y: y[0] - 0.9).trajectory
         node = search.states[3, 0]  # accepted by the search itself, at t = 0.31
         assert node == pytest.approx(0.31, abs=1e-12)
@@ -284,14 +284,14 @@ class TestLocateEvent:
         assert hit.trajectory.times[-1] == hit.t
 
     def test_event_zero_at_start(self):
-        rhs = lambda t, eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
+        rhs = lambda eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
         hit = ode.locate_event(rhs, [0.0, 0.0, -0.5], (0.0, 1.0), lambda eta: eta[2] + 0.5)
         assert hit is not None and hit.t == 0.0
 
     def test_stop_keeps_the_full_hit(self):
         # the steps do not depend on stop, so a search stopped anywhere from
         # inside the hitting step on returns the full search's hit
-        rhs = lambda t, y: lambda3.extremal_rhs(y)
+        rhs = lambda3.extremal_rhs
         y0 = [0.0, 0.0, 1.85, 0.45266]
         full = ode.locate_event(rhs, y0, (0.0, 15.0), self.x3sq_excess)
         last_node = full.trajectory.times[-2]
@@ -305,7 +305,7 @@ class TestLocateEvent:
     def test_stop_before_the_hit_ends_the_search(self):
         calls = 0
 
-        def rhs(t, y):
+        def rhs(y):
             nonlocal calls
             calls += 1
             return lambda3.extremal_rhs(y)
@@ -317,7 +317,7 @@ class TestLocateEvent:
         assert 0 < calls < full_calls
 
     def test_hit_time_stable_under_step_halving(self):
-        rhs = lambda t, eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
+        rhs = lambda eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
         cfg = ode.IntegratorConfig()
         half = ode.IntegratorConfig(max_step=cfg.max_step / 2)
         t1 = ode.locate_event(rhs, [0.0, 0.0, -0.5], (0.0, 5.0), lambda eta: eta[2], cfg).t

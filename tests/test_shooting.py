@@ -46,6 +46,25 @@ class TestShoot:
         assert t is None
         assert reason in ("no-crossing", "phi-singularity", "step-underflow")
 
+    def test_shot_and_extremal_pass_the_rhs_itself(self, cfg002, monkeypatch):
+        # the integrator calls rhs(y), so no adapter stands between it and
+        # the extremal flow
+        seen = []
+        locate_event, integrate = shooting.ode.locate_event, shooting.ode.integrate
+
+        def recorded(fn):
+            def wrapper(rhs, *args, **kwargs):
+                seen.append(rhs)
+                return fn(rhs, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(shooting.ode, "locate_event", recorded(locate_event))
+        monkeypatch.setattr(shooting.ode, "integrate", recorded(integrate))
+        t, _ = shooting.shoot_info(1.85, 0.45266, cfg002)
+        shooting.extremal(shooting.Optimum(1.85, 0.45266, t), cfg002)
+        assert len(seen) == 2
+        assert all(rhs is lambda3.extremal_rhs for rhs in seen)
+
     def test_parity(self, cfg002):
         t_pos = shooting.shoot(1.85, 0.45266, cfg002)
         t_neg = shooting.shoot(-1.85, -0.45266, cfg002)
@@ -123,6 +142,18 @@ class TestLandscape:
         monkeypatch.setattr(shooting.ode, "GRAZE_MARGIN", math.inf)
         searched = shooting.landscape((-2.0, 2.0), (-2.0, 2.0), 12, cfg005, workers=1)
         assert np.array_equal(screened.times, searched.times, equal_nan=True)
+
+    def test_lanes_step_on_the_lane_flow_itself(self, cfg005, monkeypatch):
+        seen = set()
+        dp5_step = shooting.ode._dp5_step
+
+        def recorded(rhs, *args):
+            seen.add(rhs)
+            return dp5_step(rhs, *args)
+
+        monkeypatch.setattr(shooting.ode, "_dp5_step", recorded)
+        shooting.landscape((1.85, 1.85), (0.7, 0.7), (1, 1), cfg005, workers=1)
+        assert seen == {lambda3.extremal_lanes}
 
     def test_origin_only_grid_is_empty(self, cfg005):
         grid = shooting.landscape((0.0, 0.0), (0.0, 0.0), (1, 1), cfg005)
