@@ -12,9 +12,12 @@ a chosen ray is refined in the initial lambda_theta at fixed lambda_phi: a
 coarse scan of shots along the guess's ray, then Brent's method from the
 fastest probe. A shot that finds no hit counts as an infinite time. The
 result is the fastest branch the scan meets, so the guess must lie within a
-factor of 16 of the optimum. Each probe stops at the fastest hit of the
-probes before it, since past that time it cannot become the fastest; the
-steps it takes are the full shot's, so the optimum does not depend on this.
+factor of 16 of the optimum. Each shot stops where its time can no longer
+change the result: a probe at the fastest hit of the probes before it, a
+shot of Brent's method (Brent 1973, ch. 5; the loop copies scipy 1.17.1's)
+at the slowest of its three best points while those are distinct. The
+steps a shot takes are the full shot's, so the optimum does not depend on
+this.
 
 An optimum is its initial costates and its hit time. Only the exports that
 show the optimal pulse sequence integrate its path, with ``extremal``.
@@ -29,7 +32,6 @@ from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import lambda3, ode
 from .lambda3 import PhiSingularity, SwitchingDegeneracy
@@ -59,7 +61,8 @@ START_RAY = (1.85, 0.9)
 
 
 class NoConvergence(RuntimeError):
-    """The Brent search did not converge within its iteration budget."""
+    """The Brent search found no valid bracket, ran out of iterations, or
+    ended on NaN."""
 
 
 class NoFeasiblePoint(RuntimeError):
@@ -289,6 +292,135 @@ def landscape(
 REFINE_XTOL = 1e-6
 
 
+@np.errstate(invalid="ignore")  # an inf in Brent's parabola gives nan
+def _brent(f, xa, xb):
+    """Minimize ``f(x, stop)`` by Brent's method from the start points xa, xb.
+
+    A copy of ``bracket`` and ``Brent.optimize`` in scipy 1.17.1
+    (``scipy/optimize/_optimize.py``), the method of Brent, *Algorithms for
+    Minimization without Derivatives* (1973), ch. 5: the same operations in
+    the same order on the same numpy scalars, to the relative tolerance
+    REFINE_XTOL, so it evaluates scipy's points bit for bit. It adds
+    ``stop``: ``f`` may return +inf at a point whose value exceeds ``stop``,
+    because there +inf and the true value take the same branch. That holds
+    for the first extrapolated point of the bracket at ``fb``, and for a
+    Brent point at the largest of fx, fw and fv while x, w and v are three
+    distinct points: a larger value only narrows [a, b], and neither w nor
+    v takes it. Every other point gets ``stop`` = +inf.
+
+    Returns the best point and the value ``f`` gave there; raises
+    NoConvergence naming the failed condition: no valid bracket, 500
+    iterations, or a NaN result.
+    """
+    # scipy's bracket: walk downhill from (xa, xb) to three points around a minimum
+    _gold, _verysmall_num, grow_limit = 1.618034, 1e-21, 110.0
+    xa, xb = np.asarray([xa, xb])
+    fa = f(xa, math.inf)
+    fb = f(xb, math.inf)
+    if fa < fb:
+        xa, xb, fa, fb = xb, xa, fb, fa
+    xc = xb + _gold * (xb - xa)
+    fc = f(xc, fb)  # above fb the walk ends at once, and Brent never reads fc
+    n_iter = 0
+    while fc < fb:
+        tmp1 = (xb - xa) * (fb - fc)
+        tmp2 = (xb - xc) * (fb - fa)
+        val = tmp2 - tmp1
+        denom = 2.0 * _verysmall_num if np.abs(val) < _verysmall_num else 2.0 * val
+        w = xb - ((xb - xc) * tmp2 - (xb - xa) * tmp1) / denom
+        wlim = xb + grow_limit * (xc - xb)
+        if n_iter > 1000:
+            raise NoConvergence("no valid bracket within 1000 expansions")
+        n_iter += 1
+        if (w - xc) * (xb - w) > 0.0:
+            fw = f(w, math.inf)
+            if fw < fc:
+                xa, xb, fa, fb = xb, w, fb, fw
+                break
+            elif fw > fb:
+                xc, fc = w, fw
+                break
+            w = xc + _gold * (xc - xb)
+            fw = f(w, math.inf)
+        elif (w - wlim) * (wlim - xc) >= 0.0:
+            w = wlim
+            fw = f(w, math.inf)
+        elif (w - wlim) * (xc - w) > 0.0:
+            fw = f(w, math.inf)
+            if fw < fc:
+                xb, xc = xc, w
+                w = xc + _gold * (xc - xb)
+                fb, fc = fc, fw
+                fw = f(w, math.inf)
+        else:
+            w = xc + _gold * (xc - xb)
+            fw = f(w, math.inf)
+        xa, xb, xc = xb, xc, w
+        fa, fb, fc = fb, fc, fw
+    cond1 = (fb < fc and fb <= fa) or (fb < fa and fb <= fc)
+    cond2 = xa < xb < xc or xc < xb < xa
+    cond3 = np.isfinite(xa) and np.isfinite(xb) and np.isfinite(xc)
+    if not (cond1 and cond2 and cond3):
+        raise NoConvergence("no valid bracket")
+
+    # scipy's Brent.optimize, from the bracket's middle point
+    _mintol, _cg = 1.0e-11, 0.3819660
+    x = w = v = xb
+    fw = fv = fx = fb
+    a, b = (xa, xc) if xa < xc else (xc, xa)
+    deltax = 0.0
+    n_iter = 0
+    while n_iter < 500:
+        tol1 = REFINE_XTOL * np.abs(x) + _mintol
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if np.abs(x - xmid) < (tol2 - 0.5 * (b - a)):
+            break
+        if np.abs(deltax) <= tol1:  # golden section step
+            deltax = (a - x) if x >= xmid else (b - x)
+            rat = _cg * deltax
+        else:  # parabolic step
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            if tmp2 > 0.0:
+                p = -p
+            tmp2 = np.abs(tmp2)
+            dx_temp = deltax
+            deltax = rat
+            if (p > tmp2 * (a - x)) and (p < tmp2 * (b - x)) and (np.abs(p) < np.abs(0.5 * tmp2 * dx_temp)):
+                rat = p * 1.0 / tmp2
+                u = x + rat
+                if (u - a) < tol2 or (b - u) < tol2:
+                    rat = tol1 if xmid - x >= 0 else -tol1
+            else:
+                deltax = (a - x) if x >= xmid else (b - x)
+                rat = _cg * deltax
+        if np.abs(rat) < tol1:  # move by at least tol1
+            u = (x + tol1) if rat >= 0 else (x - tol1)
+        else:
+            u = x + rat
+        # above fx, fw and fv, fu only narrows [a, b], unless a tie lets w or v take it
+        fu = f(u, math.inf if w == x or v == x or v == w else max(fx, fw, fv))
+        if fu > fx:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        else:
+            a, b = (x, b) if u >= x else (a, x)
+            v, w, x = w, x, u
+            fv, fw, fx = fw, fx, fu
+        n_iter += 1
+    if np.isnan(x) or np.isnan(fx):
+        raise NoConvergence("the result is NaN")
+    if n_iter >= 500:
+        raise NoConvergence("500 iterations without reaching the tolerance")
+    return x, fx
+
+
 def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     """Minimize the hit time over the initial lambda_theta at fixed lambda_phi.
 
@@ -303,10 +435,15 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     Each probe stops at the fastest hit of the probes before it and then
     counts as +inf: its true time is no less, so it cannot be the first
     fastest probe. Such a stopped probe is not remembered; should Brent ask
-    for its point, it is shot again in full. Brent's shots are never
-    stopped, so the optimum is the one of unbounded probes, bit for bit.
-    Non-finite costates raise ValueError before the first shot; when no
-    probe hits, NoFeasiblePoint tallies why.
+    for its point, it is shot again in full. Brent's method is ``_brent``,
+    a copy of scipy 1.17.1's after Brent (1973), ch. 5: it stops its first
+    extrapolated point at the slower start point's time, and each later
+    shot at the largest of fx, fw and fv while x, w and v are distinct,
+    where a stopped shot and its true time take the same branch. So the
+    optimum is that of unbounded shots, bit for bit. Non-finite costates
+    raise ValueError before the first shot; when no probe hits,
+    NoFeasiblePoint tallies why, and when Brent fails, NoConvergence names
+    the failed condition, the eps and the horizon.
     """
     if not (math.isfinite(lphi_i) and math.isfinite(ltheta_guess)):
         raise ValueError(f"costates must be finite, got ({lphi_i!r}, {ltheta_guess!r})")
@@ -336,19 +473,14 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
             f" ltheta_i ~ {ltheta_guess!r} (the {len(probes)} probes: {tally})"
         )
     neighbour = best - 1 if best > 0 else best + 1
-    with np.errstate(invalid="ignore"):  # an inf in Brent's parabola gives nan
-        result = minimize_scalar(
-            lambda x: shot(x)[0],
-            bracket=(probes[neighbour], probes[best]),
-            method="brent",
-            options={"xtol": REFINE_XTOL},
-        )
-    if not result.success:
-        raise NoConvergence(f"Brent search did not converge: {result.message}")
-    ltheta_i = float(result.x)
-    if ltheta_i not in memo:
-        raise RuntimeError(f"Brent returned ltheta_i = {ltheta_i!r}, which it never shot")
-    return Optimum(lphi_i, ltheta_i, memo[ltheta_i][0])
+    try:
+        ltheta_i, t_min = _brent(lambda x, stop: shot(x, stop)[0], probes[neighbour], probes[best])
+    except NoConvergence as exc:
+        raise NoConvergence(
+            f"Brent search did not converge within the horizon {cfg.horizon!r} at eps {cfg.eps!r}"
+            f" near ltheta_i ~ {ltheta_guess!r}: {exc}"
+        ) from None
+    return Optimum(lphi_i, float(ltheta_i), t_min)
 
 
 def _optima_along_eps(eps_values: np.ndarray, cfg: ShotConfig, lphi_i: float) -> list[Optimum]:

@@ -213,6 +213,14 @@ class TestThreeLevel:
         assert code == cli.EXIT_NO_CONVERGENCE
         assert "no convergence" in capsys.readouterr().err
 
+    def test_optimize_flat_landscape_exits_4_with_reason(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(shooting, "shoot_info", lambda *args: (7.0, "hit"))
+        code = cli.main(["--out", str(tmp_path), "three-level", "optimize", "--eps", "0.005"])
+        assert code == cli.EXIT_NO_CONVERGENCE
+        err = capsys.readouterr().err
+        assert "no valid bracket" in err and "eps 0.005" in err
+        assert not any(tmp_path.iterdir())
+
     def test_energy(self, capsys):
         code, out = run(capsys, "three-level", "energy", "--T", "10", "--eps", "0.005")
         assert code == 0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy.optimize import minimize_scalar
 
 from qsl12 import bloch2, lambda3, shooting
 from qsl12.shooting import ShotConfig
@@ -211,8 +211,9 @@ class TestRefine:
         assert len(shots) <= 36
 
     def test_rhs_budget(self, cfg002, monkeypatch):
-        # probes stop at the fastest earlier hit; unbounded, this refinement
-        # takes 129 848 calls
+        # probes stop at the fastest earlier hit and Brent's shots where their
+        # time cannot change its course; with unbounded probes this refinement
+        # takes 129 848 calls, with bounded probes and unbounded Brent 86 936
         calls = 0
         extremal_rhs = lambda3.extremal_rhs
 
@@ -224,13 +225,33 @@ class TestRefine:
         monkeypatch.setattr(lambda3, "extremal_rhs", counted)
         opt = shooting.refine(1.85, 0.9, cfg002)
         assert opt.t_min == pytest.approx(7.40, abs=0.02)
-        assert calls <= 90_000
+        assert calls <= 50_000
 
     @pytest.mark.parametrize("eps, guess", [(0.002, 0.9), (0.005, 0.7), (0.002, 1.2)])
     def test_bounded_probes_keep_the_optimum(self, eps, guess, monkeypatch):
-        # some probes stop early, yet the optimum is that of probes run to
-        # the horizon, field for field
+        # some shots stop early, yet the refinement shoots the points of shots
+        # run to the horizon and returns their optimum, field for field
         cfg = ShotConfig(eps=eps)
+        shots = []
+        shoot_info = shooting.shoot_info
+
+        def recorded(lphi_i, ltheta_i, cfg, stop=math.inf):
+            result = shoot_info(lphi_i, ltheta_i, cfg, stop)
+            shots.append((ltheta_i, result[1]))
+            return result
+
+        monkeypatch.setattr(shooting, "shoot_info", recorded)
+        bounded = shooting.refine(1.85, guess, cfg)
+        bounded_shots = shots[:]
+        shots.clear()
+        assert "beyond-bound" in [reason for _, reason in bounded_shots]
+        monkeypatch.setattr(shooting, "shoot_info",
+                            lambda lphi_i, ltheta_i, cfg, stop=math.inf: recorded(lphi_i, ltheta_i, cfg))
+        assert bounded == shooting.refine(1.85, guess, cfg)
+        assert [x for x, _ in bounded_shots] == [x for x, _ in shots]
+
+    def test_brent_shots_stop_too(self, cfg002, monkeypatch):
+        # past the 13 probes, Brent's own shots at slow points end early
         reasons = []
         shoot_info = shooting.shoot_info
 
@@ -240,11 +261,8 @@ class TestRefine:
             return result
 
         monkeypatch.setattr(shooting, "shoot_info", recorded)
-        bounded = shooting.refine(1.85, guess, cfg)
-        assert "beyond-bound" in reasons
-        monkeypatch.setattr(shooting, "shoot_info",
-                            lambda lphi_i, ltheta_i, cfg, stop=math.inf: shoot_info(lphi_i, ltheta_i, cfg))
-        assert bounded == shooting.refine(1.85, guess, cfg)
+        shooting.refine(1.85, 0.9, cfg002)
+        assert "beyond-bound" in reasons[13:]
 
     def test_stopped_probe_is_shot_again_in_full(self, monkeypatch):
         # on this landscape the second probe is slower than the first, so it
@@ -305,14 +323,6 @@ class TestRefine:
         curve = shooting.area_curve([0.1, 0.05], cfg002)
         assert np.all(np.isfinite(curve[:, 1]))
 
-    def test_unshot_brent_result_fails_loudly(self, monkeypatch):
-        def minimize_scalar(fun, **kwargs):
-            return OptimizeResult(x=0.123456789, success=True)
-
-        monkeypatch.setattr(shooting, "minimize_scalar", minimize_scalar)
-        with pytest.raises(RuntimeError, match="never shot"):
-            shooting.refine(1.85, 0.7, ShotConfig(eps=0.005))
-
     def test_hopeless_guess_raises(self):
         cfg = ShotConfig(eps=0.002, horizon=2.0)  # no transfer fits in 2 time units
         with pytest.raises(shooting.NoFeasiblePoint, match="13 no-crossing"):
@@ -323,11 +333,125 @@ class TestRefine:
         with pytest.raises(shooting.NoFeasiblePoint, match="13 step-underflow"):
             shooting.refine(1.85, 0.5, ShotConfig(eps=0.002, integrator=integrator))
 
+    def test_flat_landscape_fails_to_bracket(self, monkeypatch):
+        # every shot hits at the same time: no three points bracket a minimum
+        monkeypatch.setattr(shooting, "shoot_info", lambda *args: (7.0, "hit"))
+        with pytest.raises(shooting.NoConvergence) as err:
+            shooting.refine(1.85, 0.7, ShotConfig(eps=0.005))
+        message = str(err.value)
+        assert "no valid bracket" in message
+        assert "eps 0.005" in message and "horizon 15.0" in message
+
     def test_failure_names_eps_and_horizon(self):
         # the last point of a continuation that runs out of horizon
         with pytest.raises(shooting.NoFeasiblePoint) as err:
             shooting.refine(1.85, 0.45, ShotConfig(eps=0.002, horizon=7.0))
         assert "eps 0.002" in str(err.value) and "horizon 7.0" in str(err.value)
+
+
+def _valley(x):
+    # asymmetric, with a +inf plateau where no shot hits
+    return math.inf if x < 0.1 else 7.0 + 40.0 * abs(x - 0.3) ** 1.5
+
+
+def _steep_valley(x):
+    # eleven times steeper right of its minimum than left of it
+    return 7.0 + abs(x - 0.3) ** 1.5 * (11.0 if x > 0.3 else 1.0)
+
+
+def _brent_against_scipy(g, xa, xb, honour_stop=False):
+    """Run ``shooting._brent`` and scipy's Brent on ``g`` from the start
+    points (xa, xb), and check that both evaluate the same points and return
+    the same result. With ``honour_stop``, a point of ``_brent`` whose value
+    exceeds its ``stop`` gets +inf, as a stopped shot does. Returns the
+    result, the points and the number of points stopped."""
+    ours, theirs, stopped = [], [], []
+
+    def f_ours(x, stop):
+        ours.append(x)
+        if honour_stop and g(x) > stop:
+            stopped.append(x)
+            return math.inf
+        return g(x)
+
+    def f_theirs(x):
+        theirs.append(x)
+        return g(x)
+
+    x, fx = shooting._brent(f_ours, xa, xb)
+    with np.errstate(invalid="ignore"):
+        res = minimize_scalar(f_theirs, bracket=(xa, xb), method="brent",
+                              options={"xtol": shooting.REFINE_XTOL})
+    assert res.success
+    assert float.hex(float(x)) == float.hex(float(res.x))
+    assert float.hex(float(fx)) == float.hex(float(res.fun))
+    assert len(ours) == res.nfev
+    assert [float.hex(float(u)) for u in ours] == [float.hex(float(u)) for u in theirs]
+    return x, fx, ours, len(stopped)
+
+
+class TestBrent:
+    """``shooting._brent`` is scipy's Brent point for point; should scipy
+    change its Brent, these tests say so."""
+
+    def test_parabola(self):
+        _brent_against_scipy(lambda x: 7.0 + (x - 0.3) ** 2, 0.2, 0.35)
+
+    @pytest.mark.parametrize("xa, xb", [(0.05, 0.25), (0.9, 0.8)])
+    def test_valley_with_infinite_plateau(self, xa, xb):
+        _, _, points, _ = _brent_against_scipy(_valley, xa, xb)
+        assert any(math.isinf(_valley(u)) for u in points)
+
+    def test_bracket_expands(self):
+        # downhill from (0, 0.1), the first extrapolated point 0.26 still falls
+        _, _, points, _ = _brent_against_scipy(lambda x: (x - 5.0) ** 2, 0.0, 0.1)
+        assert max(points) > 5.0
+
+    @pytest.mark.parametrize("g, xa, xb", [(_valley, 0.05, 0.25), (_steep_valley, -1.0, -0.9)])
+    def test_stops_skip_work_only(self, g, xa, xb):
+        # stopped points read +inf in place of their finite values, yet the
+        # loop evaluates scipy's points; on the steep valley, a stop that
+        # left out any one of the ties w == x, v == x, v == w would not
+        *_, n_stopped = _brent_against_scipy(g, xa, xb, honour_stop=True)
+        assert n_stopped > 0
+
+    @pytest.mark.parametrize("eps, guess", [(0.002, 0.9), (0.005, 0.7)])
+    def test_refine_shot(self, eps, guess, monkeypatch):
+        # Brent's start points and objective in a refinement, run once more
+        # with every shot in full, give the refinement's optimum
+        calls = []
+        brent = shooting._brent
+
+        def captured(f, xa, xb):
+            calls.append((f, xa, xb))
+            return brent(f, xa, xb)
+
+        monkeypatch.setattr(shooting, "_brent", captured)
+        opt = shooting.refine(1.85, guess, ShotConfig(eps=eps))
+        (f, xa, xb), = calls
+        x, fx, _, _ = _brent_against_scipy(lambda x: f(x, math.inf), xa, xb)
+        assert (opt.ltheta_i, opt.t_min) == (float(x), fx)
+
+    def test_no_valid_bracket(self):
+        # scipy reports success=False; the loop raises and names the condition
+        res = minimize_scalar(lambda x: 7.0, bracket=(0.1, 0.2), method="brent")
+        assert not res.success and "valid bracket" in res.message
+        with pytest.raises(shooting.NoConvergence, match="no valid bracket"):
+            shooting._brent(lambda x, stop: 7.0, 0.1, 0.2)
+
+    def test_nan_result(self):
+        # finite over the bracket, NaN at every point Brent shoots after it
+        def g(x, points):
+            points.append(x)
+            return (x - 0.3) ** 2 if len(points) <= 3 else math.nan
+
+        ours, theirs = [], []
+        res = minimize_scalar(lambda x: g(x, theirs), bracket=(0.2, 0.35), method="brent",
+                              options={"xtol": shooting.REFINE_XTOL})
+        assert not res.success and "NaN" in res.message
+        with pytest.raises(shooting.NoConvergence, match="NaN"):
+            shooting._brent(lambda x, stop: g(x, ours), 0.2, 0.35)
+        assert ours == theirs
 
 
 class TestExtremalInvariants:
