@@ -7,17 +7,17 @@ Because the bang control depends only on the direction of (H1, H2), the hit
 time is invariant under positive rescaling of the initial costate pair: the
 optima form straight rays through the origin of the costate plane.
 
-The transfer-time landscape over initial costates is scanned on a grid, and
-a chosen ray is refined in the initial lambda_theta at fixed lambda_phi: a
-coarse scan of shots along the guess's ray, then Brent's method from the
-fastest probe. A shot that finds no hit counts as an infinite time. The
-result is the fastest branch the scan meets, so the guess must lie within a
-factor of 16 of the optimum. Each shot stops where its time can no longer
-change the result: a probe at the fastest hit of the probes before it, a
-shot of Brent's method (Brent 1973, ch. 5; the loop copies scipy 1.17.1's)
-at the slowest of its three best points while those are distinct. The
-steps a shot takes are the full shot's, so the optimum does not depend on
-this.
+The transfer-time landscape over initial costates is scanned on a grid, one
+unit-norm lane per lattice ray of the grid, and a chosen ray is refined in
+the initial lambda_theta at fixed lambda_phi: a coarse scan of shots along
+the guess's ray, then Brent's method from the fastest probe. A shot that
+finds no hit counts as an infinite time. The result is the fastest branch
+the scan meets, so the guess must lie within a factor of 16 of the optimum.
+Each shot stops where its time can no longer change the result: a probe at
+the fastest hit of the probes before it, a shot of Brent's method (Brent
+1973, ch. 5; the loop copies scipy 1.17.1's) at the slowest of its three
+best points while those are distinct. The steps a shot takes are the full
+shot's, so the optimum does not depend on this.
 
 An optimum is its initial costates and its hit time. Only the exports that
 show the optimal pulse sequence integrate its path, with ``extremal``.
@@ -43,7 +43,6 @@ __all__ = [
     "NoConvergence",
     "NoFeasiblePoint",
     "InsufficientData",
-    "shoot",
     "shoot_info",
     "extremal",
     "landscape",
@@ -170,11 +169,6 @@ def shoot_info(lphi_i: float, ltheta_i: float, cfg: ShotConfig,
     return hit.t, "hit"
 
 
-def shoot(lphi_i: float, ltheta_i: float, cfg: ShotConfig) -> float | None:
-    """Hit time of the target for the given initial costates, or None."""
-    return shoot_info(lphi_i, ltheta_i, cfg)[0]
-
-
 def extremal(opt: Optimum, cfg: ShotConfig) -> tuple[ode.Trajectory, np.ndarray]:
     """The extremal of ``opt`` up to its hit time, and the pulses along it.
 
@@ -194,7 +188,22 @@ def extremal(opt: Optimum, cfg: ShotConfig) -> tuple[ode.Trajectory, np.ndarray]
 # ---------------------------------------------------------------------------
 # Landscape scan.
 #
-# Every cell is a shot run on the shots' own machinery, side by side with
+# The hit time depends only on the ray of the initial costates, and lambda
+# and -lambda give the same time, so the scan integrates one unit-norm lane
+# per lattice ray and scatters each lane's time back to the cells of its
+# ray. On an axis whose range is symmetric about 0, cell k lies at
+# p * hi / (n - 1) with the integer p = 2k - (n - 1), so two cells share a
+# ray when their pairs (p, q) / gcd(|p|, |q|) agree up to sign; the lane
+# starts at the unit vector along (p, q * r), where
+# r = (hi_theta / (n_theta - 1)) / (hi_phi / (n_phi - 1)) is 1.0 when both
+# axes are alike, so a grid's lanes do not depend on its scale. A grid with
+# an axis that is not symmetric has one lane per cell, along the cell's own
+# costates; a zero cell keeps zero costates, and its time stays NaN.
+# A cell's time is its ray's: against a lane at the cell's own costates it
+# moves in the trailing digits (by at most 5e-12 on the 60x60 grid over
+# +-3 at eps 0.002), and the hit set stays the same.
+#
+# Every lane is a shot run on the shots' own machinery, side by side with
 # the others: the lanes hold the state as a list of four arrays, which
 # ``ode._dp5_step`` steps unchanged on ``lambda3.extremal_lanes`` at the
 # fixed step h = horizon / ceil(horizon / max_step). A numpy screen flags
@@ -203,15 +212,56 @@ def extremal(opt: Optimum, cfg: ShotConfig) -> tuple[ode.Trajectory, np.ndarray]
 # ``ode._crossing`` decides each flagged lane with the shots' event and
 # ``ode.EVENT_TOL``. A lane retires at its hit, and as NaN when its state
 # goes non-finite or its step error estimate exceeds h: a fixed step can
-# step over the tan(phi) blow-up to a hit no shot has. Lanes never mix, so a
-# chunked parallel run reproduces the serial matrix exactly.
+# step over the tan(phi) blow-up to a hit no shot has. On unit-norm lanes
+# that rule does not depend on the costates' scale. Lanes never mix, so a
+# parallel run over chunks of lanes reproduces the serial grid exactly.
 # ---------------------------------------------------------------------------
 
 
-def _scan_cells(lphi_vals: np.ndarray, ltheta_vals: np.ndarray, cfg: ShotConfig) -> np.ndarray:
-    n_th = ltheta_vals.size
-    ids = np.arange(lphi_vals.size * n_th)
-    y = [np.zeros(ids.size), np.zeros(ids.size), np.repeat(lphi_vals, n_th), np.tile(ltheta_vals, lphi_vals.size)]
+def _lattice(lo: float, hi: float, n: int) -> tuple[list[int] | None, float]:
+    """The integers p with cell k at p * u, and the unit u = hi / (n - 1)
+    (0 when every cell is at 0), of an axis of n cells over [lo, hi]; p is
+    None when the range is not symmetric about 0 (a lone cell is on the
+    lattice only at 0)."""
+    if lo != -hi or (n == 1 and lo != 0.0):
+        return None, 0.0
+    u = hi / (n - 1) if n > 1 else 0.0
+    return [2 * k - (n - 1) if u else 0 for k in range(n)], u
+
+
+def _ray(p: int, q: int) -> tuple[int, int]:
+    """The key of the ray through the lattice point (p, q): the pair divided
+    by gcd(|p|, |q|), oriented to p > 0 or p = 0 <= q."""
+    g = math.gcd(p, q) or 1
+    p, q = p // g, q // g
+    return (p, q) if p > 0 or (p == 0 and q >= 0) else (-p, -q)
+
+
+def _lanes(lphi_range, ltheta_range, lphi_axis: np.ndarray,
+           ltheta_axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit initial costates (lphi, ltheta) of one lane per lattice ray, and
+    the lane of each cell in row-major order (see the comment above)."""
+    n_phi, n_th = lphi_axis.size, ltheta_axis.size
+    p, u_phi = _lattice(*lphi_range, n_phi)
+    q, u_th = _lattice(*ltheta_range, n_th)
+    if p is None or q is None:
+        a, b = np.repeat(lphi_axis, n_th), np.tile(ltheta_axis, n_phi)
+        cell_lane = np.arange(a.size)
+    else:
+        rays: dict[tuple[int, int], int] = {}
+        cell_lane = np.array([rays.setdefault(_ray(i, j), len(rays)) for i in p for j in q])
+        p, q = np.array(list(rays)).T
+        big = u_phi if abs(u_phi) >= abs(u_th) else u_th  # so neither weight exceeds 1
+        w_phi, w_th = (u_phi / big, u_th / big) if big else (0.0, 0.0)
+        a, b = p * w_phi, q * w_th
+    norm = np.hypot(a, b)
+    norm[norm == 0.0] = 1.0
+    return a / norm, b / norm, cell_lane
+
+
+def _scan_lanes(lphi0: np.ndarray, ltheta0: np.ndarray, cfg: ShotConfig) -> np.ndarray:
+    ids = np.arange(lphi0.size)
+    y = [np.zeros(ids.size), np.zeros(ids.size), lphi0, ltheta0]
     hit_times = np.full(ids.size, np.nan)
     event, lane_event = _event(cfg), _event(cfg, np.cos, np.sin)
     n_steps = math.ceil(cfg.horizon / cfg.integrator.max_step)
@@ -241,7 +291,7 @@ def _scan_cells(lphi_vals: np.ndarray, ltheta_vals: np.ndarray, cfg: ShotConfig)
                 y_b, k_b = [c[keep] for c in y_b], [c[keep] for c in k_b]
                 e_b, r_b, ids = e_b[keep], r_b[keep], ids[keep]
             y, k1, e_a, r_a = y_b, k_b, e_b, r_b
-    return hit_times.reshape(lphi_vals.size, n_th)
+    return hit_times
 
 
 def landscape(
@@ -253,10 +303,14 @@ def landscape(
 ) -> LandscapeGrid:
     """Hit-time grid over initial costates; NaN where nothing hits.
 
-    Each cell is a shot on a fixed DP5 step (see the comment above).
-    ``workers`` is the number of processes (None or 0 = one per CPU);
-    results do not depend on it. Non-finite ranges, a horizon too long to
-    count its steps and a negative ``workers`` raise ValueError.
+    The scan integrates one unit-norm lane per lattice ray, a shot on a
+    fixed DP5 step, and gives each cell its ray's time (see the comment
+    above): every cell of a ray, lambda and -lambda alike, holds the same
+    time, which may differ from the cell's own shot in the trailing digits.
+    ``workers`` is the number of processes (None or 0 = one per CPU) over
+    which the lanes are split; results do not depend on it. Non-finite
+    ranges, a horizon too long to count its steps and a negative
+    ``workers`` raise ValueError.
     """
     if not all(math.isfinite(hi - lo) for lo, hi in (lphi_range, ltheta_range)):
         raise ValueError("landscape ranges must have finite ends and span")
@@ -272,16 +326,15 @@ def landscape(
     lphi_axis = np.linspace(lphi_range[0], lphi_range[1], n_phi)
     ltheta_axis = np.linspace(ltheta_range[0], ltheta_range[1], n_th)
 
-    workers = min(workers or os.cpu_count() or 1, n_phi)
+    lphi0, ltheta0, cell_lane = _lanes(lphi_range, ltheta_range, lphi_axis, ltheta_axis)
+    workers = min(workers or os.cpu_count() or 1, lphi0.size)
     if workers == 1:
-        times = _scan_cells(lphi_axis, ltheta_axis, cfg)
+        lane_times = _scan_lanes(lphi0, ltheta0, cfg)
     else:
-        blocks = np.array_split(lphi_axis, workers)
-        jobs = [(b, ltheta_axis, cfg) for b in blocks if b.size]
-        with get_context("fork").Pool(processes=len(jobs)) as pool:
-            parts = pool.starmap(_scan_cells, jobs)
-        times = np.vstack(parts)
-    return LandscapeGrid(lphi_axis, ltheta_axis, times)
+        jobs = [(a, b, cfg) for a, b in zip(np.array_split(lphi0, workers), np.array_split(ltheta0, workers))]
+        with get_context("fork").Pool(processes=workers) as pool:
+            lane_times = np.concatenate(pool.starmap(_scan_lanes, jobs))
+    return LandscapeGrid(lphi_axis, ltheta_axis, lane_times[cell_lane].reshape(n_phi, n_th))
 
 
 # ---------------------------------------------------------------------------

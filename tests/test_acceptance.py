@@ -67,7 +67,7 @@ def test_04_probability_curve_export(tmp_path, capsys):
 
 
 def test_05_three_level_optimum_at_eps_0002(cfg002, opt002):
-    t_shot = shooting.shoot(1.85, 0.45266, cfg002)
+    t_shot = shooting.shoot_info(1.85, 0.45266, cfg002)[0]
     ok = (
         t_shot is not None
         and abs(t_shot - 7.40) <= 0.02
@@ -99,8 +99,8 @@ def test_08_parity_symmetry(cfg002):
     for _ in range(20):
         lphi = rng.uniform(0.5, 3.0)
         ltheta = lphi * rng.uniform(0.05, 0.23)
-        t_pos = shooting.shoot(lphi, ltheta, cfg002)
-        t_neg = shooting.shoot(-lphi, -ltheta, cfg002)
+        t_pos = shooting.shoot_info(lphi, ltheta, cfg002)[0]
+        t_neg = shooting.shoot_info(-lphi, -ltheta, cfg002)[0]
         assert t_pos is not None and t_neg is not None
         worst = max(worst, abs(t_pos - t_neg))
     criterion(8, "20 mirrored costate pairs give equal hit times within event_tol",

@@ -23,8 +23,13 @@ def opt005(cfg005) -> shooting.Optimum:
 @pytest.fixture(scope="module")
 def ref_extremal(cfg002):
     """The reference shot (1.85, 0.45266) as an optimum, with its extremal and pulses."""
-    opt = shooting.Optimum(1.85, 0.45266, shooting.shoot(1.85, 0.45266, cfg002))
+    opt = shooting.Optimum(1.85, 0.45266, shooting.shoot_info(1.85, 0.45266, cfg002)[0])
     return (opt, *shooting.extremal(opt, cfg002))
+
+
+@pytest.fixture(scope="module")
+def grid12(cfg005) -> shooting.LandscapeGrid:
+    return shooting.landscape((-2.0, 2.0), (-2.0, 2.0), 12, cfg005, workers=1)
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +39,7 @@ def grid005(cfg005) -> shooting.LandscapeGrid:
 
 class TestShoot:
     def test_reference_transfer_time(self, cfg002):
-        t = shooting.shoot(1.85, 0.45266, cfg002)
+        t = shooting.shoot_info(1.85, 0.45266, cfg002)[0]
         assert t == pytest.approx(7.40, abs=0.02)
 
     def test_zero_costates_never_hit(self, cfg002):
@@ -66,8 +71,8 @@ class TestShoot:
         assert all(rhs is lambda3.extremal_rhs for rhs in seen)
 
     def test_parity(self, cfg002):
-        t_pos = shooting.shoot(1.85, 0.45266, cfg002)
-        t_neg = shooting.shoot(-1.85, -0.45266, cfg002)
+        t_pos = shooting.shoot_info(1.85, 0.45266, cfg002)[0]
+        t_neg = shooting.shoot_info(-1.85, -0.45266, cfg002)[0]
         assert abs(t_pos - t_neg) <= shooting.ode.EVENT_TOL
 
     def test_terminal_state(self, cfg002, ref_extremal):
@@ -122,17 +127,68 @@ class TestLandscape:
         assert finite.size > 0
         assert np.all(finite > 0.0) and np.all(finite <= 15.0)
 
-    def test_serial_equals_parallel(self, cfg005):
-        serial = shooting.landscape((-2.0, 2.0), (-2.0, 2.0), 12, cfg005, workers=1)
-        parallel = shooting.landscape((-2.0, 2.0), (-2.0, 2.0), 12, cfg005, workers=2)
-        assert np.array_equal(serial.times, parallel.times, equal_nan=True)
+    def test_serial_equals_parallel(self, cfg005, grid12):
+        # workers split the lanes: an odd grid with its origin cell, an
+        # asymmetric range (one lane per cell), a one-row grid
+        grids = [((-2.0, 2.0), (-2.0, 2.0), 12), ((-2.0, 2.0), (-2.0, 2.0), 13),
+                 ((-1.5, 2.5), (-2.0, 1.0), 9), ((-2.0, -2.0), (-2.0, 2.0), (1, 12))]
+        for lphi_range, ltheta_range, res in grids:
+            serial = grid12 if res == 12 else shooting.landscape(lphi_range, ltheta_range, res, cfg005, workers=1)
+            parallel = shooting.landscape(lphi_range, ltheta_range, res, cfg005, workers=2)
+            assert np.array_equal(serial.times, parallel.times, equal_nan=True)
+            if res == 13:
+                assert np.isnan(serial.times[6, 6])  # the origin cell
+            assert np.isfinite(serial.times).any()
+
+    @staticmethod
+    def _first_lane_width(grid_args, monkeypatch) -> int:
+        widths = []
+
+        class Measured(Exception):
+            pass
+
+        def recorded(rhs, y, *args):
+            widths.append(y[0].size)
+            raise Measured  # the width is known; skip the scan
+
+        monkeypatch.setattr(shooting.ode, "_dp5_step", recorded)
+        with pytest.raises(Measured):
+            shooting.landscape(*grid_args, workers=1)
+        monkeypatch.undo()
+        return widths[0]
+
+    def test_one_lane_per_ray(self, cfg002, cfg005, monkeypatch):
+        assert self._first_lane_width(((-3.0, 3.0), (-3.0, 3.0), 60, cfg002), monkeypatch) == 1458
+        assert self._first_lane_width(((1.85, 1.85), (0.7, 0.7), 1, cfg005), monkeypatch) == 1
+        axis = np.linspace(-3.0, 3.0, 200)
+        lphi0, ltheta0, cell_lane = shooting._lanes((-3.0, 3.0), (-3.0, 3.0), axis, axis)
+        assert lphi0.size == 16302 and cell_lane.max() == 16301
+        assert np.allclose(np.hypot(lphi0, ltheta0), 1.0, rtol=0.0, atol=1e-15)
+
+    def test_cells_of_a_ray_share_its_time(self, cfg005, grid12):
+        # cell k of an axis over +-2 lies at (2k - 11) * 2/11; lambda and
+        # -lambda are one ray
+        times = grid12.times
+        rays = {}
+        for i, j in np.ndindex(times.shape):
+            p, q = 2 * i - 11, 2 * j - 11
+            g = math.gcd(p, q)
+            key = (p // g, q // g) if (p, q) > (0, 0) else (-p // g, -q // g)
+            rays.setdefault(key, []).append(times[i, j])
+        assert len(rays) == 58 and any(len(cells) >= 4 for cells in rays.values())
+        for cells in rays.values():
+            assert np.array_equal(cells, [cells[0]] * len(cells), equal_nan=True)
+        wider = shooting.landscape((-2.2, 2.2), (-2.2, 2.2), 12, cfg005, workers=1)
+        assert np.array_equal(wider.times, times, equal_nan=True)
+        reversed_range = shooting.landscape((2.0, -2.0), (2.0, -2.0), 12, cfg005, workers=1)
+        assert np.array_equal(np.isfinite(reversed_range.times), np.isfinite(times))
 
     def test_grid_row_matches_its_shots(self, cfg002):
         # one row of the 60x60 grid over +-3: the same cells hit as in the
         # shots, at the shots' times; a lane that steps over the tan(phi)
         # blow-up would add hits at ltheta = +-1.0678 that no shot has
         row = shooting.landscape((-3.0, -3.0), (-3.0, 3.0), (1, 60), cfg002, workers=1)
-        shots = np.array([shooting.shoot(-3.0, lt, cfg002) for lt in row.ltheta_axis], dtype=float)
+        shots = np.array([shooting.shoot_info(-3.0, lt, cfg002)[0] for lt in row.ltheta_axis], dtype=float)
         hits = np.isfinite(shots)
         assert hits.any() and np.array_equal(np.isfinite(row.times[0]), hits)
         assert np.median(np.abs(row.times[0][hits] - shots[hits])) <= 1e-7
@@ -304,7 +360,7 @@ class TestRefine:
         opt = shooting.refine(1.85, 0.5, cfg002)
         assert len(searches) == len(shots)
         monkeypatch.undo()
-        fresh = shooting.Optimum(opt.lphi_i, opt.ltheta_i, shooting.shoot(opt.lphi_i, opt.ltheta_i, cfg002))
+        fresh = shooting.Optimum(opt.lphi_i, opt.ltheta_i, shooting.shoot_info(opt.lphi_i, opt.ltheta_i, cfg002)[0])
         assert (opt.t_min, opt.area) == (fresh.t_min, fresh.area)
         path, pulses = shooting.extremal(opt, cfg002)
         fresh_path, fresh_pulses = shooting.extremal(fresh, cfg002)
