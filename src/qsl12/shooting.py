@@ -8,11 +8,17 @@ time is invariant under positive rescaling of the initial costate pair: the
 optima form straight rays through the origin of the costate plane.
 
 The transfer-time landscape over initial costates is scanned on a grid, one
-unit-norm lane per lattice ray of the grid, and a chosen ray is refined in
-the initial lambda_theta at fixed lambda_phi: a coarse scan of shots along
-the guess's ray, then Brent's method from the fastest probe. A shot that
-finds no hit counts as an infinite time. The result is the fastest branch
-the scan meets, so the guess must lie within a factor of 16 of the optimum.
+unit-norm lane per lattice ray of the grid, up to the two reflections: the
+flow is symmetric under (phi, theta, lambda_phi, lambda_theta) ->
+(phi, -theta, lambda_phi, -lambda_theta), and lambda and -lambda give the
+same time, so the hit time depends only on the ray of
+(|lambda_phi|, |lambda_theta|).
+
+A chosen ray is refined in the initial lambda_theta at fixed lambda_phi: a
+coarse scan of shots along the guess's ray, then Brent's method from the
+fastest probe. A shot that finds no hit counts as an infinite time. The
+result is the fastest branch the scan meets, so the guess must lie within a
+factor of 16 of the optimum.
 Each shot stops where its time can no longer change the result: a probe at
 the fastest hit of the probes before it, a shot of Brent's method (Brent
 1973, ch. 5; the loop copies scipy 1.17.1's) at the slowest of its three
@@ -188,20 +194,28 @@ def extremal(opt: Optimum, cfg: ShotConfig) -> tuple[ode.Trajectory, np.ndarray]
 # ---------------------------------------------------------------------------
 # Landscape scan.
 #
-# The hit time depends only on the ray of the initial costates, and lambda
-# and -lambda give the same time, so the scan integrates one unit-norm lane
-# per lattice ray and scatters each lane's time back to the cells of its
-# ray. On an axis whose range is symmetric about 0, cell k lies at
+# The hit time depends only on the ray of the initial costates. The
+# reflection R: (phi, theta, lambda_phi, lambda_theta) ->
+# (phi, -theta, lambda_phi, -lambda_theta) maps the extremal flow to itself
+# (H1 is even under R, H2 odd, so Omega_s flips) and fixes the start and the
+# target, and lambda and -lambda give the same time; together they give
+# (lambda_phi, lambda_theta) -> (-lambda_phi, lambda_theta). So the time
+# depends only on the ray of (|lambda_phi|, |lambda_theta|), and the scan
+# integrates one unit-norm lane per lattice ray, up to the two reflections,
+# and scatters each lane's time back to the cells of its four mirror rays.
+# On an axis whose range is symmetric about 0, cell k lies at
 # p * hi / (n - 1) with the integer p = 2k - (n - 1), so two cells share a
-# ray when their pairs (p, q) / gcd(|p|, |q|) agree up to sign; the lane
-# starts at the unit vector along (p, q * r), where
-# r = (hi_theta / (n_theta - 1)) / (hi_phi / (n_phi - 1)) is 1.0 when both
+# lane when their pairs (|p|, |q|) / gcd(|p|, |q|) agree; the lane starts in
+# the first quadrant, at the unit vector along (|p|, |q| * r), where
+# r = |hi_theta / (n_theta - 1)| / |hi_phi / (n_phi - 1)| is 1.0 when both
 # axes are alike, so a grid's lanes do not depend on its scale. A grid with
 # an axis that is not symmetric has one lane per cell, along the cell's own
 # costates; a zero cell keeps zero costates, and its time stays NaN.
 # A cell's time is its ray's: against a lane at the cell's own costates it
 # moves in the trailing digits (by at most 5e-12 on the 60x60 grid over
-# +-3 at eps 0.002), and the hit set stays the same.
+# +-3 at eps 0.002), and the hit set stays the same. A mirror lane gives the
+# first-quadrant lane's time bit for bit, as numpy's sin is exactly odd and
+# its cos exactly even (a test checks this).
 #
 # Every lane is a shot run on the shots' own machinery, side by side with
 # the others: the lanes hold the state as a list of four arrays, which
@@ -230,17 +244,18 @@ def _lattice(lo: float, hi: float, n: int) -> tuple[list[int] | None, float]:
 
 
 def _ray(p: int, q: int) -> tuple[int, int]:
-    """The key of the ray through the lattice point (p, q): the pair divided
-    by gcd(|p|, |q|), oriented to p > 0 or p = 0 <= q."""
+    """The key of the ray through the lattice point (p, q), up to the two
+    reflections: (|p|, |q|) divided by their gcd, a first-quadrant ray."""
+    p, q = abs(p), abs(q)
     g = math.gcd(p, q) or 1
-    p, q = p // g, q // g
-    return (p, q) if p > 0 or (p == 0 and q >= 0) else (-p, -q)
+    return p // g, q // g
 
 
 def _lanes(lphi_range, ltheta_range, lphi_axis: np.ndarray,
            ltheta_axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit initial costates (lphi, ltheta) of one lane per lattice ray, and
-    the lane of each cell in row-major order (see the comment above)."""
+    """Unit initial costates (lphi, ltheta) of one lane per lattice ray, up
+    to the two reflections, and the lane of each cell in row-major order (see
+    the comment above)."""
     n_phi, n_th = lphi_axis.size, ltheta_axis.size
     p, u_phi = _lattice(*lphi_range, n_phi)
     q, u_th = _lattice(*ltheta_range, n_th)
@@ -251,8 +266,8 @@ def _lanes(lphi_range, ltheta_range, lphi_axis: np.ndarray,
         rays: dict[tuple[int, int], int] = {}
         cell_lane = np.array([rays.setdefault(_ray(i, j), len(rays)) for i in p for j in q])
         p, q = np.array(list(rays)).T
-        big = u_phi if abs(u_phi) >= abs(u_th) else u_th  # so neither weight exceeds 1
-        w_phi, w_th = (u_phi / big, u_th / big) if big else (0.0, 0.0)
+        big = max(abs(u_phi), abs(u_th))  # so neither weight exceeds 1
+        w_phi, w_th = (abs(u_phi) / big, abs(u_th) / big) if big else (0.0, 0.0)
         a, b = p * w_phi, q * w_th
     norm = np.hypot(a, b)
     norm[norm == 0.0] = 1.0
@@ -303,10 +318,11 @@ def landscape(
 ) -> LandscapeGrid:
     """Hit-time grid over initial costates; NaN where nothing hits.
 
-    The scan integrates one unit-norm lane per lattice ray, a shot on a
-    fixed DP5 step, and gives each cell its ray's time (see the comment
-    above): every cell of a ray, lambda and -lambda alike, holds the same
-    time, which may differ from the cell's own shot in the trailing digits.
+    The scan integrates one unit-norm lane per lattice ray, up to the two
+    reflections, a shot on a fixed DP5 step, and gives each cell its ray's
+    time (see the comment above): the cells of a ray and of its mirror rays,
+    (+-lambda_phi, +-lambda_theta) alike, hold the same time, which may differ
+    from the cell's own shot in the trailing digits.
     ``workers`` is the number of processes (None or 0 = one per CPU) over
     which the lanes are split; results do not depend on it. Non-finite
     ranges, a horizon too long to count its steps and a negative

@@ -228,6 +228,17 @@ class TestThreeLevel:
         assert grab(out, "Omega0_min") == pytest.approx(t_min / 10.0, abs=2e-3)
         assert grab(out, "E_min") == pytest.approx(t_min ** 2 / 10.0, abs=0.05)
 
+    def test_energy_overflow_exits_before_the_refinement(self, tmp_path, capsys, monkeypatch):
+        # the area is at least 2 sqrt(1 - eps), and at that area 1e-320
+        # already overflows the bound, so no refinement runs
+        def refine(*args):
+            raise AssertionError("refine ran")
+
+        monkeypatch.setattr(shooting, "refine", refine)
+        flags = ["three-level", "energy", "--T", "1e-320", "--eps", "0.002"]
+        assert cli.main(["--out", str(tmp_path), *flags]) == 2
+        assert "overflows" in capsys.readouterr().err
+
 
 class TestIso:
     def test_check_passes(self, capsys, opt002):

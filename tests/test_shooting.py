@@ -75,6 +75,16 @@ class TestShoot:
         t_neg = shooting.shoot_info(-1.85, -0.45266, cfg002)[0]
         assert abs(t_pos - t_neg) <= shooting.ode.EVENT_TOL
 
+    @pytest.mark.parametrize("lphi, ltheta, hits", [(1.85, 0.45266, True), (1.85, 0.6, False)])
+    def test_mirror_costates_give_the_same_shot(self, cfg002, lphi, ltheta, hits):
+        # the reflection theta -> -theta, lambda_theta -> -lambda_theta maps
+        # the flow to itself, and so does lambda -> -lambda: all four sign
+        # choices of the costates shoot bit for bit alike
+        shots = {shooting.shoot_info(sp * lphi, st * ltheta, cfg002) for sp in (1, -1) for st in (1, -1)}
+        assert len(shots) == 1
+        (t, reason), = shots
+        assert (reason == "hit") == hits and (t is not None) == hits
+
     def test_terminal_state(self, cfg002, ref_extremal):
         _, trajectory, _ = ref_extremal
         y = trajectory.final_state
@@ -158,30 +168,48 @@ class TestLandscape:
         return widths[0]
 
     def test_one_lane_per_ray(self, cfg002, cfg005, monkeypatch):
-        assert self._first_lane_width(((-3.0, 3.0), (-3.0, 3.0), 60, cfg002), monkeypatch) == 1458
+        # one lane per ray up to the two reflections, in the first quadrant
+        assert self._first_lane_width(((-3.0, 3.0), (-3.0, 3.0), 60, cfg002), monkeypatch) == 729
         assert self._first_lane_width(((1.85, 1.85), (0.7, 0.7), 1, cfg005), monkeypatch) == 1
         axis = np.linspace(-3.0, 3.0, 200)
         lphi0, ltheta0, cell_lane = shooting._lanes((-3.0, 3.0), (-3.0, 3.0), axis, axis)
-        assert lphi0.size == 16302 and cell_lane.max() == 16301
+        assert lphi0.size == 8151 and cell_lane.max() == 8150
         assert np.allclose(np.hypot(lphi0, ltheta0), 1.0, rtol=0.0, atol=1e-15)
+        assert (lphi0 >= 0.0).all() and (ltheta0 >= 0.0).all()
+        axis = np.linspace(2.0, -2.0, 12)  # one axis reversed
+        lphi0, ltheta0, _ = shooting._lanes((2.0, -2.0), (-2.0, 2.0), axis, -axis)
+        assert lphi0.size == 29 and (lphi0 >= 0.0).all() and (ltheta0 >= 0.0).all()
 
     def test_cells_of_a_ray_share_its_time(self, cfg005, grid12):
-        # cell k of an axis over +-2 lies at (2k - 11) * 2/11; lambda and
-        # -lambda are one ray
+        # cell k of an axis over +-2 lies at (2k - 11) * 2/11; a ray and its
+        # mirrors (+-lphi, +-ltheta) share one lane
         times = grid12.times
         rays = {}
         for i, j in np.ndindex(times.shape):
-            p, q = 2 * i - 11, 2 * j - 11
+            p, q = abs(2 * i - 11), abs(2 * j - 11)
             g = math.gcd(p, q)
-            key = (p // g, q // g) if (p, q) > (0, 0) else (-p // g, -q // g)
-            rays.setdefault(key, []).append(times[i, j])
-        assert len(rays) == 58 and any(len(cells) >= 4 for cells in rays.values())
+            rays.setdefault((p // g, q // g), []).append(times[i, j])
+        assert len(rays) == 29 and all(len(cells) >= 4 for cells in rays.values())
         for cells in rays.values():
             assert np.array_equal(cells, [cells[0]] * len(cells), equal_nan=True)
         wider = shooting.landscape((-2.2, 2.2), (-2.2, 2.2), 12, cfg005, workers=1)
         assert np.array_equal(wider.times, times, equal_nan=True)
         reversed_range = shooting.landscape((2.0, -2.0), (2.0, -2.0), 12, cfg005, workers=1)
         assert np.array_equal(np.isfinite(reversed_range.times), np.isfinite(times))
+
+    def test_mirror_lanes_scan_alike(self, cfg005, grid12, grid005):
+        # the fold gives mirror cells the first-quadrant lane's time; that is
+        # byte-identical to scanning the mirror lanes only while numpy's sin
+        # is exactly odd and its cos exactly even
+        axis = np.linspace(-2.0, 2.0, 12)
+        a, b, _ = shooting._lanes((-2.0, 2.0), (-2.0, 2.0), axis, axis)
+        times = shooting._scan_lanes(a, b, cfg005)
+        assert np.isfinite(times).any()
+        for mirror in (shooting._scan_lanes(a, -b, cfg005), shooting._scan_lanes(-a, b, cfg005)):
+            assert np.array_equal(mirror, times, equal_nan=True)
+        for grid in (grid12, grid005):
+            for dim in (0, 1):
+                assert np.array_equal(np.flip(grid.times, dim), grid.times, equal_nan=True)
 
     def test_grid_row_matches_its_shots(self, cfg002):
         # one row of the 60x60 grid over +-3: the same cells hit as in the
