@@ -184,7 +184,7 @@ def cross_check(
     elif not all(math.isfinite(c) for c in costates):
         raise ValueError(f"costates must be finite, got {costates!r}")
     else:
-        t_hit, reason = shooting.shoot_info(costates[0], costates[1], cfg)
+        t_hit, reason, _ = shooting.shoot_info(costates[0], costates[1], cfg)
         if t_hit is None:
             raise shooting.NoFeasiblePoint(
                 f"costates {costates} do not reach the target within the horizon"

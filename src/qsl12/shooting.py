@@ -15,15 +15,17 @@ same time, so the hit time depends only on the ray of
 (|lambda_phi|, |lambda_theta|).
 
 A chosen ray is refined in the initial lambda_theta at fixed lambda_phi: a
-coarse scan of shots along the guess's ray, then Brent's method from the
-fastest probe. A shot that finds no hit counts as an infinite time. The
-result is the fastest branch the scan meets, so the guess must lie within a
-factor of 16 of the optimum.
-Each shot stops where its time can no longer change the result: a probe at
-the fastest hit of the probes before it, a shot of Brent's method (Brent
-1973, ch. 5; the loop copies scipy 1.17.1's) at the slowest of its three
-best points while those are distinct. The steps a shot takes are the full
-shot's, so the optimum does not depend on this.
+coarse scan of shots along the guess's ray, then a root of the
+transversality residual next to the fastest probe. At the optimal hit the
+maximum principle makes the costate parallel to the gradient of the target
+(Bryson & Ho 1975), and each hit reports the sine of the angle between them.
+A shot that finds no hit counts as an infinite time. The result is on the
+fastest branch the scan meets; the optimum must lie between 1/16 and about
+3 times the guess.
+Each shot stops where it can no longer change the result: a probe at the
+fastest hit of the probes before it, a shot of the root search at the
+fastest hit left of the root. The steps a shot takes are the full shot's,
+so a hit does not depend on this.
 
 An optimum is its initial costates and its hit time. Only the exports that
 show the optimal pulse sequence integrate its path, with ``extremal``.
@@ -38,6 +40,7 @@ from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import lambda3, ode
 from .lambda3 import PhiSingularity, SwitchingDegeneracy
@@ -66,8 +69,8 @@ START_RAY = (1.85, 0.9)
 
 
 class NoConvergence(RuntimeError):
-    """The Brent search found no valid bracket, ran out of iterations, or
-    ended on NaN."""
+    """The transversality residual changes sign nowhere near the fastest
+    probe (no valid bracket), or its root search failed."""
 
 
 class NoFeasiblePoint(RuntimeError):
@@ -153,9 +156,23 @@ def _event(cfg: ShotConfig, cos=math.cos, sin=math.sin):
     return x3sq_excess
 
 
+def _residual(y) -> float:
+    """Transversality residual at the hit state y = (phi, theta, lambda_phi,
+    lambda_theta): the sine of the angle from the costate to the gradient of
+    the target g = cos(phi)^2 sin(theta)^2 / 2 - (1 - eps) / 2. The
+    maximum principle puts the optimum where it is 0, the costate parallel
+    to the gradient."""
+    phi, theta, l_phi, l_theta = (float(c) for c in y)
+    c, s, st = math.cos(phi), math.sin(phi), math.sin(theta)
+    g_phi = -c * s * st * st
+    g_theta = c * c * st * math.cos(theta)
+    return (l_phi * g_theta - l_theta * g_phi) / (math.hypot(l_phi, l_theta) * math.hypot(g_phi, g_theta))
+
+
 def shoot_info(lphi_i: float, ltheta_i: float, cfg: ShotConfig,
-               stop: float = math.inf) -> tuple[float | None, str]:
-    """Run one shot; return (hit time | None, diagnostic reason).
+               stop: float = math.inf) -> tuple[float | None, str, float | None]:
+    """Run one shot; return (hit time | None, diagnostic reason, transversality
+    residual at the hit | None).
 
     A ``stop`` before the horizon ends the shot once it is known not to hit
     before ``stop`` (see ``ode.locate_event``), with reason "beyond-bound";
@@ -165,14 +182,14 @@ def shoot_info(lphi_i: float, ltheta_i: float, cfg: ShotConfig,
     try:
         hit = ode.locate_event(lambda3.extremal_rhs, y0, (0.0, cfg.horizon), _event(cfg), cfg.integrator, stop)
     except SwitchingDegeneracy:
-        return None, "switching-degeneracy"
+        return None, "switching-degeneracy", None
     except PhiSingularity:
-        return None, "phi-singularity"
+        return None, "phi-singularity", None
     except ode.StepUnderflow:
-        return None, "step-underflow"
+        return None, "step-underflow", None
     if hit is None:
-        return None, "beyond-bound" if stop < cfg.horizon else "no-crossing"
-    return hit.t, "hit"
+        return None, "beyond-bound" if stop < cfg.horizon else "no-crossing", None
+    return hit.t, "hit", _residual(hit.y)
 
 
 def extremal(opt: Optimum, cfg: ShotConfig) -> tuple[ode.Trajectory, np.ndarray]:
@@ -357,182 +374,54 @@ def landscape(
 # Refinement.
 # ---------------------------------------------------------------------------
 
-#: Relative tolerance on the refined initial lambda_theta.
-REFINE_XTOL = 1e-6
-
-
-@np.errstate(invalid="ignore")  # an inf in Brent's parabola gives nan
-def _brent(f, xa, xb):
-    """Minimize ``f(x, stop)`` by Brent's method from the start points xa, xb.
-
-    A copy of ``bracket`` and ``Brent.optimize`` in scipy 1.17.1
-    (``scipy/optimize/_optimize.py``), the method of Brent, *Algorithms for
-    Minimization without Derivatives* (1973), ch. 5: the same operations in
-    the same order on the same numpy scalars, to the relative tolerance
-    REFINE_XTOL, so it evaluates scipy's points bit for bit. It adds
-    ``stop``: ``f`` may return +inf at a point whose value exceeds ``stop``,
-    because there +inf and the true value take the same branch. That holds
-    for the first extrapolated point of the bracket at ``fb``, and for a
-    Brent point at the largest of fx, fw and fv while x, w and v are three
-    distinct points: a larger value only narrows [a, b], and neither w nor
-    v takes it. Every other point gets ``stop`` = +inf.
-
-    Returns the best point and the value ``f`` gave there; raises
-    NoConvergence naming the failed condition: no valid bracket, 500
-    iterations, or a NaN result.
-    """
-    # scipy's bracket: walk downhill from (xa, xb) to three points around a minimum
-    _gold, _verysmall_num, grow_limit = 1.618034, 1e-21, 110.0
-    xa, xb = np.asarray([xa, xb])
-    fa = f(xa, math.inf)
-    fb = f(xb, math.inf)
-    if fa < fb:
-        xa, xb, fa, fb = xb, xa, fb, fa
-    xc = xb + _gold * (xb - xa)
-    fc = f(xc, fb)  # above fb the walk ends at once, and Brent never reads fc
-    n_iter = 0
-    while fc < fb:
-        tmp1 = (xb - xa) * (fb - fc)
-        tmp2 = (xb - xc) * (fb - fa)
-        val = tmp2 - tmp1
-        denom = 2.0 * _verysmall_num if np.abs(val) < _verysmall_num else 2.0 * val
-        w = xb - ((xb - xc) * tmp2 - (xb - xa) * tmp1) / denom
-        wlim = xb + grow_limit * (xc - xb)
-        if n_iter > 1000:
-            raise NoConvergence("no valid bracket within 1000 expansions")
-        n_iter += 1
-        if (w - xc) * (xb - w) > 0.0:
-            fw = f(w, math.inf)
-            if fw < fc:
-                xa, xb, fa, fb = xb, w, fb, fw
-                break
-            elif fw > fb:
-                xc, fc = w, fw
-                break
-            w = xc + _gold * (xc - xb)
-            fw = f(w, math.inf)
-        elif (w - wlim) * (wlim - xc) >= 0.0:
-            w = wlim
-            fw = f(w, math.inf)
-        elif (w - wlim) * (xc - w) > 0.0:
-            fw = f(w, math.inf)
-            if fw < fc:
-                xb, xc = xc, w
-                w = xc + _gold * (xc - xb)
-                fb, fc = fc, fw
-                fw = f(w, math.inf)
-        else:
-            w = xc + _gold * (xc - xb)
-            fw = f(w, math.inf)
-        xa, xb, xc = xb, xc, w
-        fa, fb, fc = fb, fc, fw
-    cond1 = (fb < fc and fb <= fa) or (fb < fa and fb <= fc)
-    cond2 = xa < xb < xc or xc < xb < xa
-    cond3 = np.isfinite(xa) and np.isfinite(xb) and np.isfinite(xc)
-    if not (cond1 and cond2 and cond3):
-        raise NoConvergence("no valid bracket")
-
-    # scipy's Brent.optimize, from the bracket's middle point
-    _mintol, _cg = 1.0e-11, 0.3819660
-    x = w = v = xb
-    fw = fv = fx = fb
-    a, b = (xa, xc) if xa < xc else (xc, xa)
-    deltax = 0.0
-    n_iter = 0
-    while n_iter < 500:
-        tol1 = REFINE_XTOL * np.abs(x) + _mintol
-        tol2 = 2.0 * tol1
-        xmid = 0.5 * (a + b)
-        if np.abs(x - xmid) < (tol2 - 0.5 * (b - a)):
-            break
-        if np.abs(deltax) <= tol1:  # golden section step
-            deltax = (a - x) if x >= xmid else (b - x)
-            rat = _cg * deltax
-        else:  # parabolic step
-            tmp1 = (x - w) * (fx - fv)
-            tmp2 = (x - v) * (fx - fw)
-            p = (x - v) * tmp2 - (x - w) * tmp1
-            tmp2 = 2.0 * (tmp2 - tmp1)
-            if tmp2 > 0.0:
-                p = -p
-            tmp2 = np.abs(tmp2)
-            dx_temp = deltax
-            deltax = rat
-            if (p > tmp2 * (a - x)) and (p < tmp2 * (b - x)) and (np.abs(p) < np.abs(0.5 * tmp2 * dx_temp)):
-                rat = p * 1.0 / tmp2
-                u = x + rat
-                if (u - a) < tol2 or (b - u) < tol2:
-                    rat = tol1 if xmid - x >= 0 else -tol1
-            else:
-                deltax = (a - x) if x >= xmid else (b - x)
-                rat = _cg * deltax
-        if np.abs(rat) < tol1:  # move by at least tol1
-            u = (x + tol1) if rat >= 0 else (x - tol1)
-        else:
-            u = x + rat
-        # above fx, fw and fv, fu only narrows [a, b], unless a tie lets w or v take it
-        fu = f(u, math.inf if w == x or v == x or v == w else max(fx, fw, fv))
-        if fu > fx:
-            a, b = (u, b) if u < x else (a, u)
-            if fu <= fw or w == x:
-                v, w, fv, fw = w, u, fw, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-        else:
-            a, b = (x, b) if u >= x else (a, x)
-            v, w, x = w, x, u
-            fv, fw, fx = fw, fx, fu
-        n_iter += 1
-    if np.isnan(x) or np.isnan(fx):
-        raise NoConvergence("the result is NaN")
-    if n_iter >= 500:
-        raise NoConvergence("500 iterations without reaching the tolerance")
-    return x, fx
+#: Relative width of the residual's root bracket on the initial lambda_theta.
+REFINE_XTOL = 1e-10
 
 
 def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
-    """Minimize the hit time over the initial lambda_theta at fixed lambda_phi.
+    """The optimum over the initial lambda_theta at fixed lambda_phi: the root
+    of the transversality residual on the fastest branch.
 
-    Thirteen shots along the guess's ray, at 1/16 to 1.5 times the guess,
-    locate the fastest probe; Brent's method then starts from it and its
-    neighbour and converges to REFINE_XTOL (relative). A shot without a hit
-    counts as +inf, so Brent never leaves the lowest point it has seen: the
-    result is the fastest branch the scan meets, and the guess must lie
-    within a factor of 16 of the optimum. The optimum is the costates and
-    hit time of the shot Brent returned: it costs no further integration.
+    At the optimal hit Pontryagin's maximum principle makes the costate
+    parallel to the gradient of the target (the transversality condition of
+    indirect shooting; Bryson & Ho, *Applied Optimal Control*, 1975), so the
+    residual of ``shoot_info`` is 0 there. Thirteen probes along the guess's
+    ray, at 1/16 to 1.5 times the guess, find the fastest branch; on it the
+    hit time falls towards the optimum, and the residual, oriented by the
+    ray's quadrant, is > 0 left of it (nearer the origin) and < 0 right of
+    it. When it is > 0 at the fastest probe, the next probe ends the
+    bracket, and past the last probe the bracket walks right by the probes'
+    spacing while it stays > 0, for at most 13 steps; otherwise the previous
+    probe, shot in full, must read > 0. ``scipy.optimize.brentq`` narrows the
+    bracket to REFINE_XTOL (relative). The optimum must lie between 1/16 and
+    about 3 times the guess.
 
     Each probe stops at the fastest hit of the probes before it and then
-    counts as +inf: its true time is no less, so it cannot be the first
-    fastest probe. Such a stopped probe is not remembered; should Brent ask
-    for its point, it is shot again in full. Brent's method is ``_brent``,
-    a copy of scipy 1.17.1's after Brent (1973), ch. 5: it stops its first
-    extrapolated point at the slower start point's time, and each later
-    shot at the largest of fx, fw and fv while x, w and v are distinct,
-    where a stopped shot and its true time take the same branch. So the
-    optimum is that of unbounded shots, bit for bit. Non-finite costates
-    raise ValueError before the first shot; when no probe hits,
-    NoFeasiblePoint tallies why, and when Brent fails, NoConvergence names
-    the failed condition, the eps and the horizon.
+    counts as +inf: its true time is no less, so it cannot be the fastest.
+    Each later shot stops at the fastest hit with a residual > 0, and a shot
+    that stops or misses reads -1: it lies past the optimum, which is faster
+    still. A stopped shot is shot again only for a later stop. The optimum
+    is the costates and hit time of the evaluated shot with the smallest
+    |residual|: it costs no further integration. Non-finite costates raise
+    ValueError before the first shot; when no probe hits, NoFeasiblePoint
+    tallies why; when the residual has no sign change to bracket, or the
+    search fails, NoConvergence names the condition, the eps and the horizon.
     """
     if not (math.isfinite(lphi_i) and math.isfinite(ltheta_guess)):
         raise ValueError(f"costates must be finite, got ({lphi_i!r}, {ltheta_guess!r})")
-    memo: dict[float, tuple[float, str]] = {}
+    memo: dict[float, tuple[float | None, str, float | None, float]] = {}
 
-    def shot(x, stop: float = math.inf) -> tuple[float, str]:
+    def shot(x, stop: float) -> tuple[float | None, str, float | None]:
         x = float(x)
-        if x in memo:  # bracketing evaluates its two start points again
-            return memo[x]
-        t, reason = shoot_info(lphi_i, x, cfg, stop)
-        result = (math.inf if t is None else t, reason)
-        if reason != "beyond-bound":  # a stopped shot bounds its time, it has none
-            memo[x] = result
-        return result
+        if x not in memo or memo[x][1] == "beyond-bound" and memo[x][3] < stop:
+            memo[x] = (*shoot_info(lphi_i, x, cfg, stop), stop)
+        return memo[x][:3]
 
     probes = ltheta_guess * np.linspace(1.0 / 16.0, 1.5, 13)
     times, reasons = [], []
     for p in probes:
-        t, reason = shot(p, min(times, default=math.inf))
-        times.append(t)
+        t, reason, _ = shot(p, min(times, default=math.inf))
+        times.append(math.inf if t is None else t)
         reasons.append(reason)
     best = int(np.argmin(times))
     if math.isinf(times[best]):
@@ -541,15 +430,44 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
             f"no transfer within the horizon {cfg.horizon!r} at eps {cfg.eps!r} near"
             f" ltheta_i ~ {ltheta_guess!r} (the {len(probes)} probes: {tally})"
         )
-    neighbour = best - 1 if best > 0 else best + 1
+
+    orientation = math.copysign(1.0, lphi_i * ltheta_guess)
+    fastest = math.inf  # the fastest hit left of the root
+    searched: list[tuple[float, float, float]] = []  # (|residual|, x, t) of each hit
+
+    def residual(x: float) -> float:
+        nonlocal fastest
+        t, _, s = shot(x, fastest)
+        if t is None:
+            return -1.0
+        s *= orientation
+        if s > 0.0:
+            fastest = min(fastest, t)
+        searched.append((abs(s), float(x), t))
+        return s
+
+    def failure(why: str) -> NoConvergence:
+        return NoConvergence(
+            f"no root of the transversality residual within the horizon {cfg.horizon!r} at eps"
+            f" {cfg.eps!r} near ltheta_i ~ {ltheta_guess!r}: {why}"
+        )
+
+    ladder = np.concatenate([probes, probes[-1] + (probes[1] - probes[0]) * np.arange(1, probes.size + 1)])
+    k = best
+    if residual(ladder[k]) > 0.0:
+        k += 1
+        while k < ladder.size and residual(ladder[k]) > 0.0:
+            k += 1
+        if k == ladder.size:
+            raise failure(f"no valid bracket, the residual stays > 0 up to ltheta_i {float(ladder[-1])!r}")
+    elif k == 0 or residual(ladder[k - 1]) <= 0.0:
+        raise failure("no valid bracket, the residual is not > 0 left of the fastest probe")
     try:
-        ltheta_i, t_min = _brent(lambda x, stop: shot(x, stop)[0], probes[neighbour], probes[best])
-    except NoConvergence as exc:
-        raise NoConvergence(
-            f"Brent search did not converge within the horizon {cfg.horizon!r} at eps {cfg.eps!r}"
-            f" near ltheta_i ~ {ltheta_guess!r}: {exc}"
-        ) from None
-    return Optimum(lphi_i, float(ltheta_i), t_min)
+        brentq(residual, ladder[k - 1], ladder[k], rtol=REFINE_XTOL)
+    except RuntimeError as exc:
+        raise failure(str(exc)) from None
+    _, ltheta_i, t_min = min(searched)
+    return Optimum(lphi_i, ltheta_i, t_min)
 
 
 def _optima_along_eps(eps_values: np.ndarray, cfg: ShotConfig, lphi_i: float) -> list[Optimum]:

@@ -206,7 +206,7 @@ class TestThreeLevel:
 
     def test_optimize_no_convergence_exits_4(self, tmp_path, capsys, monkeypatch):
         def refine(*args, **kwargs):
-            raise shooting.NoConvergence("Brent search did not converge")
+            raise shooting.NoConvergence("no root of the transversality residual")
 
         monkeypatch.setattr(shooting, "refine", refine)
         code = cli.main(["--out", str(tmp_path), "three-level", "optimize", "--eps", "0.005"])
@@ -214,7 +214,7 @@ class TestThreeLevel:
         assert "no convergence" in capsys.readouterr().err
 
     def test_optimize_flat_landscape_exits_4_with_reason(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(shooting, "shoot_info", lambda *args: (7.0, "hit"))
+        monkeypatch.setattr(shooting, "shoot_info", lambda *args: (7.0, "hit", 0.5))
         code = cli.main(["--out", str(tmp_path), "three-level", "optimize", "--eps", "0.005"])
         assert code == cli.EXIT_NO_CONVERGENCE
         err = capsys.readouterr().err

@@ -1,8 +1,8 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
 
 from qsl12 import bloch2, lambda3, shooting
 from qsl12.shooting import ShotConfig
@@ -43,12 +43,12 @@ class TestShoot:
         assert t == pytest.approx(7.40, abs=0.02)
 
     def test_zero_costates_never_hit(self, cfg002):
-        t, reason = shooting.shoot_info(0.0, 0.0, cfg002)
-        assert t is None and reason == "switching-degeneracy"
+        t, reason, residual = shooting.shoot_info(0.0, 0.0, cfg002)
+        assert t is None and reason == "switching-degeneracy" and residual is None
 
     def test_infeasible_ray_reports_no_hit(self, cfg002):
-        t, reason = shooting.shoot_info(1.85, 0.6, cfg002)
-        assert t is None
+        t, reason, residual = shooting.shoot_info(1.85, 0.6, cfg002)
+        assert t is None and residual is None
         assert reason in ("no-crossing", "phi-singularity", "step-underflow")
 
     def test_shot_and_extremal_pass_the_rhs_itself(self, cfg002, monkeypatch):
@@ -65,7 +65,7 @@ class TestShoot:
 
         monkeypatch.setattr(shooting.ode, "locate_event", recorded(locate_event))
         monkeypatch.setattr(shooting.ode, "integrate", recorded(integrate))
-        t, _ = shooting.shoot_info(1.85, 0.45266, cfg002)
+        t = shooting.shoot_info(1.85, 0.45266, cfg002)[0]
         shooting.extremal(shooting.Optimum(1.85, 0.45266, t), cfg002)
         assert len(seen) == 2
         assert all(rhs is lambda3.extremal_rhs for rhs in seen)
@@ -79,10 +79,12 @@ class TestShoot:
     def test_mirror_costates_give_the_same_shot(self, cfg002, lphi, ltheta, hits):
         # the reflection theta -> -theta, lambda_theta -> -lambda_theta maps
         # the flow to itself, and so does lambda -> -lambda: all four sign
-        # choices of the costates shoot bit for bit alike
-        shots = {shooting.shoot_info(sp * lphi, st * ltheta, cfg002) for sp in (1, -1) for st in (1, -1)}
-        assert len(shots) == 1
-        (t, reason), = shots
+        # choices of the costates shoot bit for bit alike, and the residual
+        # turns with the sign of lambda_phi * lambda_theta
+        shots = {(sp * st, shooting.shoot_info(sp * lphi, st * ltheta, cfg002)) for sp in (1, -1) for st in (1, -1)}
+        assert len({shot[:2] for _, shot in shots}) == 1
+        assert len({(sign * shot[2] if hits else shot[2]) for sign, shot in shots}) == 1
+        t, reason, _ = shots.pop()[1]
         assert (reason == "hit") == hits and (t is not None) == hits
 
     def test_terminal_state(self, cfg002, ref_extremal):
@@ -124,8 +126,8 @@ class TestShoot:
     ])
     def test_extreme_costates_report_a_reason(self, cfg002, costates):
         # no ZeroDivisionError, OverflowError or RuntimeWarning escapes a shot
-        t, reason = shooting.shoot_info(*costates, cfg002)
-        assert t is None
+        t, reason, residual = shooting.shoot_info(*costates, cfg002)
+        assert t is None and residual is None
         assert reason in ("no-crossing", "switching-degeneracy", "phi-singularity", "step-underflow")
 
 
@@ -292,12 +294,13 @@ class TestRefine:
         monkeypatch.setattr(shooting, "shoot_info", counted)
         opt = shooting.refine(1.85, 0.5, cfg002)
         assert opt.t_min == pytest.approx(7.40, abs=0.02)
-        assert len(shots) <= 36
+        assert len(shots) <= 30
 
     def test_rhs_budget(self, cfg002, monkeypatch):
-        # probes stop at the fastest earlier hit and Brent's shots where their
-        # time cannot change its course; with unbounded probes this refinement
-        # takes 129 848 calls, with bounded probes and unbounded Brent 86 936
+        # probes stop at the fastest earlier hit, and the root search's shots
+        # at the fastest hit left of the root: 15 409 calls in the scan and
+        # 13 170 in the search's 12 shots; minimizing the hit time by Brent's
+        # method took 46 010 calls, with unbounded probes 129 848
         calls = 0
         extremal_rhs = lambda3.extremal_rhs
 
@@ -309,33 +312,47 @@ class TestRefine:
         monkeypatch.setattr(lambda3, "extremal_rhs", counted)
         opt = shooting.refine(1.85, 0.9, cfg002)
         assert opt.t_min == pytest.approx(7.40, abs=0.02)
-        assert calls <= 50_000
+        assert calls <= 36_000
 
     @pytest.mark.parametrize("eps, guess", [(0.002, 0.9), (0.005, 0.7), (0.002, 1.2)])
     def test_bounded_probes_keep_the_optimum(self, eps, guess, monkeypatch):
-        # some shots stop early, yet the refinement shoots the points of shots
-        # run to the horizon and returns their optimum, field for field
+        # some shots stop early, yet the optimum is a full hit that meets the
+        # transversality condition
         cfg = ShotConfig(eps=eps)
-        shots = []
+        reasons = []
         shoot_info = shooting.shoot_info
 
-        def recorded(lphi_i, ltheta_i, cfg, stop=math.inf):
-            result = shoot_info(lphi_i, ltheta_i, cfg, stop)
-            shots.append((ltheta_i, result[1]))
+        def recorded(*args):
+            result = shoot_info(*args)
+            reasons.append(result[1])
             return result
 
         monkeypatch.setattr(shooting, "shoot_info", recorded)
-        bounded = shooting.refine(1.85, guess, cfg)
-        bounded_shots = shots[:]
-        shots.clear()
-        assert "beyond-bound" in [reason for _, reason in bounded_shots]
-        monkeypatch.setattr(shooting, "shoot_info",
-                            lambda lphi_i, ltheta_i, cfg, stop=math.inf: recorded(lphi_i, ltheta_i, cfg))
-        assert bounded == shooting.refine(1.85, guess, cfg)
-        assert [x for x, _ in bounded_shots] == [x for x, _ in shots]
+        opt = shooting.refine(1.85, guess, cfg)
+        monkeypatch.undo()
+        assert "beyond-bound" in reasons
+        t, reason, residual = shooting.shoot_info(1.85, opt.ltheta_i, cfg)
+        assert (t, reason) == (opt.t_min, "hit")
+        assert abs(residual) <= 1e-9
 
-    def test_brent_shots_stop_too(self, cfg002, monkeypatch):
-        # past the 13 probes, Brent's own shots at slow points end early
+    def test_mirror_rays_refine_alike(self, cfg002):
+        # the residual turns with the sign of lambda_phi * lambda_theta and
+        # the probes run away from the origin, so the four mirror rays refine
+        # bit for bit alike
+        opt = shooting.refine(1.85, 0.9, cfg002)
+        for sp, st in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+            mirror = shooting.refine(sp * 1.85, st * 0.9, cfg002)
+            assert mirror == shooting.Optimum(sp * opt.lphi_i, st * opt.ltheta_i, opt.t_min)
+
+    def test_optimum_does_not_depend_on_the_guess(self, cfg002, opt002):
+        # the root of the residual is where the guesses 0.5, 0.9 and 1.2 all
+        # end; minimizing the hit time left them 5.1e-7 apart
+        for guess in (0.9, 1.2):
+            opt = shooting.refine(1.85, guess, cfg002)
+            assert opt.ltheta_i == pytest.approx(opt002.ltheta_i, rel=1e-9, abs=0.0)
+
+    def test_root_search_shots_stop_too(self, cfg002, monkeypatch):
+        # past the 13 probes, the root search's shots past the root end early
         reasons = []
         shoot_info = shooting.shoot_info
 
@@ -350,8 +367,9 @@ class TestRefine:
 
     def test_stopped_probe_is_shot_again_in_full(self, monkeypatch):
         # on this landscape the second probe is slower than the first, so it
-        # stops at the first one's time; Brent brackets with it as the
-        # fastest probe's neighbour and must get its full time
+        # stops at the first one's time; the third, the fastest, lies right of
+        # the root, so the second ends the bracket on the left and must give
+        # its full time and residual
         def valley(x):
             return 9.0 if x < 0.1 else 7.0 + 400.0 * (x - 0.3) ** 2
 
@@ -360,13 +378,14 @@ class TestRefine:
         def shoot_info(lphi_i, ltheta_i, cfg, stop=math.inf):
             shots.append((ltheta_i, stop))
             t = valley(ltheta_i)
-            return (None, "beyond-bound") if t >= stop else (t, "hit")
+            return (None, "beyond-bound", None) if t >= stop else (t, "hit", 0.3 - ltheta_i)
 
         monkeypatch.setattr(shooting, "shoot_info", shoot_info)
         opt = shooting.refine(1.85, 1.0, ShotConfig(eps=0.002))
-        assert opt.ltheta_i == pytest.approx(0.3, abs=1e-6)
+        assert opt.ltheta_i == pytest.approx(0.3, abs=1e-9)
         slow, stop = shots[1]
         assert stop == 9.0 and valley(slow) > stop
+        assert shots[2][0] > 0.3
         assert (slow, math.inf) in shots[13:]
 
     def test_optimum_reuses_the_winning_shot(self, cfg002, opt002, monkeypatch):
@@ -418,124 +437,30 @@ class TestRefine:
             shooting.refine(1.85, 0.5, ShotConfig(eps=0.002, integrator=integrator))
 
     def test_flat_landscape_fails_to_bracket(self, monkeypatch):
-        # every shot hits at the same time: no three points bracket a minimum
-        monkeypatch.setattr(shooting, "shoot_info", lambda *args: (7.0, "hit"))
+        # every shot hits at the same time with the same residual > 0: the
+        # walk past the last probe never sees the residual change sign
+        monkeypatch.setattr(shooting, "shoot_info", lambda *args: (7.0, "hit", 0.5))
         with pytest.raises(shooting.NoConvergence) as err:
             shooting.refine(1.85, 0.7, ShotConfig(eps=0.005))
         message = str(err.value)
-        assert "no valid bracket" in message
+        assert "no valid bracket" in message and "stays > 0" in message
         assert "eps 0.005" in message and "horizon 15.0" in message
+
+    def test_no_positive_residual_left_of_the_fastest_probe(self, monkeypatch):
+        # the fastest probe reads a residual < 0, and so does its neighbour on
+        # the left, or it has none
+        for times in ((7.0, 7.0), (8.0, 7.0)):
+            landscape = lambda lphi_i, ltheta_i, cfg, stop=math.inf: (  # noqa: E731
+                (times[0] if ltheta_i < 0.1 else times[1], "hit", -0.5))
+            monkeypatch.setattr(shooting, "shoot_info", landscape)
+            with pytest.raises(shooting.NoConvergence, match="no valid bracket, the residual is not > 0 left"):
+                shooting.refine(1.85, 0.7, ShotConfig(eps=0.005))
 
     def test_failure_names_eps_and_horizon(self):
         # the last point of a continuation that runs out of horizon
         with pytest.raises(shooting.NoFeasiblePoint) as err:
             shooting.refine(1.85, 0.45, ShotConfig(eps=0.002, horizon=7.0))
         assert "eps 0.002" in str(err.value) and "horizon 7.0" in str(err.value)
-
-
-def _valley(x):
-    # asymmetric, with a +inf plateau where no shot hits
-    return math.inf if x < 0.1 else 7.0 + 40.0 * abs(x - 0.3) ** 1.5
-
-
-def _steep_valley(x):
-    # eleven times steeper right of its minimum than left of it
-    return 7.0 + abs(x - 0.3) ** 1.5 * (11.0 if x > 0.3 else 1.0)
-
-
-def _brent_against_scipy(g, xa, xb, honour_stop=False):
-    """Run ``shooting._brent`` and scipy's Brent on ``g`` from the start
-    points (xa, xb), and check that both evaluate the same points and return
-    the same result. With ``honour_stop``, a point of ``_brent`` whose value
-    exceeds its ``stop`` gets +inf, as a stopped shot does. Returns the
-    result, the points and the number of points stopped."""
-    ours, theirs, stopped = [], [], []
-
-    def f_ours(x, stop):
-        ours.append(x)
-        if honour_stop and g(x) > stop:
-            stopped.append(x)
-            return math.inf
-        return g(x)
-
-    def f_theirs(x):
-        theirs.append(x)
-        return g(x)
-
-    x, fx = shooting._brent(f_ours, xa, xb)
-    with np.errstate(invalid="ignore"):
-        res = minimize_scalar(f_theirs, bracket=(xa, xb), method="brent",
-                              options={"xtol": shooting.REFINE_XTOL})
-    assert res.success
-    assert float.hex(float(x)) == float.hex(float(res.x))
-    assert float.hex(float(fx)) == float.hex(float(res.fun))
-    assert len(ours) == res.nfev
-    assert [float.hex(float(u)) for u in ours] == [float.hex(float(u)) for u in theirs]
-    return x, fx, ours, len(stopped)
-
-
-class TestBrent:
-    """``shooting._brent`` is scipy's Brent point for point; should scipy
-    change its Brent, these tests say so."""
-
-    def test_parabola(self):
-        _brent_against_scipy(lambda x: 7.0 + (x - 0.3) ** 2, 0.2, 0.35)
-
-    @pytest.mark.parametrize("xa, xb", [(0.05, 0.25), (0.9, 0.8)])
-    def test_valley_with_infinite_plateau(self, xa, xb):
-        _, _, points, _ = _brent_against_scipy(_valley, xa, xb)
-        assert any(math.isinf(_valley(u)) for u in points)
-
-    def test_bracket_expands(self):
-        # downhill from (0, 0.1), the first extrapolated point 0.26 still falls
-        _, _, points, _ = _brent_against_scipy(lambda x: (x - 5.0) ** 2, 0.0, 0.1)
-        assert max(points) > 5.0
-
-    @pytest.mark.parametrize("g, xa, xb", [(_valley, 0.05, 0.25), (_steep_valley, -1.0, -0.9)])
-    def test_stops_skip_work_only(self, g, xa, xb):
-        # stopped points read +inf in place of their finite values, yet the
-        # loop evaluates scipy's points; on the steep valley, a stop that
-        # left out any one of the ties w == x, v == x, v == w would not
-        *_, n_stopped = _brent_against_scipy(g, xa, xb, honour_stop=True)
-        assert n_stopped > 0
-
-    @pytest.mark.parametrize("eps, guess", [(0.002, 0.9), (0.005, 0.7)])
-    def test_refine_shot(self, eps, guess, monkeypatch):
-        # Brent's start points and objective in a refinement, run once more
-        # with every shot in full, give the refinement's optimum
-        calls = []
-        brent = shooting._brent
-
-        def captured(f, xa, xb):
-            calls.append((f, xa, xb))
-            return brent(f, xa, xb)
-
-        monkeypatch.setattr(shooting, "_brent", captured)
-        opt = shooting.refine(1.85, guess, ShotConfig(eps=eps))
-        (f, xa, xb), = calls
-        x, fx, _, _ = _brent_against_scipy(lambda x: f(x, math.inf), xa, xb)
-        assert (opt.ltheta_i, opt.t_min) == (float(x), fx)
-
-    def test_no_valid_bracket(self):
-        # scipy reports success=False; the loop raises and names the condition
-        res = minimize_scalar(lambda x: 7.0, bracket=(0.1, 0.2), method="brent")
-        assert not res.success and "valid bracket" in res.message
-        with pytest.raises(shooting.NoConvergence, match="no valid bracket"):
-            shooting._brent(lambda x, stop: 7.0, 0.1, 0.2)
-
-    def test_nan_result(self):
-        # finite over the bracket, NaN at every point Brent shoots after it
-        def g(x, points):
-            points.append(x)
-            return (x - 0.3) ** 2 if len(points) <= 3 else math.nan
-
-        ours, theirs = [], []
-        res = minimize_scalar(lambda x: g(x, theirs), bracket=(0.2, 0.35), method="brent",
-                              options={"xtol": shooting.REFINE_XTOL})
-        assert not res.success and "NaN" in res.message
-        with pytest.raises(shooting.NoConvergence, match="NaN"):
-            shooting._brent(lambda x, stop: g(x, ours), 0.2, 0.35)
-        assert ours == theirs
 
 
 class TestExtremalInvariants:
@@ -562,9 +487,18 @@ class TestExtremalInvariants:
 
 
 @pytest.fixture(scope="module")
-def deep_curve(cfg002) -> np.ndarray:
-    """Minimum areas at 16 accuracies from 0.1 down to 1e-6."""
-    return shooting.area_curve(np.geomspace(0.1, 1e-6, 16), cfg002)
+def deep_optima(cfg002) -> tuple[np.ndarray, list]:
+    """16 accuracies from 0.1 down to 1e-6 and their optima, from one
+    continuation."""
+    eps_values = np.geomspace(0.1, 1e-6, 16)
+    return eps_values, shooting._optima_along_eps(eps_values, cfg002, shooting.START_RAY[0])
+
+
+@pytest.fixture(scope="module")
+def deep_curve(deep_optima) -> np.ndarray:
+    """Minimum areas of ``deep_optima``, as ``area_curve`` returns them."""
+    eps_values, optima = deep_optima
+    return np.column_stack([eps_values, [opt.area for opt in optima]])
 
 
 class TestAreaCurve:
@@ -592,6 +526,14 @@ class TestAreaCurve:
         assert local.size == 12
         assert np.all(np.diff(local) < 0.0)
         assert np.all(local > -1.0 / math.sqrt(2.0))
+
+    def test_optima_are_transversal(self, cfg002, deep_optima):
+        # at each optimum the costate is parallel to the target's gradient,
+        # to within 1e-7 in the sine of the angle between them
+        for eps, opt in zip(*deep_optima):
+            t, _, residual = shooting.shoot_info(opt.lphi_i, opt.ltheta_i, replace(cfg002, eps=float(eps)))
+            assert t == opt.t_min
+            assert abs(residual) <= 1e-7
 
     def test_fit_recovers_synthetic_line(self):
         eps = np.geomspace(1e-3, 0.1, 7)
