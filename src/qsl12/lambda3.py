@@ -177,12 +177,17 @@ def _extremal_flow(cos, sin, sqrt, checked: bool):
 
         ``cost="time"`` applies :func:`bang_control`; ``cost="energy"``
         applies :func:`energy_control`; the terms are those of
-        angle_rhs/costate_rhs under that control, as the tests check. The
-        slope is a 4-tuple. A checked flow raises PhiSingularity and
-        SwitchingDegeneracy as those functions do; an unchecked one gives
-        such states a non-finite slope.
+        angle_rhs/costate_rhs under that control, as the tests check. A
+        checked flow takes one state and returns its slope as a 4-tuple; it
+        raises PhiSingularity and SwitchingDegeneracy as those functions do.
+        An unchecked flow takes lanes, a one-element list holding a (4, n)
+        block with one row per component, and returns the slope as a
+        one-element tuple holding a block of the same shape and array type;
+        it gives such states a non-finite slope.
         """
-        if checked and isinstance(y, np.ndarray):
+        if not checked:
+            (y,) = y
+        elif isinstance(y, np.ndarray):
             y = y.tolist()
         phi, theta, lphi, ltheta = y
         cph = cos(phi)
@@ -205,15 +210,23 @@ def _extremal_flow(cos, sin, sqrt, checked: bool):
             op, os_ = h1, h2
         else:
             raise ValueError(f"unknown cost {cost!r}")
-        dphi = op * cph * cth2 * _INV_SQRT2 - 0.5 * os_ * sth
-        dtheta = 0.5 * os_ * cth * tph + op * cth * sth * sph * _INV_SQRT2
+        # Products evaluate left to right, so each shared prefix is the
+        # value that every term below would compute itself.
+        hos = 0.5 * os_
+        hos_c, hos_s = hos * cth, hos * sth
+        dphi = op * cph * cth2 * _INV_SQRT2 - hos_s
+        dtheta = hos_c * tph + op * cth * sth * sph * _INV_SQRT2
         dlphi = lphi * op * sph * cth2 * _INV_SQRT2 - ltheta * (
-            0.5 * os_ * cth / (cph * cph) + op * sth * cth * cph * _INV_SQRT2
+            hos_c / (cph * cph) + op * sth * cth * cph * _INV_SQRT2
         )
-        dltheta = lphi * (2.0 * op * cph * sth * cth * _INV_SQRT2 + 0.5 * os_ * cth) + ltheta * (
-            0.5 * os_ * sth * tph - op * (cth2 - sth * sth) * sph * _INV_SQRT2
+        dltheta = lphi * (2.0 * op * cph * sth * cth * _INV_SQRT2 + hos_c) + ltheta * (
+            hos_s * tph - op * (cth2 - sth * sth) * sph * _INV_SQRT2
         )
-        return dphi, dtheta, dlphi, dltheta
+        if checked:
+            return dphi, dtheta, dlphi, dltheta
+        slope = np.empty_like(y)
+        slope[0], slope[1], slope[2], slope[3] = dphi, dtheta, dlphi, dltheta
+        return (slope,)
 
     return flow
 
@@ -221,7 +234,8 @@ def _extremal_flow(cos, sin, sqrt, checked: bool):
 #: One state, checked: ``y`` is a list of four floats, as the integrator
 #: passes it, or an ndarray; the slope holds Python floats from ``math``.
 extremal_rhs = _extremal_flow(math.cos, math.sin, math.sqrt, checked=True)
-#: Lanes, unchecked: ``y`` is a list of four arrays, one cell per element.
+#: Lanes, unchecked: ``y`` is ``[Y]``, a (4, n) block with one lane per
+#: column; the slope is ``(K,)``, a block of the same shape.
 extremal_lanes = _extremal_flow(np.cos, np.sin, np.sqrt, checked=False)
 
 

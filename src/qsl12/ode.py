@@ -24,9 +24,12 @@ The step runs on Python floats: the state and the seven stages are lists,
 and each stage sum is written out per component in the order numpy would
 use. On the 4-component extremal state one step and its error norm take
 37-40 us, against 85-89 us as array code (2-vCPU Xeon VM, py3.11, numpy
-2.4). The same ``_dp5_step`` steps *lanes*, states whose components are
-arrays of many cells; the landscape scan in ``shooting`` runs it so at a
-fixed step and hands the lanes its screen flags to ``_crossing``.
+2.4). The same ``_dp5_step`` steps *lanes*: the one-element state
+``[Y]``, where Y is a (4, n) block with one cell per column, so each stage
+sum and the error sum is one numpy expression on the whole block, with the
+same operations per element in the same order. The landscape scan in
+``shooting`` runs it so at a fixed step and hands the lanes its screen flags
+to ``_crossing``, one column at a time.
 
 The flows are autonomous, and the state crosses into caller code as a list:
 ``rhs(y)`` and ``event(y)`` receive a list of Python floats (or complex
@@ -291,7 +294,7 @@ def integrate(rhs: Rhs, y0, t_span: tuple[float, float], cfg: IntegratorConfig =
 
 def _rate(event: Event, y: Sequence, ydot: Sequence, dt: float):
     """Time derivative of ``event`` at state y moving with velocity ydot, a central
-    difference over y -/+ dt * ydot (lists of floats, or of lane arrays)."""
+    difference over y -/+ dt * ydot (lists of floats, or blocks of lane rows)."""
     ahead = [a + dt * v for a, v in zip(y, ydot)]
     behind = [a - dt * v for a, v in zip(y, ydot)]
     return (event(ahead) - event(behind)) / (2.0 * dt)

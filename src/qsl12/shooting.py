@@ -235,13 +235,15 @@ def extremal(opt: Optimum, cfg: ShotConfig) -> tuple[ode.Trajectory, np.ndarray]
 # its cos exactly even (a test checks this).
 #
 # Every lane is a shot run on the shots' own machinery, side by side with
-# the others: the lanes hold the state as a list of four arrays, which
-# ``ode._dp5_step`` steps unchanged on ``lambda3.extremal_lanes`` at the
-# fixed step h = horizon / ceil(horizon / max_step). A numpy screen flags
-# the lanes whose event changes sign or may graze zero (the rates along the
-# step's end slopes, then the tangent screen); the shots' crossing rule
-# ``ode._crossing`` decides each flagged lane with the shots' event and
-# ``ode.EVENT_TOL``. A lane retires at its hit, and as NaN when its state
+# the others: the lanes hold the state as one (4, n) block, a column per
+# lane, and ``ode._dp5_step`` steps the one-element state ``[block]``
+# unchanged on ``lambda3.extremal_lanes`` at the fixed step
+# h = horizon / ceil(horizon / max_step), so each stage sum is one numpy
+# expression on the whole block. A numpy screen flags the lanes whose event
+# changes sign or may graze zero (the rates along the step's end slopes, on
+# the rows of phi and theta, then the tangent screen); the shots' crossing
+# rule ``ode._crossing`` decides each flagged lane, one column as a list of
+# floats, with the shots' event and ``ode.EVENT_TOL``. A lane retires at its hit, and as NaN when its state
 # goes non-finite or its step error estimate exceeds h: a fixed step can
 # step over the tan(phi) blow-up to a hit no shot has. On unit-norm lanes
 # that rule does not depend on the costates' scale. Lanes never mix, so a
@@ -293,34 +295,37 @@ def _lanes(lphi_range, ltheta_range, lphi_axis: np.ndarray,
 
 def _scan_lanes(lphi0: np.ndarray, ltheta0: np.ndarray, cfg: ShotConfig) -> np.ndarray:
     ids = np.arange(lphi0.size)
-    y = [np.zeros(ids.size), np.zeros(ids.size), lphi0, ltheta0]
+    y = np.zeros_like(lphi0, shape=(4, ids.size))  # keeps lphi0's array type
+    y[2], y[3] = lphi0, ltheta0
     hit_times = np.full(ids.size, np.nan)
     event, lane_event = _event(cfg), _event(cfg, np.cos, np.sin)
     n_steps = math.ceil(cfg.horizon / cfg.integrator.max_step)
     h = cfg.horizon / n_steps
     dt = ode._RATE_DT * h
     with np.errstate(all="ignore"):
-        k1 = lambda3.extremal_lanes(y)
-        e_a, r_a = lane_event(y), ode._rate(lane_event, y, k1, dt)
+        (k1,) = lambda3.extremal_lanes([y])
+        # the event reads only phi and theta, rows 0 and 1
+        e_a, r_a = lane_event(y), ode._rate(lane_event, y[:2], k1[:2], dt)
         for i in range(n_steps):
             if not ids.size:
                 break
             t_a, t_b = i * h, (i + 1) * h
-            y_b, K, err = ode._dp5_step(lambda3.extremal_lanes, y, k1, h)
-            e_b, r_b = lane_event(y_b), ode._rate(lane_event, y_b, K[-1], dt)
+            (y_b,), K, (err,) = ode._dp5_step(lambda3.extremal_lanes, [y], (k1,), h)
+            (k_b,) = K[-1]
+            e_b, r_b = lane_event(y_b), ode._rate(lane_event, y_b[:2], k_b[:2], dt)
             retired = ~(np.isfinite(y_b).all(axis=0) & (np.abs(err) <= h).all(axis=0))
             flagged = (e_b == 0.0) | ((e_b > 0.0) != (e_a > 0.0)) | (
                 (r_b * e_b > 0.0) & (r_a * e_a < 0.0) & ~ode._graze_ruled_out(e_a, r_a, e_b, r_b, h)
             )
             for j in np.flatnonzero(flagged & ~retired):
-                ya, yb = [c[j].item() for c in y], [c[j].item() for c in y_b]
-                Kj = [[c[j].item() for c in k] for k in K]
+                ya, yb = y[:, j].tolist(), y_b[:, j].tolist()
+                Kj = [k[:, j].tolist() for (k,) in K]
                 found = ode._crossing(event, t_a, ya, event(ya), t_b, yb, event(yb), Kj, h)
                 if found is not None:
                     hit_times[ids[j]], retired[j] = found[0], True
-            k_b, keep = K[-1], ~retired
+            keep = ~retired
             if not keep.all():
-                y_b, k_b = [c[keep] for c in y_b], [c[keep] for c in k_b]
+                y_b, k_b = y_b[:, keep], k_b[:, keep]
                 e_b, r_b, ids = e_b[keep], r_b[keep], ids[keep]
             y, k1, e_a, r_a = y_b, k_b, e_b, r_b
     return hit_times

@@ -231,13 +231,17 @@ class TestExtremalRhs:
 
     @pytest.mark.parametrize("cost", ["time", "energy"])
     def test_lane_binding_matches_scalar(self, cost):
-        # one source bound twice: numpy's cos/sin/sqrt on lanes, math's per state
+        # one source bound twice: numpy's cos/sin/sqrt on lanes, math's per
+        # state; the lanes are one (4, n) block in and one out
         states = np.column_stack([
             RNG.uniform(-1.5, 1.5, 500), RNG.uniform(-3.0, 3.0, 500), RNG.uniform(-5.0, 5.0, (500, 2)),
         ])
-        lanes = lambda3.extremal_lanes(list(states.T), cost)
+        slope = lambda3.extremal_lanes([states.T], cost)
+        assert type(slope) is tuple and len(slope) == 1
+        (block,) = slope
+        assert type(block) is np.ndarray and block.dtype == float and block.shape == (4, 500)
         scalar = np.array([lambda3.extremal_rhs(y, cost) for y in states.tolist()])
-        np.testing.assert_array_max_ulp(np.array(lanes), scalar.T, maxulp=4)
+        np.testing.assert_array_max_ulp(block, scalar.T, maxulp=4)
 
     def test_rejects_unknown_cost(self):
         with pytest.raises(ValueError):

@@ -160,7 +160,7 @@ class TestLandscape:
             pass
 
         def recorded(rhs, y, *args):
-            widths.append(y[0].size)
+            widths.append(y[0].shape[-1])
             raise Measured  # the width is known; skip the scan
 
         monkeypatch.setattr(shooting.ode, "_dp5_step", recorded)
@@ -230,16 +230,51 @@ class TestLandscape:
         assert np.array_equal(screened.times, searched.times, equal_nan=True)
 
     def test_lanes_step_on_the_lane_flow_itself(self, cfg005, monkeypatch):
-        seen = set()
+        # no adapter between the step and the flow, and the state is one
+        # (4, n) block, so each stage sum is one numpy call
+        seen, states = set(), set()
         dp5_step = shooting.ode._dp5_step
 
-        def recorded(rhs, *args):
+        def recorded(rhs, y, *args):
             seen.add(rhs)
-            return dp5_step(rhs, *args)
+            states.add((type(y), len(y), type(y[0]), y[0].dtype, y[0].shape))
+            return dp5_step(rhs, y, *args)
 
         monkeypatch.setattr(shooting.ode, "_dp5_step", recorded)
         shooting.landscape((1.85, 1.85), (0.7, 0.7), (1, 1), cfg005, workers=1)
         assert seen == {lambda3.extremal_lanes}
+        assert states == {(list, 1, np.ndarray, np.dtype(float), (4, 1))}
+
+    def test_numpy_call_budget(self, cfg002, monkeypatch):
+        # numpy calls per lane step on the 60x60 grid over +-3, counted on
+        # lanes of an ndarray subclass that keeps itself through every
+        # ufunc; 517 per step, against 731 with one array per component
+        class Counted(np.ndarray):
+            calls = 0
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                Counted.calls += 1
+                plain = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+                result = getattr(ufunc, method)(*plain, **kwargs)
+                return result.view(Counted) if type(result) is np.ndarray else result
+
+        steps, blocks = 0, set()
+        dp5_step = shooting.ode._dp5_step
+
+        def counted(rhs, y, k1, h):
+            nonlocal steps
+            steps += 1
+            blocks.update((type(y[0]), type(k1[0])))
+            return dp5_step(rhs, y, k1, h)
+
+        monkeypatch.setattr(shooting.ode, "_dp5_step", counted)
+        axis = np.linspace(-3.0, 3.0, 60)
+        lphi0, ltheta0, _ = shooting._lanes((-3.0, 3.0), (-3.0, 3.0), axis, axis)
+        short = replace(cfg002, horizon=7.5)  # past the first hits, near 7.40
+        times = shooting._scan_lanes(lphi0.view(Counted), ltheta0.view(Counted), short)
+        assert np.isfinite(times).any() and steps == 750
+        assert blocks == {Counted}  # so no step goes uncounted
+        assert Counted.calls / steps <= 530
 
     def test_origin_only_grid_is_empty(self, cfg005):
         grid = shooting.landscape((0.0, 0.0), (0.0, 0.0), (1, 1), cfg005)
