@@ -245,13 +245,12 @@ def _cmd_three_areacurve(args) -> int:
 
 def _cmd_three_energy(args) -> int:
     duration = args.T * args.omega0
-    if not 0.0 < duration < np.inf:  # checked before the refinement
-        raise ValueError("--T must be positive and finite")
     cfg = _shot_config(args, args.eps)
-    # x3 starts at 0 and |dx3/dt| = |Omega_s y2| / 2 <= 1 / (2 sqrt 2), so the
-    # area is at least 2 sqrt(1 - eps): a duration whose bound overflows at
-    # that area overflows at the optimum's too, and is rejected before the
-    # refinement
+    # a duration that is not positive and finite, or whose bound overflows,
+    # is rejected before the refinement: x3 starts at 0 and |dx3/dt| =
+    # |Omega_s y2| / 2 <= 1 / (2 sqrt 2), so the area is at least
+    # 2 sqrt(1 - eps), and a bound that overflows there overflows at the
+    # optimum's area too
     bloch2.energy_optimum(duration, 2.0 * math.sqrt(1.0 - cfg.eps))
     opt = shooting.refine(*shooting.START_RAY, cfg)
     omega_min, energy = bloch2.energy_optimum(duration, opt.area)

@@ -24,12 +24,18 @@ The step runs on Python floats: the state and the seven stages are lists,
 and each stage sum is written out per component in the order numpy would
 use. On the 4-component extremal state one step and its error norm take
 37-40 us, against 85-89 us as array code (2-vCPU Xeon VM, py3.11, numpy
-2.4). The same ``_dp5_step`` steps *lanes*: the one-element state
-``[Y]``, where Y is a (4, n) block with one cell per column, so each stage
-sum and the error sum is one numpy expression on the whole block, with the
-same operations per element in the same order. The landscape scan in
-``shooting`` runs it so at a fixed step and hands the lanes its screen flags
-to ``_crossing``, one column at a time.
+2.4).
+
+``locate_lane_events`` runs n states side by side as *lanes* at one fixed
+step: ``_dp5_step`` steps the one-element state ``[Y]``, Y a (d, n) block
+with one lane per column, so each stage sum is one numpy expression on the
+whole block, with the same operations per element in the same order. A
+numpy screen on the block (a sign change, or the graze conditions and the
+tangent screen on rates from one central difference) flags the lanes that
+``_crossing`` decides, one column at a time. A lane retires at its hit, and
+with none at a non-finite state or an error estimate above the step: a
+fixed step can step over a singularity of the flow to a hit no adaptive
+search has.
 
 The flows are autonomous, and the state crosses into caller code as a list:
 ``rhs(y)`` and ``event(y)`` receive a list of Python floats (or complex
@@ -57,6 +63,7 @@ __all__ = [
     "StepUnderflow",
     "integrate",
     "locate_event",
+    "locate_lane_events",
 ]
 
 #: Hard floor for the adaptive step; reaching it signals stiffness or a
@@ -293,8 +300,8 @@ def integrate(rhs: Rhs, y0, t_span: tuple[float, float], cfg: IntegratorConfig =
 
 
 def _rate(event: Event, y: Sequence, ydot: Sequence, dt: float):
-    """Time derivative of ``event`` at state y moving with velocity ydot, a central
-    difference over y -/+ dt * ydot (lists of floats, or blocks of lane rows)."""
+    """Time derivative of ``event`` at state y moving with velocity ydot (lists
+    of floats), a central difference over y -/+ dt * ydot."""
     ahead = [a + dt * v for a, v in zip(y, ydot)]
     behind = [a - dt * v for a, v in zip(y, ydot)]
     return (event(ahead) - event(behind)) / (2.0 * dt)
@@ -306,49 +313,6 @@ def _graze_ruled_out(e_a, r_a, e_b, r_b, h):
     zero on e_a's side. Floats or, elementwise, lane arrays."""
     meet = e_a + r_a * (e_b - e_a - r_b * h) / (r_a - r_b)
     return meet * e_a > GRAZE_MARGIN * abs(e_a)
-
-
-class _DenseStep:
-    """One accepted step from t_a to t_b, read through its continuous extension.
-
-    ``probe(t)`` returns the state, as a list, and the event value at t. The
-    ends return their stored values and every probe is cached, so brentq,
-    which evaluates the bracket ends first, repeats no evaluation. The
-    interpolant itself is numpy array code.
-    """
-
-    def __init__(self, event, t_a, y_a, e_a, t_b, y_b, e_b, K, h):
-        self.event = event
-        self.t_a = t_a
-        self.y_a = np.array(y_a)
-        self.t_b = t_b
-        self.h = h
-        self.Q = np.array(K).T @ _P
-        self.known = {t_a: (y_a, e_a), t_b: (y_b, e_b)}
-
-    def probe(self, t: float) -> tuple[list, float]:
-        if t not in self.known:
-            x = (t - self.t_a) / self.h
-            y = (self.y_a + self.h * (self.Q @ np.array([x, x * x, x ** 3, x ** 4]))).tolist()
-            self.known[t] = (y, float(self.event(y)))
-        return self.known[t]
-
-    def velocity(self, t: float) -> list:
-        x = (t - self.t_a) / self.h
-        return (self.Q @ np.array([1.0, 2.0 * x, 3.0 * x * x, 4.0 * x ** 3])).tolist()
-
-    def extremum(self, r_a: float, r_b: float, dt: float) -> float:
-        """Time of the event's extremum, where its rate (r_a at t_a, r_b at
-        t_b, of opposite signs) vanishes."""
-
-        def rate(t: float) -> float:
-            if t == self.t_a:
-                return r_a
-            if t == self.t_b:
-                return r_b
-            return _rate(self.event, self.probe(t)[0], self.velocity(t), dt)
-
-        return brentq(rate, self.t_a, self.t_b, xtol=EVENT_TOL)
 
 
 def _hit(times: list, states: list) -> EventHit:
@@ -376,17 +340,40 @@ def _crossing(event: Event, t_a: float, y_a: list, e_a: float, t_b: float, y_b: 
         r_a = _rate(event, y_a, K[0], dt)
         if not r_a * e_a < 0.0 or _graze_ruled_out(e_a, r_a, e_b, r_b, h):
             return None
-    step = _DenseStep(event, t_a, y_a, e_a, t_b, y_b, e_b, K, h)
+    # probe(t): the state, as a list, and the event at t on the step's
+    # continuous extension, cached and seeded with the ends, so brentq, which
+    # evaluates the bracket ends first, repeats no evaluation.
+    Q = np.array(K).T @ _P
+    y_start = np.array(y_a)
+    known = {t_a: (y_a, e_a), t_b: (y_b, e_b)}
+
+    def probe(t: float) -> tuple[list, float]:
+        if t not in known:
+            x = (t - t_a) / h
+            y = (y_start + h * (Q @ np.array([x, x * x, x ** 3, x ** 4]))).tolist()
+            known[t] = (y, float(event(y)))
+        return known[t]
+
     t_end = t_b
     if not crossed:
-        # The event turns inside the step; it crosses zero when its
-        # extremum does, and [t_a, extremum] then brackets the crossing.
-        t_end = step.extremum(r_a, r_b, dt)
-        e_end = step.probe(t_end)[1]
+        # The event turns inside the step, where its rate vanishes; it
+        # crosses zero when that extremum does, and [t_a, extremum] then
+        # brackets the crossing.
+        def rate(t: float) -> float:
+            if t == t_a:
+                return r_a
+            if t == t_b:
+                return r_b
+            x = (t - t_a) / h
+            velocity = (Q @ np.array([1.0, 2.0 * x, 3.0 * x * x, 4.0 * x ** 3])).tolist()
+            return _rate(event, probe(t)[0], velocity, dt)
+
+        t_end = brentq(rate, t_a, t_b, xtol=EVENT_TOL)
+        e_end = probe(t_end)[1]
         if e_end != 0.0 and (e_end > 0.0) == (e_a > 0.0):
             return None
-    t_hit = brentq(lambda t: step.probe(t)[1], t_a, t_end, xtol=EVENT_TOL)
-    return t_hit, step.probe(t_hit)[0]
+    t_hit = brentq(lambda t: probe(t)[1], t_a, t_end, xtol=EVENT_TOL)
+    return t_hit, probe(t_hit)[0]
 
 
 def locate_event(
@@ -435,3 +422,48 @@ def locate_event(
         states.append(y_b)
         t_a, y_a, e_a = t_b, y_b, e_b
     return None
+
+
+def locate_lane_events(rhs: Rhs, Y: np.ndarray, t1: float, n_steps: int, event: Event,
+                       lane_event: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The first zero of ``event`` on each lane over (0, t1] at the fixed step
+    t1 / n_steps, NaN on a lane with none (see the module docstring).
+
+    Y is a (d, n) block of initial states, one lane per column; ``rhs([Y])``
+    returns the slope as ``(K,)``, a block like Y, and ``lane_event(Y)`` is
+    ``event`` on every column. The event must be nonzero at the start.
+    """
+    ids = np.arange(Y.shape[1])
+    hit_times = np.full(ids.size, np.nan)
+    h = t1 / n_steps
+    dt = _RATE_DT * h
+
+    def rate(y, k):  # ``_rate`` on every lane: one central difference on the block
+        return (lane_event(y + dt * k) - lane_event(y - dt * k)) / (2.0 * dt)
+
+    with np.errstate(all="ignore"):
+        (k1,) = rhs([Y])
+        e_a, r_a = lane_event(Y), rate(Y, k1)
+        for i in range(n_steps):
+            if not ids.size:
+                break
+            t_a, t_b = i * h, (i + 1) * h
+            (y_b,), K, (err,) = _dp5_step(rhs, [Y], (k1,), h)
+            (k_b,) = K[-1]
+            e_b, r_b = lane_event(y_b), rate(y_b, k_b)
+            retired = ~(np.isfinite(y_b).all(axis=0) & (np.abs(err) <= h).all(axis=0))
+            flagged = (e_b == 0.0) | ((e_b > 0.0) != (e_a > 0.0)) | (
+                (r_b * e_b > 0.0) & (r_a * e_a < 0.0) & ~_graze_ruled_out(e_a, r_a, e_b, r_b, h)
+            )
+            for j in np.flatnonzero(flagged & ~retired):
+                ya, yb = Y[:, j].tolist(), y_b[:, j].tolist()
+                Kj = [k[:, j].tolist() for (k,) in K]
+                found = _crossing(event, t_a, ya, event(ya), t_b, yb, event(yb), Kj, h)
+                if found is not None:
+                    hit_times[ids[j]], retired[j] = found[0], True
+            keep = ~retired
+            if not keep.all():
+                y_b, k_b = y_b[:, keep], k_b[:, keep]
+                e_b, r_b, ids = e_b[keep], r_b[keep], ids[keep]
+            Y, k1, e_a, r_a = y_b, k_b, e_b, r_b
+    return hit_times

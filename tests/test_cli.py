@@ -230,14 +230,17 @@ class TestThreeLevel:
 
     def test_energy_overflow_exits_before_the_refinement(self, tmp_path, capsys, monkeypatch):
         # the area is at least 2 sqrt(1 - eps), and at that area 1e-320
-        # already overflows the bound, so no refinement runs
+        # already overflows the bound, so no refinement runs; nor does one
+        # for a duration that is not positive
         def refine(*args):
             raise AssertionError("refine ran")
 
         monkeypatch.setattr(shooting, "refine", refine)
-        flags = ["three-level", "energy", "--T", "1e-320", "--eps", "0.002"]
-        assert cli.main(["--out", str(tmp_path), *flags]) == 2
-        assert "overflows" in capsys.readouterr().err
+        for T, reason in [("1e-320", "overflows"), ("0", "positive and finite"), ("-1", "positive and finite")]:
+            flags = ["three-level", "energy", "--T", T, "--eps", "0.002"]
+            assert cli.main(["--out", str(tmp_path), *flags]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("invalid arguments: ") and reason in err
 
 
 class TestIso:

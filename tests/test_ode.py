@@ -323,3 +323,24 @@ class TestLocateEvent:
         t1 = ode.locate_event(rhs, [0.0, 0.0, -0.5], (0.0, 5.0), lambda eta: eta[2], cfg).t
         t2 = ode.locate_event(rhs, [0.0, 0.0, -0.5], (0.0, 5.0), lambda eta: eta[2], half).t
         assert abs(t1 - t2) < 10.0 * ode.EVENT_TOL
+
+
+class TestLaneEvents:
+    @staticmethod
+    def drift(state):
+        # row 0 is each lane's speed, row 1 a clock, row 2 moves at row 0
+        (Y,) = state
+        K = np.empty_like(Y)
+        K[0], K[1], K[2] = 0.0, 1.0, Y[0]
+        return (K,)
+
+    def test_hits_on_a_generic_block(self):
+        # the event reads row 2 only: a sign change across the first step
+        # (the node at t = 0.25 lands inside the window |y - 0.735| < 1e-3),
+        # a graze between the nodes 0.5 and 0.75, and a lane moving away
+        event = lambda y: 1e-6 - (y[2] - 0.735) ** 2
+        Y = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.735 - 0.25, 0.0, 5.0]])
+        times = ode.locate_lane_events(self.drift, Y, 2.0, 8, event, event)
+        assert times[0] == pytest.approx(0.249, abs=ode.EVENT_TOL)
+        assert times[1] == pytest.approx(0.734, abs=ode.EVENT_TOL)
+        assert np.isnan(times[2])

@@ -159,11 +159,11 @@ class TestLandscape:
         class Measured(Exception):
             pass
 
-        def recorded(rhs, y, *args):
-            widths.append(y[0].shape[-1])
+        def recorded(rhs, Y, *args):
+            widths.append(Y.shape[-1])
             raise Measured  # the width is known; skip the scan
 
-        monkeypatch.setattr(shooting.ode, "_dp5_step", recorded)
+        monkeypatch.setattr(shooting.ode, "locate_lane_events", recorded)
         with pytest.raises(Measured):
             shooting.landscape(*grid_args, workers=1)
         monkeypatch.undo()
@@ -230,25 +230,25 @@ class TestLandscape:
         assert np.array_equal(screened.times, searched.times, equal_nan=True)
 
     def test_lanes_step_on_the_lane_flow_itself(self, cfg005, monkeypatch):
-        # no adapter between the step and the flow, and the state is one
+        # no adapter between the lanes and the flow, and the state is one
         # (4, n) block, so each stage sum is one numpy call
-        seen, states = set(), set()
-        dp5_step = shooting.ode._dp5_step
+        seen, blocks = set(), set()
+        locate = shooting.ode.locate_lane_events
 
-        def recorded(rhs, y, *args):
+        def recorded(rhs, Y, *args):
             seen.add(rhs)
-            states.add((type(y), len(y), type(y[0]), y[0].dtype, y[0].shape))
-            return dp5_step(rhs, y, *args)
+            blocks.add((type(Y), Y.dtype, Y.shape))
+            return locate(rhs, Y, *args)
 
-        monkeypatch.setattr(shooting.ode, "_dp5_step", recorded)
+        monkeypatch.setattr(shooting.ode, "locate_lane_events", recorded)
         shooting.landscape((1.85, 1.85), (0.7, 0.7), (1, 1), cfg005, workers=1)
         assert seen == {lambda3.extremal_lanes}
-        assert states == {(list, 1, np.ndarray, np.dtype(float), (4, 1))}
+        assert blocks == {(np.ndarray, np.dtype(float), (4, 1))}
 
     def test_numpy_call_budget(self, cfg002, monkeypatch):
-        # numpy calls per lane step on the 60x60 grid over +-3, counted on
-        # lanes of an ndarray subclass that keeps itself through every
-        # ufunc; 517 per step, against 731 with one array per component
+        # numpy calls per lane step of ode.locate_lane_events on the lanes of
+        # the 60x60 grid over +-3, a block of an ndarray subclass that keeps
+        # itself through every ufunc; 513 per step
         class Counted(np.ndarray):
             calls = 0
 
@@ -270,11 +270,14 @@ class TestLandscape:
         monkeypatch.setattr(shooting.ode, "_dp5_step", counted)
         axis = np.linspace(-3.0, 3.0, 60)
         lphi0, ltheta0, _ = shooting._lanes((-3.0, 3.0), (-3.0, 3.0), axis, axis)
-        short = replace(cfg002, horizon=7.5)  # past the first hits, near 7.40
-        times = shooting._scan_lanes(lphi0.view(Counted), ltheta0.view(Counted), short)
+        Y = np.zeros((4, lphi0.size)).view(Counted)
+        Y[2], Y[3] = lphi0, ltheta0
+        event, lane_event = shooting._event(cfg002), shooting._event(cfg002, np.cos, np.sin)
+        # a horizon of 7.5 in 750 steps runs past the first hits, near 7.40
+        times = shooting.ode.locate_lane_events(lambda3.extremal_lanes, Y, 7.5, 750, event, lane_event)
         assert np.isfinite(times).any() and steps == 750
         assert blocks == {Counted}  # so no step goes uncounted
-        assert Counted.calls / steps <= 530
+        assert Counted.calls / steps <= 517
 
     def test_origin_only_grid_is_empty(self, cfg005):
         grid = shooting.landscape((0.0, 0.0), (0.0, 0.0), (1, 1), cfg005)
