@@ -105,14 +105,27 @@ def _rescale(args, value, unit: str):
     return scaled[()]
 
 
-def _integrator(args) -> ode.IntegratorConfig:
-    if args.tol is None:
-        return ode.IntegratorConfig()
-    return ode.IntegratorConfig(tol=args.tol)
+def _numbers(flag: str, text: str, count: int) -> list[float]:
+    """The ``count`` comma-separated numbers in ``text``, the value of
+    ``flag``; anything else raises ValueError naming the flag."""
+    parts = text.split(",")
+    try:
+        if len(parts) == count:
+            return [float(v) for v in parts]
+    except ValueError:
+        pass
+    raise ValueError(f"{flag} takes {count} comma-separated numbers, got {text!r}")
 
 
 def _shot_config(args, eps: float) -> shooting.ShotConfig:
-    return shooting.ShotConfig(eps=eps, horizon=args.horizon, integrator=_integrator(args))
+    return shooting.ShotConfig(eps=eps, horizon=args.horizon, integrator=ode.IntegratorConfig(tol=args.tol))
+
+
+def _report_energy(args, omega_min: float, energy: float) -> int:
+    omega_min, energy = _rescale(args, omega_min, "frequency"), _rescale(args, energy, "energy")
+    print(f"Omega0_min = {omega_min:.10g}")
+    print(f"E_min = {energy:.10g}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +160,8 @@ def _cmd_two_curve(args) -> int:
 def _cmd_two_simulate(args) -> int:
     kerr = bloch2.ZERO_KERR
     if args.kerr:
-        l11, l12, l22 = (float(v) for v in args.kerr.split(","))
-        kerr = bloch2.KerrParams(l11, l12, l22)
-    traj = bloch2.resonant_trajectory(0.5 - args.eps, _integrator(args))
+        kerr = bloch2.KerrParams(*_numbers("--kerr", args.kerr, 3))
+    traj = bloch2.resonant_trajectory(0.5 - args.eps, ode.IntegratorConfig(tol=args.tol))
     eta = traj.states
     pop1, pop2 = bloch2.populations_from_eta3(eta[:, 2])
     rows = np.column_stack([
@@ -170,11 +182,7 @@ def _cmd_two_simulate(args) -> int:
 
 def _cmd_two_energy(args) -> int:
     area = bloch2.min_area(-0.5, 0.5 - args.eps)
-    omega_min, energy = bloch2.energy_optimum(args.T * args.omega0, area)
-    omega_min, energy = _rescale(args, omega_min, "frequency"), _rescale(args, energy, "energy")
-    print(f"Omega0_min = {omega_min:.10g}")
-    print(f"E_min = {energy:.10g}")
-    return 0
+    return _report_energy(args, *bloch2.energy_optimum(args.T * args.omega0, area))
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +190,8 @@ def _cmd_two_energy(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_three_landscape(args) -> int:
-    lo, hi = (float(v) for v in args.range.split(","))
-    grid = shooting.landscape(
-        (lo, hi), (lo, hi), (args.res, args.res), _shot_config(args, args.eps), workers=args.workers
-    )
+    lo, hi = _numbers("--range", args.range, 2)
+    grid = shooting.landscape((lo, hi), args.res, _shot_config(args, args.eps), workers=args.workers)
     t_min = _rescale(args, grid.t_min, "time")  # grid.t_min raises NoFeasiblePoint when nothing hits
     offsets = grid.log_offsets()
     lphi, ltheta = np.meshgrid(grid.lphi_axis, grid.ltheta_axis, indexing="ij")
@@ -232,8 +238,10 @@ def _cmd_three_optimize(args) -> int:
 
 
 def _cmd_three_areacurve(args) -> int:
+    if not (0.0 < args.eps_min < 1.0 and 0.0 < args.eps_max < 1.0):
+        raise ValueError("--eps-min and --eps-max must lie in (0, 1)")
     eps_values = np.geomspace(args.eps_max, args.eps_min, args.n)
-    shooting._asymptotic(eps_values)  # the fit's precondition, checked before the solves
+    shooting.asymptotic_mask(eps_values)  # the fit's precondition, checked before the solves
     curve = shooting.area_curve(eps_values, _shot_config(args, eps_values[0]), lphi_i=args.lphi)
     slope, intercept = shooting.fit_asymptote(curve)
     print(f"slope = {slope:.10g}")
@@ -253,11 +261,7 @@ def _cmd_three_energy(args) -> int:
     # optimum's area too
     bloch2.energy_optimum(duration, 2.0 * math.sqrt(1.0 - cfg.eps))
     opt = shooting.refine(*shooting.START_RAY, cfg)
-    omega_min, energy = bloch2.energy_optimum(duration, opt.area)
-    omega_min, energy = _rescale(args, omega_min, "frequency"), _rescale(args, energy, "energy")
-    print(f"Omega0_min = {omega_min:.10g}")
-    print(f"E_min = {energy:.10g}")
-    return 0
+    return _report_energy(args, *bloch2.energy_optimum(duration, opt.area))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +271,7 @@ def _cmd_three_energy(args) -> int:
 def _cmd_iso_check(args) -> int:
     costates = None
     if args.costates:
-        lphi, ltheta = (float(v) for v in args.costates.split(","))
-        costates = (lphi, ltheta)
+        costates = tuple(_numbers("--costates", args.costates, 2))
     result = isomorphism.cross_check(
         _shot_config(args, args.eps), costates=costates, corrupt_mapping=args.corrupt_mapping
     )
@@ -308,8 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--hbar", type=float, default=1.0, help="physical hbar (rescales energies)")
     parser.add_argument("--out", default=".", help="output directory for data exports")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--tol", type=float, default=None, help="integrator local-error tolerance")
-    parser.add_argument("--horizon", type=float, default=15.0, help="shot horizon in 1/Omega0 units")
+    parser.add_argument("--tol", type=float, default=ode.IntegratorConfig.tol, help="integrator local-error tolerance")
+    parser.add_argument("--horizon", type=float, default=shooting.ShotConfig.horizon, help="shot horizon in 1/Omega0 units")
     groups = parser.add_subparsers(dest="group", required=True)
 
     two = groups.add_parser("two-level", help="two-level closed forms and curves")
@@ -335,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = three_sub.add_parser("landscape", help="hit-time grid over initial costates")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--range", default="-3,3", metavar="LO,HI", help="costate range of both axes (--range=LO,HI if LO < 0)")
-    p.add_argument("--res", type=int, default=200)
+    p.add_argument("--res", type=int, default=200, help="cells along each axis of the square grid")
     p.add_argument("--workers", type=int, default=None, help="scan processes (0 or unset: one per CPU)")
     p.set_defaults(func=_cmd_three_landscape)
     p = three_sub.add_parser("optimize", help="refine the optimal initial costate ray")
@@ -371,10 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not all(0.0 < v < np.inf for v in (args.omega0, args.hbar, args.horizon)):
-        parser.error("--omega0, --hbar and --horizon must be positive and finite")
-    if args.tol is not None and not 0.0 < args.tol < np.inf:
-        parser.error("--tol must be positive and finite")
+    if not all(0.0 < v < np.inf for v in (args.omega0, args.hbar, args.horizon, args.tol)):
+        parser.error("--omega0, --hbar, --horizon and --tol must be positive and finite")
     args._start = time.monotonic()
     try:
         return args.func(args)

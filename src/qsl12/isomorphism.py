@@ -274,7 +274,7 @@ def area_divergence_check(eps_values, cfg: shooting.ShotConfig) -> np.ndarray:
     needs infinite pump area); tests regress it against ln(eps).
     """
     eps_values = np.asarray(list(eps_values), dtype=float)
-    optima = shooting._optima_along_eps(eps_values, cfg, shooting.START_RAY[0])
+    optima = shooting.optima_along_eps(eps_values, cfg, shooting.START_RAY[0])
     paths = (shooting.extremal(opt, cfg) for opt in optima)
     areas = [np.trapezoid(np.abs(pulses[:, 0]) / _SQRT2, path.times) for path, pulses in paths]
     return np.column_stack([eps_values, areas])

@@ -56,7 +56,9 @@ __all__ = [
     "extremal",
     "landscape",
     "refine",
+    "optima_along_eps",
     "area_curve",
+    "asymptotic_mask",
     "fit_asymptote",
     "energy_shot",
 ]
@@ -220,14 +222,13 @@ def extremal(opt: Optimum, cfg: ShotConfig) -> tuple[ode.Trajectory, np.ndarray]
 # depends only on the ray of (|lambda_phi|, |lambda_theta|), and the scan
 # integrates one unit-norm lane per lattice ray, up to the two reflections,
 # and scatters each lane's time back to the cells of its four mirror rays.
-# On an axis whose range is symmetric about 0, cell k lies at
+# Both axes span one range; when it is symmetric about 0, cell k lies at
 # p * hi / (n - 1) with the integer p = 2k - (n - 1), so two cells share a
 # lane when their pairs (|p|, |q|) / gcd(|p|, |q|) agree; the lane starts in
-# the first quadrant, at the unit vector along (|p|, |q| * r), where
-# r = |hi_theta / (n_theta - 1)| / |hi_phi / (n_phi - 1)| is 1.0 when both
-# axes are alike, so a grid's lanes do not depend on its scale. A grid with
-# an axis that is not symmetric has one lane per cell, along the cell's own
-# costates; a zero cell keeps zero costates, and its time stays NaN.
+# the first quadrant, at the unit vector along (|p|, |q|), so a grid's lanes
+# do not depend on its scale. A range that is not symmetric gives one lane
+# per cell, along the cell's own costates; a zero cell keeps zero costates,
+# and its time stays NaN.
 # A cell's time is its ray's: against a lane at the cell's own costates it
 # moves in the trailing digits (by at most 5e-12 on the 60x60 grid over
 # +-3 at eps 0.002), and the hit set stays the same. A mirror lane gives the
@@ -236,15 +237,13 @@ def extremal(opt: Optimum, cfg: ShotConfig) -> tuple[ode.Trajectory, np.ndarray]
 # ---------------------------------------------------------------------------
 
 
-def _lattice(lo: float, hi: float, n: int) -> tuple[list[int] | None, float]:
-    """The integers p with cell k at p * u, and the unit u = hi / (n - 1)
-    (0 when every cell is at 0), of an axis of n cells over [lo, hi]; p is
-    None when the range is not symmetric about 0 (a lone cell is on the
-    lattice only at 0)."""
+def _lattice(lo: float, hi: float, n: int) -> list[int] | None:
+    """The integers p with cell k at p * hi / (n - 1) of an axis of n cells
+    over [lo, hi] (all 0 when every cell is at 0); None when the range is not
+    symmetric about 0 (a lone cell is on the lattice only at 0)."""
     if lo != -hi or (n == 1 and lo != 0.0):
-        return None, 0.0
-    u = hi / (n - 1) if n > 1 else 0.0
-    return [2 * k - (n - 1) if u else 0 for k in range(n)], u
+        return None
+    return [2 * k - (n - 1) if hi else 0 for k in range(n)]
 
 
 def _ray(p: int, q: int) -> tuple[int, int]:
@@ -255,24 +254,20 @@ def _ray(p: int, q: int) -> tuple[int, int]:
     return p // g, q // g
 
 
-def _lanes(lphi_range, ltheta_range, lphi_axis: np.ndarray,
-           ltheta_axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lanes(costate_range: tuple[float, float],
+           axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unit initial costates (lphi, ltheta) of one lane per lattice ray, up
-    to the two reflections, and the lane of each cell in row-major order (see
-    the comment above)."""
-    n_phi, n_th = lphi_axis.size, ltheta_axis.size
-    p, u_phi = _lattice(*lphi_range, n_phi)
-    q, u_th = _lattice(*ltheta_range, n_th)
-    if p is None or q is None:
-        a, b = np.repeat(lphi_axis, n_th), np.tile(ltheta_axis, n_phi)
+    to the two reflections, and the lane of each cell in row-major order, on
+    the square grid with ``axis`` along both axes (see the comment above)."""
+    n = axis.size
+    p = _lattice(*costate_range, n)
+    if p is None:
+        a, b = np.repeat(axis, n), np.tile(axis, n)
         cell_lane = np.arange(a.size)
     else:
         rays: dict[tuple[int, int], int] = {}
-        cell_lane = np.array([rays.setdefault(_ray(i, j), len(rays)) for i in p for j in q])
-        p, q = np.array(list(rays)).T
-        big = max(abs(u_phi), abs(u_th))  # so neither weight exceeds 1
-        w_phi, w_th = (abs(u_phi) / big, abs(u_th) / big) if big else (0.0, 0.0)
-        a, b = p * w_phi, q * w_th
+        cell_lane = np.array([rays.setdefault(_ray(i, j), len(rays)) for i in p for j in p])
+        a, b = np.array(list(rays), dtype=float).T
     norm = np.hypot(a, b)
     norm[norm == 0.0] = 1.0
     return a / norm, b / norm, cell_lane
@@ -283,7 +278,7 @@ def _scan_lanes(lphi0: np.ndarray, ltheta0: np.ndarray, cfg: ShotConfig) -> np.n
     (4, n) block run by ``ode.locate_lane_events`` on the shots' event at
     the fixed step horizon / ceil(horizon / max_step). On unit-norm lanes
     the retirement of a lane does not depend on the costates' scale."""
-    y = np.zeros_like(lphi0, shape=(4, lphi0.size))  # keeps lphi0's array type
+    y = np.zeros((4, lphi0.size))
     y[2], y[3] = lphi0, ltheta0
     n_steps = math.ceil(cfg.horizon / cfg.integrator.max_step)
     return ode.locate_lane_events(lambda3.extremal_lanes, y, cfg.horizon, n_steps,
@@ -291,39 +286,36 @@ def _scan_lanes(lphi0: np.ndarray, ltheta0: np.ndarray, cfg: ShotConfig) -> np.n
 
 
 def landscape(
-    lphi_range: tuple[float, float],
-    ltheta_range: tuple[float, float],
-    resolution: int | tuple[int, int],
+    costate_range: tuple[float, float],
+    resolution: int,
     cfg: ShotConfig,
     workers: int | None = None,
 ) -> LandscapeGrid:
     """Hit-time grid over initial costates; NaN where nothing hits.
 
-    The scan integrates one unit-norm lane per lattice ray, up to the two
-    reflections, a shot on a fixed DP5 step, and gives each cell its ray's
-    time (see the comment above): the cells of a ray and of its mirror rays,
-    (+-lambda_phi, +-lambda_theta) alike, hold the same time, which may differ
-    from the cell's own shot in the trailing digits.
+    The grid is square: ``resolution`` cells along each axis, both over
+    ``costate_range``. The scan integrates one unit-norm lane per lattice
+    ray, up to the two reflections, a shot on a fixed DP5 step, and gives
+    each cell its ray's time (see the comment above): the cells of a ray and
+    of its mirror rays, (+-lambda_phi, +-lambda_theta) alike, hold the same
+    time, which may differ from the cell's own shot in the trailing digits.
     ``workers`` is the number of processes (None or 0 = one per CPU) over
-    which the lanes are split; results do not depend on it. Non-finite
-    ranges, a horizon too long to count its steps and a negative
-    ``workers`` raise ValueError.
+    which the lanes are split; results do not depend on it. A non-finite
+    range, a resolution below 1, a horizon too long to count its steps and a
+    negative ``workers`` raise ValueError.
     """
-    if not all(math.isfinite(hi - lo) for lo, hi in (lphi_range, ltheta_range)):
-        raise ValueError("landscape ranges must have finite ends and span")
+    lo, hi = costate_range
+    if not math.isfinite(hi - lo):
+        raise ValueError("the landscape range must have finite ends and span")
     if not math.isfinite(cfg.horizon / cfg.integrator.max_step):
         raise ValueError("horizon / max_step must be finite: the scan's step count overflows")
     if workers is not None and workers < 0:
         raise ValueError("workers must be non-negative")
-    if isinstance(resolution, int):
-        resolution = (resolution, resolution)
-    n_phi, n_th = resolution
-    if n_phi < 1 or n_th < 1:
-        raise ValueError("resolution must be at least 1x1")
-    lphi_axis = np.linspace(lphi_range[0], lphi_range[1], n_phi)
-    ltheta_axis = np.linspace(ltheta_range[0], ltheta_range[1], n_th)
+    if resolution < 1:
+        raise ValueError("resolution must be at least 1")
+    axis = np.linspace(lo, hi, resolution)
 
-    lphi0, ltheta0, cell_lane = _lanes(lphi_range, ltheta_range, lphi_axis, ltheta_axis)
+    lphi0, ltheta0, cell_lane = _lanes(costate_range, axis)
     workers = min(workers or os.cpu_count() or 1, lphi0.size)
     if workers == 1:
         lane_times = _scan_lanes(lphi0, ltheta0, cfg)
@@ -331,7 +323,7 @@ def landscape(
         jobs = [(a, b, cfg) for a, b in zip(np.array_split(lphi0, workers), np.array_split(ltheta0, workers))]
         with get_context("fork").Pool(processes=workers) as pool:
             lane_times = np.concatenate(pool.starmap(_scan_lanes, jobs))
-    return LandscapeGrid(lphi_axis, ltheta_axis, lane_times[cell_lane].reshape(n_phi, n_th))
+    return LandscapeGrid(axis, axis, lane_times[cell_lane].reshape(resolution, resolution))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +426,7 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     return Optimum(lphi_i, ltheta_i, t_min)
 
 
-def _optima_along_eps(eps_values: np.ndarray, cfg: ShotConfig, lphi_i: float) -> list[Optimum]:
+def optima_along_eps(eps_values: np.ndarray, cfg: ShotConfig, lphi_i: float) -> list[Optimum]:
     """Refined optima for each accuracy in ``eps_values``, in input order.
 
     Points are solved from the largest eps down, the first refinement
@@ -455,15 +447,15 @@ def area_curve(eps_values, cfg: ShotConfig, lphi_i: float = START_RAY[0]) -> np.
     """Minimum generalized pulse area for each accuracy in ``eps_values``.
 
     The optima come from one eps continuation, largest eps first, each
-    warm-started at the previous optimum (see ``_optima_along_eps``).
+    warm-started at the previous optimum (see ``optima_along_eps``).
     Returns an (n, 2) array of (eps, area) in input order.
     """
     eps_values = np.asarray(list(eps_values), dtype=float)
-    optima = _optima_along_eps(eps_values, cfg, lphi_i)
+    optima = optima_along_eps(eps_values, cfg, lphi_i)
     return np.column_stack([eps_values, [opt.area for opt in optima]])
 
 
-def _asymptotic(eps_values: np.ndarray) -> np.ndarray:
+def asymptotic_mask(eps_values: np.ndarray) -> np.ndarray:
     """Mask of the accuracies in the asymptotic regime, eps <= 0.1; raises
     InsufficientData when fewer than five distinct ones are."""
     mask = eps_values <= 0.1
@@ -479,7 +471,7 @@ def fit_asymptote(curve) -> tuple[float, float]:
     fewer than five distinct such accuracies raise InsufficientData.
     """
     curve = np.asarray(curve, dtype=float)
-    mask = _asymptotic(curve[:, 0])
+    mask = asymptotic_mask(curve[:, 0])
     slope, intercept = np.polyfit(np.log(curve[mask, 0]), curve[mask, 1], 1)
     return float(slope), float(intercept)
 

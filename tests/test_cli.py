@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsl12 import bloch2, cli, shooting
+from qsl12 import bloch2, cli, ode, shooting
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -68,6 +68,9 @@ class TestTwoLevel:
         assert manifest["outputs"] == ["two_level_curve.csv"]
         assert manifest["parameters"]["amax"] == 2.0
         assert manifest["parameters"]["step"] == 0.5
+        # the defaults of --tol and --horizon are the configs' own
+        assert manifest["parameters"]["tol"] == ode.IntegratorConfig().tol == 1e-10
+        assert manifest["parameters"]["horizon"] == shooting.ShotConfig(eps=0.1).horizon == 15.0
         assert "wall_time_s" in manifest
         # every exporting command names itself "<group> <subcommand>" and
         # keeps the parser's bookkeeping out of its parameters
@@ -343,12 +346,26 @@ class TestParsing:
         ["--omega0", "1e-310", "two-level", "simulate", "--eps", "0.002"],
         ["--omega0", "1e-310", "three-level", "landscape", "--eps", "0.002", "--res", "4", "--workers", "1"],
         ["--horizon", "1e308", "three-level", "landscape", "--eps", "0.002", "--res", "2", "--workers", "1"],
+        ["three-level", "areacurve", "--eps-min=-1e-3"],
+        ["three-level", "areacurve", "--eps-max=-0.1"],
     ])
     def test_bad_curve_grid_exits_2(self, tmp_path, capsys, flags):
         # the grid flags of a curve or a landscape, a non-finite or overflowing
         # duration, non-finite costates or Kerr shifts, repeated accuracies,
         # an --omega0 that rescales a result out of range, a horizon whose
-        # landscape step count overflows; any warning would fail the test
+        # landscape step count overflows, an accuracy of the area curve
+        # outside (0, 1); any warning would fail the test
         assert cli.main(["--out", str(tmp_path), *flags]) == 2
         assert capsys.readouterr().err.startswith("invalid arguments: ")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["two-level", "simulate", "--eps", "0.1", "--kerr", "1,2"], "--kerr"),
+        (["iso", "check", "--costates=1.85"], "--costates"),
+        (["three-level", "landscape", "--eps", "0.1", "--range=1"], "--range"),
+    ])
+    def test_short_comma_list_names_its_flag(self, tmp_path, capsys, flags, flag):
+        assert cli.main(["--out", str(tmp_path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid arguments: {flag} takes ") and "comma-separated numbers" in err
         assert not any(tmp_path.iterdir())

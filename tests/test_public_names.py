@@ -1,5 +1,5 @@
 """Each module's ``__all__`` names what it defines, no more and no less, and
-no module reaches into the private names of ``ode``."""
+no module reaches into the private names of another."""
 
 import ast
 import importlib
@@ -29,14 +29,20 @@ def test_all_matches_public_definitions(name):
 SRC = Path(__file__).resolve().parent.parent / "src" / "qsl12"
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.stem != "ode"), ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_no_module_reads_private_names_of_ode(path):
-    # ode owns the integrator and the event rule; the other modules use
-    # only what its __all__ names
-    private = [
-        f"line {node.lineno}: ode.{node.attr}"
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
-        and isinstance(node.value, ast.Name) and node.value.id == "ode"
-    ]
-    assert not private, f"{path.name} reads private names of ode: {private}"
+    # ode owns the integrator and the event rule, shooting the landscape's
+    # lanes and the continuation; each module uses only what the others'
+    # __all__ name, by attribute or by import
+    def is_private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    private = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and is_private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in MODULES):
+            private.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            private += [f"line {node.lineno}: from .{node.module or ''} import {alias.name}"
+                        for alias in node.names if is_private(alias.name)]
+    assert not private, f"{path.name} reads private names of other modules: {private}"

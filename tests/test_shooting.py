@@ -29,12 +29,12 @@ def ref_extremal(cfg002):
 
 @pytest.fixture(scope="module")
 def grid12(cfg005) -> shooting.LandscapeGrid:
-    return shooting.landscape((-2.0, 2.0), (-2.0, 2.0), 12, cfg005, workers=1)
+    return shooting.landscape((-2.0, 2.0), 12, cfg005, workers=1)
 
 
 @pytest.fixture(scope="module")
 def grid005(cfg005) -> shooting.LandscapeGrid:
-    return shooting.landscape((-3.0, 3.0), (-3.0, 3.0), (40, 40), cfg005)
+    return shooting.landscape((-3.0, 3.0), 40, cfg005)
 
 
 class TestShoot:
@@ -140,13 +140,11 @@ class TestLandscape:
         assert np.all(finite > 0.0) and np.all(finite <= 15.0)
 
     def test_serial_equals_parallel(self, cfg005, grid12):
-        # workers split the lanes: an odd grid with its origin cell, an
-        # asymmetric range (one lane per cell), a one-row grid
-        grids = [((-2.0, 2.0), (-2.0, 2.0), 12), ((-2.0, 2.0), (-2.0, 2.0), 13),
-                 ((-1.5, 2.5), (-2.0, 1.0), 9), ((-2.0, -2.0), (-2.0, 2.0), (1, 12))]
-        for lphi_range, ltheta_range, res in grids:
-            serial = grid12 if res == 12 else shooting.landscape(lphi_range, ltheta_range, res, cfg005, workers=1)
-            parallel = shooting.landscape(lphi_range, ltheta_range, res, cfg005, workers=2)
+        # workers split the lanes: an even grid, an odd one with its origin
+        # cell, an asymmetric range (one lane per cell)
+        for costate_range, res in [((-2.0, 2.0), 12), ((-2.0, 2.0), 13), ((-1.5, 2.5), 9)]:
+            serial = grid12 if res == 12 else shooting.landscape(costate_range, res, cfg005, workers=1)
+            parallel = shooting.landscape(costate_range, res, cfg005, workers=2)
             assert np.array_equal(serial.times, parallel.times, equal_nan=True)
             if res == 13:
                 assert np.isnan(serial.times[6, 6])  # the origin cell
@@ -171,15 +169,15 @@ class TestLandscape:
 
     def test_one_lane_per_ray(self, cfg002, cfg005, monkeypatch):
         # one lane per ray up to the two reflections, in the first quadrant
-        assert self._first_lane_width(((-3.0, 3.0), (-3.0, 3.0), 60, cfg002), monkeypatch) == 729
-        assert self._first_lane_width(((1.85, 1.85), (0.7, 0.7), 1, cfg005), monkeypatch) == 1
+        assert self._first_lane_width(((-3.0, 3.0), 60, cfg002), monkeypatch) == 729
+        assert self._first_lane_width(((1.85, 1.85), 1, cfg005), monkeypatch) == 1
         axis = np.linspace(-3.0, 3.0, 200)
-        lphi0, ltheta0, cell_lane = shooting._lanes((-3.0, 3.0), (-3.0, 3.0), axis, axis)
+        lphi0, ltheta0, cell_lane = shooting._lanes((-3.0, 3.0), axis)
         assert lphi0.size == 8151 and cell_lane.max() == 8150
         assert np.allclose(np.hypot(lphi0, ltheta0), 1.0, rtol=0.0, atol=1e-15)
         assert (lphi0 >= 0.0).all() and (ltheta0 >= 0.0).all()
-        axis = np.linspace(2.0, -2.0, 12)  # one axis reversed
-        lphi0, ltheta0, _ = shooting._lanes((2.0, -2.0), (-2.0, 2.0), axis, -axis)
+        axis = np.linspace(2.0, -2.0, 12)  # the range reversed
+        lphi0, ltheta0, _ = shooting._lanes((2.0, -2.0), axis)
         assert lphi0.size == 29 and (lphi0 >= 0.0).all() and (ltheta0 >= 0.0).all()
 
     def test_cells_of_a_ray_share_its_time(self, cfg005, grid12):
@@ -194,9 +192,9 @@ class TestLandscape:
         assert len(rays) == 29 and all(len(cells) >= 4 for cells in rays.values())
         for cells in rays.values():
             assert np.array_equal(cells, [cells[0]] * len(cells), equal_nan=True)
-        wider = shooting.landscape((-2.2, 2.2), (-2.2, 2.2), 12, cfg005, workers=1)
+        wider = shooting.landscape((-2.2, 2.2), 12, cfg005, workers=1)
         assert np.array_equal(wider.times, times, equal_nan=True)
-        reversed_range = shooting.landscape((2.0, -2.0), (2.0, -2.0), 12, cfg005, workers=1)
+        reversed_range = shooting.landscape((2.0, -2.0), 12, cfg005, workers=1)
         assert np.array_equal(np.isfinite(reversed_range.times), np.isfinite(times))
 
     def test_mirror_lanes_scan_alike(self, cfg005, grid12, grid005):
@@ -204,7 +202,7 @@ class TestLandscape:
         # byte-identical to scanning the mirror lanes only while numpy's sin
         # is exactly odd and its cos exactly even
         axis = np.linspace(-2.0, 2.0, 12)
-        a, b, _ = shooting._lanes((-2.0, 2.0), (-2.0, 2.0), axis, axis)
+        a, b, _ = shooting._lanes((-2.0, 2.0), axis)
         times = shooting._scan_lanes(a, b, cfg005)
         assert np.isfinite(times).any()
         for mirror in (shooting._scan_lanes(a, -b, cfg005), shooting._scan_lanes(-a, b, cfg005)):
@@ -214,19 +212,21 @@ class TestLandscape:
                 assert np.array_equal(np.flip(grid.times, dim), grid.times, equal_nan=True)
 
     def test_grid_row_matches_its_shots(self, cfg002):
-        # one row of the 60x60 grid over +-3: the same cells hit as in the
-        # shots, at the shots' times; a lane that steps over the tan(phi)
-        # blow-up would add hits at ltheta = +-1.0678 that no shot has
-        row = shooting.landscape((-3.0, -3.0), (-3.0, 3.0), (1, 60), cfg002, workers=1)
-        shots = np.array([shooting.shoot_info(-3.0, lt, cfg002)[0] for lt in row.ltheta_axis], dtype=float)
+        # row 0 of the 60x60 grid over +-3, at lphi = -3: the same cells hit
+        # as in the shots, at the shots' times; a lane that steps over the
+        # tan(phi) blow-up would add hits at ltheta = +-1.0678 that no shot has
+        grid = shooting.landscape((-3.0, 3.0), 60, cfg002, workers=1)
+        assert grid.lphi_axis[0] == -3.0
+        row = grid.times[0]
+        shots = np.array([shooting.shoot_info(-3.0, lt, cfg002)[0] for lt in grid.ltheta_axis], dtype=float)
         hits = np.isfinite(shots)
-        assert hits.any() and np.array_equal(np.isfinite(row.times[0]), hits)
-        assert np.median(np.abs(row.times[0][hits] - shots[hits])) <= 1e-7
+        assert hits.any() and np.array_equal(np.isfinite(row), hits)
+        assert np.median(np.abs(row[hits] - shots[hits])) <= 1e-7
 
     def test_tangent_screen_only_skips_work(self, cfg005, monkeypatch):
-        screened = shooting.landscape((-2.0, 2.0), (-2.0, 2.0), 12, cfg005, workers=1)
+        screened = shooting.landscape((-2.0, 2.0), 12, cfg005, workers=1)
         monkeypatch.setattr(shooting.ode, "GRAZE_MARGIN", math.inf)
-        searched = shooting.landscape((-2.0, 2.0), (-2.0, 2.0), 12, cfg005, workers=1)
+        searched = shooting.landscape((-2.0, 2.0), 12, cfg005, workers=1)
         assert np.array_equal(screened.times, searched.times, equal_nan=True)
 
     def test_lanes_step_on_the_lane_flow_itself(self, cfg005, monkeypatch):
@@ -241,7 +241,7 @@ class TestLandscape:
             return locate(rhs, Y, *args)
 
         monkeypatch.setattr(shooting.ode, "locate_lane_events", recorded)
-        shooting.landscape((1.85, 1.85), (0.7, 0.7), (1, 1), cfg005, workers=1)
+        shooting.landscape((1.85, 1.85), 1, cfg005, workers=1)
         assert seen == {lambda3.extremal_lanes}
         assert blocks == {(np.ndarray, np.dtype(float), (4, 1))}
 
@@ -269,7 +269,7 @@ class TestLandscape:
 
         monkeypatch.setattr(shooting.ode, "_dp5_step", counted)
         axis = np.linspace(-3.0, 3.0, 60)
-        lphi0, ltheta0, _ = shooting._lanes((-3.0, 3.0), (-3.0, 3.0), axis, axis)
+        lphi0, ltheta0, _ = shooting._lanes((-3.0, 3.0), axis)
         Y = np.zeros((4, lphi0.size)).view(Counted)
         Y[2], Y[3] = lphi0, ltheta0
         event, lane_event = shooting._event(cfg002), shooting._event(cfg002, np.cos, np.sin)
@@ -280,7 +280,7 @@ class TestLandscape:
         assert Counted.calls / steps <= 517
 
     def test_origin_only_grid_is_empty(self, cfg005):
-        grid = shooting.landscape((0.0, 0.0), (0.0, 0.0), (1, 1), cfg005)
+        grid = shooting.landscape((0.0, 0.0), 1, cfg005)
         assert np.isnan(grid.times).all()
         with pytest.raises(shooting.NoFeasiblePoint):
             grid.t_min
@@ -529,7 +529,7 @@ def deep_optima(cfg002) -> tuple[np.ndarray, list]:
     """16 accuracies from 0.1 down to 1e-6 and their optima, from one
     continuation."""
     eps_values = np.geomspace(0.1, 1e-6, 16)
-    return eps_values, shooting._optima_along_eps(eps_values, cfg002, shooting.START_RAY[0])
+    return eps_values, shooting.optima_along_eps(eps_values, cfg002, shooting.START_RAY[0])
 
 
 @pytest.fixture(scope="module")
