@@ -105,16 +105,17 @@ def _rescale(args, value, unit: str):
     return scaled[()]
 
 
-def _numbers(flag: str, text: str, count: int) -> list[float]:
-    """The ``count`` comma-separated numbers in ``text``, the value of
-    ``flag``; anything else raises ValueError naming the flag."""
+def _numbers(flag: str, text: str, count: int | None = None) -> list[float]:
+    """The comma-separated numbers in ``text``, the value of ``flag``:
+    exactly ``count`` of them, or any number when ``count`` is None;
+    anything else raises ValueError naming the flag."""
     parts = text.split(",")
     try:
-        if len(parts) == count:
+        if count is None or len(parts) == count:
             return [float(v) for v in parts]
     except ValueError:
         pass
-    raise ValueError(f"{flag} takes {count} comma-separated numbers, got {text!r}")
+    raise ValueError(f"{flag} takes {count or 'one or more'} comma-separated numbers, got {text!r}")
 
 
 def _shot_config(args, eps: float) -> shooting.ShotConfig:
@@ -246,8 +247,8 @@ def _cmd_three_areacurve(args) -> int:
     slope, intercept = shooting.fit_asymptote(curve)
     print(f"slope = {slope:.10g}")
     print(f"intercept = {intercept:.10g}")
-    _export(args, "three_level_area_curve", ["eps", "area"], curve,
-            results={"slope": slope, "intercept": intercept})
+    _export(args, "three_level_area_curve", ["eps", "area"], curve[:, :2],
+            results={"slope": slope, "intercept": intercept, "fallbacks": int(curve[:, 2].sum())})
     return 0
 
 
@@ -289,7 +290,7 @@ def _cmd_iso_check(args) -> int:
 
 
 def _cmd_iso_areadiv(args) -> int:
-    eps_values = [float(v) for v in args.eps_list.split(",")]
+    eps_values = _numbers("--eps-list", args.eps_list)
     table = isomorphism.area_divergence_check(eps_values, _shot_config(args, eps_values[0]))
     order = np.argsort(table[:, 0])[::-1]
     monotone = bool(np.all(np.diff(table[order, 1]) > 0.0))

@@ -267,11 +267,15 @@ def cross_check(
 def area_divergence_check(eps_values, cfg: shooting.ShotConfig) -> np.ndarray:
     """Pump area of the counterpart problem along the optimum, per accuracy.
 
-    The optima come from the same eps continuation as ``shooting.area_curve``,
-    started at ``shooting.START_RAY``; |P| is integrated by the trapezoid rule over each optimum's extremal
+    The optima come from the same eps continuation as ``shooting.area_curve``
+    (``shooting.optima_along_eps``), started at ``shooting.START_RAY``: the
+    two largest eps are refined, each later one predicted from the last two
+    optima and corrected by the refinement's root search. |P| is integrated
+    by the trapezoid rule over each optimum's extremal
     (``shooting.extremal``). Returns an (n, 2) array of (eps, integral of
-    |P| dt) in the input order. The area must grow without bound as eps -> 0 (the complete transfer
-    needs infinite pump area); tests regress it against ln(eps).
+    |P| dt) in the input order. The area must grow without bound as
+    eps -> 0 (the complete transfer needs infinite pump area); tests regress
+    it against ln(eps).
     """
     eps_values = np.asarray(list(eps_values), dtype=float)
     optima = shooting.optima_along_eps(eps_values, cfg, shooting.START_RAY[0])

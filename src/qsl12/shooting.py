@@ -22,6 +22,10 @@ maximum principle makes the costate parallel to the gradient of the target
 A shot that finds no hit counts as an infinite time. The result is on the
 fastest branch the scan meets; the optimum must lie between 1/16 and about
 3 times the guess.
+Along a continuation in eps only the first two points run the scan. Each
+later point predicts its lambda_theta from the last two optima and
+corrects it with the same root search, started just left of the
+prediction; a point whose corrector finds no bracket is refined instead.
 Each shot stops where it can no longer change the result: a probe at the
 fastest hit of the probes before it, a shot of the root search at the
 fastest hit left of the root. The steps a shot takes are the full shot's,
@@ -105,11 +109,14 @@ class ShotConfig:
 
 @dataclass
 class Optimum:
-    """A successful shot: its initial costates and hit time."""
+    """A successful shot: its initial costates and hit time. On an eps
+    continuation, ``fallback`` says why the point's corrector failed and
+    ``refine`` solved it instead; it takes no part in comparisons."""
 
     lphi_i: float
     ltheta_i: float
     t_min: float
+    fallback: str | None = field(default=None, compare=False)
 
     @property
     def area(self) -> float:
@@ -334,6 +341,72 @@ def landscape(
 REFINE_XTOL = 1e-10
 
 
+class _RootSearch:
+    """The shots of one root search over the initial lambda_theta at fixed
+    lambda_phi, from the guess or prediction ``near``: memoised by
+    lambda_theta, a stopped shot shot again only for a later stop, and read
+    as the transversality residual oriented by the ray's quadrant. Shared by
+    ``refine`` and the continuation's corrector (see ``refine``)."""
+
+    def __init__(self, lphi_i: float, near: float, cfg: ShotConfig):
+        self.lphi_i, self.near, self.cfg = lphi_i, near, cfg
+        self.orientation = math.copysign(1.0, lphi_i * near)
+        self.memo: dict[float, tuple[float | None, str, float | None, float]] = {}
+        self.fastest = math.inf  # the fastest hit left of the root
+        self.searched: list[tuple[float, float, float]] = []  # (|residual|, x, t) of each hit
+
+    def shot(self, x, stop: float) -> tuple[float | None, str, float | None]:
+        x = float(x)
+        memo = self.memo
+        if x not in memo or memo[x][1] == "beyond-bound" and memo[x][3] < stop:
+            memo[x] = (*shoot_info(self.lphi_i, x, self.cfg, stop), stop)
+        return memo[x][:3]
+
+    def residual(self, x) -> float:
+        t, _, s = self.shot(x, self.fastest)
+        if t is None:
+            return -1.0
+        s *= self.orientation
+        if s > 0.0:
+            self.fastest = min(self.fastest, t)
+        self.searched.append((abs(s), float(x), t))
+        return s
+
+    def failure(self, why: str) -> NoConvergence:
+        return NoConvergence(
+            f"no root of the transversality residual within the horizon {self.cfg.horizon!r} at eps"
+            f" {self.cfg.eps!r} near ltheta_i ~ {self.near!r}: {why}"
+        )
+
+    def root(self, point, lo: int, hi: int) -> Optimum:
+        """The optimum at the root of the residual next to the walk's start
+        point(0), among the points point(j), lo <= j <= 0 <= hi, that rise
+        with j: the walk steps right while the residual is > 0 and left while
+        it is not, and brentq narrows the first sign change to REFINE_XTOL
+        (relative). The optimum is the evaluated shot with the smallest
+        |residual|. No sign change within the walk, or a failed brentq,
+        raises NoConvergence."""
+        k = 0
+        if self.residual(point(0)) > 0.0:
+            k = 1
+            while k <= hi and self.residual(point(k)) > 0.0:
+                k += 1
+            if k > hi:
+                raise self.failure(f"no valid bracket, the residual stays > 0 up to ltheta_i {float(point(hi))!r}")
+        else:
+            while k > lo and self.residual(point(k - 1)) <= 0.0:
+                k -= 1
+            if k == lo:
+                raise self.failure(f"no valid bracket, the residual is not > 0 left of ltheta_i"
+                                   f" {float(point(0))!r}, down to {float(point(lo))!r}")
+        try:
+            brentq(self.residual, point(k - 1), point(k), rtol=REFINE_XTOL)
+        except RuntimeError as exc:
+            raise self.failure(str(exc)) from None
+        _, ltheta_i, t_min = min(self.searched)
+        return Optimum(self.lphi_i, ltheta_i, t_min)
+
+
 def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     """The optimum over the initial lambda_theta at fixed lambda_phi: the root
     of the transversality residual on the fastest branch.
@@ -365,18 +438,11 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     """
     if not (math.isfinite(lphi_i) and math.isfinite(ltheta_guess)):
         raise ValueError(f"costates must be finite, got ({lphi_i!r}, {ltheta_guess!r})")
-    memo: dict[float, tuple[float | None, str, float | None, float]] = {}
-
-    def shot(x, stop: float) -> tuple[float | None, str, float | None]:
-        x = float(x)
-        if x not in memo or memo[x][1] == "beyond-bound" and memo[x][3] < stop:
-            memo[x] = (*shoot_info(lphi_i, x, cfg, stop), stop)
-        return memo[x][:3]
-
+    search = _RootSearch(lphi_i, ltheta_guess, cfg)
     probes = ltheta_guess * np.linspace(1.0 / 16.0, 1.5, 13)
     times, reasons = [], []
     for p in probes:
-        t, reason, _ = shot(p, min(times, default=math.inf))
+        t, reason, _ = search.shot(p, min(times, default=math.inf))
         times.append(math.inf if t is None else t)
         reasons.append(reason)
     best = int(np.argmin(times))
@@ -386,73 +452,106 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
             f"no transfer within the horizon {cfg.horizon!r} at eps {cfg.eps!r} near"
             f" ltheta_i ~ {ltheta_guess!r} (the {len(probes)} probes: {tally})"
         )
-
-    orientation = math.copysign(1.0, lphi_i * ltheta_guess)
-    fastest = math.inf  # the fastest hit left of the root
-    searched: list[tuple[float, float, float]] = []  # (|residual|, x, t) of each hit
-
-    def residual(x: float) -> float:
-        nonlocal fastest
-        t, _, s = shot(x, fastest)
-        if t is None:
-            return -1.0
-        s *= orientation
-        if s > 0.0:
-            fastest = min(fastest, t)
-        searched.append((abs(s), float(x), t))
-        return s
-
-    def failure(why: str) -> NoConvergence:
-        return NoConvergence(
-            f"no root of the transversality residual within the horizon {cfg.horizon!r} at eps"
-            f" {cfg.eps!r} near ltheta_i ~ {ltheta_guess!r}: {why}"
-        )
-
     ladder = np.concatenate([probes, probes[-1] + (probes[1] - probes[0]) * np.arange(1, probes.size + 1)])
-    k = best
-    if residual(ladder[k]) > 0.0:
-        k += 1
-        while k < ladder.size and residual(ladder[k]) > 0.0:
-            k += 1
-        if k == ladder.size:
-            raise failure(f"no valid bracket, the residual stays > 0 up to ltheta_i {float(ladder[-1])!r}")
-    elif k == 0 or residual(ladder[k - 1]) <= 0.0:
-        raise failure("no valid bracket, the residual is not > 0 left of the fastest probe")
-    try:
-        brentq(residual, ladder[k - 1], ladder[k], rtol=REFINE_XTOL)
-    except RuntimeError as exc:
-        raise failure(str(exc)) from None
-    _, ltheta_i, t_min = min(searched)
-    return Optimum(lphi_i, ltheta_i, t_min)
+    return search.root(lambda j: ladder[best + j], -min(best, 1), ladder.size - 1 - best)
+
+
+# ---------------------------------------------------------------------------
+# Continuation along eps: predictor and corrector.
+#
+# The optimum moves smoothly with eps, and log lambda_theta is close to
+# linear in log eps. So only the first two points run ``refine``'s scan;
+# each later point predicts its lambda_theta by the secant through the last
+# two optima in (log eps, log lambda_theta) and corrects the prediction with
+# ``refine``'s root search, shots, stop rule and all (Allgower & Georg,
+# *Numerical Continuation Methods*, 1990; Caillau, Cots & Gergaud,
+# *Differential continuation for regular optimal control problems*, 2012).
+# The fast branch ends just right of the optimum (1.9e-3 relative past it at
+# eps 0.002), and a shot past it meets a slower branch or none, so the first
+# shot goes left of the prediction by a bias in log lambda_theta: twice the
+# previous point's prediction error (its optimum against its prediction,
+# both in log lambda_theta), at least CONTINUATION_MIN_BIAS; the first
+# corrected point, with no earlier error, takes CONTINUATION_FIRST_BIAS of
+# the last step in log lambda_theta, with the same floor. From there
+# the walk steps by half the bias, right while the residual is > 0 and left
+# while it is not, for at most CONTINUATION_STEPS steps, as ``refine``'s
+# walk past its probes. A point whose walk finds no bracket, or whose root
+# search fails, is refined from the previous optimum instead and says why:
+# a retry with a reason.
+# ---------------------------------------------------------------------------
+
+#: Least bias of a prediction, in log lambda_theta.
+CONTINUATION_MIN_BIAS = 1e-4
+#: The first corrected point's bias, as a share of the last step in log lambda_theta.
+CONTINUATION_FIRST_BIAS = 0.1
+#: Most steps of the corrector's walk to a bracket.
+CONTINUATION_STEPS = 13
+
+
+def _correct(lphi_i: float, predicted: float, bias: float, cfg: ShotConfig) -> Optimum:
+    """The optimum at ``cfg.eps`` by ``refine``'s root search, walked from
+    the log lambda_theta ``predicted`` moved left by ``bias``, in steps of
+    half the bias (see the comment above)."""
+    start = predicted - bias
+    search = _RootSearch(lphi_i, math.exp(predicted), cfg)
+    return search.root(lambda j: math.exp(start + 0.5 * bias * j), -CONTINUATION_STEPS, CONTINUATION_STEPS)
 
 
 def optima_along_eps(eps_values: np.ndarray, cfg: ShotConfig, lphi_i: float) -> list[Optimum]:
-    """Refined optima for each accuracy in ``eps_values``, in input order.
+    """Optima for each accuracy in ``eps_values``, in input order.
 
-    Points are solved from the largest eps down, the first refinement
-    guessing the lambda_theta of ``START_RAY``, each later one the previous
-    optimum's. The fast arc of the optimal ray shrinks as eps tightens, so
-    the scan below that guess contains the new fast optimum, and ``refine``
-    keeps to the fastest branch it meets.
+    Points are solved from the largest eps down. The first two are refined,
+    the first from the lambda_theta of ``START_RAY``, the second from the
+    first optimum: the fast arc of the optimal ray shrinks as eps tightens,
+    so the scan below that guess contains the new fast optimum. Each later
+    point is predicted from the last two optima and corrected by the root
+    search of ``refine`` (see the comment above); a point whose corrector
+    fails is refined from the previous optimum, and its ``fallback`` says
+    why. An eps equal to the previous one gets a copy of its twin's optimum,
+    so the secant runs through two distinct eps. The optima keep the sign
+    of ``START_RAY``'s lambda_theta.
     """
     optima: list[Optimum | None] = [None] * len(eps_values)
-    guess = START_RAY[1]
+    path: list[tuple[float, Optimum]] = []  # (log eps, optimum) of each distinct eps solved
+    bias = 0.0
     for i in np.argsort(eps_values)[::-1]:
-        optima[i] = refine(lphi_i, guess, replace(cfg, eps=float(eps_values[i])))
-        guess = optima[i].ltheta_i
+        point_cfg = replace(cfg, eps=float(eps_values[i]))
+        log_eps = math.log(point_cfg.eps)
+        if path and path[-1][0] == log_eps:
+            optima[i] = replace(path[-1][1])
+            continue
+        if len(path) < 2:
+            opt = refine(lphi_i, path[-1][1].ltheta_i if path else START_RAY[1], point_cfg)
+        else:
+            (e1, opt1), (e2, opt2) = path[-2:]
+            a1, a2 = math.log(opt1.ltheta_i), math.log(opt2.ltheta_i)
+            predicted = a2 + (a2 - a1) * (log_eps - e2) / (e2 - e1)
+            if len(path) == 2:
+                bias = max(CONTINUATION_MIN_BIAS, CONTINUATION_FIRST_BIAS * abs(a2 - a1))
+            try:
+                opt = _correct(lphi_i, predicted, bias, point_cfg)
+            except NoConvergence as exc:
+                opt = refine(lphi_i, opt2.ltheta_i, point_cfg)
+                opt.fallback = str(exc)
+            bias = max(CONTINUATION_MIN_BIAS, 2.0 * abs(math.log(opt.ltheta_i) - predicted))
+        path.append((log_eps, opt))
+        optima[i] = opt
     return optima
 
 
 def area_curve(eps_values, cfg: ShotConfig, lphi_i: float = START_RAY[0]) -> np.ndarray:
     """Minimum generalized pulse area for each accuracy in ``eps_values``.
 
-    The optima come from one eps continuation, largest eps first, each
-    warm-started at the previous optimum (see ``optima_along_eps``).
-    Returns an (n, 2) array of (eps, area) in input order.
+    The optima come from one eps continuation, largest eps first: the first
+    two refined, each later one predicted and corrected (see
+    ``optima_along_eps``). Returns an (n, 3) array of (eps, area, fallback)
+    in input order; fallback is 1 where the point's corrector failed and
+    ``refine`` solved it instead, else 0.
     """
     eps_values = np.asarray(list(eps_values), dtype=float)
     optima = optima_along_eps(eps_values, cfg, lphi_i)
-    return np.column_stack([eps_values, [opt.area for opt in optima]])
+    return np.column_stack([eps_values, [opt.area for opt in optima],
+                            [opt.fallback is not None for opt in optima]])
 
 
 def asymptotic_mask(eps_values: np.ndarray) -> np.ndarray:

@@ -197,6 +197,7 @@ class TestThreeLevel:
         assert len(data) == 5
         manifest = json.loads((tmp_path / "three_level_area_curve.manifest.json").read_text())
         assert manifest["results"]["slope"] == pytest.approx(grab(out, "slope"), abs=1e-9)
+        assert manifest["results"]["fallbacks"] == 0
 
     def test_areacurve_too_few_points_exits_before_solving(self, tmp_path, capsys, monkeypatch):
         def refine(*args, **kwargs):
@@ -363,6 +364,8 @@ class TestParsing:
         (["two-level", "simulate", "--eps", "0.1", "--kerr", "1,2"], "--kerr"),
         (["iso", "check", "--costates=1.85"], "--costates"),
         (["three-level", "landscape", "--eps", "0.1", "--range=1"], "--range"),
+        (["iso", "areadiv", "--eps-list", "0.1,abc"], "--eps-list"),
+        (["iso", "areadiv", "--eps-list="], "--eps-list"),
     ])
     def test_short_comma_list_names_its_flag(self, tmp_path, capsys, flags, flag):
         assert cli.main(["--out", str(tmp_path), *flags]) == 2

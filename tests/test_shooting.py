@@ -534,7 +534,7 @@ def deep_optima(cfg002) -> tuple[np.ndarray, list]:
 
 @pytest.fixture(scope="module")
 def deep_curve(deep_optima) -> np.ndarray:
-    """Minimum areas of ``deep_optima``, as ``area_curve`` returns them."""
+    """The (eps, area) columns of ``deep_optima``, as ``area_curve`` returns them."""
     eps_values, optima = deep_optima
     return np.column_stack([eps_values, [opt.area for opt in optima]])
 
@@ -572,6 +572,75 @@ class TestAreaCurve:
             t, _, residual = shooting.shoot_info(opt.lphi_i, opt.ltheta_i, replace(cfg002, eps=float(eps)))
             assert t == opt.t_min
             assert abs(residual) <= 1e-7
+
+    def test_rhs_budget(self, cfg002, monkeypatch):
+        # acceptance 07's curve: only the first two points run refine's scan,
+        # the other six are predicted and corrected; a scan per point took
+        # 174 158 calls, the continuation 75 994
+        calls, refines = 0, 0
+        extremal_rhs, refine = lambda3.extremal_rhs, shooting.refine
+
+        def counted_rhs(*args):
+            nonlocal calls
+            calls += 1
+            return extremal_rhs(*args)
+
+        def counted_refine(*args):
+            nonlocal refines
+            refines += 1
+            return refine(*args)
+
+        monkeypatch.setattr(lambda3, "extremal_rhs", counted_rhs)
+        monkeypatch.setattr(shooting, "refine", counted_refine)
+        curve = shooting.area_curve(np.geomspace(1e-1, 1e-3, 8), cfg002)
+        assert refines == 2
+        assert calls <= 90_000
+        assert not curve[:, 2].any()  # no point fell back
+
+    def test_repeated_and_unsorted_eps(self, cfg002):
+        # solved from the largest eps down; a twin gets its twin's optimum, and
+        # every optimum is the one refine finds from the previous optimum
+        eps_values = np.array([0.01, 0.1, 0.1, 0.005, 0.05])
+        optima = shooting.optima_along_eps(eps_values, cfg002, 1.85)
+        assert optima[1] == optima[2] and optima[1] is not optima[2]
+        previous = shooting.START_RAY[1]
+        for i in (1, 2, 4, 0, 3):
+            opt = optima[i]
+            assert opt.fallback is None
+            ref = shooting.refine(1.85, previous, replace(cfg002, eps=float(eps_values[i])))
+            assert opt.ltheta_i == pytest.approx(ref.ltheta_i, rel=1e-9, abs=0.0)
+            assert opt.t_min == pytest.approx(ref.t_min, rel=1e-9, abs=0.0)
+            previous = opt.ltheta_i
+
+    def test_failed_corrector_falls_back_to_refine(self, cfg002, monkeypatch):
+        # the third point's walk meets only misses, so it finds no bracket:
+        # that point is refined from the previous optimum, and the curve goes on
+        correct, refine = shooting._correct, shooting.refine
+        refined = []
+
+        def recorded_refine(*args):
+            refined.append((args, refine(*args)))
+            return refined[-1][1]
+
+        def correct_missing_at_003(lphi_i, predicted, bias, cfg):
+            with monkeypatch.context() as m:
+                if cfg.eps == 0.03:
+                    m.setattr(shooting, "shoot_info", lambda *args: (None, "no-crossing", None))
+                return correct(lphi_i, predicted, bias, cfg)
+
+        monkeypatch.setattr(shooting, "refine", recorded_refine)
+        monkeypatch.setattr(shooting, "_correct", correct_missing_at_003)
+        curve = shooting.area_curve([0.1, 0.05, 0.03, 0.02], cfg002)
+        monkeypatch.undo()
+        assert curve[:, 2].tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert np.all(np.diff(curve[:, 1]) > 0.0)
+        assert len(refined) == 3
+        (lphi_i, guess, cfg), opt = refined[2]
+        assert (lphi_i, guess, cfg.eps) == (1.85, refined[1][1].ltheta_i, 0.03)
+        assert "no valid bracket" in opt.fallback
+        fresh = shooting.refine(1.85, guess, replace(cfg002, eps=0.03))
+        assert (opt.ltheta_i, opt.t_min) == (fresh.ltheta_i, fresh.t_min)
+        assert curve[2, 1] == fresh.area
 
     def test_fit_recovers_synthetic_line(self):
         eps = np.geomspace(1e-3, 0.1, 7)
