@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import ode
 
@@ -39,7 +38,6 @@ __all__ = [
     "control_hamiltonian",
     "analytic_eta3",
     "min_area",
-    "min_area_quadrature",
     "transfer_probability",
     "linear_probability",
     "asymptotic_epsilon",
@@ -191,26 +189,6 @@ def min_area(eta3_i: float, eta3_f: float) -> float:
     _check_inversion(eta3_i)
     _check_inversion(eta3_f)
     return 2.0 * abs(math.atanh(math.sqrt(0.5 + eta3_f)) - math.atanh(math.sqrt(0.5 + eta3_i)))
-
-
-def min_area_quadrature(eta3_i: float, eta3_f: float) -> float:
-    """Minimum area by direct numerical quadrature of the inversion rate.
-
-    Independent cross-check of :func:`min_area`; integrates
-    d(eta3) / sqrt((1/2 - eta3)^2 (1/2 + eta3)) between the endpoints, the
-    sign chosen to make the area non-negative.
-    """
-    _check_inversion(eta3_i)
-    _check_inversion(eta3_f)
-    if eta3_i == eta3_f:
-        return 0.0
-
-    def integrand(e3: float) -> float:
-        return 1.0 / ((0.5 - e3) * math.sqrt(0.5 + e3))
-
-    lo, hi = min(eta3_i, eta3_f), max(eta3_i, eta3_f)
-    value, _ = quad(integrand, lo, hi, limit=200, epsabs=1e-11, epsrel=1e-11)
-    return value
 
 
 def transfer_probability(area):

@@ -295,7 +295,8 @@ def _cmd_iso_areadiv(args) -> int:
     order = np.argsort(table[:, 0])[::-1]
     monotone = bool(np.all(np.diff(table[order, 1]) > 0.0))
     print(f"strictly_increasing_as_eps_decreases = {monotone}")
-    _export(args, "iso_area_divergence", ["eps", "pump_area"], table)
+    _export(args, "iso_area_divergence", ["eps", "pump_area"], table[:, :2],
+            results={"fallbacks": int(table[:, 2].sum())})
     return 0
 
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import lambda3, ode, shooting
 
@@ -124,15 +123,58 @@ def angles_from_amplitudes(a1: complex, a2: complex) -> tuple[float, float, floa
     return theta, float(phi), float(gamma)
 
 
+def _simpson_left_intervals(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """The integral over each interval [x1, x2] of the quadratic through
+    (x1, y1), (x2, y2), (x3, y3), for every run of three samples (Cartwright,
+    *Simpson's Rule Cumulative Integration with MS Excel and
+    Irregularly-spaced Data*, J. Math. Sci. Math. Educ. 12 (2), eq. (8)),
+    term for term as SciPy's ``_cumulative_simpson_unequal_intervals``. On
+    the reversed samples it gives each interval [x2, x3] instead."""
+    x21 = dx[:-1]
+    x32 = dx[1:]
+    f1 = y[:-2]
+    f2 = y[1:-1]
+    f3 = y[2:]
+
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+
+    return x21 / 6 * (coeff1 * f1 + coeff2 * f2 + coeff3 * f3)
+
+
 def exact_theta(times: np.ndarray, pump_projection: np.ndarray) -> np.ndarray:
     """theta(t) from the quadrature of the pump projection P sin(phi).
 
     ``pump_projection`` must sample P sin(phi) at ``times`` densely enough
-    for composite-quadrature error below the comparison tolerance.
+    for composite-quadrature error below the comparison tolerance. The
+    integral is the cumulative Simpson rule on unequal intervals, as
+    ``scipy.integrate.cumulative_simpson(y, x=times, initial=0)``, bit for
+    bit: every other interval from the quadratic through it and the next
+    sample, the others and the last one from the quadratic through the
+    previous sample. Fewer than 3 samples, times not strictly increasing, or
+    two lengths that differ raise ValueError.
     """
     times = np.asarray(times, dtype=float)
-    w = cumulative_simpson(np.asarray(pump_projection, dtype=float), x=times, initial=0.0)
-    return 2.0 * np.arctan(np.tanh(0.5 * w))
+    y = np.asarray(pump_projection, dtype=float)
+    if y.ndim != 1 or times.shape != y.shape or y.size < 3:
+        raise ValueError("exact_theta needs at least 3 samples, one per time")
+    dx = np.diff(times)
+    if np.any(dx <= 0.0):
+        raise ValueError("times must be strictly increasing")
+    left = _simpson_left_intervals(y, dx)
+    right = _simpson_left_intervals(y[::-1], dx[::-1])[::-1]
+    # w[i] is the integral over interval i - 1, after a leading 0
+    w = np.zeros(y.size)
+    w[1:-1:2] = left[::2]
+    w[2::2] = right[::2]
+    w[-1] = right[-1]
+    return 2.0 * np.arctan(np.tanh(0.5 * np.cumsum(w)))
 
 
 @dataclass
@@ -272,8 +314,10 @@ def area_divergence_check(eps_values, cfg: shooting.ShotConfig) -> np.ndarray:
     two largest eps are refined, each later one predicted from the last two
     optima and corrected by the refinement's root search. |P| is integrated
     by the trapezoid rule over each optimum's extremal
-    (``shooting.extremal``). Returns an (n, 2) array of (eps, integral of
-    |P| dt) in the input order. The area must grow without bound as
+    (``shooting.extremal``). Returns an (n, 3) array of (eps, integral of
+    |P| dt, fallback) in the input order; fallback is 1 where the point's
+    corrector failed and ``shooting.refine`` solved it instead, else 0, as
+    in ``shooting.area_curve``. The area must grow without bound as
     eps -> 0 (the complete transfer needs infinite pump area); tests regress
     it against ln(eps).
     """
@@ -281,4 +325,4 @@ def area_divergence_check(eps_values, cfg: shooting.ShotConfig) -> np.ndarray:
     optima = shooting.optima_along_eps(eps_values, cfg, shooting.START_RAY[0])
     paths = (shooting.extremal(opt, cfg) for opt in optima)
     areas = [np.trapezoid(np.abs(pulses[:, 0]) / _SQRT2, path.times) for path, pulses in paths]
-    return np.column_stack([eps_values, areas])
+    return np.column_stack([eps_values, areas, [opt.fallback is not None for opt in optima]])

@@ -17,8 +17,8 @@ found on the interpolant, it reaches zero. The extremum search is skipped
 when the event's tangent lines at the two ends meet more than
 ``GRAZE_MARGIN`` beyond zero on the side where the step starts: a concave
 (or convex) event lies below (or above) its tangents, so it cannot graze.
-Brent's root finder then pins the crossing down to ``EVENT_TOL`` on the
-interpolant.
+Brent's root finder, ``brentq``, then pins the crossing down to
+``EVENT_TOL`` on the interpolant.
 
 The step runs on Python floats: the state and the seven stages are lists,
 and each stage sum is written out per component in the order numpy would
@@ -43,6 +43,12 @@ numbers), which they must not modify. The rhs may return any sequence of the
 state's length; a returned ndarray is converted once with ``tolist()``.
 Results are ndarrays: float64 for a real state, complex128 for a complex one.
 
+``brentq`` is the package's one root finder, also used by ``shooting``. It
+transcribes SciPy 1.17's ``scipy.optimize.brentq`` (its C core
+``Zeros/brentq.c`` and its Python wrapper) line by line: the same operations
+in the same order, so every iterate, the root and the errors raised are
+SciPy's, bit for bit, and the package runs on numpy alone.
+
 Everything is deterministic: identical inputs produce bit-identical output.
 All times are in units of 1/Omega_0 with Omega_0 = 1.
 """
@@ -50,17 +56,18 @@ All times are in units of 1/Omega_0 with Omega_0 = 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "EventHit",
     "StepUnderflow",
+    "brentq",
     "integrate",
     "locate_event",
     "locate_lane_events",
@@ -313,6 +320,102 @@ def _graze_ruled_out(e_a, r_a, e_b, r_b, h):
     zero on e_a's side. Floats or, elementwise, lane arrays."""
     meet = e_a + r_a * (e_b - e_a - r_b * h) / (r_a - r_b)
     return meet * e_a > GRAZE_MARGIN * abs(e_a)
+
+
+#: The floor of ``brentq``'s relative tolerance, and its default.
+_BRENTQ_RTOL = 4 * float(np.finfo(float).eps)
+
+
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
+           rtol: float = _BRENTQ_RTOL, maxiter: int = 100) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign: Brent's
+    method (Brent, *Algorithms for Minimization without Derivatives*, 1973),
+    as ``scipy.optimize.brentq`` with the same defaults, bit for bit (see
+    the module docstring).
+
+    The root x0 is returned once the bracket is narrower than
+    xtol + rtol * |x0|. f is called with a float and its value read as one.
+    Raises ValueError for xtol <= 0, rtol below 4 machine epsilons,
+    maxiter < 0, f(a) and f(b) of one sign, or a NaN value of f;
+    RuntimeError when maxiter iterations do not converge.
+    """
+    maxiter = operator.index(maxiter)
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENTQ_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENTQ_RTOL:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    # The C core's variables: the previous iterate, the current one and the
+    # end of the bracket opposite it, their values, and the last two steps.
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre = xcur
+            xcur = xblk
+            xblk = xpre
+
+            fpre = fcur
+            fcur = fblk
+            fblk = fpre
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
+        else:
+            # bisect
+            spre = sbis
+            scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _hit(times: list, states: list) -> EventHit:

@@ -44,7 +44,6 @@ from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import lambda3, ode
 from .lambda3 import PhiSingularity, SwitchingDegeneracy
@@ -382,10 +381,10 @@ class _RootSearch:
         """The optimum at the root of the residual next to the walk's start
         point(0), among the points point(j), lo <= j <= 0 <= hi, that rise
         with j: the walk steps right while the residual is > 0 and left while
-        it is not, and brentq narrows the first sign change to REFINE_XTOL
-        (relative). The optimum is the evaluated shot with the smallest
-        |residual|. No sign change within the walk, or a failed brentq,
-        raises NoConvergence."""
+        it is not, and ``ode.brentq`` narrows the first sign change to
+        REFINE_XTOL (relative). The optimum is the evaluated shot with the
+        smallest |residual|. No sign change within the walk, or a failed
+        brentq, raises NoConvergence."""
         k = 0
         if self.residual(point(0)) > 0.0:
             k = 1
@@ -400,7 +399,7 @@ class _RootSearch:
                 raise self.failure(f"no valid bracket, the residual is not > 0 left of ltheta_i"
                                    f" {float(point(0))!r}, down to {float(point(lo))!r}")
         try:
-            brentq(self.residual, point(k - 1), point(k), rtol=REFINE_XTOL)
+            ode.brentq(self.residual, point(k - 1), point(k), rtol=REFINE_XTOL)
         except RuntimeError as exc:
             raise self.failure(str(exc)) from None
         _, ltheta_i, t_min = min(self.searched)
@@ -421,9 +420,9 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     it. When it is > 0 at the fastest probe, the next probe ends the
     bracket, and past the last probe the bracket walks right by the probes'
     spacing while it stays > 0, for at most 13 steps; otherwise the previous
-    probe, shot in full, must read > 0. ``scipy.optimize.brentq`` narrows the
-    bracket to REFINE_XTOL (relative). The optimum must lie between 1/16 and
-    about 3 times the guess.
+    probe, shot in full, must read > 0. Brent's method (``ode.brentq``)
+    narrows the bracket to REFINE_XTOL (relative). The optimum must lie
+    between 1/16 and about 3 times the guess.
 
     Each probe stops at the fastest hit of the probes before it and then
     counts as +inf: its true time is no less, so it cannot be the fastest.
@@ -558,7 +557,8 @@ def asymptotic_mask(eps_values: np.ndarray) -> np.ndarray:
     """Mask of the accuracies in the asymptotic regime, eps <= 0.1; raises
     InsufficientData when fewer than five distinct ones are."""
     mask = eps_values <= 0.1
-    if np.unique(eps_values[mask]).size < 5:
+    # a set, not np.unique, whose first call imports numpy.ma (about 10 ms)
+    if len(set(eps_values[mask].tolist())) < 5:
         raise InsufficientData("need at least 5 distinct points with eps <= 0.1")
     return mask
 

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from qsl12 import bloch2, cli, ode, shooting
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 
 def run(capsys, *argv):
@@ -268,11 +272,76 @@ class TestIso:
 
     def test_areadiv(self, tmp_path, capsys):
         code, out = run(capsys, "--out", str(tmp_path), "iso", "areadiv",
-                        "--eps-list", "0.1,0.05")
+                        "--eps-list", "0.1,0.05,0.03")
         assert code == 0
         assert "strictly_increasing_as_eps_decreases = True" in out
-        _, data = read_csv(tmp_path / "iso_area_divergence.csv")
-        assert data[1, 1] > data[0, 1]  # smaller eps, larger pump area
+        columns, data = read_csv(tmp_path / "iso_area_divergence.csv")
+        assert columns == ["eps", "pump_area"]
+        assert data[2, 1] > data[1, 1] > data[0, 1]  # smaller eps, larger pump area
+        manifest = json.loads((tmp_path / "iso_area_divergence.manifest.json").read_text())
+        assert manifest["results"]["fallbacks"] == 0
+
+    def test_areadiv_reports_a_fallback(self, tmp_path, capsys, monkeypatch):
+        # the third point is the first the corrector solves; when it fails,
+        # refine solves the point and the manifest counts it
+        def correct(lphi_i, predicted, bias, cfg):
+            raise shooting.NoConvergence("forced")
+
+        monkeypatch.setattr(shooting, "_correct", correct)
+        code, out = run(capsys, "--out", str(tmp_path), "iso", "areadiv",
+                        "--eps-list", "0.1,0.05,0.03")
+        assert code == 0
+        assert "strictly_increasing_as_eps_decreases = True" in out
+        manifest = json.loads((tmp_path / "iso_area_divergence.manifest.json").read_text())
+        assert manifest["results"]["fallbacks"] == 1
+
+
+# Imports qsl12.cli and runs a first command, as the set-up of every run of
+# ``qsl`` does, then one small command of each family; prints the scipy
+# modules loaded by the set-up and the modules each command adds.
+IMPORT_PATH_SCRIPT = """
+import contextlib, io, json, sys
+import qsl12.cli as cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["--out", sys.argv[1], *argv])
+    assert code == 0, (argv, code)
+
+run("two-level", "tmin", "--eps", "0.002")
+loaded = set(sys.modules)
+report = {"setup": sorted(m for m in loaded if m.split(".")[0] == "scipy"), "added": {}}
+for argv in json.loads(sys.argv[2]):
+    run(*argv)
+    report["added"][" ".join(argv)] = sorted(set(sys.modules) - loaded)
+    loaded.update(sys.modules)
+print(json.dumps(report))
+"""
+
+
+class TestImportPath:
+    def test_commands_import_numpy_only(self, tmp_path):
+        # no scipy module is loaded, and no command imports a module the
+        # set-up has not: a lazy import (numpy.ma by np.unique, say) would
+        # be paid inside the command
+        commands = [
+            ["three-level", "optimize", "--eps", "0.005", "--guess", "0.7"],
+            ["three-level", "landscape", "--eps", "0.002", "--res", "20", "--workers", "1"],
+            ["three-level", "areacurve", "--eps-max", "0.1", "--eps-min", "0.03", "--n", "5"],
+            ["three-level", "energy", "--T", "10", "--eps", "0.005"],
+            ["iso", "check", "--eps", "0.002", "--costates", "1.85,0.45266"],
+            ["iso", "areadiv", "--eps-list", "0.1,0.05,0.03"],
+            ["two-level", "simulate", "--eps", "0.002"],
+        ]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(tmp_path), json.dumps(commands)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["setup"] == []
+        assert report["added"] == {" ".join(argv): [] for argv in commands}
 
 
 class TestParsing:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 from qsl12 import isomorphism as iso
 from qsl12 import lambda3, shooting
@@ -103,6 +104,26 @@ class TestExactTheta:
         t = np.linspace(0.0, 35.0, 3501)
         theta = iso.exact_theta(t, np.ones_like(t))
         assert np.all(theta < math.pi / 2.0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 50, 51, 1000, 1001])
+    def test_as_scipy_cumulative_simpson(self, n):
+        # bit for bit on non-uniform grids of odd and even length
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 10.0):
+            t = np.cumsum(rng.uniform(0.01, 1.0, n) * scale) - scale
+            y = rng.normal(size=n)
+            expected = 2.0 * np.arctan(np.tanh(0.5 * cumulative_simpson(y, x=t, initial=0)))
+            assert np.array_equal(iso.exact_theta(t, y).view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("t, y", [
+        ([0.0, 1.0], [1.0, 1.0]),  # fewer than 3 samples: no Simpson rule
+        ([0.0], [1.0]),
+        ([0.0, 1.0, 1.0], [1.0, 1.0, 1.0]),  # times not strictly increasing
+        ([0.0, 1.0, 2.0], [1.0, 1.0]),
+    ])
+    def test_rejects_what_simpson_cannot_integrate(self, t, y):
+        with pytest.raises(ValueError):
+            iso.exact_theta(np.array(t), np.array(y))
 
 
 class TestCrossCheck:

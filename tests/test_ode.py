@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq as scipy_brentq
 
-from qsl12 import bloch2, lambda3, ode
+from qsl12 import bloch2, lambda3, ode, shooting
 
 
 def rotation_rhs(y):
@@ -344,3 +345,66 @@ class TestLaneEvents:
         assert times[0] == pytest.approx(0.249, abs=ode.EVENT_TOL)
         assert times[1] == pytest.approx(0.734, abs=ode.EVENT_TOL)
         assert np.isnan(times[2])
+
+
+class TestBrentq:
+    """``ode.brentq`` against its source, ``scipy.optimize.brentq``: the
+    same points visited in the same order, the same root by ``float.hex``,
+    or the same exception."""
+
+    @staticmethod
+    def run(solver, f, a, b, **kwargs):
+        visited = []
+
+        def recorded(x):
+            visited.append(float.hex(x))
+            return f(x)
+
+        try:
+            outcome = float.hex(solver(recorded, a, b, **kwargs))
+        except (ValueError, RuntimeError) as exc:
+            outcome = type(exc)
+        return outcome, visited
+
+    def assert_as_scipy(self, f, a, b, **kwargs):
+        ours = self.run(ode.brentq, f, a, b, **kwargs)
+        assert ours == self.run(scipy_brentq, f, a, b, **kwargs)
+        return ours[0]
+
+    TOLERANCES = [{}, {"xtol": ode.EVENT_TOL}, {"rtol": shooting.REFINE_XTOL}]
+
+    @pytest.mark.parametrize("kwargs", TOLERANCES)
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),  # a simple (odd) root
+        (lambda x: (x - 0.7) * (x * x + 1.0), 3.0, -1.0),  # the bracket reversed
+        (lambda x: math.tanh(40.0 * (x - 1.1)) + 1e-3, 0.0, 2.0),  # a near step
+        (lambda x: x - 1.0, 1.0, 2.0),  # the root at a
+        (lambda x: x - 1.0, 0.0, 1.0),  # the root at b
+        (lambda x: -0.0 if x == 0.5 else 1.0, 0.5, 3.0),  # -0.0 at a
+        (lambda x: -0.0 if x == 3.0 else -1.0, 0.5, 3.0),  # -0.0 at b
+    ])
+    def test_same_iterates_and_root(self, f, a, b, kwargs):
+        assert isinstance(self.assert_as_scipy(f, a, b, **kwargs), str)
+
+    def test_random_brackets(self):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            c0, c1, c2 = rng.uniform(-3.0, 3.0, 3)
+            a, b = rng.uniform(-4.0, 4.0, 2)
+            for kwargs in self.TOLERANCES:
+                self.assert_as_scipy(lambda x: (x - c0) * (x - c1) * (x - c2), a, b, **kwargs)
+                self.assert_as_scipy(lambda x: math.sin(3.0 * x + c0) + 0.3 * c1, a, b, **kwargs)
+
+    @pytest.mark.parametrize("f, a, b, kwargs, error", [
+        (lambda x: x * x + 1.0, -1.0, 1.0, {}, ValueError),  # one sign at both ends
+        (lambda x: 1.0, 0.0, 0.0, {}, ValueError),
+        (lambda x: math.nan, 0.0, 1.0, {}, ValueError),
+        (lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5, 0.0, 1.0, {}, ValueError),  # NaN inside
+        (lambda x: x ** 3 - 2.0, 0.0, 2.0, {"maxiter": 3}, RuntimeError),
+        (lambda x: (x - 0.7) ** 3, 3.0, -1.0, {}, RuntimeError),  # a triple root: 100 iterations fall short
+        (lambda x: x - 1.0, 0.0, 2.0, {"xtol": 0.0}, ValueError),
+        (lambda x: x - 1.0, 0.0, 2.0, {"rtol": 1e-17}, ValueError),
+        (lambda x: x - 1.0, 0.0, 2.0, {"maxiter": -1}, ValueError),
+    ])
+    def test_same_exception(self, f, a, b, kwargs, error):
+        assert self.assert_as_scipy(f, a, b, **kwargs) is error
