@@ -341,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--range", default="-3,3", metavar="LO,HI", help="costate range of both axes (--range=LO,HI if LO < 0)")
     p.add_argument("--res", type=int, default=200, help="cells along each axis of the square grid")
-    p.add_argument("--workers", type=int, default=None, help="scan processes (0 or unset: one per CPU)")
+    p.add_argument("--workers", type=int, default=None, help="scan processes, at most one per CPU (0 or unset: one per CPU)")
     p.set_defaults(func=_cmd_three_landscape)
     p = three_sub.add_parser("optimize", help="refine the optimal initial costate ray")
     p.add_argument("--eps", type=float, required=True)

@@ -10,7 +10,9 @@ problem, the polar angle obeys an exact quadrature:
     tan(theta/2) = tanh( (1/2) * integral of P sin(phi) dt ),
 
 so complete conversion (|rho_x| = 1, i.e. theta = pi/2) needs an infinite
-pump area: |rho_x| < 1 at every finite time.
+pump area: |rho_x| < 1 at every finite time. The oracle run integrates that
+pump area as one more component of its state, on the same adaptive steps
+as the amplitudes, and checks the quadrature at every accepted node.
 
 A tempting but wrong reduction takes the Stokes coupling as
 Omega_s / sqrt(2) by analogy with the pump; it misses the extra factor from
@@ -123,58 +125,14 @@ def angles_from_amplitudes(a1: complex, a2: complex) -> tuple[float, float, floa
     return theta, float(phi), float(gamma)
 
 
-def _simpson_left_intervals(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """The integral over each interval [x1, x2] of the quadratic through
-    (x1, y1), (x2, y2), (x3, y3), for every run of three samples (Cartwright,
-    *Simpson's Rule Cumulative Integration with MS Excel and
-    Irregularly-spaced Data*, J. Math. Sci. Math. Educ. 12 (2), eq. (8)),
-    term for term as SciPy's ``_cumulative_simpson_unequal_intervals``. On
-    the reversed samples it gives each interval [x2, x3] instead."""
-    x21 = dx[:-1]
-    x32 = dx[1:]
-    f1 = y[:-2]
-    f2 = y[1:-1]
-    f3 = y[2:]
+def exact_theta(pump_area):
+    """theta = 2 arctan(tanh(A / 2)) of the pump area A = integral of P sin(phi) dt.
 
-    x31 = x21 + x32
-    x21_x31 = x21 / x31
-    x21_x32 = x21 / x32
-    x21x21_x31x32 = x21_x31 * x21_x32
-
-    coeff1 = 3 - x21_x31
-    coeff2 = 3 + x21x21_x31x32 + x21_x31
-    coeff3 = -x21x21_x31x32
-
-    return x21 / 6 * (coeff1 * f1 + coeff2 * f2 + coeff3 * f3)
-
-
-def exact_theta(times: np.ndarray, pump_projection: np.ndarray) -> np.ndarray:
-    """theta(t) from the quadrature of the pump projection P sin(phi).
-
-    ``pump_projection`` must sample P sin(phi) at ``times`` densely enough
-    for composite-quadrature error below the comparison tolerance. The
-    integral is the cumulative Simpson rule on unequal intervals, as
-    ``scipy.integrate.cumulative_simpson(y, x=times, initial=0)``, bit for
-    bit: every other interval from the quadratic through it and the next
-    sample, the others and the last one from the quadratic through the
-    previous sample. Fewer than 3 samples, times not strictly increasing, or
-    two lengths that differ raise ValueError.
+    The counterpart problem's exact quadrature, tan(theta/2) = tanh(A/2)
+    (arXiv 2303.15359); theta < pi/2 at every finite A. ``cross_check``
+    integrates A along its run.
     """
-    times = np.asarray(times, dtype=float)
-    y = np.asarray(pump_projection, dtype=float)
-    if y.ndim != 1 or times.shape != y.shape or y.size < 3:
-        raise ValueError("exact_theta needs at least 3 samples, one per time")
-    dx = np.diff(times)
-    if np.any(dx <= 0.0):
-        raise ValueError("times must be strictly increasing")
-    left = _simpson_left_intervals(y, dx)
-    right = _simpson_left_intervals(y[::-1], dx[::-1])[::-1]
-    # w[i] is the integral over interval i - 1, after a leading 0
-    w = np.zeros(y.size)
-    w[1:-1:2] = left[::2]
-    w[2::2] = right[::2]
-    w[-1] = right[-1]
-    return 2.0 * np.arctan(np.tanh(0.5 * np.cumsum(w)))
+    return 2.0 * np.arctan(np.tanh(0.5 * pump_area))
 
 
 @dataclass
@@ -206,18 +164,23 @@ def cross_check(
 ) -> CrossCheck:
     """Integrate every representation of one time-optimal transfer side by side.
 
-    One rhs, which computes the bang control once per call, drives two passes
-    on the adaptive integrator of ``cfg`` up to the hit time. Its state holds
-    the closed-loop extremal, the real three-level amplitudes and the
-    counterpart two-level amplitudes; the second pass starts at the first
-    node off the initial pole and appends the angle block, which the rhs
-    flows when the state has 14 components. The deviations are taken over
-    the accepted nodes of each pass. Without ``costates`` the transfer is the
-    optimum refined from ``shooting.START_RAY``; non-finite costates raise
-    ValueError, and a shot that misses raises NoFeasiblePoint with its
-    reason. ``corrupt_mapping`` switches the Stokes reduction to the
-    inconsistent Omega_s / sqrt(2) variant (negative control: the oracles
-    must fail).
+    One rhs drives two passes on the adaptive integrator of ``cfg`` up to the
+    hit time. Its state holds the closed-loop extremal, the real three-level
+    amplitudes, the counterpart two-level amplitudes and the pump area
+    A = integral of P sin(phi) dt, with sin(phi) = rho_y / |rho_perp| read
+    from the three-level amplitudes (1 at the initial pole). Each call takes
+    the bang control from ``lambda3.bang_control`` for the amplitude flows
+    and the pump area; ``lambda3.extremal_rhs`` computes the same control
+    again inside the extremal flow. The second pass starts at the first node
+    off the initial pole and appends the angle block, which the rhs flows
+    when the state has 15 components. The deviations are taken over the
+    accepted nodes of each pass; the quadrature oracle compares
+    ``exact_theta(A)`` with the polar angle of the mapped amplitudes.
+    Without ``costates`` the transfer is the optimum refined from
+    ``shooting.START_RAY``; non-finite costates raise ValueError, and a shot
+    that misses raises NoFeasiblePoint with its reason. ``corrupt_mapping``
+    switches the Stokes reduction to the inconsistent Omega_s / sqrt(2)
+    variant (negative control: the oracles must fail).
     """
     if costates is None:
         opt = shooting.refine(*shooting.START_RAY, cfg)
@@ -241,16 +204,21 @@ def cross_check(
         pulses = lambda3.bang_control(y[0], y[1], y[2], y[3])
         p, s = reduce_pulses(*pulses)
         da1, da2 = iso_amplitude_rhs((y[7] + 1j * y[8], y[9] + 1j * y[10]), p, s)
+        # P sin(phi), with rho_y and rho_x as map_3to2 maps them; sin(phi)
+        # is its limit 1 at the initial pole
+        ry = -_SQRT2 * y[5]
+        transverse = math.hypot(ry, _SQRT2 * y[6])
         d = [
             *lambda3.extremal_rhs(y[0:4]),
             *lambda3.xcoordinate_rhs(y[4:7], pulses),
             da1.real, da1.imag, da2.real, da2.imag,
+            p * (ry / transverse) if transverse > 1e-12 else p,
         ]
-        if len(y) == 14:
-            d += iso_angle_rhs(y[11:14], p, s)
+        if len(y) == 15:
+            d += iso_angle_rhs(y[12:15], p, s)
         return d
 
-    base = ode.integrate(rhs, [0.0, 0.0, *costates, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+    base = ode.integrate(rhs, [0.0, 0.0, *costates, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
                          (0.0, t_hit), cfg.integrator)
 
     rho_mapped = map_3to2(base.states[:, 4:7].T)
@@ -260,17 +228,8 @@ def cross_check(
     amplitude_deviation = float(np.abs(rho_mapped - rho_amp).max())
     max_abs_coherence = float(max(np.abs(rho_mapped[2]).max(), np.abs(rho_amp[2]).max()))
 
-    # Exact-theta quadrature along the whole run. At t = 0 the transverse
-    # Bloch components vanish and sin(phi) is defined by its limit, 1.
     theta_iso = np.arctan2(np.hypot(rho_mapped[1], rho_mapped[2]), rho_mapped[0])
-    pump = np.array([
-        reduce_pulses(*lambda3.bang_control(*y))[0]
-        for y in base.states[:, 0:4].tolist()
-    ])
-    transverse = np.hypot(rho_mapped[1], rho_mapped[2])
-    sin_phi = np.where(transverse > 1e-12, rho_mapped[1] / np.where(transverse == 0.0, 1.0, transverse), 1.0)
-    theta_quad = exact_theta(base.times, pump * sin_phi)
-    quadrature_deviation = float(np.abs(theta_quad - theta_iso).max())
+    quadrature_deviation = float(np.abs(exact_theta(base.states[:, 11]) - theta_iso).max())
 
     # Second pass with the angle block, seeded once theta has left the pole.
     seed_candidates = np.nonzero(theta_iso >= 0.01)[0]
@@ -283,9 +242,9 @@ def cross_check(
     second = ode.integrate(rhs, [*base.states[i0].tolist(), theta0, phi0, gamma0],
                            (t0, t_hit), cfg.integrator)
     rho_mapped2 = map_3to2(second.states[:, 4:7].T)
-    theta_b = second.states[:, 11]
-    phi_b = second.states[:, 12]
-    gamma_b = second.states[:, 13]
+    theta_b = second.states[:, 12]
+    phi_b = second.states[:, 13]
+    gamma_b = second.states[:, 14]
     angle_deviation = float(np.abs(rho_from_angles(theta_b, phi_b) - rho_mapped2).max())
 
     a1_b = np.cos(0.5 * theta_b) * np.exp(-1j * gamma_b)

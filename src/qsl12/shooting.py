@@ -305,10 +305,11 @@ def landscape(
     each cell its ray's time (see the comment above): the cells of a ray and
     of its mirror rays, (+-lambda_phi, +-lambda_theta) alike, hold the same
     time, which may differ from the cell's own shot in the trailing digits.
-    ``workers`` is the number of processes (None or 0 = one per CPU) over
-    which the lanes are split; results do not depend on it. A non-finite
-    range, a resolution below 1, a horizon too long to count its steps and a
-    negative ``workers`` raise ValueError.
+    ``workers`` is the number of processes (None or 0 = one per CPU), at
+    most one per CPU and one per lane, over which the lanes are split;
+    results do not depend on it. A non-finite range, a resolution below 1, a
+    horizon too long to count its steps and a negative ``workers`` raise
+    ValueError.
     """
     lo, hi = costate_range
     if not math.isfinite(hi - lo):
@@ -322,7 +323,8 @@ def landscape(
     axis = np.linspace(lo, hi, resolution)
 
     lphi0, ltheta0, cell_lane = _lanes(costate_range, axis)
-    workers = min(workers or os.cpu_count() or 1, lphi0.size)
+    cpus = os.cpu_count() or 1
+    workers = min(workers or cpus, cpus, lphi0.size)
     if workers == 1:
         lane_times = _scan_lanes(lphi0, ltheta0, cfg)
     else:

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_simpson
 
 from qsl12 import isomorphism as iso
 from qsl12 import lambda3, shooting
@@ -88,42 +87,13 @@ class TestFlows:
 
 class TestExactTheta:
     def test_starts_at_zero(self):
-        t = np.linspace(0.0, 1.0, 11)
-        theta = iso.exact_theta(t, np.ones_like(t))
+        theta = iso.exact_theta(np.linspace(0.0, 1.0, 11))
         assert theta[0] == 0.0
-
-    def test_constant_projection_closed_form(self):
-        t = np.linspace(0.0, 4.0, 4001)
-        c = 0.8
-        theta = iso.exact_theta(t, np.full_like(t, c))
-        expected = 2.0 * np.arctan(np.tanh(0.5 * c * t))
-        assert np.max(np.abs(theta - expected)) < 1e-10
 
     def test_bounded_below_half_pi(self):
         # strict bound holds up to where tanh saturates in float64
-        t = np.linspace(0.0, 35.0, 3501)
-        theta = iso.exact_theta(t, np.ones_like(t))
+        theta = iso.exact_theta(np.linspace(0.0, 35.0, 3501))
         assert np.all(theta < math.pi / 2.0)
-
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 50, 51, 1000, 1001])
-    def test_as_scipy_cumulative_simpson(self, n):
-        # bit for bit on non-uniform grids of odd and even length
-        rng = np.random.default_rng(n)
-        for scale in (1e-3, 1.0, 10.0):
-            t = np.cumsum(rng.uniform(0.01, 1.0, n) * scale) - scale
-            y = rng.normal(size=n)
-            expected = 2.0 * np.arctan(np.tanh(0.5 * cumulative_simpson(y, x=t, initial=0)))
-            assert np.array_equal(iso.exact_theta(t, y).view(np.int64), expected.view(np.int64))
-
-    @pytest.mark.parametrize("t, y", [
-        ([0.0, 1.0], [1.0, 1.0]),  # fewer than 3 samples: no Simpson rule
-        ([0.0], [1.0]),
-        ([0.0, 1.0, 1.0], [1.0, 1.0, 1.0]),  # times not strictly increasing
-        ([0.0, 1.0, 2.0], [1.0, 1.0]),
-    ])
-    def test_rejects_what_simpson_cannot_integrate(self, t, y):
-        with pytest.raises(ValueError):
-            iso.exact_theta(np.array(t), np.array(y))
 
 
 class TestCrossCheck:
@@ -144,20 +114,46 @@ class TestCrossCheck:
         assert not result.passed
         assert result.amplitude_deviation > 1e-3
 
+    @pytest.mark.parametrize("eps, costates", [(0.002, (1.85, 0.45266)), (0.005, (1.85, 0.62776))])
+    def test_quadrature_is_integrated_along_the_run(self, eps, costates):
+        # the pump area rides in the run's state, so the identity holds to
+        # the integrator's accuracy, not to a quadrature of its nodes
+        result = iso.cross_check(shooting.ShotConfig(eps=eps), costates=costates)
+        assert result.quadrature_deviation <= 1e-12
+
+    def test_wrong_pump_reduction_fails_the_quadrature(self, cfg002, monkeypatch):
+        # the quadrature reads only P, which --corrupt-mapping leaves alone
+        map_pulses = iso.map_pulses
+
+        def half_pump(op, os_):
+            p, s = map_pulses(op, os_)
+            return 0.5 * p, s
+
+        monkeypatch.setattr(iso, "map_pulses", half_pump)
+        result = iso.cross_check(cfg002, costates=(1.85, 0.45266))
+        assert result.quadrature_deviation > iso.QUADRATURE_TOL
+        assert not result.passed
+
     def test_bang_control_budget(self, cfg002, monkeypatch):
-        # one bang control per rhs evaluation of either pass, plus one per
-        # node of the first pass for the pump column
-        calls = [0]
-        bang_control = lambda3.bang_control
+        # one bang control per rhs evaluation of either pass, which makes
+        # one amplitude-flow call each
+        calls = {}
 
-        def counted(*args):
-            calls[0] += 1
-            return bang_control(*args)
+        def count(module, name):
+            func = getattr(module, name)
+            calls[name] = 0
 
-        monkeypatch.setattr(lambda3, "bang_control", counted)
+            def counted(*args):
+                calls[name] += 1
+                return func(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(lambda3, "bang_control")
+        count(iso, "iso_amplitude_rhs")
         result = iso.cross_check(cfg002, costates=(1.85, 0.45266))
         assert result.passed
-        assert calls[0] <= 10_000
+        assert calls["bang_control"] == calls["iso_amplitude_rhs"] <= 10_000
 
     def test_unreachable_costates_rejected(self, cfg002):
         with pytest.raises(shooting.NoFeasiblePoint):

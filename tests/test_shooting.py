@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -139,9 +140,11 @@ class TestLandscape:
         assert finite.size > 0
         assert np.all(finite > 0.0) and np.all(finite <= 15.0)
 
-    def test_serial_equals_parallel(self, cfg005, grid12):
+    def test_serial_equals_parallel(self, cfg005, grid12, monkeypatch):
         # workers split the lanes: an even grid, an odd one with its origin
-        # cell, an asymmetric range (one lane per cell)
+        # cell, an asymmetric range (one lane per cell); two CPUs, so that
+        # two workers fork two processes on any machine
+        monkeypatch.setattr(shooting.os, "cpu_count", lambda: 2)
         for costate_range, res in [((-2.0, 2.0), 12), ((-2.0, 2.0), 13), ((-1.5, 2.5), 9)]:
             serial = grid12 if res == 12 else shooting.landscape(costate_range, res, cfg005, workers=1)
             parallel = shooting.landscape(costate_range, res, cfg005, workers=2)
@@ -149,6 +152,32 @@ class TestLandscape:
             if res == 13:
                 assert np.isnan(serial.times[6, 6])  # the origin cell
             assert np.isfinite(serial.times).any()
+
+    @pytest.mark.parametrize("cpus", [3, 5000])
+    def test_workers_capped_at_cpu_count(self, cfg005, grid12, monkeypatch, cpus):
+        # a fake pool records its process count and runs the jobs here, so
+        # no process is started
+        counts = []
+
+        class Pool:
+            def __init__(self, processes):
+                counts.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, func, jobs):
+                return [func(*job) for job in jobs]
+
+        monkeypatch.setattr(shooting, "get_context", lambda method: SimpleNamespace(Pool=Pool))
+        monkeypatch.setattr(shooting.os, "cpu_count", lambda: cpus)
+        lanes = shooting._lanes((-2.0, 2.0), grid12.lphi_axis)[0].size
+        grid = shooting.landscape((-2.0, 2.0), 12, cfg005, workers=5000)
+        assert counts == [min(cpus, lanes)]
+        assert np.array_equal(grid.times, grid12.times, equal_nan=True)
 
     @staticmethod
     def _first_lane_width(grid_args, monkeypatch) -> int:
