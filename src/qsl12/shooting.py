@@ -21,7 +21,10 @@ maximum principle makes the costate parallel to the gradient of the target
 (Bryson & Ho 1975), and each hit reports the sine of the angle between them.
 A shot that finds no hit counts as an infinite time. The result is on the
 fastest branch the scan meets; the optimum must lie between 1/16 and about
-3 times the guess.
+3 times the guess. The scan screens and the search solves: the probes only
+rank hit times, so they run at the looser tolerance SCAN_TOL, and the root
+search shoots the fastest probe again, and every later point, at the
+configured one.
 Along a continuation in eps only the first two points run the scan. Each
 later point predicts its lambda_theta from the last two optima and
 corrects it with the same root search, started just left of the
@@ -340,6 +343,10 @@ def landscape(
 
 #: Relative width of the residual's root bracket on the initial lambda_theta.
 REFINE_XTOL = 1e-10
+#: The loosest integrator tolerance of ``refine``'s scan: its probes only
+#: rank hit times, which differ by 0.3 or more along the fast branch, and at
+#: 1e-6 a time moves by about 1e-5.
+SCAN_TOL = 1e-6
 
 
 class _RootSearch:
@@ -408,6 +415,27 @@ class _RootSearch:
         return Optimum(self.lphi_i, ltheta_i, t_min)
 
 
+def _scan(shot, probes: np.ndarray, ltheta_guess: float, cfg: ShotConfig, screened: bool) -> int:
+    """The index of the fastest probe, each shot by ``shot(x, stop)`` with the
+    stop at the fastest hit of the probes before it. When no probe hits,
+    NoFeasiblePoint tallies why, with the tolerance the probes ran at, the
+    one of ``cfg``, and whether that was ``refine``'s screen."""
+    times, reasons = [], []
+    for p in probes:
+        t, reason, _ = shot(p, min(times, default=math.inf))
+        times.append(math.inf if t is None else t)
+        reasons.append(reason)
+    best = int(np.argmin(times))
+    if math.isinf(times[best]):
+        tally = ", ".join(f"{n} {why}" for why, n in Counter(reasons).most_common())
+        raise NoFeasiblePoint(
+            f"no transfer within the horizon {cfg.horizon!r} at eps {cfg.eps!r} near ltheta_i ~"
+            f" {ltheta_guess!r} (the {len(probes)} probes{', screened' if screened else ''} at tol"
+            f" {cfg.integrator.tol!r}: {tally})"
+        )
+    return best
+
+
 def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     """The optimum over the initial lambda_theta at fixed lambda_phi: the root
     of the transversality residual on the fastest branch.
@@ -426,6 +454,13 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     narrows the bracket to REFINE_XTOL (relative). The optimum must lie
     between 1/16 and about 3 times the guess.
 
+    The scan screens and the search solves. The probes only rank hit times,
+    so they are integrated at the tolerance max(tol, SCAN_TOL); the root
+    search shoots the fastest probe again, and every later point, at the
+    configured tolerance, so the optimum comes from a full-tolerance shot.
+    When the fastest probe does not hit at that tolerance, the scan runs
+    again at it.
+
     Each probe stops at the fastest hit of the probes before it and then
     counts as +inf: its true time is no less, so it cannot be the fastest.
     Each later shot stops at the fastest hit with a residual > 0, and a shot
@@ -434,25 +469,18 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     is the costates and hit time of the evaluated shot with the smallest
     |residual|: it costs no further integration. Non-finite costates raise
     ValueError before the first shot; when no probe hits, NoFeasiblePoint
-    tallies why; when the residual has no sign change to bracket, or the
-    search fails, NoConvergence names the condition, the eps and the horizon.
+    tallies why, at the tolerance the probes ran at; when the residual has
+    no sign change to bracket, or the search fails, NoConvergence names the
+    condition, the eps and the horizon.
     """
     if not (math.isfinite(lphi_i) and math.isfinite(ltheta_guess)):
         raise ValueError(f"costates must be finite, got ({lphi_i!r}, {ltheta_guess!r})")
     search = _RootSearch(lphi_i, ltheta_guess, cfg)
+    screen = replace(cfg, integrator=replace(cfg.integrator, tol=max(cfg.integrator.tol, SCAN_TOL)))
     probes = ltheta_guess * np.linspace(1.0 / 16.0, 1.5, 13)
-    times, reasons = [], []
-    for p in probes:
-        t, reason, _ = search.shot(p, min(times, default=math.inf))
-        times.append(math.inf if t is None else t)
-        reasons.append(reason)
-    best = int(np.argmin(times))
-    if math.isinf(times[best]):
-        tally = ", ".join(f"{n} {why}" for why, n in Counter(reasons).most_common())
-        raise NoFeasiblePoint(
-            f"no transfer within the horizon {cfg.horizon!r} at eps {cfg.eps!r} near"
-            f" ltheta_i ~ {ltheta_guess!r} (the {len(probes)} probes: {tally})"
-        )
+    best = _scan(lambda x, stop: shoot_info(lphi_i, float(x), screen, stop), probes, ltheta_guess, screen, screen != cfg)
+    if search.shot(probes[best], math.inf)[0] is None:
+        best = _scan(search.shot, probes, ltheta_guess, cfg, False)
     ladder = np.concatenate([probes, probes[-1] + (probes[1] - probes[0]) * np.arange(1, probes.size + 1)])
     return search.root(lambda j: ladder[best + j], -min(best, 1), ladder.size - 1 - best)
 

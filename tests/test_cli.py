@@ -229,6 +229,17 @@ class TestThreeLevel:
         assert "no valid bracket" in err and "eps 0.005" in err
         assert not any(tmp_path.iterdir())
 
+    def test_optimize_short_horizon_exits_5_naming_the_screen(self, tmp_path, capsys):
+        # no probe hits within 2 time units; the tally says the probes ran at
+        # the scan's screening tolerance, not at --tol
+        code = cli.main(["--out", str(tmp_path), "--horizon", "2", "three-level", "optimize",
+                         "--eps", "0.005", "--guess", "0.7"])
+        assert code == cli.EXIT_NO_HIT
+        err = capsys.readouterr().err
+        assert f"the 13 probes, screened at tol {shooting.SCAN_TOL!r}: 13 no-crossing" in err
+        assert "horizon 2.0" in err and "eps 0.005" in err
+        assert not any(tmp_path.iterdir())
+
     def test_energy(self, capsys):
         code, out = run(capsys, "three-level", "energy", "--T", "10", "--eps", "0.005")
         assert code == 0

@@ -361,13 +361,17 @@ class TestRefine:
         monkeypatch.setattr(shooting, "shoot_info", counted)
         opt = shooting.refine(1.85, 0.5, cfg002)
         assert opt.t_min == pytest.approx(7.40, abs=0.02)
+        # 13 screened probes and 10 search shots, two of them the fastest
+        # probe and its neighbour shot again at the configured tol
         assert len(shots) <= 30
 
     def test_rhs_budget(self, cfg002, monkeypatch):
-        # probes stop at the fastest earlier hit, and the root search's shots
-        # at the fastest hit left of the root: 15 409 calls in the scan and
-        # 13 170 in the search's 12 shots; minimizing the hit time by Brent's
-        # method took 46 010 calls, with unbounded probes 129 848
+        # the scan screens at SCAN_TOL and the search solves at the configured
+        # tol: 3 325 calls in the 13 probes and 15 446 in the search's 14
+        # shots, the fastest probe and its neighbour shot again among them,
+        # 18 771 in all; with the probes at the configured tol the scan took
+        # 15 409 and the search's 12 shots 13 170, and minimizing the hit
+        # time by Brent's method 46 010 in all, with unbounded probes 129 848
         calls = 0
         extremal_rhs = lambda3.extremal_rhs
 
@@ -379,7 +383,7 @@ class TestRefine:
         monkeypatch.setattr(lambda3, "extremal_rhs", counted)
         opt = shooting.refine(1.85, 0.9, cfg002)
         assert opt.t_min == pytest.approx(7.40, abs=0.02)
-        assert calls <= 36_000
+        assert calls <= 21_000
 
     @pytest.mark.parametrize("eps, guess", [(0.002, 0.9), (0.005, 0.7), (0.002, 1.2)])
     def test_bounded_probes_keep_the_optimum(self, eps, guess, monkeypatch):
@@ -410,6 +414,71 @@ class TestRefine:
         for sp, st in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
             mirror = shooting.refine(sp * 1.85, st * 0.9, cfg002)
             assert mirror == shooting.Optimum(sp * opt.lphi_i, st * opt.ltheta_i, opt.t_min)
+
+    @pytest.mark.parametrize("eps, guess, lphi_sign, ltheta_sign", [
+        (0.002, 0.5, 1.0, 1.0), (0.002, 0.9, 1.0, 1.0), (0.002, 1.2, 1.0, 1.0), (0.005, 0.7, 1.0, 1.0),
+        (0.02682696, 1.18, 1.0, 1.0),  # from here a local search lands on the slower branch
+        (0.002, 0.9, -1.0, 1.0), (0.002, 0.9, 1.0, -1.0), (0.002, 0.9, -1.0, -1.0),
+    ])
+    def test_screened_scan_keeps_the_optimum(self, eps, guess, lphi_sign, ltheta_sign, monkeypatch):
+        # the probes only rank hit times, 0.3 or more apart on the fast
+        # branch: screened at SCAN_TOL they lead to the same bracket, and so
+        # to the same optimum bit for bit, as probes at the configured tol
+        cfg = ShotConfig(eps=eps)
+        screened = shooting.refine(lphi_sign * 1.85, ltheta_sign * guess, cfg)
+        monkeypatch.setattr(shooting, "SCAN_TOL", cfg.integrator.tol)
+        assert shooting.refine(lphi_sign * 1.85, ltheta_sign * guess, cfg) == screened
+
+    def test_screened_scan_keeps_the_continuation(self, cfg002, monkeypatch):
+        # the 8-point grid of acceptance 07, whose first two points refine
+        eps_values = np.geomspace(1e-1, 1e-3, 8)
+        screened = shooting.optima_along_eps(eps_values, cfg002, 1.85)
+        monkeypatch.setattr(shooting, "SCAN_TOL", cfg002.integrator.tol)
+        assert shooting.optima_along_eps(eps_values, cfg002, 1.85) == screened
+
+    def test_scan_screens_and_search_solves(self, cfg002, opt002, monkeypatch):
+        # the 13 probes run at SCAN_TOL, every later shot at the configured
+        # tol, the fastest probe among them; the optimum is one of those
+        tols = []
+        shoot_info = shooting.shoot_info
+
+        def recorded(lphi_i, ltheta_i, cfg, stop=math.inf):
+            tols.append((ltheta_i, cfg.integrator.tol))
+            return shoot_info(lphi_i, ltheta_i, cfg, stop)
+
+        monkeypatch.setattr(shooting, "shoot_info", recorded)
+        opt = shooting.refine(1.85, 0.5, cfg002)
+        assert [tol for _, tol in tols[:13]] == [shooting.SCAN_TOL] * 13
+        assert {tol for _, tol in tols[13:]} == {cfg002.integrator.tol}
+        assert tols[13][0] in [x for x, _ in tols[:13]]
+        assert (opt.ltheta_i, cfg002.integrator.tol) in tols[13:]
+        assert opt == opt002
+
+    def test_unconfirmed_screen_scans_again(self, monkeypatch):
+        # the screen's fastest probe, right of the root, hits only at
+        # SCAN_TOL: the scan runs again at the configured tol, and the
+        # search starts from that scan's fastest probe, left of the root
+        def valley(x):
+            return 7.0 + 400.0 * (x - 0.3) ** 2
+
+        probes = np.linspace(1.0 / 16.0, 1.5, 13).tolist()
+        shots = []
+
+        def shoot_info(lphi_i, ltheta_i, cfg, stop=math.inf):
+            tol = cfg.integrator.tol
+            shots.append((ltheta_i, tol))
+            if ltheta_i == probes[2] and tol < shooting.SCAN_TOL:
+                return None, "no-crossing", None
+            t = valley(ltheta_i)
+            return (None, "beyond-bound", None) if t >= stop else (t, "hit", 0.3 - ltheta_i)
+
+        monkeypatch.setattr(shooting, "shoot_info", shoot_info)
+        opt = shooting.refine(1.85, 1.0, ShotConfig(eps=0.002))
+        assert opt.ltheta_i == pytest.approx(0.3, abs=1e-9)
+        assert shots[:13] == [(p, shooting.SCAN_TOL) for p in probes]
+        assert shots[13] == (probes[2], 1e-10)
+        assert shots[14:26] == [(p, 1e-10) for p in probes if p != probes[2]]
+        assert all(tol == 1e-10 for _, tol in shots[26:])
 
     def test_optimum_does_not_depend_on_the_guess(self, cfg002, opt002):
         # the root of the residual is where the guesses 0.5, 0.9 and 1.2 all
@@ -495,12 +564,14 @@ class TestRefine:
 
     def test_hopeless_guess_raises(self):
         cfg = ShotConfig(eps=0.002, horizon=2.0)  # no transfer fits in 2 time units
-        with pytest.raises(shooting.NoFeasiblePoint, match="13 no-crossing"):
+        with pytest.raises(shooting.NoFeasiblePoint, match="13 probes, screened at tol 1e-06: 13 no-crossing"):
             shooting.refine(1.85, 0.5, cfg)
 
     def test_failed_probes_say_why(self):
         integrator = shooting.ode.IntegratorConfig(tol=1e-300)
-        with pytest.raises(shooting.NoFeasiblePoint, match="13 step-underflow"):
+        # every screened probe hits, but the fastest does not at tol 1e-300:
+        # the scan runs again there, and its probes say why
+        with pytest.raises(shooting.NoFeasiblePoint, match="13 probes at tol 1e-300: 13 step-underflow"):
             shooting.refine(1.85, 0.5, ShotConfig(eps=0.002, integrator=integrator))
 
     def test_flat_landscape_fails_to_bracket(self, monkeypatch):
