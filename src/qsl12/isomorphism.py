@@ -12,7 +12,10 @@ problem, the polar angle obeys an exact quadrature:
 so complete conversion (|rho_x| = 1, i.e. theta = pi/2) needs an infinite
 pump area: |rho_x| < 1 at every finite time. The oracle run integrates that
 pump area as one more component of its state, on the same adaptive steps
-as the amplitudes, and checks the quadrature at every accepted node.
+as the amplitudes, and checks the quadrature at every accepted node. The
+run is one integration: it stops at the first node off the initial pole,
+where the angle form is singular, and continues from that node with the
+angle block appended.
 
 A tempting but wrong reduction takes the Stokes coupling as
 Omega_s / sqrt(2) by analogy with the pump; it misses the extra factor from
@@ -157,49 +160,19 @@ class CrossCheck:
         )
 
 
-def cross_check(
-    cfg: shooting.ShotConfig,
-    costates: tuple[float, float] | None = None,
-    corrupt_mapping: bool = False,
-) -> CrossCheck:
-    """Integrate every representation of one time-optimal transfer side by side.
+def _oracle_rhs(reduce_pulses):
+    """The oracle run's rhs, with the Stokes and pump reduction ``reduce_pulses``.
 
-    One rhs drives two passes on the adaptive integrator of ``cfg`` up to the
-    hit time. Its state holds the closed-loop extremal, the real three-level
+    Its state holds the closed-loop extremal, the real three-level
     amplitudes, the counterpart two-level amplitudes and the pump area
     A = integral of P sin(phi) dt, with sin(phi) = rho_y / |rho_perp| read
-    from the three-level amplitudes (1 at the initial pole). Each call takes
-    the bang control from ``lambda3.bang_control`` for the amplitude flows
-    and the pump area; ``lambda3.extremal_rhs`` computes the same control
-    again inside the extremal flow. The second pass starts at the first node
-    off the initial pole and appends the angle block, which the rhs flows
-    when the state has 15 components. The deviations are taken over the
-    accepted nodes of each pass; the quadrature oracle compares
-    ``exact_theta(A)`` with the polar angle of the mapped amplitudes.
-    Without ``costates`` the transfer is the optimum refined from
-    ``shooting.START_RAY``; non-finite costates raise ValueError, and a shot
-    that misses raises NoFeasiblePoint with its reason. ``corrupt_mapping``
-    switches the Stokes reduction to the inconsistent Omega_s / sqrt(2)
-    variant (negative control: the oracles must fail).
+    from the three-level amplitudes (1 at the initial pole); it flows the
+    angle block too when the state has 15 components. Each call takes the
+    bang control from ``lambda3.bang_control`` for the amplitude flows and
+    the pump area; ``lambda3.extremal_rhs`` computes the same control again
+    inside the extremal flow. No base component's slope reads the angle
+    block.
     """
-    if costates is None:
-        opt = shooting.refine(*shooting.START_RAY, cfg)
-        costates = (opt.lphi_i, opt.ltheta_i)
-        t_hit = opt.t_min
-    elif not all(math.isfinite(c) for c in costates):
-        raise ValueError(f"costates must be finite, got {costates!r}")
-    else:
-        t_hit, reason, _ = shooting.shoot_info(costates[0], costates[1], cfg)
-        if t_hit is None:
-            raise shooting.NoFeasiblePoint(
-                f"costates {costates} do not reach the target within the horizon"
-                f" {cfg.horizon!r} at eps {cfg.eps!r} ({reason})"
-            )
-
-    reduce_pulses = map_pulses
-    if corrupt_mapping:
-        reduce_pulses = lambda op, os_: (op / _SQRT2, os_ / _SQRT2)  # noqa: E731
-
     def rhs(y: list) -> list:
         pulses = lambda3.bang_control(y[0], y[1], y[2], y[3])
         p, s = reduce_pulses(*pulses)
@@ -218,39 +191,107 @@ def cross_check(
             d += iso_angle_rhs(y[12:15], p, s)
         return d
 
-    base = ode.integrate(rhs, [0.0, 0.0, *costates, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-                         (0.0, t_hit), cfg.integrator)
+    return rhs
+
+
+def _amplitudes(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The counterpart amplitudes (a1, a2) at each row of a run's states."""
+    return states[:, 7] + 1j * states[:, 8], states[:, 9] + 1j * states[:, 10]
+
+
+def _polar_angle(states: np.ndarray) -> np.ndarray:
+    """The polar angle of the mapped Bloch vector at each row of a run's states."""
+    rho = map_3to2(states[:, 4:7].T)
+    return np.arctan2(np.hypot(rho[1], rho[2]), rho[0])
+
+
+def _oracle_run(rhs, costates: tuple[float, float], t_hit: float,
+                cfg: ode.IntegratorConfig) -> tuple[ode.Trajectory, ode.Trajectory]:
+    """One run of ``rhs`` from the initial pole to the hit: (base, tail).
+
+    The run integrates the 12-component base state from 0 and stops at its
+    first node whose mapped polar angle is at least 0.01, off the pole where
+    the angle form is singular. From that node it continues to the hit with
+    the angle block appended, seeded from the counterpart amplitudes there.
+    ``tail`` is that continuation; ``base`` holds the base state at every
+    node of the run, the head's before the seed, then the tail's. Raises
+    ValueError if no node leaves the pole.
+    """
+    y0 = [0.0, 0.0, *costates, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    head_times, head_states = [], []
+    for t, y in ode.nodes(rhs, y0, (0.0, t_hit), cfg):
+        seed = np.array([y])
+        if _polar_angle(seed)[0] >= 0.01:
+            break
+        head_times.append(t)
+        head_states.append(y)
+    else:
+        raise ValueError("trajectory never leaves the initial pole; nothing to check")
+    a1, a2 = _amplitudes(seed)
+    tail = ode.integrate(rhs, [*y, *angles_from_amplitudes(a1[0], a2[0])], (t, t_hit), cfg)
+    base = ode.Trajectory(
+        np.concatenate([head_times, tail.times]),
+        np.concatenate([np.reshape(head_states, (-1, len(y0))), tail.states[:, :len(y0)]]),
+    )
+    return base, tail
+
+
+def cross_check(
+    cfg: shooting.ShotConfig,
+    costates: tuple[float, float] | None = None,
+    corrupt_mapping: bool = False,
+) -> CrossCheck:
+    """Integrate every representation of one time-optimal transfer side by side.
+
+    One run on the adaptive integrator of ``cfg`` goes up to the hit time:
+    the closed-loop extremal, the real three-level amplitudes, the
+    counterpart two-level amplitudes and the pump area from the initial
+    pole, joined by the angle block from the first node off the pole on
+    (see ``_oracle_run``). The amplitude and quadrature deviations are taken
+    over every accepted node of the run, the angle and roundtrip deviations
+    over the nodes that carry the angle block; the quadrature oracle
+    compares ``exact_theta(A)`` with the polar angle of the mapped
+    amplitudes. Without ``costates`` the transfer is the optimum refined
+    from ``shooting.START_RAY``; non-finite costates raise ValueError, and a
+    shot that misses raises NoFeasiblePoint with its reason.
+    ``corrupt_mapping`` switches the Stokes reduction to the inconsistent
+    Omega_s / sqrt(2) variant (negative control: the oracles must fail).
+    """
+    if costates is None:
+        opt = shooting.refine(*shooting.START_RAY, cfg)
+        costates = (opt.lphi_i, opt.ltheta_i)
+        t_hit = opt.t_min
+    elif not all(math.isfinite(c) for c in costates):
+        raise ValueError(f"costates must be finite, got {costates!r}")
+    else:
+        t_hit, reason, _ = shooting.shoot_info(costates[0], costates[1], cfg)
+        if t_hit is None:
+            raise shooting.NoFeasiblePoint(
+                f"costates {costates} do not reach the target within the horizon"
+                f" {cfg.horizon!r} at eps {cfg.eps!r} ({reason})"
+            )
+
+    reduce_pulses = map_pulses
+    if corrupt_mapping:
+        reduce_pulses = lambda op, os_: (op / _SQRT2, os_ / _SQRT2)  # noqa: E731
+    base, tail = _oracle_run(_oracle_rhs(reduce_pulses), costates, t_hit, cfg.integrator)
 
     rho_mapped = map_3to2(base.states[:, 4:7].T)
-    a1 = base.states[:, 7] + 1j * base.states[:, 8]
-    a2 = base.states[:, 9] + 1j * base.states[:, 10]
-    rho_amp = rho_from_amplitudes(a1, a2)
+    rho_amp = rho_from_amplitudes(*_amplitudes(base.states))
     amplitude_deviation = float(np.abs(rho_mapped - rho_amp).max())
     max_abs_coherence = float(max(np.abs(rho_mapped[2]).max(), np.abs(rho_amp[2]).max()))
-
-    theta_iso = np.arctan2(np.hypot(rho_mapped[1], rho_mapped[2]), rho_mapped[0])
+    theta_iso = _polar_angle(base.states)
     quadrature_deviation = float(np.abs(exact_theta(base.states[:, 11]) - theta_iso).max())
 
-    # Second pass with the angle block, seeded once theta has left the pole.
-    seed_candidates = np.nonzero(theta_iso >= 0.01)[0]
-    if seed_candidates.size == 0:
-        raise ValueError("trajectory never leaves the initial pole; nothing to check")
-    i0 = int(seed_candidates[0])
-    t0 = float(base.times[i0])
-    theta0, phi0, gamma0 = angles_from_amplitudes(a1[i0], a2[i0])
-
-    second = ode.integrate(rhs, [*base.states[i0].tolist(), theta0, phi0, gamma0],
-                           (t0, t_hit), cfg.integrator)
-    rho_mapped2 = map_3to2(second.states[:, 4:7].T)
-    theta_b = second.states[:, 12]
-    phi_b = second.states[:, 13]
-    gamma_b = second.states[:, 14]
-    angle_deviation = float(np.abs(rho_from_angles(theta_b, phi_b) - rho_mapped2).max())
+    rho_tail = map_3to2(tail.states[:, 4:7].T)
+    theta_b = tail.states[:, 12]
+    phi_b = tail.states[:, 13]
+    gamma_b = tail.states[:, 14]
+    angle_deviation = float(np.abs(rho_from_angles(theta_b, phi_b) - rho_tail).max())
 
     a1_b = np.cos(0.5 * theta_b) * np.exp(-1j * gamma_b)
     a2_b = np.sin(0.5 * theta_b) * np.exp(-1j * (phi_b + gamma_b))
-    a1_direct = second.states[:, 7] + 1j * second.states[:, 8]
-    a2_direct = second.states[:, 9] + 1j * second.states[:, 10]
+    a1_direct, a2_direct = _amplitudes(tail.states)
     roundtrip_deviation = float(
         max(np.abs(a1_b - a1_direct).max(), np.abs(a2_b - a2_direct).max())
     )

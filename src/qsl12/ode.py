@@ -5,8 +5,10 @@ published transfer times requires tight local error control, so every
 integration runs on the embedded Dormand-Prince 5(4) pair with proportional
 step control (Hairer, Norsett & Wanner, Solving ODEs I, II.4-6).
 
-``integrate`` stores every accepted node, their spacing capped at
-``max_step``. ``locate_event`` lets the tolerances alone set its steps and
+``nodes`` yields every accepted node, their spacing capped at
+``max_step``, one at a time, so a caller can stop at a node of its choice
+and continue from it; ``integrate`` is the trajectory of those nodes.
+``locate_event`` lets the tolerances alone set its steps and
 hands each accepted step to one crossing rule, ``_crossing``, which reads
 the state inside the step from the pair's free quartic continuous extension
 (dense output, II.6), built from the step's seven stages at no rhs call. A
@@ -68,6 +70,7 @@ __all__ = [
     "EventHit",
     "StepUnderflow",
     "brentq",
+    "nodes",
     "integrate",
     "locate_event",
     "locate_lane_events",
@@ -291,16 +294,29 @@ def _steps(rhs: Rhs, t0: float, y0: list, t1: float, cfg: IntegratorConfig,
         h = min(max_step, h * factor)
 
 
-def integrate(rhs: Rhs, y0, t_span: tuple[float, float], cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
-    """Integrate ``dy/dt = rhs(y)`` over ``t_span``, storing every accepted node.
+def nodes(rhs: Rhs, y0, t_span: tuple[float, float],
+          cfg: IntegratorConfig = IntegratorConfig()) -> Iterator[tuple[float, list]]:
+    """The accepted nodes of ``dy/dt = rhs(y)`` over ``t_span``, as (t, y).
 
-    Steps, and so the node spacing, are capped at ``cfg.max_step``. Raises
-    StepUnderflow if the controller drives the step below MIN_STEP.
+    The first node is the start; steps, and so the node spacing, are capped
+    at ``cfg.max_step``. y is the state as a list, which the consumer must
+    not modify. The arguments are checked at the call; the steps are taken
+    as the nodes are drawn, and the next draw raises StepUnderflow if the
+    controller drives the step below MIN_STEP.
     """
     t0, t1 = _span(t_span)
+    steps = _steps(rhs, t0, _as_state(y0), t1, cfg, cfg.max_step)
+    return ((t, y) for t, y, _, _ in steps)
+
+
+def integrate(rhs: Rhs, y0, t_span: tuple[float, float], cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
+    """Integrate ``dy/dt = rhs(y)`` over ``t_span``: the trajectory of every
+    node that ``nodes`` yields. Raises StepUnderflow if the controller
+    drives the step below MIN_STEP.
+    """
     times = []
     states = []
-    for t, y, _, _ in _steps(rhs, t0, _as_state(y0), t1, cfg, cfg.max_step):
+    for t, y in nodes(rhs, y0, t_span, cfg):
         times.append(t)
         states.append(y)
     return Trajectory(np.asarray(times), np.asarray(states))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsl12 import isomorphism as iso
-from qsl12 import lambda3, shooting
+from qsl12 import lambda3, ode, shooting
 
 SQ2 = math.sqrt(2.0)
 RNG = np.random.default_rng(11)
@@ -135,8 +135,8 @@ class TestCrossCheck:
         assert not result.passed
 
     def test_bang_control_budget(self, cfg002, monkeypatch):
-        # one bang control per rhs evaluation of either pass, which makes
-        # one amplitude-flow call each
+        # one bang control per rhs evaluation of the run, which makes one
+        # amplitude-flow call each
         calls = {}
 
         def count(module, name):
@@ -153,7 +153,27 @@ class TestCrossCheck:
         count(iso, "iso_amplitude_rhs")
         result = iso.cross_check(cfg002, costates=(1.85, 0.45266))
         assert result.passed
-        assert calls["bang_control"] == calls["iso_amplitude_rhs"] <= 10_000
+        assert calls["bang_control"] == calls["iso_amplitude_rhs"] <= 5_000
+
+    @pytest.mark.parametrize("eps, costates", [(0.002, (1.85, 0.45266)), (0.005, (1.85, 0.62776))])
+    def test_run_continues_the_base_integration_bit_for_bit(self, eps, costates):
+        # the angle block joins the run at its first node off the pole; the
+        # base columns at every node of the run are a plain integration's,
+        # so the deviations are those of one uncut base run
+        cfg = shooting.ShotConfig(eps=eps)
+        t_hit = shooting.shoot_info(*costates, cfg)[0]
+        rhs = iso._oracle_rhs(iso.map_pulses)
+        base, tail = iso._oracle_run(rhs, costates, t_hit, cfg.integrator)
+        plain = ode.integrate(rhs, [0.0, 0.0, *costates, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+                              (0.0, t_hit), cfg.integrator)
+        assert np.array_equal(base.times, plain.times)
+        assert np.array_equal(base.states, plain.states)
+        # the tail starts at the first node off the pole and ends at the hit
+        seed = len(base.times) - len(tail.times)
+        theta = iso._polar_angle(plain.states)
+        assert seed > 0 and np.all(theta[:seed] < 0.01) and theta[seed] >= 0.01
+        assert np.array_equal(tail.times, plain.times[seed:])
+        assert tail.states.shape[1] == 15
 
     def test_unreachable_costates_rejected(self, cfg002):
         with pytest.raises(shooting.NoFeasiblePoint):

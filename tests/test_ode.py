@@ -70,6 +70,45 @@ class TestIntegrate:
             ode.integrate(lambda y: y, y0, (0.0, 1.0))
 
 
+class TestNodes:
+    """``nodes`` yields ``integrate``'s nodes one at a time."""
+
+    CASES = [
+        (lambda eta: bloch2.bloch_rhs(eta, 1.0, 0.3), [0.0, 0.0, -0.5]),
+        (lambda y: [1j * y[0] - 0.2 * y[1], 0.5j * y[1] * y[0]], [1.0 + 0.0j, 0.3 - 0.1j]),
+    ]
+
+    @pytest.mark.parametrize("rhs, y0", CASES, ids=["real", "complex"])
+    @pytest.mark.parametrize("max_step", [1e-2, 0.7])
+    def test_nodes_are_integrates_bit_for_bit(self, rhs, y0, max_step):
+        cfg = ode.IntegratorConfig(max_step=max_step)
+        traj = ode.integrate(rhs, y0, (0.0, 4.0), cfg)
+        times, states = zip(*ode.nodes(rhs, y0, (0.0, 4.0), cfg))
+        assert np.array_equal(np.asarray(times), traj.times)
+        assert np.array_equal(np.asarray(states), traj.states)
+        assert np.asarray(states).dtype == traj.states.dtype
+
+    @pytest.mark.parametrize("rhs, y0", CASES, ids=["real", "complex"])
+    def test_a_consumer_that_stops_early_gets_the_first_nodes(self, rhs, y0):
+        traj = ode.integrate(rhs, y0, (0.0, 4.0))
+        first = []
+        for t, y in ode.nodes(rhs, y0, (0.0, 4.0)):
+            first.append((t, y))
+            if len(first) == 6:
+                break
+        assert np.array_equal([t for t, _ in first], traj.times[:6])
+        assert np.array_equal([y for _, y in first], traj.states[:6])
+
+    def test_arguments_checked_at_the_call(self):
+        with pytest.raises(ValueError):
+            ode.nodes(rotation_rhs, [1.0, 0.0], (1.0, 0.0))
+        with pytest.raises(ValueError):
+            ode.nodes(rotation_rhs, [], (0.0, 1.0))
+
+    def test_public(self):
+        assert "nodes" in ode.__all__
+
+
 class TestContract:
     """The step runs on Python floats; rhs and event see lists, callers get ndarrays."""
 
