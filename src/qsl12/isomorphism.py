@@ -11,11 +11,11 @@ problem, the polar angle obeys an exact quadrature:
 
 so complete conversion (|rho_x| = 1, i.e. theta = pi/2) needs an infinite
 pump area: |rho_x| < 1 at every finite time. The oracle run integrates that
-pump area as one more component of its state, on the same adaptive steps
-as the amplitudes, and checks the quadrature at every accepted node. The
-run is one integration: it stops at the first node off the initial pole,
-where the angle form is singular, and continues from that node with the
-angle block appended.
+pump area as one more component of its state, beside the amplitudes, and
+checks the quadrature at every accepted node. Its closed-loop extremal
+drives every representation with the one bang control it applies. The run
+is one integration: it stops at the first node off the initial pole, where
+the angle form is singular, and continues from there with the angle block.
 
 A tempting but wrong reduction takes the Stokes coupling as
 Omega_s / sqrt(2) by analogy with the pump; it misses the extra factor from
@@ -167,14 +167,13 @@ def _oracle_rhs(reduce_pulses):
     amplitudes, the counterpart two-level amplitudes and the pump area
     A = integral of P sin(phi) dt, with sin(phi) = rho_y / |rho_perp| read
     from the three-level amplitudes (1 at the initial pole); it flows the
-    angle block too when the state has 15 components. Each call takes the
-    bang control from ``lambda3.bang_control`` for the amplitude flows and
-    the pump area; ``lambda3.extremal_rhs`` computes the same control again
-    inside the extremal flow. No base component's slope reads the angle
-    block.
+    angle block too when the state has 15 components. Each call evaluates
+    the extremal flow once, with ``lambda3.extremal_control``, and drives
+    the amplitude flows and the pump area with the bang control that flow
+    applied. No base component's slope reads the angle block.
     """
     def rhs(y: list) -> list:
-        pulses = lambda3.bang_control(y[0], y[1], y[2], y[3])
+        slope, pulses = lambda3.extremal_control(y[0:4])
         p, s = reduce_pulses(*pulses)
         da1, da2 = iso_amplitude_rhs((y[7] + 1j * y[8], y[9] + 1j * y[10]), p, s)
         # P sin(phi), with rho_y and rho_x as map_3to2 maps them; sin(phi)
@@ -182,7 +181,7 @@ def _oracle_rhs(reduce_pulses):
         ry = -_SQRT2 * y[5]
         transverse = math.hypot(ry, _SQRT2 * y[6])
         d = [
-            *lambda3.extremal_rhs(y[0:4]),
+            *slope,
             *lambda3.xcoordinate_rhs(y[4:7], pulses),
             da1.real, da1.imag, da2.real, da2.imag,
             p * (ry / transverse) if transverse > 1e-12 else p,

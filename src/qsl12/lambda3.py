@@ -15,8 +15,9 @@ state 1, and targets |x3|^2 = (1 - eps)/2 near state 3.
 Time-optimal extremals saturate the bound Omega_p^2 + Omega_s^2 = Omega_0^2
 with the mixing angle set by the switching pair (H1, H2); energy-optimal
 extremals use (H1, H2) directly as the pulse pair. Both share the same
-costate dynamics, implemented here. Time is in units of 1/Omega_0 with
-Omega_0 = 1.
+costate dynamics, implemented here; the closed loop that the solver
+integrates, ``_extremal_flow``, is the time-optimal one. Time is in units of
+1/Omega_0 with Omega_0 = 1.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "pulses_from_angle_rates",
     "energy_control",
     "extremal_rhs",
+    "extremal_control",
     "extremal_lanes",
     "ansatz_population",
     "raman_lock",
@@ -169,26 +171,24 @@ def pulses_from_angle_rates(phi: float, theta: float, dphi: float, dtheta: float
     return PulsePair(omega_p, omega_s)
 
 
-def _extremal_flow(cos, sin, sqrt, checked: bool):
-    """The extremal flow, written once and bound to one cos/sin/sqrt."""
+def _extremal_flow(cos, sin, sqrt, checked: bool, control: bool = False):
+    """The time-optimal extremal flow, written once and bound to one cos/sin/sqrt."""
 
-    def flow(y, cost: str = "time"):
+    def flow(y):
         """Closed-loop state+costate flow (phi, theta, lambda_phi, lambda_theta).
 
-        ``cost="time"`` applies :func:`bang_control`; ``cost="energy"``
-        applies :func:`energy_control`; the terms are those of
-        angle_rhs/costate_rhs under that control, as the tests check. A
-        checked flow takes one state and returns its slope as a 4-tuple; it
-        raises PhiSingularity and SwitchingDegeneracy as those functions do.
-        An unchecked flow takes lanes, a one-element list holding a (4, n)
-        block with one row per component, and returns the slope as a
-        one-element tuple holding a block of the same shape and array type;
-        it gives such states a non-finite slope.
+        Its control is the bang control, the unit vector along (H1, H2); the
+        terms are those of angle_rhs/costate_rhs under :func:`bang_control`,
+        as the tests check. A checked flow takes one state, a list of four
+        floats, and returns its slope as a 4-tuple, or with ``control`` the
+        pair (slope, (Omega_p, Omega_s)); it raises PhiSingularity and
+        SwitchingDegeneracy as those functions do. An unchecked flow takes
+        lanes, a one-element list holding a (4, n) block with one row per
+        component, and returns the slope as a one-element tuple holding a
+        block of the same shape and array type, non-finite where a checked flow raises.
         """
         if not checked:
             (y,) = y
-        elif isinstance(y, np.ndarray):
-            y = y.tolist()
         phi, theta, lphi, ltheta = y
         cph = cos(phi)
         if checked:
@@ -199,17 +199,12 @@ def _extremal_flow(cos, sin, sqrt, checked: bool):
         tph = sph / cph
         h1 = (lphi * cph * cth2 + ltheta * sth * cth * sph) * _INV_SQRT2
         h2 = 0.5 * (ltheta * cth * tph - lphi * sth)
-        if cost == "time":
-            n2 = h1 * h1 + h2 * h2
-            if checked and n2 <= SWITCHING_MIN:
-                raise SwitchingDegeneracy("switching vector vanished")
-            n = sqrt(n2)
-            op = h1 / n
-            os_ = h2 / n
-        elif cost == "energy":
-            op, os_ = h1, h2
-        else:
-            raise ValueError(f"unknown cost {cost!r}")
+        n2 = h1 * h1 + h2 * h2
+        if checked and n2 <= SWITCHING_MIN:
+            raise SwitchingDegeneracy("switching vector vanished")
+        n = sqrt(n2)
+        op = h1 / n
+        os_ = h2 / n
         # Products evaluate left to right, so each shared prefix is the
         # value that every term below would compute itself.
         hos = 0.5 * os_
@@ -222,6 +217,8 @@ def _extremal_flow(cos, sin, sqrt, checked: bool):
         dltheta = lphi * (2.0 * op * cph * sth * cth * _INV_SQRT2 + hos_c) + ltheta * (
             hos_s * tph - op * (cth2 - sth * sth) * sph * _INV_SQRT2
         )
+        if control:
+            return (dphi, dtheta, dlphi, dltheta), (op, os_)
         if checked:
             return dphi, dtheta, dlphi, dltheta
         slope = np.empty_like(y)
@@ -232,8 +229,11 @@ def _extremal_flow(cos, sin, sqrt, checked: bool):
 
 
 #: One state, checked: ``y`` is a list of four floats, as the integrator
-#: passes it, or an ndarray; the slope holds Python floats from ``math``.
+#: passes it; the slope holds Python floats from ``math``.
 extremal_rhs = _extremal_flow(math.cos, math.sin, math.sqrt, checked=True)
+#: The same, returning ``(slope, (Omega_p, Omega_s))``: ``extremal_rhs``'s
+#: slope bit for bit, and the control it applied, for the oracles and exports.
+extremal_control = _extremal_flow(math.cos, math.sin, math.sqrt, checked=True, control=True)
 #: Lanes, unchecked: ``y`` is ``[Y]``, a (4, n) block with one lane per
 #: column; the slope is ``(K,)``, a block of the same shape.
 extremal_lanes = _extremal_flow(np.cos, np.sin, np.sqrt, checked=False)

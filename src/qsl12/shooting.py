@@ -209,13 +209,12 @@ def extremal(opt: Optimum, cfg: ShotConfig) -> tuple[ode.Trajectory, np.ndarray]
     The shot finds the hit time on tolerance-limited steps; the extremal is
     integrated once more up to that time, so its nodes are spaced at most
     ``cfg.integrator.max_step`` apart, the sampling of the exports. The
-    pulses hold one (Omega_p, Omega_s) row of the bang control per node.
+    pulses hold one (Omega_p, Omega_s) row per node: the control the
+    extremal flow itself applies there (``lambda3.extremal_control``).
     """
     y0 = [0.0, 0.0, opt.lphi_i, opt.ltheta_i]
     trajectory = ode.integrate(lambda3.extremal_rhs, y0, (0.0, opt.t_min), cfg.integrator)
-    pulses = np.array([
-        lambda3.bang_control(y[0], y[1], y[2], y[3]) for y in trajectory.states
-    ])
+    pulses = np.array([lambda3.extremal_control(y)[1] for y in trajectory.states.tolist()])
     return trajectory, pulses
 
 
@@ -467,14 +466,14 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     that stops or misses reads -1: it lies past the optimum, which is faster
     still. A stopped shot is shot again only for a later stop. The optimum
     is the costates and hit time of the evaluated shot with the smallest
-    |residual|: it costs no further integration. Non-finite costates raise
-    ValueError before the first shot; when no probe hits, NoFeasiblePoint
-    tallies why, at the tolerance the probes ran at; when the residual has
-    no sign change to bracket, or the search fails, NoConvergence names the
-    condition, the eps and the horizon.
+    |residual|: it costs no further integration. Non-finite costates and a
+    zero guess (its probes coincide) raise ValueError before the first shot;
+    when no probe hits, NoFeasiblePoint tallies why, at the tolerance the
+    probes ran at; when the residual has no sign change to bracket, or the
+    search fails, NoConvergence names the condition, the eps and the horizon.
     """
-    if not (math.isfinite(lphi_i) and math.isfinite(ltheta_guess)):
-        raise ValueError(f"costates must be finite, got ({lphi_i!r}, {ltheta_guess!r})")
+    if not (math.isfinite(lphi_i) and math.isfinite(ltheta_guess) and ltheta_guess):
+        raise ValueError(f"costates must be finite and the guess nonzero, got ({lphi_i!r}, {ltheta_guess!r})")
     search = _RootSearch(lphi_i, ltheta_guess, cfg)
     screen = replace(cfg, integrator=replace(cfg.integrator, tol=max(cfg.integrator.tol, SCAN_TOL)))
     probes = ltheta_guess * np.linspace(1.0 / 16.0, 1.5, 13)
@@ -611,14 +610,16 @@ def energy_shot(omega0_min: float, opt: Optimum, cfg: ShotConfig) -> float:
     The time-optimal initial costates are rescaled so that the (constant)
     pulse magnitude of the energy extremal equals ``omega0_min``, the bound of
     ``bloch2.energy_optimum``; the hit should land at its duration,
-    opt.area / omega0_min. Returns the hit time.
+    opt.area / omega0_min. The loop is the reference forms ``angle_rhs`` and
+    ``costate_rhs`` under ``energy_control``. Returns the hit time.
     """
-    h_norm = abs(opt.lphi_i) / _SQRT2
-    scale = omega0_min / h_norm
-    y0 = np.array([0.0, 0.0, scale * opt.lphi_i, scale * opt.ltheta_i])
-    hit = ode.locate_event(
-        lambda y: lambda3.extremal_rhs(y, "energy"), y0, (0.0, 1.5 * opt.area / omega0_min), _event(cfg), cfg.integrator
-    )
+    def energy_rhs(y: list) -> tuple:
+        u = lambda3.energy_control(*y)
+        return lambda3.angle_rhs(y[0], y[1], u) + lambda3.costate_rhs(*y, u)
+
+    scale = omega0_min / (abs(opt.lphi_i) / _SQRT2)
+    y0 = [0.0, 0.0, scale * opt.lphi_i, scale * opt.ltheta_i]
+    hit = ode.locate_event(energy_rhs, y0, (0.0, 1.5 * opt.area / omega0_min), _event(cfg), cfg.integrator)
     if hit is None:
         raise NoFeasiblePoint("energy-optimal closed loop missed the target")
     return hit.t

@@ -429,10 +429,12 @@ class TestParsing:
         ["--horizon", "1e308", "three-level", "landscape", "--eps", "0.002", "--res", "2", "--workers", "1"],
         ["three-level", "areacurve", "--eps-min=-1e-3"],
         ["three-level", "areacurve", "--eps-max=-0.1"],
+        ["three-level", "optimize", "--eps", "0.002", "--guess", "0"],
     ])
     def test_bad_curve_grid_exits_2(self, tmp_path, capsys, flags):
         # the grid flags of a curve or a landscape, a non-finite or overflowing
-        # duration, non-finite costates or Kerr shifts, repeated accuracies,
+        # duration, non-finite costates or Kerr shifts, a zero guess (its
+        # probes would coincide), repeated accuracies,
         # an --omega0 that rescales a result out of range, a horizon whose
         # landscape step count overflows, an accuracy of the area curve
         # outside (0, 1); any warning would fail the test

@@ -135,8 +135,9 @@ class TestCrossCheck:
         assert not result.passed
 
     def test_bang_control_budget(self, cfg002, monkeypatch):
-        # one bang control per rhs evaluation of the run, which makes one
-        # amplitude-flow call each
+        # one extremal flow per rhs evaluation of the run, which makes one
+        # amplitude-flow call each and takes the control from that flow; the
+        # reference form bang_control is not called at all
         calls = {}
 
         def count(module, name):
@@ -150,10 +151,12 @@ class TestCrossCheck:
             monkeypatch.setattr(module, name, counted)
 
         count(lambda3, "bang_control")
+        count(lambda3, "extremal_control")
         count(iso, "iso_amplitude_rhs")
         result = iso.cross_check(cfg002, costates=(1.85, 0.45266))
         assert result.passed
-        assert calls["bang_control"] == calls["iso_amplitude_rhs"] <= 5_000
+        assert calls["extremal_control"] == calls["iso_amplitude_rhs"] <= 5_000
+        assert calls["bang_control"] == 0
 
     @pytest.mark.parametrize("eps, costates", [(0.002, (1.85, 0.45266)), (0.005, (1.85, 0.62776))])
     def test_run_continues_the_base_integration_bit_for_bit(self, eps, costates):

@@ -209,43 +209,49 @@ class TestPulseReconstruction:
 
 class TestExtremalRhs:
     def test_matches_componentwise_forms(self):
-        for phi, theta in random_angles(50):
-            lphi, ltheta = RNG.uniform(-2.0, 2.0, 2)
-            y = np.array([phi, theta, lphi, ltheta])
-            for cost in ("time", "energy"):
-                if cost == "time":
-                    u = lambda3.bang_control(phi, theta, lphi, ltheta)
-                else:
-                    u = lambda3.energy_control(phi, theta, lphi, ltheta)
-                expected = np.array(
-                    lambda3.angle_rhs(phi, theta, u) + lambda3.costate_rhs(phi, theta, lphi, ltheta, u)
-                )
-                assert np.allclose(lambda3.extremal_rhs(y, cost), expected, atol=1e-14)
-                # the integrator passes a list; an ndarray of the same state
-                # must give the same Python floats, bit for bit
-                from_list = lambda3.extremal_rhs(y.tolist(), cost)
-                from_array = lambda3.extremal_rhs(y, cost)
-                assert type(from_list) is tuple and type(from_array) is tuple
-                assert all(type(v) is float for v in from_list + from_array)
-                assert from_list == from_array
+        for phi, theta in random_angles(50).tolist():
+            lphi, ltheta = RNG.uniform(-2.0, 2.0, 2).tolist()
+            u = lambda3.bang_control(phi, theta, lphi, ltheta)
+            expected = np.array(
+                lambda3.angle_rhs(phi, theta, u) + lambda3.costate_rhs(phi, theta, lphi, ltheta, u)
+            )
+            # the integrator passes a list, and the slope holds Python floats
+            slope = lambda3.extremal_rhs([phi, theta, lphi, ltheta])
+            assert type(slope) is tuple and all(type(v) is float for v in slope)
+            assert np.allclose(slope, expected, atol=1e-14)
 
-    @pytest.mark.parametrize("cost", ["time", "energy"])
-    def test_lane_binding_matches_scalar(self, cost):
-        # one source bound twice: numpy's cos/sin/sqrt on lanes, math's per
+    def test_control_binding_returns_the_applied_control(self):
+        # the slope is extremal_rhs's bit for bit; the pulses are the bang
+        # control on the unit circle, within 16 ulp of that unit magnitude of
+        # the reference form (a component near 0 may differ by more of its
+        # own ulp, as the two forms round (H1, H2) differently)
+        states = np.column_stack([
+            RNG.uniform(-1.5, 1.5, 500), RNG.uniform(-3.0, 3.0, 500), RNG.uniform(-5.0, 5.0, (500, 2)),
+        ]).tolist()
+        pulses = []
+        for y in states:
+            slope, u = lambda3.extremal_control(y)
+            assert slope == lambda3.extremal_rhs(y)
+            assert all(type(v) is float for v in u)
+            pulses.append(u)
+        pulses = np.array(pulses)
+        unit = np.spacing(1.0)
+        np.testing.assert_allclose(np.hypot(pulses[:, 0], pulses[:, 1]), 1.0, rtol=0.0, atol=2 * unit)
+        reference = np.array([lambda3.bang_control(*y) for y in states])
+        np.testing.assert_allclose(pulses, reference, rtol=0.0, atol=16 * unit)
+
+    def test_lane_binding_matches_scalar(self):
+        # one source bound to numpy's cos/sin/sqrt on lanes and to math's per
         # state; the lanes are one (4, n) block in and one out
         states = np.column_stack([
             RNG.uniform(-1.5, 1.5, 500), RNG.uniform(-3.0, 3.0, 500), RNG.uniform(-5.0, 5.0, (500, 2)),
         ])
-        slope = lambda3.extremal_lanes([states.T], cost)
+        slope = lambda3.extremal_lanes([states.T])
         assert type(slope) is tuple and len(slope) == 1
         (block,) = slope
         assert type(block) is np.ndarray and block.dtype == float and block.shape == (4, 500)
-        scalar = np.array([lambda3.extremal_rhs(y, cost) for y in states.tolist()])
+        scalar = np.array([lambda3.extremal_rhs(y) for y in states.tolist()])
         np.testing.assert_array_max_ulp(block, scalar.T, maxulp=4)
-
-    def test_rejects_unknown_cost(self):
-        with pytest.raises(ValueError):
-            lambda3.extremal_rhs(np.array([0.1, 0.1, 1.0, 0.5]), "fuel")
 
     def test_parity_of_extremals(self):
         y0 = np.array([0.0, 0.0, 1.85, 0.45266])

@@ -46,3 +46,20 @@ def test_no_module_reads_private_names_of_ode(path):
             private += [f"line {node.lineno}: from .{node.module or ''} import {alias.name}"
                         for alias in node.names if is_private(alias.name)]
     assert not private, f"{path.name} reads private names of other modules: {private}"
+
+
+def test_only_lambda3_calls_bang_control():
+    # every closed loop takes its control from the extremal flow that
+    # applies it (lambda3.extremal_control); bang_control is the tests'
+    # reference form, so no other module names it, by attribute, by name or
+    # by import
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "lambda3":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if ((isinstance(node, ast.Attribute) and node.attr == "bang_control")
+                    or (isinstance(node, ast.Name) and node.id == "bang_control")
+                    or (isinstance(node, ast.alias) and node.name == "bang_control")):
+                uses.append(f"{path.name} line {getattr(node, 'lineno', '?')}")
+    assert not uses, f"modules other than lambda3 use bang_control: {uses}"

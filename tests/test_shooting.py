@@ -108,6 +108,12 @@ class TestShoot:
         assert len(times) == 741
         assert len(pulses) == 741
 
+    def test_exported_pulses_are_the_flows_control(self, ref_extremal):
+        # each node's pulses are the control the extremal flow applies there
+        _, trajectory, pulses = ref_extremal
+        applied = [lambda3.extremal_control(y)[1] for y in trajectory.states.tolist()]
+        assert np.array_equal(pulses, applied)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ShotConfig(eps=0.0)
@@ -154,9 +160,14 @@ class TestLandscape:
             assert np.isfinite(serial.times).any()
 
     @pytest.mark.parametrize("cpus", [3, 5000])
-    def test_workers_capped_at_cpu_count(self, cfg005, grid12, monkeypatch, cpus):
+    def test_workers_capped_at_cpu_count(self, cfg005, monkeypatch, cpus):
         # a fake pool records its process count and runs the jobs here, so
-        # no process is started
+        # no process is started; one job per lane runs one lane over the
+        # whole horizon, so the grid is small (7 lanes) and its fixed step
+        # coarse, against a serial scan of the same grid
+        cfg = replace(cfg005, integrator=replace(cfg005.integrator, max_step=0.05))
+        serial = shooting.landscape((-2.0, 2.0), 6, cfg, workers=1)
+        assert np.isfinite(serial.times).any()
         counts = []
 
         class Pool:
@@ -174,10 +185,11 @@ class TestLandscape:
 
         monkeypatch.setattr(shooting, "get_context", lambda method: SimpleNamespace(Pool=Pool))
         monkeypatch.setattr(shooting.os, "cpu_count", lambda: cpus)
-        lanes = shooting._lanes((-2.0, 2.0), grid12.lphi_axis)[0].size
-        grid = shooting.landscape((-2.0, 2.0), 12, cfg005, workers=5000)
+        lanes = shooting._lanes((-2.0, 2.0), serial.lphi_axis)[0].size
+        assert lanes == 7
+        grid = shooting.landscape((-2.0, 2.0), 6, cfg, workers=5000)
         assert counts == [min(cpus, lanes)]
-        assert np.array_equal(grid.times, grid12.times, equal_nan=True)
+        assert np.array_equal(grid.times, serial.times, equal_nan=True)
 
     @staticmethod
     def _first_lane_width(grid_args, monkeypatch) -> int:
@@ -561,6 +573,16 @@ class TestRefine:
         assert opt.t_min == pytest.approx(7.40, abs=0.02)
         curve = shooting.area_curve([0.1, 0.05], cfg002)
         assert np.all(np.isfinite(curve[:, 1]))
+
+    @pytest.mark.parametrize("guess", [0.0, -0.0])
+    def test_zero_guess_rejected_before_the_first_shot(self, cfg002, guess, monkeypatch):
+        # the 13 probes are multiples of the guess, so a zero guess scans one point
+        def no_shot(*args):
+            raise AssertionError("refine shot a zero guess")
+
+        monkeypatch.setattr(shooting, "shoot_info", no_shot)
+        with pytest.raises(ValueError, match="the guess nonzero"):
+            shooting.refine(1.85, guess, cfg002)
 
     def test_hopeless_guess_raises(self):
         cfg = ShotConfig(eps=0.002, horizon=2.0)  # no transfer fits in 2 time units
