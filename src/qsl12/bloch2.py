@@ -231,12 +231,12 @@ def energy_optimum(duration: float, area: float) -> tuple[float, float]:
     return omega0_min, energy
 
 
-def resonant_trajectory(eta3_f: float, cfg: ode.IntegratorConfig = ode.IntegratorConfig()) -> ode.Trajectory:
+def resonant_trajectory(eta3_f: float, tol: float = ode.TOL) -> ode.Trajectory:
     """Integrate the optimal (resonant, unit-pulse) flow from the south pole.
 
     Runs until the minimum time, the minimum area, for the requested final
-    inversion.
+    inversion, at the local-error tolerance ``tol``.
     """
     t_end = min_area(-0.5, eta3_f)
     rhs = lambda eta: bloch_rhs(eta, 1.0, 0.0)
-    return ode.integrate(rhs, np.array([0.0, 0.0, -0.5]), (0.0, t_end), cfg)
+    return ode.integrate(rhs, np.array([0.0, 0.0, -0.5]), (0.0, t_end), tol)

@@ -119,7 +119,7 @@ def _numbers(flag: str, text: str, count: int | None = None) -> list[float]:
 
 
 def _shot_config(args, eps: float) -> shooting.ShotConfig:
-    return shooting.ShotConfig(eps=eps, horizon=args.horizon, integrator=ode.IntegratorConfig(tol=args.tol))
+    return shooting.ShotConfig(eps, horizon=args.horizon, tol=args.tol)
 
 
 def _report_energy(args, omega_min: float, energy: float) -> int:
@@ -162,7 +162,7 @@ def _cmd_two_simulate(args) -> int:
     kerr = bloch2.ZERO_KERR
     if args.kerr:
         kerr = bloch2.KerrParams(*_numbers("--kerr", args.kerr, 3))
-    traj = bloch2.resonant_trajectory(0.5 - args.eps, ode.IntegratorConfig(tol=args.tol))
+    traj = bloch2.resonant_trajectory(0.5 - args.eps, tol=args.tol)
     eta = traj.states
     pop1, pop2 = bloch2.populations_from_eta3(eta[:, 2])
     rows = np.column_stack([
@@ -195,10 +195,9 @@ def _cmd_three_landscape(args) -> int:
     grid = shooting.landscape((lo, hi), args.res, _shot_config(args, args.eps), workers=args.workers)
     t_min = _rescale(args, grid.t_min, "time")  # grid.t_min raises NoFeasiblePoint when nothing hits
     offsets = grid.log_offsets()
-    lphi, ltheta = np.meshgrid(grid.lphi_axis, grid.ltheta_axis, indexing="ij")
     rows = np.column_stack([
-        lphi.ravel(),
-        ltheta.ravel(),
+        np.repeat(grid.axis, grid.axis.size),
+        np.tile(grid.axis, grid.axis.size),
         _rescale(args, grid.times.ravel(), "time"),
         offsets.ravel(),
     ])
@@ -313,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--hbar", type=float, default=1.0, help="physical hbar (rescales energies)")
     parser.add_argument("--out", default=".", help="output directory for data exports")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--tol", type=float, default=ode.IntegratorConfig.tol, help="integrator local-error tolerance")
+    parser.add_argument("--tol", type=float, default=ode.TOL, help="integrator local-error tolerance")
     parser.add_argument("--horizon", type=float, default=shooting.ShotConfig.horizon, help="shot horizon in 1/Omega0 units")
     groups = parser.add_subparsers(dest="group", required=True)
 

@@ -205,8 +205,8 @@ def _polar_angle(states: np.ndarray) -> np.ndarray:
 
 
 def _oracle_run(rhs, costates: tuple[float, float], t_hit: float,
-                cfg: ode.IntegratorConfig) -> tuple[ode.Trajectory, ode.Trajectory]:
-    """One run of ``rhs`` from the initial pole to the hit: (base, tail).
+                tol: float) -> tuple[ode.Trajectory, ode.Trajectory]:
+    """One run of ``rhs``, at ``tol``, from the initial pole to the hit: (base, tail).
 
     The run integrates the 12-component base state from 0 and stops at its
     first node whose mapped polar angle is at least 0.01, off the pole where
@@ -218,7 +218,7 @@ def _oracle_run(rhs, costates: tuple[float, float], t_hit: float,
     """
     y0 = [0.0, 0.0, *costates, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
     head_times, head_states = [], []
-    for t, y in ode.nodes(rhs, y0, (0.0, t_hit), cfg):
+    for t, y in ode.nodes(rhs, y0, (0.0, t_hit), tol):
         seed = np.array([y])
         if _polar_angle(seed)[0] >= 0.01:
             break
@@ -227,7 +227,7 @@ def _oracle_run(rhs, costates: tuple[float, float], t_hit: float,
     else:
         raise ValueError("trajectory never leaves the initial pole; nothing to check")
     a1, a2 = _amplitudes(seed)
-    tail = ode.integrate(rhs, [*y, *angles_from_amplitudes(a1[0], a2[0])], (t, t_hit), cfg)
+    tail = ode.integrate(rhs, [*y, *angles_from_amplitudes(a1[0], a2[0])], (t, t_hit), tol)
     base = ode.Trajectory(
         np.concatenate([head_times, tail.times]),
         np.concatenate([np.reshape(head_states, (-1, len(y0))), tail.states[:, :len(y0)]]),
@@ -242,7 +242,7 @@ def cross_check(
 ) -> CrossCheck:
     """Integrate every representation of one time-optimal transfer side by side.
 
-    One run on the adaptive integrator of ``cfg`` goes up to the hit time:
+    One run on the adaptive integrator at ``cfg.tol`` goes up to the hit time:
     the closed-loop extremal, the real three-level amplitudes, the
     counterpart two-level amplitudes and the pump area from the initial
     pole, joined by the angle block from the first node off the pole on
@@ -273,7 +273,7 @@ def cross_check(
     reduce_pulses = map_pulses
     if corrupt_mapping:
         reduce_pulses = lambda op, os_: (op / _SQRT2, os_ / _SQRT2)  # noqa: E731
-    base, tail = _oracle_run(_oracle_rhs(reduce_pulses), costates, t_hit, cfg.integrator)
+    base, tail = _oracle_run(_oracle_rhs(reduce_pulses), costates, t_hit, cfg.tol)
 
     rho_mapped = map_3to2(base.states[:, 4:7].T)
     rho_amp = rho_from_amplitudes(*_amplitudes(base.states))

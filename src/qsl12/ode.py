@@ -5,10 +5,12 @@ published transfer times requires tight local error control, so every
 integration runs on the embedded Dormand-Prince 5(4) pair with proportional
 step control (Hairer, Norsett & Wanner, Solving ODEs I, II.4-6).
 
-``nodes`` yields every accepted node, their spacing capped at
-``max_step``, one at a time, so a caller can stop at a node of its choice
+One tolerance, ``tol`` (default ``TOL``), sets the local error of every
+adaptive integration; the step cap is the constant ``MAX_STEP``, read at
+each call. ``nodes`` yields every accepted node, their spacing capped at
+``MAX_STEP``, one at a time, so a caller can stop at a node of its choice
 and continue from it; ``integrate`` is the trajectory of those nodes.
-``locate_event`` lets the tolerances alone set its steps and
+``locate_event`` lets the tolerance alone set its steps and
 hands each accepted step to one crossing rule, ``_crossing``, which reads
 the state inside the step from the pair's free quartic continuous extension
 (dense output, II.6), built from the step's seven stages at no rhs call. A
@@ -65,7 +67,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 __all__ = [
-    "IntegratorConfig",
     "Trajectory",
     "EventHit",
     "StepUnderflow",
@@ -80,6 +81,15 @@ __all__ = [
 #: singularity in the right-hand side.
 MIN_STEP = 1e-14
 
+#: The default local-error tolerance, both the absolute and the relative
+#: part of the error scale (see ``_error_norm``).
+TOL = 1e-10
+
+#: The step cap of ``nodes`` and ``integrate``, so the spacing of the
+#: trajectory nodes that the exports sample; in ``locate_event`` it only
+#: bounds the first trial step.
+MAX_STEP = 1e-2
+
 #: The width, in time, to which an event crossing is localized.
 EVENT_TOL = 1e-10
 
@@ -91,26 +101,6 @@ Event = Callable[[list], float]
 
 class StepUnderflow(RuntimeError):
     """Adaptive step fell below MIN_STEP."""
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """The local-error tolerance and the step cap of the adaptive integrator.
-
-    ``tol`` is both the absolute and the relative part of the error scale
-    (see ``_error_norm``). ``max_step`` caps the steps of ``integrate``, so
-    it sets the spacing of the trajectory nodes that the exports sample; in
-    ``locate_event`` it only bounds the first trial step.
-    """
-
-    tol: float = 1e-10
-    max_step: float = 1e-2
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
-        if not self.max_step > EVENT_TOL:
-            raise ValueError("max_step must exceed EVENT_TOL")
 
 
 @dataclass
@@ -138,7 +128,7 @@ class EventHit:
     """First event crossing: time, state there, and the path leading to it.
 
     The path holds the search's accepted nodes, whose spacing is set by the
-    tolerances alone, followed by the crossing.
+    tolerance alone, followed by the crossing.
     """
 
     t: float
@@ -214,13 +204,18 @@ def _slope(rhs: Rhs, y: list) -> Sequence:
     return k
 
 
-def _error_norm(err: list, y_old: list, y_new: list, cfg: IntegratorConfig) -> float:
+def _check_tol(tol: float) -> float:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    return tol
+
+
+def _error_norm(err: list, y_old: list, y_new: list, tol: float) -> float:
     """RMS of the error over the scale tol + tol * max(|y_old|, |y_new|).
 
     The squares are summed in component order, which is numpy's order for
     fewer than 8 components (from 8 on numpy sums pairwise).
     """
-    tol = cfg.tol
     total = 0.0
     for e, a, b in zip(err, y_old, y_new):
         q = abs(e) / (tol + tol * max(abs(a), abs(b)))
@@ -259,19 +254,19 @@ def _dp5_step(rhs: Rhs, y: list, k1: list, h: float) -> tuple[list, tuple[list, 
     return y_new, (k1, k2, k3, k4, k5, k6, k7), err
 
 
-def _steps(rhs: Rhs, t0: float, y0: list, t1: float, cfg: IntegratorConfig,
+def _steps(rhs: Rhs, t0: float, y0: list, t1: float, tol: float,
            max_step: float = math.inf) -> Iterator[tuple[float, list, tuple[list, ...], float]]:
     """Yield (t, y, K, h) at t0 and at every accepted node after it, ending at t1.
 
     K holds the stages of the step of length h that ended at t, so K[0] is
     the slope at its start and K[-1] = rhs(y); at t0, K holds only that
     slope and h is 0. The rhs never sees t, which is tracked only for the
-    nodes and the events. The first trial step is min(cfg.max_step,
-    t1 - t0); later steps are capped at ``max_step``.
+    nodes and the events. The first trial step is min(MAX_STEP, t1 - t0);
+    later steps are capped at ``max_step``.
     """
     t = t0
     y = y0
-    h = min(cfg.max_step, t1 - t0)
+    h = min(MAX_STEP, t1 - t0)
     K = (_slope(rhs, y),)
     yield t, y, K, 0.0
     while True:
@@ -282,7 +277,7 @@ def _steps(rhs: Rhs, t0: float, y0: list, t1: float, cfg: IntegratorConfig,
         if h < MIN_STEP:
             raise StepUnderflow(f"step size {h:.3e} below {MIN_STEP:.0e} at t={t!r}")
         y_new, K_new, err = _dp5_step(rhs, y, K[-1], h)
-        enorm = _error_norm(err, y, y_new, cfg)
+        enorm = _error_norm(err, y, y_new, tol)
         if enorm <= 1.0:
             t = t1 if (t1 - (t + h)) <= MIN_STEP else t + h
             y = y_new
@@ -294,29 +289,29 @@ def _steps(rhs: Rhs, t0: float, y0: list, t1: float, cfg: IntegratorConfig,
         h = min(max_step, h * factor)
 
 
-def nodes(rhs: Rhs, y0, t_span: tuple[float, float],
-          cfg: IntegratorConfig = IntegratorConfig()) -> Iterator[tuple[float, list]]:
-    """The accepted nodes of ``dy/dt = rhs(y)`` over ``t_span``, as (t, y).
+def nodes(rhs: Rhs, y0, t_span: tuple[float, float], tol: float = TOL) -> Iterator[tuple[float, list]]:
+    """The accepted nodes of ``dy/dt = rhs(y)`` over ``t_span``, as (t, y),
+    at the local-error tolerance ``tol``.
 
     The first node is the start; steps, and so the node spacing, are capped
-    at ``cfg.max_step``. y is the state as a list, which the consumer must
-    not modify. The arguments are checked at the call; the steps are taken
-    as the nodes are drawn, and the next draw raises StepUnderflow if the
-    controller drives the step below MIN_STEP.
+    at MAX_STEP. y is the state as a list, which the consumer must not
+    modify. The arguments, ``tol`` among them, are checked at the call; the
+    steps are taken as the nodes are drawn, and the next draw raises
+    StepUnderflow if the controller drives the step below MIN_STEP.
     """
     t0, t1 = _span(t_span)
-    steps = _steps(rhs, t0, _as_state(y0), t1, cfg, cfg.max_step)
+    steps = _steps(rhs, t0, _as_state(y0), t1, _check_tol(tol), MAX_STEP)
     return ((t, y) for t, y, _, _ in steps)
 
 
-def integrate(rhs: Rhs, y0, t_span: tuple[float, float], cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
+def integrate(rhs: Rhs, y0, t_span: tuple[float, float], tol: float = TOL) -> Trajectory:
     """Integrate ``dy/dt = rhs(y)`` over ``t_span``: the trajectory of every
     node that ``nodes`` yields. Raises StepUnderflow if the controller
     drives the step below MIN_STEP.
     """
     times = []
     states = []
-    for t, y in nodes(rhs, y0, t_span, cfg):
+    for t, y in nodes(rhs, y0, t_span, tol):
         times.append(t)
         states.append(y)
     return Trajectory(np.asarray(times), np.asarray(states))
@@ -500,12 +495,12 @@ def locate_event(
     y0,
     t_span: tuple[float, float],
     event: Event,
-    cfg: IntegratorConfig = IntegratorConfig(),
+    tol: float = TOL,
     stop: float = math.inf,
 ) -> EventHit | None:
     """Locate the first zero crossing of ``event`` along the trajectory.
 
-    Steps are limited by the tolerances alone; ``cfg.max_step`` only bounds
+    Steps are limited by the tolerance ``tol`` alone; MAX_STEP only bounds
     the first trial step. Each accepted step goes through the crossing rule
     ``_crossing``: a sign change or a graze, pinned down to ``EVENT_TOL``
     in time on the step's interpolant; the hit lies strictly after the last
@@ -519,7 +514,7 @@ def locate_event(
     sets them), so any hit it returns is the full search's, bit for bit.
     """
     t0, t1 = _span(t_span)
-    steps = _steps(rhs, t0, _as_state(y0), t1, cfg)
+    steps = _steps(rhs, t0, _as_state(y0), t1, _check_tol(tol))
     t_a, y_a, _, _ = next(steps)
     e_a = float(event(y_a))
     times = [t_a]

@@ -91,17 +91,19 @@ class InsufficientData(ValueError):
 
 @dataclass(frozen=True)
 class ShotConfig:
-    """Target accuracy, shot horizon, and integrator settings (Omega_0 = 1)."""
+    """Target accuracy, shot horizon, and integrator tolerance (Omega_0 = 1)."""
 
     eps: float
     horizon: float = 15.0
-    integrator: ode.IntegratorConfig = field(default_factory=ode.IntegratorConfig)
+    tol: float = ode.TOL
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
         if not 0.0 < self.horizon < math.inf:
             raise ValueError("horizon must be positive and finite")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
 
     @property
     def target(self) -> float:
@@ -129,18 +131,16 @@ class Optimum:
 
 @dataclass
 class LandscapeGrid:
-    """Hit times over a grid of initial costates; NaN marks no transfer."""
+    """Hit times over the square grid ``axis`` x ``axis`` of (lphi, ltheta); NaN marks no transfer."""
 
-    lphi_axis: np.ndarray
-    ltheta_axis: np.ndarray
+    axis: np.ndarray
     times: np.ndarray
 
     def __post_init__(self) -> None:
-        self.lphi_axis = np.asarray(self.lphi_axis, dtype=float)
-        self.ltheta_axis = np.asarray(self.ltheta_axis, dtype=float)
+        self.axis = np.asarray(self.axis, dtype=float)
         self.times = np.asarray(self.times, dtype=float)
-        if self.times.shape != (self.lphi_axis.size, self.ltheta_axis.size):
-            raise ValueError("times shape must match the axes")
+        if self.times.shape != (self.axis.size, self.axis.size):
+            raise ValueError("times shape must be (axis.size, axis.size)")
         finite = self.times[np.isfinite(self.times)]
         if finite.size and finite.min() <= 0.0:
             raise ValueError("finite hit times must be positive")
@@ -191,7 +191,7 @@ def shoot_info(lphi_i: float, ltheta_i: float, cfg: ShotConfig,
     """
     y0 = [0.0, 0.0, lphi_i, ltheta_i]
     try:
-        hit = ode.locate_event(lambda3.extremal_rhs, y0, (0.0, cfg.horizon), _event(cfg), cfg.integrator, stop)
+        hit = ode.locate_event(lambda3.extremal_rhs, y0, (0.0, cfg.horizon), _event(cfg), cfg.tol, stop)
     except SwitchingDegeneracy:
         return None, "switching-degeneracy", None
     except PhiSingularity:
@@ -207,13 +207,13 @@ def extremal(opt: Optimum, cfg: ShotConfig) -> tuple[ode.Trajectory, np.ndarray]
     """The extremal of ``opt`` up to its hit time, and the pulses along it.
 
     The shot finds the hit time on tolerance-limited steps; the extremal is
-    integrated once more up to that time, so its nodes are spaced at most
-    ``cfg.integrator.max_step`` apart, the sampling of the exports. The
+    integrated once more up to that time, at ``cfg.tol``, so its nodes are
+    spaced at most ``ode.MAX_STEP`` apart, the sampling of the exports. The
     pulses hold one (Omega_p, Omega_s) row per node: the control the
     extremal flow itself applies there (``lambda3.extremal_control``).
     """
     y0 = [0.0, 0.0, opt.lphi_i, opt.ltheta_i]
-    trajectory = ode.integrate(lambda3.extremal_rhs, y0, (0.0, opt.t_min), cfg.integrator)
+    trajectory = ode.integrate(lambda3.extremal_rhs, y0, (0.0, opt.t_min), cfg.tol)
     pulses = np.array([lambda3.extremal_control(y)[1] for y in trajectory.states.tolist()])
     return trajectory, pulses
 
@@ -284,11 +284,12 @@ def _lanes(costate_range: tuple[float, float],
 def _scan_lanes(lphi0: np.ndarray, ltheta0: np.ndarray, cfg: ShotConfig) -> np.ndarray:
     """Hit times of the lanes from the unit costates (lphi0, ltheta0), one
     (4, n) block run by ``ode.locate_lane_events`` on the shots' event at
-    the fixed step horizon / ceil(horizon / max_step). On unit-norm lanes
-    the retirement of a lane does not depend on the costates' scale."""
+    the fixed step horizon / ceil(horizon / ode.MAX_STEP), which no knob
+    sets. On unit-norm lanes the retirement of a lane does not depend on the
+    costates' scale."""
     y = np.zeros((4, lphi0.size))
     y[2], y[3] = lphi0, ltheta0
-    n_steps = math.ceil(cfg.horizon / cfg.integrator.max_step)
+    n_steps = math.ceil(cfg.horizon / ode.MAX_STEP)
     return ode.locate_lane_events(lambda3.extremal_lanes, y, cfg.horizon, n_steps,
                                   _event(cfg), _event(cfg, np.cos, np.sin))
 
@@ -303,21 +304,21 @@ def landscape(
 
     The grid is square: ``resolution`` cells along each axis, both over
     ``costate_range``. The scan integrates one unit-norm lane per lattice
-    ray, up to the two reflections, a shot on a fixed DP5 step, and gives
-    each cell its ray's time (see the comment above): the cells of a ray and
-    of its mirror rays, (+-lambda_phi, +-lambda_theta) alike, hold the same
-    time, which may differ from the cell's own shot in the trailing digits.
-    ``workers`` is the number of processes (None or 0 = one per CPU), at
-    most one per CPU and one per lane, over which the lanes are split;
-    results do not depend on it. A non-finite range, a resolution below 1, a
-    horizon too long to count its steps and a negative ``workers`` raise
-    ValueError.
+    ray, up to the two reflections, a shot on the fixed DP5 step that
+    ``ode.MAX_STEP`` sets, and gives each cell its ray's time (see the
+    comment above): the cells of a ray and of its mirror rays,
+    (+-lambda_phi, +-lambda_theta) alike, hold the same time, which may
+    differ from the cell's own shot in the trailing digits. ``workers`` is
+    the number of processes (None or 0 = one per CPU), at most one per CPU
+    and one per lane, over which the lanes are split; results do not depend
+    on it. A non-finite range, a resolution below 1, a horizon too long to
+    count its steps and a negative ``workers`` raise ValueError.
     """
     lo, hi = costate_range
     if not math.isfinite(hi - lo):
         raise ValueError("the landscape range must have finite ends and span")
-    if not math.isfinite(cfg.horizon / cfg.integrator.max_step):
-        raise ValueError("horizon / max_step must be finite: the scan's step count overflows")
+    if not math.isfinite(cfg.horizon / ode.MAX_STEP):
+        raise ValueError("horizon / ode.MAX_STEP must be finite: the scan's step count overflows")
     if workers is not None and workers < 0:
         raise ValueError("workers must be non-negative")
     if resolution < 1:
@@ -333,7 +334,7 @@ def landscape(
         jobs = [(a, b, cfg) for a, b in zip(np.array_split(lphi0, workers), np.array_split(ltheta0, workers))]
         with get_context("fork").Pool(processes=workers) as pool:
             lane_times = np.concatenate(pool.starmap(_scan_lanes, jobs))
-    return LandscapeGrid(axis, axis, lane_times[cell_lane].reshape(resolution, resolution))
+    return LandscapeGrid(axis, lane_times[cell_lane].reshape(resolution, resolution))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +431,7 @@ def _scan(shot, probes: np.ndarray, ltheta_guess: float, cfg: ShotConfig, screen
         raise NoFeasiblePoint(
             f"no transfer within the horizon {cfg.horizon!r} at eps {cfg.eps!r} near ltheta_i ~"
             f" {ltheta_guess!r} (the {len(probes)} probes{', screened' if screened else ''} at tol"
-            f" {cfg.integrator.tol!r}: {tally})"
+            f" {cfg.tol!r}: {tally})"
         )
     return best
 
@@ -466,21 +467,25 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     that stops or misses reads -1: it lies past the optimum, which is faster
     still. A stopped shot is shot again only for a later stop. The optimum
     is the costates and hit time of the evaluated shot with the smallest
-    |residual|: it costs no further integration. Non-finite costates and a
-    zero guess (its probes coincide) raise ValueError before the first shot;
-    when no probe hits, NoFeasiblePoint tallies why, at the tolerance the
-    probes ran at; when the residual has no sign change to bracket, or the
-    search fails, NoConvergence names the condition, the eps and the horizon.
+    |residual|: it costs no further integration. Non-finite costates, and a
+    guess whose probes coincide (a zero or subnormal guess) or whose probes
+    or walk overflow, raise ValueError before the first shot; when no probe
+    hits, NoFeasiblePoint tallies why, at the tolerance the probes ran at;
+    when the residual has no sign change to bracket, or the search fails,
+    NoConvergence names the condition, the eps and the horizon.
     """
-    if not (math.isfinite(lphi_i) and math.isfinite(ltheta_guess) and ltheta_guess):
-        raise ValueError(f"costates must be finite and the guess nonzero, got ({lphi_i!r}, {ltheta_guess!r})")
+    with np.errstate(over="ignore", invalid="ignore"):
+        probes = ltheta_guess * np.linspace(1.0 / 16.0, 1.5, 13)
+        ladder = np.concatenate([probes, probes[-1] + (probes[1] - probes[0]) * np.arange(1, probes.size + 1)])
+    # a set, not np.unique, whose first call imports numpy.ma (about 10 ms)
+    if not (math.isfinite(lphi_i) and np.isfinite(ladder).all() and len(set(probes.tolist())) == probes.size):
+        raise ValueError(f"costates must be finite, and the guess must give {probes.size} distinct probes"
+                         f" and a finite walk, got ({lphi_i!r}, {ltheta_guess!r})")
     search = _RootSearch(lphi_i, ltheta_guess, cfg)
-    screen = replace(cfg, integrator=replace(cfg.integrator, tol=max(cfg.integrator.tol, SCAN_TOL)))
-    probes = ltheta_guess * np.linspace(1.0 / 16.0, 1.5, 13)
+    screen = replace(cfg, tol=max(cfg.tol, SCAN_TOL))
     best = _scan(lambda x, stop: shoot_info(lphi_i, float(x), screen, stop), probes, ltheta_guess, screen, screen != cfg)
     if search.shot(probes[best], math.inf)[0] is None:
         best = _scan(search.shot, probes, ltheta_guess, cfg, False)
-    ladder = np.concatenate([probes, probes[-1] + (probes[1] - probes[0]) * np.arange(1, probes.size + 1)])
     return search.root(lambda j: ladder[best + j], -min(best, 1), ladder.size - 1 - best)
 
 
@@ -619,7 +624,7 @@ def energy_shot(omega0_min: float, opt: Optimum, cfg: ShotConfig) -> float:
 
     scale = omega0_min / (abs(opt.lphi_i) / _SQRT2)
     y0 = [0.0, 0.0, scale * opt.lphi_i, scale * opt.ltheta_i]
-    hit = ode.locate_event(energy_rhs, y0, (0.0, 1.5 * opt.area / omega0_min), _event(cfg), cfg.integrator)
+    hit = ode.locate_event(energy_rhs, y0, (0.0, 1.5 * opt.area / omega0_min), _event(cfg), cfg.tol)
     if hit is None:
         raise NoFeasiblePoint("energy-optimal closed loop missed the target")
     return hit.t

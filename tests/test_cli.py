@@ -72,8 +72,8 @@ class TestTwoLevel:
         assert manifest["outputs"] == ["two_level_curve.csv"]
         assert manifest["parameters"]["amax"] == 2.0
         assert manifest["parameters"]["step"] == 0.5
-        # the defaults of --tol and --horizon are the configs' own
-        assert manifest["parameters"]["tol"] == ode.IntegratorConfig().tol == 1e-10
+        # the defaults of --tol and --horizon are the package's own
+        assert manifest["parameters"]["tol"] == ode.TOL == shooting.ShotConfig(eps=0.1).tol == 1e-10
         assert manifest["parameters"]["horizon"] == shooting.ShotConfig(eps=0.1).horizon == 15.0
         assert "wall_time_s" in manifest
         # every exporting command names itself "<group> <subcommand>" and
@@ -430,11 +430,14 @@ class TestParsing:
         ["three-level", "areacurve", "--eps-min=-1e-3"],
         ["three-level", "areacurve", "--eps-max=-0.1"],
         ["three-level", "optimize", "--eps", "0.002", "--guess", "0"],
+        ["three-level", "optimize", "--eps", "0.002", "--guess", "5e-324"],
+        ["three-level", "optimize", "--eps", "0.002", "--guess=1.7e308"],
     ])
     def test_bad_curve_grid_exits_2(self, tmp_path, capsys, flags):
         # the grid flags of a curve or a landscape, a non-finite or overflowing
-        # duration, non-finite costates or Kerr shifts, a zero guess (its
-        # probes would coincide), repeated accuracies,
+        # duration, non-finite costates or Kerr shifts, a zero or subnormal
+        # guess (its probes would coincide) or one whose probes overflow,
+        # repeated accuracies,
         # an --omega0 that rescales a result out of range, a horizon whose
         # landscape step count overflows, an accuracy of the area curve
         # outside (0, 1); any warning would fail the test

@@ -166,9 +166,9 @@ class TestCrossCheck:
         cfg = shooting.ShotConfig(eps=eps)
         t_hit = shooting.shoot_info(*costates, cfg)[0]
         rhs = iso._oracle_rhs(iso.map_pulses)
-        base, tail = iso._oracle_run(rhs, costates, t_hit, cfg.integrator)
+        base, tail = iso._oracle_run(rhs, costates, t_hit, cfg.tol)
         plain = ode.integrate(rhs, [0.0, 0.0, *costates, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-                              (0.0, t_hit), cfg.integrator)
+                              (0.0, t_hit), cfg.tol)
         assert np.array_equal(base.times, plain.times)
         assert np.array_equal(base.states, plain.states)
         # the tail starts at the first node off the pole and ends at the hit

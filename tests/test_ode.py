@@ -80,10 +80,10 @@ class TestNodes:
 
     @pytest.mark.parametrize("rhs, y0", CASES, ids=["real", "complex"])
     @pytest.mark.parametrize("max_step", [1e-2, 0.7])
-    def test_nodes_are_integrates_bit_for_bit(self, rhs, y0, max_step):
-        cfg = ode.IntegratorConfig(max_step=max_step)
-        traj = ode.integrate(rhs, y0, (0.0, 4.0), cfg)
-        times, states = zip(*ode.nodes(rhs, y0, (0.0, 4.0), cfg))
+    def test_nodes_are_integrates_bit_for_bit(self, rhs, y0, max_step, monkeypatch):
+        monkeypatch.setattr(ode, "MAX_STEP", max_step)
+        traj = ode.integrate(rhs, y0, (0.0, 4.0))
+        times, states = zip(*ode.nodes(rhs, y0, (0.0, 4.0)))
         assert np.array_equal(np.asarray(times), traj.times)
         assert np.array_equal(np.asarray(states), traj.states)
         assert np.asarray(states).dtype == traj.states.dtype
@@ -187,13 +187,13 @@ class TestContract:
         # the array form it replaced: bit for bit below 8 components, where
         # numpy also sums in order; from 8 on numpy sums pairwise
         rng = np.random.default_rng(n)
-        cfg = ode.IntegratorConfig()
+        tol = ode.TOL
         for _ in range(50):
             err, y_old, y_new = (rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 3, n) for _ in range(3))
-            scale = cfg.tol + cfg.tol * np.maximum(np.abs(y_old), np.abs(y_new))
+            scale = tol + tol * np.maximum(np.abs(y_old), np.abs(y_new))
             q = np.abs(err) / scale
             expected = float(np.sqrt(np.mean(q * q)))
-            norm = ode._error_norm(err.tolist(), y_old.tolist(), y_new.tolist(), cfg)
+            norm = ode._error_norm(err.tolist(), y_old.tolist(), y_new.tolist(), tol)
             if n < 8:
                 assert norm == expected
             else:
@@ -222,15 +222,19 @@ class TestConfigAndTrajectory:
     @pytest.mark.parametrize("kwargs", [
         dict(tol=0.0),
         dict(tol=-1.0),
-        dict(max_step=0.0),
-        dict(max_step=ode.EVENT_TOL),
-        dict(max_step=1e-11),
         dict(tol=math.inf),
         dict(tol=math.nan),
     ])
     def test_invalid_config(self, kwargs):
-        with pytest.raises(ValueError):
-            ode.IntegratorConfig(**kwargs)
+        rhs, y0, t_span = rotation_rhs, [1.0, 0.0], (0.0, 1.0)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            shooting.ShotConfig(eps=0.1, **kwargs)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            ode.integrate(rhs, y0, t_span, **kwargs)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            ode.nodes(rhs, y0, t_span, **kwargs)  # at the call, before the first draw
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            ode.locate_event(rhs, y0, t_span, lambda y: y[0], **kwargs)
 
     def test_trajectory_requires_increasing_times(self):
         with pytest.raises(ValueError):
@@ -276,14 +280,14 @@ class TestLocateEvent:
         assert calls <= 1200
 
     @pytest.mark.parametrize("max_step", [0.01, 0.05, 0.5, math.inf])
-    def test_grazing_reference_hit_at_any_step_cap(self, max_step):
+    def test_grazing_reference_hit_at_any_step_cap(self, max_step, monkeypatch):
         # |x3|^2 exceeds the target only inside a window ~0.012 wide, so the
         # hit must come from the graze check, whatever the first trial step
         rhs = lambda3.extremal_rhs
         y0 = [0.0, 0.0, 1.85, 0.45266]
         reference = ode.locate_event(rhs, y0, (0.0, 15.0), self.x3sq_excess)
-        cfg = ode.IntegratorConfig(max_step=max_step)
-        hit = ode.locate_event(rhs, y0, (0.0, 15.0), self.x3sq_excess, cfg)
+        monkeypatch.setattr(ode, "MAX_STEP", max_step)
+        hit = ode.locate_event(rhs, y0, (0.0, 15.0), self.x3sq_excess)
         assert hit is not None
         assert hit.t == pytest.approx(reference.t, abs=1e-9)
 
@@ -356,12 +360,11 @@ class TestLocateEvent:
         assert ode.locate_event(rhs, y0, (0.0, 15.0), self.x3sq_excess, stop=5.0) is None
         assert 0 < calls < full_calls
 
-    def test_hit_time_stable_under_step_halving(self):
+    def test_hit_time_stable_under_step_halving(self, monkeypatch):
         rhs = lambda eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
-        cfg = ode.IntegratorConfig()
-        half = ode.IntegratorConfig(max_step=cfg.max_step / 2)
-        t1 = ode.locate_event(rhs, [0.0, 0.0, -0.5], (0.0, 5.0), lambda eta: eta[2], cfg).t
-        t2 = ode.locate_event(rhs, [0.0, 0.0, -0.5], (0.0, 5.0), lambda eta: eta[2], half).t
+        t1 = ode.locate_event(rhs, [0.0, 0.0, -0.5], (0.0, 5.0), lambda eta: eta[2]).t
+        monkeypatch.setattr(ode, "MAX_STEP", ode.MAX_STEP / 2)
+        t2 = ode.locate_event(rhs, [0.0, 0.0, -0.5], (0.0, 5.0), lambda eta: eta[2]).t
         assert abs(t1 - t2) < 10.0 * ode.EVENT_TOL
 
 

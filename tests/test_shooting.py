@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -99,12 +99,12 @@ class TestShoot:
 
     def test_optimum_path_keeps_export_spacing(self, cfg002, ref_extremal):
         # the shot steps as far as the tolerance allows; the exported
-        # extremal is re-integrated at the max_step node spacing
+        # extremal is re-integrated at the ode.MAX_STEP node spacing
         opt, trajectory, pulses = ref_extremal
         times = trajectory.times
         assert times[0] == 0.0 and times[-1] == opt.t_min
         # node times are running sums, so a spacing may exceed the cap by rounding
-        assert np.all(np.diff(times) <= cfg002.integrator.max_step + 1e-12)
+        assert np.all(np.diff(times) <= shooting.ode.MAX_STEP + 1e-12)
         assert len(times) == 741
         assert len(pulses) == 741
 
@@ -121,6 +121,8 @@ class TestShoot:
             ShotConfig(eps=1.0)
         with pytest.raises(ValueError):
             ShotConfig(eps=0.1, horizon=-1.0)
+        # the accuracy, the horizon and the integrator's tolerance: no sampling knob
+        assert [f.name for f in fields(ShotConfig)] == ["eps", "horizon", "tol"]
 
     @pytest.mark.parametrize("horizon", [0.0, math.nan, math.inf, -math.inf])
     def test_horizon_must_be_positive_and_finite(self, horizon):
@@ -159,14 +161,19 @@ class TestLandscape:
                 assert np.isnan(serial.times[6, 6])  # the origin cell
             assert np.isfinite(serial.times).any()
 
+    def test_grid_holds_one_axis(self):
+        assert shooting.LandscapeGrid(np.arange(3.0), np.ones((3, 3))).axis.size == 3
+        with pytest.raises(ValueError, match="axis.size"):
+            shooting.LandscapeGrid(np.arange(3.0), np.ones((3, 2)))
+
     @pytest.mark.parametrize("cpus", [3, 5000])
     def test_workers_capped_at_cpu_count(self, cfg005, monkeypatch, cpus):
         # a fake pool records its process count and runs the jobs here, so
         # no process is started; one job per lane runs one lane over the
         # whole horizon, so the grid is small (7 lanes) and its fixed step
         # coarse, against a serial scan of the same grid
-        cfg = replace(cfg005, integrator=replace(cfg005.integrator, max_step=0.05))
-        serial = shooting.landscape((-2.0, 2.0), 6, cfg, workers=1)
+        monkeypatch.setattr(shooting.ode, "MAX_STEP", 0.05)
+        serial = shooting.landscape((-2.0, 2.0), 6, cfg005, workers=1)
         assert np.isfinite(serial.times).any()
         counts = []
 
@@ -185,9 +192,9 @@ class TestLandscape:
 
         monkeypatch.setattr(shooting, "get_context", lambda method: SimpleNamespace(Pool=Pool))
         monkeypatch.setattr(shooting.os, "cpu_count", lambda: cpus)
-        lanes = shooting._lanes((-2.0, 2.0), serial.lphi_axis)[0].size
+        lanes = shooting._lanes((-2.0, 2.0), serial.axis)[0].size
         assert lanes == 7
-        grid = shooting.landscape((-2.0, 2.0), 6, cfg, workers=5000)
+        grid = shooting.landscape((-2.0, 2.0), 6, cfg005, workers=5000)
         assert counts == [min(cpus, lanes)]
         assert np.array_equal(grid.times, serial.times, equal_nan=True)
 
@@ -257,9 +264,9 @@ class TestLandscape:
         # as in the shots, at the shots' times; a lane that steps over the
         # tan(phi) blow-up would add hits at ltheta = +-1.0678 that no shot has
         grid = shooting.landscape((-3.0, 3.0), 60, cfg002, workers=1)
-        assert grid.lphi_axis[0] == -3.0
+        assert grid.axis[0] == -3.0
         row = grid.times[0]
-        shots = np.array([shooting.shoot_info(-3.0, lt, cfg002)[0] for lt in grid.ltheta_axis], dtype=float)
+        shots = np.array([shooting.shoot_info(-3.0, lt, cfg002)[0] for lt in grid.axis], dtype=float)
         hits = np.isfinite(shots)
         assert hits.any() and np.array_equal(np.isfinite(row), hits)
         assert np.median(np.abs(row[hits] - shots[hits])) <= 1e-7
@@ -438,14 +445,14 @@ class TestRefine:
         # to the same optimum bit for bit, as probes at the configured tol
         cfg = ShotConfig(eps=eps)
         screened = shooting.refine(lphi_sign * 1.85, ltheta_sign * guess, cfg)
-        monkeypatch.setattr(shooting, "SCAN_TOL", cfg.integrator.tol)
+        monkeypatch.setattr(shooting, "SCAN_TOL", cfg.tol)
         assert shooting.refine(lphi_sign * 1.85, ltheta_sign * guess, cfg) == screened
 
     def test_screened_scan_keeps_the_continuation(self, cfg002, monkeypatch):
         # the 8-point grid of acceptance 07, whose first two points refine
         eps_values = np.geomspace(1e-1, 1e-3, 8)
         screened = shooting.optima_along_eps(eps_values, cfg002, 1.85)
-        monkeypatch.setattr(shooting, "SCAN_TOL", cfg002.integrator.tol)
+        monkeypatch.setattr(shooting, "SCAN_TOL", cfg002.tol)
         assert shooting.optima_along_eps(eps_values, cfg002, 1.85) == screened
 
     def test_scan_screens_and_search_solves(self, cfg002, opt002, monkeypatch):
@@ -455,15 +462,15 @@ class TestRefine:
         shoot_info = shooting.shoot_info
 
         def recorded(lphi_i, ltheta_i, cfg, stop=math.inf):
-            tols.append((ltheta_i, cfg.integrator.tol))
+            tols.append((ltheta_i, cfg.tol))
             return shoot_info(lphi_i, ltheta_i, cfg, stop)
 
         monkeypatch.setattr(shooting, "shoot_info", recorded)
         opt = shooting.refine(1.85, 0.5, cfg002)
         assert [tol for _, tol in tols[:13]] == [shooting.SCAN_TOL] * 13
-        assert {tol for _, tol in tols[13:]} == {cfg002.integrator.tol}
+        assert {tol for _, tol in tols[13:]} == {cfg002.tol}
         assert tols[13][0] in [x for x, _ in tols[:13]]
-        assert (opt.ltheta_i, cfg002.integrator.tol) in tols[13:]
+        assert (opt.ltheta_i, cfg002.tol) in tols[13:]
         assert opt == opt002
 
     def test_unconfirmed_screen_scans_again(self, monkeypatch):
@@ -477,7 +484,7 @@ class TestRefine:
         shots = []
 
         def shoot_info(lphi_i, ltheta_i, cfg, stop=math.inf):
-            tol = cfg.integrator.tol
+            tol = cfg.tol
             shots.append((ltheta_i, tol))
             if ltheta_i == probes[2] and tol < shooting.SCAN_TOL:
                 return None, "no-crossing", None
@@ -574,14 +581,17 @@ class TestRefine:
         curve = shooting.area_curve([0.1, 0.05], cfg002)
         assert np.all(np.isfinite(curve[:, 1]))
 
-    @pytest.mark.parametrize("guess", [0.0, -0.0])
+    @pytest.mark.parametrize("guess", [0.0, -0.0, 5e-324, -5e-324, 1.7e308, 7e307])
     def test_zero_guess_rejected_before_the_first_shot(self, cfg002, guess, monkeypatch):
-        # the 13 probes are multiples of the guess, so a zero guess scans one point
+        # the 13 probes are multiples of the guess: a zero guess scans one
+        # point, a subnormal one 3 distinct points; at 1.7e308 the last
+        # probes overflow, at 7e307 the walk past them; any warning would
+        # fail the test
         def no_shot(*args):
-            raise AssertionError("refine shot a zero guess")
+            raise AssertionError("refine shot a degenerate guess")
 
         monkeypatch.setattr(shooting, "shoot_info", no_shot)
-        with pytest.raises(ValueError, match="the guess nonzero"):
+        with pytest.raises(ValueError, match="13 distinct probes and a finite walk"):
             shooting.refine(1.85, guess, cfg002)
 
     def test_hopeless_guess_raises(self):
@@ -590,11 +600,10 @@ class TestRefine:
             shooting.refine(1.85, 0.5, cfg)
 
     def test_failed_probes_say_why(self):
-        integrator = shooting.ode.IntegratorConfig(tol=1e-300)
         # every screened probe hits, but the fastest does not at tol 1e-300:
         # the scan runs again there, and its probes say why
         with pytest.raises(shooting.NoFeasiblePoint, match="13 probes at tol 1e-300: 13 step-underflow"):
-            shooting.refine(1.85, 0.5, ShotConfig(eps=0.002, integrator=integrator))
+            shooting.refine(1.85, 0.5, ShotConfig(eps=0.002, tol=1e-300))
 
     def test_flat_landscape_fails_to_bracket(self, monkeypatch):
         # every shot hits at the same time with the same residual > 0: the
