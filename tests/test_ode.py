@@ -222,6 +222,9 @@ class TestConfigAndTrajectory:
     @pytest.mark.parametrize("kwargs", [
         dict(tol=0.0),
         dict(tol=-1.0),
+        dict(tol=-0.0),
+        dict(tol=-5e-324),
+        dict(tol=-math.inf),
         dict(tol=math.inf),
         dict(tol=math.nan),
     ])
