@@ -30,16 +30,19 @@ use. On the 4-component extremal state one step and its error norm take
 37-40 us, against 85-89 us as array code (2-vCPU Xeon VM, py3.11, numpy
 2.4).
 
-``locate_lane_events`` runs n states side by side as *lanes* at one fixed
-step: ``_dp5_step`` steps the one-element state ``[Y]``, Y a (d, n) block
-with one lane per column, so each stage sum is one numpy expression on the
-whole block, with the same operations per element in the same order. A
-numpy screen on the block (a sign change, or the graze conditions and the
-tangent screen on rates from one central difference) flags the lanes that
-``_crossing`` decides, one column at a time. A lane retires at its hit, and
-with none at a non-finite state or an error estimate above the step: a
-fixed step can step over a singularity of the flow to a hit no adaptive
-search has.
+``locate_lane_events`` runs n states side by side as *lanes* at the fixed
+step ``MAX_STEP``, up to the first node at or past the end of the span, so
+the steps, and with them every hit, do not depend on where the span ends;
+a zero past the end counts as none. ``_dp5_step`` steps the one-element
+state ``[Y]``, Y a (d, n) block with one lane per column, so each stage
+sum is one numpy expression on the whole block, with the same operations
+per element in the same order. One event reads both the block and one
+lane's list. A numpy screen on the block (a sign change, or the graze
+conditions and the tangent screen on rates from one central difference)
+flags the lanes that ``_crossing`` decides, one column at a time. A lane
+retires at its hit, and with none at a non-finite state or an error
+estimate above the step: a fixed step can step over a singularity of the
+flow to a hit no adaptive search has.
 
 The flows are autonomous, and the state crosses into caller code as a list:
 ``rhs(y)`` and ``event(y)`` receive a list of Python floats (or complex
@@ -86,8 +89,9 @@ MIN_STEP = 1e-14
 TOL = 1e-10
 
 #: The step cap of ``nodes`` and ``integrate``, so the spacing of the
-#: trajectory nodes that the exports sample; in ``locate_event`` it only
-#: bounds the first trial step.
+#: trajectory nodes that the exports sample, and the fixed step of
+#: ``locate_lane_events``; in ``locate_event`` it only bounds the first
+#: trial step.
 MAX_STEP = 1e-2
 
 #: The width, in time, to which an event crossing is localized.
@@ -538,33 +542,39 @@ def locate_event(
     return None
 
 
-def locate_lane_events(rhs: Rhs, Y: np.ndarray, t1: float, n_steps: int, event: Event,
-                       lane_event: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """The first zero of ``event`` on each lane over (0, t1] at the fixed step
-    t1 / n_steps, NaN on a lane with none (see the module docstring).
+def locate_lane_events(rhs: Rhs, Y: np.ndarray, t1: float, event: Event) -> np.ndarray:
+    """The first zero of ``event`` on each lane over (0, t1], NaN on a lane
+    with none (see the module docstring).
 
-    Y is a (d, n) block of initial states, one lane per column; ``rhs([Y])``
-    returns the slope as ``(K,)``, a block like Y, and ``lane_event(Y)`` is
-    ``event`` on every column. The event must be nonzero at the start.
+    Every lane steps at MAX_STEP, for ceil(t1 / MAX_STEP) steps, so a hit
+    does not depend on t1; a zero past t1, in a last step that ends beyond
+    it, counts as none. Y is a (d, n) block of initial states, one lane per
+    column; ``rhs([Y])`` returns the slope as ``(K,)``, a block like Y.
+    ``event`` takes a block, returning its value on every column, and the
+    list of one lane's state; it must be nonzero at the start. A step count
+    that is not finite raises ValueError.
     """
+    h = MAX_STEP
+    n_steps = t1 / h
+    if not math.isfinite(n_steps):
+        raise ValueError(f"the step count of the span's end {t1!r} at MAX_STEP = {MAX_STEP!r} is not finite")
     ids = np.arange(Y.shape[1])
     hit_times = np.full(ids.size, np.nan)
-    h = t1 / n_steps
     dt = _RATE_DT * h
 
     def rate(y, k):  # ``_rate`` on every lane: one central difference on the block
-        return (lane_event(y + dt * k) - lane_event(y - dt * k)) / (2.0 * dt)
+        return (event(y + dt * k) - event(y - dt * k)) / (2.0 * dt)
 
     with np.errstate(all="ignore"):
         (k1,) = rhs([Y])
-        e_a, r_a = lane_event(Y), rate(Y, k1)
-        for i in range(n_steps):
+        e_a, r_a = event(Y), rate(Y, k1)
+        for i in range(math.ceil(n_steps)):
             if not ids.size:
                 break
             t_a, t_b = i * h, (i + 1) * h
             (y_b,), K, (err,) = _dp5_step(rhs, [Y], (k1,), h)
             (k_b,) = K[-1]
-            e_b, r_b = lane_event(y_b), rate(y_b, k_b)
+            e_b, r_b = event(y_b), rate(y_b, k_b)
             retired = ~(np.isfinite(y_b).all(axis=0) & (np.abs(err) <= h).all(axis=0))
             flagged = (e_b == 0.0) | ((e_b > 0.0) != (e_a > 0.0)) | (
                 (r_b * e_b > 0.0) & (r_a * e_a < 0.0) & ~_graze_ruled_out(e_a, r_a, e_b, r_b, h)
@@ -572,9 +582,11 @@ def locate_lane_events(rhs: Rhs, Y: np.ndarray, t1: float, n_steps: int, event: 
             for j in np.flatnonzero(flagged & ~retired):
                 ya, yb = Y[:, j].tolist(), y_b[:, j].tolist()
                 Kj = [k[:, j].tolist() for (k,) in K]
-                found = _crossing(event, t_a, ya, event(ya), t_b, yb, event(yb), Kj, h)
+                found = _crossing(event, t_a, ya, e_a[j], t_b, yb, e_b[j], Kj, h)
                 if found is not None:
-                    hit_times[ids[j]], retired[j] = found[0], True
+                    retired[j] = True
+                    if found[0] <= t1:
+                        hit_times[ids[j]] = found[0]
             keep = ~retired
             if not keep.all():
                 y_b, k_b = y_b[:, keep], k_b[:, keep]

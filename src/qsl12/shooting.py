@@ -282,16 +282,14 @@ def _lanes(costate_range: tuple[float, float],
 
 
 def _scan_lanes(lphi0: np.ndarray, ltheta0: np.ndarray, cfg: ShotConfig) -> np.ndarray:
-    """Hit times of the lanes from the unit costates (lphi0, ltheta0), one
-    (4, n) block run by ``ode.locate_lane_events`` on the shots' event at
-    the fixed step horizon / ceil(horizon / ode.MAX_STEP), which no knob
-    sets. On unit-norm lanes the retirement of a lane does not depend on the
-    costates' scale."""
+    """Hit times of the lanes from the unit costates (lphi0, ltheta0) up to
+    the horizon: one (4, n) block run by ``ode.locate_lane_events`` on the
+    shots' event, bound to numpy's cos and sin so that it reads the block as
+    well as one lane. On unit-norm lanes the retirement of a lane does not
+    depend on the costates' scale."""
     y = np.zeros((4, lphi0.size))
     y[2], y[3] = lphi0, ltheta0
-    n_steps = math.ceil(cfg.horizon / ode.MAX_STEP)
-    return ode.locate_lane_events(lambda3.extremal_lanes, y, cfg.horizon, n_steps,
-                                  _event(cfg), _event(cfg, np.cos, np.sin))
+    return ode.locate_lane_events(lambda3.extremal_lanes, y, cfg.horizon, _event(cfg, np.cos, np.sin))
 
 
 def landscape(
@@ -304,21 +302,20 @@ def landscape(
 
     The grid is square: ``resolution`` cells along each axis, both over
     ``costate_range``. The scan integrates one unit-norm lane per lattice
-    ray, up to the two reflections, a shot on the fixed DP5 step that
-    ``ode.MAX_STEP`` sets, and gives each cell its ray's time (see the
+    ray, up to the two reflections, a shot on the fixed DP5 step of
+    ``ode.locate_lane_events``, and gives each cell its ray's time (see the
     comment above): the cells of a ray and of its mirror rays,
     (+-lambda_phi, +-lambda_theta) alike, hold the same time, which may
     differ from the cell's own shot in the trailing digits. ``workers`` is
     the number of processes (None or 0 = one per CPU), at most one per CPU
     and one per lane, over which the lanes are split; results do not depend
-    on it. A non-finite range, a resolution below 1, a horizon too long to
-    count its steps and a negative ``workers`` raise ValueError.
+    on it. A non-finite range, a resolution below 1 and a negative
+    ``workers`` raise ValueError, and so does the scan for a horizon too
+    long to count its steps.
     """
     lo, hi = costate_range
     if not math.isfinite(hi - lo):
         raise ValueError("the landscape range must have finite ends and span")
-    if not math.isfinite(cfg.horizon / ode.MAX_STEP):
-        raise ValueError("horizon / ode.MAX_STEP must be finite: the scan's step count overflows")
     if workers is not None and workers < 0:
         raise ValueError("workers must be non-negative")
     if resolution < 1:

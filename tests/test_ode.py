@@ -380,16 +380,38 @@ class TestLaneEvents:
         K[0], K[1], K[2] = 0.0, 1.0, Y[0]
         return (K,)
 
-    def test_hits_on_a_generic_block(self):
-        # the event reads row 2 only: a sign change across the first step
+    @staticmethod
+    def event(y):
+        # reads row 2 only, of a block or of one lane's list
+        return 1e-6 - (y[2] - 0.735) ** 2
+
+    def test_hits_on_a_generic_block(self, monkeypatch):
+        # 8 steps of 0.25 over 2.0: a sign change across the first step
         # (the node at t = 0.25 lands inside the window |y - 0.735| < 1e-3),
         # a graze between the nodes 0.5 and 0.75, and a lane moving away
-        event = lambda y: 1e-6 - (y[2] - 0.735) ** 2
+        monkeypatch.setattr(ode, "MAX_STEP", 0.25)
         Y = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.735 - 0.25, 0.0, 5.0]])
-        times = ode.locate_lane_events(self.drift, Y, 2.0, 8, event, event)
+        times = ode.locate_lane_events(self.drift, Y, 2.0, self.event)
         assert times[0] == pytest.approx(0.249, abs=ode.EVENT_TOL)
         assert times[1] == pytest.approx(0.734, abs=ode.EVENT_TOL)
         assert np.isnan(times[2])
+
+    def test_zero_past_the_end_reads_nan(self, monkeypatch):
+        # the lane crosses at 0.249, inside the first step [0, 0.25]: a span
+        # that ends before the zero counts it as none, and one that ends
+        # after it, anywhere, gives it bit for bit, as the step is MAX_STEP
+        monkeypatch.setattr(ode, "MAX_STEP", 0.25)
+        Y = np.array([[1.0], [0.0], [0.735 - 0.25]])
+        assert np.isnan(ode.locate_lane_events(self.drift, Y, 0.2, self.event)).all()
+        times = [ode.locate_lane_events(self.drift, Y, t1, self.event)[0] for t1 in (0.2491, 0.25, 0.3, 2.0)]
+        assert times[0] == pytest.approx(0.249, abs=ode.EVENT_TOL)
+        assert times == [times[0]] * 4
+
+    @pytest.mark.parametrize("t1", [math.inf, math.nan, 1e308])
+    def test_step_count_must_be_finite(self, t1):
+        Y = np.array([[1.0], [0.0], [0.735 - 0.25]])
+        with pytest.raises(ValueError, match="step count"):
+            ode.locate_lane_events(self.drift, Y, t1, self.event)
 
 
 class TestBrentq:

@@ -48,18 +48,31 @@ def test_no_module_reads_private_names_of_ode(path):
     assert not private, f"{path.name} reads private names of other modules: {private}"
 
 
+def _uses_outside(owner: str, name: str) -> list[str]:
+    """Where a module other than ``owner`` names ``name``, by attribute, by
+    name or by import."""
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == owner:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if ((isinstance(node, ast.Attribute) and node.attr == name)
+                    or (isinstance(node, ast.Name) and node.id == name)
+                    or (isinstance(node, ast.alias) and node.name == name)):
+                uses.append(f"{path.name} line {getattr(node, 'lineno', '?')}")
+    return uses
+
+
 def test_only_lambda3_calls_bang_control():
     # every closed loop takes its control from the extremal flow that
     # applies it (lambda3.extremal_control); bang_control is the tests'
-    # reference form, so no other module names it, by attribute, by name or
-    # by import
-    uses = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.stem == "lambda3":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if ((isinstance(node, ast.Attribute) and node.attr == "bang_control")
-                    or (isinstance(node, ast.Name) and node.id == "bang_control")
-                    or (isinstance(node, ast.alias) and node.name == "bang_control")):
-                uses.append(f"{path.name} line {getattr(node, 'lineno', '?')}")
+    # reference form, so no other module names it
+    uses = _uses_outside("lambda3", "bang_control")
     assert not uses, f"modules other than lambda3 use bang_control: {uses}"
+
+
+def test_only_ode_reads_max_step():
+    # ode decides every step: the cap of its adaptive integrations and the
+    # fixed step of its lanes, so no other module names MAX_STEP
+    uses = _uses_outside("ode", "MAX_STEP")
+    assert not uses, f"modules other than ode use MAX_STEP: {uses}"

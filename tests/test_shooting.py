@@ -271,6 +271,27 @@ class TestLandscape:
         assert hits.any() and np.array_equal(np.isfinite(row), hits)
         assert np.median(np.abs(row[hits] - shots[hits])) <= 1e-7
 
+    def test_every_lane_hits_where_its_shot_hits(self, cfg005, grid12):
+        # the 29 lanes of the 12x12 grid over +-2, each against the shot at
+        # its unit costates: the same lanes hit
+        lphi0, ltheta0, cell_lane = shooting._lanes((-2.0, 2.0), grid12.axis)
+        lane_times = np.full(lphi0.size, np.nan)
+        lane_times[cell_lane] = grid12.times.ravel()
+        shots = np.array([shooting.shoot_info(a, b, cfg005)[0] for a, b in zip(lphi0, ltheta0)], dtype=float)
+        assert lphi0.size == 29 and np.isfinite(shots).sum() == 14
+        assert np.array_equal(np.isfinite(lane_times), np.isfinite(shots))
+
+    def test_hit_times_do_not_depend_on_the_horizon(self, cfg005, grid12):
+        # the lanes step at ode.MAX_STEP whatever the horizon, so every hit
+        # up to the horizon, in the last step too, is the horizon-15 grid's,
+        # bit for bit, and no hit lies past the horizon
+        for horizon in (14.999, 12.345):
+            times = shooting.landscape((-2.0, 2.0), 12, replace(cfg005, horizon=horizon), workers=1).times
+            early = (times <= horizon) | (grid12.times <= horizon)
+            assert early.sum() >= 28
+            assert np.array_equal(times[early], grid12.times[early])
+            assert not (times > horizon).any()
+
     def test_tangent_screen_only_skips_work(self, cfg005, monkeypatch):
         screened = shooting.landscape((-2.0, 2.0), 12, cfg005, workers=1)
         monkeypatch.setattr(shooting.ode, "GRAZE_MARGIN", math.inf)
@@ -320,9 +341,9 @@ class TestLandscape:
         lphi0, ltheta0, _ = shooting._lanes((-3.0, 3.0), axis)
         Y = np.zeros((4, lphi0.size)).view(Counted)
         Y[2], Y[3] = lphi0, ltheta0
-        event, lane_event = shooting._event(cfg002), shooting._event(cfg002, np.cos, np.sin)
-        # a horizon of 7.5 in 750 steps runs past the first hits, near 7.40
-        times = shooting.ode.locate_lane_events(lambda3.extremal_lanes, Y, 7.5, 750, event, lane_event)
+        event = shooting._event(cfg002, np.cos, np.sin)
+        # a span of 7.5, 750 steps, runs past the first hits, near 7.40
+        times = shooting.ode.locate_lane_events(lambda3.extremal_lanes, Y, 7.5, event)
         assert np.isfinite(times).any() and steps == 750
         assert blocks == {Counted}  # so no step goes uncounted
         assert Counted.calls / steps <= 517
