@@ -323,5 +323,5 @@ def area_divergence_check(eps_values, cfg: shooting.ShotConfig) -> np.ndarray:
     eps_values = np.asarray(list(eps_values), dtype=float)
     optima = shooting.optima_along_eps(eps_values, cfg, shooting.START_RAY[0])
     paths = (shooting.extremal(opt, cfg) for opt in optima)
-    areas = [np.trapezoid(np.abs(pulses[:, 0]) / _SQRT2, path.times) for path, pulses in paths]
+    areas = [np.trapezoid(np.abs(map_pulses(*pulses.T)[0]), path.times) for path, pulses in paths]
     return np.column_stack([eps_values, areas, [opt.fallback is not None for opt in optima]])

@@ -179,16 +179,13 @@ def _extremal_flow(cos, sin, sqrt, checked: bool, control: bool = False):
 
         Its control is the bang control, the unit vector along (H1, H2); the
         terms are those of angle_rhs/costate_rhs under :func:`bang_control`,
-        as the tests check. A checked flow takes one state, a list of four
-        floats, and returns its slope as a 4-tuple, or with ``control`` the
-        pair (slope, (Omega_p, Omega_s)); it raises PhiSingularity and
-        SwitchingDegeneracy as those functions do. An unchecked flow takes
-        lanes, a one-element list holding a (4, n) block with one row per
-        component, and returns the slope as a one-element tuple holding a
-        block of the same shape and array type, non-finite where a checked flow raises.
+        as the tests check. The flow takes the state's four components,
+        Python floats or the rows of a (4, n) block of lanes, and returns
+        the slope's four components of the same kind, or with ``control``
+        the pair (slope, (Omega_p, Omega_s)). A checked flow raises
+        PhiSingularity and SwitchingDegeneracy as those functions do; an
+        unchecked one is non-finite there instead.
         """
-        if not checked:
-            (y,) = y
         phi, theta, lphi, ltheta = y
         cph = cos(phi)
         if checked:
@@ -217,13 +214,8 @@ def _extremal_flow(cos, sin, sqrt, checked: bool, control: bool = False):
         dltheta = lphi * (2.0 * op * cph * sth * cth * _INV_SQRT2 + hos_c) + ltheta * (
             hos_s * tph - op * (cth2 - sth * sth) * sph * _INV_SQRT2
         )
-        if control:
-            return (dphi, dtheta, dlphi, dltheta), (op, os_)
-        if checked:
-            return dphi, dtheta, dlphi, dltheta
-        slope = np.empty_like(y)
-        slope[0], slope[1], slope[2], slope[3] = dphi, dtheta, dlphi, dltheta
-        return (slope,)
+        slope = dphi, dtheta, dlphi, dltheta
+        return (slope, (op, os_)) if control else slope
 
     return flow
 
@@ -234,8 +226,8 @@ extremal_rhs = _extremal_flow(math.cos, math.sin, math.sqrt, checked=True)
 #: The same, returning ``(slope, (Omega_p, Omega_s))``: ``extremal_rhs``'s
 #: slope bit for bit, and the control it applied, for the oracles and exports.
 extremal_control = _extremal_flow(math.cos, math.sin, math.sqrt, checked=True, control=True)
-#: Lanes, unchecked: ``y`` is ``[Y]``, a (4, n) block with one lane per
-#: column; the slope is ``(K,)``, a block of the same shape.
+#: Lanes, unchecked: ``y`` is a (4, n) block with one lane per column, and
+#: the slope is four rows of n; ``ode`` packs them into one block.
 extremal_lanes = _extremal_flow(np.cos, np.sin, np.sqrt, checked=False)
 
 

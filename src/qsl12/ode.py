@@ -33,16 +33,17 @@ use. On the 4-component extremal state one step and its error norm take
 ``locate_lane_events`` runs n states side by side as *lanes* at the fixed
 step ``MAX_STEP``, up to the first node at or past the end of the span, so
 the steps, and with them every hit, do not depend on where the span ends;
-a zero past the end counts as none. ``_dp5_step`` steps the one-element
-state ``[Y]``, Y a (d, n) block with one lane per column, so each stage
-sum is one numpy expression on the whole block, with the same operations
-per element in the same order. One event reads both the block and one
-lane's list. A numpy screen on the block (a sign change, or the graze
-conditions and the tangent screen on rates from one central difference)
-flags the lanes that ``_crossing`` decides, one column at a time. A lane
-retires at its hit, and with none at a non-finite state or an error
-estimate above the step: a fixed step can step over a singularity of the
-flow to a hit no adaptive search has.
+a zero past the end counts as none. The rhs takes Y, a (d, n) block with
+one lane per column, and returns the slope's d components; only this
+function packs them into a block like Y, the one-element state ``[Y]`` of
+``_dp5_step``, so each stage sum is one numpy expression on the whole
+block, with the same operations per element in the same order. One event
+reads both the block and one lane's list. A numpy screen on the block (a
+sign change, or the graze conditions and the tangent screen on rates from
+one central difference) flags the lanes that ``_crossing`` decides, one
+column at a time. A lane retires at its hit, and with none at a non-finite
+state or an error estimate above the step: a fixed step can step over a
+singularity of the flow to a hit no adaptive search has.
 
 The flows are autonomous, and the state crosses into caller code as a list:
 ``rhs(y)`` and ``event(y)`` receive a list of Python floats (or complex
@@ -542,14 +543,14 @@ def locate_event(
     return None
 
 
-def locate_lane_events(rhs: Rhs, Y: np.ndarray, t1: float, event: Event) -> np.ndarray:
+def locate_lane_events(rhs: Callable[[np.ndarray], Sequence], Y: np.ndarray, t1: float, event: Event) -> np.ndarray:
     """The first zero of ``event`` on each lane over (0, t1], NaN on a lane
     with none (see the module docstring).
 
     Every lane steps at MAX_STEP, for ceil(t1 / MAX_STEP) steps, so a hit
     does not depend on t1; a zero past t1, in a last step that ends beyond
     it, counts as none. Y is a (d, n) block of initial states, one lane per
-    column; ``rhs([Y])`` returns the slope as ``(K,)``, a block like Y.
+    column; ``rhs(Y)`` returns the slope's d components, rows or scalars.
     ``event`` takes a block, returning its value on every column, and the
     list of one lane's state; it must be nonzero at the start. A step count
     that is not finite raises ValueError.
@@ -562,17 +563,23 @@ def locate_lane_events(rhs: Rhs, Y: np.ndarray, t1: float, event: Event) -> np.n
     hit_times = np.full(ids.size, np.nan)
     dt = _RATE_DT * h
 
+    def block_rhs(state):  # the rhs of the one-element state [Y]: the slope packed into a block like Y
+        k = np.empty_like(state[0])
+        for row, component in enumerate(_slope(rhs, state[0])):
+            k[row] = component
+        return (k,)
+
     def rate(y, k):  # ``_rate`` on every lane: one central difference on the block
         return (event(y + dt * k) - event(y - dt * k)) / (2.0 * dt)
 
     with np.errstate(all="ignore"):
-        (k1,) = rhs([Y])
+        (k1,) = block_rhs([Y])
         e_a, r_a = event(Y), rate(Y, k1)
         for i in range(math.ceil(n_steps)):
             if not ids.size:
                 break
             t_a, t_b = i * h, (i + 1) * h
-            (y_b,), K, (err,) = _dp5_step(rhs, [Y], (k1,), h)
+            (y_b,), K, (err,) = _dp5_step(block_rhs, [Y], (k1,), h)
             (k_b,) = K[-1]
             e_b, r_b = event(y_b), rate(y_b, k_b)
             retired = ~(np.isfinite(y_b).all(axis=0) & (np.abs(err) <= h).all(axis=0))

@@ -310,8 +310,8 @@ def landscape(
     the number of processes (None or 0 = one per CPU), at most one per CPU
     and one per lane, over which the lanes are split; results do not depend
     on it. A non-finite range, a resolution below 1 and a negative
-    ``workers`` raise ValueError, and so does the scan for a horizon too
-    long to count its steps.
+    ``workers`` raise ValueError, and so does the scan, before any process
+    starts, for a horizon too long to count its steps.
     """
     lo, hi = costate_range
     if not math.isfinite(hi - lo):
@@ -328,6 +328,7 @@ def landscape(
     if workers == 1:
         lane_times = _scan_lanes(lphi0, ltheta0, cfg)
     else:
+        _scan_lanes(lphi0[:0], ltheta0[:0], cfg)  # no lanes: raises for the horizon before any fork
         jobs = [(a, b, cfg) for a, b in zip(np.array_split(lphi0, workers), np.array_split(ltheta0, workers))]
         with get_context("fork").Pool(processes=workers) as pool:
             lane_times = np.concatenate(pool.starmap(_scan_lanes, jobs))

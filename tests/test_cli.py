@@ -99,6 +99,17 @@ class TestTwoLevel:
         areas = [row[0] for row in payload["rows"]]
         assert areas == [0.0, 0.25, 0.5, 0.75, 1.0]
 
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        # a data file is written to a temporary file and renamed over the
+        # target; a failed rename re-raises and removes the temporary file
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            cli._write_atomic(tmp_path / "two_level_curve.csv", "1,2\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_simulate_with_kerr(self, tmp_path, capsys):
         code, _ = run(capsys, "--out", str(tmp_path), "two-level", "simulate",
                       "--eps", "0.02", "--kerr", "0.3,-0.2,0.4")
@@ -432,6 +443,7 @@ class TestParsing:
         ["three-level", "optimize", "--eps", "0.002", "--guess", "0"],
         ["three-level", "optimize", "--eps", "0.002", "--guess", "5e-324"],
         ["three-level", "optimize", "--eps", "0.002", "--guess=1.7e308"],
+        ["three-level", "landscape", "--eps", "0.1", "--res", "0"],
     ])
     def test_bad_curve_grid_exits_2(self, tmp_path, capsys, flags):
         # the grid flags of a curve or a landscape, a non-finite or overflowing

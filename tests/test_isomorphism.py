@@ -134,6 +134,14 @@ class TestCrossCheck:
         assert result.quadrature_deviation > iso.QUADRATURE_TOL
         assert not result.passed
 
+    def test_default_costates_are_the_refined_optimum(self, cfg002):
+        # without costates the check runs at the optimum refined from
+        # START_RAY, and its hit time is that optimum's, bit for bit
+        opt = shooting.refine(*shooting.START_RAY, cfg002)
+        result = iso.cross_check(cfg002)
+        assert result == iso.cross_check(cfg002, costates=(opt.lphi_i, opt.ltheta_i))
+        assert result.hit_time == opt.t_min
+
     def test_bang_control_budget(self, cfg002, monkeypatch):
         # one extremal flow per rhs evaluation of the run, which makes one
         # amplitude-flow call each and takes the control from that flow; the
@@ -204,3 +212,16 @@ class TestAreaDivergence:
         # branch leaves a kink far off the line
         residual = table[:, 1] - np.polyval(fit, np.log(table[:, 0]))
         assert np.abs(residual).max() <= 0.05
+
+    def test_pump_coupling_comes_from_map_pulses(self, cfg002, monkeypatch):
+        # the area integrates the P of map_pulses: halving it halves the area
+        eps_values = [0.1]
+        area = iso.area_divergence_check(eps_values, cfg002)[0, 1]
+        map_pulses = iso.map_pulses
+
+        def half_pump(op, os_):
+            p, s = map_pulses(op, os_)
+            return 0.5 * p, s
+
+        monkeypatch.setattr(iso, "map_pulses", half_pump)
+        assert iso.area_divergence_check(eps_values, cfg002)[0, 1] == 0.5 * area

@@ -242,16 +242,16 @@ class TestExtremalRhs:
 
     def test_lane_binding_matches_scalar(self):
         # one source bound to numpy's cos/sin/sqrt on lanes and to math's per
-        # state; the lanes are one (4, n) block in and one out
+        # state, with one contract: the lanes are a bare (4, n) block in and
+        # the slope's four components, rows of n, out
         states = np.column_stack([
             RNG.uniform(-1.5, 1.5, 500), RNG.uniform(-3.0, 3.0, 500), RNG.uniform(-5.0, 5.0, (500, 2)),
         ])
-        slope = lambda3.extremal_lanes([states.T])
-        assert type(slope) is tuple and len(slope) == 1
-        (block,) = slope
-        assert type(block) is np.ndarray and block.dtype == float and block.shape == (4, 500)
+        slope = lambda3.extremal_lanes(states.T)
+        assert type(slope) is tuple and len(slope) == 4
+        assert all(type(row) is np.ndarray and row.dtype == float and row.shape == (500,) for row in slope)
         scalar = np.array([lambda3.extremal_rhs(y) for y in states.tolist()])
-        np.testing.assert_array_max_ulp(block, scalar.T, maxulp=4)
+        np.testing.assert_array_max_ulp(np.array(slope), scalar.T, maxulp=4)
 
     def test_parity_of_extremals(self):
         y0 = np.array([0.0, 0.0, 1.85, 0.45266])

@@ -373,12 +373,11 @@ class TestLocateEvent:
 
 class TestLaneEvents:
     @staticmethod
-    def drift(state):
-        # row 0 is each lane's speed, row 1 a clock, row 2 moves at row 0
-        (Y,) = state
-        K = np.empty_like(Y)
-        K[0], K[1], K[2] = 0.0, 1.0, Y[0]
-        return (K,)
+    def drift(Y):
+        # row 0 is each lane's speed, row 1 a clock, row 2 moves at row 0;
+        # the rhs takes the bare block and returns its three components
+        assert type(Y) is np.ndarray and Y.shape[0] == 3 and Y.ndim == 2
+        return 0.0, 1.0, Y[0]
 
     @staticmethod
     def event(y):
@@ -406,6 +405,11 @@ class TestLaneEvents:
         times = [ode.locate_lane_events(self.drift, Y, t1, self.event)[0] for t1 in (0.2491, 0.25, 0.3, 2.0)]
         assert times[0] == pytest.approx(0.249, abs=ode.EVENT_TOL)
         assert times == [times[0]] * 4
+
+    def test_rhs_components_are_counted(self):
+        Y = np.array([[1.0], [0.0], [0.735 - 0.25]])
+        with pytest.raises(ValueError, match="rhs returned 2 components for a state of 3"):
+            ode.locate_lane_events(lambda Y: self.drift(Y)[:2], Y, 2.0, self.event)
 
     @pytest.mark.parametrize("t1", [math.inf, math.nan, 1e308])
     def test_step_count_must_be_finite(self, t1):

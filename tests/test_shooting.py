@@ -166,15 +166,10 @@ class TestLandscape:
         with pytest.raises(ValueError, match="axis.size"):
             shooting.LandscapeGrid(np.arange(3.0), np.ones((3, 2)))
 
-    @pytest.mark.parametrize("cpus", [3, 5000])
-    def test_workers_capped_at_cpu_count(self, cfg005, monkeypatch, cpus):
+    @staticmethod
+    def _fake_pool(monkeypatch, cpus: int) -> list[int]:
         # a fake pool records its process count and runs the jobs here, so
-        # no process is started; one job per lane runs one lane over the
-        # whole horizon, so the grid is small (7 lanes) and its fixed step
-        # coarse, against a serial scan of the same grid
-        monkeypatch.setattr(shooting.ode, "MAX_STEP", 0.05)
-        serial = shooting.landscape((-2.0, 2.0), 6, cfg005, workers=1)
-        assert np.isfinite(serial.times).any()
+        # no process is started; os.cpu_count reads ``cpus``
         counts = []
 
         class Pool:
@@ -192,11 +187,31 @@ class TestLandscape:
 
         monkeypatch.setattr(shooting, "get_context", lambda method: SimpleNamespace(Pool=Pool))
         monkeypatch.setattr(shooting.os, "cpu_count", lambda: cpus)
+        return counts
+
+    @pytest.mark.parametrize("cpus", [3, 5000])
+    def test_workers_capped_at_cpu_count(self, cfg005, monkeypatch, cpus):
+        # one job per lane runs one lane over the whole horizon, so the grid
+        # is small (7 lanes) and its fixed step coarse, against a serial scan
+        # of the same grid
+        monkeypatch.setattr(shooting.ode, "MAX_STEP", 0.05)
+        serial = shooting.landscape((-2.0, 2.0), 6, cfg005, workers=1)
+        assert np.isfinite(serial.times).any()
+        counts = self._fake_pool(monkeypatch, cpus)
         lanes = shooting._lanes((-2.0, 2.0), serial.axis)[0].size
         assert lanes == 7
         grid = shooting.landscape((-2.0, 2.0), 6, cfg005, workers=5000)
         assert counts == [min(cpus, lanes)]
         assert np.array_equal(grid.times, serial.times, equal_nan=True)
+
+    def test_overflowing_horizon_raises_before_any_fork(self, cfg005, monkeypatch):
+        # the 3x3 grid over +-2 has 4 lanes, so two workers would fork two
+        # processes; the step count overflows in the parent, before the pool
+        counts = self._fake_pool(monkeypatch, 2)
+        assert shooting._lanes((-2.0, 2.0), np.linspace(-2.0, 2.0, 3))[0].size == 4
+        with pytest.raises(ValueError, match="step count"):
+            shooting.landscape((-2.0, 2.0), 3, replace(cfg005, horizon=1e308), workers=2)
+        assert counts == []
 
     @staticmethod
     def _first_lane_width(grid_args, monkeypatch) -> int:
@@ -645,6 +660,23 @@ class TestRefine:
             monkeypatch.setattr(shooting, "shoot_info", landscape)
             with pytest.raises(shooting.NoConvergence, match="no valid bracket, the residual is not > 0 left"):
                 shooting.refine(1.85, 0.7, ShotConfig(eps=0.005))
+
+    def test_failed_root_search_raises_no_convergence(self, monkeypatch):
+        # the residual changes sign at ltheta_i 0.5, and the root search's
+        # brentq fails; only the search's calls fail, as a shot's event rule
+        # calls the same function
+        monkeypatch.setattr(shooting, "shoot_info", lambda lphi_i, ltheta_i, cfg, stop=math.inf: (
+            7.0, "hit", 0.5 if ltheta_i < 0.5 else -0.5))
+        brentq = shooting.ode.brentq
+
+        def failing(f, *args, **kwargs):
+            if isinstance(getattr(f, "__self__", None), shooting._RootSearch):
+                raise RuntimeError("Failed to converge after 100 iterations.")
+            return brentq(f, *args, **kwargs)
+
+        monkeypatch.setattr(shooting.ode, "brentq", failing)
+        with pytest.raises(shooting.NoConvergence, match=r"eps 0\.005 near ltheta_i ~ 0\.7: Failed to converge"):
+            shooting.refine(1.85, 0.7, ShotConfig(eps=0.005))
 
     def test_failure_names_eps_and_horizon(self):
         # the last point of a continuation that runs out of horizon
