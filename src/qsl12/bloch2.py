@@ -63,8 +63,8 @@ class KerrParams:
     The cross term is symmetric, so a single ``l12`` field covers both
     off-diagonal entries. ``lambda_s`` scales the intensity-dependent part
     of the effective detuning and ``lambda_a`` its static part. The fields
-    are stored as Python floats, so the rhs runs on float arithmetic, and
-    must be finite.
+    are Python floats, so the rhs runs on float arithmetic; they and the
+    shifts lambda_s, lambda_a and lambda_a - lambda_s must be finite.
     """
 
     l11: float = 0.0
@@ -77,6 +77,8 @@ class KerrParams:
             if not math.isfinite(value):
                 raise ValueError(f"Kerr parameter {name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
+        if not math.isfinite(self.lambda_a - self.lambda_s):  # not finite unless both shifts are
+            raise ValueError(f"Kerr parameters (l11, l12, l22) = {(self.l11, self.l12, self.l22)!r} give a non-finite shift")
 
     @property
     def lambda_s(self) -> float:

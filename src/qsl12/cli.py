@@ -291,8 +291,9 @@ def _cmd_iso_check(args) -> int:
 def _cmd_iso_areadiv(args) -> int:
     eps_values = _numbers("--eps-list", args.eps_list)
     table = isomorphism.area_divergence_check(eps_values, _shot_config(args, eps_values[0]))
-    order = np.argsort(table[:, 0])[::-1]
-    monotone = bool(np.all(np.diff(table[order, 1]) > 0.0))
+    eps, areas = table[np.argsort(table[:, 0])[::-1], :2].T
+    distinct = np.diff(eps, prepend=math.inf) != 0.0  # a twin eps holds a copy of its twin's area
+    monotone = bool(np.all(np.diff(areas[distinct]) > 0.0))
     print(f"strictly_increasing_as_eps_decreases = {monotone}")
     _export(args, "iso_area_divergence", ["eps", "pump_area"], table[:, :2],
             results={"fallbacks": int(table[:, 2].sum())})

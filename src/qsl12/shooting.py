@@ -348,34 +348,52 @@ SCAN_TOL = 1e-6
 
 
 class _RootSearch:
-    """The shots of one root search over the initial lambda_theta at fixed
-    lambda_phi, from the guess or prediction ``near``: memoised by
-    lambda_theta, a stopped shot shot again only for a later stop, and read
-    as the transversality residual oriented by the ray's quadrant. Shared by
-    ``refine`` and the continuation's corrector (see ``refine``)."""
+    """One root search over the initial lambda_theta at fixed lambda_phi,
+    from the guess or prediction ``near``, and its record: a memo of final
+    shots, each at ``fastest``, which only falls, read as the residual
+    oriented by the ray's quadrant; its hit of least |residual| is the
+    optimum. Shared by ``refine``, which scans first, and the corrector."""
 
     def __init__(self, lphi_i: float, near: float, cfg: ShotConfig):
         self.lphi_i, self.near, self.cfg = lphi_i, near, cfg
         self.orientation = math.copysign(1.0, lphi_i * near)
-        self.memo: dict[float, tuple[float | None, str, float | None, float]] = {}
+        self.memo: dict[float, tuple[float | None, str, float | None]] = {}
         self.fastest = math.inf  # the fastest hit left of the root
-        self.searched: list[tuple[float, float, float]] = []  # (|residual|, x, t) of each hit
 
-    def shot(self, x, stop: float) -> tuple[float | None, str, float | None]:
+    def scan(self, probes: np.ndarray, tol: float) -> int:
+        """The index of the fastest probe, each shot unmemoised at ``tol`` and
+        stopped at the fastest hit of the probes before it. When no probe
+        hits, NoFeasiblePoint tallies why, at ``tol``, screened if not the
+        configured one."""
+        cfg = replace(self.cfg, tol=tol)
+        times, reasons = [], []
+        for p in probes:
+            t, reason, _ = shoot_info(self.lphi_i, float(p), cfg, min(times, default=math.inf))
+            times.append(math.inf if t is None else t)
+            reasons.append(reason)
+        best = int(np.argmin(times))
+        if math.isinf(times[best]):
+            tally = ", ".join(f"{n} {why}" for why, n in Counter(reasons).most_common())
+            raise NoFeasiblePoint(
+                f"no transfer within the horizon {cfg.horizon!r} at eps {cfg.eps!r} near ltheta_i ~"
+                f" {self.near!r} (the {len(probes)} probes{', screened' if tol != self.cfg.tol else ''} at tol"
+                f" {tol!r}: {tally})"
+            )
+        return best
+
+    def shot(self, x) -> tuple[float | None, str, float | None]:
         x = float(x)
-        memo = self.memo
-        if x not in memo or memo[x][1] == "beyond-bound" and memo[x][3] < stop:
-            memo[x] = (*shoot_info(self.lphi_i, x, self.cfg, stop), stop)
-        return memo[x][:3]
+        if x not in self.memo:
+            self.memo[x] = shoot_info(self.lphi_i, x, self.cfg, self.fastest)
+        return self.memo[x]
 
     def residual(self, x) -> float:
-        t, _, s = self.shot(x, self.fastest)
+        t, _, s = self.shot(x)
         if t is None:
             return -1.0
         s *= self.orientation
         if s > 0.0:
             self.fastest = min(self.fastest, t)
-        self.searched.append((abs(s), float(x), t))
         return s
 
     def failure(self, why: str) -> NoConvergence:
@@ -389,7 +407,7 @@ class _RootSearch:
         point(0), among the points point(j), lo <= j <= 0 <= hi, that rise
         with j: the walk steps right while the residual is > 0 and left while
         it is not, and ``ode.brentq`` narrows the first sign change to
-        REFINE_XTOL (relative). The optimum is the evaluated shot with the
+        REFINE_XTOL (relative). The optimum is the memo's hit with the
         smallest |residual|. No sign change within the walk, or a failed
         brentq, raises NoConvergence."""
         k = 0
@@ -409,29 +427,8 @@ class _RootSearch:
             ode.brentq(self.residual, point(k - 1), point(k), rtol=REFINE_XTOL)
         except RuntimeError as exc:
             raise self.failure(str(exc)) from None
-        _, ltheta_i, t_min = min(self.searched)
+        _, ltheta_i, t_min = min((abs(s), x, t) for x, (t, _, s) in self.memo.items() if t is not None)
         return Optimum(self.lphi_i, ltheta_i, t_min)
-
-
-def _scan(shot, probes: np.ndarray, ltheta_guess: float, cfg: ShotConfig, screened: bool) -> int:
-    """The index of the fastest probe, each shot by ``shot(x, stop)`` with the
-    stop at the fastest hit of the probes before it. When no probe hits,
-    NoFeasiblePoint tallies why, with the tolerance the probes ran at, the
-    one of ``cfg``, and whether that was ``refine``'s screen."""
-    times, reasons = [], []
-    for p in probes:
-        t, reason, _ = shot(p, min(times, default=math.inf))
-        times.append(math.inf if t is None else t)
-        reasons.append(reason)
-    best = int(np.argmin(times))
-    if math.isinf(times[best]):
-        tally = ", ".join(f"{n} {why}" for why, n in Counter(reasons).most_common())
-        raise NoFeasiblePoint(
-            f"no transfer within the horizon {cfg.horizon!r} at eps {cfg.eps!r} near ltheta_i ~"
-            f" {ltheta_guess!r} (the {len(probes)} probes{', screened' if screened else ''} at tol"
-            f" {cfg.tol!r}: {tally})"
-        )
-    return best
 
 
 def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
@@ -463,8 +460,8 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     counts as +inf: its true time is no less, so it cannot be the fastest.
     Each later shot stops at the fastest hit with a residual > 0, and a shot
     that stops or misses reads -1: it lies past the optimum, which is faster
-    still. A stopped shot is shot again only for a later stop. The optimum
-    is the costates and hit time of the evaluated shot with the smallest
+    still. The search shoots each point once: its stop only falls. The
+    optimum is the costates and hit time of the memo's hit with the smallest
     |residual|: it costs no further integration. Non-finite costates, and a
     guess whose probes coincide (a zero or subnormal guess) or whose probes
     or walk overflow, raise ValueError before the first shot; when no probe
@@ -480,10 +477,9 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
         raise ValueError(f"costates must be finite, and the guess must give {probes.size} distinct probes"
                          f" and a finite walk, got ({lphi_i!r}, {ltheta_guess!r})")
     search = _RootSearch(lphi_i, ltheta_guess, cfg)
-    screen = replace(cfg, tol=max(cfg.tol, SCAN_TOL))
-    best = _scan(lambda x, stop: shoot_info(lphi_i, float(x), screen, stop), probes, ltheta_guess, screen, screen != cfg)
-    if search.shot(probes[best], math.inf)[0] is None:
-        best = _scan(search.shot, probes, ltheta_guess, cfg, False)
+    best = search.scan(probes, max(cfg.tol, SCAN_TOL))
+    if search.shot(probes[best])[0] is None:
+        best = search.scan(probes, cfg.tol)
     return search.root(lambda j: ladder[best + j], -min(best, 1), ladder.size - 1 - best)
 
 

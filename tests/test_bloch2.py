@@ -65,6 +65,14 @@ class TestDetunings:
             with pytest.raises(ValueError):
                 bloch2.KerrParams(*fields)
 
+    @pytest.mark.parametrize("fields", [(1e308, 0.0, 0.0), (0.0, 1e308, 0.0), (0.0, -1.7e308, 0.0),
+                                        (1e308, 0.0, -1e308)])
+    def test_kerr_shifts_must_be_finite(self, fields):
+        # finite fields whose shifts overflow: the lock detuning would be
+        # nan or infinite
+        with pytest.raises(ValueError, match=r"Kerr parameters \(l11, l12, l22\)"):
+            bloch2.KerrParams(*fields)
+
     def test_effective_detuning_trivial(self):
         assert bloch2.effective_detuning(0.0, 0.3) == 0.0
         k = bloch2.KerrParams(1.0, 2.0, -3.0)

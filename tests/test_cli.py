@@ -303,6 +303,16 @@ class TestIso:
         manifest = json.loads((tmp_path / "iso_area_divergence.manifest.json").read_text())
         assert manifest["results"]["fallbacks"] == 0
 
+    def test_areadiv_judges_distinct_eps(self, tmp_path, capsys):
+        # a repeated eps gets a copy of its twin's optimum, so its area is
+        # no step of the curve
+        code, out = run(capsys, "--out", str(tmp_path), "iso", "areadiv",
+                        "--eps-list", "0.1,0.1,0.05,0.03")
+        assert code == 0
+        assert "strictly_increasing_as_eps_decreases = True" in out
+        _, data = read_csv(tmp_path / "iso_area_divergence.csv")
+        assert data[0, 1] == data[1, 1] < data[2, 1] < data[3, 1]
+
     def test_areadiv_reports_a_fallback(self, tmp_path, capsys, monkeypatch):
         # the third point is the first the corrector solves; when it fails,
         # refine solves the point and the manifest counts it
@@ -444,6 +454,7 @@ class TestParsing:
         ["three-level", "optimize", "--eps", "0.002", "--guess", "5e-324"],
         ["three-level", "optimize", "--eps", "0.002", "--guess=1.7e308"],
         ["three-level", "landscape", "--eps", "0.1", "--res", "0"],
+        ["two-level", "simulate", "--eps", "0.002", "--kerr", "1e308,0,0"],
     ])
     def test_bad_curve_grid_exits_2(self, tmp_path, capsys, flags):
         # the grid flags of a curve or a landscape, a non-finite or overflowing

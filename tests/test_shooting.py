@@ -443,20 +443,24 @@ class TestRefine:
     @pytest.mark.parametrize("eps, guess", [(0.002, 0.9), (0.005, 0.7), (0.002, 1.2)])
     def test_bounded_probes_keep_the_optimum(self, eps, guess, monkeypatch):
         # some shots stop early, yet the optimum is a full hit that meets the
-        # transversality condition
+        # transversality condition; each shot at the configured tol is final,
+        # so no lambda_theta is shot twice at it
         cfg = ShotConfig(eps=eps)
-        reasons = []
+        reasons, solved = [], []
         shoot_info = shooting.shoot_info
 
-        def recorded(*args):
-            result = shoot_info(*args)
+        def recorded(lphi_i, ltheta_i, shot_cfg, stop=math.inf):
+            result = shoot_info(lphi_i, ltheta_i, shot_cfg, stop)
             reasons.append(result[1])
+            if shot_cfg.tol == cfg.tol:
+                solved.append(ltheta_i)
             return result
 
         monkeypatch.setattr(shooting, "shoot_info", recorded)
         opt = shooting.refine(1.85, guess, cfg)
         monkeypatch.undo()
         assert "beyond-bound" in reasons
+        assert solved and len(set(solved)) == len(solved)
         t, reason, residual = shooting.shoot_info(1.85, opt.ltheta_i, cfg)
         assert (t, reason) == (opt.t_min, "hit")
         assert abs(residual) <= 1e-9
@@ -511,8 +515,9 @@ class TestRefine:
 
     def test_unconfirmed_screen_scans_again(self, monkeypatch):
         # the screen's fastest probe, right of the root, hits only at
-        # SCAN_TOL: the scan runs again at the configured tol, and the
-        # search starts from that scan's fastest probe, left of the root
+        # SCAN_TOL: the scan runs again at the configured tol, unmemoised,
+        # the unconfirmed probe among its shots, and the search starts from
+        # that scan's fastest probe, left of the root, shot once more
         def valley(x):
             return 7.0 + 400.0 * (x - 0.3) ** 2
 
@@ -532,8 +537,11 @@ class TestRefine:
         assert opt.ltheta_i == pytest.approx(0.3, abs=1e-9)
         assert shots[:13] == [(p, shooting.SCAN_TOL) for p in probes]
         assert shots[13] == (probes[2], 1e-10)
-        assert shots[14:26] == [(p, 1e-10) for p in probes if p != probes[2]]
-        assert all(tol == 1e-10 for _, tol in shots[26:])
+        assert shots[14:27] == [(p, 1e-10) for p in probes]
+        # the rescan's fastest probe, left of the root, starts the search
+        assert shots[27] == (probes[1], 1e-10) and probes[1] < 0.3 < probes[2]
+        assert all(tol == 1e-10 for _, tol in shots[28:])
+        assert len(shots) == 38
 
     def test_optimum_does_not_depend_on_the_guess(self, cfg002, opt002):
         # the root of the residual is where the guesses 0.5, 0.9 and 1.2 all
