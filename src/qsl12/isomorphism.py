@@ -15,7 +15,8 @@ pump area as one more component of its state, beside the amplitudes, and
 checks the quadrature at every accepted node. Its closed-loop extremal
 drives every representation with the one bang control it applies. The run
 is one integration: it stops at the first node off the initial pole, where
-the angle form is singular, and continues from there with the angle block.
+the angle form is singular, and continues from there with the angle block,
+both legs on the tolerance's own steps.
 
 A tempting but wrong reduction takes the Stokes coupling as
 Omega_s / sqrt(2) by analogy with the pump; it misses the extra factor from
@@ -208,13 +209,16 @@ def _oracle_run(rhs, costates: tuple[float, float], t_hit: float,
                 tol: float) -> tuple[ode.Trajectory, ode.Trajectory]:
     """One run of ``rhs``, at ``tol``, from the initial pole to the hit: (base, tail).
 
-    The run integrates the 12-component base state from 0 and stops at its
-    first node whose mapped polar angle is at least 0.01, off the pole where
-    the angle form is singular. From that node it continues to the hit with
-    the angle block appended, seeded from the counterpart amplitudes there.
-    ``tail`` is that continuation; ``base`` holds the base state at every
-    node of the run, the head's before the seed, then the tail's. Raises
-    ValueError if no node leaves the pole.
+    Both legs of the run are drawn from ``ode.nodes``, so the tolerance alone
+    sets their steps. The head draws the 12-component base state from 0 and
+    stops at its first node whose mapped polar angle is at least 0.01, off
+    the pole where the angle form is singular. From that seed node the tail
+    draws the nodes to the hit with the angle block appended, seeded from the
+    counterpart amplitudes there; its step controller starts afresh, and its
+    error norm reads the angle block too. ``tail`` is that continuation;
+    ``base`` holds the base state at every node of the run, the head's
+    before the seed, then the tail's. Raises ValueError if no node leaves
+    the pole.
     """
     y0 = [0.0, 0.0, *costates, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
     head_times, head_states = [], []
@@ -227,7 +231,8 @@ def _oracle_run(rhs, costates: tuple[float, float], t_hit: float,
     else:
         raise ValueError("trajectory never leaves the initial pole; nothing to check")
     a1, a2 = _amplitudes(seed)
-    tail = ode.integrate(rhs, [*y, *angles_from_amplitudes(a1[0], a2[0])], (t, t_hit), tol)
+    seeded = [*y, *angles_from_amplitudes(a1[0], a2[0])]
+    tail = ode.Trajectory(*zip(*ode.nodes(rhs, seeded, (t, t_hit), tol)))
     base = ode.Trajectory(
         np.concatenate([head_times, tail.times]),
         np.concatenate([np.reshape(head_states, (-1, len(y0))), tail.states[:, :len(y0)]]),
@@ -242,16 +247,17 @@ def cross_check(
 ) -> CrossCheck:
     """Integrate every representation of one time-optimal transfer side by side.
 
-    One run on the adaptive integrator at ``cfg.tol`` goes up to the hit time:
-    the closed-loop extremal, the real three-level amplitudes, the
-    counterpart two-level amplitudes and the pump area from the initial
-    pole, joined by the angle block from the first node off the pole on
-    (see ``_oracle_run``). The amplitude and quadrature deviations are taken
-    over every accepted node of the run, the angle and roundtrip deviations
-    over the nodes that carry the angle block; the quadrature oracle
-    compares ``exact_theta(A)`` with the polar angle of the mapped
-    amplitudes. Without ``costates`` the transfer is the optimum refined
-    from ``shooting.START_RAY``; non-finite costates raise ValueError, and a
+    One run on the adaptive integrator, its steps set by ``cfg.tol`` alone,
+    goes up to the hit time: the closed-loop extremal, the real three-level
+    amplitudes, the counterpart two-level amplitudes and the pump area from
+    the initial pole, joined by the angle block from the first node off the
+    pole on (see ``_oracle_run``). The amplitude and quadrature deviations
+    are taken over every accepted node of the run, the angle and roundtrip
+    deviations over the nodes that carry the angle block; the quadrature
+    oracle compares ``exact_theta(A)`` with the polar angle of the mapped
+    amplitudes. Each deviation is of the order of ``cfg.tol``. Without
+    ``costates`` the transfer is the optimum refined from
+    ``shooting.START_RAY``; non-finite costates raise ValueError, and a
     shot that misses raises NoFeasiblePoint with its reason.
     ``corrupt_mapping`` switches the Stokes reduction to the inconsistent
     Omega_s / sqrt(2) variant (negative control: the oracles must fail).
@@ -313,15 +319,20 @@ def area_divergence_check(eps_values, cfg: shooting.ShotConfig) -> np.ndarray:
     two largest eps are refined, each later one predicted from the last two
     optima and corrected by the refinement's root search. |P| is integrated
     by the trapezoid rule over each optimum's extremal
-    (``shooting.extremal``). Returns an (n, 3) array of (eps, integral of
-    |P| dt, fallback) in the input order; fallback is 1 where the point's
-    corrector failed and ``shooting.refine`` solved it instead, else 0, as
-    in ``shooting.area_curve``. The area must grow without bound as
-    eps -> 0 (the complete transfer needs infinite pump area); tests regress
-    it against ln(eps).
+    (``shooting.extremal``), once per distinct eps: a repeated eps shares its
+    twin's optimum, and so its area. Returns an (n, 3) array of (eps,
+    integral of |P| dt, fallback) in the input order; fallback is 1 where
+    the point's corrector failed and ``shooting.refine`` solved it instead,
+    else 0, as in ``shooting.area_curve``. The area must grow without bound
+    as eps -> 0 (the complete transfer needs infinite pump area); tests
+    regress it against ln(eps).
     """
     eps_values = np.asarray(list(eps_values), dtype=float)
     optima = shooting.optima_along_eps(eps_values, cfg, shooting.START_RAY[0])
-    paths = (shooting.extremal(opt, cfg) for opt in optima)
-    areas = [np.trapezoid(np.abs(map_pulses(*pulses.T)[0]), path.times) for path, pulses in paths]
-    return np.column_stack([eps_values, areas, [opt.fallback is not None for opt in optima]])
+    areas = {}
+    for eps, opt in zip(eps_values.tolist(), optima):
+        if eps not in areas:
+            path, pulses = shooting.extremal(opt, cfg)
+            areas[eps] = np.trapezoid(np.abs(map_pulses(*pulses.T)[0]), path.times)
+    rows = [areas[eps] for eps in eps_values.tolist()]
+    return np.column_stack([eps_values, rows, [opt.fallback is not None for opt in optima]])

@@ -6,23 +6,25 @@ integration runs on the embedded Dormand-Prince 5(4) pair with proportional
 step control (Hairer, Norsett & Wanner, Solving ODEs I, II.4-6).
 
 One tolerance, ``tol`` (default ``TOL``), sets the local error of every
-adaptive integration; the step cap is the constant ``MAX_STEP``, read at
-each call. ``nodes`` yields every accepted node, their spacing capped at
-``MAX_STEP``, one at a time, so a caller can stop at a node of its choice
-and continue from it; ``integrate`` is the trajectory of those nodes.
-``locate_event`` lets the tolerance alone set its steps and
-hands each accepted step to one crossing rule, ``_crossing``, which reads
-the state inside the step from the pair's free quartic continuous extension
-(dense output, II.6), built from the step's seven stages at no rhs call. A
-step brackets an event when the event changes sign across it, or when it
-*grazes* zero: both ends share a sign, the event moves toward zero at the
-left end and away from it at the right end, and at its extremum in between,
-found on the interpolant, it reaches zero. The extremum search is skipped
-when the event's tangent lines at the two ends meet more than
-``GRAZE_MARGIN`` beyond zero on the side where the step starts: a concave
-(or convex) event lies below (or above) its tangents, so it cannot graze.
-Brent's root finder, ``brentq``, then pins the crossing down to
-``EVENT_TOL`` on the interpolant.
+adaptive integration. ``nodes`` and ``locate_event`` let the tolerance
+alone set their steps, the same steps from the same start: ``nodes`` yields
+every accepted node, one at a time, so a caller can stop at a node of its
+choice and continue from it. ``integrate`` caps every step at the constant
+``MAX_STEP``, read at each call, so the trajectory it returns, which the
+exports sample, has its nodes at most ``MAX_STEP`` apart; only it and the
+lanes step at ``MAX_STEP``, which elsewhere bounds the first trial step
+alone. ``locate_event`` hands each accepted step to one crossing rule,
+``_crossing``, which reads the state inside the step from the pair's free
+quartic continuous extension (dense output, II.6), built from the step's
+seven stages at no rhs call. A step brackets an event when the event
+changes sign across it, or when it *grazes* zero: both ends share a sign,
+the event moves toward zero at the left end and away from it at the right
+end, and at its extremum in between, found on the interpolant, it reaches
+zero. The extremum search is skipped when the event's tangent lines at the
+two ends meet more than ``GRAZE_MARGIN`` beyond zero on the side where the
+step starts: a concave (or convex) event lies below (or above) its
+tangents, so it cannot graze. Brent's root finder, ``brentq``, then pins
+the crossing down to ``EVENT_TOL`` on the interpolant.
 
 The step runs on Python floats: the state and the seven stages are lists,
 and each stage sum is written out per component in the order numpy would
@@ -89,10 +91,9 @@ MIN_STEP = 1e-14
 #: part of the error scale (see ``_error_norm``).
 TOL = 1e-10
 
-#: The step cap of ``nodes`` and ``integrate``, so the spacing of the
-#: trajectory nodes that the exports sample, and the fixed step of
-#: ``locate_lane_events``; in ``locate_event`` it only bounds the first
-#: trial step.
+#: The step cap of ``integrate``, so the spacing of the trajectory nodes
+#: that the exports sample, and the fixed step of ``locate_lane_events``;
+#: in ``nodes`` and ``locate_event`` it only bounds the first trial step.
 MAX_STEP = 1e-2
 
 #: The width, in time, to which an event crossing is localized.
@@ -298,25 +299,28 @@ def nodes(rhs: Rhs, y0, t_span: tuple[float, float], tol: float = TOL) -> Iterat
     """The accepted nodes of ``dy/dt = rhs(y)`` over ``t_span``, as (t, y),
     at the local-error tolerance ``tol``.
 
-    The first node is the start; steps, and so the node spacing, are capped
-    at MAX_STEP. y is the state as a list, which the consumer must not
-    modify. The arguments, ``tol`` among them, are checked at the call; the
-    steps are taken as the nodes are drawn, and the next draw raises
-    StepUnderflow if the controller drives the step below MIN_STEP.
+    The first node is the start; the tolerance alone sets the steps, so the
+    nodes are those ``locate_event`` searches on the same arguments, bit for
+    bit. y is the state as a list, which the consumer must not modify. The
+    arguments, ``tol`` among them, are checked at the call; the steps are
+    taken as the nodes are drawn, and the next draw raises StepUnderflow if
+    the controller drives the step below MIN_STEP.
     """
     t0, t1 = _span(t_span)
-    steps = _steps(rhs, t0, _as_state(y0), t1, _check_tol(tol), MAX_STEP)
+    steps = _steps(rhs, t0, _as_state(y0), t1, _check_tol(tol))
     return ((t, y) for t, y, _, _ in steps)
 
 
 def integrate(rhs: Rhs, y0, t_span: tuple[float, float], tol: float = TOL) -> Trajectory:
-    """Integrate ``dy/dt = rhs(y)`` over ``t_span``: the trajectory of every
-    node that ``nodes`` yields. Raises StepUnderflow if the controller
-    drives the step below MIN_STEP.
+    """Integrate ``dy/dt = rhs(y)`` over ``t_span`` at the local-error
+    tolerance ``tol``, with every step capped at MAX_STEP: the trajectory of
+    the accepted nodes, at most MAX_STEP apart. Raises StepUnderflow if the
+    controller drives the step below MIN_STEP.
     """
+    t0, t1 = _span(t_span)
     times = []
     states = []
-    for t, y in nodes(rhs, y0, t_span, tol):
+    for t, y, _, _ in _steps(rhs, t0, _as_state(y0), t1, _check_tol(tol), MAX_STEP):
         times.append(t)
         states.append(y)
     return Trajectory(np.asarray(times), np.asarray(states))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -71,7 +72,8 @@ class TestIntegrate:
 
 
 class TestNodes:
-    """``nodes`` yields ``integrate``'s nodes one at a time."""
+    """``nodes`` yields the tolerance's own accepted nodes one at a time:
+    ``locate_event``'s, and ``integrate``'s once its step cap is lifted."""
 
     CASES = [
         (lambda eta: bloch2.bloch_rhs(eta, 1.0, 0.3), [0.0, 0.0, -0.5]),
@@ -79,25 +81,40 @@ class TestNodes:
     ]
 
     @pytest.mark.parametrize("rhs, y0", CASES, ids=["real", "complex"])
-    @pytest.mark.parametrize("max_step", [1e-2, 0.7])
-    def test_nodes_are_integrates_bit_for_bit(self, rhs, y0, max_step, monkeypatch):
-        monkeypatch.setattr(ode, "MAX_STEP", max_step)
+    def test_nodes_are_uncapped_integrates_bit_for_bit(self, rhs, y0, monkeypatch):
+        capped = ode.integrate(rhs, y0, (0.0, 4.0))
+        monkeypatch.setattr(ode, "MAX_STEP", math.inf)
         traj = ode.integrate(rhs, y0, (0.0, 4.0))
         times, states = zip(*ode.nodes(rhs, y0, (0.0, 4.0)))
         assert np.array_equal(np.asarray(times), traj.times)
         assert np.array_equal(np.asarray(states), traj.states)
         assert np.asarray(states).dtype == traj.states.dtype
+        # at MAX_STEP the cap binds: integrate takes more, shorter steps
+        assert len(capped.times) > len(times)
+        assert np.diff(capped.times).max() < np.diff(times).max()
+
+    def test_nodes_are_locate_events_search_nodes(self):
+        # the reference shot stores every node it searches, then the
+        # crossing, which lies inside the step to the next node
+        cfg = shooting.ShotConfig(eps=0.002)
+        y0 = [0.0, 0.0, 1.85, 0.45266]
+        hit = ode.locate_event(lambda3.extremal_rhs, y0, (0.0, cfg.horizon), shooting._event(cfg), cfg.tol)
+        searched = len(hit.trajectory.times) - 1
+        drawn = ode.nodes(lambda3.extremal_rhs, y0, (0.0, cfg.horizon), cfg.tol)
+        times, states = zip(*itertools.islice(drawn, searched + 1))
+        assert np.array_equal(times[:searched], hit.trajectory.times[:-1])
+        assert np.array_equal(states[:searched], hit.trajectory.states[:-1])
+        assert times[searched - 1] < hit.t < times[searched]
 
     @pytest.mark.parametrize("rhs, y0", CASES, ids=["real", "complex"])
     def test_a_consumer_that_stops_early_gets_the_first_nodes(self, rhs, y0):
-        traj = ode.integrate(rhs, y0, (0.0, 4.0))
+        every = list(ode.nodes(rhs, y0, (0.0, 4.0)))
         first = []
         for t, y in ode.nodes(rhs, y0, (0.0, 4.0)):
             first.append((t, y))
             if len(first) == 6:
                 break
-        assert np.array_equal([t for t, _ in first], traj.times[:6])
-        assert np.array_equal([y for _, y in first], traj.states[:6])
+        assert first == every[:6]
 
     def test_arguments_checked_at_the_call(self):
         with pytest.raises(ValueError):

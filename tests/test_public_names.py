@@ -72,7 +72,8 @@ def test_only_lambda3_calls_bang_control():
 
 
 def test_only_ode_reads_max_step():
-    # ode decides every step: the cap of its adaptive integrations and the
-    # fixed step of its lanes, so no other module names MAX_STEP
+    # ode decides every step: the cap of integrate, the first trial step of
+    # its adaptive runs and the fixed step of its lanes, so no other module
+    # names MAX_STEP
     uses = _uses_outside("ode", "MAX_STEP")
     assert not uses, f"modules other than ode use MAX_STEP: {uses}"
