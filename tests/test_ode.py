@@ -81,17 +81,26 @@ class TestNodes:
     ]
 
     @pytest.mark.parametrize("rhs, y0", CASES, ids=["real", "complex"])
-    def test_nodes_are_uncapped_integrates_bit_for_bit(self, rhs, y0, monkeypatch):
-        capped = ode.integrate(rhs, y0, (0.0, 4.0))
-        monkeypatch.setattr(ode, "MAX_STEP", math.inf)
+    @pytest.mark.parametrize("max_step", [1e-2, 0.7, math.inf])
+    def test_nodes_are_integrates_bit_for_bit(self, rhs, y0, max_step, monkeypatch):
+        # one controller, the first trial step MAX_STEP for both: integrate's
+        # nodes are the drawn nodes up to the first step longer than its cap,
+        # which it shortens; all of them where the cap never binds
+        monkeypatch.setattr(ode, "MAX_STEP", max_step)
         traj = ode.integrate(rhs, y0, (0.0, 4.0))
-        times, states = zip(*ode.nodes(rhs, y0, (0.0, 4.0)))
-        assert np.array_equal(np.asarray(times), traj.times)
-        assert np.array_equal(np.asarray(states), traj.states)
-        assert np.asarray(states).dtype == traj.states.dtype
-        # at MAX_STEP the cap binds: integrate takes more, shorter steps
-        assert len(capped.times) > len(times)
-        assert np.diff(capped.times).max() < np.diff(times).max()
+        times, states = (np.asarray(v) for v in zip(*ode.nodes(rhs, y0, (0.0, 4.0))))
+        assert states.dtype == traj.states.dtype
+        longer = np.flatnonzero(np.diff(times) > max_step)
+        cut = longer[0] + 1 if longer.size else len(times)
+        assert np.array_equal(times[:cut], traj.times[:cut])
+        assert np.array_equal(states[:cut], traj.states[:cut])
+        if longer.size:
+            assert traj.times[cut] < times[cut]
+            assert len(traj.times) > len(times)
+        else:
+            assert len(traj.times) == len(times)
+        # at 1e-2 the cap binds from the second step; at 0.7 it never does
+        assert (cut == 2) if max_step == 1e-2 else (cut == len(times))
 
     def test_nodes_are_locate_events_search_nodes(self):
         # the reference shot stores every node it searches, then the
