@@ -247,16 +247,19 @@ def cross_check(
 ) -> CrossCheck:
     """Integrate every representation of one time-optimal transfer side by side.
 
-    One run on the adaptive integrator, its steps set by ``cfg.tol`` alone,
-    goes up to the hit time: the closed-loop extremal, the real three-level
-    amplitudes, the counterpart two-level amplitudes and the pump area from
-    the initial pole, joined by the angle block from the first node off the
-    pole on (see ``_oracle_run``). The amplitude and quadrature deviations
-    are taken over every accepted node of the run, the angle and roundtrip
-    deviations over the nodes that carry the angle block; the quadrature
-    oracle compares ``exact_theta(A)`` with the polar angle of the mapped
-    amplitudes. Each deviation is of the order of ``cfg.tol``. Without
-    ``costates`` the transfer is the optimum refined from
+    One run on the adaptive integrator goes up to the hit time: the
+    closed-loop extremal, the real three-level amplitudes, the counterpart
+    two-level amplitudes and the pump area from the initial pole, joined by
+    the angle block from the first node off the pole on (see
+    ``_oracle_run``). The amplitude and quadrature deviations are taken over
+    every accepted node of the run, the angle and roundtrip deviations over
+    the nodes that carry the angle block; the quadrature oracle compares
+    ``exact_theta(A)`` with the polar angle of the mapped amplitudes. The
+    run's steps are set by the tolerance alone, so each deviation is of the
+    order of that tolerance: the tighter of ``cfg.tol`` and ``ode.TOL``, so
+    that a loose ``cfg.tol`` cannot carry a deviation past the fixed
+    thresholds; the shot that finds the hit time runs at ``cfg.tol``.
+    Without ``costates`` the transfer is the optimum refined from
     ``shooting.START_RAY``; non-finite costates raise ValueError, and a
     shot that misses raises NoFeasiblePoint with its reason.
     ``corrupt_mapping`` switches the Stokes reduction to the inconsistent
@@ -279,7 +282,7 @@ def cross_check(
     reduce_pulses = map_pulses
     if corrupt_mapping:
         reduce_pulses = lambda op, os_: (op / _SQRT2, os_ / _SQRT2)  # noqa: E731
-    base, tail = _oracle_run(_oracle_rhs(reduce_pulses), costates, t_hit, cfg.tol)
+    base, tail = _oracle_run(_oracle_rhs(reduce_pulses), costates, t_hit, min(cfg.tol, ode.TOL))
 
     rho_mapped = map_3to2(base.states[:, 4:7].T)
     rho_amp = rho_from_amplitudes(*_amplitudes(base.states))
@@ -329,10 +332,9 @@ def area_divergence_check(eps_values, cfg: shooting.ShotConfig) -> np.ndarray:
     """
     eps_values = np.asarray(list(eps_values), dtype=float)
     optima = shooting.optima_along_eps(eps_values, cfg, shooting.START_RAY[0])
-    areas = {}
-    for eps, opt in zip(eps_values.tolist(), optima):
-        if eps not in areas:
-            path, pulses = shooting.extremal(opt, cfg)
-            areas[eps] = np.trapezoid(np.abs(map_pulses(*pulses.T)[0]), path.times)
-    rows = [areas[eps] for eps in eps_values.tolist()]
-    return np.column_stack([eps_values, rows, [opt.fallback is not None for opt in optima]])
+    by_eps = dict(zip(eps_values.tolist(), optima))
+    paths = ((eps, shooting.extremal(opt, cfg)) for eps, opt in by_eps.items())
+    areas = {eps: np.trapezoid(np.abs(map_pulses(*pulses.T)[0]), path.times)
+             for eps, (path, pulses) in paths}
+    return np.column_stack([eps_values, [areas[eps] for eps in eps_values.tolist()],
+                            [opt.fallback is not None for opt in optima]])

@@ -287,6 +287,18 @@ class TestIso:
         assert code == cli.EXIT_ORACLE
         assert "FAIL" in out
 
+    def test_verdict_holds_at_a_loose_tol(self, capsys):
+        # the run is never looser than ode.TOL, so its deviations stay far
+        # below the fixed thresholds however loose --tol is; the corrupted
+        # reduction still fails
+        flags = ["--tol", "1e-6", "iso", "check", "--eps", "0.002", "--costates", "1.85,0.45266"]
+        code, out = run(capsys, *flags)
+        assert code == 0
+        assert "all oracles within thresholds" in out
+        code, out = run(capsys, *flags, "--corrupt-mapping")
+        assert code == cli.EXIT_ORACLE
+        assert "FAIL" in out
+
     def test_check_missed_shot_exits_no_hit_with_reason(self, capsys):
         code = cli.main(["iso", "check", "--eps", "0.002", "--costates=0,0"])
         assert code == cli.EXIT_NO_HIT
