@@ -26,11 +26,16 @@ step starts: a concave (or convex) event lies below (or above) its
 tangents, so it cannot graze. Brent's root finder, ``brentq``, then pins
 the crossing down to ``EVENT_TOL`` on the interpolant.
 
-The step runs on Python floats: the state and the seven stages are lists,
-and each stage sum is written out per component in the order numpy would
-use. On the 4-component extremal state one step and its error norm take
-37-40 us, against 85-89 us as array code (2-vCPU Xeon VM, py3.11, numpy
-2.4).
+The step runs on Python floats, in straight-line code generated from the
+tableau (``_A``, ``_E``): ``_dp5_source`` writes one step and one error norm
+per state width, compiled on the width's first use and cached. They unpack
+the state and each slope into one local per component, which checks the
+slope's length on every call, and spell out each stage sum per component,
+term by term in the tableau's order, so every float is the one the
+list-comprehension form of the step gives, bit for bit. On the 4-component
+extremal state one step and its error norm take 9.7-10.7 us, about 6 of
+them in the six rhs calls, against 16.6-18.4 us for the list-comprehension
+form and 85-89 us for numpy array code (2-vCPU VM, py3.11, numpy 2.4).
 
 ``locate_lane_events`` runs n states side by side as *lanes* at the fixed
 step ``MAX_STEP``, up to the first node at or past the end of the span, so
@@ -50,7 +55,8 @@ singularity of the flow to a hit no adaptive search has.
 The flows are autonomous, and the state crosses into caller code as a list:
 ``rhs(y)`` and ``event(y)`` receive a list of Python floats (or complex
 numbers), which they must not modify. The rhs may return any sequence of the
-state's length; a returned ndarray is converted once with ``tolist()``.
+state's length; when a run's first slope is an ndarray, every slope of the
+run is converted with ``tolist()``.
 Results are ndarrays: float64 for a real state, complex128 for a complex one.
 
 ``brentq`` is the package's one root finder, also used by ``shooting``. It
@@ -65,6 +71,8 @@ All times are in units of 1/Omega_0 with Omega_0 = 1.
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 import operator
 from dataclasses import dataclass
@@ -88,7 +96,7 @@ __all__ = [
 MIN_STEP = 1e-14
 
 #: The default local-error tolerance, both the absolute and the relative
-#: part of the error scale (see ``_error_norm``).
+#: part of the error scale (see ``_dp5``).
 TOL = 1e-10
 
 #: The step cap of ``integrate``, so the spacing of the trajectory nodes
@@ -142,23 +150,21 @@ class EventHit:
     trajectory: Trajectory
 
 
-# Dormand-Prince 5(4) tableau. The propagating solution is 5th order; the
-# last row of _A doubles as its weights (FSAL: stage 7 is reused as stage 1
-# of the next step). _E holds the 5th-minus-4th order error weights.
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
+# Dormand-Prince 5(4) tableau (II.5, Table 5.2), the data the step is
+# generated from. The rows of _A give stages 2 to 7 their weights on the
+# stages before them; the last row doubles as the weights of the propagating
+# 5th-order solution (FSAL: stage 7 is the slope there, reused as stage 1 of
+# the next step). _E holds the 5th-minus-4th order error weights. A zero
+# (A72, E2) contributes no term to a stage sum.
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
+_E = (71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 # Free quartic continuous extension of the pair (II.6, the coefficients of
 # scipy's RK45.P): inside an accepted step of length h from (t, y) with
@@ -200,13 +206,12 @@ def _span(t_span) -> tuple[float, float]:
     return t0, t1
 
 
-def _slope(rhs: Rhs, y: list) -> Sequence:
-    """rhs at y: the rhs receives the list y; an ndarray slope comes back as a list."""
-    k = rhs(y)
+def _slope(k: Sequence, d: int) -> Sequence:
+    """A slope checked for d components; an ndarray comes back as a list."""
     if isinstance(k, np.ndarray):
         k = k.tolist()
-    if len(k) != len(y):
-        raise ValueError(f"rhs returned {len(k)} components for a state of {len(y)}")
+    if len(k) != d:
+        raise ValueError(f"rhs returned {len(k)} components for a state of {d}")
     return k
 
 
@@ -216,48 +221,74 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _error_norm(err: list, y_old: list, y_new: list, tol: float) -> float:
-    """RMS of the error over the scale tol + tol * max(|y_old|, |y_new|).
+def _dp5_source(d: int) -> str:
+    """The source of the DP5 step and of its error norm on states of d
+    components, both straight-line.
 
-    The squares are summed in component order, which is numpy's order for
-    fewer than 8 components (from 8 on numpy sums pairwise).
+    Each unpacks its lists into one local per component, which checks a
+    slope's length. The step writes every stage sum per component in the
+    tableau's order, left to right, each weight a literal (``repr`` reads
+    back as the same float); a zero weight contributes no term. The norm sums
+    its squares in component order, with ``max`` written out as the
+    comparison ``max`` makes, so both give the list-comprehension and loop
+    forms' floats bit for bit.
     """
-    total = 0.0
-    for e, a, b in zip(err, y_old, y_new):
-        q = abs(e) / (tol + tol * max(abs(a), abs(b)))
-        total += q * q
-    return math.sqrt(total / len(err))
+    def unpack(name: str) -> str:
+        return f"    {''.join(f'{name}_{i}, ' for i in range(d))}= {name}"
+
+    def stage(i: int, weights: tuple) -> str:
+        return " + ".join(f"{w!r} * k{j}_{i}" for j, w in enumerate(weights, 1) if w)
+
+    stages = ", ".join(f"k{j}" for j in range(1, len(_A) + 2))
+    lines = [f"def _dp5_step_{d}(rhs, y, k1, h):", unpack("y"), unpack("k1")]
+    for j, row in enumerate(_A, 2):
+        states = ", ".join(f"y_{i} + h * ({stage(i, row)})" for i in range(d))
+        if row is not _A[-1]:
+            lines.append(f"    k{j} = rhs([{states}])")
+        else:  # the weights: the new state, and the slope there
+            lines += [f"    y_new = [{states}]", f"    k{j} = rhs(y_new)"]
+        lines.append(unpack(f"k{j}"))
+    lines.append(f"    err = [{', '.join(f'h * ({stage(i, _E)})' for i in range(d))}]")
+    lines.append(f"    return y_new, ({stages}), err")
+
+    lines += [f"def _error_norm_{d}(err, y_old, y_new, tol):", unpack("err"), unpack("y_old"), unpack("y_new")]
+    for i in range(d):
+        lines += [
+            f"    a_{i} = abs(y_old_{i})",
+            f"    b_{i} = abs(y_new_{i})",
+            f"    q_{i} = abs(err_{i}) / (tol + tol * (b_{i} if b_{i} > a_{i} else a_{i}))",
+        ]
+    lines.append(f"    return sqrt(({' + '.join(f'q_{i} * q_{i}' for i in range(d))}) / {d})")
+    return "\n".join(lines) + "\n"
 
 
-def _dp5_step(rhs: Rhs, y: list, k1: list, h: float) -> tuple[list, tuple[list, ...], list]:
+@functools.cache
+def _dp5(d: int) -> tuple[Callable, Callable]:
+    """The DP5 step and its error norm on states of d components, compiled
+    from ``_dp5_source`` on first use; the source is in ``linecache``, so
+    tracebacks show it.
+
+    The step is ``_dp5_step``'s. The norm, ``(err, y_old, y_new, tol)``, is
+    the RMS of the error over the scale tol + tol * max(|y_old|, |y_new|),
+    its squares summed in component order, which is numpy's order for fewer
+    than 8 components (from 8 on numpy sums pairwise).
+    """
+    source = _dp5_source(d)
+    filename = f"<ode._dp5_source({d})>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[f"_dp5_step_{d}"], namespace[f"_error_norm_{d}"]
+
+
+def _dp5_step(rhs: Rhs, y: list, k1: Sequence, h: float) -> tuple[list, tuple[Sequence, ...], list]:
     """One Dormand-Prince 5(4) step of length h from y, where k1 = rhs(y).
 
     Returns the 5th-order state after the step, the seven stages (the last
     is the slope there, the next step's k1), and the local error estimate.
+    A slope of another length than the state's raises ValueError.
     """
-    k2 = _slope(rhs, [a + h * (_A21 * b1) for a, b1 in zip(y, k1)])
-    k3 = _slope(rhs, [a + h * (_A31 * b1 + _A32 * b2) for a, b1, b2 in zip(y, k1, k2)])
-    k4 = _slope(rhs, [
-        a + h * (_A41 * b1 + _A42 * b2 + _A43 * b3) for a, b1, b2, b3 in zip(y, k1, k2, k3)
-    ])
-    k5 = _slope(rhs, [
-        a + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
-        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-    ])
-    k6 = _slope(rhs, [
-        a + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5)
-        for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)
-    ])
-    y_new = [
-        a + h * (_A71 * b1 + _A73 * b3 + _A74 * b4 + _A75 * b5 + _A76 * b6)
-        for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)
-    ]
-    k7 = _slope(rhs, y_new)
-    err = [
-        h * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6 + _E7 * b7)
-        for b1, b3, b4, b5, b6, b7 in zip(k1, k3, k4, k5, k6, k7)
-    ]
-    return y_new, (k1, k2, k3, k4, k5, k6, k7), err
+    return _dp5(len(y))[0](rhs, y, k1, h)
 
 
 def _steps(rhs: Rhs, t0: float, y0: list, t1: float, tol: float,
@@ -273,8 +304,21 @@ def _steps(rhs: Rhs, t0: float, y0: list, t1: float, tol: float,
     t = t0
     y = y0
     h = min(MAX_STEP, t1 - t0)
-    K = (_slope(rhs, y),)
+    k1 = rhs(y)
+    if isinstance(k1, np.ndarray):  # decided once: the run converts every slope
+        array_rhs = rhs
+
+        def rhs(y: list) -> list:
+            return array_rhs(y).tolist()
+
+    K = (_slope(k1, len(y)),)
+    step, error_norm = _dp5(len(y))
     yield t, y, K, 0.0
+    # Each t + h rounds by up to half an ulp of the span's larger end, so
+    # after n steps t may lie n of those from the sum of the steps; an end
+    # that close (or within MIN_STEP) is reached, not one more step away.
+    half_ulp = 0.5 * math.ulp(max(abs(t0), abs(t1)))
+    n = 0
     while True:
         remaining = t1 - t
         if remaining <= MIN_STEP:
@@ -282,10 +326,11 @@ def _steps(rhs: Rhs, t0: float, y0: list, t1: float, tol: float,
         h = min(h, remaining)
         if h < MIN_STEP:
             raise StepUnderflow(f"step size {h:.3e} below {MIN_STEP:.0e} at t={t!r}")
-        y_new, K_new, err = _dp5_step(rhs, y, K[-1], h)
-        enorm = _error_norm(err, y, y_new, tol)
+        y_new, K_new, err = step(rhs, y, K[-1], h)
+        enorm = error_norm(err, y, y_new, tol)
         if enorm <= 1.0:
-            t = t1 if (t1 - (t + h)) <= MIN_STEP else t + h
+            n += 1
+            t = t1 if (t1 - (t + h)) <= max(MIN_STEP, n * half_ulp) else t + h
             y = y_new
             K = K_new
             yield t, y, K, h
@@ -569,7 +614,7 @@ def locate_lane_events(rhs: Callable[[np.ndarray], Sequence], Y: np.ndarray, t1:
 
     def block_rhs(state):  # the rhs of the one-element state [Y]: the slope packed into a block like Y
         k = np.empty_like(state[0])
-        for row, component in enumerate(_slope(rhs, state[0])):
+        for row, component in enumerate(_slope(rhs(state[0]), len(state[0]))):
             k[row] = component
         return (k,)
 

@@ -49,6 +49,15 @@ class TestIntegrate:
         final = ode.integrate(rhs, np.array([1.0 + 0.0j]), (0.0, math.pi)).final_state
         assert abs(final[0] + 1.0) < 1e-9
 
+    @pytest.mark.parametrize("t1, rows", [(4.0, 401), (10.0, 1001)])
+    def test_capped_run_ends_on_the_span_without_a_sliver(self, t1, rows):
+        # every step is the cap, and t's accumulated rounding leaves the run
+        # short of t1 by more than MIN_STEP (4.1e-14 and 1.7e-13): that is
+        # rounding, so the last capped step ends the run at t1
+        traj = ode.integrate(lambda y: [-y[1], y[0]], [1.0, 0.0], (0.0, t1))
+        assert len(traj.times) == rows and traj.times[-1] == t1
+        assert np.diff(traj.times).min() > 0.99 * ode.MAX_STEP
+
     def test_step_underflow_on_blowup(self):
         # y' = y^2 from y=2 blows up at t = 0.5
         with pytest.raises(ode.StepUnderflow):
@@ -208,6 +217,26 @@ class TestContract:
             with pytest.raises(ValueError):
                 ode.locate_event(lambda y: slope, [1.0, 0.0], (0.0, 1.0), lambda y: y[0] + 2.0)
 
+    @pytest.mark.parametrize("kind", [list, np.array])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_rhs_of_wrong_length_on_a_later_call_rejected(self, kind, width):
+        # the first slope has the state's two components, a slope inside the
+        # first step has another count: each step's slopes are checked too
+        def rhs(y):
+            calls.append(y)
+            return kind([-y[1], y[0]] if len(calls) < 4 else [0.0] * width)
+
+        runs = [
+            lambda: ode.integrate(rhs, [1.0, 0.0], (0.0, 1.0)),
+            lambda: list(ode.nodes(rhs, [1.0, 0.0], (0.0, 1.0))),
+            lambda: ode.locate_event(rhs, [1.0, 0.0], (0.0, 1.0), lambda y: y[0] + 2.0),
+        ]
+        for run in runs:
+            calls = []
+            with pytest.raises(ValueError):
+                run()
+            assert len(calls) == 4
+
     @pytest.mark.parametrize("n", [1, 3, 4, 7, 8, 11, 14])
     def test_error_norm_matches_array_form(self, n):
         # the array form it replaced: bit for bit below 8 components, where
@@ -219,11 +248,118 @@ class TestContract:
             scale = tol + tol * np.maximum(np.abs(y_old), np.abs(y_new))
             q = np.abs(err) / scale
             expected = float(np.sqrt(np.mean(q * q)))
-            norm = ode._error_norm(err.tolist(), y_old.tolist(), y_new.tolist(), tol)
+            norm = ode._dp5(n)[1](err.tolist(), y_old.tolist(), y_new.tolist(), tol)
             if n < 8:
                 assert norm == expected
             else:
                 assert norm == pytest.approx(expected, rel=4 * n * 2.0 ** -52)
+
+
+# The DP5 step and its error norm in the list-comprehension and loop forms
+# that ode generates straight-line code from: the reference the generated
+# code reproduces bit for bit.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+
+
+def reference_step(rhs, y, k1, h):
+    k2 = rhs([a + h * (_A21 * b1) for a, b1 in zip(y, k1)])
+    k3 = rhs([a + h * (_A31 * b1 + _A32 * b2) for a, b1, b2 in zip(y, k1, k2)])
+    k4 = rhs([
+        a + h * (_A41 * b1 + _A42 * b2 + _A43 * b3) for a, b1, b2, b3 in zip(y, k1, k2, k3)
+    ])
+    k5 = rhs([
+        a + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
+        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    ])
+    k6 = rhs([
+        a + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5)
+        for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)
+    ])
+    y_new = [
+        a + h * (_A71 * b1 + _A73 * b3 + _A74 * b4 + _A75 * b5 + _A76 * b6)
+        for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)
+    ]
+    k7 = rhs(y_new)
+    err = [
+        h * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6 + _E7 * b7)
+        for b1, b3, b4, b5, b6, b7 in zip(k1, k3, k4, k5, k6, k7)
+    ]
+    return y_new, (k1, k2, k3, k4, k5, k6, k7), err
+
+
+def reference_error_norm(err, y_old, y_new, tol):
+    total = 0.0
+    for e, a, b in zip(err, y_old, y_new):
+        q = abs(e) / (tol + tol * max(abs(a), abs(b)))
+        total += q * q
+    return math.sqrt(total / len(err))
+
+
+def bits(values):
+    """The bytes of a sequence of numbers or arrays, so -0.0 differs from 0.0."""
+    return b"".join(np.asarray(v).tobytes() for v in values)
+
+
+class TestGeneratedStep:
+    """``ode._dp5_step`` and the error norm run code generated from the
+    tableau, one pair of functions per state width; each float is the
+    reference's."""
+
+    @staticmethod
+    def coupled(d, c):
+        # a nonlinear flow that couples every component to its neighbours
+        return lambda y: [c * y[i] * y[i - 1] - 0.2 * y[(i + 1) % d] + 0.1 for i in range(d)]
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 12, 15])
+    def test_step_and_norm_are_the_reference_bit_for_bit(self, d, kind):
+        rng = np.random.default_rng(d)
+        rhs = self.coupled(d, 0.7j if kind is complex else 0.7)
+        for _ in range(20):
+            y = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 1, d)
+            if kind is complex:
+                y = y + 1j * rng.standard_normal(d)
+            y, h = y.tolist(), float(10.0 ** rng.uniform(-4, -1))
+            step = ode._dp5_step(rhs, y, rhs(y), h)
+            ref = reference_step(rhs, y, rhs(y), h)
+            assert step[0] == ref[0] and bits(step[0]) == bits(ref[0])
+            assert len(step[1]) == 7
+            for k, k_ref in zip(step[1], ref[1]):
+                assert k == k_ref and bits(k) == bits(k_ref)
+            assert step[2] == ref[2] and bits(step[2]) == bits(ref[2])
+            for tol in (1e-10, 1e-6):
+                norm = ode._dp5(d)[1](step[2], y, step[0], tol)
+                assert bits([norm]) == bits([reference_error_norm(step[2], y, step[0], tol)])
+
+    def test_lane_block_is_the_reference_bit_for_bit(self):
+        # the (4, n) block of the landscape, stepped as the one component of
+        # the state [Y]; each stage term is one numpy call on the whole block
+        rng = np.random.default_rng(4)
+        Y = rng.uniform(-3.0, 3.0, (4, 50))
+
+        def block_rhs(state):
+            k = np.empty_like(state[0])
+            for row, component in enumerate(lambda3.extremal_lanes(state[0])):
+                k[row] = component
+            return (k,)
+
+        (k1,) = block_rhs([Y])
+        (y_new,), K, (err,) = ode._dp5_step(block_rhs, [Y], (k1,), 0.01)
+        (y_ref,), K_ref, (err_ref,) = reference_step(block_rhs, [Y], (k1,), 0.01)
+        assert y_new.tobytes() == y_ref.tobytes()
+        assert bits(k for (k,) in K) == bits(k for (k,) in K_ref)
+        assert err.tobytes() == err_ref.tobytes()
+
+    def test_compiled_once_per_width(self):
+        assert ode._dp5(4) is ode._dp5(4)
+        step, error_norm = ode._dp5(4)
+        assert step.__name__ == "_dp5_step_4" and error_norm.__name__ == "_error_norm_4"
 
 
 class TestNonFiniteRhs:
@@ -436,6 +572,19 @@ class TestLaneEvents:
         Y = np.array([[1.0], [0.0], [0.735 - 0.25]])
         with pytest.raises(ValueError, match="rhs returned 2 components for a state of 3"):
             ode.locate_lane_events(lambda Y: self.drift(Y)[:2], Y, 2.0, self.event)
+
+    def test_rhs_components_are_counted_on_every_call(self):
+        # the first slope is right, a slope inside the first step is not
+        calls = []
+
+        def rhs(Y):
+            calls.append(Y)
+            return self.drift(Y)[:2] if len(calls) == 3 else self.drift(Y)
+
+        Y = np.array([[1.0], [0.0], [0.735 - 0.25]])
+        with pytest.raises(ValueError, match="rhs returned 2 components for a state of 3"):
+            ode.locate_lane_events(rhs, Y, 2.0, self.event)
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("t1", [math.inf, math.nan, 1e308])
     def test_step_count_must_be_finite(self, t1):
