@@ -36,10 +36,6 @@ EXIT_ORACLE = 6
 EXIT_STEP_UNDERFLOW = 7
 
 
-def _fmt(value: float) -> str:
-    return "%.17g" % float(value)
-
-
 def _write_atomic(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
@@ -66,7 +62,11 @@ def _export(args, stem: str, columns: list[str], rows: np.ndarray,
     else:
         path = out_dir / f"{stem}.csv"
         lines = ["# " + ",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        # one %-format per row of Python floats: each cell is "%.17g" % v; a
+        # row at a time, as the whole table as lists would hold a float
+        # object per cell at once
+        row_format = ",".join(["%.17g"] * rows.shape[1])
+        lines.extend(row_format % tuple(row.tolist()) for row in rows)
         _write_atomic(path, "\n".join(lines) + "\n")
     manifest = {
         "command": f"{args.group} {args.subcommand}",

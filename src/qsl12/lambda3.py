@@ -173,6 +173,7 @@ def pulses_from_angle_rates(phi: float, theta: float, dphi: float, dtheta: float
 
 def _extremal_flow(cos, sin, sqrt, checked: bool, control: bool = False):
     """The time-optimal extremal flow, written once and bound to one cos/sin/sqrt."""
+    n2_min = 4.0 * SWITCHING_MIN  # the bound on n2 = 4 (H1^2 + H2^2) below
 
     def flow(y):
         """Closed-loop state+costate flow (phi, theta, lambda_phi, lambda_theta).
@@ -184,38 +185,44 @@ def _extremal_flow(cos, sin, sqrt, checked: bool, control: bool = False):
         the slope's four components of the same kind, or with ``control``
         the pair (slope, (Omega_p, Omega_s)). A checked flow raises
         PhiSingularity and SwitchingDegeneracy as those functions do; an
-        unchecked one is non-finite there instead.
+        unchecked one raises nothing: its slope is NaN where the switching
+        pair vanishes and, near cos(phi) = 0, of order 1/cos(phi)^2.
         """
         phi, theta, lphi, ltheta = y
         cph = cos(phi)
-        if checked:
-            _check_phi(cph)
+        if checked and abs(cph) <= PHI_COS_MIN:
+            raise PhiSingularity("cos(phi) ~ 0: angle dynamics singular")
         sph = sin(phi)
         cth, sth = cos(theta), sin(theta)
-        cth2 = cth * cth
+        cth2, csth = cth * cth, cth * sth
         tph = sph / cph
-        h1 = (lphi * cph * cth2 + ltheta * sth * cth * sph) * _INV_SQRT2
-        h2 = 0.5 * (ltheta * cth * tph - lphi * sth)
-        n2 = h1 * h1 + h2 * h2
-        if checked and n2 <= SWITCHING_MIN:
+        # The switching pair unscaled, g1 = sqrt(2) H1 and g2 = 2 H2, so that
+        # n2 = 2 g1^2 + g2^2 = 4 (H1^2 + H2^2) and the slope needs only
+        # a = g1 / sqrt(n2) = Omega_p / sqrt(2) and b = g2 / (2 sqrt(n2)) =
+        # Omega_s / 2: every constant factor of the reference forms is folded
+        # into these two.
+        g1 = lphi * cph * cth2 + ltheta * csth * sph
+        g2 = ltheta * cth * tph - lphi * sth
+        n2 = 2.0 * g1 * g1 + g2 * g2
+        if checked and n2 <= n2_min:
             raise SwitchingDegeneracy("switching vector vanished")
         n = sqrt(n2)
-        op = h1 / n
-        os_ = h2 / n
-        # Products evaluate left to right, so each shared prefix is the
-        # value that every term below would compute itself.
-        hos = 0.5 * os_
-        hos_c, hos_s = hos * cth, hos * sth
-        dphi = op * cph * cth2 * _INV_SQRT2 - hos_s
-        dtheta = hos_c * tph + op * cth * sth * sph * _INV_SQRT2
-        dlphi = lphi * op * sph * cth2 * _INV_SQRT2 - ltheta * (
-            hos_c / (cph * cph) + op * sth * cth * cph * _INV_SQRT2
-        )
-        dltheta = lphi * (2.0 * op * cph * sth * cth * _INV_SQRT2 + hos_c) + ltheta * (
-            hos_s * tph - op * (cth2 - sth * sth) * sph * _INV_SQRT2
-        )
+        r = 1.0 / n
+        a, b = g1 * r, 0.5 * g2 * r
+        # a and b enter the slope only through a cos(phi), a sin(phi),
+        # b cos(theta) and b sin(theta), and dlphi and dltheta share
+        # a cos(phi) cos(theta) sin(theta): each is formed once here, not once
+        # per term, so an evaluation on lanes is 52 numpy calls. The grouping
+        # moves the slope from the reference forms' by rounding alone, as the
+        # tests check.
+        ac, as_, bc, bs = a * cph, a * sph, b * cth, b * sth
+        acs = ac * csth
+        dphi = ac * cth2 - bs
+        dtheta = bc * tph + as_ * csth
+        dlphi = lphi * (as_ * cth2) - ltheta * (bc / (cph * cph) + acs)
+        dltheta = lphi * (2.0 * acs + bc) + ltheta * (bs * tph - as_ * (cth2 - sth * sth))
         slope = dphi, dtheta, dlphi, dltheta
-        return (slope, (op, os_)) if control else slope
+        return (slope, (_SQRT2 * g1 / n, g2 / n)) if control else slope
 
     return flow
 

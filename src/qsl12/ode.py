@@ -33,9 +33,9 @@ the state and each slope into one local per component, which checks the
 slope's length on every call, and spell out each stage sum per component,
 term by term in the tableau's order, so every float is the one the
 list-comprehension form of the step gives, bit for bit. On the 4-component
-extremal state one step and its error norm take 9.7-10.7 us, about 6 of
-them in the six rhs calls, against 16.6-18.4 us for the list-comprehension
-form and 85-89 us for numpy array code (2-vCPU VM, py3.11, numpy 2.4).
+extremal state one step and its error norm take 7.8-8.6 us, about 5 of
+them in the six rhs calls, against 13.0-14.3 us for the list-comprehension
+form and 48-66 us for numpy array code (2-vCPU VM, py3.11, numpy 2.4).
 
 ``locate_lane_events`` runs n states side by side as *lanes* at the fixed
 step ``MAX_STEP``, up to the first node at or past the end of the span, so

@@ -1,9 +1,11 @@
+import argparse
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +187,38 @@ class TestThreeLevel:
         for row, expected in zip(rows, data.tolist()):
             assert [v is None for v in row] == [np.isnan(v) for v in expected]
             assert [v for v in row if v is not None] == [v for v in expected if not np.isnan(v)]
+
+    def test_landscape_csv_cells_are_17_digits(self, tmp_path, capsys, monkeypatch):
+        # every CSV cell is "%.17g" of the exported value, so it reads back
+        # bit for bit; a miss reads nan
+        exported = []
+        export = cli._export
+
+        def recorded(args, stem, columns, rows, results=None):
+            exported.append(rows.copy())
+            return export(args, stem, columns, rows, results)
+
+        monkeypatch.setattr(cli, "_export", recorded)
+        flags = ("three-level", "landscape", "--eps", "0.002", "--res", "4", "--workers", "1")
+        assert run(capsys, "--out", str(tmp_path), *flags)[0] == 0
+        (rows,) = exported
+        lines = (tmp_path / "three_level_landscape.csv").read_text().splitlines()
+        assert lines[0] == "# lphi,ltheta,T,log10_T_offset"
+        cells = [line.split(",") for line in lines[1:]]
+        assert np.isnan(rows).any() and len(cells) == len(rows)
+        for row, values in zip(cells, rows.tolist()):
+            assert row == ["%.17g" % v for v in values]
+            for cell, v in zip(row, values):
+                assert (cell == "nan") if np.isnan(v) else (float(cell) == v)
+
+    def test_csv_cells_of_special_values(self, tmp_path, capsys):
+        # nan, +-inf and -0 keep their "%.17g" spelling
+        args = argparse.Namespace(out=str(tmp_path), format="csv", group="g", subcommand="s",
+                                  _start=time.monotonic())
+        rows = np.array([[np.nan, np.inf, -np.inf], [-0.0, 0.1, -1e-300]])
+        cli._export(args, "special", ["a", "b", "c"], rows)
+        capsys.readouterr()
+        assert (tmp_path / "special.csv").read_text() == "# a,b,c\nnan,inf,-inf\n-0,0.10000000000000001,-1e-300\n"
 
     def test_landscape_origin_only_exits_no_hit(self, tmp_path, capsys):
         code, _ = run(capsys, "--out", str(tmp_path), "three-level", "landscape",

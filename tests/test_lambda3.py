@@ -253,6 +253,44 @@ class TestExtremalRhs:
         scalar = np.array([lambda3.extremal_rhs(y) for y in states.tolist()])
         np.testing.assert_array_max_ulp(np.array(slope), scalar.T, maxulp=4)
 
+    @pytest.mark.parametrize("binding", [lambda3.extremal_rhs, lambda3.extremal_control])
+    def test_checked_bindings_raise(self, binding):
+        # the checks are inlined in the flow, so each binding is tested on
+        # its own: the chart's singularity, then the vanished switching pair
+        with pytest.raises(lambda3.PhiSingularity):
+            binding([math.pi / 2, 0.3, 1.0, 0.5])
+        with pytest.raises(lambda3.SwitchingDegeneracy):
+            binding([0.3, 0.2, 0.0, 0.0])
+
+    def test_lane_binding_does_not_raise(self):
+        # the same states as lanes, next to a regular one: a vanished
+        # switching pair gives a NaN column, and cos(phi) ~ 0 a slope of
+        # order 1/cos(phi)^2, far off the scale of a regular lane, which
+        # the lanes' error estimate then retires
+        Y = np.array([[math.pi / 2, 0.3, 1.0, 0.5], [0.3, 0.2, 0.0, 0.0], [0.3, 0.2, 1.85, 0.45266]]).T
+        with np.errstate(all="ignore"):
+            slope = np.array(lambda3.extremal_lanes(Y))
+        assert np.abs(slope[:, 0]).max() > 1e30
+        assert np.isnan(slope[:, 1]).all()
+        assert np.isfinite(slope[:, 2]).all() and np.abs(slope[:, 2]).max() < 10.0
+
+    def test_reflection_maps_each_binding_to_its_mirror(self):
+        # (phi, theta, lphi, ltheta) -> (phi, -theta, lphi, -ltheta) flips
+        # the sign of dtheta, dltheta and Omega_s, bit for bit: the
+        # landscape gives a mirror ray the time of its first-quadrant lane
+        states = np.column_stack([
+            RNG.uniform(-1.5, 1.5, 500), RNG.uniform(-3.0, 3.0, 500), RNG.uniform(-5.0, 5.0, (500, 2)),
+        ])
+        mirror = states * [1.0, -1.0, 1.0, -1.0]
+        for y, m in zip(states.tolist(), mirror.tolist()):
+            d = lambda3.extremal_rhs(y)
+            assert lambda3.extremal_rhs(m) == (d[0], -d[1], d[2], -d[3])
+            _, (op, os_) = lambda3.extremal_control(y)
+            assert lambda3.extremal_control(m) == ((d[0], -d[1], d[2], -d[3]), (op, -os_))
+        lanes = np.array(lambda3.extremal_lanes(states.T))
+        mirrored = np.array(lambda3.extremal_lanes(mirror.T))
+        assert np.array_equal(mirrored, lanes * np.array([[1.0], [-1.0], [1.0], [-1.0]]))
+
     def test_parity_of_extremals(self):
         y0 = np.array([0.0, 0.0, 1.85, 0.45266])
         rhs = lambda3.extremal_rhs
