@@ -21,18 +21,21 @@ maximum principle makes the costate parallel to the gradient of the target
 (Bryson & Ho 1975), and each hit reports the sine of the angle between them.
 A shot that finds no hit counts as an infinite time. The result is on the
 fastest branch the scan meets; the optimum must lie between 1/16 and about
-3 times the guess. The scan screens and the search solves: the probes only
-rank hit times, so they run at the looser tolerance SCAN_TOL, and the root
-search shoots the fastest probe again, and every later point, at the
-configured one.
+3 times the guess. The scan screens, the search locates and the solve
+solves: the probes only rank hit times, so they run at the looser tolerance
+SCAN_TOL; the root search locates the root at SCAN_TOL too, to SCAN_TOL
+relative; and the solve brackets the located root within 10 SCAN_TOL and
+narrows it at the configured tolerance, whose shots alone give the optimum.
+When either phase finds no root, the whole search runs at the configured
+tolerance instead.
 Along a continuation in eps only the first two points run the scan. Each
 later point predicts its lambda_theta from the last two optima and
 corrects it with the same root search, started just left of the
 prediction; a point whose corrector finds no bracket is refined instead.
 Each shot stops where it can no longer change the result: a probe at the
-fastest hit of the probes before it, a shot of the root search at the
-fastest hit left of the root. The steps a shot takes are the full shot's,
-so a hit does not depend on this.
+fastest hit of the probes before it, a shot of the root search, or of the
+solve, at the fastest hit left of the root that it has met. The steps a
+shot takes are the full shot's, so a hit does not depend on this.
 
 An optimum is its initial costates and its hit time. Only the exports that
 show the optimal pulse sequence integrate its path, with ``extremal``.
@@ -352,7 +355,8 @@ class _RootSearch:
     from the guess or prediction ``near``, and its record: a memo of final
     shots, each at ``fastest``, which only falls, read as the residual
     oriented by the ray's quadrant; its hit of least |residual| is the
-    optimum. Shared by ``refine``, which scans first, and the corrector."""
+    optimum at its tolerance. Shared by ``refine``, which scans first, and
+    the corrector (see ``_locate_and_solve``)."""
 
     def __init__(self, lphi_i: float, near: float, cfg: ShotConfig):
         self.lphi_i, self.near, self.cfg = lphi_i, near, cfg
@@ -402,14 +406,14 @@ class _RootSearch:
             f" {self.cfg.eps!r} near ltheta_i ~ {self.near!r}: {why}"
         )
 
-    def root(self, point, lo: int, hi: int) -> Optimum:
+    def root(self, point, lo: int, hi: int, rtol: float = REFINE_XTOL) -> Optimum:
         """The optimum at the root of the residual next to the walk's start
         point(0), among the points point(j), lo <= j <= 0 <= hi, that rise
         with j: the walk steps right while the residual is > 0 and left while
         it is not, and ``ode.brentq`` narrows the first sign change to
-        REFINE_XTOL (relative). The optimum is the memo's hit with the
-        smallest |residual|. No sign change within the walk, or a failed
-        brentq, raises NoConvergence."""
+        ``rtol`` (relative). The optimum is the memo's hit with the smallest
+        |residual|, at the record's tolerance. No sign change within the
+        walk, or a failed brentq, raises NoConvergence."""
         k = 0
         if self.residual(point(0)) > 0.0:
             k = 1
@@ -424,11 +428,34 @@ class _RootSearch:
                 raise self.failure(f"no valid bracket, the residual is not > 0 left of ltheta_i"
                                    f" {float(point(0))!r}, down to {float(point(lo))!r}")
         try:
-            ode.brentq(self.residual, point(k - 1), point(k), rtol=REFINE_XTOL)
+            ode.brentq(self.residual, point(k - 1), point(k), rtol=rtol)
         except RuntimeError as exc:
             raise self.failure(str(exc)) from None
         _, ltheta_i, t_min = min((abs(s), x, t) for x, (t, _, s) in self.memo.items() if t is not None)
         return Optimum(self.lphi_i, ltheta_i, t_min)
+
+    def solve(self, located: float) -> Optimum:
+        """``root`` from the bracket located * (1 -+ w), w = 10 SCAN_TOL,
+        walked outward by 2 w for at most CONTINUATION_STEPS steps."""
+        w = 10.0 * SCAN_TOL
+        return self.root(lambda j: located * (1.0 + (2 * j - 1) * w), -CONTINUATION_STEPS, CONTINUATION_STEPS)
+
+
+def _locate_and_solve(lphi_i: float, near: float, cfg: ShotConfig, point, lo: int, hi: int, full) -> Optimum:
+    """The optimum at the root of the residual next to point(0), found in
+    two phases. A record at SCAN_TOL locates the root by ``root``'s walk
+    over point(j), lo <= j <= hi, narrowed only to SCAN_TOL; a record at
+    ``cfg.tol`` solves it from a bracket around the located lambda_theta.
+    When either phase raises NoConvergence, or ``cfg.tol`` is no tighter
+    than SCAN_TOL, ``full`` solves it on a fresh record at ``cfg.tol``
+    instead: the result, or the failure, is that path's alone."""
+    if cfg.tol < SCAN_TOL:
+        try:
+            located = _RootSearch(lphi_i, near, replace(cfg, tol=SCAN_TOL)).root(point, lo, hi, rtol=SCAN_TOL)
+            return _RootSearch(lphi_i, near, cfg).solve(located.ltheta_i)
+        except NoConvergence:
+            pass
+    return full(_RootSearch(lphi_i, near, cfg))
 
 
 def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
@@ -449,25 +476,32 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     narrows the bracket to REFINE_XTOL (relative). The optimum must lie
     between 1/16 and about 3 times the guess.
 
-    The scan screens and the search solves. The probes only rank hit times,
-    so they are integrated at the tolerance max(tol, SCAN_TOL); the root
-    search shoots the fastest probe again, and every later point, at the
-    configured tolerance, so the optimum comes from a full-tolerance shot.
-    When the fastest probe does not hit at that tolerance, the scan runs
-    again at it.
+    The scan screens, the search locates and the solve solves. The probes
+    only rank hit times, so they run at max(tol, SCAN_TOL), and so does the
+    search, whose Brent narrowing stops at SCAN_TOL (relative). The solve
+    brackets the located lambda_theta within 10 SCAN_TOL (relative), walks
+    outward by twice that for at most CONTINUATION_STEPS steps, and narrows
+    to REFINE_XTOL at the configured tolerance, whose shots alone give the
+    optimum. When either phase finds no root, or tol is no tighter than
+    SCAN_TOL, the search runs at the configured tolerance alone: it shoots
+    the fastest probe again, scans again when that shot misses, and walks
+    and narrows as above; its result, or its failure, is the refinement's.
 
     Each probe stops at the fastest hit of the probes before it and then
     counts as +inf: its true time is no less, so it cannot be the fastest.
-    Each later shot stops at the fastest hit with a residual > 0, and a shot
-    that stops or misses reads -1: it lies past the optimum, which is faster
-    still. The search shoots each point once: its stop only falls. The
-    optimum is the costates and hit time of the memo's hit with the smallest
-    |residual|: it costs no further integration. Non-finite costates, and a
-    guess whose probes coincide (a zero or subnormal guess) or whose probes
-    or walk overflow, raise ValueError before the first shot; when no probe
-    hits, NoFeasiblePoint tallies why, at the tolerance the probes ran at;
-    when the residual has no sign change to bracket, or the search fails,
-    NoConvergence names the condition, the eps and the horizon.
+    Each later shot stops at the fastest hit with a residual > 0 of its
+    record, and a shot that stops or misses reads -1: it lies past the
+    optimum, which is faster still. Each record shoots each point once: its
+    stop only falls. The optimum is the costates and hit time of the
+    full-tolerance record's hit with the smallest |residual|: it costs no
+    further integration. Non-finite costates, a zero lambda_phi (at
+    phi = theta = 0 the switching pair is (lambda_phi, 0) up to constants,
+    so every shot would start degenerate), and a guess whose probes
+    coincide (a zero or subnormal guess) or whose probes or walk overflow,
+    raise ValueError before the first shot; when no probe hits,
+    NoFeasiblePoint tallies why, at the tolerance the probes ran at; when
+    the residual has no sign change to bracket, or the full-tolerance search
+    fails, NoConvergence names the condition, the eps and the horizon.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         probes = ltheta_guess * np.linspace(1.0 / 16.0, 1.5, 13)
@@ -476,11 +510,19 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     if not (math.isfinite(lphi_i) and np.isfinite(ladder).all() and len(set(probes.tolist())) == probes.size):
         raise ValueError(f"costates must be finite, and the guess must give {probes.size} distinct probes"
                          f" and a finite walk, got ({lphi_i!r}, {ltheta_guess!r})")
-    search = _RootSearch(lphi_i, ltheta_guess, cfg)
-    best = search.scan(probes, max(cfg.tol, SCAN_TOL))
-    if search.shot(probes[best])[0] is None:
-        best = search.scan(probes, cfg.tol)
-    return search.root(lambda j: ladder[best + j], -min(best, 1), ladder.size - 1 - best)
+    if lphi_i == 0.0:
+        raise ValueError("lambda_phi must be nonzero: at phi = theta = 0 the switching pair is"
+                         " (lambda_phi, 0) up to constants, so every shot would start degenerate")
+    best = _RootSearch(lphi_i, ltheta_guess, cfg).scan(probes, max(cfg.tol, SCAN_TOL))
+
+    def full(search: _RootSearch) -> Optimum:
+        start = best
+        if search.shot(probes[start])[0] is None:
+            start = search.scan(probes, cfg.tol)
+        return search.root(lambda j: ladder[start + j], -min(start, 1), ladder.size - 1 - start)
+
+    return _locate_and_solve(lphi_i, ltheta_guess, cfg, lambda j: ladder[best + j], -min(best, 1),
+                             ladder.size - 1 - best, full)
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +562,12 @@ def _correct(lphi_i: float, predicted: float, bias: float, cfg: ShotConfig) -> O
     the log lambda_theta ``predicted`` moved left by ``bias``, in steps of
     half the bias (see the comment above)."""
     start = predicted - bias
-    search = _RootSearch(lphi_i, math.exp(predicted), cfg)
-    return search.root(lambda j: math.exp(start + 0.5 * bias * j), -CONTINUATION_STEPS, CONTINUATION_STEPS)
+
+    def point(j: int) -> float:
+        return math.exp(start + 0.5 * bias * j)
+
+    return _locate_and_solve(lphi_i, math.exp(predicted), cfg, point, -CONTINUATION_STEPS, CONTINUATION_STEPS,
+                             lambda search: search.root(point, -CONTINUATION_STEPS, CONTINUATION_STEPS))
 
 
 def optima_along_eps(eps_values: np.ndarray, cfg: ShotConfig, lphi_i: float) -> list[Optimum]:

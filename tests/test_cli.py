@@ -285,6 +285,20 @@ class TestThreeLevel:
         assert "horizon 2.0" in err and "eps 0.005" in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("lphi", ["0", "-0.0"])
+    def test_optimize_zero_lphi_exits_2_before_the_first_shot(self, tmp_path, capsys, monkeypatch, lphi):
+        # at phi = theta = 0 the switching pair is (lambda_phi, 0) up to
+        # constants, so with lambda_phi = 0 every shot starts degenerate
+        def no_shot(*args):
+            raise AssertionError("refine shot a zero lambda_phi")
+
+        monkeypatch.setattr(shooting, "shoot_info", no_shot)
+        code = cli.main(["--out", str(tmp_path), "three-level", "optimize", "--eps", "0.002", f"--lphi={lphi}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid arguments: lambda_phi must be nonzero")
+        assert not any(tmp_path.iterdir())
+
     def test_energy(self, capsys):
         code, out = run(capsys, "three-level", "energy", "--T", "10", "--eps", "0.005")
         assert code == 0

@@ -416,29 +416,41 @@ class TestRefine:
         monkeypatch.setattr(shooting, "shoot_info", counted)
         opt = shooting.refine(1.85, 0.5, cfg002)
         assert opt.t_min == pytest.approx(7.40, abs=0.02)
-        # 13 screened probes and 10 search shots, two of them the fastest
-        # probe and its neighbour shot again at the configured tol
-        assert len(shots) <= 30
+        # 13 probes and 9 shots that locate the root at SCAN_TOL, then 5 that
+        # solve it at the configured tol; the search at the configured tol
+        # alone took 10 shots after the probes
+        solved = [args for args in shots if args[2].tol == cfg002.tol]
+        assert len(shots) - len(solved) <= 24
+        assert len(solved) <= 6
 
     def test_rhs_budget(self, cfg002, monkeypatch):
-        # the scan screens at SCAN_TOL and the search solves at the configured
-        # tol: 3 325 calls in the 13 probes and 15 446 in the search's 14
-        # shots, the fastest probe and its neighbour shot again among them,
-        # 18 771 in all; with the probes at the configured tol the scan took
-        # 15 409 and the search's 12 shots 13 170, and minimizing the hit
-        # time by Brent's method 46 010 in all, with unbounded probes 129 848
-        calls = 0
-        extremal_rhs = lambda3.extremal_rhs
+        # the scan screens and the search locates at SCAN_TOL, and the solve
+        # solves at the configured tol: 3 325 calls in the 13 probes, 3 350
+        # in the 14 shots that locate the root and 5 435 in the 5 that solve
+        # it, 12 110 in all; with the whole search at the configured tol it
+        # took 15 446 calls in 14 shots, 18 771 in all; with the probes at the
+        # configured tol too the scan took 15 409 and the search's 12 shots
+        # 13 170, and minimizing the hit time by Brent's method 46 010 in all,
+        # with unbounded probes 129 848
+        calls, solved = 0, 0
+        extremal_rhs, shoot_info = lambda3.extremal_rhs, shooting.shoot_info
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return extremal_rhs(*args)
 
+        def counted_shot(lphi_i, ltheta_i, cfg, stop=math.inf):
+            nonlocal solved
+            solved += cfg.tol == cfg002.tol
+            return shoot_info(lphi_i, ltheta_i, cfg, stop)
+
         monkeypatch.setattr(lambda3, "extremal_rhs", counted)
+        monkeypatch.setattr(shooting, "shoot_info", counted_shot)
         opt = shooting.refine(1.85, 0.9, cfg002)
         assert opt.t_min == pytest.approx(7.40, abs=0.02)
-        assert calls <= 21_000
+        assert calls <= 12_700
+        assert solved <= 6
 
     @pytest.mark.parametrize("eps, guess", [(0.002, 0.9), (0.005, 0.7), (0.002, 1.2)])
     def test_bounded_probes_keep_the_optimum(self, eps, guess, monkeypatch):
@@ -481,23 +493,42 @@ class TestRefine:
     ])
     def test_screened_scan_keeps_the_optimum(self, eps, guess, lphi_sign, ltheta_sign, monkeypatch):
         # the probes only rank hit times, 0.3 or more apart on the fast
-        # branch: screened at SCAN_TOL they lead to the same bracket, and so
-        # to the same optimum bit for bit, as probes at the configured tol
+        # branch, and the search locates the root at SCAN_TOL: the optimum
+        # the solve finds at the configured tol is the one of the search at
+        # the configured tol alone, to rel 1e-9, a full hit at its costates
         cfg = ShotConfig(eps=eps)
-        screened = shooting.refine(lphi_sign * 1.85, ltheta_sign * guess, cfg)
+        located = shooting.refine(lphi_sign * 1.85, ltheta_sign * guess, cfg)
         monkeypatch.setattr(shooting, "SCAN_TOL", cfg.tol)
-        assert shooting.refine(lphi_sign * 1.85, ltheta_sign * guess, cfg) == screened
+        full = shooting.refine(lphi_sign * 1.85, ltheta_sign * guess, cfg)
+        monkeypatch.undo()
+        assert located.ltheta_i == pytest.approx(full.ltheta_i, rel=1e-9, abs=0.0)
+        assert located.t_min == pytest.approx(full.t_min, rel=1e-9, abs=0.0)
+        t, reason, residual = shooting.shoot_info(located.lphi_i, located.ltheta_i, cfg)
+        assert (t, reason) == (located.t_min, "hit")
+        assert abs(residual) <= 1e-9
 
     def test_screened_scan_keeps_the_continuation(self, cfg002, monkeypatch):
-        # the 8-point grid of acceptance 07, whose first two points refine
+        # the 8-point grid of acceptance 07, whose first two points refine and
+        # whose later six are corrected: each optimum is the full-tol search's
+        # to rel 1e-9, and a full hit at its costates
         eps_values = np.geomspace(1e-1, 1e-3, 8)
-        screened = shooting.optima_along_eps(eps_values, cfg002, 1.85)
+        located = shooting.optima_along_eps(eps_values, cfg002, 1.85)
         monkeypatch.setattr(shooting, "SCAN_TOL", cfg002.tol)
-        assert shooting.optima_along_eps(eps_values, cfg002, 1.85) == screened
+        full = shooting.optima_along_eps(eps_values, cfg002, 1.85)
+        monkeypatch.undo()
+        for eps, opt, ref in zip(eps_values, located, full):
+            assert opt.fallback is None
+            assert opt.ltheta_i == pytest.approx(ref.ltheta_i, rel=1e-9, abs=0.0)
+            assert opt.t_min == pytest.approx(ref.t_min, rel=1e-9, abs=0.0)
+            t, reason, residual = shooting.shoot_info(opt.lphi_i, opt.ltheta_i, replace(cfg002, eps=float(eps)))
+            assert (t, reason) == (opt.t_min, "hit")
+            assert abs(residual) <= 1e-9
 
     def test_scan_screens_and_search_solves(self, cfg002, opt002, monkeypatch):
-        # the 13 probes run at SCAN_TOL, every later shot at the configured
-        # tol, the fastest probe among them; the optimum is one of those
+        # the 13 probes and the shots that locate the root run at SCAN_TOL,
+        # the solve's shots at the configured tol, from the bracket
+        # located * (1 -+ 10 SCAN_TOL) around a located shot; the optimum is
+        # one of the solve's shots
         tols = []
         shoot_info = shooting.shoot_info
 
@@ -507,17 +538,40 @@ class TestRefine:
 
         monkeypatch.setattr(shooting, "shoot_info", recorded)
         opt = shooting.refine(1.85, 0.5, cfg002)
-        assert [tol for _, tol in tols[:13]] == [shooting.SCAN_TOL] * 13
-        assert {tol for _, tol in tols[13:]} == {cfg002.tol}
-        assert tols[13][0] in [x for x, _ in tols[:13]]
-        assert (opt.ltheta_i, cfg002.tol) in tols[13:]
+        solve = next(i for i, (_, tol) in enumerate(tols) if tol != shooting.SCAN_TOL)
+        assert solve > 13
+        assert {tol for _, tol in tols[:solve]} == {shooting.SCAN_TOL}
+        assert {tol for _, tol in tols[solve:]} == {cfg002.tol}
+        w = 10.0 * shooting.SCAN_TOL
+        assert any(tols[solve:solve + 2] == [(x * (1.0 - w), cfg002.tol), (x * (1.0 + w), cfg002.tol)]
+                   for x, _ in tols[13:solve])
+        assert (opt.ltheta_i, cfg002.tol) in tols[solve:]
         assert opt == opt002
 
+    @pytest.mark.parametrize("eps, guess", [(0.002, 0.5), (0.002, 0.9), (0.005, 0.7), (1e-5, 0.3)])
+    def test_optimum_is_a_configured_tol_shot(self, eps, guess, monkeypatch):
+        # a screened shot locates the root but never becomes the optimum
+        cfg = ShotConfig(eps=eps)
+        shots = {shooting.SCAN_TOL: set(), cfg.tol: set()}
+        shoot_info = shooting.shoot_info
+
+        def recorded(lphi_i, ltheta_i, shot_cfg, stop=math.inf):
+            shots[shot_cfg.tol].add(ltheta_i)
+            return shoot_info(lphi_i, ltheta_i, shot_cfg, stop)
+
+        monkeypatch.setattr(shooting, "shoot_info", recorded)
+        opt = shooting.refine(1.85, guess, cfg)
+        assert opt.ltheta_i in shots[cfg.tol]
+        assert opt.ltheta_i not in shots[shooting.SCAN_TOL]
+
     def test_unconfirmed_screen_scans_again(self, monkeypatch):
-        # the screen's fastest probe, right of the root, hits only at
-        # SCAN_TOL: the scan runs again at the configured tol, unmemoised,
-        # the unconfirmed probe among its shots, and the search starts from
-        # that scan's fastest probe, left of the root, shot once more
+        # the screen misleads twice: its residual has its root at 0.29, not
+        # at the configured tol's 0.3, so the solve's bracket never changes
+        # sign; and its fastest probe, right of the root, hits only at
+        # SCAN_TOL. The full-tol search then runs on a fresh record: the
+        # scan runs again at the configured tol, unmemoised, the unconfirmed
+        # probe among its shots, and the search starts from that scan's
+        # fastest probe, left of the root, shot once more
         def valley(x):
             return 7.0 + 400.0 * (x - 0.3) ** 2
 
@@ -530,18 +584,96 @@ class TestRefine:
             if ltheta_i == probes[2] and tol < shooting.SCAN_TOL:
                 return None, "no-crossing", None
             t = valley(ltheta_i)
-            return (None, "beyond-bound", None) if t >= stop else (t, "hit", 0.3 - ltheta_i)
+            root = 0.29 if tol == shooting.SCAN_TOL else 0.3
+            return (None, "beyond-bound", None) if t >= stop else (t, "hit", root - ltheta_i)
 
         monkeypatch.setattr(shooting, "shoot_info", shoot_info)
         opt = shooting.refine(1.85, 1.0, ShotConfig(eps=0.002))
         assert opt.ltheta_i == pytest.approx(0.3, abs=1e-9)
         assert shots[:13] == [(p, shooting.SCAN_TOL) for p in probes]
+        solve = next(i for i, (_, tol) in enumerate(shots) if tol == 1e-10)
+        assert all(tol == shooting.SCAN_TOL for _, tol in shots[13:solve])
+        # the solve walks right from the bracket at 0.29 by its 13 steps
+        full = shots.index((probes[2], 1e-10))
+        assert full - solve == 1 + shooting.CONTINUATION_STEPS
+        assert all(0.289 < x < 0.291 for x, _ in shots[solve:full])
+        shots = shots[full - 13:]
         assert shots[13] == (probes[2], 1e-10)
         assert shots[14:27] == [(p, 1e-10) for p in probes]
         # the rescan's fastest probe, left of the root, starts the search
         assert shots[27] == (probes[1], 1e-10) and probes[1] < 0.3 < probes[2]
         assert all(tol == 1e-10 for _, tol in shots[28:])
         assert len(shots) == 38
+
+    def test_unsolved_bracket_falls_back_to_the_full_search(self, cfg002, monkeypatch):
+        # the solve's bracket moved to 0.9 times the located root never
+        # changes sign: the search at the configured tol runs on a fresh
+        # record, shot for shot as with no locate phase, and gives its
+        # optimum bit for bit
+        shoot_info, solve = shooting.shoot_info, shooting._RootSearch.solve
+
+        def run():
+            shots = []
+
+            def recorded(lphi_i, ltheta_i, cfg, stop=math.inf):
+                shots.append((ltheta_i, cfg.tol, stop))
+                return shoot_info(lphi_i, ltheta_i, cfg, stop)
+
+            with monkeypatch.context() as m:
+                m.setattr(shooting, "shoot_info", recorded)
+                return shooting.refine(1.85, 0.9, cfg002), shots
+
+        monkeypatch.setattr(shooting._RootSearch, "solve", lambda self, located: solve(self, 0.9 * located))
+        fell_back, shots = run()
+        monkeypatch.setattr(shooting, "SCAN_TOL", cfg002.tol)
+        full, full_shots = run()
+        assert fell_back == full
+        assert shots[-(len(full_shots) - 13):] == full_shots[13:]
+        assert len(shots) > len(full_shots) + 1 + shooting.CONTINUATION_STEPS
+
+    def test_unsolved_corrector_fails_as_the_full_search(self, monkeypatch):
+        # at SCAN_TOL the residual has a root, at the configured tol none: the
+        # solve finds no bracket, and the corrector's walk at the configured
+        # tol fails with the message it gives with no locate phase
+        scan_tol, cfg = shooting.SCAN_TOL, ShotConfig(eps=0.005)
+        solved = []
+
+        def shoot_info(lphi_i, ltheta_i, shot_cfg, stop=math.inf):
+            if shot_cfg.tol == scan_tol:
+                return 7.0, "hit", 0.5 - ltheta_i
+            solved.append(ltheta_i)
+            return 7.0, "hit", 0.5
+
+        monkeypatch.setattr(shooting, "shoot_info", shoot_info)
+        with pytest.raises(shooting.NoConvergence) as located:
+            shooting._correct(1.85, math.log(0.5), 0.01, cfg)
+        # the solve's walk, then the corrector's full-tol walk
+        assert len(solved) == 2 * (1 + shooting.CONTINUATION_STEPS)
+        assert solved[0] == pytest.approx(0.5, rel=1e-4)
+        monkeypatch.setattr(shooting, "SCAN_TOL", cfg.tol)
+        with pytest.raises(shooting.NoConvergence) as full:
+            shooting._correct(1.85, math.log(0.5), 0.01, cfg)
+        assert str(located.value) == str(full.value)
+        assert "no valid bracket, the residual stays > 0" in str(located.value)
+
+    def test_loose_tol_runs_no_locate_phase(self, monkeypatch):
+        # at a tol no tighter than SCAN_TOL the scan is not screened and the
+        # search is the full one: after the 13 probes it shoots the fastest
+        # probe again in full, on 27 shots in all, every one at that tol
+        cfg = ShotConfig(eps=0.002, tol=shooting.SCAN_TOL)
+        shots = []
+        shoot_info = shooting.shoot_info
+
+        def recorded(lphi_i, ltheta_i, shot_cfg, stop=math.inf):
+            shots.append((ltheta_i, shot_cfg.tol, stop))
+            return shoot_info(lphi_i, ltheta_i, shot_cfg, stop)
+
+        monkeypatch.setattr(shooting, "shoot_info", recorded)
+        opt = shooting.refine(1.85, 0.9, cfg)
+        assert {tol for _, tol, _ in shots} == {cfg.tol}
+        assert shots[13][0] in [x for x, _, _ in shots[:13]] and shots[13][2] == math.inf
+        assert len(shots) == 27
+        assert opt.t_min == pytest.approx(7.40, abs=0.02)
 
     def test_optimum_does_not_depend_on_the_guess(self, cfg002, opt002):
         # the root of the residual is where the guesses 0.5, 0.9 and 1.2 all
@@ -767,7 +899,9 @@ class TestAreaCurve:
 
     def test_rhs_budget(self, cfg002, monkeypatch):
         # acceptance 07's curve: only the first two points run refine's scan,
-        # the other six are predicted and corrected; a scan per point took
+        # the other six are predicted and corrected, each search located at
+        # SCAN_TOL and solved at the configured tol: 48 884 calls, 58 285 with
+        # the whole search at the configured tol; a scan per point took
         # 174 158 calls, the continuation 75 994
         calls, refines = 0, 0
         extremal_rhs, refine = lambda3.extremal_rhs, shooting.refine
@@ -786,7 +920,7 @@ class TestAreaCurve:
         monkeypatch.setattr(shooting, "refine", counted_refine)
         curve = shooting.area_curve(np.geomspace(1e-1, 1e-3, 8), cfg002)
         assert refines == 2
-        assert calls <= 90_000
+        assert calls <= 51_000
         assert not curve[:, 2].any()  # no point fell back
 
     def test_repeated_and_unsorted_eps(self, cfg002):
