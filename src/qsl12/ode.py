@@ -13,7 +13,7 @@ choice and continue from it. ``integrate`` caps every step at the constant
 ``MAX_STEP``, read at each call, so the trajectory it returns, which the
 exports sample, has its nodes at most ``MAX_STEP`` apart; only it and the
 lanes step at ``MAX_STEP``, which elsewhere bounds the first trial step
-alone. ``locate_event`` hands each accepted step to one crossing rule,
+alone. The event searches hand a step to one crossing rule,
 ``_crossing``, which reads the state inside the step from the pair's free
 quartic continuous extension (dense output, II.6), built from the step's
 seven stages at no rhs call. A step brackets an event when the event
@@ -24,18 +24,20 @@ zero. The extremum search is skipped when the event's tangent lines at the
 two ends meet more than ``GRAZE_MARGIN`` beyond zero on the side where the
 step starts: a concave (or convex) event lies below (or above) its
 tangents, so it cannot graze. Brent's root finder, ``brentq``, then pins
-the crossing down to ``EVENT_TOL`` on the interpolant.
+the crossing down to ``EVENT_TOL`` on the interpolant. Both searches
+screen first: only a step whose event changes sign, or moves away from
+zero at its right end, reaches the rule, which finds nothing on any other.
 
 The step runs on Python floats, in straight-line code generated from the
 tableau (``_A``, ``_E``): ``_dp5_source`` writes one step and one error norm
-per state width, compiled on the width's first use and cached. They unpack
+per state width, and ``_rate_source`` the event's rate, apart, as only the
+event searches read it; each compiles on the width's first use. They unpack
 the state and each slope into one local per component, which checks the
-slope's length on every call, and spell out each stage sum per component,
-term by term in the tableau's order, so every float is the one the
-list-comprehension form of the step gives, bit for bit. On the 4-component
-extremal state one step and its error norm take 7.8-8.6 us, about 5 of
-them in the six rhs calls, against 13.0-14.3 us for the list-comprehension
-form and 48-66 us for numpy array code (2-vCPU VM, py3.11, numpy 2.4).
+slope's length on every call, and spell out each sum term by term in the
+order of the list-comprehension form, so every float is that form's, bit
+for bit. On the 4-component extremal state one step and its error norm take
+7.8-8.6 us, against 13.0-14.3 us in the list-comprehension form and 48-66 us
+in numpy array code (2-vCPU VM, py3.11, numpy 2.4).
 
 ``locate_lane_events`` runs n states side by side as *lanes* at the fixed
 step ``MAX_STEP``, up to the first node at or past the end of the span, so
@@ -137,17 +139,19 @@ class Trajectory:
         return self.states[-1]
 
 
-@dataclass
 class EventHit:
-    """First event crossing: time, state there, and the path leading to it.
+    """First event crossing: time ``t``, state ``y`` there, and ``trajectory``,
+    the path to it, built when first read: the search's accepted nodes, whose
+    spacing is set by the tolerance alone, then the crossing."""
 
-    The path holds the search's accepted nodes, whose spacing is set by the
-    tolerance alone, followed by the crossing.
-    """
+    def __init__(self, times: list, states: list):
+        self.t = times[-1]
+        self.y = np.asarray(states[-1])
+        self._path = times, states
 
-    t: float
-    y: np.ndarray
-    trajectory: Trajectory
+    @functools.cached_property
+    def trajectory(self) -> Trajectory:
+        return Trajectory(*map(np.asarray, self._path))
 
 
 # Dormand-Prince 5(4) tableau (II.5, Table 5.2), the data the step is
@@ -221,6 +225,11 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
+def _unpack(d: int, *names: str) -> list[str]:
+    """Generated lines that unpack each list of ``names`` into d locals."""
+    return [f"    {''.join(f'{name}_{i}, ' for i in range(d))}= {name}" for name in names]
+
+
 def _dp5_source(d: int) -> str:
     """The source of the DP5 step and of its error norm on states of d
     components, both straight-line.
@@ -233,25 +242,22 @@ def _dp5_source(d: int) -> str:
     comparison ``max`` makes, so both give the list-comprehension and loop
     forms' floats bit for bit.
     """
-    def unpack(name: str) -> str:
-        return f"    {''.join(f'{name}_{i}, ' for i in range(d))}= {name}"
-
     def stage(i: int, weights: tuple) -> str:
         return " + ".join(f"{w!r} * k{j}_{i}" for j, w in enumerate(weights, 1) if w)
 
     stages = ", ".join(f"k{j}" for j in range(1, len(_A) + 2))
-    lines = [f"def _dp5_step_{d}(rhs, y, k1, h):", unpack("y"), unpack("k1")]
+    lines = [f"def _dp5_step_{d}(rhs, y, k1, h):", *_unpack(d, "y", "k1")]
     for j, row in enumerate(_A, 2):
         states = ", ".join(f"y_{i} + h * ({stage(i, row)})" for i in range(d))
         if row is not _A[-1]:
             lines.append(f"    k{j} = rhs([{states}])")
         else:  # the weights: the new state, and the slope there
             lines += [f"    y_new = [{states}]", f"    k{j} = rhs(y_new)"]
-        lines.append(unpack(f"k{j}"))
+        lines += _unpack(d, f"k{j}")
     lines.append(f"    err = [{', '.join(f'h * ({stage(i, _E)})' for i in range(d))}]")
     lines.append(f"    return y_new, ({stages}), err")
 
-    lines += [f"def _error_norm_{d}(err, y_old, y_new, tol):", unpack("err"), unpack("y_old"), unpack("y_new")]
+    lines += [f"def _error_norm_{d}(err, y_old, y_new, tol):", *_unpack(d, "err", "y_old", "y_new")]
     for i in range(d):
         lines += [
             f"    a_{i} = abs(y_old_{i})",
@@ -262,23 +268,47 @@ def _dp5_source(d: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rate_source(d: int) -> str:
+    """The source of ``_rate`` on states of d components: the central
+    difference of the list-comprehension form, straight-line."""
+    def state(sign: str) -> str:
+        return ", ".join(f"y_{i} {sign} dt * ydot_{i}" for i in range(d))
+
+    return "\n".join([f"def _rate_{d}(event, y, ydot, dt):", *_unpack(d, "y", "ydot"),
+                      f"    return (event([{state('+')}]) - event([{state('-')}])) / (2.0 * dt)"]) + "\n"
+
+
+def _compiled(source_of: Callable[[int], str], d: int) -> dict:
+    """The namespace ``source_of(d)`` defines; its source is in
+    ``linecache``, for tracebacks."""
+    source = source_of(d)
+    filename = f"<ode.{source_of.__name__}({d})>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
 @functools.cache
 def _dp5(d: int) -> tuple[Callable, Callable]:
     """The DP5 step and its error norm on states of d components, compiled
-    from ``_dp5_source`` on first use; the source is in ``linecache``, so
-    tracebacks show it.
+    from ``_dp5_source`` on first use.
 
     The step is ``_dp5_step``'s. The norm, ``(err, y_old, y_new, tol)``, is
     the RMS of the error over the scale tol + tol * max(|y_old|, |y_new|),
     its squares summed in component order, which is numpy's order for fewer
     than 8 components (from 8 on numpy sums pairwise).
     """
-    source = _dp5_source(d)
-    filename = f"<ode._dp5_source({d})>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"sqrt": math.sqrt}
-    exec(compile(source, filename, "exec"), namespace)
+    namespace = _compiled(_dp5_source, d)
     return namespace[f"_dp5_step_{d}"], namespace[f"_error_norm_{d}"]
+
+
+@functools.cache
+def _rate(d: int) -> Callable:
+    """``(event, y, ydot, dt)``: the time derivative of ``event`` at the
+    state y moving with velocity ydot (lists of d floats), a central
+    difference over y -/+ dt * ydot; compiled on first use."""
+    return _compiled(_rate_source, d)[f"_rate_{d}"]
 
 
 def _dp5_step(rhs: Rhs, y: list, k1: Sequence, h: float) -> tuple[list, tuple[Sequence, ...], list]:
@@ -369,14 +399,6 @@ def integrate(rhs: Rhs, y0, t_span: tuple[float, float], tol: float = TOL) -> Tr
         times.append(t)
         states.append(y)
     return Trajectory(np.asarray(times), np.asarray(states))
-
-
-def _rate(event: Event, y: Sequence, ydot: Sequence, dt: float):
-    """Time derivative of ``event`` at state y moving with velocity ydot (lists
-    of floats), a central difference over y -/+ dt * ydot."""
-    ahead = [a + dt * v for a, v in zip(y, ydot)]
-    behind = [a - dt * v for a, v in zip(y, ydot)]
-    return (event(ahead) - event(behind)) / (2.0 * dt)
 
 
 def _graze_ruled_out(e_a, r_a, e_b, r_b, h):
@@ -483,29 +505,27 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def _hit(times: list, states: list) -> EventHit:
-    path = Trajectory(np.asarray(times), np.asarray(states))
-    return EventHit(times[-1], path.final_state, path)
-
-
 def _crossing(event: Event, t_a: float, y_a: list, e_a: float, t_b: float, y_b: list,
-              e_b: float, K, h: float) -> tuple[float, list] | None:
+              e_b: float, K, h: float, r_b: float | None = None) -> tuple[float, list] | None:
     """The first zero of ``event`` in one accepted step, as (t, y), or None.
 
     The step of length h runs from (t_a, y_a) to (t_b, y_b) with stages K;
-    e_a (nonzero) and e_b are the event at its ends. A sign change or a
-    graze (see the module docstring) is pinned down to ``EVENT_TOL`` in time
-    on the step's interpolant; a zero at t_a is returned as t_a.
+    e_a (nonzero) and e_b are the event at its ends, and r_b, if given, its
+    rate at t_b. A sign change or a graze (see the module docstring) is
+    pinned down to ``EVENT_TOL`` in time on the step's interpolant; a zero
+    at t_a is returned as t_a.
     """
     crossed = e_b == 0.0 or (e_b > 0.0) != (e_a > 0.0)
     if not crossed:
         # A graze needs the event moving toward zero at t_a (K[0] is the
         # slope there) and away from it at t_b.
         dt = _RATE_DT * h
-        r_b = _rate(event, y_b, K[-1], dt)
+        rate_of = _rate(len(y_a))
+        if r_b is None:
+            r_b = rate_of(event, y_b, K[-1], dt)
         if not r_b * e_b > 0.0:
             return None
-        r_a = _rate(event, y_a, K[0], dt)
+        r_a = rate_of(event, y_a, K[0], dt)
         if not r_a * e_a < 0.0 or _graze_ruled_out(e_a, r_a, e_b, r_b, h):
             return None
     # probe(t): the state, as a list, and the event at t on the step's
@@ -534,7 +554,7 @@ def _crossing(event: Event, t_a: float, y_a: list, e_a: float, t_b: float, y_b: 
                 return r_b
             x = (t - t_a) / h
             velocity = (Q @ np.array([1.0, 2.0 * x, 3.0 * x * x, 4.0 * x ** 3])).tolist()
-            return _rate(event, probe(t)[0], velocity, dt)
+            return rate_of(event, probe(t)[0], velocity, dt)
 
         t_end = brentq(rate, t_a, t_b, xtol=EVENT_TOL)
         e_end = probe(t_end)[1]
@@ -555,12 +575,14 @@ def locate_event(
     """Locate the first zero crossing of ``event`` along the trajectory.
 
     Steps are limited by the tolerance ``tol`` alone; MAX_STEP only bounds
-    the first trial step. Each accepted step goes through the crossing rule
-    ``_crossing``: a sign change or a graze, pinned down to ``EVENT_TOL``
-    in time on the step's interpolant; the hit lies strictly after the last
-    stored node, or is that node. Returns None when no step of ``t_span``
-    brackets a crossing. The event is called on the state as a list: at the
-    nodes, and at points inside a step read from its interpolant.
+    the first trial step. A step whose event keeps its sign and does not
+    move away from zero at its right end brackets nothing; every other goes
+    through the crossing rule ``_crossing``: a sign change or a graze,
+    pinned down to ``EVENT_TOL`` in time on the step's interpolant; the hit
+    lies strictly after the last stored node, or is that node. Returns None
+    when no step of ``t_span`` brackets a crossing. The event is called on
+    the state as a list: at the nodes, around them for its rate, and at
+    points inside a step read from its interpolant.
 
     ``stop`` ends the search early: once a step that ends at or past
     ``stop`` brackets no crossing, it returns None, so there is no crossing
@@ -574,16 +596,20 @@ def locate_event(
     times = [t_a]
     states = [y_a]
     if e_a == 0.0:
-        return _hit(times, states)
+        return EventHit(times, states)
+    rate = _rate(len(y_a))
     for t_b, y_b, K, h in steps:
         e_b = float(event(y_b))
-        found = _crossing(event, t_a, y_a, e_a, t_b, y_b, e_b, K, h)
+        crossed = e_b == 0.0 or (e_b > 0.0) != (e_a > 0.0)
+        r_b = None if crossed else rate(event, y_b, K[-1], _RATE_DT * h)
+        # the screen: a step that keeps the event's sign can only graze, moving away from zero at t_b
+        found = _crossing(event, t_a, y_a, e_a, t_b, y_b, e_b, K, h, r_b) if crossed or r_b * e_b > 0.0 else None
         if found is not None:
             # A root on the left node is that node, already stored last.
             if found[0] > t_a:
                 times.append(found[0])
                 states.append(found[1])
-            return _hit(times, states)
+            return EventHit(times, states)
         if t_b >= stop:
             return None
         times.append(t_b)

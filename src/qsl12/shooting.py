@@ -364,26 +364,26 @@ class _RootSearch:
         self.memo: dict[float, tuple[float | None, str, float | None]] = {}
         self.fastest = math.inf  # the fastest hit left of the root
 
-    def scan(self, probes: np.ndarray, tol: float) -> int:
-        """The index of the fastest probe, each shot unmemoised at ``tol`` and
-        stopped at the fastest hit of the probes before it. When no probe
-        hits, NoFeasiblePoint tallies why, at ``tol``, screened if not the
-        configured one."""
+    def scan(self, probes: np.ndarray, tol: float) -> tuple[int, tuple[float, str, float]]:
+        """The index of the fastest probe and its shot, each probe shot
+        unmemoised at ``tol`` and stopped at the fastest hit of the probes
+        before it, which the fastest probe's hit precedes: its shot is the
+        unstopped one. When no probe hits, NoFeasiblePoint tallies why, at
+        ``tol``, screened if not the configured one."""
         cfg = replace(self.cfg, tol=tol)
-        times, reasons = [], []
+        times, shots = [], []
         for p in probes:
-            t, reason, _ = shoot_info(self.lphi_i, float(p), cfg, min(times, default=math.inf))
-            times.append(math.inf if t is None else t)
-            reasons.append(reason)
+            shots.append(shoot_info(self.lphi_i, float(p), cfg, min(times, default=math.inf)))
+            times.append(math.inf if shots[-1][0] is None else shots[-1][0])
         best = int(np.argmin(times))
         if math.isinf(times[best]):
-            tally = ", ".join(f"{n} {why}" for why, n in Counter(reasons).most_common())
+            tally = ", ".join(f"{n} {why}" for why, n in Counter(shot[1] for shot in shots).most_common())
             raise NoFeasiblePoint(
                 f"no transfer within the horizon {cfg.horizon!r} at eps {cfg.eps!r} near ltheta_i ~"
                 f" {self.near!r} (the {len(probes)} probes{', screened' if tol != self.cfg.tol else ''} at tol"
                 f" {tol!r}: {tally})"
             )
-        return best
+        return best, shots[best]
 
     def shot(self, x) -> tuple[float | None, str, float | None]:
         x = float(x)
@@ -441,17 +441,21 @@ class _RootSearch:
         return self.root(lambda j: located * (1.0 + (2 * j - 1) * w), -CONTINUATION_STEPS, CONTINUATION_STEPS)
 
 
-def _locate_and_solve(lphi_i: float, near: float, cfg: ShotConfig, point, lo: int, hi: int, full) -> Optimum:
+def _locate_and_solve(lphi_i: float, near: float, cfg: ShotConfig, point, lo: int, hi: int, full,
+                      screened: dict | None = None) -> Optimum:
     """The optimum at the root of the residual next to point(0), found in
     two phases. A record at SCAN_TOL locates the root by ``root``'s walk
-    over point(j), lo <= j <= hi, narrowed only to SCAN_TOL; a record at
-    ``cfg.tol`` solves it from a bracket around the located lambda_theta.
+    over point(j), lo <= j <= hi, narrowed only to SCAN_TOL; its memo starts
+    from ``screened``, unstopped shots at SCAN_TOL by lambda_theta. A record
+    at ``cfg.tol`` solves it from a bracket around the located lambda_theta.
     When either phase raises NoConvergence, or ``cfg.tol`` is no tighter
     than SCAN_TOL, ``full`` solves it on a fresh record at ``cfg.tol``
     instead: the result, or the failure, is that path's alone."""
     if cfg.tol < SCAN_TOL:
         try:
-            located = _RootSearch(lphi_i, near, replace(cfg, tol=SCAN_TOL)).root(point, lo, hi, rtol=SCAN_TOL)
+            locate = _RootSearch(lphi_i, near, replace(cfg, tol=SCAN_TOL))
+            locate.memo.update(screened or {})
+            located = locate.root(point, lo, hi, rtol=SCAN_TOL)
             return _RootSearch(lphi_i, near, cfg).solve(located.ltheta_i)
         except NoConvergence:
             pass
@@ -478,7 +482,9 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
 
     The scan screens, the search locates and the solve solves. The probes
     only rank hit times, so they run at max(tol, SCAN_TOL), and so does the
-    search, whose Brent narrowing stops at SCAN_TOL (relative). The solve
+    search, whose Brent narrowing stops at SCAN_TOL (relative); it starts at
+    the fastest probe, whose scan shot hit before its stop and so is the
+    search's own, and does not shoot it again. The solve
     brackets the located lambda_theta within 10 SCAN_TOL (relative), walks
     outward by twice that for at most CONTINUATION_STEPS steps, and narrows
     to REFINE_XTOL at the configured tolerance, whose shots alone give the
@@ -513,16 +519,16 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     if lphi_i == 0.0:
         raise ValueError("lambda_phi must be nonzero: at phi = theta = 0 the switching pair is"
                          " (lambda_phi, 0) up to constants, so every shot would start degenerate")
-    best = _RootSearch(lphi_i, ltheta_guess, cfg).scan(probes, max(cfg.tol, SCAN_TOL))
+    best, fastest = _RootSearch(lphi_i, ltheta_guess, cfg).scan(probes, max(cfg.tol, SCAN_TOL))
 
     def full(search: _RootSearch) -> Optimum:
         start = best
         if search.shot(probes[start])[0] is None:
-            start = search.scan(probes, cfg.tol)
+            start = search.scan(probes, cfg.tol)[0]
         return search.root(lambda j: ladder[start + j], -min(start, 1), ladder.size - 1 - start)
 
     return _locate_and_solve(lphi_i, ltheta_guess, cfg, lambda j: ladder[best + j], -min(best, 1),
-                             ladder.size - 1 - best, full)
+                             ladder.size - 1 - best, full, {float(probes[best]): fastest})
 
 
 # ---------------------------------------------------------------------------

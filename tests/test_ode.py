@@ -362,6 +362,63 @@ class TestGeneratedStep:
         assert step.__name__ == "_dp5_step_4" and error_norm.__name__ == "_error_norm_4"
 
 
+def reference_rate(event, y, ydot, dt):
+    """The list-comprehension form of the event's rate that ode generates
+    straight-line code from."""
+    ahead = [a + dt * v for a, v in zip(y, ydot)]
+    behind = [a - dt * v for a, v in zip(y, ydot)]
+    return (event(ahead) - event(behind)) / (2.0 * dt)
+
+
+class TestGeneratedRate:
+    """``ode._rate(d)`` is the event's central-difference rate, generated per
+    state width apart from the step; each float is the reference's."""
+
+    @staticmethod
+    def event(y):
+        # nonlinear in every component, so each one's rounding shows
+        return sum(c * c * (i + 1) for i, c in enumerate(y)) - 0.3 * y[0] * y[-1]
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 12, 15])
+    def test_rate_is_the_reference_bit_for_bit(self, d, kind):
+        rng = np.random.default_rng(100 + d)
+        seen = []
+
+        def event(y):
+            seen.append(list(y))
+            return self.event(y)
+
+        for _ in range(20):
+            y, ydot = (rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 1, d) for _ in range(2))
+            if kind is complex:
+                y, ydot = y + 1j * rng.standard_normal(d), ydot - 1j * rng.standard_normal(d)
+            y, ydot, dt = y.tolist(), ydot.tolist(), float(10.0 ** rng.uniform(-8, -3))
+            seen.clear()
+            rate = ode._rate(d)(event, y, ydot, dt)
+            points = list(seen)
+            seen.clear()
+            expected = reference_rate(event, y, ydot, dt)
+            assert type(rate) is type(expected) and bits([rate]) == bits([expected])
+            assert bits(points) == bits(seen)  # the event sees the same two states
+
+    def test_compiled_once_per_width_apart_from_the_step(self):
+        assert ode._rate(4) is ode._rate(4) and ode._rate(4).__name__ == "_rate_4"
+        assert all("event" not in ode._dp5_source(d) for d in (4, 12, 15))
+
+    def test_a_run_without_events_compiles_no_rate(self, monkeypatch):
+        # integrate and nodes never read a rate, so they never pay its compile
+        compiled = []
+        monkeypatch.setattr(ode, "_rate_source", lambda d: compiled.append(d) or "")
+        ode._rate.cache_clear()
+        try:
+            ode.integrate(TestGeneratedStep.coupled(12, 0.1), [0.1] * 12, (0.0, 0.5))
+            list(ode.nodes(TestGeneratedStep.coupled(15, 0.1), [0.1] * 15, (0.0, 0.5)))
+        finally:
+            ode._rate.cache_clear()
+        assert compiled == []
+
+
 class TestNonFiniteRhs:
     """A non-finite slope fails every step, so the step shrinks to MIN_STEP."""
 
@@ -531,6 +588,147 @@ class TestLocateEvent:
         monkeypatch.setattr(ode, "MAX_STEP", ode.MAX_STEP / 2)
         t2 = ode.locate_event(rhs, [0.0, 0.0, -0.5], (0.0, 5.0), lambda eta: eta[2]).t
         assert abs(t1 - t2) < 10.0 * ode.EVENT_TOL
+
+
+def reference_locate_event(rhs, y0, t_span, event, tol=ode.TOL, stop=math.inf):
+    """``locate_event`` with no screen: the crossing rule runs on every
+    step, and the path is built at the hit, as ``(t, y, trajectory)``."""
+    steps = ode._steps(rhs, t_span[0], ode._as_state(y0), t_span[1], tol)
+    t_a, y_a, _, _ = next(steps)
+    e_a = float(event(y_a))
+    times, states = [t_a], [y_a]
+    if e_a != 0.0:
+        for t_b, y_b, K, h in steps:
+            e_b = float(event(y_b))
+            found = ode._crossing(event, t_a, y_a, e_a, t_b, y_b, e_b, K, h)
+            if found is not None:
+                if found[0] > t_a:
+                    times.append(found[0])
+                    states.append(found[1])
+                break
+            if t_b >= stop:
+                return None
+            times.append(t_b)
+            states.append(y_b)
+            t_a, y_a, e_a = t_b, y_b, e_b
+        else:
+            return None
+    path = ode.Trajectory(np.asarray(times), np.asarray(states))
+    return times[-1], path.final_state, path
+
+
+def resonant_rhs(eta):
+    return bloch2.bloch_rhs(eta, 1.0, 0.0)
+
+
+_REFERENCE_SHOT = (lambda3.extremal_rhs, [0.0, 0.0, 1.85, 0.45266], (0.0, 15.0), TestLocateEvent.x3sq_excess)
+SCREEN_CASES = {
+    "equator": (resonant_rhs, [0.0, 0.0, -0.5], (0.0, 5.0), lambda eta: eta[2]),
+    "away-from-zero": (resonant_rhs, [0.0, 0.0, -0.5], (0.0, 5.0), lambda eta: eta[2] + 0.6),
+    "graze-between-nodes": (lambda y: np.ones(1), [0.0], (0.0, 2.0), lambda y: 1e-6 - (y[0] - 0.735) ** 2),
+    "oscillating-miss": (rotation_rhs, [1.0, 0.0], (0.0, 20.0), lambda y: y[0] - 1.0001),
+    "reference-shot": _REFERENCE_SHOT,
+    "complex": (lambda y: [1j * y[0]], [1.0 + 0.0j], (0.0, 4.0), lambda y: y[0].real + 0.5),
+}
+
+
+def assert_same_hit(hit, ref):
+    if ref is None:
+        assert hit is None
+        return
+    t, y, path = ref
+    assert bits([hit.t]) == bits([t]) and type(hit.t) is type(t)
+    assert hit.y.dtype == y.dtype and bits([hit.y]) == bits([y])
+    assert hit.trajectory.times.dtype == path.times.dtype and bits([hit.trajectory.times]) == bits([path.times])
+    assert hit.trajectory.states.dtype == path.states.dtype and bits([hit.trajectory.states]) == bits([path.states])
+
+
+class TestScreen:
+    """``locate_event`` runs the crossing rule only on a step that changes
+    sign or moves away from zero at its end; it finds what the rule run on
+    every step finds, bit for bit."""
+
+    @pytest.mark.parametrize("case", SCREEN_CASES)
+    def test_screened_search_is_the_unscreened_bit_for_bit(self, case):
+        rhs, y0, t_span, event = SCREEN_CASES[case]
+        assert_same_hit(ode.locate_event(rhs, y0, t_span, event), reference_locate_event(rhs, y0, t_span, event))
+
+    def test_crossing_just_after_a_node(self):
+        # the level a hair above the node at t = 0.31, as in TestLocateEvent
+        rhs = lambda y: np.ones(1)
+        search = ode.locate_event(rhs, [0.0], (0.0, 1.0), lambda y: y[0] - 0.9).trajectory
+        level = np.nextafter(search.states[3, 0], np.inf)
+        hit = ode.locate_event(rhs, [0.0], (0.0, 1.0), lambda y: y[0] - level)
+        assert_same_hit(hit, reference_locate_event(rhs, [0.0], (0.0, 1.0), lambda y: y[0] - level))
+        assert hit.trajectory.times[-2] < hit.t
+
+    @pytest.mark.parametrize("max_step", [0.01, 0.05, 0.5, math.inf])
+    def test_grazing_reference_hit_at_any_step_cap(self, max_step, monkeypatch):
+        monkeypatch.setattr(ode, "MAX_STEP", max_step)
+        assert_same_hit(ode.locate_event(*_REFERENCE_SHOT), reference_locate_event(*_REFERENCE_SHOT))
+
+    def test_stops(self):
+        # a stop at or after the hitting step keeps the full hit; one
+        # before it ends the search with None, as unscreened
+        full = reference_locate_event(*_REFERENCE_SHOT)
+        for stop in (0.5 * (full[2].times[-2] + full[0]), full[0], 7.5, 15.0, 5.0):
+            ref = reference_locate_event(*_REFERENCE_SHOT, stop=stop)
+            assert (ref is None) == (stop == 5.0)
+            assert_same_hit(ode.locate_event(*_REFERENCE_SHOT, stop=stop), ref)
+
+    def test_reference_shot_decides_almost_no_step(self, monkeypatch):
+        # about 180 steps, and the event moves toward its target until the
+        # step of the hit: the rule runs there and at most once more
+        crossing, decided = ode._crossing, []
+
+        def counted(*args):
+            decided.append(args[1])
+            return crossing(*args)
+
+        monkeypatch.setattr(ode, "_crossing", counted)
+        hit = ode.locate_event(*_REFERENCE_SHOT)
+        assert len(hit.trajectory.times) > 170
+        assert 1 <= len(decided) <= 2
+
+
+class TestLazyPath:
+    """``EventHit.trajectory`` is built from the search's lists when first
+    read; the hit's t and y are there at once."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        built = []
+
+        class Counted(ode.Trajectory):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(ode, "Trajectory", Counted)
+        return built
+
+    def test_refine_builds_no_path(self, cfg002, monkeypatch):
+        built = self.counting(monkeypatch)
+        opt = shooting.refine(1.85, 0.9, cfg002)
+        assert opt.t_min == pytest.approx(7.40, abs=0.02)
+        assert built == []
+        hit = ode.locate_event(*_REFERENCE_SHOT)
+        assert built == []
+        assert hit.trajectory is hit.trajectory  # built on the first read, once
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("case, dtype", [("reference-shot", np.float64), ("complex", np.complex128)])
+    def test_path_read_is_the_eager_build(self, case, dtype):
+        rhs, y0, t_span, event = SCREEN_CASES[case]
+        hit = ode.locate_event(rhs, y0, t_span, event)
+        assert hit.y.dtype == dtype and hit.trajectory.states.dtype == dtype
+        assert_same_hit(hit, reference_locate_event(rhs, y0, t_span, event))
+
+    def test_hit_at_the_start(self):
+        # no step taken: the path is the start alone
+        hit = ode.locate_event(resonant_rhs, [0.0, 0.0, -0.5], (0.0, 1.0), lambda eta: eta[2] + 0.5)
+        assert hit.t == 0.0 and hit.y.dtype == np.float64
+        assert hit.trajectory.times.tolist() == [0.0] and np.array_equal(hit.trajectory.states, [hit.y])
 
 
 class TestLaneEvents:
