@@ -35,24 +35,24 @@ event searches read it; each compiles on the width's first use. They unpack
 the state and each slope into one local per component, which checks the
 slope's length on every call, and spell out each sum term by term in the
 order of the list-comprehension form, so every float is that form's, bit
-for bit. On the 4-component extremal state one step and its error norm take
-7.8-8.6 us, against 13.0-14.3 us in the list-comprehension form and 48-66 us
-in numpy array code (2-vCPU VM, py3.11, numpy 2.4).
+for bit.
 
 ``locate_lane_events`` runs n states side by side as *lanes* at the fixed
 step ``MAX_STEP``, up to the first node at or past the end of the span, so
 the steps, and with them every hit, do not depend on where the span ends;
 a zero past the end counts as none. The rhs takes Y, a (d, n) block with
-one lane per column, and returns the slope's d components; only this
-function packs them into a block like Y, the one-element state ``[Y]`` of
-``_dp5_step``, so each stage sum is one numpy expression on the whole
-block, with the same operations per element in the same order. One event
-reads both the block and one lane's list. A numpy screen on the block (a
-sign change, or the graze conditions and the tangent screen on rates from
-one central difference) flags the lanes that ``_crossing`` decides, one
-column at a time. A lane retires at its hit, and with none at a non-finite
-state or an error estimate above the step: a fixed step can step over a
-singularity of the flow to a hit no adaptive search has.
+one lane per column, and returns the slope's d components, which only this
+function writes into a (7, d, n) stage buffer. Each stage sum is one
+``einsum`` of a tableau row with it, summing each element over the stages
+in order as the generated step does on the one-element state ``[Y]``: the
+floats are that step's (but for a zero sum's sign, and NaN where stage 2
+is not finite) and, unlike a BLAS product's, do not depend on the block.
+A numpy screen on the block (a sign change, or the graze conditions and
+the tangent screen on rates from one central difference) flags the lanes
+that ``_crossing`` decides, one column at a time. A lane retires at its
+hit, and with none at a non-finite state or an error estimate above the
+step: a fixed step can step over a singularity of the flow to a hit no
+adaptive search has.
 
 The flows are autonomous, and the state crosses into caller code as a list:
 ``rhs(y)`` and ``event(y)`` receive a list of Python floats (or complex
@@ -294,10 +294,11 @@ def _dp5(d: int) -> tuple[Callable, Callable]:
     """The DP5 step and its error norm on states of d components, compiled
     from ``_dp5_source`` on first use.
 
-    The step is ``_dp5_step``'s. The norm, ``(err, y_old, y_new, tol)``, is
-    the RMS of the error over the scale tol + tol * max(|y_old|, |y_new|),
-    its squares summed in component order, which is numpy's order for fewer
-    than 8 components (from 8 on numpy sums pairwise).
+    The step, ``(rhs, y, rhs(y), h)``, returns the new state, the 7 stages
+    and the error. The norm, ``(err, y_old, y_new, tol)``, is the RMS of the
+    error over tol + tol * max(|y_old|, |y_new|), its squares summed in
+    component order, numpy's order below 8 components (from 8 on numpy sums
+    pairwise).
     """
     namespace = _compiled(_dp5_source, d)
     return namespace[f"_dp5_step_{d}"], namespace[f"_error_norm_{d}"]
@@ -309,16 +310,6 @@ def _rate(d: int) -> Callable:
     state y moving with velocity ydot (lists of d floats), a central
     difference over y -/+ dt * ydot; compiled on first use."""
     return _compiled(_rate_source, d)[f"_rate_{d}"]
-
-
-def _dp5_step(rhs: Rhs, y: list, k1: Sequence, h: float) -> tuple[list, tuple[Sequence, ...], list]:
-    """One Dormand-Prince 5(4) step of length h from y, where k1 = rhs(y).
-
-    Returns the 5th-order state after the step, the seven stages (the last
-    is the slope there, the next step's k1), and the local error estimate.
-    A slope of another length than the state's raises ValueError.
-    """
-    return _dp5(len(y))[0](rhs, y, k1, h)
 
 
 def _steps(rhs: Rhs, t0: float, y0: list, t1: float, tol: float,
@@ -618,6 +609,20 @@ def locate_event(
     return None
 
 
+def _put(k: np.ndarray, slope: Sequence) -> None:  # a block rhs's slope into the stage k
+    for row, component in enumerate(_slope(slope, len(k))):
+        k[row] = component
+
+
+def _lane_step(rhs: Callable[[np.ndarray], Sequence], Y: np.ndarray, K: np.ndarray, h: float) -> tuple:
+    """One DP5 step of length h from the block Y, whose slope is K[0]: fills
+    the stage buffer K and returns the new state and the error."""
+    for s, weights in enumerate(_A, 1):
+        y = Y + h * np.einsum("s,sij->ij", weights, K[:s])
+        _put(K[s], rhs(y))
+    return y, h * np.einsum("s,sij->ij", _E, K)
+
+
 def locate_lane_events(rhs: Callable[[np.ndarray], Sequence], Y: np.ndarray, t1: float, event: Event) -> np.ndarray:
     """The first zero of ``event`` on each lane over (0, t1], NaN on a lane
     with none (see the module docstring).
@@ -638,40 +643,35 @@ def locate_lane_events(rhs: Callable[[np.ndarray], Sequence], Y: np.ndarray, t1:
     hit_times = np.full(ids.size, np.nan)
     dt = _RATE_DT * h
 
-    def block_rhs(state):  # the rhs of the one-element state [Y]: the slope packed into a block like Y
-        k = np.empty_like(state[0])
-        for row, component in enumerate(_slope(rhs(state[0]), len(state[0]))):
-            k[row] = component
-        return (k,)
-
     def rate(y, k):  # ``_rate`` on every lane: one central difference on the block
-        return (event(y + dt * k) - event(y - dt * k)) / (2.0 * dt)
+        dk = dt * k
+        return (event(y + dk) - event(y - dk)) / (2.0 * dt)
 
     with np.errstate(all="ignore"):
-        (k1,) = block_rhs([Y])
-        e_a, r_a = event(Y), rate(Y, k1)
+        # empty_like keeps an ndarray subclass, as the ufuncs on Y do
+        K = np.empty_like(Y, shape=(len(_A) + 1, *Y.shape))
+        _put(K[0], rhs(Y))
+        e_a, r_a = event(Y), rate(Y, K[0])
         for i in range(math.ceil(n_steps)):
             if not ids.size:
                 break
             t_a, t_b = i * h, (i + 1) * h
-            (y_b,), K, (err,) = _dp5_step(block_rhs, [Y], (k1,), h)
-            (k_b,) = K[-1]
-            e_b, r_b = event(y_b), rate(y_b, k_b)
+            y_b, err = _lane_step(rhs, Y, K, h)
+            e_b, r_b = event(y_b), rate(y_b, K[-1])
             retired = ~(np.isfinite(y_b).all(axis=0) & (np.abs(err) <= h).all(axis=0))
             flagged = (e_b == 0.0) | ((e_b > 0.0) != (e_a > 0.0)) | (
                 (r_b * e_b > 0.0) & (r_a * e_a < 0.0) & ~_graze_ruled_out(e_a, r_a, e_b, r_b, h)
             )
             for j in np.flatnonzero(flagged & ~retired):
                 ya, yb = Y[:, j].tolist(), y_b[:, j].tolist()
-                Kj = [k[:, j].tolist() for (k,) in K]
-                found = _crossing(event, t_a, ya, e_a[j], t_b, yb, e_b[j], Kj, h)
+                found = _crossing(event, t_a, ya, e_a[j], t_b, yb, e_b[j], K[:, :, j].tolist(), h)
                 if found is not None:
                     retired[j] = True
                     if found[0] <= t1:
                         hit_times[ids[j]] = found[0]
-            keep = ~retired
-            if not keep.all():
-                y_b, k_b = y_b[:, keep], k_b[:, keep]
-                e_b, r_b, ids = e_b[keep], r_b[keep], ids[keep]
-            Y, k1, e_a, r_a = y_b, k_b, e_b, r_b
+            k_b, keep = K[-1], ~retired
+            if not keep.all():  # only the FSAL slope moves to a buffer of the kept lanes
+                y_b, e_b, r_b, ids, k_b = y_b[:, keep], e_b[keep], r_b[keep], ids[keep], k_b[:, keep]
+                K = np.empty_like(K, shape=(len(K), *y_b.shape))
+            Y, K[0], e_a, r_a = y_b, k_b, e_b, r_b
     return hit_times

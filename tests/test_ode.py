@@ -307,9 +307,9 @@ def bits(values):
 
 
 class TestGeneratedStep:
-    """``ode._dp5_step`` and the error norm run code generated from the
-    tableau, one pair of functions per state width; each float is the
-    reference's."""
+    """The DP5 step and its error norm, ``ode._dp5(d)``, run code generated
+    from the tableau, one pair of functions per state width; each float is
+    the reference's."""
 
     @staticmethod
     def coupled(d, c):
@@ -326,7 +326,7 @@ class TestGeneratedStep:
             if kind is complex:
                 y = y + 1j * rng.standard_normal(d)
             y, h = y.tolist(), float(10.0 ** rng.uniform(-4, -1))
-            step = ode._dp5_step(rhs, y, rhs(y), h)
+            step = ode._dp5(d)[0](rhs, y, rhs(y), h)
             ref = reference_step(rhs, y, rhs(y), h)
             assert step[0] == ref[0] and bits(step[0]) == bits(ref[0])
             assert len(step[1]) == 7
@@ -337,29 +337,65 @@ class TestGeneratedStep:
                 norm = ode._dp5(d)[1](step[2], y, step[0], tol)
                 assert bits([norm]) == bits([reference_error_norm(step[2], y, step[0], tol)])
 
-    def test_lane_block_is_the_reference_bit_for_bit(self):
-        # the (4, n) block of the landscape, stepped as the one component of
-        # the state [Y]; each stage term is one numpy call on the whole block
-        rng = np.random.default_rng(4)
-        Y = rng.uniform(-3.0, 3.0, (4, 50))
-
-        def block_rhs(state):
-            k = np.empty_like(state[0])
-            for row, component in enumerate(lambda3.extremal_lanes(state[0])):
-                k[row] = component
-            return (k,)
-
-        (k1,) = block_rhs([Y])
-        (y_new,), K, (err,) = ode._dp5_step(block_rhs, [Y], (k1,), 0.01)
-        (y_ref,), K_ref, (err_ref,) = reference_step(block_rhs, [Y], (k1,), 0.01)
-        assert y_new.tobytes() == y_ref.tobytes()
-        assert bits(k for (k,) in K) == bits(k for (k,) in K_ref)
-        assert err.tobytes() == err_ref.tobytes()
-
     def test_compiled_once_per_width(self):
         assert ode._dp5(4) is ode._dp5(4)
         step, error_norm = ode._dp5(4)
         assert step.__name__ == "_dp5_step_4" and error_norm.__name__ == "_error_norm_4"
+
+
+class TestLaneStep:
+    """``ode._lane_step``, the lanes' DP5 step: a (d, n) block on a (7, d, n)
+    stage buffer, one einsum per stage sum."""
+
+    @staticmethod
+    def step(rhs, Y, h=0.01):
+        K = np.empty((7, *Y.shape))
+        ode._put(K[0], rhs(Y))
+        y_new, err = ode._lane_step(rhs, Y, K, h)
+        return y_new, K, err
+
+    @pytest.mark.parametrize("flow", ["lanes", 1, 3, 12])
+    def test_is_the_reference_bit_for_bit(self, flow):
+        # the reference on the one-element state [Y], each stage sum term by
+        # term on the whole block: the landscape's flow on 50 lanes, and a
+        # flow coupling d components
+        rng = np.random.default_rng(4)
+        if flow == "lanes":
+            rhs, Y = lambda3.extremal_lanes, rng.uniform(-3.0, 3.0, (4, 50))
+        else:
+            rhs, Y = TestGeneratedStep.coupled(flow, 0.7), rng.standard_normal((flow, 40))
+
+        def block_rhs(state):
+            return (np.array(rhs(state[0])),)
+
+        y_new, K, err = self.step(rhs, Y)
+        (y_ref,), K_ref, (err_ref,) = reference_step(block_rhs, [Y], block_rhs([Y]), 0.01)
+        assert y_new.tobytes() == y_ref.tobytes()
+        assert bits(K) == bits(k for (k,) in K_ref)
+        assert err.tobytes() == err_ref.tobytes()
+
+    def test_a_lane_does_not_depend_on_its_block(self):
+        # the 729 lanes of the 60x60 grid over +-3 at random angles: each
+        # column stepped alone, and the columns in chunks from an odd offset,
+        # step to the whole block's floats bit for bit, so a lane's time
+        # depends neither on the split over workers nor on which lanes
+        # retired. A BLAS route to the stage sums (matmul, tensordot,
+        # einsum(optimize=True)) promises no such thing: its kernels may sum
+        # a column by the product's width and alignment, and its order
+        # already fails the reference above
+        rng = np.random.default_rng(5)
+        lphi0, ltheta0, _ = shooting._lanes((-3.0, 3.0), np.linspace(-3.0, 3.0, 60))
+        Y = np.vstack([rng.uniform(-1.0, 1.0, (2, lphi0.size)), lphi0, ltheta0])
+        block = self.step(lambda3.extremal_lanes, Y)
+        assert Y.shape == (4, 729) and np.isfinite(block[0]).all()
+        for j in range(Y.shape[1]):
+            alone = self.step(lambda3.extremal_lanes, Y[:, [j]])
+            assert bits(alone) == bits([block[0][:, [j]], block[1][:, :, [j]], block[2][:, [j]]])
+        for width in (1, 2, 3, 29, 364):
+            for start in range(1, Y.shape[1] - width + 1, width):
+                cols = slice(start, start + width)
+                chunk = self.step(lambda3.extremal_lanes, Y[:, cols])
+                assert bits(chunk) == bits([block[0][:, cols], block[1][:, :, cols], block[2][:, cols]])
 
 
 def reference_rate(event, y, ydot, dt):

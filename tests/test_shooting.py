@@ -315,7 +315,8 @@ class TestLandscape:
 
     def test_lanes_step_on_the_lane_flow_itself(self, cfg005, monkeypatch):
         # no adapter between the lanes and the flow, and the state is one
-        # (4, n) block, so each stage sum is one numpy call
+        # (4, n) block, so each stage sum is one einsum over the block's
+        # stage buffer
         seen, blocks = set(), set()
         locate = shooting.ode.locate_lane_events
 
@@ -329,12 +330,13 @@ class TestLandscape:
         assert seen == {lambda3.extremal_lanes}
         assert blocks == {(np.ndarray, np.dtype(float), (4, 1))}
 
-    def test_numpy_call_budget(self, cfg002, monkeypatch):
+    def test_numpy_call_budget(self, cfg002):
         # numpy calls per lane step of ode.locate_lane_events on the lanes of
         # the 60x60 grid over +-3, a block of an ndarray subclass that keeps
-        # itself through every ufunc; 429.1 per step
+        # itself through every ufunc and einsum, so no call goes uncounted:
+        # 383.1 ufunc and 7 einsum calls per step
         class Counted(np.ndarray):
-            calls = 0
+            calls = einsums = 0
 
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
                 Counted.calls += 1
@@ -342,26 +344,35 @@ class TestLandscape:
                 result = getattr(ufunc, method)(*plain, **kwargs)
                 return result.view(Counted) if type(result) is np.ndarray else result
 
-        steps, blocks = 0, set()
-        dp5_step = shooting.ode._dp5_step
+            def __array_function__(self, func, types, args, kwargs):
+                result = super().__array_function__(func, types, args, kwargs)
+                if func is np.einsum:
+                    Counted.calls += 1
+                    Counted.einsums += 1
+                    result = result.view(Counted)
+                return result
 
-        def counted(rhs, y, k1, h):
-            nonlocal steps
-            steps += 1
-            blocks.update((type(y[0]), type(k1[0])))
-            return dp5_step(rhs, y, k1, h)
+        rhs_calls, blocks = 0, set()
 
-        monkeypatch.setattr(shooting.ode, "_dp5_step", counted)
+        def rhs(Y):
+            nonlocal rhs_calls
+            rhs_calls += 1
+            blocks.add(type(Y))
+            return lambda3.extremal_lanes(Y)
+
         axis = np.linspace(-3.0, 3.0, 60)
         lphi0, ltheta0, _ = shooting._lanes((-3.0, 3.0), axis)
         Y = np.zeros((4, lphi0.size)).view(Counted)
         Y[2], Y[3] = lphi0, ltheta0
         event = shooting._event(cfg002, np.cos, np.sin)
-        # a span of 7.5, 750 steps, runs past the first hits, near 7.40
-        times = shooting.ode.locate_lane_events(lambda3.extremal_lanes, Y, 7.5, event)
+        # a span of 7.5, 750 steps of six rhs calls after the first, runs
+        # past the first hits, near 7.40
+        times = shooting.ode.locate_lane_events(rhs, Y, 7.5, event)
+        steps = (rhs_calls - 1) / 6
         assert np.isfinite(times).any() and steps == 750
-        assert blocks == {Counted}  # so no step goes uncounted
-        assert Counted.calls / steps <= 433
+        assert blocks == {Counted}  # every stage state stays counted
+        assert Counted.einsums == 7 * steps  # and so does the stage buffer
+        assert Counted.calls / steps <= 394
 
     def test_origin_only_grid_is_empty(self, cfg005):
         grid = shooting.landscape((0.0, 0.0), 1, cfg005)
