@@ -26,8 +26,7 @@ solves: the probes only rank hit times, so they run at the looser tolerance
 SCAN_TOL; the root search locates the root at SCAN_TOL too, to SCAN_TOL
 relative; and the solve brackets the located root within 10 SCAN_TOL and
 narrows it at the configured tolerance, whose shots alone give the optimum.
-When either phase finds no root, the whole search runs at the configured
-tolerance instead.
+A phase that finds no root fails the refinement.
 Along a continuation in eps only the first two points run the scan. Each
 later point predicts its lambda_theta from the last two optima and
 corrects it with the same root search, started just left of the
@@ -364,12 +363,15 @@ class _RootSearch:
         self.memo: dict[float, tuple[float | None, str, float | None]] = {}
         self.fastest = math.inf  # the fastest hit left of the root
 
-    def scan(self, probes: np.ndarray, tol: float) -> tuple[int, tuple[float, str, float]]:
-        """The index of the fastest probe and its shot, each probe shot
-        unmemoised at ``tol`` and stopped at the fastest hit of the probes
-        before it, which the fastest probe's hit precedes: its shot is the
-        unstopped one. When no probe hits, NoFeasiblePoint tallies why, at
-        ``tol``, screened if not the configured one."""
+    def scan(self, probes: np.ndarray) -> tuple[int, dict]:
+        """The index of the fastest probe and the screened shots, each probe
+        shot unmemoised at max(tol, SCAN_TOL) and stopped at the fastest hit
+        of the probes before it. The screened shots, by lambda_theta, are the
+        fastest probe's, unstopped as its hit precedes its stop, and the next
+        probe's, stopped at that hit as a record stops it once the residual is
+        > 0 at the fastest probe. When no probe hits, NoFeasiblePoint tallies
+        why."""
+        tol = max(self.cfg.tol, SCAN_TOL)
         cfg = replace(self.cfg, tol=tol)
         times, shots = [], []
         for p in probes:
@@ -377,13 +379,15 @@ class _RootSearch:
             times.append(math.inf if shots[-1][0] is None else shots[-1][0])
         best = int(np.argmin(times))
         if math.isinf(times[best]):
-            tally = ", ".join(f"{n} {why}" for why, n in Counter(shot[1] for shot in shots).most_common())
-            raise NoFeasiblePoint(
-                f"no transfer within the horizon {cfg.horizon!r} at eps {cfg.eps!r} near ltheta_i ~"
-                f" {self.near!r} (the {len(probes)} probes{', screened' if tol != self.cfg.tol else ''} at tol"
-                f" {tol!r}: {tally})"
-            )
-        return best, shots[best]
+            raise self.no_transfer(f"the {len(probes)} probes{', screened' if tol != self.cfg.tol else ''}", tol, shots)
+        return best, dict(zip(probes[best:best + 2].tolist(), shots[best:best + 2]))
+
+    def no_transfer(self, what: str, tol: float, shots) -> NoFeasiblePoint:
+        """NoFeasiblePoint for ``shots`` at ``tol`` of which none hit, with a
+        tally of why."""
+        tally = ", ".join(f"{n} {why}" for why, n in Counter(shot[1] for shot in shots).most_common())
+        return NoFeasiblePoint(f"no transfer within the horizon {self.cfg.horizon!r} at eps {self.cfg.eps!r}"
+                               f" near ltheta_i ~ {self.near!r} ({what} at tol {tol!r}: {tally})")
 
     def shot(self, x) -> tuple[float | None, str, float | None]:
         x = float(x)
@@ -402,8 +406,8 @@ class _RootSearch:
 
     def failure(self, why: str) -> NoConvergence:
         return NoConvergence(
-            f"no root of the transversality residual within the horizon {self.cfg.horizon!r} at eps"
-            f" {self.cfg.eps!r} near ltheta_i ~ {self.near!r}: {why}"
+            f"no root of the transversality residual at tol {self.cfg.tol!r} within the horizon"
+            f" {self.cfg.horizon!r} at eps {self.cfg.eps!r} near ltheta_i ~ {self.near!r}: {why}"
         )
 
     def root(self, point, lo: int, hi: int, rtol: float = REFINE_XTOL) -> Optimum:
@@ -436,30 +440,32 @@ class _RootSearch:
 
     def solve(self, located: float) -> Optimum:
         """``root`` from the bracket located * (1 -+ w), w = 10 SCAN_TOL,
-        walked outward by 2 w for at most CONTINUATION_STEPS steps."""
+        walked outward by 2 w for at most CONTINUATION_STEPS steps. A solve
+        none of whose shots hits raises NoFeasiblePoint, which tallies why."""
         w = 10.0 * SCAN_TOL
-        return self.root(lambda j: located * (1.0 + (2 * j - 1) * w), -CONTINUATION_STEPS, CONTINUATION_STEPS)
-
-
-def _locate_and_solve(lphi_i: float, near: float, cfg: ShotConfig, point, lo: int, hi: int, full,
-                      screened: dict | None = None) -> Optimum:
-    """The optimum at the root of the residual next to point(0), found in
-    two phases. A record at SCAN_TOL locates the root by ``root``'s walk
-    over point(j), lo <= j <= hi, narrowed only to SCAN_TOL; its memo starts
-    from ``screened``, unstopped shots at SCAN_TOL by lambda_theta. A record
-    at ``cfg.tol`` solves it from a bracket around the located lambda_theta.
-    When either phase raises NoConvergence, or ``cfg.tol`` is no tighter
-    than SCAN_TOL, ``full`` solves it on a fresh record at ``cfg.tol``
-    instead: the result, or the failure, is that path's alone."""
-    if cfg.tol < SCAN_TOL:
         try:
-            locate = _RootSearch(lphi_i, near, replace(cfg, tol=SCAN_TOL))
-            locate.memo.update(screened or {})
-            located = locate.root(point, lo, hi, rtol=SCAN_TOL)
-            return _RootSearch(lphi_i, near, cfg).solve(located.ltheta_i)
+            return self.root(lambda j: located * (1.0 + (2 * j - 1) * w), -CONTINUATION_STEPS, CONTINUATION_STEPS)
         except NoConvergence:
-            pass
-    return full(_RootSearch(lphi_i, near, cfg))
+            if any(t is not None for t, _, _ in self.memo.values()):
+                raise
+            raise self.no_transfer(f"the {len(self.memo)} shots of the solve", self.cfg.tol,
+                                   self.memo.values()) from None
+
+
+def _locate_and_solve(lphi_i: float, near: float, cfg: ShotConfig, point, lo: int, hi: int,
+                      screened: dict | None = None) -> Optimum:
+    """The optimum at the root of the residual next to point(0). A record at
+    max(tol, SCAN_TOL) locates the root by ``root``'s walk over point(j),
+    lo <= j <= hi; its memo starts from ``screened``, shots at that tol by
+    lambda_theta. At a tol no tighter than SCAN_TOL it narrows to
+    REFINE_XTOL, and its root is the optimum; otherwise it narrows to
+    SCAN_TOL, and a record at ``cfg.tol`` solves from a bracket around the
+    located lambda_theta. A phase that fails raises its own error."""
+    locate = _RootSearch(lphi_i, near, replace(cfg, tol=max(cfg.tol, SCAN_TOL)))
+    locate.memo.update(screened or {})
+    if cfg.tol >= SCAN_TOL:
+        return locate.root(point, lo, hi)
+    return _RootSearch(lphi_i, near, cfg).solve(locate.root(point, lo, hi, rtol=SCAN_TOL).ltheta_i)
 
 
 def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
@@ -482,32 +488,31 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
 
     The scan screens, the search locates and the solve solves. The probes
     only rank hit times, so they run at max(tol, SCAN_TOL), and so does the
-    search, whose Brent narrowing stops at SCAN_TOL (relative); it starts at
-    the fastest probe, whose scan shot hit before its stop and so is the
-    search's own, and does not shoot it again. The solve
-    brackets the located lambda_theta within 10 SCAN_TOL (relative), walks
-    outward by twice that for at most CONTINUATION_STEPS steps, and narrows
-    to REFINE_XTOL at the configured tolerance, whose shots alone give the
-    optimum. When either phase finds no root, or tol is no tighter than
-    SCAN_TOL, the search runs at the configured tolerance alone: it shoots
-    the fastest probe again, scans again when that shot misses, and walks
-    and narrows as above; its result, or its failure, is the refinement's.
+    search, whose Brent narrowing stops at SCAN_TOL (relative); its record
+    starts from the scan's shots of the fastest probe and the next one,
+    which are its own, and shoots neither again. The solve brackets the
+    located lambda_theta within 10 SCAN_TOL (relative), walks outward by
+    twice that for at most CONTINUATION_STEPS steps, and narrows to
+    REFINE_XTOL at the configured tolerance, whose shots alone give the
+    optimum. At a tol no tighter than SCAN_TOL the search narrows to
+    REFINE_XTOL itself, and there is no solve.
 
     Each probe stops at the fastest hit of the probes before it and then
     counts as +inf: its true time is no less, so it cannot be the fastest.
     Each later shot stops at the fastest hit with a residual > 0 of its
     record, and a shot that stops or misses reads -1: it lies past the
     optimum, which is faster still. Each record shoots each point once: its
-    stop only falls. The optimum is the costates and hit time of the
-    full-tolerance record's hit with the smallest |residual|: it costs no
-    further integration. Non-finite costates, a zero lambda_phi (at
+    stop only falls. The optimum is the costates and hit time of the last
+    record's hit with the smallest |residual|: it costs no further
+    integration. Non-finite costates, a zero lambda_phi (at
     phi = theta = 0 the switching pair is (lambda_phi, 0) up to constants,
     so every shot would start degenerate), and a guess whose probes
     coincide (a zero or subnormal guess) or whose probes or walk overflow,
-    raise ValueError before the first shot; when no probe hits,
-    NoFeasiblePoint tallies why, at the tolerance the probes ran at; when
-    the residual has no sign change to bracket, or the full-tolerance search
-    fails, NoConvergence names the condition, the eps and the horizon.
+    raise ValueError before the first shot; when no probe hits, or no shot
+    of the solve, NoFeasiblePoint tallies why, at the tolerance they ran
+    at; when the residual has no sign change to bracket, or Brent's method
+    fails, NoConvergence names the condition and the tolerance, eps and
+    horizon of the phase that failed.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         probes = ltheta_guess * np.linspace(1.0 / 16.0, 1.5, 13)
@@ -519,16 +524,9 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     if lphi_i == 0.0:
         raise ValueError("lambda_phi must be nonzero: at phi = theta = 0 the switching pair is"
                          " (lambda_phi, 0) up to constants, so every shot would start degenerate")
-    best, fastest = _RootSearch(lphi_i, ltheta_guess, cfg).scan(probes, max(cfg.tol, SCAN_TOL))
-
-    def full(search: _RootSearch) -> Optimum:
-        start = best
-        if search.shot(probes[start])[0] is None:
-            start = search.scan(probes, cfg.tol)[0]
-        return search.root(lambda j: ladder[start + j], -min(start, 1), ladder.size - 1 - start)
-
+    best, screened = _RootSearch(lphi_i, ltheta_guess, cfg).scan(probes)
     return _locate_and_solve(lphi_i, ltheta_guess, cfg, lambda j: ladder[best + j], -min(best, 1),
-                             ladder.size - 1 - best, full, {float(probes[best]): fastest})
+                             ladder.size - 1 - best, screened)
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +548,9 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
 # the last step in log lambda_theta, with the same floor. From there
 # the walk steps by half the bias, right while the residual is > 0 and left
 # while it is not, for at most CONTINUATION_STEPS steps, as ``refine``'s
-# walk past its probes. A point whose walk finds no bracket, or whose root
-# search fails, is refined from the previous optimum instead and says why:
-# a retry with a reason.
+# walk past its probes. A point whose walk finds no bracket, whose root
+# search fails, or whose solve meets no hit, is refined from the previous
+# optimum instead and says why: a retry with a reason.
 # ---------------------------------------------------------------------------
 
 #: Least bias of a prediction, in log lambda_theta.
@@ -568,12 +566,8 @@ def _correct(lphi_i: float, predicted: float, bias: float, cfg: ShotConfig) -> O
     the log lambda_theta ``predicted`` moved left by ``bias``, in steps of
     half the bias (see the comment above)."""
     start = predicted - bias
-
-    def point(j: int) -> float:
-        return math.exp(start + 0.5 * bias * j)
-
-    return _locate_and_solve(lphi_i, math.exp(predicted), cfg, point, -CONTINUATION_STEPS, CONTINUATION_STEPS,
-                             lambda search: search.root(point, -CONTINUATION_STEPS, CONTINUATION_STEPS))
+    return _locate_and_solve(lphi_i, math.exp(predicted), cfg, lambda j: math.exp(start + 0.5 * bias * j),
+                             -CONTINUATION_STEPS, CONTINUATION_STEPS)
 
 
 def optima_along_eps(eps_values: np.ndarray, cfg: ShotConfig, lphi_i: float) -> list[Optimum]:
@@ -609,7 +603,7 @@ def optima_along_eps(eps_values: np.ndarray, cfg: ShotConfig, lphi_i: float) -> 
                 bias = max(CONTINUATION_MIN_BIAS, CONTINUATION_FIRST_BIAS * abs(a2 - a1))
             try:
                 opt = _correct(lphi_i, predicted, bias, point_cfg)
-            except NoConvergence as exc:
+            except (NoConvergence, NoFeasiblePoint) as exc:
                 opt = refine(lphi_i, opt2.ltheta_i, point_cfg)
                 opt.fallback = str(exc)
             bias = max(CONTINUATION_MIN_BIAS, 2.0 * abs(math.log(opt.ltheta_i) - predicted))

@@ -285,6 +285,15 @@ class TestThreeLevel:
         assert "horizon 2.0" in err and "eps 0.005" in err
         assert not any(tmp_path.iterdir())
 
+    def test_optimize_step_underflow_exits_5_and_writes_nothing(self, tmp_path, capsys):
+        # the README example: the screened probes hit and the search locates
+        # the root, but every shot of the solve at --tol 1e-300 underflows
+        code = cli.main(["--out", str(tmp_path), "--tol", "1e-300", "three-level", "optimize", "--eps", "0.002"])
+        assert code == cli.EXIT_NO_HIT == 5
+        err = capsys.readouterr().err
+        assert err.startswith("no transfer found: ") and "at tol 1e-300: 14 step-underflow" in err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("lphi", ["0", "-0.0"])
     def test_optimize_zero_lphi_exits_2_before_the_first_shot(self, tmp_path, capsys, monkeypatch, lphi):
         # at phi = theta = 0 the switching pair is (lambda_phi, 0) up to

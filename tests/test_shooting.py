@@ -427,25 +427,20 @@ class TestRefine:
         monkeypatch.setattr(shooting, "shoot_info", counted)
         opt = shooting.refine(1.85, 0.5, cfg002)
         assert opt.t_min == pytest.approx(7.40, abs=0.02)
-        # 13 probes and 8 more shots that locate the root at SCAN_TOL (the
-        # fastest probe's scan shot is the first), then 5 that solve it at
-        # the configured tol; the search at the configured tol alone took 10
-        # shots after the probes
+        # 13 probes and 7 more shots that locate the root at SCAN_TOL (the
+        # fastest probe's scan shot and its neighbour's start the record),
+        # then 5 that solve it at the configured tol
         solved = [args for args in shots if args[2].tol == cfg002.tol]
         assert len(shots) - len(solved) <= 24
         assert len(solved) <= 6
 
     def test_rhs_budget(self, cfg002, monkeypatch):
         # the scan screens and the search locates at SCAN_TOL, and the solve
-        # solves at the configured tol: 3 325 calls in the 13 probes, 3 091
-        # in the 13 shots that locate the root (the fastest probe's scan shot
-        # is its first; shooting it again took 259) and 5 435 in the 5 that
-        # solve it, 11 851 in all, bounded here with 5% to spare; with the
-        # whole search at the configured tol it took 15 446 calls in 14
-        # shots, 18 771 in all; with the probes at the
-        # configured tol too the scan took 15 409 and the search's 12 shots
-        # 13 170, and minimizing the hit time by Brent's method 46 010 in all,
-        # with unbounded probes 129 848
+        # solves at the configured tol: 3 325 calls in the 13 probes, 2 856
+        # in the 12 shots that locate the root (the scan's shots of the
+        # fastest probe and its neighbour are the record's first two) and
+        # 5 435 in the 5 that solve it, 11 616 in all, bounded here with 5%
+        # to spare
         calls, solved = 0, 0
         extremal_rhs, shoot_info = lambda3.extremal_rhs, shooting.shoot_info
 
@@ -463,27 +458,28 @@ class TestRefine:
         monkeypatch.setattr(shooting, "shoot_info", counted_shot)
         opt = shooting.refine(1.85, 0.9, cfg002)
         assert opt.t_min == pytest.approx(7.40, abs=0.02)
-        assert calls <= 12_450
+        assert calls <= 12_200
         assert solved <= 6
 
-    @pytest.mark.parametrize("eps, guess", [(0.002, 0.9), (0.005, 0.7)])
-    def test_fastest_probe_is_shot_once(self, eps, guess, monkeypatch):
-        # the locate record shoots at the scan's tolerance, and its walk
-        # starts at the fastest probe, whose scan shot hit before its stop,
-        # so is the unstopped shot: the record's memo starts from it
-        cfg = ShotConfig(eps=eps)
+    @pytest.mark.parametrize("eps, guess, tol", [
+        (0.002, 0.9, 1e-10), (0.005, 0.7, 1e-10), (1e-5, 0.3, 1e-10), (0.002, 0.9, shooting.SCAN_TOL),
+    ])
+    def test_no_shot_is_taken_twice(self, eps, guess, tol, monkeypatch):
+        # the locate record shoots at the scan's tolerance, and its memo
+        # starts from the scan's shots of the fastest probe, which hit before
+        # its stop, and of the next probe, stopped at that hit as the record
+        # would stop it: no (lambda_theta, tol) is shot twice in a refinement
+        cfg = ShotConfig(eps=eps, tol=tol)
         shots = []
         shoot_info = shooting.shoot_info
 
         def recorded(lphi_i, ltheta_i, shot_cfg, stop=math.inf):
-            shots.append((ltheta_i, shot_cfg.tol, shoot_info(lphi_i, ltheta_i, shot_cfg, stop)))
-            return shots[-1][2]
+            shots.append((ltheta_i, shot_cfg.tol))
+            return shoot_info(lphi_i, ltheta_i, shot_cfg, stop)
 
         monkeypatch.setattr(shooting, "shoot_info", recorded)
         shooting.refine(1.85, guess, cfg)
-        fastest = min((t, x) for x, _, (t, _, _) in shots[:13] if t is not None)[1]
-        assert [tol for x, tol, _ in shots].count(shooting.SCAN_TOL) > 13
-        assert [(x, tol) for x, tol, _ in shots].count((fastest, shooting.SCAN_TOL)) == 1
+        assert len(shots) > 13 and len(set(shots)) == len(shots)
 
     @pytest.mark.parametrize("eps, guess", [(0.002, 0.9), (0.005, 0.7), (0.002, 1.2)])
     def test_bounded_probes_keep_the_optimum(self, eps, guess, monkeypatch):
@@ -558,8 +554,8 @@ class TestRefine:
             assert abs(residual) <= 1e-9
 
     def test_scan_screens_and_search_solves(self, cfg002, opt002, monkeypatch):
-        # the 13 probes and the shots that locate the root run at SCAN_TOL,
-        # the solve's shots at the configured tol, from the bracket
+        # the 13 probes and the 7 shots that locate the root run at SCAN_TOL,
+        # the solve's 5 shots at the configured tol, from the bracket
         # located * (1 -+ 10 SCAN_TOL) around a located shot; the optimum is
         # one of the solve's shots
         tols = []
@@ -572,7 +568,7 @@ class TestRefine:
         monkeypatch.setattr(shooting, "shoot_info", recorded)
         opt = shooting.refine(1.85, 0.5, cfg002)
         solve = next(i for i, (_, tol) in enumerate(tols) if tol != shooting.SCAN_TOL)
-        assert solve > 13
+        assert (solve, len(tols)) == (20, 25)
         assert {tol for _, tol in tols[:solve]} == {shooting.SCAN_TOL}
         assert {tol for _, tol in tols[solve:]} == {cfg002.tol}
         w = 10.0 * shooting.SCAN_TOL
@@ -597,14 +593,12 @@ class TestRefine:
         assert opt.ltheta_i in shots[cfg.tol]
         assert opt.ltheta_i not in shots[shooting.SCAN_TOL]
 
-    def test_unconfirmed_screen_scans_again(self, monkeypatch):
+    def test_unconfirmed_screen_fails_without_a_rescan(self, monkeypatch):
         # the screen misleads twice: its residual has its root at 0.29, not
         # at the configured tol's 0.3, so the solve's bracket never changes
         # sign; and its fastest probe, right of the root, hits only at
-        # SCAN_TOL. The full-tol search then runs on a fresh record: the
-        # scan runs again at the configured tol, unmemoised, the unconfirmed
-        # probe among its shots, and the search starts from that scan's
-        # fastest probe, left of the root, shot once more
+        # SCAN_TOL. The solve's walk fails, and its failure is the
+        # refinement's: no probe is shot again at the configured tol
         def valley(x):
             return 7.0 + 400.0 * (x - 0.3) ** 2
 
@@ -621,53 +615,56 @@ class TestRefine:
             return (None, "beyond-bound", None) if t >= stop else (t, "hit", root - ltheta_i)
 
         monkeypatch.setattr(shooting, "shoot_info", shoot_info)
-        opt = shooting.refine(1.85, 1.0, ShotConfig(eps=0.002))
-        assert opt.ltheta_i == pytest.approx(0.3, abs=1e-9)
+        with pytest.raises(shooting.NoConvergence, match="at tol 1e-10 .*the residual stays > 0"):
+            shooting.refine(1.85, 1.0, ShotConfig(eps=0.002))
         assert shots[:13] == [(p, shooting.SCAN_TOL) for p in probes]
         solve = next(i for i, (_, tol) in enumerate(shots) if tol == 1e-10)
         assert all(tol == shooting.SCAN_TOL for _, tol in shots[13:solve])
-        # the solve walks right from the bracket at 0.29 by its 13 steps
-        full = shots.index((probes[2], 1e-10))
-        assert full - solve == 1 + shooting.CONTINUATION_STEPS
-        assert all(0.289 < x < 0.291 for x, _ in shots[solve:full])
-        shots = shots[full - 13:]
-        assert shots[13] == (probes[2], 1e-10)
-        assert shots[14:27] == [(p, 1e-10) for p in probes]
-        # the rescan's fastest probe, left of the root, starts the search
-        assert shots[27] == (probes[1], 1e-10) and probes[1] < 0.3 < probes[2]
-        assert all(tol == 1e-10 for _, tol in shots[28:])
-        assert len(shots) == 38
+        # the solve walks right from the bracket at 0.29 by its 13 steps, and
+        # that is all
+        assert len(shots) - solve == 1 + shooting.CONTINUATION_STEPS
+        assert all(0.289 < x < 0.291 and tol == 1e-10 for x, tol in shots[solve:])
 
-    def test_unsolved_bracket_falls_back_to_the_full_search(self, cfg002, monkeypatch):
+    def test_unsolved_bracket_fails_in_the_solve(self, cfg002, monkeypatch):
         # the solve's bracket moved to 0.9 times the located root never
-        # changes sign: the search at the configured tol runs on a fresh
-        # record, shot for shot as with no locate phase, and gives its
-        # optimum bit for bit
+        # changes sign: the refinement fails with the solve's walk, whose
+        # 1 + CONTINUATION_STEPS shots are its only ones at the configured tol
+        shots = []
         shoot_info, solve = shooting.shoot_info, shooting._RootSearch.solve
 
-        def run():
-            shots = []
+        def recorded(lphi_i, ltheta_i, cfg, stop=math.inf):
+            shots.append((ltheta_i, cfg.tol))
+            return shoot_info(lphi_i, ltheta_i, cfg, stop)
 
-            def recorded(lphi_i, ltheta_i, cfg, stop=math.inf):
-                shots.append((ltheta_i, cfg.tol, stop))
-                return shoot_info(lphi_i, ltheta_i, cfg, stop)
-
-            with monkeypatch.context() as m:
-                m.setattr(shooting, "shoot_info", recorded)
-                return shooting.refine(1.85, 0.9, cfg002), shots
-
+        monkeypatch.setattr(shooting, "shoot_info", recorded)
         monkeypatch.setattr(shooting._RootSearch, "solve", lambda self, located: solve(self, 0.9 * located))
-        fell_back, shots = run()
-        monkeypatch.setattr(shooting, "SCAN_TOL", cfg002.tol)
-        full, full_shots = run()
-        assert fell_back == full
-        assert shots[-(len(full_shots) - 13):] == full_shots[13:]
-        assert len(shots) > len(full_shots) + 1 + shooting.CONTINUATION_STEPS
+        with pytest.raises(shooting.NoConvergence, match="at tol 1e-10 .*the residual stays > 0") as err:
+            shooting.refine(1.85, 0.9, cfg002)
+        solved = [x for x, tol in shots if tol == cfg002.tol]
+        assert len(solved) == 1 + shooting.CONTINUATION_STEPS
+        assert f"up to ltheta_i {solved[-1]!r}" in str(err.value)
 
-    def test_unsolved_corrector_fails_as_the_full_search(self, monkeypatch):
+    def test_unlocated_root_shoots_nothing_at_the_configured_tol(self, monkeypatch):
+        # from the guess 0.15 at eps 0.1 the residual stays > 0 along the
+        # walk past the probes: the locate record fails, at SCAN_TOL, and no
+        # shot runs at the configured tol
+        cfg = ShotConfig(eps=0.1)
+        tols = []
+        shoot_info = shooting.shoot_info
+
+        def recorded(lphi_i, ltheta_i, shot_cfg, stop=math.inf):
+            tols.append(shot_cfg.tol)
+            return shoot_info(lphi_i, ltheta_i, shot_cfg, stop)
+
+        monkeypatch.setattr(shooting, "shoot_info", recorded)
+        with pytest.raises(shooting.NoConvergence, match="at tol 1e-06 .*the residual stays > 0 up to ltheta_i"):
+            shooting.refine(1.85, 0.15, cfg)
+        assert set(tols) == {shooting.SCAN_TOL}
+
+    def test_unsolved_corrector_fails_in_the_solve(self, monkeypatch):
         # at SCAN_TOL the residual has a root, at the configured tol none: the
-        # solve finds no bracket, and the corrector's walk at the configured
-        # tol fails with the message it gives with no locate phase
+        # solve finds no bracket, and the corrector raises its failure after
+        # the solve's walk alone
         scan_tol, cfg = shooting.SCAN_TOL, ShotConfig(eps=0.005)
         solved = []
 
@@ -678,34 +675,39 @@ class TestRefine:
             return 7.0, "hit", 0.5
 
         monkeypatch.setattr(shooting, "shoot_info", shoot_info)
-        with pytest.raises(shooting.NoConvergence) as located:
+        with pytest.raises(shooting.NoConvergence) as err:
             shooting._correct(1.85, math.log(0.5), 0.01, cfg)
-        # the solve's walk, then the corrector's full-tol walk
-        assert len(solved) == 2 * (1 + shooting.CONTINUATION_STEPS)
+        assert len(solved) == 1 + shooting.CONTINUATION_STEPS
         assert solved[0] == pytest.approx(0.5, rel=1e-4)
-        monkeypatch.setattr(shooting, "SCAN_TOL", cfg.tol)
-        with pytest.raises(shooting.NoConvergence) as full:
-            shooting._correct(1.85, math.log(0.5), 0.01, cfg)
-        assert str(located.value) == str(full.value)
-        assert "no valid bracket, the residual stays > 0" in str(located.value)
+        assert str(err.value).startswith("no root of the transversality residual at tol 1e-10 ")
+        assert str(err.value).endswith(f"no valid bracket, the residual stays > 0 up to ltheta_i {solved[-1]!r}")
 
     def test_loose_tol_runs_no_locate_phase(self, monkeypatch):
-        # at a tol no tighter than SCAN_TOL the scan is not screened and the
-        # search is the full one: after the 13 probes it shoots the fastest
-        # probe again in full, on 27 shots in all, every one at that tol
+        # at a tol no tighter than SCAN_TOL the scan is not screened, and one
+        # record at that tol narrows the root to REFINE_XTOL: its memo starts
+        # from the scan's shots, so the fastest probe is shot once, on 25
+        # shots in all, every one at that tol
         cfg = ShotConfig(eps=0.002, tol=shooting.SCAN_TOL)
-        shots = []
-        shoot_info = shooting.shoot_info
+        shots, roots = [], []
+        shoot_info, root = shooting.shoot_info, shooting._RootSearch.root
 
         def recorded(lphi_i, ltheta_i, shot_cfg, stop=math.inf):
-            shots.append((ltheta_i, shot_cfg.tol, stop))
-            return shoot_info(lphi_i, ltheta_i, shot_cfg, stop)
+            result = shoot_info(lphi_i, ltheta_i, shot_cfg, stop)
+            shots.append((ltheta_i, shot_cfg.tol, result[0]))
+            return result
+
+        def recorded_root(search, *args, **kwargs):
+            roots.append((search.cfg.tol, kwargs.get("rtol", shooting.REFINE_XTOL)))
+            return root(search, *args, **kwargs)
 
         monkeypatch.setattr(shooting, "shoot_info", recorded)
+        monkeypatch.setattr(shooting._RootSearch, "root", recorded_root)
         opt = shooting.refine(1.85, 0.9, cfg)
         assert {tol for _, tol, _ in shots} == {cfg.tol}
-        assert shots[13][0] in [x for x, _, _ in shots[:13]] and shots[13][2] == math.inf
-        assert len(shots) == 27
+        assert roots == [(cfg.tol, shooting.REFINE_XTOL)]
+        fastest = min((t, x) for x, _, t in shots[:13] if t is not None)[1]
+        assert [x for x, _, _ in shots].count(fastest) == 1
+        assert len(shots) == 25
         assert opt.t_min == pytest.approx(7.40, abs=0.02)
 
     def test_optimum_does_not_depend_on_the_guess(self, cfg002, opt002):
@@ -809,9 +811,9 @@ class TestRefine:
             shooting.refine(1.85, 0.5, cfg)
 
     def test_failed_probes_say_why(self):
-        # every screened probe hits, but the fastest does not at tol 1e-300:
-        # the scan runs again there, and its probes say why
-        with pytest.raises(shooting.NoFeasiblePoint, match="13 probes at tol 1e-300: 13 step-underflow"):
+        # every screened probe hits and the search locates the root, but at
+        # tol 1e-300 every shot of the solve underflows: they say why
+        with pytest.raises(shooting.NoFeasiblePoint, match="14 shots of the solve at tol 1e-300: 14 step-underflow"):
             shooting.refine(1.85, 0.5, ShotConfig(eps=0.002, tol=1e-300))
 
     def test_flat_landscape_fails_to_bracket(self, monkeypatch):
@@ -933,9 +935,7 @@ class TestAreaCurve:
     def test_rhs_budget(self, cfg002, monkeypatch):
         # acceptance 07's curve: only the first two points run refine's scan,
         # the other six are predicted and corrected, each search located at
-        # SCAN_TOL and solved at the configured tol: 48 630 calls, 58 285 with
-        # the whole search at the configured tol; a scan per point took
-        # 174 158 calls, the continuation 75 994
+        # SCAN_TOL and solved at the configured tol: 48 509 calls in 125 shots
         calls, refines = 0, 0
         extremal_rhs, refine = lambda3.extremal_rhs, shooting.refine
 
@@ -1000,6 +1000,29 @@ class TestAreaCurve:
         fresh = shooting.refine(1.85, guess, replace(cfg002, eps=0.03))
         assert (opt.ltheta_i, opt.t_min) == (fresh.ltheta_i, fresh.t_min)
         assert curve[2, 1] == fresh.area
+
+    def test_corrector_without_a_hit_falls_back_to_refine(self, cfg002, monkeypatch):
+        # the third point's corrector locates the root, but every shot of its
+        # solve underflows: NoFeasiblePoint, and that point is refined instead
+        correct, shoot_info = shooting._correct, shooting.shoot_info
+
+        def underflowing_solve(lphi_i, ltheta_i, cfg, stop=math.inf):
+            if cfg.tol < shooting.SCAN_TOL:
+                return None, "step-underflow", None
+            return shoot_info(lphi_i, ltheta_i, cfg, stop)
+
+        def correct_underflowing_at_003(lphi_i, predicted, bias, cfg):
+            with monkeypatch.context() as m:
+                if cfg.eps == 0.03:
+                    m.setattr(shooting, "shoot_info", underflowing_solve)
+                return correct(lphi_i, predicted, bias, cfg)
+
+        monkeypatch.setattr(shooting, "_correct", correct_underflowing_at_003)
+        optima = shooting.optima_along_eps(np.array([0.1, 0.05, 0.03]), cfg002, 1.85)
+        monkeypatch.undo()
+        assert [opt.fallback is None for opt in optima] == [True, True, False]
+        assert "shots of the solve at tol 1e-10: 14 step-underflow" in optima[2].fallback
+        assert optima[2] == shooting.refine(1.85, optima[1].ltheta_i, replace(cfg002, eps=0.03))
 
     def test_fit_recovers_synthetic_line(self):
         eps = np.geomspace(1e-3, 0.1, 7)
