@@ -24,8 +24,9 @@ fastest branch the scan meets; the optimum must lie between 1/16 and about
 3 times the guess. The scan screens, the search locates and the solve
 solves: the probes only rank hit times, so they run at the looser tolerance
 SCAN_TOL; the root search locates the root at SCAN_TOL too, to SCAN_TOL
-relative; and the solve brackets the located root within 10 SCAN_TOL and
-narrows it at the configured tolerance, whose shots alone give the optimum.
+relative; and the solve takes secant steps from the located root at the
+configured tolerance, whose shots alone give the optimum, until two hits
+REFINE_XTOL apart change sign, with Brent's method as their safeguard.
 A phase that finds no root fails the refinement.
 Along a continuation in eps only the first two points run the scan. Each
 later point predicts its lambda_theta from the last two optima and
@@ -46,7 +47,6 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -330,6 +330,8 @@ def landscape(
     if workers == 1:
         lane_times = _scan_lanes(lphi0, ltheta0, cfg)
     else:
+        from multiprocessing import get_context  # only a split scan pays for the import (socket, selectors)
+
         _scan_lanes(lphi0[:0], ltheta0[:0], cfg)  # no lanes: raises for the horizon before any fork
         jobs = [(a, b, cfg) for a, b in zip(np.array_split(lphi0, workers), np.array_split(ltheta0, workers))]
         with get_context("fork").Pool(processes=workers) as pool:
@@ -431,20 +433,67 @@ class _RootSearch:
             if k == lo:
                 raise self.failure(f"no valid bracket, the residual is not > 0 left of ltheta_i"
                                    f" {float(point(0))!r}, down to {float(point(lo))!r}")
+        return self.narrow(point(k - 1), point(k), rtol)
+
+    def narrow(self, a: float, b: float, rtol: float = REFINE_XTOL) -> Optimum:
+        """The optimum once ``ode.brentq`` narrows the sign change between a
+        and b to ``rtol`` (relative); a failed brentq raises NoConvergence."""
         try:
-            ode.brentq(self.residual, point(k - 1), point(k), rtol=rtol)
+            ode.brentq(self.residual, a, b, rtol=rtol)
         except RuntimeError as exc:
             raise self.failure(str(exc)) from None
+        return self.best()
+
+    def best(self) -> Optimum:
+        """The memo's hit with the smallest |residual|."""
         _, ltheta_i, t_min = min((abs(s), x, t) for x, (t, _, s) in self.memo.items() if t is not None)
         return Optimum(self.lphi_i, ltheta_i, t_min)
 
-    def solve(self, located: float) -> Optimum:
-        """``root`` from the bracket located * (1 -+ w), w = 10 SCAN_TOL,
-        walked outward by 2 w for at most CONTINUATION_STEPS steps. A solve
-        none of whose shots hits raises NoFeasiblePoint, which tallies why."""
+    def bracket(self) -> tuple | None:
+        """The memo's tightest sign change between two hits, as their
+        (lambda_theta, oriented residual) pairs; None when it has none."""
+        hits = sorted((x, s * self.orientation) for x, (t, _, s) in self.memo.items() if t is not None)
+        pairs = [(b[0] - a[0], a, b) for a, b in zip(hits, hits[1:]) if (a[1] > 0.0) != (b[1] > 0.0)]
+        return min(pairs)[1:] if pairs else None
+
+    def solve(self, located: float, bracket: tuple | None) -> Optimum:
+        """The optimum by at most CONTINUATION_STEPS secant steps from
+        ``located``, the first on the slope of ``bracket``, the located
+        root's, each later one through the last two hits. A step that would
+        land within REFINE_XTOL / 2 (relative) shoots REFINE_XTOL on
+        instead, and a sign change across it ends the solve. A step that
+        misses, leaves the points located * (1 + (2 j - 1) w),
+        w = 10 SCAN_TOL, |j| <= CONTINUATION_STEPS, or does not reduce
+        |residual| hands over: ``narrow`` takes the record's tightest sign
+        change between hits, or, when it has none, ``root`` walks those
+        points from a fresh stop. A solve none of whose shots hits raises
+        NoFeasiblePoint, which tallies why."""
         w = 10.0 * SCAN_TOL
+        point = lambda j: located * (1.0 + (2 * j - 1) * w)  # noqa: E731
+        ends = sorted((point(-CONTINUATION_STEPS), point(CONTINUATION_STEPS)))
+        slope = math.nan if bracket is None else (bracket[1][1] - bracket[0][1]) / (bracket[1][0] - bracket[0][0])
         try:
-            return self.root(lambda j: located * (1.0 + (2 * j - 1) * w), -CONTINUATION_STEPS, CONTINUATION_STEPS)
+            x, s = located, self.residual(located)
+            for _ in range(CONTINUATION_STEPS):
+                step = -s / slope
+                if abs(step) <= 0.5 * REFINE_XTOL * abs(x):
+                    step = math.copysign(REFINE_XTOL * abs(x), step)
+                if self.memo[x][0] is None or not ends[0] <= x + step <= ends[1]:
+                    break
+                x_new = x + step
+                s_new = self.residual(x_new)
+                if self.memo[x_new][0] is None:
+                    break
+                if s * s_new <= 0.0 and abs(step) <= REFINE_XTOL * abs(x):
+                    return self.best()
+                if abs(s_new) >= abs(s):
+                    break
+                slope, x, s = (s_new - s) / step, x_new, s_new
+            bracket = self.bracket()
+            if bracket is not None:
+                return self.narrow(bracket[0][0], bracket[1][0])
+            self.fastest = math.inf
+            return self.root(point, -CONTINUATION_STEPS, CONTINUATION_STEPS)
         except NoConvergence:
             if any(t is not None for t, _, _ in self.memo.values()):
                 raise
@@ -459,13 +508,15 @@ def _locate_and_solve(lphi_i: float, near: float, cfg: ShotConfig, point, lo: in
     lo <= j <= hi; its memo starts from ``screened``, shots at that tol by
     lambda_theta. At a tol no tighter than SCAN_TOL it narrows to
     REFINE_XTOL, and its root is the optimum; otherwise it narrows to
-    SCAN_TOL, and a record at ``cfg.tol`` solves from a bracket around the
-    located lambda_theta. A phase that fails raises its own error."""
+    SCAN_TOL, and a record at ``cfg.tol`` solves by secant steps from the
+    located lambda_theta, on the slope of the locate record's tightest sign
+    change to start. A phase that fails raises its own error."""
     locate = _RootSearch(lphi_i, near, replace(cfg, tol=max(cfg.tol, SCAN_TOL)))
     locate.memo.update(screened or {})
     if cfg.tol >= SCAN_TOL:
         return locate.root(point, lo, hi)
-    return _RootSearch(lphi_i, near, cfg).solve(locate.root(point, lo, hi, rtol=SCAN_TOL).ltheta_i)
+    located = locate.root(point, lo, hi, rtol=SCAN_TOL).ltheta_i
+    return _RootSearch(lphi_i, near, cfg).solve(located, locate.bracket())
 
 
 def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
@@ -483,36 +534,39 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     bracket, and past the last probe the bracket walks right by the probes'
     spacing while it stays > 0, for at most 13 steps; otherwise the previous
     probe, shot in full, must read > 0. Brent's method (``ode.brentq``)
-    narrows the bracket to REFINE_XTOL (relative). The optimum must lie
-    between 1/16 and about 3 times the guess.
+    narrows the bracket, and the solve's secant steps narrow the root to a
+    sign change REFINE_XTOL wide (relative). The optimum must lie between
+    1/16 and about 3 times the guess.
 
     The scan screens, the search locates and the solve solves. The probes
     only rank hit times, so they run at max(tol, SCAN_TOL), and so does the
     search, whose Brent narrowing stops at SCAN_TOL (relative); its record
     starts from the scan's shots of the fastest probe and the next one,
-    which are its own, and shoots neither again. The solve brackets the
-    located lambda_theta within 10 SCAN_TOL (relative), walks outward by
-    twice that for at most CONTINUATION_STEPS steps, and narrows to
-    REFINE_XTOL at the configured tolerance, whose shots alone give the
-    optimum. At a tol no tighter than SCAN_TOL the search narrows to
-    REFINE_XTOL itself, and there is no solve.
+    which are its own, and shoots neither again. The solve, at the
+    configured tolerance, whose shots alone give the optimum, takes secant
+    steps from the located lambda_theta while |residual| falls, and ends on
+    a sign change between two hits REFINE_XTOL (relative) apart, no wider
+    than brentq's own stop; Brent's method on its tightest sign change, or
+    a walk outward from located * (1 -+ 10 SCAN_TOL), is the safeguard (see
+    ``_RootSearch.solve``). At a tol no tighter than SCAN_TOL the search
+    narrows to REFINE_XTOL itself, and there is no solve.
 
     Each probe stops at the fastest hit of the probes before it and then
     counts as +inf: its true time is no less, so it cannot be the fastest.
     Each later shot stops at the fastest hit with a residual > 0 of its
     record, and a shot that stops or misses reads -1: it lies past the
     optimum, which is faster still. Each record shoots each point once: its
-    stop only falls. The optimum is the costates and hit time of the last
-    record's hit with the smallest |residual|: it costs no further
-    integration. Non-finite costates, a zero lambda_phi (at
-    phi = theta = 0 the switching pair is (lambda_phi, 0) up to constants,
-    so every shot would start degenerate), and a guess whose probes
-    coincide (a zero or subnormal guess) or whose probes or walk overflow,
-    raise ValueError before the first shot; when no probe hits, or no shot
-    of the solve, NoFeasiblePoint tallies why, at the tolerance they ran
-    at; when the residual has no sign change to bracket, or Brent's method
-    fails, NoConvergence names the condition and the tolerance, eps and
-    horizon of the phase that failed.
+    stop only falls, but for the solve's walk, which starts from none. The
+    optimum is the costates and hit time of the last record's hit with the
+    smallest |residual|: it costs no further integration. Non-finite
+    costates, a zero lambda_phi (at phi = theta = 0 the switching pair is
+    (lambda_phi, 0) up to constants, so every shot would start degenerate),
+    and a guess whose probes coincide (a zero or subnormal guess) or whose
+    probes or walk overflow, raise ValueError before the first shot; when
+    no probe hits, or no shot of the solve, NoFeasiblePoint tallies why, at
+    the tolerance they ran at; when the residual has no sign change to
+    bracket, or Brent's method fails, NoConvergence names the condition and
+    the tolerance, eps and horizon of the phase that failed.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         probes = ltheta_guess * np.linspace(1.0 / 16.0, 1.5, 13)
@@ -548,9 +602,10 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
 # the last step in log lambda_theta, with the same floor. From there
 # the walk steps by half the bias, right while the residual is > 0 and left
 # while it is not, for at most CONTINUATION_STEPS steps, as ``refine``'s
-# walk past its probes. A point whose walk finds no bracket, whose root
-# search fails, or whose solve meets no hit, is refined from the previous
-# optimum instead and says why: a retry with a reason.
+# walk past its probes, and the root it locates is solved by ``refine``'s
+# secant steps. A point whose walk finds no bracket, whose root search
+# fails, or whose solve meets no hit, is refined from the previous optimum
+# instead and says why: a retry with a reason.
 # ---------------------------------------------------------------------------
 
 #: Least bias of a prediction, in log lambda_theta.

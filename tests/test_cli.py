@@ -291,7 +291,7 @@ class TestThreeLevel:
         code = cli.main(["--out", str(tmp_path), "--tol", "1e-300", "three-level", "optimize", "--eps", "0.002"])
         assert code == cli.EXIT_NO_HIT == 5
         err = capsys.readouterr().err
-        assert err.startswith("no transfer found: ") and "at tol 1e-300: 14 step-underflow" in err
+        assert err.startswith("no transfer found: ") and "at tol 1e-300: 15 step-underflow" in err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("lphi", ["0", "-0.0"])
@@ -328,6 +328,24 @@ class TestThreeLevel:
             assert cli.main(["--out", str(tmp_path), *flags]) == 2
             err = capsys.readouterr().err
             assert err.startswith("invalid arguments: ") and reason in err
+
+
+class TestWorkflowPins:
+    # the optimize commands of the workflow's numpy-only job
+    # (.github/workflows/tier1.yml) and the lines it greps from their output,
+    # with its values: the bench's two refinements and the --tol 1e-6 edge
+    @pytest.mark.parametrize("argv, lines", [
+        (["three-level", "optimize", "--eps", "0.005", "--guess", "0.7"],
+         ["ltheta_i = 0.6277587617", "T_min = 6.77108206"]),
+        (["three-level", "optimize", "--eps", "0.002", "--guess", "0.9"],
+         ["ltheta_i = 0.4526316584", "T_min = 7.39937801"]),
+        (["--tol", "1e-6", "three-level", "optimize", "--eps", "0.002", "--guess", "0.9"],
+         ["ltheta_i = 0.4526316259", "T_min = 7.399376916"]),
+    ])
+    def test_optimize_prints_its_pins(self, tmp_path, capsys, argv, lines):
+        code, out = run(capsys, "--out", str(tmp_path), *argv)
+        assert code == 0
+        assert [line for line in out.splitlines() if line in lines] == lines
 
 
 class TestIso:
@@ -399,16 +417,21 @@ class TestIso:
 
 # Imports qsl12.cli and runs a first command, as the set-up of every run of
 # ``qsl`` does, then one small command of each family; prints the scipy
-# modules loaded by the set-up and the modules each command adds.
+# modules loaded by the set-up, the modules each command adds, and the
+# multiprocessing modules loaded by the import and by the whole run.
 IMPORT_PATH_SCRIPT = """
 import contextlib, io, json, sys
 import qsl12.cli as cli
+
+def forking():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing")
 
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["--out", sys.argv[1], *argv])
     assert code == 0, (argv, code)
 
+imported = forking()
 run("two-level", "tmin", "--eps", "0.002")
 loaded = set(sys.modules)
 report = {"setup": sorted(m for m in loaded if m.split(".")[0] == "scipy"), "added": {}}
@@ -416,33 +439,48 @@ for argv in json.loads(sys.argv[2]):
     run(*argv)
     report["added"][" ".join(argv)] = sorted(set(sys.modules) - loaded)
     loaded.update(sys.modules)
+report["multiprocessing"] = {"import": imported, "run": forking()}
 print(json.dumps(report))
 """
 
+# One small serial command of each family (the landscape at one worker).
+IMPORT_PATH_COMMANDS = [
+    ["three-level", "optimize", "--eps", "0.005", "--guess", "0.7"],
+    ["three-level", "landscape", "--eps", "0.002", "--res", "20", "--workers", "1"],
+    ["three-level", "areacurve", "--eps-max", "0.1", "--eps-min", "0.03", "--n", "5"],
+    ["three-level", "energy", "--T", "10", "--eps", "0.005"],
+    ["iso", "check", "--eps", "0.002", "--costates", "1.85,0.45266"],
+    ["iso", "areadiv", "--eps-list", "0.1,0.05,0.03"],
+    ["two-level", "simulate", "--eps", "0.002"],
+]
+
+
+@pytest.fixture(scope="module")
+def import_report(tmp_path_factory) -> dict:
+    """The report of IMPORT_PATH_SCRIPT on IMPORT_PATH_COMMANDS, run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(tmp_path_factory.mktemp("imports")),
+         json.dumps(IMPORT_PATH_COMMANDS)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
 
 class TestImportPath:
-    def test_commands_import_numpy_only(self, tmp_path):
+    def test_commands_import_numpy_only(self, import_report):
         # no scipy module is loaded, and no command imports a module the
         # set-up has not: a lazy import (numpy.ma by np.unique, say) would
         # be paid inside the command
-        commands = [
-            ["three-level", "optimize", "--eps", "0.005", "--guess", "0.7"],
-            ["three-level", "landscape", "--eps", "0.002", "--res", "20", "--workers", "1"],
-            ["three-level", "areacurve", "--eps-max", "0.1", "--eps-min", "0.03", "--n", "5"],
-            ["three-level", "energy", "--T", "10", "--eps", "0.005"],
-            ["iso", "check", "--eps", "0.002", "--costates", "1.85,0.45266"],
-            ["iso", "areadiv", "--eps-list", "0.1,0.05,0.03"],
-            ["two-level", "simulate", "--eps", "0.002"],
-        ]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(tmp_path), json.dumps(commands)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        report = json.loads(done.stdout)
-        assert report["setup"] == []
-        assert report["added"] == {" ".join(argv): [] for argv in commands}
+        assert import_report["setup"] == []
+        assert import_report["added"] == {" ".join(argv): [] for argv in IMPORT_PATH_COMMANDS}
+
+    def test_serial_commands_load_no_multiprocessing(self, import_report):
+        # only a landscape split over two or more workers forks: importing
+        # qsl12.cli and running every serial command load no multiprocessing
+        # module (with socket and selectors, about 7 ms of import)
+        assert import_report["multiprocessing"] == {"import": [], "run": []}
 
 
 class TestParsing:

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -185,7 +186,7 @@ class TestLandscape:
             def starmap(self, func, jobs):
                 return [func(*job) for job in jobs]
 
-        monkeypatch.setattr(shooting, "get_context", lambda method: SimpleNamespace(Pool=Pool))
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
         monkeypatch.setattr(shooting.os, "cpu_count", lambda: cpus)
         return counts
 
@@ -386,6 +387,47 @@ class TestLandscape:
         assert finite.min() == pytest.approx(-12.0)
 
 
+def _record_solves(monkeypatch, scale: float = 1.0) -> list:
+    """Record each solve as (its record, the located root, its optimum); the
+    residuals of the located root's bracket are divided by ``scale``, so its
+    first secant step is ``scale`` times as long."""
+    solves, solve = [], shooting._RootSearch.solve
+
+    def recorded(self, located, bracket):
+        if bracket is not None:
+            bracket = tuple((x, s / scale) for x, s in bracket)
+        solves.append((self, located, solve(self, located, bracket)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(shooting._RootSearch, "solve", recorded)
+    return solves
+
+
+def _walked(search, located) -> tuple:
+    """A fresh record like ``search`` and its optimum by the walk over
+    located * (1 + (2 j - 1) w), w = 10 SCAN_TOL, and brentq, with no secant
+    step: the solve from the bracket located * (1 -+ w)."""
+    w, steps = 10.0 * shooting.SCAN_TOL, shooting.CONTINUATION_STEPS
+    fresh = shooting._RootSearch(search.lphi_i, search.near, search.cfg)
+    return fresh, fresh.root(lambda j: located * (1.0 + (2 * j - 1) * w), -steps, steps)
+
+
+def _check_certified(search, located, opt, width: float) -> float:
+    """Check that the record of a solve holds two configured-tol hits of
+    opposite residual sign at most ``width`` (relative) apart, that its
+    optimum is the one of them with the smaller |residual|, and that it lies
+    within 1e-10 in lambda_theta and 2e-10 in T (relative) of the walk's
+    optimum; return the walk's |residual| at its optimum."""
+    (a, sa), (b, sb) = search.bracket()
+    assert sa > 0.0 >= sb or sb > 0.0 >= sa
+    assert abs(b - a) <= width * abs(opt.ltheta_i)
+    assert opt.ltheta_i == (a if abs(sa) <= abs(sb) else b)
+    fresh, walked = _walked(search, located)
+    assert opt.ltheta_i == pytest.approx(walked.ltheta_i, rel=1e-10, abs=0.0)
+    assert opt.t_min == pytest.approx(walked.t_min, rel=2e-10, abs=0.0)
+    return abs(fresh.memo[walked.ltheta_i][2])
+
+
 class TestRefine:
     def test_reference_optimum(self, opt002):
         assert opt002.ltheta_i == pytest.approx(0.45266, abs=1e-3)
@@ -429,18 +471,19 @@ class TestRefine:
         assert opt.t_min == pytest.approx(7.40, abs=0.02)
         # 13 probes and 7 more shots that locate the root at SCAN_TOL (the
         # fastest probe's scan shot and its neighbour's start the record),
-        # then 5 that solve it at the configured tol
+        # then 3 that solve it at the configured tol: the located root, one
+        # secant step and the certificate, bounded here with 5% to spare
         solved = [args for args in shots if args[2].tol == cfg002.tol]
-        assert len(shots) - len(solved) <= 24
-        assert len(solved) <= 6
+        assert len(shots) - len(solved) <= 21
+        assert len(solved) <= 3
 
     def test_rhs_budget(self, cfg002, monkeypatch):
         # the scan screens and the search locates at SCAN_TOL, and the solve
         # solves at the configured tol: 3 325 calls in the 13 probes, 2 856
         # in the 12 shots that locate the root (the scan's shots of the
         # fastest probe and its neighbour are the record's first two) and
-        # 5 435 in the 5 that solve it, 11 616 in all, bounded here with 5%
-        # to spare
+        # 3 261 in the 3 that solve it (the located root, one secant step and
+        # the certificate), 9 442 in all, bounded here with 5% to spare
         calls, solved = 0, 0
         extremal_rhs, shoot_info = lambda3.extremal_rhs, shooting.shoot_info
 
@@ -458,17 +501,20 @@ class TestRefine:
         monkeypatch.setattr(shooting, "shoot_info", counted_shot)
         opt = shooting.refine(1.85, 0.9, cfg002)
         assert opt.t_min == pytest.approx(7.40, abs=0.02)
-        assert calls <= 12_200
-        assert solved <= 6
+        assert calls <= 9_914
+        assert solved <= 3
 
     @pytest.mark.parametrize("eps, guess, tol", [
         (0.002, 0.9, 1e-10), (0.005, 0.7, 1e-10), (1e-5, 0.3, 1e-10), (0.002, 0.9, shooting.SCAN_TOL),
+        (2.2e-5, 0.3, 1e-10), (1e-6, 0.2, 1e-10),
     ])
     def test_no_shot_is_taken_twice(self, eps, guess, tol, monkeypatch):
         # the locate record shoots at the scan's tolerance, and its memo
         # starts from the scan's shots of the fastest probe, which hit before
         # its stop, and of the next probe, stopped at that hit as the record
-        # would stop it: no (lambda_theta, tol) is shot twice in a refinement
+        # would stop it; the solve's handover (at eps 1e-6 a secant step
+        # stops, and the walk takes over) keeps the secant steps' shots: no
+        # (lambda_theta, tol) is shot twice in a refinement
         cfg = ShotConfig(eps=eps, tol=tol)
         shots = []
         shoot_info = shooting.shoot_info
@@ -555,8 +601,8 @@ class TestRefine:
 
     def test_scan_screens_and_search_solves(self, cfg002, opt002, monkeypatch):
         # the 13 probes and the 7 shots that locate the root run at SCAN_TOL,
-        # the solve's 5 shots at the configured tol, from the bracket
-        # located * (1 -+ 10 SCAN_TOL) around a located shot; the optimum is
+        # the solve's 3 shots at the configured tol: the located root, one
+        # secant step and the certificate REFINE_XTOL from it; the optimum is
         # one of the solve's shots
         tols = []
         shoot_info = shooting.shoot_info
@@ -568,14 +614,65 @@ class TestRefine:
         monkeypatch.setattr(shooting, "shoot_info", recorded)
         opt = shooting.refine(1.85, 0.5, cfg002)
         solve = next(i for i, (_, tol) in enumerate(tols) if tol != shooting.SCAN_TOL)
-        assert (solve, len(tols)) == (20, 25)
+        assert (solve, len(tols)) == (20, 23)
         assert {tol for _, tol in tols[:solve]} == {shooting.SCAN_TOL}
         assert {tol for _, tol in tols[solve:]} == {cfg002.tol}
-        w = 10.0 * shooting.SCAN_TOL
-        assert any(tols[solve:solve + 2] == [(x * (1.0 - w), cfg002.tol), (x * (1.0 + w), cfg002.tol)]
-                   for x, _ in tols[13:solve])
+        assert tols[solve][0] in [x for x, _ in tols[13:solve]]
+        (step, _), (certificate, _) = tols[solve + 1:]
+        assert abs(certificate - step) == pytest.approx(shooting.REFINE_XTOL * abs(step), rel=1e-6)
         assert (opt.ltheta_i, cfg002.tol) in tols[solve:]
         assert opt == opt002
+
+    @pytest.mark.parametrize("eps, lphi, guess", [
+        (0.002, 1.85, 0.9), (0.005, 1.85, 0.7), (0.002, -1.85, 0.9), (0.002, 1.85, -0.9), (0.005, -1.85, -0.7),
+    ])
+    def test_secant_steps_certify_the_optimum(self, eps, lphi, guess, monkeypatch):
+        # the solve ends on a sign change between two configured-tol hits
+        # REFINE_XTOL (relative) apart, up to the rounding of the step, no
+        # wider than brentq's own stop; its optimum is the walk-and-brentq
+        # solve's to rel 1e-10, with no larger |residual|
+        solves = _record_solves(monkeypatch)
+        shooting.refine(lphi, guess, ShotConfig(eps=eps))
+        monkeypatch.undo()
+        [(search, located, opt)] = solves
+        walked_residual = _check_certified(search, located, opt, 1.000001 * shooting.REFINE_XTOL)
+        assert abs(search.memo[opt.ltheta_i][2]) <= walked_residual
+
+    @pytest.mark.parametrize("eps, guess, scale, walks", [
+        (0.002, 0.9, 10.0, False), (0.005, 0.7, 10.0, False), (1e-6, 0.2, 1.0, True),
+    ])
+    def test_handover_reaches_the_walks_optimum(self, eps, guess, scale, walks, monkeypatch):
+        # a first secant step 10 times too long overshoots the root, and
+        # brentq narrows the sign change it makes, with no walk; at eps 1e-6
+        # a secant step stops before any sign change, and the walk takes
+        # over. Either way the optimum is the walk-and-brentq solve's,
+        # narrowed to brentq's stop, and no (lambda_theta, tol) is shot twice
+        cfg, shots, phases = ShotConfig(eps=eps), [], []
+        shoot_info, root, narrow = shooting.shoot_info, shooting._RootSearch.root, shooting._RootSearch.narrow
+
+        def recorded(lphi_i, ltheta_i, shot_cfg, stop=math.inf):
+            shots.append((ltheta_i, shot_cfg.tol))
+            return shoot_info(lphi_i, ltheta_i, shot_cfg, stop)
+
+        def recorded_root(search, *args, **kwargs):
+            phases.append(("walk", search.cfg.tol))
+            return root(search, *args, **kwargs)
+
+        def recorded_narrow(search, *args, **kwargs):
+            phases.append(("brentq", search.cfg.tol))
+            return narrow(search, *args, **kwargs)
+
+        solves = _record_solves(monkeypatch, scale)
+        monkeypatch.setattr(shooting, "shoot_info", recorded)
+        monkeypatch.setattr(shooting._RootSearch, "root", recorded_root)
+        monkeypatch.setattr(shooting._RootSearch, "narrow", recorded_narrow)
+        shooting.refine(1.85, guess, cfg)
+        monkeypatch.undo()
+        located = [("walk", shooting.SCAN_TOL), ("brentq", shooting.SCAN_TOL)]
+        assert phases == located + [("walk", cfg.tol)] * walks + [("brentq", cfg.tol)]
+        assert len(set(shots)) == len(shots)
+        [(search, located, opt)] = solves
+        _check_certified(search, located, opt, shooting.REFINE_XTOL + 2e-12 / abs(opt.ltheta_i))
 
     @pytest.mark.parametrize("eps, guess", [(0.002, 0.5), (0.002, 0.9), (0.005, 0.7), (1e-5, 0.3)])
     def test_optimum_is_a_configured_tol_shot(self, eps, guess, monkeypatch):
@@ -595,10 +692,11 @@ class TestRefine:
 
     def test_unconfirmed_screen_fails_without_a_rescan(self, monkeypatch):
         # the screen misleads twice: its residual has its root at 0.29, not
-        # at the configured tol's 0.3, so the solve's bracket never changes
-        # sign; and its fastest probe, right of the root, hits only at
-        # SCAN_TOL. The solve's walk fails, and its failure is the
-        # refinement's: no probe is shot again at the configured tol
+        # at the configured tol's 0.3, so the solve's first secant step
+        # leaves the walk's points and its walk never changes sign; and its
+        # fastest probe, right of the root, hits only at SCAN_TOL. The
+        # solve's walk fails, and its failure is the refinement's: no probe
+        # is shot again at the configured tol
         def valley(x):
             return 7.0 + 400.0 * (x - 0.3) ** 2
 
@@ -620,15 +718,17 @@ class TestRefine:
         assert shots[:13] == [(p, shooting.SCAN_TOL) for p in probes]
         solve = next(i for i, (_, tol) in enumerate(shots) if tol == 1e-10)
         assert all(tol == shooting.SCAN_TOL for _, tol in shots[13:solve])
-        # the solve walks right from the bracket at 0.29 by its 13 steps, and
-        # that is all
-        assert len(shots) - solve == 1 + shooting.CONTINUATION_STEPS
+        # the solve shoots the located root, then walks right from the
+        # bracket at 0.29 by its 13 steps, and that is all
+        assert len(shots) - solve == 2 + shooting.CONTINUATION_STEPS
         assert all(0.289 < x < 0.291 and tol == 1e-10 for x, tol in shots[solve:])
 
     def test_unsolved_bracket_fails_in_the_solve(self, cfg002, monkeypatch):
-        # the solve's bracket moved to 0.9 times the located root never
-        # changes sign: the refinement fails with the solve's walk, whose
-        # 1 + CONTINUATION_STEPS shots are its only ones at the configured tol
+        # the solve moved to 0.9 times the located root: its first secant
+        # step leaves the walk's points, and the walk's bracket never changes
+        # sign. The refinement fails with the solve's walk, whose
+        # 1 + CONTINUATION_STEPS shots and the solve's first are its only
+        # ones at the configured tol
         shots = []
         shoot_info, solve = shooting.shoot_info, shooting._RootSearch.solve
 
@@ -637,11 +737,12 @@ class TestRefine:
             return shoot_info(lphi_i, ltheta_i, cfg, stop)
 
         monkeypatch.setattr(shooting, "shoot_info", recorded)
-        monkeypatch.setattr(shooting._RootSearch, "solve", lambda self, located: solve(self, 0.9 * located))
+        monkeypatch.setattr(shooting._RootSearch, "solve",
+                            lambda self, located, bracket: solve(self, 0.9 * located, bracket))
         with pytest.raises(shooting.NoConvergence, match="at tol 1e-10 .*the residual stays > 0") as err:
             shooting.refine(1.85, 0.9, cfg002)
         solved = [x for x, tol in shots if tol == cfg002.tol]
-        assert len(solved) == 1 + shooting.CONTINUATION_STEPS
+        assert len(solved) == 2 + shooting.CONTINUATION_STEPS
         assert f"up to ltheta_i {solved[-1]!r}" in str(err.value)
 
     def test_unlocated_root_shoots_nothing_at_the_configured_tol(self, monkeypatch):
@@ -663,8 +764,9 @@ class TestRefine:
 
     def test_unsolved_corrector_fails_in_the_solve(self, monkeypatch):
         # at SCAN_TOL the residual has a root, at the configured tol none: the
-        # solve finds no bracket, and the corrector raises its failure after
-        # the solve's walk alone
+        # solve's first secant step leaves the walk's points, the walk finds
+        # no bracket, and the corrector raises its failure after the located
+        # root's shot and the walk's
         scan_tol, cfg = shooting.SCAN_TOL, ShotConfig(eps=0.005)
         solved = []
 
@@ -677,7 +779,7 @@ class TestRefine:
         monkeypatch.setattr(shooting, "shoot_info", shoot_info)
         with pytest.raises(shooting.NoConvergence) as err:
             shooting._correct(1.85, math.log(0.5), 0.01, cfg)
-        assert len(solved) == 1 + shooting.CONTINUATION_STEPS
+        assert len(solved) == 2 + shooting.CONTINUATION_STEPS
         assert solved[0] == pytest.approx(0.5, rel=1e-4)
         assert str(err.value).startswith("no root of the transversality residual at tol 1e-10 ")
         assert str(err.value).endswith(f"no valid bracket, the residual stays > 0 up to ltheta_i {solved[-1]!r}")
@@ -812,8 +914,9 @@ class TestRefine:
 
     def test_failed_probes_say_why(self):
         # every screened probe hits and the search locates the root, but at
-        # tol 1e-300 every shot of the solve underflows: they say why
-        with pytest.raises(shooting.NoFeasiblePoint, match="14 shots of the solve at tol 1e-300: 14 step-underflow"):
+        # tol 1e-300 every shot of the solve underflows, the located root's
+        # and the walk's 14: they say why
+        with pytest.raises(shooting.NoFeasiblePoint, match="15 shots of the solve at tol 1e-300: 15 step-underflow"):
             shooting.refine(1.85, 0.5, ShotConfig(eps=0.002, tol=1e-300))
 
     def test_flat_landscape_fails_to_bracket(self, monkeypatch):
@@ -935,7 +1038,9 @@ class TestAreaCurve:
     def test_rhs_budget(self, cfg002, monkeypatch):
         # acceptance 07's curve: only the first two points run refine's scan,
         # the other six are predicted and corrected, each search located at
-        # SCAN_TOL and solved at the configured tol: 48 509 calls in 125 shots
+        # SCAN_TOL and solved at the configured tol by secant steps: 36 927
+        # calls in 111 shots, 26 of them at the configured tol, bounded here
+        # with 5% to spare
         calls, refines = 0, 0
         extremal_rhs, refine = lambda3.extremal_rhs, shooting.refine
 
@@ -953,8 +1058,26 @@ class TestAreaCurve:
         monkeypatch.setattr(shooting, "refine", counted_refine)
         curve = shooting.area_curve(np.geomspace(1e-1, 1e-3, 8), cfg002)
         assert refines == 2
-        assert calls <= 51_000
+        assert calls <= 38_773
         assert not curve[:, 2].any()  # no point fell back
+
+    @pytest.mark.parametrize("eps_values", [
+        np.geomspace(0.1, 10.0 ** (-15.0 / 7.0), 5),  # the bench's curve
+        np.geomspace(1e-1, 1e-3, 8),  # acceptance 07's
+    ])
+    def test_corrected_points_certify_their_optima(self, cfg002, eps_values, monkeypatch):
+        # each point's solve, refined or corrected, ends on a sign change
+        # between two configured-tol hits REFINE_XTOL apart, up to the
+        # rounding of the step, with no fallback; each optimum is the
+        # walk-and-brentq solve's to rel 1e-10 in lambda_theta, 2e-10 in T
+        solves = _record_solves(monkeypatch)
+        optima = shooting.optima_along_eps(eps_values, cfg002, 1.85)
+        monkeypatch.undo()
+        assert len(solves) == len(eps_values)
+        assert all(opt.fallback is None for opt in optima)
+        for (search, located, opt), point in zip(solves, optima):
+            assert opt == point
+            _check_certified(search, located, opt, 1.000001 * shooting.REFINE_XTOL)
 
     def test_repeated_and_unsorted_eps(self, cfg002):
         # solved from the largest eps down; a twin gets its twin's optimum, and
@@ -1021,7 +1144,7 @@ class TestAreaCurve:
         optima = shooting.optima_along_eps(np.array([0.1, 0.05, 0.03]), cfg002, 1.85)
         monkeypatch.undo()
         assert [opt.fallback is None for opt in optima] == [True, True, False]
-        assert "shots of the solve at tol 1e-10: 14 step-underflow" in optima[2].fallback
+        assert "shots of the solve at tol 1e-10: 15 step-underflow" in optima[2].fallback
         assert optima[2] == shooting.refine(1.85, optima[1].ltheta_i, replace(cfg002, eps=0.03))
 
     def test_fit_recovers_synthetic_line(self):
