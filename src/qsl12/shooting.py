@@ -26,16 +26,16 @@ solves: the probes only rank hit times, so they run at the looser tolerance
 SCAN_TOL; the root search locates the root at SCAN_TOL too, to SCAN_TOL
 relative; and the solve takes secant steps from the located root at the
 configured tolerance, whose shots alone give the optimum, until two hits
-REFINE_XTOL apart change sign, with Brent's method as their safeguard.
-A phase that finds no root fails the refinement.
+REFINE_XTOL apart change sign, with Brent's method on the record's
+tightest sign change as their safeguard. A phase without a root fails.
 Along a continuation in eps only the first two points run the scan. Each
 later point predicts its lambda_theta from the last two optima and
 corrects it with the same root search, started just left of the
 prediction; a point whose corrector finds no bracket is refined instead.
 Each shot stops where it can no longer change the result: a probe at the
 fastest hit of the probes before it, a shot of the root search, or of the
-solve, at the fastest hit left of the root that it has met. The steps a
-shot takes are the full shot's, so a hit does not depend on this.
+solve, outward of the fastest hit left of the root it has met, at that
+hit's time. A shot's steps are the full shot's, so a hit does not change.
 
 An optimum is its initial costates and its hit time. Only the exports that
 show the optimal pulse sequence integrate its path, with ``extremal``.
@@ -354,16 +354,19 @@ SCAN_TOL = 1e-6
 class _RootSearch:
     """One root search over the initial lambda_theta at fixed lambda_phi,
     from the guess or prediction ``near``, and its record: a memo of final
-    shots, each at ``fastest``, which only falls, read as the residual
-    oriented by the ray's quadrant; its hit of least |residual| is the
-    optimum at its tolerance. Shared by ``refine``, which scans first, and
-    the corrector (see ``_locate_and_solve``)."""
+    shots, read as the residual oriented by the ray's quadrant; its hit of
+    least |residual| is the optimum at its tolerance. A shot outward of the
+    record's fastest hit with a residual > 0 (``fastest``), at a larger
+    |lambda_theta|, stops at that hit's time, and one inward runs in full:
+    T falls outward up to the root, so a shot that stops lies past it.
+    Shared by ``refine``, which scans first, and the corrector (see
+    ``_locate_and_solve``)."""
 
     def __init__(self, lphi_i: float, near: float, cfg: ShotConfig):
         self.lphi_i, self.near, self.cfg = lphi_i, near, cfg
         self.orientation = math.copysign(1.0, lphi_i * near)
         self.memo: dict[float, tuple[float | None, str, float | None]] = {}
-        self.fastest = math.inf  # the fastest hit left of the root
+        self.fastest = (math.inf, math.inf)  # (T, |lambda_theta|) of the fastest hit with S > 0
 
     def scan(self, probes: np.ndarray) -> tuple[int, dict]:
         """The index of the fastest probe and the screened shots, each probe
@@ -391,19 +394,19 @@ class _RootSearch:
         return NoFeasiblePoint(f"no transfer within the horizon {self.cfg.horizon!r} at eps {self.cfg.eps!r}"
                                f" near ltheta_i ~ {self.near!r} ({what} at tol {tol!r}: {tally})")
 
-    def shot(self, x) -> tuple[float | None, str, float | None]:
-        x = float(x)
-        if x not in self.memo:
-            self.memo[x] = shoot_info(self.lphi_i, x, self.cfg, self.fastest)
-        return self.memo[x]
+    def read(self, shot) -> float:
+        """The oriented residual of ``shot``, -1 if it stopped or missed."""
+        t, _, s = shot
+        return -1.0 if t is None else s * self.orientation
 
     def residual(self, x) -> float:
-        t, _, s = self.shot(x)
-        if t is None:
-            return -1.0
-        s *= self.orientation
+        x = float(x)
+        if x not in self.memo:
+            t, at = self.fastest
+            self.memo[x] = shoot_info(self.lphi_i, x, self.cfg, t if abs(x) > at else math.inf)
+        s = self.read(self.memo[x])
         if s > 0.0:
-            self.fastest = min(self.fastest, t)
+            self.fastest = min(self.fastest, (self.memo[x][0], abs(x)))
         return s
 
     def failure(self, why: str) -> NoConvergence:
@@ -450,55 +453,50 @@ class _RootSearch:
         return Optimum(self.lphi_i, ltheta_i, t_min)
 
     def bracket(self) -> tuple | None:
-        """The memo's tightest sign change between two hits, as their
-        (lambda_theta, oriented residual) pairs; None when it has none."""
-        hits = sorted((x, s * self.orientation) for x, (t, _, s) in self.memo.items() if t is not None)
-        pairs = [(b[0] - a[0], a, b) for a, b in zip(hits, hits[1:]) if (a[1] > 0.0) != (b[1] > 0.0)]
+        """The record's tightest sign change, as (lambda_theta, oriented
+        residual) pairs: of the memo's shots by |lambda_theta|, the closest
+        neighbours whose inner shot reads > 0 and outer one not, a stopped or
+        missed shot -1; None when it has none. It does not move the stop."""
+        shots = sorted((abs(x), x, self.read(shot)) for x, shot in self.memo.items())
+        pairs = [(b - a, (x, s), (y, r)) for (a, x, s), (b, y, r) in zip(shots, shots[1:]) if s > 0.0 >= r]
         return min(pairs)[1:] if pairs else None
 
-    def solve(self, located: float, bracket: tuple | None) -> Optimum:
+    def solve(self, located: float, bracket: tuple) -> Optimum:
         """The optimum by at most CONTINUATION_STEPS secant steps from
         ``located``, the first on the slope of ``bracket``, the located
         root's, each later one through the last two hits. A step that would
         land within REFINE_XTOL / 2 (relative) shoots REFINE_XTOL on
         instead, and a sign change across it ends the solve. A step that
-        misses, leaves the points located * (1 + (2 j - 1) w),
-        w = 10 SCAN_TOL, |j| <= CONTINUATION_STEPS, or does not reduce
-        |residual| hands over: ``narrow`` takes the record's tightest sign
-        change between hits, or, when it has none, ``root`` walks those
-        points from a fresh stop. A solve none of whose shots hits raises
-        NoFeasiblePoint, which tallies why."""
+        misses, stops, would reach past located * (1 - 27 w) or
+        located * (1 + 25 w), w = 10 SCAN_TOL, or does not reduce |residual|
+        hands over to ``narrow`` on ``bracket()``. A missed located root
+        raises NoFeasiblePoint, which says why; no sign change, NoConvergence."""
         w = 10.0 * SCAN_TOL
-        point = lambda j: located * (1.0 + (2 * j - 1) * w)  # noqa: E731
-        ends = sorted((point(-CONTINUATION_STEPS), point(CONTINUATION_STEPS)))
-        slope = math.nan if bracket is None else (bracket[1][1] - bracket[0][1]) / (bracket[1][0] - bracket[0][0])
-        try:
-            x, s = located, self.residual(located)
-            for _ in range(CONTINUATION_STEPS):
-                step = -s / slope
-                if abs(step) <= 0.5 * REFINE_XTOL * abs(x):
-                    step = math.copysign(REFINE_XTOL * abs(x), step)
-                if self.memo[x][0] is None or not ends[0] <= x + step <= ends[1]:
-                    break
-                x_new = x + step
-                s_new = self.residual(x_new)
-                if self.memo[x_new][0] is None:
-                    break
-                if s * s_new <= 0.0 and abs(step) <= REFINE_XTOL * abs(x):
-                    return self.best()
-                if abs(s_new) >= abs(s):
-                    break
-                slope, x, s = (s_new - s) / step, x_new, s_new
-            bracket = self.bracket()
-            if bracket is not None:
-                return self.narrow(bracket[0][0], bracket[1][0])
-            self.fastest = math.inf
-            return self.root(point, -CONTINUATION_STEPS, CONTINUATION_STEPS)
-        except NoConvergence:
-            if any(t is not None for t, _, _ in self.memo.values()):
-                raise
-            raise self.no_transfer(f"the {len(self.memo)} shots of the solve", self.cfg.tol,
-                                   self.memo.values()) from None
+        ends = sorted(located * (1.0 + (2 * j - 1) * w) for j in (-CONTINUATION_STEPS, CONTINUATION_STEPS))
+        slope = (bracket[1][1] - bracket[0][1]) / (bracket[1][0] - bracket[0][0])
+        x, s = located, self.residual(located)
+        if self.memo[x][0] is None:
+            raise self.no_transfer("the 1 shot of the solve", self.cfg.tol, self.memo.values())
+        for _ in range(CONTINUATION_STEPS):
+            step = -s / slope
+            if abs(step) <= 0.5 * REFINE_XTOL * abs(x):
+                step = math.copysign(REFINE_XTOL * abs(x), step)
+            if not ends[0] <= x + step <= ends[1]:
+                break
+            x_new = x + step
+            s_new = self.residual(x_new)
+            if self.memo[x_new][0] is None:
+                break
+            if s * s_new <= 0.0 and abs(step) <= REFINE_XTOL * abs(x):
+                return self.best()
+            if abs(s_new) >= abs(s):
+                break
+            slope, x, s = (s_new - s) / step, x_new, s_new
+        bracket = self.bracket()
+        if bracket is None:
+            raise self.failure(f"no valid bracket, no shot reads > 0 inward of one that does not, from ltheta_i"
+                               f" {min(self.memo, key=abs)!r} to {max(self.memo, key=abs)!r}")
+        return self.narrow(bracket[0][0], bracket[1][0])
 
 
 def _locate_and_solve(lphi_i: float, near: float, cfg: ShotConfig, point, lo: int, hi: int,
@@ -510,7 +508,8 @@ def _locate_and_solve(lphi_i: float, near: float, cfg: ShotConfig, point, lo: in
     REFINE_XTOL, and its root is the optimum; otherwise it narrows to
     SCAN_TOL, and a record at ``cfg.tol`` solves by secant steps from the
     located lambda_theta, on the slope of the locate record's tightest sign
-    change to start. A phase that fails raises its own error."""
+    change (``_RootSearch.bracket``) to start. A phase that fails raises
+    its own error."""
     locate = _RootSearch(lphi_i, near, replace(cfg, tol=max(cfg.tol, SCAN_TOL)))
     locate.memo.update(screened or {})
     if cfg.tol >= SCAN_TOL:
@@ -533,40 +532,36 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     it. When it is > 0 at the fastest probe, the next probe ends the
     bracket, and past the last probe the bracket walks right by the probes'
     spacing while it stays > 0, for at most 13 steps; otherwise the previous
-    probe, shot in full, must read > 0. Brent's method (``ode.brentq``)
-    narrows the bracket, and the solve's secant steps narrow the root to a
-    sign change REFINE_XTOL wide (relative). The optimum must lie between
-    1/16 and about 3 times the guess.
+    probe, shot in full, must read > 0. The optimum must lie between 1/16
+    and about 3 times the guess.
 
     The scan screens, the search locates and the solve solves. The probes
     only rank hit times, so they run at max(tol, SCAN_TOL), and so does the
-    search, whose Brent narrowing stops at SCAN_TOL (relative); its record
-    starts from the scan's shots of the fastest probe and the next one,
-    which are its own, and shoots neither again. The solve, at the
+    search, whose Brent narrowing (``ode.brentq``) stops at SCAN_TOL
+    (relative); its record starts from the scan's shots of the fastest
+    probe and the next one, and shoots neither again. The solve, at the
     configured tolerance, whose shots alone give the optimum, takes secant
-    steps from the located lambda_theta while |residual| falls, and ends on
-    a sign change between two hits REFINE_XTOL (relative) apart, no wider
-    than brentq's own stop; Brent's method on its tightest sign change, or
-    a walk outward from located * (1 -+ 10 SCAN_TOL), is the safeguard (see
+    steps from the located lambda_theta and ends on a sign change between
+    two hits REFINE_XTOL (relative) apart, no wider than brentq's own stop,
+    with Brent's method on its tightest sign change as the safeguard (see
     ``_RootSearch.solve``). At a tol no tighter than SCAN_TOL the search
     narrows to REFINE_XTOL itself, and there is no solve.
 
     Each probe stops at the fastest hit of the probes before it and then
     counts as +inf: its true time is no less, so it cannot be the fastest.
-    Each later shot stops at the fastest hit with a residual > 0 of its
-    record, and a shot that stops or misses reads -1: it lies past the
-    optimum, which is faster still. Each record shoots each point once: its
-    stop only falls, but for the solve's walk, which starts from none. The
-    optimum is the costates and hit time of the last record's hit with the
-    smallest |residual|: it costs no further integration. Non-finite
-    costates, a zero lambda_phi (at phi = theta = 0 the switching pair is
-    (lambda_phi, 0) up to constants, so every shot would start degenerate),
-    and a guess whose probes coincide (a zero or subnormal guess) or whose
-    probes or walk overflow, raise ValueError before the first shot; when
-    no probe hits, or no shot of the solve, NoFeasiblePoint tallies why, at
-    the tolerance they ran at; when the residual has no sign change to
-    bracket, or Brent's method fails, NoConvergence names the condition and
-    the tolerance, eps and horizon of the phase that failed.
+    Each later shot outward of its record's fastest hit with a residual > 0
+    stops at that hit's time, and a shot that stops or misses reads -1: it
+    lies past the optimum, which is faster still. Each record shoots each
+    point once. The optimum is the last record's hit with the smallest
+    |residual|, at no further integration. Non-finite costates, a zero
+    lambda_phi (at phi = theta = 0 the switching pair is (lambda_phi, 0) up
+    to constants, so every shot would start degenerate), and a guess whose
+    probes coincide (a zero or subnormal guess) or whose probes or walk
+    overflow, raise ValueError before the first shot; when no probe hits,
+    or the solve's shot of the located root misses, NoFeasiblePoint tallies
+    why, at the tolerance they ran at; when the residual has no sign change
+    to bracket, or Brent's method fails, NoConvergence names the condition
+    and the tolerance, eps and horizon of the phase that failed.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         probes = ltheta_guess * np.linspace(1.0 / 16.0, 1.5, 13)
@@ -603,9 +598,9 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
 # the walk steps by half the bias, right while the residual is > 0 and left
 # while it is not, for at most CONTINUATION_STEPS steps, as ``refine``'s
 # walk past its probes, and the root it locates is solved by ``refine``'s
-# secant steps. A point whose walk finds no bracket, whose root search
-# fails, or whose solve meets no hit, is refined from the previous optimum
-# instead and says why: a retry with a reason.
+# secant steps, Brent's method their safeguard. A point whose walk, root
+# search or solve fails, or whose solve meets no hit, is refined from the
+# previous optimum instead and says why: a retry with a reason.
 # ---------------------------------------------------------------------------
 
 #: Least bias of a prediction, in log lambda_theta.

@@ -287,11 +287,11 @@ class TestThreeLevel:
 
     def test_optimize_step_underflow_exits_5_and_writes_nothing(self, tmp_path, capsys):
         # the README example: the screened probes hit and the search locates
-        # the root, but every shot of the solve at --tol 1e-300 underflows
+        # the root, but the solve's shot of it at --tol 1e-300 underflows
         code = cli.main(["--out", str(tmp_path), "--tol", "1e-300", "three-level", "optimize", "--eps", "0.002"])
         assert code == cli.EXIT_NO_HIT == 5
         err = capsys.readouterr().err
-        assert err.startswith("no transfer found: ") and "at tol 1e-300: 15 step-underflow" in err
+        assert err.startswith("no transfer found: ") and "1 shot of the solve at tol 1e-300: 1 step-underflow" in err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("lphi", ["0", "-0.0"])
@@ -330,10 +330,22 @@ class TestThreeLevel:
             assert err.startswith("invalid arguments: ") and reason in err
 
 
+def fields_of(text):
+    """The ``name = value`` lines of a command's output, as the workflow reads them."""
+    return dict(line.split(" = ") for line in text.splitlines() if " = " in line)
+
+
+def rows_of(path):
+    """The CSV's data rows, split on commas."""
+    return [line.split(",") for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
 class TestWorkflowPins:
-    # the optimize commands of the workflow's numpy-only job
-    # (.github/workflows/tier1.yml) and the lines it greps from their output,
-    # with its values: the bench's two refinements and the --tol 1e-6 edge
+    # the workflow's commands (.github/workflows/tier1.yml) and what it
+    # checks in their output, with its values and bounds
+
+    # the numpy-only job's optimize commands and the lines it greps: the
+    # bench's two refinements, the --tol 1e-6 edge and the deep eps
     @pytest.mark.parametrize("argv, lines", [
         (["three-level", "optimize", "--eps", "0.005", "--guess", "0.7"],
          ["ltheta_i = 0.6277587617", "T_min = 6.77108206"]),
@@ -341,11 +353,77 @@ class TestWorkflowPins:
          ["ltheta_i = 0.4526316584", "T_min = 7.39937801"]),
         (["--tol", "1e-6", "three-level", "optimize", "--eps", "0.002", "--guess", "0.9"],
          ["ltheta_i = 0.4526316259", "T_min = 7.399376916"]),
+        (["three-level", "optimize", "--eps", "1e-6", "--guess", "0.2"],
+         ["ltheta_i = 0.03045294374", "T_min = 12.74943249"]),
     ])
     def test_optimize_prints_its_pins(self, tmp_path, capsys, argv, lines):
         code, out = run(capsys, "--out", str(tmp_path), *argv)
         assert code == 0
         assert [line for line in out.splitlines() if line in lines] == lines
+
+    def test_areacurve_keeps_its_bounds(self, tmp_path, capsys):
+        # the Tier-1 job's console script: the five areas and the fitted law,
+        # each within 1e-9, and no point's corrector fell back
+        code, out = run(capsys, "--out", str(tmp_path), "three-level", "areacurve",
+                        "--eps-max", "0.1", "--eps-min", "0.00719", "--n", "5")
+        assert code == 0
+        areas = [float(row[1]) for row in rows_of(tmp_path / "three_level_area_curve.csv")]
+        expected = [4.77600148235599, 5.22279629744942, 5.65344690807895, 6.08578116036755, 6.52528400728900]
+        assert len(areas) == len(expected)
+        assert all(abs(a - b) <= 1e-9 for a, b in zip(areas, expected)), areas
+        fields = fields_of(out)
+        assert abs(float(fields["slope"]) - -0.6627289166) <= 1e-9
+        assert abs(float(fields["intercept"]) - 3.254362264) <= 1e-9
+        manifest = json.loads((tmp_path / "three_level_area_curve.manifest.json").read_text())
+        assert manifest["results"]["fallbacks"] == 0
+
+    @pytest.mark.parametrize("argv, hit_time, bounded", [
+        (["--eps", "0.002", "--costates", "1.85,0.45266"], "7.399379289", True),
+        (["--eps", "0.005", "--costates", "1.85,0.62776"], "6.771082061", False),
+        (["--eps", "0.002"], "7.39937801", False),  # at the optimum refined from the start ray
+    ])
+    def test_iso_check_prints_its_pins(self, tmp_path, capsys, argv, hit_time, bounded):
+        # the hit time and the verdict pinned; the first check's four
+        # deviations bounded by 1e-9, as their last digits can follow the libm
+        code, out = run(capsys, "--out", str(tmp_path), "iso", "check", *argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert f"hit_time = {hit_time}" in lines and "all oracles within thresholds" in lines
+        fields = fields_of(out)
+        for name in ("amplitude", "angle", "roundtrip", "quadrature") if bounded else ():
+            assert float(fields[f"{name}_deviation"]) <= 1e-9, name
+
+    def test_iso_negative_control_fails(self, tmp_path, capsys):
+        # the inconsistent Omega_s / sqrt(2) reduction fails by far and exits 6
+        code, out = run(capsys, "--out", str(tmp_path), "iso", "check", "--eps", "0.002",
+                        "--costates", "1.85,0.45266", "--corrupt-mapping")
+        assert code == cli.EXIT_ORACLE == 6
+        assert "FAIL: oracle deviation above threshold" in out.splitlines()
+        assert float(fields_of(out)["amplitude_deviation"]) > 0.5
+
+    def test_two_level_simulate_lands_at_the_references(self, tmp_path, capsys):
+        # the last row at t = 7.5999017 and pop2 = 0.998, within 1e-6; an
+        # overflowing Kerr shift exits 2 and writes no CSV
+        code, _ = run(capsys, "--out", str(tmp_path), "two-level", "simulate", "--eps", "0.002",
+                      "--kerr", "0.3,-0.2,0.4")
+        assert code == 0
+        header, *rows = (tmp_path / "two_level_simulate.csv").read_text().splitlines()
+        assert header == "# t,eta1,eta2,eta3,pop1,pop2,delta_lock"
+        last = dict(zip(header[2:].split(","), map(float, rows[-1].split(","))))
+        assert abs(last["t"] - 7.5999017) <= 1e-6
+        assert abs(last["pop2"] - 0.998) <= 1e-6
+        overflow = tmp_path / "k"
+        code = cli.main(["--out", str(overflow), "two-level", "simulate", "--eps", "0.002", "--kerr", "1e308,0,0"])
+        assert code == 2
+        assert not (overflow / "two_level_simulate.csv").exists()
+
+    def test_landscape_prints_its_pin(self, tmp_path, capsys):
+        # the bench's 60x60 grid: its minimum and one CSV row per cell
+        code, out = run(capsys, "--out", str(tmp_path), "three-level", "landscape", "--eps", "0.002",
+                        "--range=-3,3", "--res", "60", "--workers", "1")
+        assert code == 0
+        assert "T_min = 7.399582111" in out.splitlines()
+        assert len(rows_of(tmp_path / "three_level_landscape.csv")) == 3600
 
 
 class TestIso:

@@ -504,17 +504,49 @@ class TestRefine:
         assert calls <= 9_914
         assert solved <= 3
 
+    def test_deep_rhs_budget(self, monkeypatch):
+        # at eps 1e-6 from 0.2 a secant step stops past the root, and brentq
+        # narrows the sign change from the last hit to it: 12 shots at the
+        # configured tol and 80 126 calls in all, the calls bounded here with
+        # 5% to spare; the walk runs in the locate phase only
+        cfg, calls, solved, walks = ShotConfig(eps=1e-6), 0, 0, []
+        extremal_rhs, shoot_info, root = lambda3.extremal_rhs, shooting.shoot_info, shooting._RootSearch.root
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return extremal_rhs(*args)
+
+        def counted_shot(lphi_i, ltheta_i, shot_cfg, stop=math.inf):
+            nonlocal solved
+            solved += shot_cfg.tol == cfg.tol
+            return shoot_info(lphi_i, ltheta_i, shot_cfg, stop)
+
+        def recorded_root(search, *args, **kwargs):
+            walks.append(search.cfg.tol)
+            return root(search, *args, **kwargs)
+
+        monkeypatch.setattr(lambda3, "extremal_rhs", counted)
+        monkeypatch.setattr(shooting, "shoot_info", counted_shot)
+        monkeypatch.setattr(shooting._RootSearch, "root", recorded_root)
+        opt = shooting.refine(1.85, 0.2, cfg)
+        assert opt.t_min == pytest.approx(12.7494, abs=1e-3)
+        assert solved <= 12
+        assert calls <= 84_000
+        assert walks == [shooting.SCAN_TOL]
+
     @pytest.mark.parametrize("eps, guess, tol", [
         (0.002, 0.9, 1e-10), (0.005, 0.7, 1e-10), (1e-5, 0.3, 1e-10), (0.002, 0.9, shooting.SCAN_TOL),
-        (2.2e-5, 0.3, 1e-10), (1e-6, 0.2, 1e-10),
+        (2.2e-5, 0.3, 1e-10), (1e-6, 0.2, 1e-10), (3.2e-6, 0.15, 1e-10),
     ])
     def test_no_shot_is_taken_twice(self, eps, guess, tol, monkeypatch):
         # the locate record shoots at the scan's tolerance, and its memo
         # starts from the scan's shots of the fastest probe, which hit before
         # its stop, and of the next probe, stopped at that hit as the record
-        # would stop it; the solve's handover (at eps 1e-6 a secant step
-        # stops, and the walk takes over) keeps the secant steps' shots: no
-        # (lambda_theta, tol) is shot twice in a refinement
+        # would stop it; the solve's handover (at eps 1e-6 and 3.2e-6 a
+        # secant step stops, and brentq narrows the sign change it ends)
+        # keeps the secant steps' shots: no (lambda_theta, tol) is shot twice
+        # in a refinement
         cfg = ShotConfig(eps=eps, tol=tol)
         shots = []
         shoot_info = shooting.shoot_info
@@ -638,15 +670,16 @@ class TestRefine:
         walked_residual = _check_certified(search, located, opt, 1.000001 * shooting.REFINE_XTOL)
         assert abs(search.memo[opt.ltheta_i][2]) <= walked_residual
 
-    @pytest.mark.parametrize("eps, guess, scale, walks", [
+    @pytest.mark.parametrize("eps, guess, scale, stopped", [
         (0.002, 0.9, 10.0, False), (0.005, 0.7, 10.0, False), (1e-6, 0.2, 1.0, True),
     ])
-    def test_handover_reaches_the_walks_optimum(self, eps, guess, scale, walks, monkeypatch):
+    def test_handover_reaches_the_walks_optimum(self, eps, guess, scale, stopped, monkeypatch):
         # a first secant step 10 times too long overshoots the root, and
-        # brentq narrows the sign change it makes, with no walk; at eps 1e-6
-        # a secant step stops before any sign change, and the walk takes
-        # over. Either way the optimum is the walk-and-brentq solve's,
-        # narrowed to brentq's stop, and no (lambda_theta, tol) is shot twice
+        # brentq narrows the sign change between two hits it makes; at eps
+        # 1e-6 a secant step stops past the root, and brentq narrows the sign
+        # change from the last hit to that stopped shot. Either way the solve
+        # walks nowhere, its optimum is the walk-and-brentq solve's, narrowed
+        # to brentq's stop, and no (lambda_theta, tol) is shot twice
         cfg, shots, phases = ShotConfig(eps=eps), [], []
         shoot_info, root, narrow = shooting.shoot_info, shooting._RootSearch.root, shooting._RootSearch.narrow
 
@@ -658,9 +691,9 @@ class TestRefine:
             phases.append(("walk", search.cfg.tol))
             return root(search, *args, **kwargs)
 
-        def recorded_narrow(search, *args, **kwargs):
-            phases.append(("brentq", search.cfg.tol))
-            return narrow(search, *args, **kwargs)
+        def recorded_narrow(search, a, b, *args, **kwargs):
+            phases.append(("brentq", search.cfg.tol, search.memo[b][0] is None))
+            return narrow(search, a, b, *args, **kwargs)
 
         solves = _record_solves(monkeypatch, scale)
         monkeypatch.setattr(shooting, "shoot_info", recorded)
@@ -668,8 +701,9 @@ class TestRefine:
         monkeypatch.setattr(shooting._RootSearch, "narrow", recorded_narrow)
         shooting.refine(1.85, guess, cfg)
         monkeypatch.undo()
-        located = [("walk", shooting.SCAN_TOL), ("brentq", shooting.SCAN_TOL)]
-        assert phases == located + [("walk", cfg.tol)] * walks + [("brentq", cfg.tol)]
+        assert [phase[:2] for phase in phases] == [("walk", shooting.SCAN_TOL), ("brentq", shooting.SCAN_TOL),
+                                                   ("brentq", cfg.tol)]
+        assert phases[-1][2] == stopped
         assert len(set(shots)) == len(shots)
         [(search, located, opt)] = solves
         _check_certified(search, located, opt, shooting.REFINE_XTOL + 2e-12 / abs(opt.ltheta_i))
@@ -693,10 +727,10 @@ class TestRefine:
     def test_unconfirmed_screen_fails_without_a_rescan(self, monkeypatch):
         # the screen misleads twice: its residual has its root at 0.29, not
         # at the configured tol's 0.3, so the solve's first secant step
-        # leaves the walk's points and its walk never changes sign; and its
-        # fastest probe, right of the root, hits only at SCAN_TOL. The
-        # solve's walk fails, and its failure is the refinement's: no probe
-        # is shot again at the configured tol
+        # would leave its reach, and its one shot reads > 0; and its fastest
+        # probe, right of the root, hits only at SCAN_TOL. The solve finds
+        # no sign change, and its failure is the refinement's: no probe is
+        # shot again at the configured tol
         def valley(x):
             return 7.0 + 400.0 * (x - 0.3) ** 2
 
@@ -713,22 +747,20 @@ class TestRefine:
             return (None, "beyond-bound", None) if t >= stop else (t, "hit", root - ltheta_i)
 
         monkeypatch.setattr(shooting, "shoot_info", shoot_info)
-        with pytest.raises(shooting.NoConvergence, match="at tol 1e-10 .*the residual stays > 0"):
+        with pytest.raises(shooting.NoConvergence, match="at tol 1e-10 .*no valid bracket, no shot reads > 0 inw"):
             shooting.refine(1.85, 1.0, ShotConfig(eps=0.002))
         assert shots[:13] == [(p, shooting.SCAN_TOL) for p in probes]
         solve = next(i for i, (_, tol) in enumerate(shots) if tol == 1e-10)
         assert all(tol == shooting.SCAN_TOL for _, tol in shots[13:solve])
-        # the solve shoots the located root, then walks right from the
-        # bracket at 0.29 by its 13 steps, and that is all
-        assert len(shots) - solve == 2 + shooting.CONTINUATION_STEPS
-        assert all(0.289 < x < 0.291 and tol == 1e-10 for x, tol in shots[solve:])
+        # the solve shoots the located root near 0.29, and that is all
+        assert len(shots) - solve == 1
+        assert 0.289 < shots[solve][0] < 0.291
 
     def test_unsolved_bracket_fails_in_the_solve(self, cfg002, monkeypatch):
         # the solve moved to 0.9 times the located root: its first secant
-        # step leaves the walk's points, and the walk's bracket never changes
-        # sign. The refinement fails with the solve's walk, whose
-        # 1 + CONTINUATION_STEPS shots and the solve's first are its only
-        # ones at the configured tol
+        # step would leave its reach, and its one shot reads > 0. The
+        # refinement fails in the solve, which names the span it shot, and
+        # that shot is its only one at the configured tol
         shots = []
         shoot_info, solve = shooting.shoot_info, shooting._RootSearch.solve
 
@@ -739,11 +771,10 @@ class TestRefine:
         monkeypatch.setattr(shooting, "shoot_info", recorded)
         monkeypatch.setattr(shooting._RootSearch, "solve",
                             lambda self, located, bracket: solve(self, 0.9 * located, bracket))
-        with pytest.raises(shooting.NoConvergence, match="at tol 1e-10 .*the residual stays > 0") as err:
+        with pytest.raises(shooting.NoConvergence, match="at tol 1e-10 .*no valid bracket, no shot reads > 0 inw") as err:
             shooting.refine(1.85, 0.9, cfg002)
-        solved = [x for x, tol in shots if tol == cfg002.tol]
-        assert len(solved) == 2 + shooting.CONTINUATION_STEPS
-        assert f"up to ltheta_i {solved[-1]!r}" in str(err.value)
+        [solved] = [x for x, tol in shots if tol == cfg002.tol]
+        assert str(err.value).endswith(f"from ltheta_i {solved!r} to {solved!r}")
 
     def test_unlocated_root_shoots_nothing_at_the_configured_tol(self, monkeypatch):
         # from the guess 0.15 at eps 0.1 the residual stays > 0 along the
@@ -764,9 +795,9 @@ class TestRefine:
 
     def test_unsolved_corrector_fails_in_the_solve(self, monkeypatch):
         # at SCAN_TOL the residual has a root, at the configured tol none: the
-        # solve's first secant step leaves the walk's points, the walk finds
-        # no bracket, and the corrector raises its failure after the located
-        # root's shot and the walk's
+        # solve's first secant step would leave its reach, the solve has no
+        # sign change, and the corrector raises its failure after the located
+        # root's shot
         scan_tol, cfg = shooting.SCAN_TOL, ShotConfig(eps=0.005)
         solved = []
 
@@ -779,10 +810,11 @@ class TestRefine:
         monkeypatch.setattr(shooting, "shoot_info", shoot_info)
         with pytest.raises(shooting.NoConvergence) as err:
             shooting._correct(1.85, math.log(0.5), 0.01, cfg)
-        assert len(solved) == 2 + shooting.CONTINUATION_STEPS
-        assert solved[0] == pytest.approx(0.5, rel=1e-4)
+        [located] = solved
+        assert located == pytest.approx(0.5, rel=1e-4)
         assert str(err.value).startswith("no root of the transversality residual at tol 1e-10 ")
-        assert str(err.value).endswith(f"no valid bracket, the residual stays > 0 up to ltheta_i {solved[-1]!r}")
+        assert str(err.value).endswith(f"no valid bracket, no shot reads > 0 inward of one that does not,"
+                                       f" from ltheta_i {located!r} to {located!r}")
 
     def test_loose_tol_runs_no_locate_phase(self, monkeypatch):
         # at a tol no tighter than SCAN_TOL the scan is not screened, and one
@@ -832,6 +864,38 @@ class TestRefine:
         monkeypatch.setattr(shooting, "shoot_info", recorded)
         shooting.refine(1.85, 0.9, cfg002)
         assert "beyond-bound" in reasons[13:]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_record_stops_only_outward_of_its_fastest_positive_hit(self, sign, monkeypatch):
+        # on this valley T falls outward up to the root at 0.3, and the
+        # double honours its stop exactly: a shot stops once T reaches it. A
+        # shot inward of the fastest hit with a residual > 0 is slower, so
+        # stopped it would read -1 on the wrong side of the root; it runs in
+        # full, and a shot outward of it stops there. On the mirrored ray
+        # "outward" is a larger |lambda_theta|
+        def valley(x):
+            return 7.0 + 400.0 * (x - 0.3) ** 2
+
+        stops = {}
+
+        def shoot_info(lphi_i, ltheta_i, cfg, stop=math.inf):
+            stops[abs(ltheta_i)] = stop
+            t = valley(abs(ltheta_i))
+            return (None, "beyond-bound", None) if t >= stop else (t, "hit", sign * (0.3 - abs(ltheta_i)))
+
+        monkeypatch.setattr(shooting, "shoot_info", shoot_info)
+        record = shooting._RootSearch(1.85, sign * 0.3, ShotConfig(eps=0.002))
+        readings = [record.residual(sign * x) for x in (0.2, 0.28, 0.25, 0.4)]
+        assert readings == pytest.approx([0.1, 0.02, 0.05, -1.0])
+        # the stopped shot at 0.4 ends the bracket; it is never its inner end
+        fastest = valley(0.28)
+        assert record.bracket() == ((sign * 0.28, pytest.approx(0.02)), (sign * 0.4, -1.0))
+        readings = [record.residual(sign * x) for x in (0.31, 0.1)]
+        assert readings == pytest.approx([-0.01, 0.2])
+        assert stops == {0.2: math.inf, 0.28: valley(0.2), 0.25: math.inf, 0.4: fastest, 0.31: fastest,
+                         0.1: math.inf}
+        assert record.bracket() == ((sign * 0.28, pytest.approx(0.02)), (sign * 0.31, pytest.approx(-0.01)))
+        assert record.fastest == (fastest, 0.28)  # reading the brackets moved no stop
 
     def test_stopped_probe_is_shot_again_in_full(self, monkeypatch):
         # on this landscape the second probe is slower than the first, so it
@@ -912,12 +976,21 @@ class TestRefine:
         with pytest.raises(shooting.NoFeasiblePoint, match="13 probes, screened at tol 1e-06: 13 no-crossing"):
             shooting.refine(1.85, 0.5, cfg)
 
-    def test_failed_probes_say_why(self):
+    def test_failed_probes_say_why(self, monkeypatch):
         # every screened probe hits and the search locates the root, but at
-        # tol 1e-300 every shot of the solve underflows, the located root's
-        # and the walk's 14: they say why
-        with pytest.raises(shooting.NoFeasiblePoint, match="15 shots of the solve at tol 1e-300: 15 step-underflow"):
+        # tol 1e-300 the solve's shot of the located root underflows: it says
+        # why, and no probe is shot again at that tol
+        tols = []
+        shoot_info = shooting.shoot_info
+
+        def recorded(lphi_i, ltheta_i, cfg, stop=math.inf):
+            tols.append(cfg.tol)
+            return shoot_info(lphi_i, ltheta_i, cfg, stop)
+
+        monkeypatch.setattr(shooting, "shoot_info", recorded)
+        with pytest.raises(shooting.NoFeasiblePoint, match=r"\(the 1 shot of the solve at tol 1e-300: 1 step-underflow"):
             shooting.refine(1.85, 0.5, ShotConfig(eps=0.002, tol=1e-300))
+        assert tols.count(1e-300) == 1 and tols[-1] == 1e-300
 
     def test_flat_landscape_fails_to_bracket(self, monkeypatch):
         # every shot hits at the same time with the same residual > 0: the
@@ -1125,8 +1198,9 @@ class TestAreaCurve:
         assert curve[2, 1] == fresh.area
 
     def test_corrector_without_a_hit_falls_back_to_refine(self, cfg002, monkeypatch):
-        # the third point's corrector locates the root, but every shot of its
-        # solve underflows: NoFeasiblePoint, and that point is refined instead
+        # the third point's corrector locates the root, but its solve's shot
+        # of the located root underflows: NoFeasiblePoint, and that point is
+        # refined instead
         correct, shoot_info = shooting._correct, shooting.shoot_info
 
         def underflowing_solve(lphi_i, ltheta_i, cfg, stop=math.inf):
@@ -1144,7 +1218,7 @@ class TestAreaCurve:
         optima = shooting.optima_along_eps(np.array([0.1, 0.05, 0.03]), cfg002, 1.85)
         monkeypatch.undo()
         assert [opt.fallback is None for opt in optima] == [True, True, False]
-        assert "shots of the solve at tol 1e-10: 15 step-underflow" in optima[2].fallback
+        assert "(the 1 shot of the solve at tol 1e-10: 1 step-underflow)" in optima[2].fallback
         assert optima[2] == shooting.refine(1.85, optima[1].ltheta_i, replace(cfg002, eps=0.03))
 
     def test_fit_recovers_synthetic_line(self):
