@@ -15,6 +15,7 @@ integrator's step fell below its floor.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -36,11 +37,11 @@ EXIT_ORACLE = 6
 EXIT_STEP_UNDERFLOW = 7
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, lines) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -58,16 +59,14 @@ def _export(args, stem: str, columns: list[str], rows: np.ndarray,
         # RFC 8259 has no NaN or Infinity: a non-finite entry is null
         rows = [[float(v) if np.isfinite(v) else None for v in row] for row in rows]
         payload = {"columns": columns, "rows": rows}
-        _write_atomic(path, json.dumps(payload, indent=1, allow_nan=False) + "\n")
+        _write_atomic(path, [json.dumps(payload, indent=1, allow_nan=False) + "\n"])
     else:
         path = out_dir / f"{stem}.csv"
-        lines = ["# " + ",".join(columns)]
-        # one %-format per row of Python floats: each cell is "%.17g" % v; a
-        # row at a time, as the whole table as lists would hold a float
-        # object per cell at once
-        row_format = ",".join(["%.17g"] * rows.shape[1])
-        lines.extend(row_format % tuple(row.tolist()) for row in rows)
-        _write_atomic(path, "\n".join(lines) + "\n")
+        # one %-format per row of Python floats, each cell "%.17g" % v,
+        # streamed: the table is never held as text or lists
+        row_format = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        lines = (row_format % tuple(row.tolist()) for row in rows)
+        _write_atomic(path, itertools.chain(["# " + ",".join(columns) + "\n"], lines))
     manifest = {
         "command": f"{args.group} {args.subcommand}",
         "parameters": {
@@ -80,7 +79,7 @@ def _export(args, stem: str, columns: list[str], rows: np.ndarray,
     }
     if results:
         manifest["results"] = results
-    _write_atomic(out_dir / f"{stem}.manifest.json", json.dumps(manifest, indent=1) + "\n")
+    _write_atomic(out_dir / f"{stem}.manifest.json", [json.dumps(manifest, indent=1) + "\n"])
     print(f"wrote {path}")
 
 

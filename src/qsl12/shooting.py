@@ -535,17 +535,12 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     probe, shot in full, must read > 0. The optimum must lie between 1/16
     and about 3 times the guess.
 
-    The scan screens, the search locates and the solve solves. The probes
-    only rank hit times, so they run at max(tol, SCAN_TOL), and so does the
-    search, whose Brent narrowing (``ode.brentq``) stops at SCAN_TOL
-    (relative); its record starts from the scan's shots of the fastest
-    probe and the next one, and shoots neither again. The solve, at the
-    configured tolerance, whose shots alone give the optimum, takes secant
-    steps from the located lambda_theta and ends on a sign change between
-    two hits REFINE_XTOL (relative) apart, no wider than brentq's own stop,
-    with Brent's method on its tightest sign change as the safeguard (see
-    ``_RootSearch.solve``). At a tol no tighter than SCAN_TOL the search
-    narrows to REFINE_XTOL itself, and there is no solve.
+    The scan screens, the search locates and the solve solves (see
+    ``_locate_and_solve``): the probes only rank hit times, so they run at
+    max(tol, SCAN_TOL), and so does the search, whose record starts from
+    the scan's shots of the fastest probe and the next one and shoots
+    neither again; the solve's shots, at the configured tolerance, alone
+    give the optimum.
 
     Each probe stops at the fastest hit of the probes before it and then
     counts as +inf: its true time is no less, so it cannot be the fastest.
@@ -695,8 +690,11 @@ def fit_asymptote(curve) -> tuple[float, float]:
     """
     curve = np.asarray(curve, dtype=float)
     mask = asymptotic_mask(curve[:, 0])
-    slope, intercept = np.polyfit(np.log(curve[mask, 0]), curve[mask, 1], 1)
-    return float(slope), float(intercept)
+    x, y = np.log(curve[mask, 0]), curve[mask, 1]
+    # the line in closed form, on centred sums: no LAPACK solver
+    dx = x - x.mean()
+    slope = np.sum(dx * (y - y.mean())) / np.sum(dx * dx)
+    return float(slope), float(y.mean() - slope * x.mean())
 
 
 def energy_shot(omega0_min: float, opt: Optimum, cfg: ShotConfig) -> float:

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -109,7 +111,7 @@ class TestTwoLevel:
 
         monkeypatch.setattr(cli.os, "replace", fail)
         with pytest.raises(OSError, match="rename failed"):
-            cli._write_atomic(tmp_path / "two_level_curve.csv", "1,2\n")
+            cli._write_atomic(tmp_path / "two_level_curve.csv", ["1,2\n"])
         assert list(tmp_path.iterdir()) == []
 
     def test_simulate_with_kerr(self, tmp_path, capsys):
@@ -220,6 +222,21 @@ class TestThreeLevel:
         capsys.readouterr()
         assert (tmp_path / "special.csv").read_text() == "# a,b,c\nnan,inf,-inf\n-0,0.10000000000000001,-1e-300\n"
 
+    def test_csv_stream_writes_the_joined_table(self, tmp_path, capsys):
+        # the export streams its lines; the file holds the bytes of the whole
+        # table joined at once, non-finite cells and an empty table included
+        args = argparse.Namespace(out=str(tmp_path), format="csv", group="g", subcommand="s",
+                                  _start=time.monotonic())
+        rng = np.random.default_rng(5)
+        rows = rng.standard_normal((40, 4)) * 10.0 ** rng.uniform(-300.0, 300.0, (40, 4))
+        rows[3, 1], rows[7, 0], rows[7, 3], rows[11, 2] = np.nan, np.inf, -np.inf, -0.0
+        for stem, table in (("table", rows), ("empty", rows[:0])):
+            cli._export(args, stem, ["a", "b", "c", "d"], table)
+            row_format = ",".join(["%.17g"] * table.shape[1])
+            lines = ["# a,b,c,d", *(row_format % tuple(row.tolist()) for row in table)]
+            assert (tmp_path / f"{stem}.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        capsys.readouterr()
+
     def test_landscape_origin_only_exits_no_hit(self, tmp_path, capsys):
         code, _ = run(capsys, "--out", str(tmp_path), "three-level", "landscape",
                       "--eps", "0.005", "--range", "0,0", "--res", "1")
@@ -247,6 +264,19 @@ class TestThreeLevel:
         manifest = json.loads((tmp_path / "three_level_area_curve.manifest.json").read_text())
         assert manifest["results"]["slope"] == pytest.approx(grab(out, "slope"), abs=1e-9)
         assert manifest["results"]["fallbacks"] == 0
+
+    def test_areacurve_calls_no_least_squares_solver(self, tmp_path, capsys, monkeypatch):
+        # the fitted law is closed-form: the command runs with numpy's
+        # least-squares fit and solver refusing every call
+        def refuse(*args, **kwargs):
+            raise AssertionError("least-squares solver called")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        code, out = run(capsys, "--out", str(tmp_path), "three-level", "areacurve",
+                        "--eps-min", "0.03", "--eps-max", "0.1", "--n", "5")
+        assert code == 0
+        assert grab(out, "slope") < 0.0
 
     def test_areacurve_too_few_points_exits_before_solving(self, tmp_path, capsys, monkeypatch):
         def refine(*args, **kwargs):
@@ -340,6 +370,23 @@ def rows_of(path):
     return [line.split(",") for line in path.read_text().splitlines() if not line.startswith("#")]
 
 
+def landscape_60(out_dir, *global_flags, workers="1"):
+    """The workflow's landscape, the bench's 60x60 grid at eps 0.002, into
+    ``out_dir``: its exit code, its output and its CSV."""
+    argv = [*global_flags, "--out", str(out_dir), "three-level", "landscape", "--eps", "0.002",
+            "--range=-3,3", "--res", "60", "--workers", workers]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    return code, out.getvalue(), out_dir / "three_level_landscape.csv"
+
+
+@pytest.fixture(scope="class")
+def serial_landscape(tmp_path_factory):
+    """``landscape_60`` at the default horizon on one worker, the run the
+    workflow's other landscape steps compare with."""
+    return landscape_60(tmp_path_factory.mktemp("landscape"))
+
+
 class TestWorkflowPins:
     # the workflow's commands (.github/workflows/tier1.yml) and what it
     # checks in their output, with its values and bounds
@@ -417,13 +464,35 @@ class TestWorkflowPins:
         assert code == 2
         assert not (overflow / "two_level_simulate.csv").exists()
 
-    def test_landscape_prints_its_pin(self, tmp_path, capsys):
+    def test_landscape_prints_its_pin(self, serial_landscape):
         # the bench's 60x60 grid: its minimum and one CSV row per cell
-        code, out = run(capsys, "--out", str(tmp_path), "three-level", "landscape", "--eps", "0.002",
-                        "--range=-3,3", "--res", "60", "--workers", "1")
+        code, out, csv = serial_landscape
         assert code == 0
         assert "T_min = 7.399582111" in out.splitlines()
-        assert len(rows_of(tmp_path / "three_level_landscape.csv")) == 3600
+        assert len(rows_of(csv)) == 3600
+
+    def test_landscape_horizon_only_bounds(self, tmp_path, serial_landscape):
+        # the lanes step at ode.MAX_STEP whatever the horizon, so the scan to
+        # 14.999 finds every hit up to it where the scan to 15 does: more than
+        # 1000 rows have T <= 14.999 in either run, each the same row in
+        # both, and no hit lies past 14.999
+        code, _, csv = landscape_60(tmp_path, "--horizon", "14.999")
+        assert code == 0
+        base, short = rows_of(serial_landscape[2]), rows_of(csv)
+        assert len(base) == len(short) == 3600
+        early = [(a, b) for a, b in zip(base, short) if float(a[2]) <= 14.999 or float(b[2]) <= 14.999]
+        moved = sum(a != b for a, b in early)
+        assert len(early) > 1000 and not moved, f"{moved} of {len(early)} rows moved with the horizon"
+        assert not any(float(b[2]) > 14.999 for b in short), "a hit lies past the horizon"
+
+    def test_landscape_workers_change_no_cell(self, tmp_path, serial_landscape, monkeypatch):
+        # the scan split over two workers writes the serial scan's CSV byte
+        # for byte; two CPUs, so that two workers fork two processes on any
+        # machine
+        monkeypatch.setattr(shooting.os, "cpu_count", lambda: 2)
+        code, _, csv = landscape_60(tmp_path, workers="2")
+        assert code == 0
+        assert csv.read_bytes() == serial_landscape[2].read_bytes()
 
 
 class TestIso:

@@ -77,3 +77,12 @@ def test_only_ode_reads_max_step():
     # names MAX_STEP
     uses = _uses_outside("ode", "MAX_STEP")
     assert not uses, f"modules other than ode use MAX_STEP: {uses}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_names_a_least_squares_solver(path):
+    # the asymptotic fit is closed-form: numpy's least-squares fit and its
+    # linear-algebra module (LAPACK, about 1 MB of workspace on a first
+    # call) are the tests' oracle only, so no module names them at all
+    names = [word for word in ("polyfit", "linalg") if word in path.read_text()]
+    assert not names, f"{path.name} names {names}"

@@ -1245,6 +1245,37 @@ class TestAreaCurve:
         assert slope == pytest.approx(-1.0, abs=0.02)
         assert intercept == pytest.approx(math.log(4.0), abs=0.06)
 
+    @staticmethod
+    def fit_curves():
+        # the synthetic line, the workflow's five pinned areas and the
+        # two-level closed-form curve
+        line = np.geomspace(1e-3, 0.1, 7)
+        pinned = np.geomspace(0.1, 0.00719, 5)
+        closed = np.geomspace(1e-4, 0.1, 12)
+        return {
+            "line": np.column_stack([line, -0.5 * np.log(line) + 1.25]),
+            "pinned": np.column_stack([pinned, [4.77600148235599, 5.22279629744942, 5.65344690807895,
+                                                6.08578116036755, 6.52528400728900]]),
+            "two-level": np.column_stack([closed, [bloch2.min_area(-0.5, 0.5 - e) for e in closed]]),
+        }
+
+    @pytest.mark.parametrize("name", ["line", "pinned", "two-level"])
+    def test_fit_agrees_with_polyfit(self, name):
+        # the closed-form line against numpy's least-squares fit, the oracle
+        curve = self.fit_curves()[name]
+        expected = np.polyfit(np.log(curve[:, 0]), curve[:, 1], 1)
+        assert shooting.fit_asymptote(curve) == pytest.approx(tuple(expected), rel=1e-12, abs=0.0)
+
+    def test_fit_calls_no_least_squares_solver(self, monkeypatch):
+        # the fit is closed-form: no LAPACK call through numpy's solvers
+        def refuse(*args, **kwargs):
+            raise AssertionError("least-squares solver called")
+
+        expected = {name: shooting.fit_asymptote(curve) for name, curve in self.fit_curves().items()}
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        assert {name: shooting.fit_asymptote(curve) for name, curve in self.fit_curves().items()} == expected
+
 
 class TestEnergyOptimum:
     def test_reference_values(self, cfg002, opt002):
