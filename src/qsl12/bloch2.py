@@ -19,9 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import ode
+from ._lazy import np
 
 __all__ = [
     "DomainError",

@@ -24,9 +24,8 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, bloch2, isomorphism, lambda3, ode, shooting
+from ._lazy import np
 
 __all__ = ["main"]
 
@@ -49,23 +48,25 @@ def _write_atomic(path: Path, lines) -> None:
         raise
 
 
-def _export(args, stem: str, columns: list[str], rows: np.ndarray,
-            results: dict | None = None) -> None:
-    """Write ``rows`` and their manifest atomically under --out; print the data file's path."""
+def _export(args, stem: str, columns: list[str], rows, results: dict | None = None) -> None:
+    """Write ``rows``, one float per column each (an ndarray or lists of
+    floats), and their manifest atomically under --out; print the data
+    file's path."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
         path = out_dir / f"{stem}.json"
-        # RFC 8259 has no NaN or Infinity: a non-finite entry is null
-        rows = [[float(v) if np.isfinite(v) else None for v in row] for row in rows]
-        payload = {"columns": columns, "rows": rows}
-        _write_atomic(path, [json.dumps(payload, indent=1, allow_nan=False) + "\n"])
+        # RFC 8259 has no NaN or Infinity: a non-finite entry is null; the
+        # text is streamed in the encoder's chunks, json.dumps's bytes
+        rows = [[v if math.isfinite(v) else None for v in map(float, row)] for row in rows]
+        chunks = json.JSONEncoder(indent=1, allow_nan=False).iterencode({"columns": columns, "rows": rows})
+        _write_atomic(path, itertools.chain(chunks, ["\n"]))
     else:
         path = out_dir / f"{stem}.csv"
-        # one %-format per row of Python floats, each cell "%.17g" % v,
-        # streamed: the table is never held as text or lists
-        row_format = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        lines = (row_format % tuple(row.tolist()) for row in rows)
+        # one %-format per row, each cell "%.17g" % v, streamed: the table
+        # is never held as text
+        row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+        lines = (row_format % tuple(row) for row in rows)
         _write_atomic(path, itertools.chain(["# " + ",".join(columns) + "\n"], lines))
     manifest = {
         "command": f"{args.group} {args.subcommand}",
@@ -84,24 +85,33 @@ def _export(args, stem: str, columns: list[str], rows: np.ndarray,
 
 
 def _rescale(args, value, unit: str):
-    """A dimensionless number or array in physical units.
+    """A dimensionless number, a float, or array in physical units.
 
     A "time" is divided by --omega0, a "frequency" multiplied by it, and an
     "energy" multiplied by --hbar, then by --omega0. NaN entries stay NaN; a
     finite entry that comes out non-finite raises ValueError, so no
-    overflowed value is printed or exported.
+    overflowed value is printed or exported. A float is scaled as a float,
+    an array as a float64 array.
     """
-    value = np.asarray(value, dtype=float)
-    with np.errstate(over="ignore"):
+    def scale(value):
         if unit == "time":
-            scaled = value / args.omega0
-        elif unit == "frequency":
-            scaled = value * args.omega0
-        else:
-            scaled = value * args.hbar * args.omega0
-    if np.any(np.isfinite(value) & ~np.isfinite(scaled)):
+            return value / args.omega0
+        if unit == "frequency":
+            return value * args.omega0
+        return value * args.hbar * args.omega0
+
+    if isinstance(value, float):
+        value = float(value)  # a float64 would warn where a float overflows quietly
+        scaled = scale(value)
+        overflow = math.isfinite(value) and not math.isfinite(scaled)
+    else:
+        value = np.asarray(value, dtype=float)
+        with np.errstate(over="ignore"):
+            scaled = scale(value)
+        overflow = np.any(np.isfinite(value) & ~np.isfinite(scaled))
+    if overflow:
         raise ValueError(f"the rescaled {unit} overflows (--omega0 {args.omega0!r}, --hbar {args.hbar!r})")
-    return scaled[()]
+    return scaled
 
 
 def _numbers(flag: str, text: str, count: int | None = None) -> list[float]:
@@ -236,17 +246,33 @@ def _cmd_three_optimize(args) -> int:
     return 0
 
 
+def _geomspace(start: float, stop: float, n: int) -> list[float]:
+    """n floats from start to stop, both positive, evenly spaced in log10:
+    ``np.geomspace(start, stop, n)``'s steps on Python floats, 10 to the
+    power of log10(start) + i * step, with the ends set to start and stop.
+    It can differ from numpy's by an ulp where numpy's log10 or power
+    rounds apart from the C library's."""
+    if n < 0:
+        raise ValueError(f"the number of accuracies must be non-negative, got {n}")
+    if n < 2:
+        return [start] * n
+    log_start = math.log10(start)
+    step = (math.log10(stop) - log_start) / (n - 1)
+    return [start, *(10.0 ** (i * step + log_start) for i in range(1, n - 1)), stop]
+
+
 def _cmd_three_areacurve(args) -> int:
     if not (0.0 < args.eps_min < 1.0 and 0.0 < args.eps_max < 1.0):
         raise ValueError("--eps-min and --eps-max must lie in (0, 1)")
-    eps_values = np.geomspace(args.eps_max, args.eps_min, args.n)
+    eps_values = _geomspace(args.eps_max, args.eps_min, args.n)
     shooting.asymptotic_mask(eps_values)  # the fit's precondition, checked before the solves
     curve = shooting.area_curve(eps_values, _shot_config(args, eps_values[0]), lphi_i=args.lphi)
     slope, intercept = shooting.fit_asymptote(curve)
     print(f"slope = {slope:.10g}")
     print(f"intercept = {intercept:.10g}")
-    _export(args, "three_level_area_curve", ["eps", "area"], curve[:, :2],
-            results={"slope": slope, "intercept": intercept, "fallbacks": int(curve[:, 2].sum())})
+    rows = curve.tolist()
+    _export(args, "three_level_area_curve", ["eps", "area"], [row[:2] for row in rows],
+            results={"slope": slope, "intercept": intercept, "fallbacks": sum(int(row[2]) for row in rows)})
     return 0
 
 
@@ -375,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not all(0.0 < v < np.inf for v in (args.omega0, args.hbar, args.horizon, args.tol)):
+    if not all(0.0 < v < math.inf for v in (args.omega0, args.hbar, args.horizon, args.tol)):
         parser.error("--omega0, --hbar, --horizon and --tol must be positive and finite")
     args._start = time.monotonic()
     try:

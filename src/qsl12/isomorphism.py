@@ -30,9 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import lambda3, ode, shooting
+from ._lazy import np
 
 __all__ = [
     "ThetaSingularity",

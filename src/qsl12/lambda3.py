@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
+from ._lazy import np
 
 __all__ = [
     "PhiSingularity",
@@ -233,9 +233,18 @@ extremal_rhs = _extremal_flow(math.cos, math.sin, math.sqrt, checked=True)
 #: The same, returning ``(slope, (Omega_p, Omega_s))``: ``extremal_rhs``'s
 #: slope bit for bit, and the control it applied, for the oracles and exports.
 extremal_control = _extremal_flow(math.cos, math.sin, math.sqrt, checked=True, control=True)
-#: Lanes, unchecked: ``y`` is a (4, n) block with one lane per column, and
-#: the slope is four rows of n; ``ode`` packs them into one block.
-extremal_lanes = _extremal_flow(np.cos, np.sin, np.sqrt, checked=False)
+
+
+def __getattr__(name: str):
+    # ``extremal_lanes`` -- lanes, unchecked: ``y`` is a (4, n) block with one
+    # lane per column, and the slope is four rows of n; ``ode`` packs them
+    # into one block. It is bound to numpy's cos, sin and sqrt, so it is
+    # built, and numpy executed, at its first read, and kept as a module
+    # attribute: one object from then on.
+    if name == "extremal_lanes":
+        flow = globals()[name] = _extremal_flow(np.cos, np.sin, np.sqrt, checked=False)
+        return flow
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def ansatz_population(t):

@@ -57,9 +57,11 @@ adaptive search has.
 The flows are autonomous, and the state crosses into caller code as a list:
 ``rhs(y)`` and ``event(y)`` receive a list of Python floats (or complex
 numbers), which they must not modify. The rhs may return any sequence of the
-state's length; when a run's first slope is an ndarray, every slope of the
-run is converted with ``tolist()``.
-Results are ndarrays: float64 for a real state, complex128 for a complex one.
+state's length; when a run's first slope has a ``tolist`` method (an
+ndarray), every slope of the run is converted with it. A search's hit is a
+float and a list, and its path, like ``integrate``'s trajectory, holds
+ndarrays: float64 for a real state, complex128 for a complex one. So a shot
+whose path no one reads runs without numpy, which the lanes alone need.
 
 ``brentq`` is the package's one root finder, also used by ``shooting``. It
 transcribes SciPy 1.17's ``scipy.optimize.brentq`` (its C core
@@ -77,10 +79,11 @@ import functools
 import linecache
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
+from ._lazy import np
 
 __all__ = [
     "Trajectory",
@@ -140,13 +143,14 @@ class Trajectory:
 
 
 class EventHit:
-    """First event crossing: time ``t``, state ``y`` there, and ``trajectory``,
-    the path to it, built when first read: the search's accepted nodes, whose
-    spacing is set by the tolerance alone, then the crossing."""
+    """First event crossing: time ``t``, state ``y`` there (a list), and
+    ``trajectory``, the path to it, built when first read: the search's
+    accepted nodes, whose spacing is set by the tolerance alone, then the
+    crossing."""
 
     def __init__(self, times: list, states: list):
         self.t = times[-1]
-        self.y = np.asarray(states[-1])
+        self.y = states[-1]
         self._path = times, states
 
     @functools.cached_property
@@ -173,15 +177,19 @@ _E = (71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 # Free quartic continuous extension of the pair (II.6, the coefficients of
 # scipy's RK45.P): inside an accepted step of length h from (t, y) with
 # stages K, the state at t + x*h is y + h * (K.T @ _P) @ (x, x^2, x^3, x^4).
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+# Row j holds stage j's weights on the four powers.
+_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+# Each power's nonzero weights, as (stage, weight) in stage order: the terms
+# of one coefficient of K.T @ _P.
+_P_TERMS = tuple(tuple((j, w) for j, w in enumerate(column) if w) for column in zip(*_P))
 
 #: Half-width of the central difference that gives an event's time
 #: derivative, as a fraction of the step.
@@ -193,11 +201,17 @@ GRAZE_MARGIN = 1e-2
 
 
 def _as_state(y0) -> list:
-    """The initial state as a list of Python floats, or of complex numbers."""
-    y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float)
-    if y.ndim != 1 or y.size == 0:
+    """The initial state, a sequence of numbers or an ndarray, as a list of
+    Python floats, or of complex numbers when a component is complex."""
+    try:
+        y = list(y0.tolist() if hasattr(y0, "tolist") else y0)
+        kind = complex if any(isinstance(v, complex) for v in y) else float
+        y = [kind(v) for v in y]
+    except TypeError:  # a scalar, or a component that is itself a sequence
+        y = []
+    if not y:
         raise ValueError("y0 must be a non-empty 1-D state vector")
-    return y.tolist()
+    return y
 
 
 def _span(t_span) -> tuple[float, float]:
@@ -211,8 +225,9 @@ def _span(t_span) -> tuple[float, float]:
 
 
 def _slope(k: Sequence, d: int) -> Sequence:
-    """A slope checked for d components; an ndarray comes back as a list."""
-    if isinstance(k, np.ndarray):
+    """A slope checked for d components; one with a ``tolist`` method (an
+    ndarray) comes back as a list."""
+    if hasattr(k, "tolist"):
         k = k.tolist()
     if len(k) != d:
         raise ValueError(f"rhs returned {len(k)} components for a state of {d}")
@@ -326,7 +341,7 @@ def _steps(rhs: Rhs, t0: float, y0: list, t1: float, tol: float,
     y = y0
     h = min(MAX_STEP, t1 - t0)
     k1 = rhs(y)
-    if isinstance(k1, np.ndarray):  # decided once: the run converts every slope
+    if hasattr(k1, "tolist"):  # an ndarray, decided once: the run converts every slope
         array_rhs = rhs
 
         def rhs(y: list) -> list:
@@ -401,7 +416,7 @@ def _graze_ruled_out(e_a, r_a, e_b, r_b, h):
 
 
 #: The floor of ``brentq``'s relative tolerance, and its default.
-_BRENTQ_RTOL = 4 * float(np.finfo(float).eps)
+_BRENTQ_RTOL = 4 * sys.float_info.epsilon
 
 
 def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
@@ -496,6 +511,34 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
+def _extension(y_a: list, K, h: float) -> tuple[Callable[[float], list], Callable[[float], list]]:
+    """The continuous extension of the step of length h from y_a with stages
+    K, as two functions of x = (t - t_a) / h: the state, y_a + h * Q @ (x,
+    x^2, x^3, x^4), and its velocity, Q @ (1, 2x, 3x^2, 4x^3), each a list.
+    Q = K.T @ _P, each coefficient summed over the stages in order, and each
+    product with the powers summed in the powers' order: Python floats (or
+    complex numbers) in a fixed order, whatever the BLAS."""
+    Q = []
+    for k in zip(*K):  # the stages of one component
+        row = []
+        for (j, w), *rest in _P_TERMS:
+            q = k[j] * w
+            for j, w in rest:
+                q += k[j] * w
+            row.append(q)
+        Q.append(row)
+
+    def state(x: float) -> list:
+        x2, x3, x4 = x * x, x ** 3, x ** 4
+        return [y + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4) for y, (q1, q2, q3, q4) in zip(y_a, Q)]
+
+    def velocity(x: float) -> list:
+        d2, d3, d4 = 2.0 * x, 3.0 * x * x, 4.0 * x ** 3
+        return [q1 + q2 * d2 + q3 * d3 + q4 * d4 for q1, q2, q3, q4 in Q]
+
+    return state, velocity
+
+
 def _crossing(event: Event, t_a: float, y_a: list, e_a: float, t_b: float, y_b: list,
               e_b: float, K, h: float, r_b: float | None = None) -> tuple[float, list] | None:
     """The first zero of ``event`` in one accepted step, as (t, y), or None.
@@ -522,14 +565,12 @@ def _crossing(event: Event, t_a: float, y_a: list, e_a: float, t_b: float, y_b: 
     # probe(t): the state, as a list, and the event at t on the step's
     # continuous extension, cached and seeded with the ends, so brentq, which
     # evaluates the bracket ends first, repeats no evaluation.
-    Q = np.array(K).T @ _P
-    y_start = np.array(y_a)
+    state_at, velocity_at = _extension(y_a, K, h)
     known = {t_a: (y_a, e_a), t_b: (y_b, e_b)}
 
     def probe(t: float) -> tuple[list, float]:
         if t not in known:
-            x = (t - t_a) / h
-            y = (y_start + h * (Q @ np.array([x, x * x, x ** 3, x ** 4]))).tolist()
+            y = state_at((t - t_a) / h)
             known[t] = (y, float(event(y)))
         return known[t]
 
@@ -543,9 +584,7 @@ def _crossing(event: Event, t_a: float, y_a: list, e_a: float, t_b: float, y_b: 
                 return r_a
             if t == t_b:
                 return r_b
-            x = (t - t_a) / h
-            velocity = (Q @ np.array([1.0, 2.0 * x, 3.0 * x * x, 4.0 * x ** 3])).tolist()
-            return rate_of(event, probe(t)[0], velocity, dt)
+            return rate_of(event, probe(t)[0], velocity_at((t - t_a) / h), dt)
 
         t_end = brentq(rate, t_a, t_b, xtol=EVENT_TOL)
         e_end = probe(t_end)[1]

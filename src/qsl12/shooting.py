@@ -25,9 +25,9 @@ fastest branch the scan meets; the optimum must lie between 1/16 and about
 solves: the probes only rank hit times, so they run at the looser tolerance
 SCAN_TOL; the root search locates the root at SCAN_TOL too, to SCAN_TOL
 relative; and the solve takes secant steps from the located root at the
-configured tolerance, whose shots alone give the optimum, until two hits
-REFINE_XTOL apart change sign, with Brent's method on the record's
-tightest sign change as their safeguard. A phase without a root fails.
+configured tolerance, whose shots alone give the optimum, until the next
+step is within REFINE_XTOL / 2 of the last hit, with Brent's method on the
+record's tightest sign change as their safeguard. A phase without a root fails.
 Along a continuation in eps only the first two points run the scan. Each
 later point predicts its lambda_theta from the last two optima and
 corrects it with the same root search, started just left of the
@@ -43,14 +43,14 @@ show the optimal pulse sequence integrate its path, with ``extremal``.
 
 from __future__ import annotations
 
+import array
 import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import lambda3, ode
+from ._lazy import np
 from .lambda3 import PhiSingularity, SwitchingDegeneracy
 
 __all__ = [
@@ -351,6 +351,16 @@ REFINE_XTOL = 1e-10
 SCAN_TOL = 1e-6
 
 
+def _ladder(ltheta_guess: float) -> list[float]:
+    """The points of ``refine``'s search from ``ltheta_guess``, as Python
+    floats: its 13 probes, the guess times ``np.linspace(1 / 16, 1.5, 13)``
+    bit for bit (1/16 + i * step, the last one 1.5), then 13 more past the
+    last at the spacing of the first two."""
+    step = (1.5 - 1.0 / 16.0) / 12
+    probes = [float(ltheta_guess) * x for x in [i * step + 1.0 / 16.0 for i in range(12)] + [1.5]]
+    return probes + [probes[-1] + (probes[1] - probes[0]) * k for k in range(1, len(probes) + 1)]
+
+
 class _RootSearch:
     """One root search over the initial lambda_theta at fixed lambda_phi,
     from the guess or prediction ``near``, and its record: a memo of final
@@ -368,7 +378,7 @@ class _RootSearch:
         self.memo: dict[float, tuple[float | None, str, float | None]] = {}
         self.fastest = (math.inf, math.inf)  # (T, |lambda_theta|) of the fastest hit with S > 0
 
-    def scan(self, probes: np.ndarray) -> tuple[int, dict]:
+    def scan(self, probes: list[float]) -> tuple[int, dict]:
         """The index of the fastest probe and the screened shots, each probe
         shot unmemoised at max(tol, SCAN_TOL) and stopped at the fastest hit
         of the probes before it. The screened shots, by lambda_theta, are the
@@ -380,12 +390,12 @@ class _RootSearch:
         cfg = replace(self.cfg, tol=tol)
         times, shots = [], []
         for p in probes:
-            shots.append(shoot_info(self.lphi_i, float(p), cfg, min(times, default=math.inf)))
+            shots.append(shoot_info(self.lphi_i, p, cfg, min(times, default=math.inf)))
             times.append(math.inf if shots[-1][0] is None else shots[-1][0])
-        best = int(np.argmin(times))
+        best = times.index(min(times))
         if math.isinf(times[best]):
             raise self.no_transfer(f"the {len(probes)} probes{', screened' if tol != self.cfg.tol else ''}", tol, shots)
-        return best, dict(zip(probes[best:best + 2].tolist(), shots[best:best + 2]))
+        return best, dict(zip(probes[best:best + 2], shots[best:best + 2]))
 
     def no_transfer(self, what: str, tol: float, shots) -> NoFeasiblePoint:
         """NoFeasiblePoint for ``shots`` at ``tol`` of which none hit, with a
@@ -464,9 +474,12 @@ class _RootSearch:
     def solve(self, located: float, bracket: tuple) -> Optimum:
         """The optimum by at most CONTINUATION_STEPS secant steps from
         ``located``, the first on the slope of ``bracket``, the located
-        root's, each later one through the last two hits. A step that would
-        land within REFINE_XTOL / 2 (relative) shoots REFINE_XTOL on
-        instead, and a sign change across it ends the solve. A step that
+        root's, each later one through the last two hits. The solve ends on
+        its Newton step: when the next step is within REFINE_XTOL / 2
+        (relative) of the last hit, the root lies that close to it by the
+        secant, half brentq's own stop, and the record's best hit is the
+        optimum, with no further shot; a step of at most REFINE_XTOL across
+        which the residual changes sign ends it too. A step that
         misses, stops, would reach past located * (1 - 27 w) or
         located * (1 + 25 w), w = 10 SCAN_TOL, or does not reduce |residual|
         hands over to ``narrow`` on ``bracket()``. A missed located root
@@ -480,7 +493,7 @@ class _RootSearch:
         for _ in range(CONTINUATION_STEPS):
             step = -s / slope
             if abs(step) <= 0.5 * REFINE_XTOL * abs(x):
-                step = math.copysign(REFINE_XTOL * abs(x), step)
+                return self.best()
             if not ends[0] <= x + step <= ends[1]:
                 break
             x_new = x + step
@@ -558,19 +571,17 @@ def refine(lphi_i: float, ltheta_guess: float, cfg: ShotConfig) -> Optimum:
     to bracket, or Brent's method fails, NoConvergence names the condition
     and the tolerance, eps and horizon of the phase that failed.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        probes = ltheta_guess * np.linspace(1.0 / 16.0, 1.5, 13)
-        ladder = np.concatenate([probes, probes[-1] + (probes[1] - probes[0]) * np.arange(1, probes.size + 1)])
-    # a set, not np.unique, whose first call imports numpy.ma (about 10 ms)
-    if not (math.isfinite(lphi_i) and np.isfinite(ladder).all() and len(set(probes.tolist())) == probes.size):
-        raise ValueError(f"costates must be finite, and the guess must give {probes.size} distinct probes"
+    ladder = _ladder(ltheta_guess)
+    probes = ladder[:13]
+    if not (math.isfinite(lphi_i) and all(map(math.isfinite, ladder)) and len(set(probes)) == len(probes)):
+        raise ValueError(f"costates must be finite, and the guess must give {len(probes)} distinct probes"
                          f" and a finite walk, got ({lphi_i!r}, {ltheta_guess!r})")
     if lphi_i == 0.0:
         raise ValueError("lambda_phi must be nonzero: at phi = theta = 0 the switching pair is"
                          " (lambda_phi, 0) up to constants, so every shot would start degenerate")
     best, screened = _RootSearch(lphi_i, ltheta_guess, cfg).scan(probes)
     return _locate_and_solve(lphi_i, ltheta_guess, cfg, lambda j: ladder[best + j], -min(best, 1),
-                             ladder.size - 1 - best, screened)
+                             len(ladder) - 1 - best, screened)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +626,7 @@ def _correct(lphi_i: float, predicted: float, bias: float, cfg: ShotConfig) -> O
                              -CONTINUATION_STEPS, CONTINUATION_STEPS)
 
 
-def optima_along_eps(eps_values: np.ndarray, cfg: ShotConfig, lphi_i: float) -> list[Optimum]:
+def optima_along_eps(eps_values, cfg: ShotConfig, lphi_i: float) -> list[Optimum]:
     """Optima for each accuracy in ``eps_values``, in input order.
 
     Points are solved from the largest eps down. The first two are refined,
@@ -629,11 +640,13 @@ def optima_along_eps(eps_values: np.ndarray, cfg: ShotConfig, lphi_i: float) -> 
     so the secant runs through two distinct eps. The optima keep the sign
     of ``START_RAY``'s lambda_theta.
     """
+    eps_values = [float(eps) for eps in eps_values]
     optima: list[Optimum | None] = [None] * len(eps_values)
     path: list[tuple[float, Optimum]] = []  # (log eps, optimum) of each distinct eps solved
     bias = 0.0
-    for i in np.argsort(eps_values)[::-1]:
-        point_cfg = replace(cfg, eps=float(eps_values[i]))
+    # largest eps first, and of equal ones the last first
+    for i in sorted(range(len(eps_values)), key=eps_values.__getitem__)[::-1]:
+        point_cfg = replace(cfg, eps=eps_values[i])
         log_eps = math.log(point_cfg.eps)
         if path and path[-1][0] == log_eps:
             optima[i] = replace(path[-1][1])
@@ -657,27 +670,31 @@ def optima_along_eps(eps_values: np.ndarray, cfg: ShotConfig, lphi_i: float) -> 
     return optima
 
 
-def area_curve(eps_values, cfg: ShotConfig, lphi_i: float = START_RAY[0]) -> np.ndarray:
+def area_curve(eps_values, cfg: ShotConfig, lphi_i: float = START_RAY[0]) -> memoryview:
     """Minimum generalized pulse area for each accuracy in ``eps_values``.
 
     The optima come from one eps continuation, largest eps first: the first
     two refined, each later one predicted and corrected (see
-    ``optima_along_eps``). Returns an (n, 3) array of (eps, area, fallback)
-    in input order; fallback is 1 where the point's corrector failed and
-    ``refine`` solved it instead, else 0.
+    ``optima_along_eps``). Returns an (n, 3) table of float64 (eps, area,
+    fallback) in input order, as a 2-D memoryview: ``tolist()`` gives its
+    rows, and ``np.asarray`` reads it without a copy. Fallback is 1 where
+    the point's corrector failed and ``refine`` solved it instead, else 0.
+    No accuracy at all raises ValueError, as a memoryview has no empty rows.
     """
-    eps_values = np.asarray(list(eps_values), dtype=float)
+    eps_values = [float(eps) for eps in eps_values]
+    if not eps_values:
+        raise ValueError("the area curve needs at least one accuracy")
     optima = optima_along_eps(eps_values, cfg, lphi_i)
-    return np.column_stack([eps_values, [opt.area for opt in optima],
-                            [opt.fallback is not None for opt in optima]])
+    table = array.array("d", [v for eps, opt in zip(eps_values, optima)
+                              for v in (eps, opt.area, opt.fallback is not None)])
+    return memoryview(table).cast("B").cast("d", (len(eps_values), 3))
 
 
-def asymptotic_mask(eps_values: np.ndarray) -> np.ndarray:
-    """Mask of the accuracies in the asymptotic regime, eps <= 0.1; raises
-    InsufficientData when fewer than five distinct ones are."""
-    mask = eps_values <= 0.1
-    # a set, not np.unique, whose first call imports numpy.ma (about 10 ms)
-    if len(set(eps_values[mask].tolist())) < 5:
+def asymptotic_mask(eps_values) -> list[bool]:
+    """Which accuracies of ``eps_values`` are in the asymptotic regime, eps
+    <= 0.1; raises InsufficientData when fewer than five distinct ones are."""
+    mask = [eps <= 0.1 for eps in eps_values]
+    if len({eps for eps, asymptotic in zip(eps_values, mask) if asymptotic}) < 5:
         raise InsufficientData("need at least 5 distinct points with eps <= 0.1")
     return mask
 
@@ -685,16 +702,21 @@ def asymptotic_mask(eps_values: np.ndarray) -> np.ndarray:
 def fit_asymptote(curve) -> tuple[float, float]:
     """Least-squares fit area = slope * ln(eps) + intercept.
 
-    Only points with eps <= 0.1 are in the asymptotic regime and used;
-    fewer than five distinct such accuracies raise InsufficientData.
+    ``curve`` is a table whose ``tolist()`` gives rows that start (eps,
+    area): ``area_curve``'s, or an ndarray. Only points with eps <= 0.1 are
+    in the asymptotic regime and used; fewer than five distinct such
+    accuracies raise InsufficientData.
     """
-    curve = np.asarray(curve, dtype=float)
-    mask = asymptotic_mask(curve[:, 0])
-    x, y = np.log(curve[mask, 0]), curve[mask, 1]
-    # the line in closed form, on centred sums: no LAPACK solver
-    dx = x - x.mean()
-    slope = np.sum(dx * (y - y.mean())) / np.sum(dx * dx)
-    return float(slope), float(y.mean() - slope * x.mean())
+    rows = [(float(row[0]), float(row[1])) for row in curve.tolist()]
+    mask = asymptotic_mask([eps for eps, _ in rows])
+    x = [math.log(eps) for (eps, _), asymptotic in zip(rows, mask) if asymptotic]
+    y = [area for (_, area), asymptotic in zip(rows, mask) if asymptotic]
+    # the line in closed form, on centred sums, each correctly rounded
+    # (math.fsum): no LAPACK solver, and no sum that depends on its order
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [v - x_mean for v in x]
+    slope = math.fsum(d * (v - y_mean) for d, v in zip(dx, y)) / math.fsum(d * d for d in dx)
+    return slope, y_mean - slope * x_mean
 
 
 def energy_shot(omega0_min: float, opt: Optimum, cfg: ShotConfig) -> float:

@@ -237,6 +237,22 @@ class TestThreeLevel:
             assert (tmp_path / f"{stem}.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
         capsys.readouterr()
 
+    def test_json_stream_writes_json_dumps_bytes(self, tmp_path, capsys):
+        # the JSON export streams the encoder's chunks; the file holds the
+        # bytes of json.dumps on the whole payload, a non-finite cell null,
+        # from an ndarray and from lists of floats alike
+        args = argparse.Namespace(out=str(tmp_path), format="json", group="g", subcommand="s",
+                                  _start=time.monotonic())
+        rows = np.array([[np.nan, np.inf, -np.inf], [-0.0, 1e300, -1e-300], [1e-300, -1e300, 0.1]])
+        payload = {"columns": ["a", "b", "c"],
+                   "rows": [[None, None, None], [-0.0, 1e300, -1e-300], [1e-300, -1e300, 0.1]]}
+        for stem, table in (("array", rows), ("lists", rows.tolist()), ("empty", rows[:0])):
+            cli._export(args, stem, ["a", "b", "c"], table)
+            expected = {**payload, "rows": payload["rows"][:len(table)]}
+            assert (tmp_path / f"{stem}.json").read_bytes() == (
+                json.dumps(expected, indent=1, allow_nan=False) + "\n").encode()
+        capsys.readouterr()
+
     def test_landscape_origin_only_exits_no_hit(self, tmp_path, capsys):
         code, _ = run(capsys, "--out", str(tmp_path), "three-level", "landscape",
                       "--eps", "0.005", "--range", "0,0", "--res", "1")
@@ -286,6 +302,25 @@ class TestThreeLevel:
         code, _ = run(capsys, "--out", str(tmp_path), "three-level", "areacurve", "--n", "4")
         assert code == 2
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("eps_max, eps_min, n, ulps", [
+        (0.1, 10.0 ** (-15.0 / 7.0), 5, 0),  # the bench's grid
+        (0.1, 0.00719, 5, 0),  # the workflow's
+        (1e-1, 1e-3, 8, 0),  # acceptance 07's
+        (1e-1, 1e-6, 16, 1),  # the deep curve's
+        (1e-1, 1e-3, 10, 1),  # the command's default
+        (0.1, 0.1, 5, 0), (0.1, 0.05, 2, 0), (0.1, 0.05, 1, 0), (0.1, 0.05, 0, 0),
+    ])
+    def test_areacurve_grid_is_geomspace(self, eps_max, eps_min, n, ulps):
+        # the grid on Python floats against np.geomspace: bit for bit on the
+        # bench's, the workflow's and acceptance 07's grids; elsewhere within
+        # an ulp, where numpy's power rounds apart from the C library's pow
+        # (at 2 of the deep grid's 16 points on the machine it was written on)
+        grid = cli._geomspace(eps_max, eps_min, n)
+        expected = np.geomspace(eps_max, eps_min, n)
+        assert all(type(eps) is float for eps in grid) and len(grid) == n
+        assert np.all(np.abs(np.array(grid) - expected) <= ulps * np.spacing(expected))
+        assert grid[:1] == expected[:1].tolist() and grid[-1:] == expected[-1:].tolist()
 
     def test_optimize_no_convergence_exits_4(self, tmp_path, capsys, monkeypatch):
         def refine(*args, **kwargs):
@@ -563,15 +598,24 @@ class TestIso:
 
 
 # Imports qsl12.cli and runs a first command, as the set-up of every run of
-# ``qsl`` does, then one small command of each family; prints the scipy
-# modules loaded by the set-up, the modules each command adds, and the
-# multiprocessing modules loaded by the import and by the whole run.
+# ``qsl`` does, then the scalar commands and one small command of each
+# family that has arrays; prints the scipy modules loaded by the set-up, the
+# numpy modules executed by it, whether numpy is still the lazy handle's
+# unexecuted module after the scalar commands, the modules each command
+# adds, and the multiprocessing modules loaded by the import and by the
+# whole run.
 IMPORT_PATH_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 import qsl12.cli as cli
 
 def forking():
     return sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing")
+
+def numpy_executed():
+    # numpy's import executes its submodules; the lazy handle's module is
+    # not a plain module until it is executed
+    return (sorted(m for m in sys.modules if m.startswith("numpy."))
+            + [m for m in ("numpy",) if type(sys.modules.get(m)) is types.ModuleType])
 
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -581,47 +625,85 @@ def run(*argv):
 imported = forking()
 run("two-level", "tmin", "--eps", "0.002")
 loaded = set(sys.modules)
-report = {"setup": sorted(m for m in loaded if m.split(".")[0] == "scipy"), "added": {}}
+report = {"setup": sorted(m for m in loaded if m.split(".")[0] == "scipy"), "setup_numpy": numpy_executed(),
+          "added": {}}
 for argv in json.loads(sys.argv[2]):
     run(*argv)
     report["added"][" ".join(argv)] = sorted(set(sys.modules) - loaded)
     loaded.update(sys.modules)
+    if argv == json.loads(sys.argv[3]):
+        report["scalar_numpy"] = numpy_executed()
 report["multiprocessing"] = {"import": imported, "run": forking()}
 print(json.dumps(report))
 """
 
-# One small serial command of each family (the landscape at one worker).
-IMPORT_PATH_COMMANDS = [
-    ["three-level", "optimize", "--eps", "0.005", "--guess", "0.7"],
-    ["three-level", "landscape", "--eps", "0.002", "--res", "20", "--workers", "1"],
+# The modules a bare ``import numpy`` adds to a fresh interpreter.
+NUMPY_IMPORT_SCRIPT = """
+import json, sys
+before = set(sys.modules)
+import numpy
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+# The commands that run on Python floats alone, after the set-up's
+# ``two-level tmin``; they run first.
+SCALAR_COMMANDS = [
+    ["two-level", "energy", "--T", "10", "--eps", "0.002"],
     ["three-level", "areacurve", "--eps-max", "0.1", "--eps-min", "0.03", "--n", "5"],
     ["three-level", "energy", "--T", "10", "--eps", "0.005"],
+]
+# One small serial command of each family with arrays (the landscape at one
+# worker); numpy loads at the first of them.
+ARRAY_COMMANDS = [
+    ["three-level", "optimize", "--eps", "0.005", "--guess", "0.7"],
+    ["three-level", "landscape", "--eps", "0.002", "--res", "20", "--workers", "1"],
     ["iso", "check", "--eps", "0.002", "--costates", "1.85,0.45266"],
     ["iso", "areadiv", "--eps-list", "0.1,0.05,0.03"],
     ["two-level", "simulate", "--eps", "0.002"],
+    ["two-level", "curve", "--amax", "1"],
 ]
+IMPORT_PATH_COMMANDS = SCALAR_COMMANDS + ARRAY_COMMANDS
+
+
+def _fresh_python(*argv: str) -> str:
+    """The standard output of a fresh interpreter on ``argv``, with ``src`` first on the path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 @pytest.fixture(scope="module")
 def import_report(tmp_path_factory) -> dict:
-    """The report of IMPORT_PATH_SCRIPT on IMPORT_PATH_COMMANDS, run in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(tmp_path_factory.mktemp("imports")),
-         json.dumps(IMPORT_PATH_COMMANDS)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
+    """The report of IMPORT_PATH_SCRIPT on IMPORT_PATH_COMMANDS, run in a
+    fresh interpreter, and the modules a bare ``import numpy`` adds in
+    another, under "numpy"."""
+    report = json.loads(_fresh_python("-c", IMPORT_PATH_SCRIPT, str(tmp_path_factory.mktemp("imports")),
+                                      json.dumps(IMPORT_PATH_COMMANDS), json.dumps(SCALAR_COMMANDS[-1])))
+    report["numpy"] = json.loads(_fresh_python("-c", NUMPY_IMPORT_SCRIPT))
+    return report
 
 
 class TestImportPath:
     def test_commands_import_numpy_only(self, import_report):
-        # no scipy module is loaded, and no command imports a module the
-        # set-up has not: a lazy import (numpy.ma by np.unique, say) would
-        # be paid inside the command
+        # no scipy module is loaded and no numpy module executed by the
+        # set-up; the scalar commands add no module at all, and a command
+        # with arrays adds only what a bare import of numpy adds: a lazy
+        # import (numpy.ma by np.unique, say) would be paid inside the
+        # command, past numpy's own import
         assert import_report["setup"] == []
-        assert import_report["added"] == {" ".join(argv): [] for argv in IMPORT_PATH_COMMANDS}
+        assert import_report["setup_numpy"] == []
+        added, numpy_import = import_report["added"], set(import_report["numpy"])
+        scalar, arrays = ([" ".join(argv) for argv in commands] for commands in (SCALAR_COMMANDS, ARRAY_COMMANDS))
+        assert {command: added[command] for command in scalar} == dict.fromkeys(scalar, [])
+        assert "numpy._core" in numpy_import and "numpy._core" in added[arrays[0]]  # loaded at the first array
+        assert {command: sorted(set(added[command]) - numpy_import) for command in arrays} == dict.fromkeys(arrays, [])
+
+    def test_scalar_commands_execute_no_numpy(self, import_report):
+        # the set-up, two-level tmin and energy and three-level areacurve
+        # and energy run on Python floats: numpy is still the lazy handle's
+        # module, never executed, and none of its submodules is loaded
+        assert import_report["setup_numpy"] == import_report["scalar_numpy"] == []
 
     def test_serial_commands_load_no_multiprocessing(self, import_report):
         # only a landscape split over two or more workers forks: importing

@@ -145,7 +145,8 @@ class TestNodes:
 
 
 class TestContract:
-    """The step runs on Python floats; rhs and event see lists, callers get ndarrays."""
+    """The step runs on Python floats; rhs and event see lists, and so does
+    the caller at a hit; a path or trajectory holds ndarrays."""
 
     @pytest.mark.parametrize("y0, dtype", [
         ([1.0, 0.0], np.float64),
@@ -172,7 +173,7 @@ class TestContract:
         assert all(type(v) is scalar for y in seen for v in y)
         for states in (traj.states, hit.trajectory.states):
             assert isinstance(states, np.ndarray) and states.dtype == dtype and states.shape[1] == 2
-        assert isinstance(hit.y, np.ndarray) and hit.y.dtype == dtype and hit.y.shape == (2,)
+        assert type(hit.y) is list and len(hit.y) == 2 and all(type(v) is scalar for v in hit.y)
         assert isinstance(traj.final_state, np.ndarray)
 
     def test_graze_probes_see_lists(self):
@@ -628,7 +629,8 @@ class TestLocateEvent:
 
 def reference_locate_event(rhs, y0, t_span, event, tol=ode.TOL, stop=math.inf):
     """``locate_event`` with no screen: the crossing rule runs on every
-    step, and the path is built at the hit, as ``(t, y, trajectory)``."""
+    step, and the path is built at the hit, as ``(t, y, trajectory)``, y
+    the list the search holds there."""
     steps = ode._steps(rhs, t_span[0], ode._as_state(y0), t_span[1], tol)
     t_a, y_a, _, _ = next(steps)
     e_a = float(event(y_a))
@@ -650,7 +652,7 @@ def reference_locate_event(rhs, y0, t_span, event, tol=ode.TOL, stop=math.inf):
         else:
             return None
     path = ode.Trajectory(np.asarray(times), np.asarray(states))
-    return times[-1], path.final_state, path
+    return times[-1], states[-1], path
 
 
 def resonant_rhs(eta):
@@ -674,7 +676,7 @@ def assert_same_hit(hit, ref):
         return
     t, y, path = ref
     assert bits([hit.t]) == bits([t]) and type(hit.t) is type(t)
-    assert hit.y.dtype == y.dtype and bits([hit.y]) == bits([y])
+    assert type(hit.y) is list and list(map(type, hit.y)) == list(map(type, y)) and bits(hit.y) == bits(y)
     assert hit.trajectory.times.dtype == path.times.dtype and bits([hit.trajectory.times]) == bits([path.times])
     assert hit.trajectory.states.dtype == path.states.dtype and bits([hit.trajectory.states]) == bits([path.states])
 
@@ -757,13 +759,13 @@ class TestLazyPath:
     def test_path_read_is_the_eager_build(self, case, dtype):
         rhs, y0, t_span, event = SCREEN_CASES[case]
         hit = ode.locate_event(rhs, y0, t_span, event)
-        assert hit.y.dtype == dtype and hit.trajectory.states.dtype == dtype
+        assert hit.trajectory.states.dtype == dtype
         assert_same_hit(hit, reference_locate_event(rhs, y0, t_span, event))
 
     def test_hit_at_the_start(self):
         # no step taken: the path is the start alone
         hit = ode.locate_event(resonant_rhs, [0.0, 0.0, -0.5], (0.0, 1.0), lambda eta: eta[2] + 0.5)
-        assert hit.t == 0.0 and hit.y.dtype == np.float64
+        assert hit.t == 0.0 and hit.y == [0.0, 0.0, -0.5]
         assert hit.trajectory.times.tolist() == [0.0] and np.array_equal(hit.trajectory.states, [hit.y])
 
 
@@ -888,3 +890,50 @@ class TestBrentq:
     ])
     def test_same_exception(self, f, a, b, kwargs, error):
         assert self.assert_as_scipy(f, a, b, **kwargs) is error
+
+    def test_default_rtol_is_four_machine_epsilons(self):
+        # the floor and default of rtol, taken from sys.float_info, is
+        # numpy's (and scipy's) 4 * finfo(float).eps
+        assert ode._BRENTQ_RTOL == 4 * np.finfo(float).eps
+
+
+class TestExtension:
+    """``_crossing`` reads a step's continuous extension on Python floats,
+    its coefficients and products summed in a fixed order; it is the array
+    form ``y_a + h * (K.T @ _P) @ (x, x^2, x^3, x^4)``, and its velocity
+    ``(K.T @ _P) @ (1, 2x, 3x^2, 4x^3)``, up to the order of the sums."""
+
+    @staticmethod
+    def steps(rhs, y0, t1):
+        """Every accepted step of a run, as (y_a, K, h)."""
+        nodes = list(ode._steps(rhs, 0.0, y0, t1, ode.TOL))
+        return [(y_a, K, h) for (_, y_a, _, _), (_, _, K, h) in zip(nodes, nodes[1:])]
+
+    @pytest.mark.parametrize("rhs, y0, t1", [
+        (lambda3.extremal_rhs, [0.0, 0.0, 1.85, 0.45266], 7.5),
+        (lambda y: [1j * y[0], -0.5 * y[1]], [1.0 + 0.5j, 2.0 - 1.0j], 3.0),
+    ])
+    def test_is_the_array_form(self, rhs, y0, t1):
+        # each component within 16 machine epsilons of the scale of its
+        # terms, |y_a| + |h| * sum_j |K_j| |P_jm| |x^m| (and without |y_a|
+        # for the velocity), set before the run: the two forms differ only
+        # in the order of at most 7 + 4 rounded sums
+        P = np.array(ode._P)
+        rng = np.random.default_rng(41)
+        eps = np.finfo(float).eps
+        steps = self.steps(rhs, y0, t1)
+        assert len(steps) > 50
+        for y_a, K, h in steps:
+            state, velocity = ode._extension(y_a, K, h)
+            Q, scale = np.array(K).T @ P, np.abs(np.array(K)).T @ np.abs(P)
+            for x in (0.0, 1.0, *rng.uniform(0.0, 1.0, 3).tolist()):
+                powers = np.array([x, x * x, x ** 3, x ** 4])
+                rates = np.array([1.0, 2.0 * x, 3.0 * x * x, 4.0 * x ** 3])
+                y, v = state(x), velocity(x)
+                assert type(y) is type(v) is list and len(y) == len(v) == len(y_a)
+                assert type(y[0]) is type(y_a[0]) and type(v[0]) is type(y_a[0])
+                expected = np.array(y_a) + h * (Q @ powers)
+                bound = 16.0 * eps * (np.abs(y_a) + abs(h) * (scale @ powers))
+                assert np.all(np.abs(np.array(y) - expected) <= bound)
+                bound = 16.0 * eps * (scale @ rates)
+                assert np.all(np.abs(np.array(v) - Q @ rates) <= bound)

@@ -86,3 +86,25 @@ def test_no_module_names_a_least_squares_solver(path):
     # call) are the tests' oracle only, so no module names them at all
     names = [word for word in ("polyfit", "linalg") if word in path.read_text()]
     assert not names, f"{path.name} names {names}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_only_the_lazy_handle_imports_numpy(path):
+    # every module takes numpy from qsl12._lazy, whose module object numpy
+    # executes at its first attribute read; an import of numpy anywhere
+    # else would execute it with the package, and so in the set-up of every
+    # command: no import statement names numpy, and a module that reads np
+    # takes it from the handle
+    tree = ast.parse(path.read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append((node.lineno, node.module))
+    numpy = [f"line {line}: {name}" for line, name in names if name.split(".")[0] == "numpy"]
+    assert not numpy, f"{path.name} imports numpy: {numpy}"
+    reads_np = any(isinstance(node, ast.Name) and node.id == "np" for node in ast.walk(tree))
+    from_handle = any(isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "_lazy"
+                      and [alias.name for alias in node.names] == ["np"] for node in tree.body)
+    assert path.stem == "_lazy" or from_handle or not reads_np, f"{path.name} reads np but not from qsl12._lazy"

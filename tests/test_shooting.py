@@ -388,16 +388,17 @@ class TestLandscape:
 
 
 def _record_solves(monkeypatch, scale: float = 1.0) -> list:
-    """Record each solve as (its record, the located root, its optimum); the
-    residuals of the located root's bracket are divided by ``scale``, so its
-    first secant step is ``scale`` times as long."""
+    """Record each solve as (its record, the located root, the bracket it
+    starts on, its optimum); the residuals of the located root's bracket are
+    divided by ``scale``, so its first secant step is ``scale`` times as
+    long."""
     solves, solve = [], shooting._RootSearch.solve
 
     def recorded(self, located, bracket):
         if bracket is not None:
             bracket = tuple((x, s / scale) for x, s in bracket)
-        solves.append((self, located, solve(self, located, bracket)))
-        return solves[-1][2]
+        solves.append((self, located, bracket, solve(self, located, bracket)))
+        return solves[-1][3]
 
     monkeypatch.setattr(shooting._RootSearch, "solve", recorded)
     return solves
@@ -410,6 +411,29 @@ def _walked(search, located) -> tuple:
     w, steps = 10.0 * shooting.SCAN_TOL, shooting.CONTINUATION_STEPS
     fresh = shooting._RootSearch(search.lphi_i, search.near, search.cfg)
     return fresh, fresh.root(lambda j: located * (1.0 + (2 * j - 1) * w), -steps, steps)
+
+
+def _check_newton_certified(search, located, bracket, opt) -> float:
+    """Check that a solve ended on its Newton step: the optimum is its last
+    configured-tol hit, and the step -S / slope from there, on the secant
+    slope through its last two hits (on the slope of ``bracket``, the located
+    root's, when it shot once), is at most REFINE_XTOL / 2 of lambda_theta,
+    up to the rounding of the step: the root lies that close by the secant
+    model, and no shot is taken to see it. The optimum also has the record's
+    least |residual| and lies within 1e-10 in lambda_theta and 2e-10 in T
+    (relative) of the walk's optimum; return the walk's |residual| there."""
+    shots = [(x, search.read(shot)) for x, shot in search.memo.items()]
+    assert all(shot[0] is not None for shot in search.memo.values())
+    x, s = shots[-1]
+    (a, sa), (b, sb) = bracket if len(shots) == 1 else shots[-2:]
+    slope = (sb - sa) / (b - a)
+    assert opt.ltheta_i == x
+    assert abs(s / slope) <= 1.000001 * 0.5 * shooting.REFINE_XTOL * abs(x)
+    assert abs(search.memo[x][2]) == min(abs(shot[2]) for shot in search.memo.values())
+    fresh, walked = _walked(search, located)
+    assert opt.ltheta_i == pytest.approx(walked.ltheta_i, rel=1e-10, abs=0.0)
+    assert opt.t_min == pytest.approx(walked.t_min, rel=2e-10, abs=0.0)
+    return abs(fresh.memo[walked.ltheta_i][2])
 
 
 def _check_certified(search, located, opt, width: float) -> float:
@@ -633,9 +657,10 @@ class TestRefine:
 
     def test_scan_screens_and_search_solves(self, cfg002, opt002, monkeypatch):
         # the 13 probes and the 7 shots that locate the root run at SCAN_TOL,
-        # the solve's 3 shots at the configured tol: the located root, one
-        # secant step and the certificate REFINE_XTOL from it; the optimum is
-        # one of the solve's shots
+        # the solve's 2 shots at the configured tol: the located root and one
+        # secant step, from which the Newton step is within REFINE_XTOL / 2;
+        # the optimum is the secant step's shot
+        solves = _record_solves(monkeypatch)
         tols = []
         shoot_info = shooting.shoot_info
 
@@ -646,28 +671,29 @@ class TestRefine:
         monkeypatch.setattr(shooting, "shoot_info", recorded)
         opt = shooting.refine(1.85, 0.5, cfg002)
         solve = next(i for i, (_, tol) in enumerate(tols) if tol != shooting.SCAN_TOL)
-        assert (solve, len(tols)) == (20, 23)
+        assert (solve, len(tols)) == (20, 22)
         assert {tol for _, tol in tols[:solve]} == {shooting.SCAN_TOL}
         assert {tol for _, tol in tols[solve:]} == {cfg002.tol}
         assert tols[solve][0] in [x for x, _ in tols[13:solve]]
-        (step, _), (certificate, _) = tols[solve + 1:]
-        assert abs(certificate - step) == pytest.approx(shooting.REFINE_XTOL * abs(step), rel=1e-6)
-        assert (opt.ltheta_i, cfg002.tol) in tols[solve:]
-        assert opt == opt002
+        assert (opt.ltheta_i, cfg002.tol) == tols[-1]
+        [(search, located, bracket, solved)] = solves
+        assert opt == solved == opt002
+        _check_newton_certified(search, located, bracket, solved)
 
     @pytest.mark.parametrize("eps, lphi, guess", [
         (0.002, 1.85, 0.9), (0.005, 1.85, 0.7), (0.002, -1.85, 0.9), (0.002, 1.85, -0.9), (0.005, -1.85, -0.7),
     ])
     def test_secant_steps_certify_the_optimum(self, eps, lphi, guess, monkeypatch):
-        # the solve ends on a sign change between two configured-tol hits
-        # REFINE_XTOL (relative) apart, up to the rounding of the step, no
-        # wider than brentq's own stop; its optimum is the walk-and-brentq
-        # solve's to rel 1e-10, with no larger |residual|
+        # the solve ends on its Newton step: from its last configured-tol
+        # hit, the secant step to the root is within REFINE_XTOL / 2
+        # (relative), up to the rounding of the step, half brentq's own stop;
+        # its optimum is the walk-and-brentq solve's to rel 1e-10, with no
+        # larger |residual|
         solves = _record_solves(monkeypatch)
         shooting.refine(lphi, guess, ShotConfig(eps=eps))
         monkeypatch.undo()
-        [(search, located, opt)] = solves
-        walked_residual = _check_certified(search, located, opt, 1.000001 * shooting.REFINE_XTOL)
+        [(search, located, bracket, opt)] = solves
+        walked_residual = _check_newton_certified(search, located, bracket, opt)
         assert abs(search.memo[opt.ltheta_i][2]) <= walked_residual
 
     @pytest.mark.parametrize("eps, guess, scale, stopped", [
@@ -705,7 +731,7 @@ class TestRefine:
                                                    ("brentq", cfg.tol)]
         assert phases[-1][2] == stopped
         assert len(set(shots)) == len(shots)
-        [(search, located, opt)] = solves
+        [(search, located, _, opt)] = solves
         _check_certified(search, located, opt, shooting.REFINE_XTOL + 2e-12 / abs(opt.ltheta_i))
 
     @pytest.mark.parametrize("eps, guess", [(0.002, 0.5), (0.002, 0.9), (0.005, 0.7), (1e-5, 0.3)])
@@ -955,7 +981,7 @@ class TestRefine:
         monkeypatch.setattr(shooting.ode, "integrate", integrate)
         opt = shooting.refine(1.85, 0.5, cfg002)
         assert opt.t_min == pytest.approx(7.40, abs=0.02)
-        curve = shooting.area_curve([0.1, 0.05], cfg002)
+        curve = np.asarray(shooting.area_curve([0.1, 0.05], cfg002))
         assert np.all(np.isfinite(curve[:, 1]))
 
     @pytest.mark.parametrize("guess", [0.0, -0.0, 5e-324, -5e-324, 1.7e308, 7e307])
@@ -970,6 +996,21 @@ class TestRefine:
         monkeypatch.setattr(shooting, "shoot_info", no_shot)
         with pytest.raises(ValueError, match="13 distinct probes and a finite walk"):
             shooting.refine(1.85, guess, cfg002)
+
+    def test_ladder_is_the_array_form_bit_for_bit(self):
+        # the probes and the walk past them, on Python floats, are the array
+        # form's, guess * np.linspace(1/16, 1.5, 13) and 13 more at the
+        # first spacing, bit for bit, for 1000 guesses of either sign from
+        # 1e-300 to 1e300
+        rng = np.random.default_rng(17)
+        guesses = (rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-300.0, 300.0, 1000)).tolist()
+        assert min(map(abs, guesses)) < 1e-290 and max(map(abs, guesses)) > 1e290
+        for guess in guesses:
+            probes = guess * np.linspace(1.0 / 16.0, 1.5, 13)
+            ladder = np.concatenate([probes, probes[-1] + (probes[1] - probes[0]) * np.arange(1, 14)])
+            ours = shooting._ladder(guess)
+            assert all(type(x) is float for x in ours)
+            assert np.array(ours).tobytes() == ladder.tobytes(), guess
 
     def test_hopeless_guess_raises(self):
         cfg = ShotConfig(eps=0.002, horizon=2.0)  # no transfer fits in 2 time units
@@ -1077,7 +1118,7 @@ def deep_curve(deep_optima) -> np.ndarray:
 class TestAreaCurve:
     def test_warm_started_curve_decreases(self, cfg002):
         eps_values = [0.1, 0.05, 0.02, 0.01]
-        curve = shooting.area_curve(eps_values, cfg002)
+        curve = np.asarray(shooting.area_curve(eps_values, cfg002))
         assert np.array_equal(curve[:, 0], eps_values)
         assert np.all(np.diff(curve[:, 1]) > 0.0)  # area grows as eps shrinks
 
@@ -1129,7 +1170,7 @@ class TestAreaCurve:
 
         monkeypatch.setattr(lambda3, "extremal_rhs", counted_rhs)
         monkeypatch.setattr(shooting, "refine", counted_refine)
-        curve = shooting.area_curve(np.geomspace(1e-1, 1e-3, 8), cfg002)
+        curve = np.asarray(shooting.area_curve(np.geomspace(1e-1, 1e-3, 8), cfg002))
         assert refines == 2
         assert calls <= 38_773
         assert not curve[:, 2].any()  # no point fell back
@@ -1139,8 +1180,8 @@ class TestAreaCurve:
         np.geomspace(1e-1, 1e-3, 8),  # acceptance 07's
     ])
     def test_corrected_points_certify_their_optima(self, cfg002, eps_values, monkeypatch):
-        # each point's solve, refined or corrected, ends on a sign change
-        # between two configured-tol hits REFINE_XTOL apart, up to the
+        # each point's solve, refined or corrected, ends on its Newton step,
+        # within REFINE_XTOL / 2 of its last configured-tol hit up to the
         # rounding of the step, with no fallback; each optimum is the
         # walk-and-brentq solve's to rel 1e-10 in lambda_theta, 2e-10 in T
         solves = _record_solves(monkeypatch)
@@ -1148,9 +1189,9 @@ class TestAreaCurve:
         monkeypatch.undo()
         assert len(solves) == len(eps_values)
         assert all(opt.fallback is None for opt in optima)
-        for (search, located, opt), point in zip(solves, optima):
+        for (search, located, bracket, opt), point in zip(solves, optima):
             assert opt == point
-            _check_certified(search, located, opt, 1.000001 * shooting.REFINE_XTOL)
+            _check_newton_certified(search, located, bracket, opt)
 
     def test_repeated_and_unsorted_eps(self, cfg002):
         # solved from the largest eps down; a twin gets its twin's optimum, and
@@ -1185,7 +1226,7 @@ class TestAreaCurve:
 
         monkeypatch.setattr(shooting, "refine", recorded_refine)
         monkeypatch.setattr(shooting, "_correct", correct_missing_at_003)
-        curve = shooting.area_curve([0.1, 0.05, 0.03, 0.02], cfg002)
+        curve = np.asarray(shooting.area_curve([0.1, 0.05, 0.03, 0.02], cfg002))
         monkeypatch.undo()
         assert curve[:, 2].tolist() == [0.0, 0.0, 1.0, 0.0]
         assert np.all(np.diff(curve[:, 1]) > 0.0)
