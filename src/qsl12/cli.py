@@ -54,6 +54,10 @@ def _export(args, stem: str, columns: list[str], rows, results: dict | None = No
     file's path."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if hasattr(rows, "tolist"):
+        # an ndarray's rows as Python floats, one at a time: "%" and
+        # float() read its float64 scalars more slowly
+        rows = (row.tolist() for row in rows)
     if args.format == "json":
         path = out_dir / f"{stem}.json"
         # RFC 8259 has no NaN or Infinity: a non-finite entry is null; the
