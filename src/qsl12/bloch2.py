@@ -240,4 +240,4 @@ def resonant_trajectory(eta3_f: float, tol: float = ode.TOL) -> ode.Trajectory:
     """
     t_end = min_area(-0.5, eta3_f)
     rhs = lambda eta: bloch_rhs(eta, 1.0, 0.0)
-    return ode.integrate(rhs, np.array([0.0, 0.0, -0.5]), (0.0, t_end), tol)
+    return ode.integrate(rhs, [0.0, 0.0, -0.5], (0.0, t_end), tol)

@@ -329,11 +329,11 @@ def area_divergence_check(eps_values, cfg: shooting.ShotConfig) -> np.ndarray:
     as eps -> 0 (the complete transfer needs infinite pump area); tests
     regress it against ln(eps).
     """
-    eps_values = np.asarray(list(eps_values), dtype=float)
+    eps_values = [float(eps) for eps in eps_values]
     optima = shooting.optima_along_eps(eps_values, cfg, shooting.START_RAY[0])
-    by_eps = dict(zip(eps_values.tolist(), optima))
+    by_eps = dict(zip(eps_values, optima))
     paths = ((eps, shooting.extremal(opt, cfg)) for eps, opt in by_eps.items())
     areas = {eps: np.trapezoid(np.abs(map_pulses(*pulses.T)[0]), path.times)
              for eps, (path, pulses) in paths}
-    return np.column_stack([eps_values, [areas[eps] for eps in eps_values.tolist()],
+    return np.column_stack([eps_values, [areas[eps] for eps in eps_values],
                             [opt.fallback is not None for opt in optima]])

@@ -49,19 +49,19 @@ floats are that step's (but for a zero sum's sign, and NaN where stage 2
 is not finite) and, unlike a BLAS product's, do not depend on the block.
 A numpy screen on the block (a sign change, or the graze conditions and
 the tangent screen on rates from one central difference) flags the lanes
-that ``_crossing`` decides, one column at a time. A lane retires at its
-hit, and with none at a non-finite state or an error estimate above the
-step: a fixed step can step over a singularity of the flow to a hit no
-adaptive search has.
+that ``_crossing`` decides, one column at a time, on the screen's own rate
+at the step's end. A lane retires at its hit, and with none at a
+non-finite state or an error estimate above the step: a fixed step can
+step over a singularity of the flow to a hit no adaptive search has.
 
 The flows are autonomous, and the state crosses into caller code as a list:
 ``rhs(y)`` and ``event(y)`` receive a list of Python floats (or complex
-numbers), which they must not modify. The rhs may return any sequence of the
-state's length; when a run's first slope has a ``tolist`` method (an
-ndarray), every slope of the run is converted with it. A search's hit is a
-float and a list, and its path, like ``integrate``'s trajectory, holds
-ndarrays: float64 for a real state, complex128 for a complex one. So a shot
-whose path no one reads runs without numpy, which the lanes alone need.
+numbers), which they must not modify. The rhs returns its slope as a
+sequence of Python numbers, one per component, which the step reads as it
+is. A search's hit is a float and a list, and its path, like
+``integrate``'s trajectory, holds ndarrays: float64 for a real state,
+complex128 for a complex one. So a shot whose path no one reads runs
+without numpy, which the lanes alone need.
 
 ``brentq`` is the package's one root finder, also used by ``shooting``. It
 transcribes SciPy 1.17's ``scipy.optimize.brentq`` (its C core
@@ -112,7 +112,7 @@ MAX_STEP = 1e-2
 #: The width, in time, to which an event crossing is localized.
 EVENT_TOL = 1e-10
 
-#: ``rhs(y)``: y is the state as a list; the slope may be any sequence.
+#: ``rhs(y)``: y is the state as a list; the slope a sequence of Python numbers.
 Rhs = Callable[[list], Sequence]
 #: ``event(y)``: y is the state as a list; a real number, zero on the crossing.
 Event = Callable[[list], float]
@@ -155,7 +155,7 @@ class EventHit:
 
     @functools.cached_property
     def trajectory(self) -> Trajectory:
-        return Trajectory(*map(np.asarray, self._path))
+        return Trajectory(*self._path)
 
 
 # Dormand-Prince 5(4) tableau (II.5, Table 5.2), the data the step is
@@ -225,10 +225,7 @@ def _span(t_span) -> tuple[float, float]:
 
 
 def _slope(k: Sequence, d: int) -> Sequence:
-    """A slope checked for d components; one with a ``tolist`` method (an
-    ndarray) comes back as a list."""
-    if hasattr(k, "tolist"):
-        k = k.tolist()
+    """A slope checked for d components."""
     if len(k) != d:
         raise ValueError(f"rhs returned {len(k)} components for a state of {d}")
     return k
@@ -340,14 +337,7 @@ def _steps(rhs: Rhs, t0: float, y0: list, t1: float, tol: float,
     t = t0
     y = y0
     h = min(MAX_STEP, t1 - t0)
-    k1 = rhs(y)
-    if hasattr(k1, "tolist"):  # an ndarray, decided once: the run converts every slope
-        array_rhs = rhs
-
-        def rhs(y: list) -> list:
-            return array_rhs(y).tolist()
-
-    K = (_slope(k1, len(y)),)
+    K = (_slope(rhs(y), len(y)),)
     step, error_norm = _dp5(len(y))
     yield t, y, K, 0.0
     # Each t + h rounds by up to half an ulp of the span's larger end, so
@@ -404,7 +394,7 @@ def integrate(rhs: Rhs, y0, t_span: tuple[float, float], tol: float = TOL) -> Tr
     for t, y, _, _ in _steps(rhs, t0, _as_state(y0), t1, _check_tol(tol), MAX_STEP):
         times.append(t)
         states.append(y)
-    return Trajectory(np.asarray(times), np.asarray(states))
+    return Trajectory(times, states)
 
 
 def _graze_ruled_out(e_a, r_a, e_b, r_b, h):
@@ -540,25 +530,24 @@ def _extension(y_a: list, K, h: float) -> tuple[Callable[[float], list], Callabl
 
 
 def _crossing(event: Event, t_a: float, y_a: list, e_a: float, t_b: float, y_b: list,
-              e_b: float, K, h: float, r_b: float | None = None) -> tuple[float, list] | None:
+              e_b: float, K, h: float, r_b: float | None) -> tuple[float, list] | None:
     """The first zero of ``event`` in one accepted step, as (t, y), or None.
 
     The step of length h runs from (t_a, y_a) to (t_b, y_b) with stages K;
-    e_a (nonzero) and e_b are the event at its ends, and r_b, if given, its
-    rate at t_b. A sign change or a graze (see the module docstring) is
-    pinned down to ``EVENT_TOL`` in time on the step's interpolant; a zero
-    at t_a is returned as t_a.
+    e_a (nonzero) and e_b are the event at its ends, and r_b its rate at
+    t_b, ``_rate`` on y_b and K[-1]: None only where the event changes
+    sign, which reads no rate. A sign change or a graze (see the module
+    docstring) is pinned down to ``EVENT_TOL`` in time on the step's
+    interpolant; a zero at t_a is returned as t_a.
     """
     crossed = e_b == 0.0 or (e_b > 0.0) != (e_a > 0.0)
     if not crossed:
         # A graze needs the event moving toward zero at t_a (K[0] is the
         # slope there) and away from it at t_b.
-        dt = _RATE_DT * h
-        rate_of = _rate(len(y_a))
-        if r_b is None:
-            r_b = rate_of(event, y_b, K[-1], dt)
         if not r_b * e_b > 0.0:
             return None
+        dt = _RATE_DT * h
+        rate_of = _rate(len(y_a))
         r_a = rate_of(event, y_a, K[0], dt)
         if not r_a * e_a < 0.0 or _graze_ruled_out(e_a, r_a, e_b, r_b, h):
             return None
@@ -703,7 +692,7 @@ def locate_lane_events(rhs: Callable[[np.ndarray], Sequence], Y: np.ndarray, t1:
             )
             for j in np.flatnonzero(flagged & ~retired):
                 ya, yb = Y[:, j].tolist(), y_b[:, j].tolist()
-                found = _crossing(event, t_a, ya, e_a[j], t_b, yb, e_b[j], K[:, :, j].tolist(), h)
+                found = _crossing(event, t_a, ya, e_a[j], t_b, yb, e_b[j], K[:, :, j].tolist(), h, r_b[j])
                 if found is not None:
                     retired[j] = True
                     if found[0] <= t1:

@@ -638,15 +638,17 @@ def optima_along_eps(eps_values, cfg: ShotConfig, lphi_i: float) -> list[Optimum
     fails is refined from the previous optimum, and its ``fallback`` says
     why. An eps equal to the previous one gets a copy of its twin's optimum,
     so the secant runs through two distinct eps. The optima keep the sign
-    of ``START_RAY``'s lambda_theta.
+    of ``START_RAY``'s lambda_theta. Every point's ``ShotConfig`` is built,
+    and its eps checked, before the first shot.
     """
     eps_values = [float(eps) for eps in eps_values]
+    configs = [replace(cfg, eps=eps) for eps in eps_values]
     optima: list[Optimum | None] = [None] * len(eps_values)
     path: list[tuple[float, Optimum]] = []  # (log eps, optimum) of each distinct eps solved
     bias = 0.0
     # largest eps first, and of equal ones the last first
     for i in sorted(range(len(eps_values)), key=eps_values.__getitem__)[::-1]:
-        point_cfg = replace(cfg, eps=eps_values[i])
+        point_cfg = configs[i]
         log_eps = math.log(point_cfg.eps)
         if path and path[-1][0] == log_eps:
             optima[i] = replace(path[-1][1])

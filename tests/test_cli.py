@@ -582,6 +582,18 @@ class TestIso:
         _, data = read_csv(tmp_path / "iso_area_divergence.csv")
         assert data[0, 1] == data[1, 1] < data[2, 1] < data[3, 1]
 
+    def test_areadiv_checks_every_accuracy_before_the_first_shot(self, tmp_path, capsys, monkeypatch):
+        # the continuation runs largest eps first, so a bad smallest eps
+        # would otherwise surface only after the shots of the points above it
+        def no_shot(*args):
+            raise AssertionError("the continuation shot before checking every eps")
+
+        monkeypatch.setattr(shooting, "shoot_info", no_shot)
+        code = cli.main(["--out", str(tmp_path), "iso", "areadiv", "--eps-list", "0.1,0.05,0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("invalid arguments: eps must lie in (0, 1)")
+        assert not any(tmp_path.iterdir())
+
     def test_areadiv_reports_a_fallback(self, tmp_path, capsys, monkeypatch):
         # the third point is the first the corrector solves; when it fails,
         # refine solves the point and the manifest counts it

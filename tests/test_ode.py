@@ -10,12 +10,12 @@ from qsl12 import bloch2, lambda3, ode, shooting
 
 
 def rotation_rhs(y):
-    return np.array([-y[1], y[0]])
+    return [-y[1], y[0]]
 
 
 class TestIntegrate:
     def test_zero_field_is_constant(self):
-        traj = ode.integrate(lambda y: np.zeros(2), [1.0, 0.0], (0.0, 5.0))
+        traj = ode.integrate(lambda y: [0.0, 0.0], [1.0, 0.0], (0.0, 5.0))
         assert np.all(traj.states == np.array([1.0, 0.0]))
         assert traj.times[0] == 0.0 and traj.times[-1] == 5.0
 
@@ -45,7 +45,7 @@ class TestIntegrate:
         assert np.allclose(mine, ref, atol=1e-9)
 
     def test_complex_states_supported(self):
-        rhs = lambda y: np.array([1j * y[0]])
+        rhs = lambda y: [1j * y[0]]
         final = ode.integrate(rhs, np.array([1.0 + 0.0j]), (0.0, math.pi)).final_state
         assert abs(final[0] + 1.0) < 1e-9
 
@@ -189,7 +189,7 @@ class TestContract:
         assert hit is not None and hit.t == pytest.approx(0.734, abs=1e-9)
         assert all(type(y) is list and type(y[0]) is float for y in seen)
 
-    @pytest.mark.parametrize("kind", [list, tuple, np.array])
+    @pytest.mark.parametrize("kind", [list, tuple])
     def test_slope_of_any_sequence_gives_identical_results(self, kind):
         def reference(y):
             return [-y[1] + 0.1 * y[0] * y[0], y[0]]
@@ -210,6 +210,29 @@ class TestContract:
         assert np.array_equal(hit.y, ref_hit.y)
         assert np.array_equal(hit.trajectory.times, ref_hit.trajectory.times)
         assert np.array_equal(hit.trajectory.states, ref_hit.trajectory.states)
+
+    def test_the_step_calls_the_callers_rhs(self, monkeypatch):
+        # no adapter stands between the caller and the generated step, not
+        # even for a slope outside the contract, such as an ndarray
+        called = []
+        dp5 = ode._dp5
+
+        def recording(d):
+            step, error_norm = dp5(d)
+
+            def recorded(rhs, y, k1, h):
+                called.append(rhs)
+                return step(rhs, y, k1, h)
+
+            return recorded, error_norm
+
+        monkeypatch.setattr(ode, "_dp5", recording)
+        for rhs in (rotation_rhs, lambda y: np.array([-y[1], y[0]])):
+            called.clear()
+            ode.integrate(rhs, [1.0, 0.0], (0.0, 1.0))
+            list(ode.nodes(rhs, [1.0, 0.0], (0.0, 1.0)))
+            ode.locate_event(rhs, [1.0, 0.0], (0.0, 5.0), lambda y: y[0] + 0.5)
+            assert called and all(f is rhs for f in called)
 
     def test_rhs_of_wrong_length_rejected(self):
         for slope in (np.zeros(3), (0.0, 0.0, 0.0), (0.0,), [0.0]):
@@ -462,12 +485,12 @@ class TestNonFiniteRhs:
     @staticmethod
     def rhs_turning(bad):
         # y[0] has slope 1, so it is the clock: finite until t = 0.5, non-finite after
-        return lambda y: np.array([bad if y[0] > 0.5 else 1.0, 0.0])
+        return lambda y: [bad if y[0] > 0.5 else 1.0, 0.0]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("from_start", [True, False])
     def test_step_underflow(self, bad, from_start):
-        rhs = (lambda y: np.full(2, bad)) if from_start else self.rhs_turning(bad)
+        rhs = (lambda y: [bad, bad]) if from_start else self.rhs_turning(bad)
         with pytest.raises(ode.StepUnderflow):
             ode.integrate(rhs, [0.0, 0.0], (0.0, 1.0))
         with pytest.raises(ode.StepUnderflow):
@@ -553,7 +576,7 @@ class TestLocateEvent:
     def test_graze_between_nodes(self):
         # y' = 1 has zero local error, so steps grow fivefold and no node
         # lands in the window |y - 0.735| < 1e-3 where the event is positive
-        rhs = lambda y: np.ones(1)
+        rhs = lambda y: [1.0]
         hit = ode.locate_event(rhs, [0.0], (0.0, 2.0), lambda y: 1e-6 - (y[0] - 0.735) ** 2)
         assert hit is not None
         assert hit.t == pytest.approx(0.734, abs=1e-9)
@@ -576,7 +599,7 @@ class TestLocateEvent:
     def test_crossing_just_after_a_node(self):
         # the event is a hair below zero at an accepted node; the hit must
         # not repeat that node's time
-        rhs = lambda y: np.ones(1)
+        rhs = lambda y: [1.0]
         search = ode.locate_event(rhs, [0.0], (0.0, 1.0), lambda y: y[0] - 0.9).trajectory
         node = search.states[3, 0]  # accepted by the search itself, at t = 0.31
         assert node == pytest.approx(0.31, abs=1e-12)
@@ -638,7 +661,9 @@ def reference_locate_event(rhs, y0, t_span, event, tol=ode.TOL, stop=math.inf):
     if e_a != 0.0:
         for t_b, y_b, K, h in steps:
             e_b = float(event(y_b))
-            found = ode._crossing(event, t_a, y_a, e_a, t_b, y_b, e_b, K, h)
+            crossed = e_b == 0.0 or (e_b > 0.0) != (e_a > 0.0)
+            r_b = None if crossed else ode._rate(len(y_b))(event, y_b, K[-1], ode._RATE_DT * h)
+            found = ode._crossing(event, t_a, y_a, e_a, t_b, y_b, e_b, K, h, r_b)
             if found is not None:
                 if found[0] > t_a:
                     times.append(found[0])
@@ -663,7 +688,7 @@ _REFERENCE_SHOT = (lambda3.extremal_rhs, [0.0, 0.0, 1.85, 0.45266], (0.0, 15.0),
 SCREEN_CASES = {
     "equator": (resonant_rhs, [0.0, 0.0, -0.5], (0.0, 5.0), lambda eta: eta[2]),
     "away-from-zero": (resonant_rhs, [0.0, 0.0, -0.5], (0.0, 5.0), lambda eta: eta[2] + 0.6),
-    "graze-between-nodes": (lambda y: np.ones(1), [0.0], (0.0, 2.0), lambda y: 1e-6 - (y[0] - 0.735) ** 2),
+    "graze-between-nodes": (lambda y: [1.0], [0.0], (0.0, 2.0), lambda y: 1e-6 - (y[0] - 0.735) ** 2),
     "oscillating-miss": (rotation_rhs, [1.0, 0.0], (0.0, 20.0), lambda y: y[0] - 1.0001),
     "reference-shot": _REFERENCE_SHOT,
     "complex": (lambda y: [1j * y[0]], [1.0 + 0.0j], (0.0, 4.0), lambda y: y[0].real + 0.5),
@@ -693,7 +718,7 @@ class TestScreen:
 
     def test_crossing_just_after_a_node(self):
         # the level a hair above the node at t = 0.31, as in TestLocateEvent
-        rhs = lambda y: np.ones(1)
+        rhs = lambda y: [1.0]
         search = ode.locate_event(rhs, [0.0], (0.0, 1.0), lambda y: y[0] - 0.9).trajectory
         level = np.nextafter(search.states[3, 0], np.inf)
         hit = ode.locate_event(rhs, [0.0], (0.0, 1.0), lambda y: y[0] - level)
@@ -821,6 +846,26 @@ class TestLaneEvents:
         with pytest.raises(ValueError, match="rhs returned 2 components for a state of 3"):
             ode.locate_lane_events(rhs, Y, 2.0, self.event)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("costate_range, res, eps, candidates", [
+        ((-2.0, 2.0), 12, 0.005, 8),
+        ((-1.0, 3.0), 20, 0.002, 102),
+    ], ids=["12x12", "20x20"])
+    def test_the_rule_reads_the_screens_rate(self, costate_range, res, eps, candidates, monkeypatch):
+        # a lane step the screen flags without a sign change, a graze
+        # candidate, reaches the crossing rule with the screen's rate at the
+        # step's end, which is the rule's own rate there bit for bit
+        crossing, grazes = ode._crossing, []
+
+        def checked(event, t_a, y_a, e_a, t_b, y_b, e_b, K, h, r_b=None):
+            if not (e_b == 0.0 or (e_b > 0.0) != (e_a > 0.0)):
+                grazes.append((r_b, ode._rate(len(y_b))(event, y_b, K[-1], ode._RATE_DT * h)))
+            return crossing(event, t_a, y_a, e_a, t_b, y_b, e_b, K, h, r_b)
+
+        monkeypatch.setattr(ode, "_crossing", checked)
+        shooting.landscape(costate_range, res, shooting.ShotConfig(eps=eps), workers=1)
+        assert len(grazes) == candidates
+        assert all(r_b is not None and bits([r_b]) == bits([rate]) for r_b, rate in grazes)
 
     @pytest.mark.parametrize("t1", [math.inf, math.nan, 1e308])
     def test_step_count_must_be_finite(self, t1):
