@@ -25,27 +25,16 @@ from ._lazy import np
 __all__ = [
     "DomainError",
     "KerrParams",
-    "bloch_from_amplitudes",
     "populations_from_eta3",
-    "surface_residual",
-    "effective_detuning",
     "lock_detuning",
     "bloch_rhs",
-    "amplitude_rhs",
-    "costate_rhs",
-    "switching_function",
-    "control_hamiltonian",
-    "analytic_eta3",
     "min_area",
     "transfer_probability",
     "linear_probability",
     "asymptotic_epsilon",
-    "asymptotic_area",
     "energy_optimum",
     "resonant_trajectory",
 ]
-
-_SQRT2 = math.sqrt(2.0)
 
 #: Inputs closer than this to the unreachable north pole are rejected.
 NORTH_POLE_GUARD = 1e-15
@@ -91,31 +80,10 @@ class KerrParams:
 ZERO_KERR = KerrParams()
 
 
-def bloch_from_amplitudes(psi1: complex, psi2: complex) -> np.ndarray:
-    """Map normalized amplitudes to (eta1, eta2, eta3)."""
-    c = psi1 * psi1 * np.conj(psi2)
-    return np.array([
-        _SQRT2 * c.real,
-        _SQRT2 * c.imag,
-        abs(psi2) ** 2 - 0.5 * abs(psi1) ** 2,
-    ])
-
-
 def populations_from_eta3(eta3):
     """Return (|psi1|^2, 2|psi2|^2) from the inversion."""
     eta3 = np.asarray(eta3)
     return 0.5 * (1.0 - 2.0 * eta3), 0.5 * (1.0 + 2.0 * eta3)
-
-
-def surface_residual(eta) -> float:
-    """Deviation from the generalized Bloch sphere; zero on the surface."""
-    e1, e2, e3 = eta
-    return e1 * e1 + e2 * e2 - (0.5 - e3) ** 2 * (0.5 + e3)
-
-
-def effective_detuning(delta: float, eta3: float, kerr: KerrParams = ZERO_KERR) -> float:
-    """Detuning seen by the Bloch dynamics once Kerr shifts are folded in."""
-    return -delta + kerr.lambda_a - kerr.lambda_s * (0.5 + eta3)
 
 
 def lock_detuning(eta3, kerr: KerrParams = ZERO_KERR):
@@ -128,49 +96,6 @@ def bloch_rhs(eta, omega: float, delta_eff: float) -> tuple[float, float, float]
     components of ``eta``; preserves the surface."""
     e1, e2, e3 = eta
     return delta_eff * e2, 0.5 * omega * (3.0 * e3 * e3 - e3 - 0.25) - delta_eff * e1, omega * e2
-
-
-def amplitude_rhs(psi, omega: float, delta: float, kerr: KerrParams = ZERO_KERR) -> tuple[complex, complex]:
-    """Time derivative of (psi1, psi2) including Kerr shifts, a 2-tuple
-    computed on the components of ``psi`` (complex numbers).
-
-    Conserves |psi1|^2 + 2|psi2|^2. The 1:2 resonance makes the coupling
-    quadratic in psi1, which is what renders the upper state unreachable.
-    """
-    p1, p2 = psi
-    n1 = abs(p1) ** 2
-    n2 = abs(p2) ** 2
-    d1 = (-delta / 3.0 + kerr.l11 * n1 + kerr.l12 * n2) * p1 + (omega / _SQRT2) * p1.conjugate() * p2
-    d2 = (delta / 3.0 + kerr.l12 * n1 + kerr.l22 * n2) * p2 + (omega / (2.0 * _SQRT2)) * p1 * p1
-    return -1j * d1, -1j * d2
-
-
-def costate_rhs(lam: np.ndarray, eta: np.ndarray, omega: float, delta_eff: float,
-                kerr: KerrParams = ZERO_KERR) -> np.ndarray:
-    """Adjoint dynamics of the time-cost conjugate momenta (l1, l2, l3)."""
-    l1, l2, l3 = lam
-    e1, e2, e3 = eta
-    return np.array([
-        l2 * delta_eff,
-        -l1 * delta_eff - l3 * omega,
-        -0.5 * l2 * omega * (6.0 * e3 - 1.0) + kerr.lambda_s * (l1 * e2 - l2 * e1),
-    ])
-
-
-def switching_function(lam: np.ndarray, eta: np.ndarray) -> float:
-    """Coefficient of the detuning in the control Hamiltonian (zero on extremals)."""
-    return lam[0] * eta[1] - lam[1] * eta[0]
-
-
-def control_hamiltonian(lam: np.ndarray, eta: np.ndarray, omega: float, delta_eff: float) -> float:
-    """Time-cost control Hamiltonian (constant along extremals)."""
-    theta_factor = 3.0 * eta[2] ** 2 - eta[2] - 0.25
-    return delta_eff * switching_function(lam, eta) + omega * (0.5 * lam[1] * theta_factor + lam[2] * eta[1])
-
-
-def analytic_eta3(t):
-    """Inversion under the resonant constant pulse from the south pole."""
-    return np.tanh(0.5 * np.asarray(t)) ** 2 - 0.5
 
 
 def _check_inversion(eta3: float) -> None:
@@ -205,11 +130,6 @@ def linear_probability(area):
 def asymptotic_epsilon(area):
     """Leading-order deviation from complete transfer for large pulse area."""
     return 4.0 * np.exp(-np.asarray(area))
-
-
-def asymptotic_area(eps):
-    """Inverse of :func:`asymptotic_epsilon`."""
-    return -np.log(np.asarray(eps) / 4.0)
 
 
 def energy_optimum(duration: float, area: float) -> tuple[float, float]:

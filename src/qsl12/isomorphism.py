@@ -37,7 +37,6 @@ __all__ = [
     "ThetaSingularity",
     "map_3to2",
     "map_pulses",
-    "iso_bloch_rhs",
     "iso_amplitude_rhs",
     "iso_angle_rhs",
     "angles_from_amplitudes",
@@ -75,12 +74,6 @@ def map_3to2(state3: np.ndarray) -> np.ndarray:
 def map_pulses(omega_p: float, omega_s: float) -> tuple[float, float]:
     """Pump/Stokes fields -> reduced couplings (P, S) of the counterpart problem."""
     return omega_p / _SQRT2, 0.5 * omega_s
-
-
-def iso_bloch_rhs(rho, p: float, s: float) -> tuple[float, float, float]:
-    """Bloch flow of the counterpart problem, a 3-tuple; the coupling p rides on rho_z."""
-    rz, ry, rx = rho
-    return -p * rz * ry, s * rx + p * rz * rz, -s * ry
 
 
 def iso_amplitude_rhs(a, p: float, s: float) -> tuple[complex, complex]:

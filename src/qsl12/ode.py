@@ -49,8 +49,8 @@ floats are that step's (but for a zero sum's sign, and NaN where stage 2
 is not finite) and, unlike a BLAS product's, do not depend on the block.
 A numpy screen on the block (a sign change, or the graze conditions and
 the tangent screen on rates from one central difference) flags the lanes
-that ``_crossing`` decides, one column at a time, on the screen's own rate
-at the step's end. A lane retires at its hit, and with none at a
+that ``_crossing`` decides, one column at a time, on the screen's own rates
+at the step's two ends. A lane retires at its hit, and with none at a
 non-finite state or an error estimate above the step: a fixed step can
 step over a singularity of the flow to a hit no adaptive search has.
 
@@ -136,10 +136,6 @@ class Trajectory:
             raise ValueError("times and states must have matching leading length")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("times must be strictly increasing")
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
 
 
 class EventHit:
@@ -530,26 +526,20 @@ def _extension(y_a: list, K, h: float) -> tuple[Callable[[float], list], Callabl
 
 
 def _crossing(event: Event, t_a: float, y_a: list, e_a: float, t_b: float, y_b: list,
-              e_b: float, K, h: float, r_b: float | None) -> tuple[float, list] | None:
+              e_b: float, K, h: float, r_a: float | None, r_b: float | None) -> tuple[float, list] | None:
     """The first zero of ``event`` in one accepted step, as (t, y), or None.
 
     The step of length h runs from (t_a, y_a) to (t_b, y_b) with stages K;
-    e_a (nonzero) and e_b are the event at its ends, and r_b its rate at
-    t_b, ``_rate`` on y_b and K[-1]: None only where the event changes
-    sign, which reads no rate. A sign change or a graze (see the module
-    docstring) is pinned down to ``EVENT_TOL`` in time on the step's
-    interpolant; a zero at t_a is returned as t_a.
+    e_a (nonzero) and e_b are the event at its ends, and r_a and r_b its
+    rates there, ``_rate`` on y_a and K[0] and on y_b and K[-1]: both None
+    only where the event changes sign, which reads no rate. A sign change
+    or a graze (see the module docstring) is pinned down to ``EVENT_TOL``
+    in time on the step's interpolant; a zero at t_a is returned as t_a.
     """
     crossed = e_b == 0.0 or (e_b > 0.0) != (e_a > 0.0)
     if not crossed:
-        # A graze needs the event moving toward zero at t_a (K[0] is the
-        # slope there) and away from it at t_b.
-        if not r_b * e_b > 0.0:
-            return None
-        dt = _RATE_DT * h
-        rate_of = _rate(len(y_a))
-        r_a = rate_of(event, y_a, K[0], dt)
-        if not r_a * e_a < 0.0 or _graze_ruled_out(e_a, r_a, e_b, r_b, h):
+        # A graze needs the event moving toward zero at t_a and away from it at t_b.
+        if not (r_b * e_b > 0.0 and r_a * e_a < 0.0) or _graze_ruled_out(e_a, r_a, e_b, r_b, h):
             return None
     # probe(t): the state, as a list, and the event at t on the step's
     # continuous extension, cached and seeded with the ends, so brentq, which
@@ -568,6 +558,9 @@ def _crossing(event: Event, t_a: float, y_a: list, e_a: float, t_b: float, y_b: 
         # The event turns inside the step, where its rate vanishes; it
         # crosses zero when that extremum does, and [t_a, extremum] then
         # brackets the crossing.
+        dt = _RATE_DT * h
+        rate_of = _rate(len(y_a))
+
         def rate(t: float) -> float:
             if t == t_a:
                 return r_a
@@ -619,10 +612,16 @@ def locate_event(
     rate = _rate(len(y_a))
     for t_b, y_b, K, h in steps:
         e_b = float(event(y_b))
-        crossed = e_b == 0.0 or (e_b > 0.0) != (e_a > 0.0)
-        r_b = None if crossed else rate(event, y_b, K[-1], _RATE_DT * h)
-        # the screen: a step that keeps the event's sign can only graze, moving away from zero at t_b
-        found = _crossing(event, t_a, y_a, e_a, t_b, y_b, e_b, K, h, r_b) if crossed or r_b * e_b > 0.0 else None
+        found = None
+        if e_b == 0.0 or (e_b > 0.0) != (e_a > 0.0):
+            found = _crossing(event, t_a, y_a, e_a, t_b, y_b, e_b, K, h, None, None)
+        else:
+            # the screen: a step that keeps the event's sign can only graze,
+            # moving away from zero at t_b; the rule reads its rate at t_a too
+            dt = _RATE_DT * h
+            r_b = rate(event, y_b, K[-1], dt)
+            if r_b * e_b > 0.0:
+                found = _crossing(event, t_a, y_a, e_a, t_b, y_b, e_b, K, h, rate(event, y_a, K[0], dt), r_b)
         if found is not None:
             # A root on the left node is that node, already stored last.
             if found[0] > t_a:
@@ -692,7 +691,7 @@ def locate_lane_events(rhs: Callable[[np.ndarray], Sequence], Y: np.ndarray, t1:
             )
             for j in np.flatnonzero(flagged & ~retired):
                 ya, yb = Y[:, j].tolist(), y_b[:, j].tolist()
-                found = _crossing(event, t_a, ya, e_a[j], t_b, yb, e_b[j], K[:, :, j].tolist(), h, r_b[j])
+                found = _crossing(event, t_a, ya, e_a[j], t_b, yb, e_b[j], K[:, :, j].tolist(), h, r_a[j], r_b[j])
                 if found is not None:
                     retired[j] = True
                     if found[0] <= t1:

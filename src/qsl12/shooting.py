@@ -68,10 +68,7 @@ __all__ = [
     "area_curve",
     "asymptotic_mask",
     "fit_asymptote",
-    "energy_shot",
 ]
-
-_SQRT2 = math.sqrt(2.0)
 
 #: The initial costates (lambda_phi, guessed lambda_theta) a refinement
 #: starts from when none are given.
@@ -719,24 +716,3 @@ def fit_asymptote(curve) -> tuple[float, float]:
     dx = [v - x_mean for v in x]
     slope = math.fsum(d * (v - y_mean) for d, v in zip(dx, y)) / math.fsum(d * d for d in dx)
     return slope, y_mean - slope * x_mean
-
-
-def energy_shot(omega0_min: float, opt: Optimum, cfg: ShotConfig) -> float:
-    """Consistency check: run the energy-optimal closed loop to the target.
-
-    The time-optimal initial costates are rescaled so that the (constant)
-    pulse magnitude of the energy extremal equals ``omega0_min``, the bound of
-    ``bloch2.energy_optimum``; the hit should land at its duration,
-    opt.area / omega0_min. The loop is the reference forms ``angle_rhs`` and
-    ``costate_rhs`` under ``energy_control``. Returns the hit time.
-    """
-    def energy_rhs(y: list) -> tuple:
-        u = lambda3.energy_control(*y)
-        return lambda3.angle_rhs(y[0], y[1], u) + lambda3.costate_rhs(*y, u)
-
-    scale = omega0_min / (abs(opt.lphi_i) / _SQRT2)
-    y0 = [0.0, 0.0, scale * opt.lphi_i, scale * opt.ltheta_i]
-    hit = ode.locate_event(energy_rhs, y0, (0.0, 1.5 * opt.area / omega0_min), _event(cfg), cfg.tol)
-    if hit is None:
-        raise NoFeasiblePoint("energy-optimal closed loop missed the target")
-    return hit.t

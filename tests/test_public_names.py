@@ -1,9 +1,15 @@
-"""Each module's ``__all__`` names what it defines, no more and no less, and
-no module reaches into the private names of another."""
+"""Each module's ``__all__`` names what it defines, no more and no less, no
+module reaches into the private names of another, and the package holds
+only what its commands run: every function in it is called by one of them,
+and none imports the tests' reference forms."""
 
 import ast
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,12 +69,116 @@ def _uses_outside(owner: str, name: str) -> list[str]:
     return uses
 
 
-def test_only_lambda3_calls_bang_control():
-    # every closed loop takes its control from the extremal flow that
-    # applies it (lambda3.extremal_control); bang_control is the tests'
-    # reference form, so no other module names it
-    uses = _uses_outside("lambda3", "bang_control")
-    assert not uses, f"modules other than lambda3 use bang_control: {uses}"
+# Runs every command family once through cli.main in a fresh interpreter,
+# with sys.setprofile installed before qsl12 is imported, so that the module
+# bodies and the caches (ode._dp5, ode._rate, lambda3.extremal_lanes) run
+# cold; the failing runs exit 2 to 7, so the error helpers run too. Prints
+# the file, first line and name of every code object called.
+COMMANDS_RUN_SCRIPT = """
+import contextlib, io, json, os, sys
+called = {}
+
+def profile(frame, event, arg):
+    if event == "call":
+        called[id(frame.f_code)] = frame.f_code
+
+sys.setprofile(profile)
+from qsl12 import cli, shooting
+
+def run(code, *argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        exit_code = cli.main(["--out", sys.argv[1], *argv])
+    assert exit_code == code, (argv, exit_code)
+
+for code, *argv in json.loads(sys.argv[2]):
+    run(code, *argv)
+# the landscape split over two workers, whatever the CPUs: its job list is
+# built only there
+cpu_count, os.cpu_count = os.cpu_count, lambda: 2
+run(0, "three-level", "landscape", "--eps", "0.002", "--res", "12", "--workers", "2")
+os.cpu_count = cpu_count
+# a residual > 0 at every probe leaves no bracket: exit 4, no convergence
+shoot_info, shooting.shoot_info = shooting.shoot_info, lambda *args: (7.0, "hit", 0.5)
+run(4, "three-level", "optimize", "--eps", "0.005")
+shooting.shoot_info = shoot_info
+sys.setprofile(None)
+print(json.dumps([[c.co_filename, c.co_firstlineno, c.co_name] for c in called.values()]))
+"""
+
+# (exit code, argv) of the commands the script runs first: each family once,
+# as the CLI tests run it, the JSON export, and the failures that exit 2, 3,
+# 5, 6 and 7.
+COMMANDS = [
+    (0, "two-level", "tmin", "--eps", "0.002"),
+    (0, "--format", "json", "two-level", "curve", "--amax", "1"),
+    (0, "two-level", "simulate", "--eps", "0.002", "--kerr", "0.3,-0.2,0.4"),
+    (0, "two-level", "energy", "--T", "10", "--eps", "0.002"),
+    (0, "three-level", "landscape", "--eps", "0.002", "--res", "20", "--workers", "1"),
+    (0, "three-level", "optimize", "--eps", "0.005", "--guess", "0.7"),
+    (0, "three-level", "areacurve", "--eps-max", "0.1", "--eps-min", "0.03", "--n", "5"),
+    (0, "three-level", "energy", "--T", "10", "--eps", "0.005"),
+    (0, "iso", "check", "--eps", "0.002", "--costates", "1.85,0.45266"),
+    (0, "iso", "areadiv", "--eps-list", "0.1,0.05,0.03"),
+    (2, "three-level", "landscape", "--eps", "0.1", "--res", "0"),
+    (3, "two-level", "tmin", "--eps", "0"),
+    (5, "--horizon", "2", "three-level", "optimize", "--eps", "0.005", "--guess", "0.7"),
+    (6, "iso", "check", "--eps", "0.002", "--costates", "1.85,0.45266", "--corrupt-mapping"),
+    (7, "--tol", "1e-300", "two-level", "simulate", "--eps", "0.002"),
+]
+
+# Functions no command calls, each with the reason it stays in the package.
+NOT_RUN_BY_COMMANDS = {
+    "ode.EventHit.trajectory": "bench/tracer.py's _steps_of_hit reads it to count a hit's steps,"
+                               " in the traced benchmark harness that CI runs",
+}
+
+
+def _code_objects(code, prefix: str):
+    """(dotted name, code) of ``code`` and of every code object compiled
+    into it, nested or not; a name is the module's, then the enclosing
+    classes' and functions'."""
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            name = f"{prefix}.{const.co_name}"
+            yield name, const
+            yield from _code_objects(const, name)
+
+
+def test_the_commands_run_every_function(tmp_path):
+    # "the least code" as a check: src/ holds what the commands run, and a
+    # form the package only keeps for the tests lives beside them
+    # (tests/reference.py); every function, method, lambda and comprehension
+    # of the package's source is called by the commands, allow-list aside.
+    # A code object is known by its file, first line and name, so two
+    # comprehensions on one line count as one
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", COMMANDS_RUN_SCRIPT, str(tmp_path), json.dumps(COMMANDS)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    called = {(os.path.realpath(path), line, name) for path, line, name in json.loads(done.stdout)}
+    never = set()
+    for path in sorted(SRC.glob("*.py")):
+        module = compile(path.read_text(), str(path), "exec", dont_inherit=True)
+        for name, code in _code_objects(module, path.stem):
+            if (os.path.realpath(code.co_filename), code.co_firstlineno, code.co_name) not in called:
+                never.add(name)
+    allowed = set(NOT_RUN_BY_COMMANDS)
+    assert never <= allowed, f"no command calls {sorted(never - allowed)}"
+    assert allowed <= never, f"the commands call {sorted(allowed - never)}: drop them from NOT_RUN_BY_COMMANDS"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_the_tests(path):
+    # the split holds both ways: the reference forms live beside the tests,
+    # and no module of the package imports them, or anything under tests/
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [(node.lineno, node.module or alias.name) for alias in node.names]
+    imported = [f"line {line}: {name}" for line, name in names if name.split(".")[0] in ("reference", "tests")]
+    assert not imported, f"{path.name} imports the tests: {imported}"
 
 
 def test_only_ode_reads_max_step():
