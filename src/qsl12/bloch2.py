@@ -17,7 +17,7 @@ energy formulas below hold for any Kerr parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ode
 from ._lazy import np
@@ -44,29 +44,27 @@ class DomainError(ValueError):
     """Requested transfer touches the unreachable north pole exactly."""
 
 
-@dataclass(frozen=True)
-class KerrParams:
+class KerrParams(NamedTuple("KerrParams", [("l11", float), ("l12", float), ("l22", float)])):
     """Third-order nonlinear shifts (angular frequency, Omega_0 units).
 
     The cross term is symmetric, so a single ``l12`` field covers both
     off-diagonal entries. ``lambda_s`` scales the intensity-dependent part
     of the effective detuning and ``lambda_a`` its static part. The fields
     are Python floats, so the rhs runs on float arithmetic; they and the
-    shifts lambda_s, lambda_a and lambda_a - lambda_s must be finite.
+    shifts lambda_s, lambda_a and lambda_a - lambda_s must be finite. A
+    named tuple: read-only, equal by value.
     """
 
-    l11: float = 0.0
-    l12: float = 0.0
-    l22: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("l11", "l12", "l22"):
-            value = float(getattr(self, name))
+    def __new__(cls, l11: float = 0.0, l12: float = 0.0, l22: float = 0.0) -> KerrParams:
+        self = super().__new__(cls, float(l11), float(l12), float(l22))
+        for name, value in zip(cls._fields, self):
             if not math.isfinite(value):
                 raise ValueError(f"Kerr parameter {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
         if not math.isfinite(self.lambda_a - self.lambda_s):  # not finite unless both shifts are
             raise ValueError(f"Kerr parameters (l11, l12, l22) = {(self.l11, self.l12, self.l22)!r} give a non-finite shift")
+        return self
 
     @property
     def lambda_s(self) -> float:

@@ -343,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory for data exports")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--tol", type=float, default=ode.TOL, help="integrator local-error tolerance")
-    parser.add_argument("--horizon", type=float, default=shooting.ShotConfig.horizon, help="shot horizon in 1/Omega0 units")
+    parser.add_argument("--horizon", type=float, default=shooting.HORIZON, help="shot horizon in 1/Omega0 units")
     groups = parser.add_subparsers(dest="group", required=True)
 
     two = groups.add_parser("two-level", help="two-level closed forms and curves")

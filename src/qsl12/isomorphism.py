@@ -28,7 +28,7 @@ is kept around as a negative control).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import lambda3, ode, shooting
 from ._lazy import np
@@ -131,9 +131,9 @@ def exact_theta(pump_area):
     return 2.0 * np.arctan(np.tanh(0.5 * pump_area))
 
 
-@dataclass
-class CrossCheck:
-    """Worst-case deviations between the representations along one optimum."""
+class CrossCheck(NamedTuple):
+    """Worst-case deviations between the representations along one optimum,
+    a named tuple."""
 
     hit_time: float
     amplitude_deviation: float

@@ -80,7 +80,6 @@ import linecache
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from ._lazy import np
@@ -122,16 +121,15 @@ class StepUnderflow(RuntimeError):
     """Adaptive step fell below MIN_STEP."""
 
 
-@dataclass
 class Trajectory:
     """Sampled solution: ``states[i]`` is the state at ``times[i]``."""
 
     times: np.ndarray
     states: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
-        self.states = np.asarray(self.states)
+    def __init__(self, times, states) -> None:
+        self.times = np.asarray(times, dtype=float)
+        self.states = np.asarray(states)
         if self.times.ndim != 1 or len(self.states) != len(self.times):
             raise ValueError("times and states must have matching leading length")
         if np.any(np.diff(self.times) <= 0.0):

@@ -47,7 +47,7 @@ import array
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import lambda3, ode
 from ._lazy import np
@@ -88,21 +88,24 @@ class InsufficientData(ValueError):
     """Not enough points in the asymptotic regime to fit."""
 
 
-@dataclass(frozen=True)
-class ShotConfig:
-    """Target accuracy, shot horizon, and integrator tolerance (Omega_0 = 1)."""
+#: The shot horizon of a ``ShotConfig`` that names none (Omega_0 = 1).
+HORIZON = 15.0
 
-    eps: float
-    horizon: float = 15.0
-    tol: float = ode.TOL
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps < 1.0:
+class ShotConfig(NamedTuple("ShotConfig", [("eps", float), ("horizon", float), ("tol", float)])):
+    """Target accuracy, shot horizon, and integrator tolerance (Omega_0 = 1).
+    A named tuple: read-only, equal by value, checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, eps: float, horizon: float = HORIZON, tol: float = ode.TOL) -> ShotConfig:
+        if not 0.0 < eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        if not 0.0 < self.horizon < math.inf:
+        if not 0.0 < horizon < math.inf:
             raise ValueError("horizon must be positive and finite")
-        if not 0.0 < self.tol < math.inf:
+        if not 0.0 < tol < math.inf:
             raise ValueError("tol must be positive and finite")
+        return super().__new__(cls, eps, horizon, tol)
 
     @property
     def target(self) -> float:
@@ -110,16 +113,18 @@ class ShotConfig:
         return 0.5 * (1.0 - self.eps)
 
 
-@dataclass
-class Optimum:
-    """A successful shot: its initial costates and hit time. On an eps
-    continuation, ``fallback`` says why the point's corrector failed and
-    ``refine`` solved it instead; it takes no part in comparisons."""
+class Optimum(NamedTuple("Optimum", [("lphi_i", float), ("ltheta_i", float), ("t_min", float)])):
+    """A successful shot: its initial costates and hit time, a named tuple. On
+    an eps continuation, ``fallback`` says why the point's corrector failed
+    and ``refine`` solved it instead; it is an attribute, not a field, so it
+    takes no part in comparisons."""
 
-    lphi_i: float
-    ltheta_i: float
-    t_min: float
-    fallback: str | None = field(default=None, compare=False)
+    fallback: str | None
+
+    def __new__(cls, lphi_i: float, ltheta_i: float, t_min: float, fallback: str | None = None) -> Optimum:
+        self = super().__new__(cls, lphi_i, ltheta_i, t_min)
+        self.fallback = fallback
+        return self
 
     @property
     def area(self) -> float:
@@ -128,16 +133,15 @@ class Optimum:
         return self.t_min
 
 
-@dataclass
 class LandscapeGrid:
     """Hit times over the square grid ``axis`` x ``axis`` of (lphi, ltheta); NaN marks no transfer."""
 
     axis: np.ndarray
     times: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.axis = np.asarray(self.axis, dtype=float)
-        self.times = np.asarray(self.times, dtype=float)
+    def __init__(self, axis, times) -> None:
+        self.axis = np.asarray(axis, dtype=float)
+        self.times = np.asarray(times, dtype=float)
         if self.times.shape != (self.axis.size, self.axis.size):
             raise ValueError("times shape must be (axis.size, axis.size)")
         finite = self.times[np.isfinite(self.times)]
@@ -384,7 +388,7 @@ class _RootSearch:
         > 0 at the fastest probe. When no probe hits, NoFeasiblePoint tallies
         why."""
         tol = max(self.cfg.tol, SCAN_TOL)
-        cfg = replace(self.cfg, tol=tol)
+        cfg = ShotConfig(self.cfg.eps, self.cfg.horizon, tol)
         times, shots = [], []
         for p in probes:
             shots.append(shoot_info(self.lphi_i, p, cfg, min(times, default=math.inf)))
@@ -520,7 +524,7 @@ def _locate_and_solve(lphi_i: float, near: float, cfg: ShotConfig, point, lo: in
     located lambda_theta, on the slope of the locate record's tightest sign
     change (``_RootSearch.bracket``) to start. A phase that fails raises
     its own error."""
-    locate = _RootSearch(lphi_i, near, replace(cfg, tol=max(cfg.tol, SCAN_TOL)))
+    locate = _RootSearch(lphi_i, near, ShotConfig(cfg.eps, cfg.horizon, max(cfg.tol, SCAN_TOL)))
     locate.memo.update(screened or {})
     if cfg.tol >= SCAN_TOL:
         return locate.root(point, lo, hi)
@@ -639,7 +643,7 @@ def optima_along_eps(eps_values, cfg: ShotConfig, lphi_i: float) -> list[Optimum
     and its eps checked, before the first shot.
     """
     eps_values = [float(eps) for eps in eps_values]
-    configs = [replace(cfg, eps=eps) for eps in eps_values]
+    configs = [ShotConfig(eps, cfg.horizon, cfg.tol) for eps in eps_values]
     optima: list[Optimum | None] = [None] * len(eps_values)
     path: list[tuple[float, Optimum]] = []  # (log eps, optimum) of each distinct eps solved
     bias = 0.0
@@ -648,7 +652,8 @@ def optima_along_eps(eps_values, cfg: ShotConfig, lphi_i: float) -> list[Optimum
         point_cfg = configs[i]
         log_eps = math.log(point_cfg.eps)
         if path and path[-1][0] == log_eps:
-            optima[i] = replace(path[-1][1])
+            twin = path[-1][1]
+            optima[i] = Optimum(*twin, twin.fallback)
             continue
         if len(path) < 2:
             opt = refine(lphi_i, path[-1][1].ltheta_i if path else START_RAY[1], point_cfg)

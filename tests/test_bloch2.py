@@ -61,6 +61,13 @@ class TestDetunings:
         assert k.lambda_s == pytest.approx(0.6 + 0.2 + 0.4)
         assert k.lambda_a == pytest.approx(0.8)
 
+    def test_kerr_params_are_read_only(self):
+        k = bloch2.KerrParams(0.3, -0.2, 0.4)
+        for name in ("l11", "l12", "l22"):
+            with pytest.raises(AttributeError):
+                setattr(k, name, 0.0)
+        assert k == bloch2.KerrParams(0.3, -0.2, 0.4)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_kerr_params_must_be_finite(self, bad):
         for fields in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):

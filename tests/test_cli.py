@@ -618,6 +618,7 @@ class TestIso:
 # whole run.
 IMPORT_PATH_SCRIPT = """
 import contextlib, io, json, sys, types
+startup = set(sys.modules)
 import qsl12.cli as cli
 
 def forking():
@@ -629,6 +630,9 @@ def numpy_executed():
     return (sorted(m for m in sys.modules if m.startswith("numpy."))
             + [m for m in ("numpy",) if type(sys.modules.get(m)) is types.ModuleType])
 
+def stdlib(modules):
+    return sorted(m for m in modules if m.split(".")[0] in sys.stdlib_module_names)
+
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["--out", sys.argv[1], *argv])
@@ -638,10 +642,11 @@ imported = forking()
 run("two-level", "tmin", "--eps", "0.002")
 loaded = set(sys.modules)
 report = {"setup": sorted(m for m in loaded if m.split(".")[0] == "scipy"), "setup_numpy": numpy_executed(),
-          "added": {}}
+          "added": {}, "stdlib": {"startup": stdlib(startup), "setup": stdlib(loaded - startup)}}
 for argv in json.loads(sys.argv[2]):
     run(*argv)
     report["added"][" ".join(argv)] = sorted(set(sys.modules) - loaded)
+    report["stdlib"][" ".join(argv)] = stdlib(report["added"][" ".join(argv)])
     loaded.update(sys.modules)
     if argv == json.loads(sys.argv[3]):
         report["scalar_numpy"] = numpy_executed()
@@ -722,6 +727,17 @@ class TestImportPath:
         # qsl12.cli and running every serial command load no multiprocessing
         # module (with socket and selectors, about 7 ms of import)
         assert import_report["multiprocessing"] == {"import": [], "run": []}
+
+    def test_setup_loads_no_dataclasses(self, import_report):
+        # the records are plain classes and named tuples: importing
+        # qsl12.cli and running two-level tmin and the scalar commands load
+        # no dataclasses, nor the inspect, ast and dis it imports, and exec
+        # no generated method
+        heavy = {"dataclasses", "inspect", "ast", "dis"}
+        stdlib = import_report["stdlib"]
+        assert not heavy & set(stdlib["startup"]), "the interpreter loads them before qsl12"
+        stages = ["setup", *(" ".join(argv) for argv in SCALAR_COMMANDS)]
+        assert {stage: sorted(heavy & set(stdlib[stage])) for stage in stages} == dict.fromkeys(stages, [])
 
 
 class TestParsing:

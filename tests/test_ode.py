@@ -764,9 +764,9 @@ class TestLazyPath:
         built = []
 
         class Counted(ode.Trajectory):
-            def __post_init__(self):
+            def __init__(self, *args):
                 built.append(self)
-                super().__post_init__()
+                super().__init__(*args)
 
         monkeypatch.setattr(ode, "Trajectory", Counted)
         return built

@@ -1,6 +1,6 @@
 import math
 import multiprocessing
-from dataclasses import fields, replace
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -125,7 +125,19 @@ class TestShoot:
         with pytest.raises(ValueError):
             ShotConfig(eps=0.1, horizon=-1.0)
         # the accuracy, the horizon and the integrator's tolerance: no sampling knob
-        assert [f.name for f in fields(ShotConfig)] == ["eps", "horizon", "tol"]
+        assert ShotConfig._fields == ("eps", "horizon", "tol")
+
+    def test_config_is_read_only(self, cfg005):
+        for name in ("eps", "horizon", "tol"):
+            with pytest.raises(AttributeError):
+                setattr(cfg005, name, 0.1)
+        assert cfg005 == ShotConfig(eps=0.005)
+
+    def test_config_survives_pickling(self):
+        # the landscape ships its config to its workers
+        cfg = ShotConfig(eps=0.003, horizon=12.5, tol=1e-9)
+        again = pickle.loads(pickle.dumps(cfg))
+        assert again == cfg and type(again) is ShotConfig
 
     @pytest.mark.parametrize("horizon", [0.0, math.nan, math.inf, -math.inf])
     def test_horizon_must_be_positive_and_finite(self, horizon):
@@ -213,7 +225,7 @@ class TestLandscape:
         counts = self._fake_pool(monkeypatch, 2)
         assert shooting._lanes((-2.0, 2.0), np.linspace(-2.0, 2.0, 3))[0].size == 4
         with pytest.raises(ValueError, match="step count"):
-            shooting.landscape((-2.0, 2.0), 3, replace(cfg005, horizon=1e308), workers=2)
+            shooting.landscape((-2.0, 2.0), 3, ShotConfig(cfg005.eps, 1e308, cfg005.tol), workers=2)
         assert counts == []
 
     @staticmethod
@@ -304,7 +316,7 @@ class TestLandscape:
         # up to the horizon, in the last step too, is the horizon-15 grid's,
         # bit for bit, and no hit lies past the horizon
         for horizon in (14.999, 12.345):
-            times = shooting.landscape((-2.0, 2.0), 12, replace(cfg005, horizon=horizon), workers=1).times
+            times = shooting.landscape((-2.0, 2.0), 12, ShotConfig(cfg005.eps, horizon, cfg005.tol), workers=1).times
             early = (times <= horizon) | (grid12.times <= horizon)
             assert early.sum() >= 28
             assert np.array_equal(times[early], grid12.times[early])
@@ -459,6 +471,15 @@ class TestRefine:
         assert opt002.ltheta_i == pytest.approx(0.45266, abs=1e-3)
         assert opt002.t_min == pytest.approx(7.40, abs=0.02)
         assert opt002.area == opt002.t_min  # omega0 = 1
+
+    def test_fallback_takes_no_part_in_equality(self):
+        # fallback, settable, only says how an optimum was solved
+        plain = shooting.Optimum(1.85, 0.45, 7.4)
+        retried = shooting.Optimum(1.85, 0.45, 7.4, fallback="no valid bracket")
+        assert plain == retried and plain.fallback is None and retried.fallback == "no valid bracket"
+        plain.fallback = "refined"
+        assert plain == retried and plain.fallback == "refined"
+        assert plain != shooting.Optimum(1.85, 0.45, 7.5)
 
     def test_restart_at_optimum_is_stable(self, cfg002, opt002):
         again = shooting.refine(1.85, opt002.ltheta_i, cfg002)
@@ -653,7 +674,7 @@ class TestRefine:
             assert opt.fallback is None
             assert opt.ltheta_i == pytest.approx(ref.ltheta_i, rel=1e-9, abs=0.0)
             assert opt.t_min == pytest.approx(ref.t_min, rel=1e-9, abs=0.0)
-            t, reason, residual = shooting.shoot_info(opt.lphi_i, opt.ltheta_i, replace(cfg002, eps=float(eps)))
+            t, reason, residual = shooting.shoot_info(opt.lphi_i, opt.ltheta_i, ShotConfig(float(eps), cfg002.horizon, cfg002.tol))
             assert (t, reason) == (opt.t_min, "hit")
             assert abs(residual) <= 1e-9
 
@@ -1147,7 +1168,7 @@ class TestAreaCurve:
         # at each optimum the costate is parallel to the target's gradient,
         # to within 1e-7 in the sine of the angle between them
         for eps, opt in zip(*deep_optima):
-            t, _, residual = shooting.shoot_info(opt.lphi_i, opt.ltheta_i, replace(cfg002, eps=float(eps)))
+            t, _, residual = shooting.shoot_info(opt.lphi_i, opt.ltheta_i, ShotConfig(float(eps), cfg002.horizon, cfg002.tol))
             assert t == opt.t_min
             assert abs(residual) <= 1e-7
 
@@ -1205,7 +1226,7 @@ class TestAreaCurve:
         for i in (1, 2, 4, 0, 3):
             opt = optima[i]
             assert opt.fallback is None
-            ref = shooting.refine(1.85, previous, replace(cfg002, eps=float(eps_values[i])))
+            ref = shooting.refine(1.85, previous, ShotConfig(float(eps_values[i]), cfg002.horizon, cfg002.tol))
             assert opt.ltheta_i == pytest.approx(ref.ltheta_i, rel=1e-9, abs=0.0)
             assert opt.t_min == pytest.approx(ref.t_min, rel=1e-9, abs=0.0)
             previous = opt.ltheta_i
@@ -1236,7 +1257,7 @@ class TestAreaCurve:
         (lphi_i, guess, cfg), opt = refined[2]
         assert (lphi_i, guess, cfg.eps) == (1.85, refined[1][1].ltheta_i, 0.03)
         assert "no valid bracket" in opt.fallback
-        fresh = shooting.refine(1.85, guess, replace(cfg002, eps=0.03))
+        fresh = shooting.refine(1.85, guess, ShotConfig(0.03, cfg002.horizon, cfg002.tol))
         assert (opt.ltheta_i, opt.t_min) == (fresh.ltheta_i, fresh.t_min)
         assert curve[2, 1] == fresh.area
 
@@ -1262,7 +1283,7 @@ class TestAreaCurve:
         monkeypatch.undo()
         assert [opt.fallback is None for opt in optima] == [True, True, False]
         assert "(the 1 shot of the solve at tol 1e-10: 1 step-underflow)" in optima[2].fallback
-        assert optima[2] == shooting.refine(1.85, optima[1].ltheta_i, replace(cfg002, eps=0.03))
+        assert optima[2] == shooting.refine(1.85, optima[1].ltheta_i, ShotConfig(0.03, cfg002.horizon, cfg002.tol))
 
     def test_fit_recovers_synthetic_line(self):
         eps = np.geomspace(1e-3, 0.1, 7)
