@@ -66,6 +66,10 @@ class KerrParams(NamedTuple("KerrParams", [("l11", float), ("l12", float), ("l22
             raise ValueError(f"Kerr parameters (l11, l12, l22) = {(self.l11, self.l12, self.l22)!r} give a non-finite shift")
         return self
 
+    @classmethod
+    def _make(cls, iterable) -> KerrParams:  # _replace's too: checked by __new__
+        return cls(*iterable)
+
     @property
     def lambda_s(self) -> float:
         return 2.0 * self.l11 + 0.5 * self.l22 - 2.0 * self.l12

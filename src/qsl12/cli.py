@@ -174,7 +174,7 @@ def _cmd_two_curve(args) -> int:
 def _cmd_two_simulate(args) -> int:
     kerr = bloch2.ZERO_KERR
     if args.kerr:
-        kerr = bloch2.KerrParams(*_numbers("--kerr", args.kerr, 3))
+        kerr = bloch2.KerrParams._make(_numbers("--kerr", args.kerr, 3))
     traj = bloch2.resonant_trajectory(0.5 - args.eps, tol=args.tol)
     eta = traj.states
     pop1, pop2 = bloch2.populations_from_eta3(eta[:, 2])

@@ -14,9 +14,9 @@ pump area: |rho_x| < 1 at every finite time. The oracle run integrates that
 pump area as one more component of its state, beside the amplitudes, and
 checks the quadrature at every accepted node. Its closed-loop extremal
 drives every representation with the one bang control it applies. The run
-is one integration: it stops at the first node off the initial pole, where
-the angle form is singular, and continues from there with the angle block,
-both legs on the tolerance's own steps.
+is one integration of one state: its angle block is held still at the
+initial pole, where the angle form is singular, and seeded at the first
+node off it, both legs on the tolerance's own steps.
 
 A tempting but wrong reduction takes the Stokes coupling as
 Omega_s / sqrt(2) by analogy with the pump; it misses the extra factor from
@@ -153,17 +153,17 @@ class CrossCheck(NamedTuple):
         )
 
 
-def _oracle_rhs(reduce_pulses):
+def _oracle_rhs(reduce_pulses, at_pole: bool = False):
     """The oracle run's rhs, with the Stokes and pump reduction ``reduce_pulses``.
 
     Its state holds the closed-loop extremal, the real three-level
-    amplitudes, the counterpart two-level amplitudes and the pump area
+    amplitudes, the counterpart two-level amplitudes, the pump area
     A = integral of P sin(phi) dt, with sin(phi) = rho_y / |rho_perp| read
-    from the three-level amplitudes (1 at the initial pole); it flows the
-    angle block too when the state has 15 components. Each call evaluates
-    the extremal flow once, with ``lambda3.extremal_control``, and drives
-    the amplitude flows and the pump area with the bang control that flow
-    applied. No base component's slope reads the angle block.
+    from the three-level amplitudes (1 at the initial pole), and the angle
+    block, held still ``at_pole``, where the angle form is singular. Each
+    call evaluates the extremal flow once, with ``lambda3.extremal_control``,
+    and drives the other flows with the bang control that flow applied. No
+    base component's slope reads the angle block.
     """
     def rhs(y: list) -> list:
         slope, pulses = lambda3.extremal_control(y[0:4])
@@ -173,15 +173,13 @@ def _oracle_rhs(reduce_pulses):
         # is its limit 1 at the initial pole
         ry = -_SQRT2 * y[5]
         transverse = math.hypot(ry, _SQRT2 * y[6])
-        d = [
+        return [
             *slope,
             *lambda3.xcoordinate_rhs(y[4:7], pulses),
             da1.real, da1.imag, da2.real, da2.imag,
             p * (ry / transverse) if transverse > 1e-12 else p,
+            *((0.0, 0.0, 0.0) if at_pole else iso_angle_rhs(y[12:15], p, s)),
         ]
-        if len(y) == 15:
-            d += iso_angle_rhs(y[12:15], p, s)
-        return d
 
     return rhs
 
@@ -197,24 +195,24 @@ def _polar_angle(states: np.ndarray) -> np.ndarray:
     return np.arctan2(np.hypot(rho[1], rho[2]), rho[0])
 
 
-def _oracle_run(rhs, costates: tuple[float, float], t_hit: float,
+def _oracle_run(reduce_pulses, costates: tuple[float, float], t_hit: float,
                 tol: float) -> tuple[ode.Trajectory, ode.Trajectory]:
-    """One run of ``rhs``, at ``tol``, from the initial pole to the hit: (base, tail).
+    """One run of ``_oracle_rhs(reduce_pulses)``, at ``tol``, from the
+    initial pole to the hit: (base, tail).
 
-    Both legs of the run are drawn from ``ode.nodes``, so the tolerance alone
-    sets their steps. The head draws the 12-component base state from 0 and
-    stops at its first node whose mapped polar angle is at least 0.01, off
-    the pole where the angle form is singular. From that seed node the tail
-    draws the nodes to the hit with the angle block appended, seeded from the
-    counterpart amplitudes there; its step controller starts afresh, and its
-    error norm reads the angle block too. ``tail`` is that continuation;
-    ``base`` holds the base state at every node of the run, the head's
-    before the seed, then the tail's. Raises ValueError if no node leaves
-    the pole.
+    Both legs of the run are drawn from ``ode.nodes`` on the 15-component
+    state, so the tolerance alone sets their steps. The head, its angle
+    block held at zero, stops at its first node whose mapped polar angle is
+    at least 0.01, off the pole. From that seed node the tail draws the
+    nodes to the hit with the angle block seeded from the counterpart
+    amplitudes there; its step controller starts afresh. ``tail`` is that
+    continuation; ``base`` holds the base state at every node of the run,
+    the head's before the seed, then the tail's. Raises ValueError if no
+    node leaves the pole.
     """
-    y0 = [0.0, 0.0, *costates, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    y0 = [0.0, 0.0, *costates, 1.0, 0.0, 0.0, 1.0, *[0.0] * 7]
     head_times, head_states = [], []
-    for t, y in ode.nodes(rhs, y0, (0.0, t_hit), tol):
+    for t, y in ode.nodes(_oracle_rhs(reduce_pulses, at_pole=True), y0, (0.0, t_hit), tol):
         seed = np.array([y])
         if _polar_angle(seed)[0] >= 0.01:
             break
@@ -223,12 +221,10 @@ def _oracle_run(rhs, costates: tuple[float, float], t_hit: float,
     else:
         raise ValueError("trajectory never leaves the initial pole; nothing to check")
     a1, a2 = _amplitudes(seed)
-    seeded = [*y, *angles_from_amplitudes(a1[0], a2[0])]
-    tail = ode.Trajectory(*zip(*ode.nodes(rhs, seeded, (t, t_hit), tol)))
-    base = ode.Trajectory(
-        np.concatenate([head_times, tail.times]),
-        np.concatenate([np.reshape(head_states, (-1, len(y0))), tail.states[:, :len(y0)]]),
-    )
+    seeded = [*y[:12], *angles_from_amplitudes(a1[0], a2[0])]
+    tail = ode.Trajectory(*zip(*ode.nodes(_oracle_rhs(reduce_pulses), seeded, (t, t_hit), tol)))
+    base = ode.Trajectory(np.concatenate([head_times, tail.times]),
+                          np.concatenate([head_states, tail.states])[:, :12])
     return base, tail
 
 
@@ -274,7 +270,7 @@ def cross_check(
     reduce_pulses = map_pulses
     if corrupt_mapping:
         reduce_pulses = lambda op, os_: (op / _SQRT2, os_ / _SQRT2)  # noqa: E731
-    base, tail = _oracle_run(_oracle_rhs(reduce_pulses), costates, t_hit, min(cfg.tol, ode.TOL))
+    base, tail = _oracle_run(reduce_pulses, costates, t_hit, min(cfg.tol, ode.TOL))
 
     rho_mapped = map_3to2(base.states[:, 4:7].T)
     rho_amp = rho_from_amplitudes(*_amplitudes(base.states))

@@ -29,13 +29,13 @@ screen first: only a step whose event changes sign, or moves away from
 zero at its right end, reaches the rule, which finds nothing on any other.
 
 The step runs on Python floats, in straight-line code generated from the
-tableau (``_A``, ``_E``): ``_dp5_source`` writes one step and one error norm
-per state width, and ``_rate_source`` the event's rate, apart, as only the
-event searches read it; each compiles on the width's first use. They unpack
-the state and each slope into one local per component, which checks the
-slope's length on every call, and spell out each sum term by term in the
-order of the list-comprehension form, so every float is that form's, bit
-for bit.
+tableau (``_A``, ``_E``): ``_dp5_source`` writes one step, its error norm
+included, per state width, and ``_rate_source`` the event's rate, apart, as
+only the event searches read it; each compiles on the width's first use.
+They unpack the state and each slope into one local per component, which
+checks the slope's length on every call, and spell out each sum term by
+term in the order of the list-comprehension form, so every float is that
+form's, bit for bit.
 
 ``locate_lane_events`` runs n states side by side as *lanes* at the fixed
 step ``MAX_STEP``, up to the first node at or past the end of the span, so
@@ -237,40 +237,32 @@ def _unpack(d: int, *names: str) -> list[str]:
 
 
 def _dp5_source(d: int) -> str:
-    """The source of the DP5 step and of its error norm on states of d
-    components, both straight-line.
+    """The source of the DP5 step, its error norm included, on states of d
+    components, straight-line.
 
-    Each unpacks its lists into one local per component, which checks a
-    slope's length. The step writes every stage sum per component in the
+    It unpacks its lists into one local per component, which checks a
+    slope's length, and writes every stage sum per component in the
     tableau's order, left to right, each weight a literal (``repr`` reads
-    back as the same float); a zero weight contributes no term. The norm sums
-    its squares in component order, with ``max`` written out as the
-    comparison ``max`` makes, so both give the list-comprehension and loop
-    forms' floats bit for bit.
+    back as the same float); a zero weight contributes no term. The norm
+    sums its squares in component order, with ``max`` written out as the
+    comparison ``max`` makes: the list-comprehension and loop forms' floats.
     """
     def stage(i: int, weights: tuple) -> str:
         return " + ".join(f"{w!r} * k{j}_{i}" for j, w in enumerate(weights, 1) if w)
 
     stages = ", ".join(f"k{j}" for j in range(1, len(_A) + 2))
-    lines = [f"def _dp5_step_{d}(rhs, y, k1, h):", *_unpack(d, "y", "k1")]
+    lines = [f"def _dp5_step_{d}(rhs, y, k1, h, tol):", *_unpack(d, "y", "k1")]
     for j, row in enumerate(_A, 2):
         states = ", ".join(f"y_{i} + h * ({stage(i, row)})" for i in range(d))
         if row is not _A[-1]:
             lines.append(f"    k{j} = rhs([{states}])")
         else:  # the weights: the new state, and the slope there
-            lines += [f"    y_new = [{states}]", f"    k{j} = rhs(y_new)"]
+            lines += [f"    y_new = [{states}]", f"    k{j} = rhs(y_new)", *_unpack(d, "y_new")]
         lines += _unpack(d, f"k{j}")
-    lines.append(f"    err = [{', '.join(f'h * ({stage(i, _E)})' for i in range(d))}]")
-    lines.append(f"    return y_new, ({stages}), err")
-
-    lines += [f"def _error_norm_{d}(err, y_old, y_new, tol):", *_unpack(d, "err", "y_old", "y_new")]
-    for i in range(d):
-        lines += [
-            f"    a_{i} = abs(y_old_{i})",
-            f"    b_{i} = abs(y_new_{i})",
-            f"    q_{i} = abs(err_{i}) / (tol + tol * (b_{i} if b_{i} > a_{i} else a_{i}))",
-        ]
-    lines.append(f"    return sqrt(({' + '.join(f'q_{i} * q_{i}' for i in range(d))}) / {d})")
+    for i in range(d):  # the error and the norm's terms
+        lines += [f"    e_{i}, a_{i}, b_{i} = h * ({stage(i, _E)}), abs(y_{i}), abs(y_new_{i})",
+                  f"    q_{i} = abs(e_{i}) / (tol + tol * (b_{i} if b_{i} > a_{i} else a_{i}))"]
+    lines.append(f"    return y_new, ({stages}), sqrt(({' + '.join(f'q_{i} * q_{i}' for i in range(d))}) / {d})")
     return "\n".join(lines) + "\n"
 
 
@@ -296,18 +288,14 @@ def _compiled(source_of: Callable[[int], str], d: int) -> dict:
 
 
 @functools.cache
-def _dp5(d: int) -> tuple[Callable, Callable]:
-    """The DP5 step and its error norm on states of d components, compiled
-    from ``_dp5_source`` on first use.
-
-    The step, ``(rhs, y, rhs(y), h)``, returns the new state, the 7 stages
-    and the error. The norm, ``(err, y_old, y_new, tol)``, is the RMS of the
-    error over tol + tol * max(|y_old|, |y_new|), its squares summed in
-    component order, numpy's order below 8 components (from 8 on numpy sums
-    pairwise).
+def _dp5(d: int) -> Callable:
+    """The DP5 step on states of d components, compiled from ``_dp5_source``
+    on first use: ``(rhs, y, rhs(y), h, tol)`` returns the new state, the 7
+    stages and the error norm, the RMS of the error over tol + tol *
+    max(|y|, |y_new|), its squares summed in component order (numpy's order
+    below 8 components; from 8 on numpy sums pairwise).
     """
-    namespace = _compiled(_dp5_source, d)
-    return namespace[f"_dp5_step_{d}"], namespace[f"_error_norm_{d}"]
+    return _compiled(_dp5_source, d)[f"_dp5_step_{d}"]
 
 
 @functools.cache
@@ -328,36 +316,42 @@ def _steps(rhs: Rhs, t0: float, y0: list, t1: float, tol: float,
     nodes and the events. The first trial step is min(MAX_STEP, t1 - t0);
     later steps are capped at ``max_step``.
     """
+    # min(a, b), max(a, b) as the builtins compare: b if b < a (b > a) else a
     t = t0
     y = y0
-    h = min(MAX_STEP, t1 - t0)
+    h = t1 - t0 if t1 - t0 < MAX_STEP else MAX_STEP
     K = (_slope(rhs(y), len(y)),)
-    step, error_norm = _dp5(len(y))
+    step = _dp5(len(y))
     yield t, y, K, 0.0
     # Each t + h rounds by up to half an ulp of the span's larger end, so
     # after n steps t may lie n of those from the sum of the steps; an end
     # that close (or within MIN_STEP) is reached, not one more step away.
-    half_ulp = 0.5 * math.ulp(max(abs(t0), abs(t1)))
+    a0, a1 = abs(t0), abs(t1)
+    half_ulp = 0.5 * math.ulp(a1 if a1 > a0 else a0)
     n = 0
     while True:
         remaining = t1 - t
         if remaining <= MIN_STEP:
             return
-        h = min(h, remaining)
+        h = remaining if remaining < h else h
         if h < MIN_STEP:
             raise StepUnderflow(f"step size {h:.3e} below {MIN_STEP:.0e} at t={t!r}")
-        y_new, K_new, err = step(rhs, y, K[-1], h)
-        enorm = error_norm(err, y, y_new, tol)
+        y_new, K_new, enorm = step(rhs, y, K[-1], h, tol)
+        # 0.9 * enorm ** -0.2 in [0.2, 5]: >= 0.9 if accepted, < 0.9 if not
         if enorm <= 1.0:
             n += 1
-            t = t1 if (t1 - (t + h)) <= max(MIN_STEP, n * half_ulp) else t + h
+            slack = n * half_ulp
+            t = t1 if (t1 - (t + h)) <= (slack if slack > MIN_STEP else MIN_STEP) else t + h
             y = y_new
             K = K_new
             yield t, y, K, h
-            factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
-        else:
-            factor = max(0.2, 0.9 * enorm ** -0.2)
-        h = min(max_step, h * factor)
+            factor = 0.9 * enorm ** -0.2 if enorm != 0.0 else 5.0
+            factor = factor if factor < 5.0 else 5.0
+        else:  # a NaN norm too: 0.2
+            factor = 0.9 * enorm ** -0.2
+            factor = factor if factor > 0.2 else 0.2
+        h = h * factor
+        h = h if h < max_step else max_step
 
 
 def nodes(rhs: Rhs, y0, t_span: tuple[float, float], tol: float = TOL) -> Iterator[tuple[float, list]]:
@@ -383,12 +377,8 @@ def integrate(rhs: Rhs, y0, t_span: tuple[float, float], tol: float = TOL) -> Tr
     controller drives the step below MIN_STEP.
     """
     t0, t1 = _span(t_span)
-    times = []
-    states = []
-    for t, y, _, _ in _steps(rhs, t0, _as_state(y0), t1, _check_tol(tol), MAX_STEP):
-        times.append(t)
-        states.append(y)
-    return Trajectory(times, states)
+    steps = _steps(rhs, t0, _as_state(y0), t1, _check_tol(tol), MAX_STEP)
+    return Trajectory(*zip(*((t, y) for t, y, _, _ in steps)))
 
 
 def _graze_ruled_out(e_a, r_a, e_b, r_b, h):
@@ -608,10 +598,11 @@ def locate_event(
     if e_a == 0.0:
         return EventHit(times, states)
     rate = _rate(len(y_a))
+    above = e_a > 0.0  # the event's sign, which holds up to the hit
     for t_b, y_b, K, h in steps:
         e_b = float(event(y_b))
         found = None
-        if e_b == 0.0 or (e_b > 0.0) != (e_a > 0.0):
+        if e_b == 0.0 or (e_b > 0.0) != above:
             found = _crossing(event, t_a, y_a, e_a, t_b, y_b, e_b, K, h, None, None)
         else:
             # the screen: a step that keeps the event's sign can only graze,

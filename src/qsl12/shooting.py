@@ -92,11 +92,16 @@ class InsufficientData(ValueError):
 HORIZON = 15.0
 
 
+def _built_by_new(cls, iterable):  # a record's _make, which _replace calls
+    return cls(*iterable)
+
+
 class ShotConfig(NamedTuple("ShotConfig", [("eps", float), ("horizon", float), ("tol", float)])):
     """Target accuracy, shot horizon, and integrator tolerance (Omega_0 = 1).
     A named tuple: read-only, equal by value, checked when built."""
 
     __slots__ = ()
+    _make = classmethod(_built_by_new)
 
     def __new__(cls, eps: float, horizon: float = HORIZON, tol: float = ode.TOL) -> ShotConfig:
         if not 0.0 < eps < 1.0:
@@ -117,9 +122,10 @@ class Optimum(NamedTuple("Optimum", [("lphi_i", float), ("ltheta_i", float), ("t
     """A successful shot: its initial costates and hit time, a named tuple. On
     an eps continuation, ``fallback`` says why the point's corrector failed
     and ``refine`` solved it instead; it is an attribute, not a field, so it
-    takes no part in comparisons."""
+    takes no part in comparisons, and a copy by ``_replace`` has none."""
 
     fallback: str | None
+    _make = classmethod(_built_by_new)
 
     def __new__(cls, lphi_i: float, ltheta_i: float, t_min: float, fallback: str | None = None) -> Optimum:
         self = super().__new__(cls, lphi_i, ltheta_i, t_min)
@@ -388,7 +394,7 @@ class _RootSearch:
         > 0 at the fastest probe. When no probe hits, NoFeasiblePoint tallies
         why."""
         tol = max(self.cfg.tol, SCAN_TOL)
-        cfg = ShotConfig(self.cfg.eps, self.cfg.horizon, tol)
+        cfg = self.cfg._replace(tol=tol)
         times, shots = [], []
         for p in probes:
             shots.append(shoot_info(self.lphi_i, p, cfg, min(times, default=math.inf)))
@@ -524,7 +530,7 @@ def _locate_and_solve(lphi_i: float, near: float, cfg: ShotConfig, point, lo: in
     located lambda_theta, on the slope of the locate record's tightest sign
     change (``_RootSearch.bracket``) to start. A phase that fails raises
     its own error."""
-    locate = _RootSearch(lphi_i, near, ShotConfig(cfg.eps, cfg.horizon, max(cfg.tol, SCAN_TOL)))
+    locate = _RootSearch(lphi_i, near, cfg._replace(tol=max(cfg.tol, SCAN_TOL)))
     locate.memo.update(screened or {})
     if cfg.tol >= SCAN_TOL:
         return locate.root(point, lo, hi)
@@ -643,7 +649,7 @@ def optima_along_eps(eps_values, cfg: ShotConfig, lphi_i: float) -> list[Optimum
     and its eps checked, before the first shot.
     """
     eps_values = [float(eps) for eps in eps_values]
-    configs = [ShotConfig(eps, cfg.horizon, cfg.tol) for eps in eps_values]
+    configs = [cfg._replace(eps=eps) for eps in eps_values]
     optima: list[Optimum | None] = [None] * len(eps_values)
     path: list[tuple[float, Optimum]] = []  # (log eps, optimum) of each distinct eps solved
     bias = 0.0

@@ -82,6 +82,18 @@ class TestDetunings:
         with pytest.raises(ValueError, match=r"Kerr parameters \(l11, l12, l22\)"):
             bloch2.KerrParams(*fields)
 
+    @pytest.mark.parametrize("fields", [dict(l11=math.inf), dict(l12=math.nan), dict(l11=1e308, l22=-1e308)])
+    def test_replace_and_make_check_as_the_constructor(self, fields):
+        # _replace builds through _make, and both through __new__: the
+        # fields are floats and a non-finite field or shift is rejected
+        k = bloch2.KerrParams()._replace(l12=2)
+        assert k == bloch2.KerrParams(0.0, 2.0, 0.0) and type(k.l12) is float
+        assert bloch2.KerrParams._make([1, 2, 3]) == bloch2.KerrParams(1.0, 2.0, 3.0)
+        with pytest.raises(ValueError):
+            bloch2.KerrParams()._replace(**fields)
+        with pytest.raises(ValueError):
+            bloch2.KerrParams._make(({"l11": 0.0, "l12": 0.0, "l22": 0.0} | fields).values())
+
     def test_effective_detuning_trivial(self):
         assert reference.effective_detuning(0.0, 0.3) == 0.0
         k = bloch2.KerrParams(1.0, 2.0, -3.0)

@@ -475,6 +475,19 @@ class TestWorkflowPins:
         for name in ("amplitude", "angle", "roundtrip", "quadrature") if bounded else ():
             assert float(fields[f"{name}_deviation"]) <= 1e-9, name
 
+    def test_iso_check_at_a_tight_tolerance(self, tmp_path, capsys):
+        # the first check at --tol 1e-12: the hit time and the verdict
+        # pinned, the four deviations bounded by 1e-11 (measured 2.2e-13 to
+        # 1.3e-12)
+        code, out = run(capsys, "--tol", "1e-12", "--out", str(tmp_path), "iso", "check", "--eps", "0.002",
+                        "--costates", "1.85,0.45266")
+        assert code == 0
+        lines = out.splitlines()
+        assert "hit_time = 7.399379289" in lines and "all oracles within thresholds" in lines
+        fields = fields_of(out)
+        for name in ("amplitude", "angle", "roundtrip", "quadrature"):
+            assert float(fields[f"{name}_deviation"]) <= 1e-11, name
+
     def test_iso_negative_control_fails(self, tmp_path, capsys):
         # the inconsistent Omega_s / sqrt(2) reduction fails by far and exits 6
         code, out = run(capsys, "--out", str(tmp_path), "iso", "check", "--eps", "0.002",

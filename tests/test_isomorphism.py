@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsl12 import isomorphism as iso
-from qsl12 import lambda3, ode, shooting
+from qsl12 import cli, lambda3, ode, shooting
 
 import reference
 
@@ -173,17 +173,24 @@ class TestCrossCheck:
 
     @pytest.mark.parametrize("eps, costates", [(0.002, (1.85, 0.45266)), (0.005, (1.85, 0.62776))])
     def test_run_continues_the_base_integration_bit_for_bit(self, eps, costates):
-        # the head is a plain ode.nodes run of the base state, bit for bit, up
-        # to the seed, its first node off the pole; the tail, with the angle
-        # block appended, runs from that seed to the hit on its own steps
+        # the head flows the 15-component state with the angle block held at
+        # zero; at the default tol its base columns are a 12-component
+        # ode.nodes run's, bit for bit, up to the seed, its first node off the
+        # pole: the first step's norm, over 12 components or 15, clamps the
+        # step factor at 5 either way. The tail, with the angle block seeded,
+        # runs from that seed to the hit on its own steps
         cfg = shooting.ShotConfig(eps=eps)
         t_hit = shooting.shoot_info(*costates, cfg)[0]
-        rhs = iso._oracle_rhs(iso.map_pulses)
-        base, tail = iso._oracle_run(rhs, costates, t_hit, cfg.tol)
+        base, tail = iso._oracle_run(iso.map_pulses, costates, t_hit, cfg.tol)
         seed = len(base.times) - len(tail.times)
+        at_pole = iso._oracle_rhs(iso.map_pulses, at_pole=True)
         y0 = [0.0, 0.0, *costates, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
-        times, states = zip(*itertools.islice(ode.nodes(rhs, y0, (0.0, t_hit), cfg.tol), seed + 1))
+        head = list(itertools.islice(ode.nodes(at_pole, [*y0, 0.0, 0.0, 0.0], (0.0, t_hit), cfg.tol), seed))
+        assert all(y[12:] == [0.0, 0.0, 0.0] for _, y in head)
+        base_rhs = lambda y: at_pole([*y, 0.0, 0.0, 0.0])[:12]  # noqa: E731
+        times, states = zip(*itertools.islice(ode.nodes(base_rhs, y0, (0.0, t_hit), cfg.tol), seed + 1))
         plain = ode.Trajectory(times, states)
+        assert base.states.shape[1] == 12
         assert np.array_equal(base.times[:seed], plain.times[:seed])
         assert np.array_equal(base.states[:seed], plain.states[:seed])
         theta = iso._polar_angle(plain.states)
@@ -193,6 +200,15 @@ class TestCrossCheck:
         assert np.array_equal(base.times[seed:], tail.times)
         assert np.array_equal(base.states[seed:], tail.states[:, :12])
         assert tail.states.shape[1] == 15
+
+    def test_one_check_compiles_only_the_15_wide_step(self, tmp_path, monkeypatch):
+        # the head runs on the tail's width, so an iso check steps at width 4
+        # (its shot) and 15 alone, and never compiles a 12-wide step
+        widths, dp5 = [], ode._dp5
+        monkeypatch.setattr(ode, "_dp5", lambda d: widths.append(d) or dp5(d))
+        argv = ["--out", str(tmp_path), "iso", "check", "--eps", "0.002", "--costates", "1.85,0.45266"]
+        assert cli.main(argv) == 0
+        assert 12 not in widths and set(widths) == {4, 15}
 
     def test_unreachable_costates_rejected(self, cfg002):
         with pytest.raises(shooting.NoFeasiblePoint):

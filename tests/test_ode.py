@@ -218,13 +218,13 @@ class TestContract:
         dp5 = ode._dp5
 
         def recording(d):
-            step, error_norm = dp5(d)
+            step = dp5(d)
 
-            def recorded(rhs, y, k1, h):
+            def recorded(rhs, y, k1, h, tol):
                 called.append(rhs)
-                return step(rhs, y, k1, h)
+                return step(rhs, y, k1, h, tol)
 
-            return recorded, error_norm
+            return recorded
 
         monkeypatch.setattr(ode, "_dp5", recording)
         for rhs in (rotation_rhs, lambda y: np.array([-y[1], y[0]])):
@@ -263,16 +263,20 @@ class TestContract:
 
     @pytest.mark.parametrize("n", [1, 3, 4, 7, 8, 11, 14])
     def test_error_norm_matches_array_form(self, n):
-        # the array form it replaced: bit for bit below 8 components, where
+        # the step's norm against the array form it replaced, on the
+        # reference step's error: bit for bit below 8 components, where
         # numpy also sums in order; from 8 on numpy sums pairwise
         rng = np.random.default_rng(n)
         tol = ode.TOL
         for _ in range(50):
-            err, y_old, y_new = (rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 3, n) for _ in range(3))
-            scale = tol + tol * np.maximum(np.abs(y_old), np.abs(y_new))
+            y, c, b = (rng.standard_normal(n) * 10.0 ** rng.uniform(-9, 1, n) for _ in range(3))
+            rhs = lambda y: [ci * v * v + bi for ci, v, bi in zip(c, y, b)]  # noqa: E731
+            y, h = y.tolist(), float(10.0 ** rng.uniform(-4, -1))
+            y_new, _, norm = ode._dp5(n)(rhs, y, rhs(y), h, tol)
+            err = np.array(reference_step(rhs, y, rhs(y), h)[2])
+            scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
             q = np.abs(err) / scale
             expected = float(np.sqrt(np.mean(q * q)))
-            norm = ode._dp5(n)[1](err.tolist(), y_old.tolist(), y_new.tolist(), tol)
             if n < 8:
                 assert norm == expected
             else:
@@ -325,14 +329,43 @@ def reference_error_norm(err, y_old, y_new, tol):
     return math.sqrt(total / len(err))
 
 
+def reference_steps(rhs, t0, y0, t1, tol, max_step=math.inf):
+    """``ode._steps`` in the form it had with the builtin ``min`` and
+    ``max``, on the reference step and norm: the controller whose nodes, as
+    (t, y, K, h), the spelled-out comparisons reproduce bit for bit."""
+    t, y, h = t0, y0, min(ode.MAX_STEP, t1 - t0)
+    K = (rhs(y),)
+    yield t, y, K, 0.0
+    half_ulp = 0.5 * math.ulp(max(abs(t0), abs(t1)))
+    n = 0
+    while True:
+        remaining = t1 - t
+        if remaining <= ode.MIN_STEP:
+            return
+        h = min(h, remaining)
+        if h < ode.MIN_STEP:
+            raise ode.StepUnderflow(f"step size {h:.3e} below {ode.MIN_STEP:.0e} at t={t!r}")
+        y_new, K_new, err = reference_step(rhs, y, K[-1], h)
+        enorm = reference_error_norm(err, y, y_new, tol)
+        if enorm <= 1.0:
+            n += 1
+            t = t1 if (t1 - (t + h)) <= max(ode.MIN_STEP, n * half_ulp) else t + h
+            y, K = y_new, K_new
+            yield t, y, K, h
+            factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
+        else:
+            factor = max(0.2, 0.9 * enorm ** -0.2)
+        h = min(max_step, h * factor)
+
+
 def bits(values):
     """The bytes of a sequence of numbers or arrays, so -0.0 differs from 0.0."""
     return b"".join(np.asarray(v).tobytes() for v in values)
 
 
 class TestGeneratedStep:
-    """The DP5 step and its error norm, ``ode._dp5(d)``, run code generated
-    from the tableau, one pair of functions per state width; each float is
+    """The DP5 step with its error norm, ``ode._dp5(d)``, runs code
+    generated from the tableau, one function per state width; each float is
     the reference's."""
 
     @staticmethod
@@ -341,7 +374,7 @@ class TestGeneratedStep:
         return lambda y: [c * y[i] * y[i - 1] - 0.2 * y[(i + 1) % d] + 0.1 for i in range(d)]
 
     @pytest.mark.parametrize("kind", [float, complex])
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 12, 15])
+    @pytest.mark.parametrize("d", range(1, 16))
     def test_step_and_norm_are_the_reference_bit_for_bit(self, d, kind):
         rng = np.random.default_rng(d)
         rhs = self.coupled(d, 0.7j if kind is complex else 0.7)
@@ -350,21 +383,18 @@ class TestGeneratedStep:
             if kind is complex:
                 y = y + 1j * rng.standard_normal(d)
             y, h = y.tolist(), float(10.0 ** rng.uniform(-4, -1))
-            step = ode._dp5(d)[0](rhs, y, rhs(y), h)
             ref = reference_step(rhs, y, rhs(y), h)
-            assert step[0] == ref[0] and bits(step[0]) == bits(ref[0])
-            assert len(step[1]) == 7
-            for k, k_ref in zip(step[1], ref[1]):
-                assert k == k_ref and bits(k) == bits(k_ref)
-            assert step[2] == ref[2] and bits(step[2]) == bits(ref[2])
             for tol in (1e-10, 1e-6):
-                norm = ode._dp5(d)[1](step[2], y, step[0], tol)
-                assert bits([norm]) == bits([reference_error_norm(step[2], y, step[0], tol)])
+                y_new, K, norm = ode._dp5(d)(rhs, y, rhs(y), h, tol)
+                assert y_new == ref[0] and bits(y_new) == bits(ref[0])
+                assert len(K) == 7
+                for k, k_ref in zip(K, ref[1]):
+                    assert k == k_ref and bits(k) == bits(k_ref)
+                assert type(norm) is float
+                assert bits([norm]) == bits([reference_error_norm(ref[2], y, ref[0], tol)])
 
     def test_compiled_once_per_width(self):
-        assert ode._dp5(4) is ode._dp5(4)
-        step, error_norm = ode._dp5(4)
-        assert step.__name__ == "_dp5_step_4" and error_norm.__name__ == "_error_norm_4"
+        assert ode._dp5(4) is ode._dp5(4) and ode._dp5(4).__name__ == "_dp5_step_4"
 
 
 class TestLaneStep:
@@ -495,6 +525,8 @@ class TestNonFiniteRhs:
             ode.integrate(rhs, [0.0, 0.0], (0.0, 1.0))
         with pytest.raises(ode.StepUnderflow):
             ode.locate_event(rhs, [0.0, 0.0], (0.0, 1.0), lambda y: y[0] - 10.0)
+        with pytest.raises(ode.StepUnderflow):
+            list(ode.nodes(rhs, [0.0, 0.0], (0.0, 1.0)))
 
 
 class TestConfigAndTrajectory:
@@ -517,6 +549,17 @@ class TestConfigAndTrajectory:
             ode.nodes(rhs, y0, t_span, **kwargs)  # at the call, before the first draw
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             ode.locate_event(rhs, y0, t_span, lambda y: y[0], **kwargs)
+
+    @pytest.mark.parametrize("fields", [dict(eps=2.0), dict(eps=0.0), dict(horizon=math.inf), dict(tol=-1.0)])
+    def test_replace_checks_as_the_constructor(self, fields):
+        # _replace builds through _make, and _make through __new__
+        cfg = shooting.ShotConfig(0.002)
+        assert cfg._replace(eps=0.005, tol=1e-8) == shooting.ShotConfig(0.005, tol=1e-8)
+        assert shooting.ShotConfig._make([0.1, 2.0, 1e-6]) == shooting.ShotConfig(0.1, 2.0, 1e-6)
+        with pytest.raises(ValueError, match="must"):
+            cfg._replace(**fields)
+        with pytest.raises(ValueError, match="must"):
+            shooting.ShotConfig._make({**cfg._asdict(), **fields}.values())
 
     def test_trajectory_requires_increasing_times(self):
         with pytest.raises(ValueError):
@@ -753,6 +796,59 @@ class TestScreen:
         hit = ode.locate_event(*_REFERENCE_SHOT)
         assert len(hit.trajectory.times) > 170
         assert 1 <= len(decided) <= 2
+
+
+def run_steps(steps):
+    """The nodes a controller yields, then the message of the StepUnderflow
+    that ends it, if one does."""
+    out = []
+    try:
+        out.extend(steps)
+    except ode.StepUnderflow as exc:
+        out.append(str(exc))
+    return out
+
+
+class TestController:
+    """``ode._steps`` spells each ``min`` and ``max`` as the comparison the
+    builtin makes and reads the norm from the step: its nodes are the
+    builtin form's on the reference step and norm, node for node, bit for
+    bit, and a NaN or infinite slope still ends it in StepUnderflow at the
+    same t."""
+
+    @staticmethod
+    def assert_same_steps(rhs, y0, t_span, tol=ode.TOL, max_step=math.inf):
+        y0 = ode._as_state(y0)
+        got = run_steps(ode._steps(rhs, t_span[0], y0, t_span[1], tol, max_step))
+        ref = run_steps(reference_steps(rhs, t_span[0], y0, t_span[1], tol, max_step))
+        assert len(got) == len(ref)
+        for node, ref_node in zip(got, ref):
+            if isinstance(ref_node, str):
+                assert node == ref_node
+                continue
+            (t, y, K, h), (t_ref, y_ref, K_ref, h_ref) = node, ref_node
+            assert bits([t, h]) == bits([t_ref, h_ref])
+            assert type(y) is list and bits(y) == bits(y_ref) and bits(K) == bits(K_ref)
+        return got
+
+    @pytest.mark.parametrize("max_step", [math.inf, ode.MAX_STEP])
+    @pytest.mark.parametrize("tol", [ode.TOL, 1e-6])
+    @pytest.mark.parametrize("case", SCREEN_CASES)
+    def test_is_the_builtin_form_bit_for_bit(self, case, tol, max_step):
+        rhs, y0, t_span, _ = SCREEN_CASES[case]
+        assert len(self.assert_same_steps(rhs, y0, t_span, tol, max_step)) > 3
+
+    def test_zero_error_grows_the_step_fivefold(self):
+        # a zero slope leaves a zero error, whose factor is 5 itself
+        nodes = self.assert_same_steps(lambda y: [0.0, 0.0], [1.0, 2.0], (0.0, 10.0))
+        assert [h for _, _, _, h in nodes[1:5]] == [0.01, 0.05, 0.25, 1.25]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("from_start", [True, False])
+    def test_non_finite_slope_underflows_at_the_same_t(self, bad, from_start):
+        rhs = (lambda y: [bad, bad]) if from_start else TestNonFiniteRhs.rhs_turning(bad)
+        nodes = self.assert_same_steps(rhs, [0.0, 0.0], (0.0, 1.0))
+        assert nodes[-1].startswith("step size") and (len(nodes) > 2) != from_start
 
 
 class TestLazyPath:

@@ -481,6 +481,15 @@ class TestRefine:
         assert plain == retried and plain.fallback == "refined"
         assert plain != shooting.Optimum(1.85, 0.45, 7.5)
 
+    def test_replace_builds_through_the_constructor(self):
+        # _replace calls _make, which builds by __new__: a copy of an optimum
+        # has its fields and no fallback, however the original was solved
+        retried = shooting.Optimum(1.85, 0.45, 7.4, fallback="no valid bracket")
+        moved = retried._replace(t_min=8.0)
+        assert moved == shooting.Optimum(1.85, 0.45, 8.0) and type(moved) is shooting.Optimum
+        assert moved.fallback is None and retried.fallback == "no valid bracket"
+        assert shooting.Optimum._make([1.0, 2.0, 3.0]).fallback is None
+
     def test_restart_at_optimum_is_stable(self, cfg002, opt002):
         again = shooting.refine(1.85, opt002.ltheta_i, cfg002)
         assert again.ltheta_i == pytest.approx(opt002.ltheta_i, abs=1e-4)
